@@ -21,6 +21,7 @@ import sys
 
 from .config import (
     ConfigError,
+    _get_int,
     dataset_from_document,
     experiment_from_document,
     load_document,
@@ -140,9 +141,9 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
         if exp is not None:
             if not isinstance(exp, dict):
                 raise ConfigError("experiment must be a mapping")
-            p = exp.get("p", p)
-            k = exp.get("k", k)
-            n = exp.get("n", n)
+            p = _get_int(exp, "p", "experiment", p)
+            k = _get_int(exp, "k", "experiment", k)
+            n = _get_int(exp, "n", "experiment", n)
 
     out = []
     failed = False

@@ -22,6 +22,8 @@ __all__ = [
     "CanonicalModel",
     "TrueParameters",
     "LossSpec",
+    "PooledConstants",
+    "PooledBatch",
     "PooledSummary",
     "Hyperparameters",
     "ValidationReport",
@@ -192,26 +194,131 @@ class LossSpec:
 class PooledSummary:
     """Pooled statistics shared by the shrinkage estimators.
 
-    weights: (k, p, p) stack w[i] = inv(v[i]) @ inv(q[i]) @ inv(v[i]).
-    pooled_cov: inverse of sum_i w[i].
+    constants: the per-model constants (weights, pooled_cov, directions).
     pooled_mean: pooled_cov @ sum_i w[i] x[i], the generalized least squares
         combination of the group observations.
     residual_stat: sum_i (x[i]-pooled_mean)' w[i] (x[i]-pooled_mean) / s.
     pooled_norm_stat: pooled_mean' inv(pooled_cov) pooled_mean / s.
     """
 
-    weights: np.ndarray
-    pooled_cov: np.ndarray
+    constants: PooledConstants
     pooled_mean: np.ndarray
     residual_stat: float
     pooled_norm_stat: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", _freeze(self.weights))
-        object.__setattr__(self, "pooled_cov", _freeze(self.pooled_cov))
         object.__setattr__(self, "pooled_mean", _freeze(self.pooled_mean))
         object.__setattr__(self, "residual_stat", float(self.residual_stat))
         object.__setattr__(self, "pooled_norm_stat", float(self.pooled_norm_stat))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """(k, p, p) stack w[i] = inv(v[i]) @ inv(q[i]) @ inv(v[i])."""
+        return self.constants.weights
+
+    @property
+    def pooled_cov(self) -> np.ndarray:
+        """Inverse of sum_i w[i]."""
+        return self.constants.pooled_cov
+
+
+@dataclass(frozen=True)
+class PooledConstants:
+    """What the pooled statistics need besides x and s.
+
+    A simulation computes these once per configuration for all replicates.
+
+    k, p, n: groups, coordinates and scale degrees of freedom.
+    loss: the loss weights.
+    v_inv: (k, p, p) stack of inv(v[i]).
+    weights: (k, p, p) stack w[i] = inv(v[i]) @ inv(q[i]) @ inv(v[i]).
+    weight_sum: sum_i w[i].
+    pooled_cov: inverse of weight_sum.
+    directions: (k, p, p) stack v[i] @ w[i] (= inv(q[i]) inv(v[i])), the
+        inverse-loss-weighted shrink maps.
+    trace_sum: sum_i tr(v[i] q[i]), the risk of the unshrunk estimator.
+    inverse_loss: every q[i] is inv(v[i]).
+    """
+
+    k: int
+    p: int
+    n: int
+    loss: LossSpec
+    v_inv: np.ndarray
+    weights: np.ndarray
+    weight_sum: np.ndarray
+    pooled_cov: np.ndarray
+    directions: np.ndarray
+    trace_sum: float
+    inverse_loss: bool
+
+    @classmethod
+    def from_model(
+        cls, model: CanonicalModel, loss_spec: LossSpec, tol: Tolerances = DEFAULT
+    ) -> "PooledConstants":
+        """Validate the model and loss (x and s too), then derive the constants."""
+        report = validate_model(model, loss_spec, tol=tol)
+        if not report.ok:
+            raise ValueError("invalid model: " + "; ".join(report.violations))
+        v_inv = np.stack([_spd_inverse(f"v[{i}]", vi, tol) for i, vi in enumerate(model.v)])
+        q_inv = np.stack([_spd_inverse(f"q[{i}]", qi, tol) for i, qi in enumerate(loss_spec.q)])
+        w = np.einsum("kab,kbc,kcd->kad", v_inv, q_inv, v_inv)
+        weights = 0.5 * (w + np.transpose(w, (0, 2, 1)))
+        weight_sum = weights.sum(axis=0)
+        return cls(
+            k=model.k,
+            p=model.p,
+            n=model.n,
+            loss=loss_spec,
+            v_inv=_freeze(v_inv),
+            weights=_freeze(weights),
+            weight_sum=_freeze(weight_sum),
+            pooled_cov=_freeze(_spd_inverse("sum of weights", weight_sum, tol)),
+            directions=_freeze(np.einsum("kab,kbc->kac", model.v, weights)),
+            trace_sum=float(np.einsum("kab,kba->", model.v, loss_spec.q)),
+            inverse_loss=loss_spec.matches_inverse_v(model),
+        )
+
+    def summarize(self, x: np.ndarray, s: np.ndarray, tol: Tolerances = DEFAULT) -> "PooledBatch":
+        """Pooled statistics of R replicates: x is (R, k, p), s is (R,).
+
+        For every replicate, residual_stat + pooled_norm_stat times s must
+        reproduce sum_i x[i]' w[i] x[i]; a failure raises, since it means
+        the inputs broke the conditioning guards.
+        """
+        wx = np.einsum("kab,rkb->rka", self.weights, x)
+        pooled_mean = wx.sum(axis=1) @ self.pooled_cov
+        total = np.einsum("rka,rka->r", x, wx)
+        centered = x - pooled_mean[:, None, :]
+        residual = np.einsum("rka,kab,rkb->r", centered, self.weights, centered)
+        pooled_norm = np.einsum("ra,ab,rb->r", pooled_mean, self.weight_sum, pooled_mean)
+        gap = np.abs((residual + pooled_norm) - total)
+        bad = np.flatnonzero(gap > tol.identity_rel * np.maximum(1.0, np.abs(total)))
+        if bad.size:
+            raise ArithmeticError(
+                "pooled quadratic forms failed the decomposition check: "
+                f"{residual[bad[0]]} + {pooled_norm[bad[0]]} != {total[bad[0]]}"
+            )
+        return PooledBatch(self, x, s, pooled_mean, residual / s, pooled_norm / s)
+
+
+@dataclass(frozen=True)
+class PooledBatch:
+    """Pooled statistics of R replicates that share their constants.
+
+    x: (R, k, p) observations, referenced rather than copied.
+    s: (R,) pooled scale statistics.
+    pooled_mean: (R, p) generalized least squares means pooled_cov @ sum_i w[i] x[i].
+    residual_stat: (R,) sum_i (x[i]-pooled_mean)' w[i] (x[i]-pooled_mean) / s.
+    pooled_norm_stat: (R,) pooled_mean' weight_sum pooled_mean / s.
+    """
+
+    constants: PooledConstants
+    x: np.ndarray
+    s: np.ndarray
+    pooled_mean: np.ndarray
+    residual_stat: np.ndarray
+    pooled_norm_stat: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -408,37 +515,15 @@ def pooled_summary(
 
     The weights w[i] = inv(v[i]) inv(q[i]) inv(v[i]) define a generalized
     least squares pooled mean; residual_stat and pooled_norm_stat are the
-    two scale-free statistics every shrink factor is built from. Their sum
-    times s must reproduce sum_i x[i]' w[i] x[i]; that identity is verified
-    here and a failure raises, since it indicates the inputs broke the
-    conditioning guards.
+    two scale-free statistics every shrink factor is built from. This is
+    the one-replicate case of PooledConstants.summarize, with the same
+    validation and decomposition check.
     """
-    report = validate_model(model, loss_spec, tol=tol)
-    if not report.ok:
-        raise ValueError("invalid model: " + "; ".join(report.violations))
-    k, p = model.k, model.p
-    weights = np.empty((k, p, p))
-    for i in range(k):
-        vinv = _spd_inverse(f"v[{i}]", model.v[i], tol)
-        qinv = _spd_inverse(f"q[{i}]", loss_spec.q[i], tol)
-        wi = vinv @ qinv @ vinv
-        weights[i] = 0.5 * (wi + wi.T)
-    wsum = weights.sum(axis=0)
-    pooled_cov = _spd_inverse("sum of weights", wsum, tol)
-    pooled_mean = pooled_cov @ np.einsum("kab,kb->a", weights, model.x)
-    centered = model.x - pooled_mean
-    residual = float(np.einsum("ka,kab,kb->", centered, weights, centered))
-    pooled_norm = float(pooled_mean @ wsum @ pooled_mean)
-    total = float(np.einsum("ka,kab,kb->", model.x, weights, model.x))
-    if abs((residual + pooled_norm) - total) > tol.identity_rel * max(1.0, abs(total)):
-        raise ArithmeticError(
-            "pooled quadratic forms failed the decomposition check: "
-            f"{residual} + {pooled_norm} != {total}"
-        )
+    constants = PooledConstants.from_model(model, loss_spec, tol)
+    batch = constants.summarize(model.x[None], np.array([model.s]), tol)
     return PooledSummary(
-        weights=weights,
-        pooled_cov=pooled_cov,
-        pooled_mean=pooled_mean,
-        residual_stat=residual / model.s,
-        pooled_norm_stat=pooled_norm / model.s,
+        constants=constants,
+        pooled_mean=batch.pooled_mean[0],
+        residual_stat=batch.residual_stat[0],
+        pooled_norm_stat=batch.pooled_norm_stat[0],
     )

@@ -8,9 +8,9 @@ bit-identical across runs, thread counts, and platforms with IEEE-754
 doubles. Replicates are evaluated in fixed-size blocks (never a function
 of the thread count) and reduced with numpy's pairwise summation.
 
-The vectorized replicate engine reimplements the estimator formulas for
-speed; its agreement with the public single-shot estimators is pinned by
-tests.
+Each block runs the batch kernels of the estimators module on the pooled
+statistics of its replicates, the same code the single-shot estimators
+run with one replicate.
 """
 
 from __future__ import annotations
@@ -24,14 +24,19 @@ import numpy as np
 from scipy.special import gammaincinv, ndtri
 
 from .estimators import (
+    BATCH_ESTIMATORS,
     ESTIMATOR_ORDER,
+    EstimatorSetting,
     PreconditionError,
     ShrinkageFunctions,
+    batch_general,
+    floored_statistics,
     resolve_estimator,
 )
-from .model import CanonicalModel, Hyperparameters, LossSpec, TrueParameters
-from .numerics import HbExponents, f_quantile, hb1_shrink_ratio, hb2_shrink_ratios
-from .risk import UerInputs, prial, uer
+from .model import CanonicalModel, Hyperparameters, LossSpec, PooledConstants, TrueParameters
+# Unused here; kept because perfbench/spans.py traces them as attributes of this module.
+from .numerics import f_quantile, hb1_shrink_ratio, hb2_shrink_ratios  # noqa: F401
+from .risk import UerInputs, loss, uer
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -65,6 +70,15 @@ def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.integers(0, 1 << 53, size=shape) + 0.5) * 2.0**-53
 
 
+def _draw(
+    truth: TrueParameters, chol: np.ndarray, n: int, u: np.ndarray, us: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map uniforms u (R, k, p) and us (R,) to (x, s); chol factors the v stack."""
+    x = truth.mu + math.sqrt(truth.sigma2) * np.einsum("kab,rkb->rka", chol, ndtri(u))
+    s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
+    return x, s
+
+
 def sample_canonical(
     truth: TrueParameters, v: np.ndarray, n: int, rng: np.random.Generator
 ) -> CanonicalModel:
@@ -74,13 +88,10 @@ def sample_canonical(
     then one uniform for the scale statistic; both mapped through inverse
     CDFs. The harness reproduces these draws exactly.
     """
-    k, p = truth.mu.shape
     va = np.asarray(v, dtype=float)
-    chol = np.linalg.cholesky(va)
-    z = ndtri(_uniforms(rng, (k, p)))
-    x = truth.mu + math.sqrt(truth.sigma2) * np.einsum("kab,kb->ka", chol, z)
-    s = truth.sigma2 * 2.0 * float(gammaincinv(0.5 * n, _uniforms(rng, ())))
-    return CanonicalModel(x=x, v=va, s=s, n=n)
+    u = _uniforms(rng, truth.mu.shape)
+    x, s = _draw(truth, np.linalg.cholesky(va), n, u[None], _uniforms(rng, ()))
+    return CanonicalModel(x=x[0], v=va, s=float(s), n=n)
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,8 @@ class ExperimentConfig:
         object.__setattr__(self, "mean_configs", tuple(self.mean_configs))
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
-    def validate(self, tol: Tolerances = DEFAULT) -> None:
+    def validate(self, tol: Tolerances = DEFAULT) -> EstimatorSetting:
+        """Check the configuration; return the estimator setting its replicates share."""
         if self.k < 2:
             raise ValueError(f"need k >= 2 groups, got {self.k}")
         if self.p < 1:
@@ -177,7 +189,8 @@ class ExperimentConfig:
         for name in self.estimators:
             resolve_estimator(name)
         template = CanonicalModel(x=np.zeros((self.k, self.p)), v=self.v, s=1.0, n=self.n)
-        self.loss_spec(template, tol)
+        pooled = PooledConstants.from_model(template, self.loss_spec(template, tol), tol)
+        return EstimatorSetting(pooled, self.hyper, tol, self.positive_part_js)
 
     def loss_spec(
         self, model: CanonicalModel | None = None, tol: Tolerances = DEFAULT
@@ -278,164 +291,48 @@ class RiskTable:
         return "\n".join(lines) + "\n"
 
 
-class _ConfigEngine:
-    """Vectorized per-configuration replicate evaluator."""
+def _config_losses(
+    cfg: ExperimentConfig, setting: EstimatorSetting, ci: int, names: tuple[str, ...]
+) -> tuple[np.ndarray, dict[str, str]]:
+    """Full (estimators, replicates) loss matrix for one configuration.
 
-    def __init__(self, cfg: ExperimentConfig, ls: LossSpec, config_index: int, names: tuple[str, ...]):
-        self.cfg = cfg
-        self.ls = ls
-        self.ci = config_index
-        self.names = names
-        mc = cfg.mean_configs[config_index]
-        self.mu = mc.mu
-        self.sig = math.sqrt(cfg.sigma2)
-        self.chol = np.linalg.cholesky(cfg.v)
-        self.vinv = np.linalg.inv(cfg.v)
-        qinv = np.linalg.inv(ls.q)
-        w = np.einsum("kab,kbc,kcd->kad", self.vinv, qinv, self.vinv)
-        self.w = 0.5 * (w + np.transpose(w, (0, 2, 1)))
-        self.wsum = self.w.sum(axis=0)
-        self.a_mat = np.linalg.inv(self.wsum)
-        self.dirs = np.einsum("kab,kbc->kac", cfg.v, self.w)
-        self.trace_sum = float(np.einsum("kab,kba->", cfg.v, ls.q))
-        d1 = cfg.p * (cfg.k - 1)
-        self.t_mean = (d1 - 2.0) / (cfg.n + 2.0)
-        self.t_zero = (cfg.p - 2.0) / (cfg.n + 2.0)
-        self.js1_scale = (cfg.p - 2.0) / (cfg.n + 2.0)
-        self.js2_scale = (cfg.p * cfg.k - 2.0) / (cfg.n + 2.0)
-        self.errors: dict[str, str] = {}
-        self.threshold = math.nan
-        self.exponents: HbExponents | None = None
-        h = cfg.hyper
-        for name in names:
-            try:
-                if name in ("JS1", "PT*", "EB*") and cfg.p < 3:
-                    raise PreconditionError(f"needs p >= 3, got p={cfg.p}")
-                if name == "JS2" and cfg.p * cfg.k < 3:
-                    raise PreconditionError(f"needs p*k >= 3, got {cfg.p * cfg.k}")
-                if name in ("EB", "EB*") and d1 < 3:
-                    raise PreconditionError(f"needs p(k-1) >= 3, got {d1}")
-                if name in ("PT", "PT*"):
-                    template = CanonicalModel(
-                        x=np.zeros((cfg.k, cfg.p)), v=cfg.v, s=1.0, n=cfg.n
-                    )
-                    if not ls.matches_inverse_v(template):
-                        raise PreconditionError("needs inverse-scale loss")
-                    self.threshold = d1 / cfg.n * f_quantile(d1, cfg.n, h.alpha)
-                if name == "HB1":
-                    hb1_shrink_ratio(1.0, cfg.p, cfg.k, cfg.n, h.a, h.c, ls.eig_floor)
-                if name == "HB2":
-                    self.exponents = HbExponents.from_model(
-                        cfg.p, cfg.k, cfg.n, h.a, h.b, h.c
-                    )
-            except (PreconditionError, ValueError) as exc:
-                self.errors[name] = str(exc)
+    An estimator whose preconditions fail gets NaN losses and its message
+    in the returned errors.
+    """
+    truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
+    chol = np.linalg.cholesky(cfg.v)
+    errors: dict[str, str] = {}
 
-    def _loss(self, mu_hat: np.ndarray) -> np.ndarray:
-        diff = mu_hat - self.mu
-        return np.einsum("rka,kab,rkb->r", diff, self.ls.q, diff) / self.cfg.sigma2
-
-    def losses_block(self, r0: int, r1: int) -> np.ndarray:
-        """(estimators, block) loss matrix for replicates r0..r1-1."""
-        cfg = self.cfg
-        size = r1 - r0
-        u = np.empty((size, cfg.k, cfg.p))
-        us = np.empty(size)
+    def losses_block(r0: int, r1: int) -> np.ndarray:
+        u = np.empty((r1 - r0, cfg.k, cfg.p))
+        us = np.empty(r1 - r0)
         for j, r in enumerate(range(r0, r1)):
-            rng = _substream(cfg.seed, _NS_EXPERIMENT, self.ci, r)
+            rng = _substream(cfg.seed, _NS_EXPERIMENT, ci, r)
             u[j] = _uniforms(rng, (cfg.k, cfg.p))
             us[j] = _uniforms(rng, ())
-        z = ndtri(u)
-        x = self.mu[None] + self.sig * np.einsum("kab,rkb->rka", self.chol, z)
-        s = cfg.sigma2 * 2.0 * gammaincinv(0.5 * cfg.n, us)
-
-        wx = np.einsum("kab,rkb->rka", self.w, x)
-        nu = wx.sum(axis=1) @ self.a_mat
-        cx = x - nu[:, None, :]
-        f = np.einsum("rka,kab,rkb->r", cx, self.w, cx) / s
-        g = np.einsum("ra,ab,rb->r", nu, self.wsum, nu) / s
-        term_mean = np.einsum("kab,rkb->rka", self.dirs, cx)
-        term_zero = np.einsum("kab,rb->rka", self.dirs, nu)
-
-        deg = DEFAULT.degenerate_stat
-        f_safe = np.maximum(f, deg)
-        g_safe = np.maximum(g, deg)
-        fac_zero = np.where(g > deg, np.minimum(self.t_zero / g_safe, 1.0), 1.0)
-
-        out = np.empty((len(self.names), size))
-        h = cfg.hyper
-        for ei, name in enumerate(self.names):
-            if name in self.errors:
-                out[ei] = np.nan
+        x, s = _draw(truth, chol, cfg.n, u, us)
+        batch = setting.pooled.summarize(x, s, setting.tol)
+        out = np.full((len(names), r1 - r0), np.nan)
+        for ei, name in enumerate(names):
+            try:
+                mu_hat, _ = BATCH_ESTIMATORS[name](setting, batch)
+            except PreconditionError as exc:
+                errors[name] = str(exc)
                 continue
-            if name == "X":
-                mu_hat = x
-            elif name == "JS1":
-                norms2 = np.einsum("rka,kab,rkb->rk", x, self.vinv, x)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    shrink = np.where(
-                        norms2 > 0.0,
-                        self.js1_scale * s[:, None] / np.where(norms2 > 0.0, norms2, 1.0),
-                        0.0,
-                    )
-                retained = 1.0 - shrink
-                if cfg.positive_part_js:
-                    retained = np.maximum(retained, 0.0)
-                mu_hat = retained[:, :, None] * x
-            elif name == "JS2":
-                tot = np.einsum("rka,kab,rkb->r", x, self.vinv, x)
-                retained = np.where(tot > 0.0, 1.0 - self.js2_scale * s / np.where(tot > 0.0, tot, 1.0), 1.0)
-                if cfg.positive_part_js:
-                    retained = np.maximum(retained, 0.0)
-                mu_hat = retained[:, None, None] * x
-            elif name == "PT":
-                keep = f > self.threshold
-                mu_hat = np.where(keep[:, None, None], x, nu[:, None, :])
-            elif name == "PT*":
-                keep = f > self.threshold
-                mu_hat = (
-                    np.where(keep[:, None, None], x, nu[:, None, :])
-                    - fac_zero[:, None, None] * nu[:, None, :]
-                )
-            elif name == "EB":
-                fac = np.minimum(self.t_mean / f_safe, 1.0)
-                mu_hat = x - fac[:, None, None] * term_mean
-            elif name == "EB*":
-                fac = np.minimum(self.t_mean / f_safe, 1.0)
-                mu_hat = x - fac[:, None, None] * term_mean - fac_zero[:, None, None] * term_zero
-            elif name == "HB1":
-                ratio = hb1_shrink_ratio(
-                    f, cfg.p, cfg.k, cfg.n, h.a, h.c, self.ls.eig_floor
-                )
-                mu_hat = x - np.asarray(ratio)[:, None, None] * term_mean
-            elif name == "HB2":
-                phir = np.empty(size)
-                psir = np.empty(size)
-                for j in range(size):
-                    phir[j], psir[j] = hb2_shrink_ratios(
-                        float(f[j]), float(g[j]), float(s[j]), self.exponents, h.big_l
-                    )
-                mu_hat = x - phir[:, None, None] * term_mean - psir[:, None, None] * term_zero
-            else:  # pragma: no cover - resolve_estimator guards this
-                raise KeyError(name)
-            out[ei] = self._loss(mu_hat)
+            out[ei] = loss(mu_hat, truth, setting.pooled.loss)
         return out
 
-
-def _config_losses(cfg: ExperimentConfig, ls: LossSpec, ci: int, names: tuple[str, ...]):
-    """Full (estimators, replicates) loss matrix for one configuration."""
-    engine = _ConfigEngine(cfg, ls, ci, names)
     losses = np.empty((len(names), cfg.replicates))
     blocks = [(r0, min(r0 + _BLOCK, cfg.replicates)) for r0 in range(0, cfg.replicates, _BLOCK)]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {pool.submit(engine.losses_block, r0, r1): (r0, r1) for r0, r1 in blocks}
+            futures = {pool.submit(losses_block, r0, r1): (r0, r1) for r0, r1 in blocks}
             for fut, (r0, r1) in futures.items():
                 losses[:, r0:r1] = fut.result()
     else:
         for r0, r1 in blocks:
-            losses[:, r0:r1] = engine.losses_block(r0, r1)
-    return losses, engine.errors
+            losses[:, r0:r1] = losses_block(r0, r1)
+    return losses, errors
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -453,7 +350,7 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT) -> RiskTabl
     cfg.threads. Estimators whose preconditions fail on a configuration are
     reported in RiskTable.errors and skipped; the rest proceed.
     """
-    cfg.validate(tol)
+    setting = cfg.validate(tol)
     names = []
     for raw in cfg.estimators:
         canon, _ = resolve_estimator(raw)
@@ -463,10 +360,9 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT) -> RiskTabl
     ncfg = len(cfg.mean_configs)
     risk = np.empty((ncfg, len(names)))
     se = np.empty_like(risk)
-    ls = cfg.loss_spec(tol=tol)
     errors: dict[tuple[str, str], str] = {}
     for ci, mc in enumerate(cfg.mean_configs):
-        losses, cfg_errors = _config_losses(cfg, ls, ci, names)
+        losses, cfg_errors = _config_losses(cfg, setting, ci, names)
         for name, msg in cfg_errors.items():
             errors[(mc.name, name)] = msg
         for ei in range(len(names)):
@@ -475,7 +371,7 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT) -> RiskTabl
                 se[ci, ei] = np.nan
             else:
                 risk[ci, ei], se[ci, ei] = _mean_se(losses[ei])
-    reference = float(np.einsum("kab,kba->", cfg.v, ls.q))
+    reference = setting.pooled.trace_sum
     with np.errstate(invalid="ignore"):
         prial_tab = 100.0 * (reference - risk) / reference
     return RiskTable(
@@ -517,16 +413,15 @@ def paired_domination(
     Both estimators see the same replicates, so the comparison is paired;
     the margin is three standard errors of the paired loss difference.
     """
-    cfg.validate(tol)
+    setting = cfg.validate(tol)
     cand, _ = resolve_estimator(candidate)
     base, _ = resolve_estimator(baseline)
     names = (cand, base) if cand != base else (cand,)
-    ls = cfg.loss_spec(tol=tol)
     ncfg = len(cfg.mean_configs)
     mean_diff = np.empty(ncfg)
     se_diff = np.empty(ncfg)
     for ci in range(ncfg):
-        losses, errors = _config_losses(cfg, ls, ci, names)
+        losses, errors = _config_losses(cfg, setting, ci, names)
         if errors:
             what = "; ".join(f"{n}: {m}" for n, m in errors.items())
             raise PreconditionError(
@@ -580,17 +475,8 @@ def validate_uer(
     Derivatives come from the member when present, otherwise from central
     differences with relative step fd_step.
     """
-    cfg.validate(tol)
-    ls = cfg.loss_spec(tol=tol)
+    setting = cfg.validate(tol)
     chol = np.linalg.cholesky(cfg.v)
-    vinv = np.linalg.inv(cfg.v)
-    qinv = np.linalg.inv(ls.q)
-    w = np.einsum("kab,kbc,kcd->kad", vinv, qinv, vinv)
-    w = 0.5 * (w + np.transpose(w, (0, 2, 1)))
-    wsum = w.sum(axis=0)
-    a_mat = np.linalg.inv(wsum)
-    dirs = np.einsum("kab,kbc->kac", cfg.v, w)
-    trace_sum = float(np.einsum("kab,kba->", cfg.v, ls.q))
 
     def derivative(direct, base, args: list, which: int) -> np.ndarray:
         if direct is not None:
@@ -611,19 +497,12 @@ def validate_uer(
                 f"truth point {pi} has shape {truth.mu.shape}, expected {(cfg.k, cfg.p)}"
             )
         rng = _substream(cfg.seed, _NS_UER, pi)
-        z = ndtri(_uniforms(rng, (replicates, cfg.k, cfg.p)))
-        x = truth.mu[None] + math.sqrt(truth.sigma2) * np.einsum("kab,rkb->rka", chol, z)
-        s = truth.sigma2 * 2.0 * gammaincinv(0.5 * cfg.n, _uniforms(rng, replicates))
-        wx = np.einsum("kab,rkb->rka", w, x)
-        nu = wx.sum(axis=1) @ a_mat
-        cx = x - nu[:, None, :]
-        f = np.einsum("rka,kab,rkb->r", cx, w, cx) / s
-        g = np.einsum("ra,ab,rb->r", nu, wsum, nu) / s
-        f = np.maximum(f, tol.degenerate_stat)
-        g = np.maximum(g, tol.degenerate_stat)
+        u = _uniforms(rng, (replicates, cfg.k, cfg.p))
+        x, s = _draw(truth, chol, cfg.n, u, _uniforms(rng, replicates))
+        batch = setting.pooled.summarize(x, s, tol)
+        mu_hat, diags = batch_general(setting, batch, sf)
+        f, g = floored_statistics(batch, tol)
 
-        phi = np.asarray(sf.phi(f, g, s), dtype=float)
-        psi = np.asarray(sf.psi(f, g, s), dtype=float)
         args = [f, g, s]
         phi_f = derivative(sf.phi_f, sf.phi, args, 0)
         phi_g = derivative(sf.phi_g, sf.phi, args, 1)
@@ -632,13 +511,7 @@ def validate_uer(
         psi_g = derivative(sf.psi_g, sf.psi, args, 1)
         psi_s = derivative(sf.psi_s, sf.psi, args, 2)
 
-        mu_hat = (
-            x
-            - (phi / f)[:, None, None] * np.einsum("kab,rkb->rka", dirs, cx)
-            - (psi / g)[:, None, None] * np.einsum("kab,rb->rka", dirs, nu)
-        )
-        diff = mu_hat - truth.mu[None]
-        losses = np.einsum("rka,kab,rkb->r", diff, ls.q, diff) / truth.sigma2
+        losses = loss(mu_hat, truth, setting.pooled.loss)
 
         inputs = UerInputs(
             f_stat=f,
@@ -647,9 +520,9 @@ def validate_uer(
             p=cfg.p,
             k=cfg.k,
             n=cfg.n,
-            trace_sum=trace_sum,
-            phi=phi,
-            psi=psi,
+            trace_sum=setting.pooled.trace_sum,
+            phi=diags["phi"],
+            psi=diags["psi"],
             phi_f=phi_f,
             phi_g=phi_g,
             phi_s=phi_s,

@@ -27,16 +27,20 @@ __all__ = [
 ]
 
 
-def loss(estimate: EstimateSet | np.ndarray, truth: TrueParameters, ls: LossSpec) -> float:
+def loss(
+    estimate: EstimateSet | np.ndarray, truth: TrueParameters, ls: LossSpec
+) -> float | np.ndarray:
     """Realized weighted quadratic loss of an estimate set.
 
-    sum_i (mu_hat_i - mu_i)' q[i] (mu_hat_i - mu_i) / sigma2.
+    sum_i (mu_hat_i - mu_i)' q[i] (mu_hat_i - mu_i) / sigma2. An (R, k, p)
+    array of estimates gives the (R,) array of their losses.
     """
     mu_hat = estimate.mu_hat if isinstance(estimate, EstimateSet) else np.asarray(estimate)
-    if mu_hat.shape != truth.mu.shape:
+    if mu_hat.shape[-2:] != truth.mu.shape:
         raise ValueError(f"estimate shape {mu_hat.shape} does not match truth {truth.mu.shape}")
     diff = mu_hat - truth.mu
-    return float(np.einsum("ka,kab,kb->", diff, ls.q, diff)) / truth.sigma2
+    out = np.einsum("...ka,kab,...kb->...", diff, ls.q, diff) / truth.sigma2
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

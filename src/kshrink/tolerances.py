@@ -1,8 +1,7 @@
 """Central numeric tolerances.
 
-Every tolerance that more than one module relies on lives here so that a
-config file can override them in one place instead of hunting down magic
-numbers.
+Every tolerance that more than one module relies on lives here, in one
+place, instead of as magic numbers in each module.
 """
 
 from dataclasses import dataclass

@@ -247,6 +247,12 @@ class TestCheckConditions:
         assert "p=4" in out
         assert "minimax: true" in out and "minimax: false" in out
 
+    @pytest.mark.parametrize("key", ["p", "k", "n"])
+    def test_non_integer_dimension_is_bad_input(self, tmp_path, capsys, key):
+        cfg = put(tmp_path, "cfg.yaml", f"experiment:\n  {key}: five\n")
+        assert main(["check-conditions", "--config", cfg]) == 2
+        assert f"experiment.{key} must be an integer" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_benchmark_checks_pass(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 from pytest import approx
 
 from kshrink import (
+    CanonicalModel,
     ExperimentConfig,
     MeanConfig,
     TrueParameters,
@@ -15,8 +16,9 @@ from kshrink import (
     validate_identities,
     validate_uer,
 )
-from kshrink.estimators import ESTIMATORS, PreconditionError, ShrinkageFunctions
+from kshrink.estimators import ESTIMATORS, PreconditionError, ShrinkageFunctions, estimate_js1
 from kshrink.risk import loss
+from kshrink.tolerances import DEFAULT, Tolerances
 
 
 def replicate_stream(seed, config_index, rep):
@@ -126,27 +128,37 @@ class TestExperimentConfig:
             small_config(replicates=1).validate()
 
 
+def assert_engine_matches_public_estimators(tol):
+    # The vectorized engine must reproduce the one-model-at-a-time
+    # estimators draw for draw, under the tolerances it is given.
+    # Rebuild every replicate through the public sampling function and
+    # compare average losses.
+    cfg = small_config(estimators=("X",) + ExperimentConfig.benchmark().estimators)
+    table = run_experiment(cfg, tol)
+    ls = cfg.loss_spec(tol=tol)
+    for ci, mc in enumerate(cfg.mean_configs):
+        truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
+        by_hand = {name: [] for name in table.estimator_names}
+        for r in range(cfg.replicates):
+            model = sample_canonical(
+                truth, cfg.v, cfg.n, replicate_stream(cfg.seed, ci, r)
+            )
+            for name in table.estimator_names:
+                est = ESTIMATORS[name](model, ls, hyper=cfg.hyper, tol=tol)
+                by_hand[name].append(loss(est, truth, ls))
+        for ei, name in enumerate(table.estimator_names):
+            want = float(np.sum(np.asarray(by_hand[name])) / cfg.replicates)
+            assert table.risk[ci, ei] == approx(want, rel=1e-8), name
+
+
 class TestRunExperiment:
     def test_engine_agrees_with_public_estimators(self):
-        # The vectorized engine must reproduce the one-model-at-a-time
-        # estimators draw for draw. Rebuild every replicate through the
-        # public sampling function and compare average losses.
-        cfg = small_config(estimators=("X",) + ExperimentConfig.benchmark().estimators)
-        table = run_experiment(cfg)
-        ls = cfg.loss_spec()
-        for ci, mc in enumerate(cfg.mean_configs):
-            truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
-            by_hand = {name: [] for name in table.estimator_names}
-            for r in range(cfg.replicates):
-                model = sample_canonical(
-                    truth, cfg.v, cfg.n, replicate_stream(cfg.seed, ci, r)
-                )
-                for name in table.estimator_names:
-                    est = ESTIMATORS[name](model, ls, hyper=cfg.hyper)
-                    by_hand[name].append(loss(est, truth, ls))
-            for ei, name in enumerate(table.estimator_names):
-                want = float(np.sum(np.asarray(by_hand[name])) / cfg.replicates)
-                assert table.risk[ci, ei] == approx(want, rel=1e-8), name
+        assert_engine_matches_public_estimators(DEFAULT)
+
+    def test_engine_agrees_with_public_estimators_under_loose_tolerances(self):
+        assert_engine_matches_public_estimators(
+            Tolerances(degenerate_stat=0.3, quad_rel=1e-3)
+        )
 
     def test_thread_count_never_changes_results(self):
         lone = run_experiment(small_config(threads=1))
@@ -191,7 +203,10 @@ class TestRunExperiment:
             replicates=32, seed=5,
         )
         table = run_experiment(cfg)
-        assert ("z", "JS1") in table.errors
+        model = CanonicalModel(x=np.zeros((3, 2)), v=v, s=1.0, n=12)
+        with pytest.raises(PreconditionError) as raised:
+            estimate_js1(model, cfg.loss_spec())
+        assert table.errors[("z", "JS1")] == str(raised.value)
         assert np.isnan(table.lookup("z", "JS1")[0])
         assert np.isfinite(table.lookup("z", "EB")[0])
         assert "JS1" in table.to_text()
