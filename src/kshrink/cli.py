@@ -144,6 +144,7 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
             p = _get_int(exp, "p", "experiment", p)
             k = _get_int(exp, "k", "experiment", k)
             n = _get_int(exp, "n", "experiment", n)
+    ExperimentConfig.check_dimensions(p, k, n)
 
     out = []
     failed = False

@@ -40,6 +40,7 @@ from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "PreconditionError",
+    "ReplicateError",
     "EstimateSet",
     "ShrinkageFunctions",
     "ESTIMATORS",
@@ -64,6 +65,14 @@ __all__ = [
 
 class PreconditionError(ValueError):
     """The estimator's domain requirements are not met by this model/loss."""
+
+
+class ReplicateError(ArithmeticError):
+    """A batch kernel's numerics failed on one replicate (index within the batch)."""
+
+    def __init__(self, replicate: int, cause: ArithmeticError) -> None:
+        super().__init__(str(cause))
+        self.replicate = replicate
 
 
 @dataclass(frozen=True)
@@ -294,10 +303,14 @@ def batch_hb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     try:
         exponents = st.hb_exponents
         for r in range(phi.shape[0]):
-            phi[r], psi[r] = hb2_shrink_ratios(
-                float(b.residual_stat[r]), float(b.pooled_norm_stat[r]), float(b.s[r]),
-                exponents, st.hyper.big_l, rel_tol=tol.quad_rel, budget=tol.quad_budget, tol=tol,
-            )
+            try:
+                phi[r], psi[r] = hb2_shrink_ratios(
+                    float(b.residual_stat[r]), float(b.pooled_norm_stat[r]), float(b.s[r]),
+                    exponents, st.hyper.big_l, rel_tol=tol.quad_rel, budget=tol.quad_budget,
+                    tol=tol,
+                )
+            except ArithmeticError as exc:
+                raise ReplicateError(r, exc) from exc
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
     mu_hat = (

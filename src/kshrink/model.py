@@ -40,43 +40,60 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_spd_stack(name: str, mats: np.ndarray, tol: Tolerances) -> list[str]:
-    """Collect violations of symmetry / positive definiteness for a (k,p,p) stack."""
+def _guard_spd(
+    name: str, mats: np.ndarray, tol: Tolerances, screen: bool = True
+) -> tuple[np.ndarray, list[str]]:
+    """Symmetrised inverses of a (m, p, p) stack, or one (p, p) matrix, and every violation.
+
+    screen=False is a bare inversion: no finite, zero or symmetry check, terse messages.
+    """
+    stack = mats.reshape((-1,) + mats.shape[-2:])
+    inverse = np.full(stack.shape, np.nan)
     bad: list[str] = []
-    for i, m in enumerate(mats):
-        if not np.all(np.isfinite(m)):
-            bad.append(f"{name}[{i}] has non-finite entries")
+    for i, m in enumerate(stack):
+        label = name if mats.ndim == 2 else f"{name}[{i}]"
+        if screen and not np.all(np.isfinite(m)):
+            bad.append(f"{label} has non-finite entries")
             continue
         scale = np.linalg.norm(m)
-        if scale == 0.0:
-            bad.append(f"{name}[{i}] is the zero matrix")
+        if screen and scale == 0.0:
+            bad.append(f"{label} is the zero matrix")
             continue
-        if np.linalg.norm(m - m.T) > tol.symmetry * scale:
-            bad.append(f"{name}[{i}] is not symmetric within tolerance {tol.symmetry}")
+        if screen and np.linalg.norm(m - m.T) > tol.symmetry * scale:
+            bad.append(f"{label} is not symmetric within tolerance {tol.symmetry}")
             continue
-        vals = np.linalg.eigvalsh(0.5 * (m + m.T))
+        sym = 0.5 * (m + m.T)
+        vals = np.linalg.eigvalsh(sym)
         if vals[0] <= 0.0:
-            bad.append(f"{name}[{i}] is not positive definite (min eigenvalue {vals[0]:.3e})")
+            detail = f" (min eigenvalue {vals[0]:.3e})" if screen else ""
+            bad.append(f"{label} is not positive definite{detail}")
         elif vals[-1] / vals[0] > tol.max_condition:
             bad.append(
-                f"{name}[{i}] condition number {vals[-1] / vals[0]:.3e} "
-                f"exceeds ceiling {tol.max_condition:.1e}"
+                f"{label} condition number {vals[-1] / vals[0]:.3e} "
+                f"exceeds {'ceiling ' if screen else ''}{tol.max_condition:.1e}"
             )
-    return bad
+        else:
+            inv = np.linalg.inv(sym)
+            inverse[i] = 0.5 * (inv + inv.T)
+    return inverse.reshape(mats.shape), bad
 
 
-def _spd_inverse(name: str, m: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Invert a symmetric positive definite matrix, refusing ill-conditioned input."""
-    sym = 0.5 * (m + m.T)
-    vals = np.linalg.eigvalsh(sym)
-    if vals[0] <= 0.0:
-        raise ValueError(f"{name} is not positive definite")
-    if vals[-1] / vals[0] > tol.max_condition:
-        raise ValueError(
-            f"{name} condition number {vals[-1] / vals[0]:.3e} exceeds {tol.max_condition:.1e}"
-        )
-    inv = np.linalg.inv(sym)
-    return 0.5 * (inv + inv.T)
+def _guarded_inverse(name: str, mats: np.ndarray, tol: Tolerances, screen=True) -> np.ndarray:
+    """_guard_spd that raises on its violations (a bare inversion, on the first one)."""
+    inverse, bad = _guard_spd(name, mats, tol, screen)
+    if bad:
+        raise ValueError("; ".join(bad if screen else bad[:1]))
+    return inverse
+
+
+def _as_stack(what: str, mats: np.ndarray | Sequence[np.ndarray], k: int, p: int) -> np.ndarray:
+    """mats as a (k, p, p) stack (one (p, p) matrix is shared); what starts the shape error."""
+    arr = np.asarray(mats, dtype=float)
+    if arr.ndim == 2:
+        arr = np.broadcast_to(arr, (k,) + arr.shape)
+    if arr.shape != (k, p, p):
+        raise ValueError(f"{what} {(k, p, p)}, got {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -96,17 +113,10 @@ class CanonicalModel:
 
     def __post_init__(self) -> None:
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        v = np.asarray(self.v, dtype=float)
-        if v.ndim == 2:
-            v = np.broadcast_to(v, (x.shape[0],) + v.shape)
         if x.ndim != 2:
             raise ValueError(f"x must be a (k, p) array, got shape {np.shape(self.x)}")
-        if v.shape != (x.shape[0], x.shape[1], x.shape[1]):
-            raise ValueError(
-                f"v must have shape (k, p, p) = {(x.shape[0], x.shape[1], x.shape[1])}, "
-                f"got {v.shape}"
-            )
         object.__setattr__(self, "x", _freeze(x))
+        v = _as_stack("v must have shape (k, p, p) =", self.v, *x.shape)
         object.__setattr__(self, "v", _freeze(v))
         object.__setattr__(self, "s", float(self.s))
         object.__setattr__(self, "n", int(self.n))
@@ -143,12 +153,15 @@ class LossSpec:
 
     q: (k, p, p) stack of positive definite weight matrices.
     eig_floor: min over groups of the smallest eigenvalue of v[i] @ q[i];
-        equals 1 when q[i] is the inverse of v[i] for every group. Computed
-        by the factories, not supplied by hand.
+        equals 1 when q[i] is the inverse of v[i] for every group.
+    q_inv: (k, p, p) stack of inv(q[i]), set only by the factories for_model
+        and inverse_v, which guard q once; validate_model and from_model trust
+        it and reject a spec built by hand, whose q_inv is None.
     """
 
     q: np.ndarray
     eig_floor: float
+    q_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _freeze(np.asarray(self.q, dtype=float)))
@@ -158,30 +171,23 @@ class LossSpec:
     def for_model(
         cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray], tol: Tolerances = DEFAULT
     ) -> "LossSpec":
-        """Build a LossSpec for explicit weight matrices, deriving eig_floor."""
-        qa = np.asarray(q, dtype=float)
-        if qa.ndim == 2:
-            qa = np.broadcast_to(qa, (model.k,) + qa.shape)
-        if qa.shape != (model.k, model.p, model.p):
-            raise ValueError(
-                f"q must have shape (k, p, p) = {(model.k, model.p, model.p)}, got {qa.shape}"
-            )
-        bad = _check_spd_stack("q", qa, tol)
-        if bad:
-            raise ValueError("; ".join(bad))
+        """Build a LossSpec for explicit weight matrices: guard q, derive eig_floor and q_inv."""
+        qa = _as_stack("q must have shape (k, p, p) =", q, model.k, model.p)
+        q_inv = _guarded_inverse("q", qa, tol)
         floor = np.inf
         for vi, qi in zip(model.v, qa):
             chol = np.linalg.cholesky(0.5 * (vi + vi.T))
             # v @ q shares its spectrum with the symmetric chol' q chol
             vals = np.linalg.eigvalsh(chol.T @ (0.5 * (qi + qi.T)) @ chol)
             floor = min(floor, vals[0])
-        return cls(q=qa, eig_floor=float(floor))
+        spec = cls(q=qa, eig_floor=float(floor))
+        object.__setattr__(spec, "q_inv", _freeze(q_inv))
+        return spec
 
     @classmethod
     def inverse_v(cls, model: CanonicalModel, tol: Tolerances = DEFAULT) -> "LossSpec":
-        """Loss weighted by the inverse scale matrices (eig_floor is 1)."""
-        q = np.stack([_spd_inverse(f"v[{i}]", vi, tol) for i, vi in enumerate(model.v)])
-        return cls.for_model(model, q, tol)
+        """Loss weighted by the inverse scale matrices (eig_floor is 1); inverts v, guards q."""
+        return cls.for_model(model, _guarded_inverse("v", model.v, tol, screen=False), tol)
 
     def matches_inverse_v(self, model: CanonicalModel, rtol: float = 1e-9) -> bool:
         """True when every q[i] equals inv(v[i]) up to rtol."""
@@ -256,13 +262,11 @@ class PooledConstants:
     def from_model(
         cls, model: CanonicalModel, loss_spec: LossSpec, tol: Tolerances = DEFAULT
     ) -> "PooledConstants":
-        """Validate the model and loss (x and s too), then derive the constants."""
-        report = validate_model(model, loss_spec, tol=tol)
-        if not report.ok:
-            raise ValueError("invalid model: " + "; ".join(report.violations))
-        v_inv = np.stack([_spd_inverse(f"v[{i}]", vi, tol) for i, vi in enumerate(model.v)])
-        q_inv = np.stack([_spd_inverse(f"q[{i}]", qi, tol) for i, qi in enumerate(loss_spec.q)])
-        w = np.einsum("kab,kbc,kcd->kad", v_inv, q_inv, v_inv)
+        """Guard v and the weight sum, reuse the loss spec's inv(q), derive the constants."""
+        bad, v_inv = _model_violations(model, loss_spec, None, tol)
+        if bad:
+            raise ValueError("invalid model: " + "; ".join(bad))
+        w = np.einsum("kab,kbc,kcd->kad", v_inv, loss_spec.q_inv, v_inv)
         weights = 0.5 * (w + np.transpose(w, (0, 2, 1)))
         weight_sum = weights.sum(axis=0)
         return cls(
@@ -273,7 +277,7 @@ class PooledConstants:
             v_inv=_freeze(v_inv),
             weights=_freeze(weights),
             weight_sum=_freeze(weight_sum),
-            pooled_cov=_freeze(_spd_inverse("sum of weights", weight_sum, tol)),
+            pooled_cov=_freeze(_guarded_inverse("sum of weights", weight_sum, tol, screen=False)),
             directions=_freeze(np.einsum("kab,kbc->kac", model.v, weights)),
             trace_sum=float(np.einsum("kab,kba->", model.v, loss_spec.q)),
             inverse_loss=loss_spec.matches_inverse_v(model),
@@ -365,8 +369,16 @@ def validate_model(
     """Check the structural invariants of a model (and optional loss/truth).
 
     Returns a report rather than raising, so callers can present all
-    violations at once.
+    violations at once. v is guarded here, q when the LossSpec was built.
     """
+    bad, _ = _model_violations(model, loss_spec, truth, tol)
+    return ValidationReport(ok=not bad, violations=tuple(bad))
+
+
+def _model_violations(
+    model: CanonicalModel, loss_spec: LossSpec | None, truth: TrueParameters | None, tol: Tolerances
+) -> tuple[list[str], np.ndarray]:
+    """validate_model's violations, plus inv(v) from the same pass over v."""
     bad: list[str] = []
     if not np.all(np.isfinite(model.x)):
         bad.append("x has non-finite entries")
@@ -378,21 +390,22 @@ def validate_model(
         bad.append(f"s must be positive and finite, got {model.s}")
     if model.n < 1:
         bad.append(f"n must be a positive integer, got {model.n}")
-    bad.extend(_check_spd_stack("v", model.v, tol))
+    v_inv, v_bad = _guard_spd("v", model.v, tol)
+    bad.extend(v_bad)
     if loss_spec is not None:
         if loss_spec.q.shape != (model.k, model.p, model.p):
             bad.append(
                 f"loss q shape {loss_spec.q.shape} does not match model "
                 f"{(model.k, model.p, model.p)}"
             )
-        else:
-            bad.extend(_check_spd_stack("q", loss_spec.q, tol))
-            if not (np.isfinite(loss_spec.eig_floor) and loss_spec.eig_floor > 0.0):
-                bad.append(f"eig_floor must be positive, got {loss_spec.eig_floor}")
+        elif loss_spec.q_inv is None:
+            bad.append("loss q is unguarded: build the LossSpec with for_model or inverse_v")
+        elif not (np.isfinite(loss_spec.eig_floor) and loss_spec.eig_floor > 0.0):
+            bad.append(f"eig_floor must be positive, got {loss_spec.eig_floor}")
     if truth is not None:
         if truth.mu.shape != (model.k, model.p):
             bad.append(f"mu shape {truth.mu.shape} does not match x shape {model.x.shape}")
-    return ValidationReport(ok=not bad, violations=tuple(bad))
+    return bad, v_inv
 
 
 def canonicalize_ksample(
@@ -428,14 +441,8 @@ def canonicalize_ksample(
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"samples[{i}] has non-finite entries")
     k = len(arrays)
-    v0a = np.asarray(v0, dtype=float)
-    if v0a.ndim == 2:
-        v0a = np.broadcast_to(v0a, (k,) + v0a.shape).copy()
-    if v0a.shape != (k, p, p):
-        raise ValueError(f"v0 must have shape ({k}, {p}, {p}), got {v0a.shape}")
-    bad = _check_spd_stack("v0", v0a, tol)
-    if bad:
-        raise ValueError("; ".join(bad))
+    v0a = _as_stack("v0 must have shape", v0, k, p)
+    v0_inv = _guarded_inverse("v0", v0a, tol)
 
     x = np.empty((k, p))
     v = np.empty((k, p, p))
@@ -448,7 +455,7 @@ def canonicalize_ksample(
         v[i] = v0a[i] / ni
         if ni > 1:
             resid = arr - mean
-            s += float(np.einsum("ja,ab,jb->", resid, _spd_inverse(f"v0[{i}]", v0a[i], tol), resid))
+            s += float(np.einsum("ja,ab,jb->", resid, v0_inv[i], resid))
             df += (ni - 1) * p
     if df < 1:
         raise ValueError("all groups are singletons; no degrees of freedom for the scale")

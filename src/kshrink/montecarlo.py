@@ -28,6 +28,7 @@ from .estimators import (
     ESTIMATOR_ORDER,
     EstimatorSetting,
     PreconditionError,
+    ReplicateError,
     ShrinkageFunctions,
     batch_general,
     floored_statistics,
@@ -158,14 +159,19 @@ class ExperimentConfig:
         object.__setattr__(self, "mean_configs", tuple(self.mean_configs))
         object.__setattr__(self, "estimators", tuple(self.estimators))
 
+    @staticmethod
+    def check_dimensions(p: int, k: int, n: int) -> None:
+        """Reject dimensions no experiment can have: k >= 2 groups, p >= 1, n >= 1."""
+        if k < 2:
+            raise ValueError(f"need k >= 2 groups, got {k}")
+        if p < 1:
+            raise ValueError(f"need p >= 1, got {p}")
+        if n < 1:
+            raise ValueError(f"need n >= 1, got {n}")
+
     def validate(self, tol: Tolerances = DEFAULT) -> EstimatorSetting:
         """Check the configuration; return the estimator setting its replicates share."""
-        if self.k < 2:
-            raise ValueError(f"need k >= 2 groups, got {self.k}")
-        if self.p < 1:
-            raise ValueError(f"need p >= 1, got {self.p}")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        self.check_dimensions(self.p, self.k, self.n)
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         if self.v.shape != (self.k, self.p, self.p):
@@ -296,14 +302,15 @@ def _config_losses(
 ) -> tuple[np.ndarray, dict[str, str]]:
     """Full (estimators, replicates) loss matrix for one configuration.
 
-    An estimator whose preconditions fail gets NaN losses and its message
-    in the returned errors.
+    An estimator whose preconditions fail, or whose numerics fail on some
+    replicate, gets NaN losses and a message in the returned errors; a
+    numeric failure names the lowest failing replicate, so the message does
+    not depend on the thread count.
     """
     truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
     chol = np.linalg.cholesky(cfg.v)
-    errors: dict[str, str] = {}
 
-    def losses_block(r0: int, r1: int) -> np.ndarray:
+    def losses_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
         u = np.empty((r1 - r0, cfg.k, cfg.p))
         us = np.empty(r1 - r0)
         for j, r in enumerate(range(r0, r1)):
@@ -313,25 +320,32 @@ def _config_losses(
         x, s = _draw(truth, chol, cfg.n, u, us)
         batch = setting.pooled.summarize(x, s, setting.tol)
         out = np.full((len(names), r1 - r0), np.nan)
+        errors: dict[str, str] = {}
         for ei, name in enumerate(names):
             try:
                 mu_hat, _ = BATCH_ESTIMATORS[name](setting, batch)
             except PreconditionError as exc:
                 errors[name] = str(exc)
                 continue
+            except ReplicateError as exc:
+                errors[name] = f"replicate {r0 + exc.replicate}: {exc}"
+                continue
             out[ei] = loss(mu_hat, truth, setting.pooled.loss)
-        return out
+        return out, errors
 
     losses = np.empty((len(names), cfg.replicates))
     blocks = [(r0, min(r0 + _BLOCK, cfg.replicates)) for r0 in range(0, cfg.replicates, _BLOCK)]
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {pool.submit(losses_block, r0, r1): (r0, r1) for r0, r1 in blocks}
-            for fut, (r0, r1) in futures.items():
-                losses[:, r0:r1] = fut.result()
+            futures = [pool.submit(losses_block, r0, r1) for r0, r1 in blocks]
+            results = [fut.result() for fut in futures]
     else:
-        for r0, r1 in blocks:
-            losses[:, r0:r1] = losses_block(r0, r1)
+        results = (losses_block(r0, r1) for r0, r1 in blocks)
+    errors: dict[str, str] = {}
+    for (r0, r1), (block_losses, block_errors) in zip(blocks, results):
+        losses[:, r0:r1] = block_losses
+        for name, msg in block_errors.items():
+            errors.setdefault(name, msg)  # blocks in replicate order: the first is the lowest
     return losses, errors
 
 

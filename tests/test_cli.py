@@ -159,6 +159,55 @@ class TestEstimate:
         assert "no CSV files" in capsys.readouterr().err
 
 
+class TestDecompositionCount:
+    """Each scale and loss matrix is guarded once where it enters an estimate run.
+
+    Per command with inverse-scale loss: v0 (ksample only), v where the loss
+    spec inverts it, q, the eig_floor products, v in the model validation,
+    and the weight sum, so at most 5k+1 eigvalsh calls (4k+1 without v0).
+    """
+
+    K, P = 6, 5
+
+    def count_eigvalsh(self, monkeypatch, argv):
+        real = np.linalg.eigvalsh
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(1)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert main(argv) == 0
+        return len(calls)
+
+    def test_ksample(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(6)
+        rows = [f"{g},{','.join(f'{v:.6f}' for v in rng.normal(size=self.P))}"
+                for g in range(self.K) for _ in range(4)]
+        header = "group," + ",".join(f"x{j}" for j in range(self.P))
+        data = put(tmp_path, "data.csv", "\n".join([header] + rows) + "\n")
+        cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample, v0: identity}\n")
+        calls = self.count_eigvalsh(monkeypatch, ["estimate", "--config", cfg, "--input", data])
+        capsys.readouterr()
+        assert calls <= 5 * self.K + 1
+
+    def test_regression(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(7)
+        groups = tmp_path / "groups"
+        groups.mkdir()
+        header = "y," + ",".join(f"z{j}" for j in range(self.P))
+        for g in range(self.K):
+            rows = [",".join(f"{v:.6f}" for v in rng.normal(size=self.P + 1)) for _ in range(9)]
+            (groups / f"g{g}.csv").write_text("\n".join([header] + rows) + "\n")
+        cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: regression}\n")
+        calls = self.count_eigvalsh(
+            monkeypatch, ["estimate", "--config", cfg, "--input", str(groups)]
+        )
+        capsys.readouterr()
+        assert calls <= 4 * self.K + 1
+
+
 class TestSimulate:
     def test_threads_do_not_change_bytes(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", SIMULATE_CONFIG)
@@ -247,11 +296,23 @@ class TestCheckConditions:
         assert "p=4" in out
         assert "minimax: true" in out and "minimax: false" in out
 
-    @pytest.mark.parametrize("key", ["p", "k", "n"])
-    def test_non_integer_dimension_is_bad_input(self, tmp_path, capsys, key):
-        cfg = put(tmp_path, "cfg.yaml", f"experiment:\n  {key}: five\n")
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param("p", "five", "experiment.p must be an integer", id="p"),
+            pytest.param("k", "five", "experiment.k must be an integer", id="k"),
+            pytest.param("n", "five", "experiment.n must be an integer", id="n"),
+            pytest.param("p", "0", "need p >= 1, got 0", id="p-zero"),
+            pytest.param("k", "1", "need k >= 2 groups, got 1", id="k-one"),
+            pytest.param("n", "-4", "need n >= 1, got -4", id="n-negative"),
+        ],
+    )
+    def test_non_integer_dimension_is_bad_input(self, tmp_path, capsys, key, value, message):
+        cfg = put(tmp_path, "cfg.yaml", f"experiment:\n  {key}: {value}\n")
         assert main(["check-conditions", "--config", cfg]) == 2
-        assert f"experiment.{key} must be an integer" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestValidate:

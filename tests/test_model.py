@@ -14,6 +14,7 @@ from kshrink.model import (
     pooled_summary,
     validate_model,
 )
+from kshrink.montecarlo import ExperimentConfig, MeanConfig
 
 
 def d0_model():
@@ -99,6 +100,134 @@ class TestLossSpec:
     def test_rejects_indefinite_q(self):
         with pytest.raises(ValueError):
             LossSpec.for_model(d0_model(), np.stack([np.eye(3), -np.eye(3)]))
+
+    def test_inverse_of_q_is_derived_by_the_factories(self):
+        model = d0_model()
+        spec = LossSpec.inverse_v(model)
+        np.testing.assert_allclose(spec.q_inv, model.v, rtol=1e-12)
+        with pytest.raises(TypeError):
+            LossSpec(q=spec.q, eig_floor=1.0, q_inv=model.v)
+        by_hand = LossSpec(q=spec.q, eig_floor=1.0)
+        assert validate_model(model, by_hand).violations == (
+            "loss q is unguarded: build the LossSpec with for_model or inverse_v",
+        )
+
+
+def _nan_entry():
+    m = np.eye(3)
+    m[0, 1] = np.nan
+    return m
+
+
+def _asymmetric():
+    m = np.eye(3)
+    m[0, 1] = 1e-6
+    return m
+
+
+# One bad matrix per check of the guard, with the text it must be rejected with.
+BAD_MATRICES = {
+    "non-finite": (_nan_entry(), "has non-finite entries"),
+    "zero": (np.zeros((3, 3)), "is the zero matrix"),
+    "asymmetric": (_asymmetric(), "is not symmetric within tolerance 1e-10"),
+    "indefinite": (np.diag([1.0, 1.0, -1.0]), "is not positive definite (min eigenvalue -1.000e+00)"),
+    "ill-conditioned": (
+        np.diag([1.0, 1.0, 1e-13]),
+        "condition number 1.000e+13 exceeds ceiling 1.0e+12",
+    ),
+}
+
+
+def _raised(build):
+    with pytest.raises(ValueError) as raised:
+        build()
+    return [str(raised.value)]
+
+
+def _experiment(v, q=None):
+    mean = (MeanConfig.from_scales("flat", (0.0, 0.0), 3),)
+    return ExperimentConfig(p=3, k=2, n=10, sigma2=1.0, v=v, q=q, mean_configs=mean)
+
+
+def _via_canonicalize(stack):
+    return _raised(lambda: canonicalize_ksample([np.eye(3), 2.0 * np.eye(3)], stack))
+
+
+def _via_validate_model(stack):
+    model = CanonicalModel(x=np.zeros((2, 3)), v=stack, s=1.0, n=5)
+    return list(validate_model(model).violations)
+
+
+def _via_loss_spec(stack):
+    return _raised(lambda: LossSpec.for_model(d0_model(), stack))
+
+
+def _via_experiment_v(stack):
+    return _raised(lambda: _experiment(stack).validate())
+
+
+def _via_experiment_q(stack):
+    return _raised(lambda: _experiment(np.stack([np.eye(3)] * 2), q=stack).validate())
+
+
+# Each entry path: the name of the stack it reports, and a function from a
+# (2, 3, 3) stack to the messages it rejects the stack with.
+ENTRY_PATHS = {
+    "canonicalize_ksample-v0": ("v0", _via_canonicalize),
+    "validate_model-v": ("v", _via_validate_model),
+    "LossSpec.for_model-q": ("q", _via_loss_spec),
+    "ExperimentConfig.validate-v": ("v", _via_experiment_v),
+    "ExperimentConfig.validate-q": ("q", _via_experiment_q),
+}
+
+# Without q, the experiment's loss inverts v before the model validation
+# screens it: a non-finite v shows up as a non-finite q, an asymmetric v in
+# the model validation, and the spectral checks read as inversion errors.
+INVERSE_LOSS_TEXTS = {
+    "non-finite": "q[1] has non-finite entries",
+    "zero": "v[1] is not positive definite",
+    "asymmetric": "invalid model: v[1] is not symmetric within tolerance 1e-10",
+    "indefinite": "v[1] is not positive definite",
+    "ill-conditioned": "v[1] condition number 1.000e+13 exceeds 1.0e+12",
+}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda bad: canonicalize_ksample([np.eye(3), np.eye(3)], bad),
+            "v0 must have shape (2, 3, 3), got (2, 2, 2)",
+            id="v0",
+        ),
+        pytest.param(
+            lambda bad: CanonicalModel(x=np.zeros((2, 3)), v=bad, s=1.0, n=5),
+            "v must have shape (k, p, p) = (2, 3, 3), got (2, 2, 2)",
+            id="v",
+        ),
+        pytest.param(
+            lambda bad: LossSpec.for_model(d0_model(), bad),
+            "q must have shape (k, p, p) = (2, 3, 3), got (2, 2, 2)",
+            id="q",
+        ),
+    ],
+)
+def test_stack_shape_errors(build, message):
+    with pytest.raises(ValueError) as raised:
+        build(np.eye(2))
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("path", sorted(ENTRY_PATHS))
+@pytest.mark.parametrize("defect", sorted(BAD_MATRICES))
+def test_every_entry_path_rejects_every_bad_matrix(defect, path):
+    # The second group carries the defect; the message names it and says why.
+    matrix, text = BAD_MATRICES[defect]
+    name, reject = ENTRY_PATHS[path]
+    expected = f"{name}[1] {text}"
+    if path == "ExperimentConfig.validate-v":
+        expected = INVERSE_LOSS_TEXTS[defect]
+    assert reject(np.stack([np.eye(3), matrix])) == [expected]
 
 
 class TestKsampleReduction:

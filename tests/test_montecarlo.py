@@ -1,5 +1,7 @@
 """The simulation harness: determinism, engine agreement, validators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -16,6 +18,7 @@ from kshrink import (
     validate_identities,
     validate_uer,
 )
+from kshrink import estimators
 from kshrink.estimators import ESTIMATORS, PreconditionError, ShrinkageFunctions, estimate_js1
 from kshrink.risk import loss
 from kshrink.tolerances import DEFAULT, Tolerances
@@ -210,6 +213,38 @@ class TestRunExperiment:
         assert np.isnan(table.lookup("z", "JS1")[0])
         assert np.isfinite(table.lookup("z", "EB")[0])
         assert "JS1" in table.to_text()
+
+    def test_hb2_numeric_failure_names_lowest_replicate(self, monkeypatch):
+        # Two replicates of "spread", one in each 256-replicate block, make
+        # the HB2 quadrature fail; they are picked by their scale statistic,
+        # which the public sampler reproduces draw for draw.
+        cfg = small_config(estimators=("EB", "HB1", "HB2"), replicates=300)
+        clean = run_experiment(cfg)
+        truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
+        failing_s = {
+            sample_canonical(truth, cfg.v, cfg.n, replicate_stream(cfg.seed, 0, r)).s
+            for r in (270, 7)
+        }
+        real = estimators.hb2_shrink_ratios
+        reason = "joint shrink-factor denominator underflowed to zero"
+
+        def flaky(f_stat, g_stat, s_stat, *args, **kwargs):
+            if s_stat in failing_s:
+                raise ArithmeticError(reason)
+            return real(f_stat, g_stat, s_stat, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "hb2_shrink_ratios", flaky)
+        one = run_experiment(cfg)
+        two = run_experiment(replace(cfg, threads=2))
+        assert one.errors == {("spread", "HB2"): f"replicate 7: {reason}"}
+        assert f"skipped HB2 on spread: replicate 7: {reason}" in one.to_text()
+        assert np.isnan(one.lookup("spread", "HB2")[0])
+        hit = np.zeros_like(one.risk, dtype=bool)
+        hit[0, one.estimator_names.index("HB2")] = True
+        assert np.array_equal(one.risk[~hit], clean.risk[~hit])
+        assert np.array_equal(one.se[~hit], clean.se[~hit])
+        assert one.to_text() == two.to_text()
+        assert one.to_csv() == two.to_csv()
 
     def test_csv_shape(self):
         table = run_experiment(small_config())
