@@ -35,7 +35,13 @@ from .model import (
     PooledSummary,
     pooled_summary,
 )
-from .numerics import HbExponents, f_quantile, hb1_shrink_ratio, hb2_shrink_ratios
+from .numerics import (
+    HbExponents,
+    ReplicateError,
+    f_quantile,
+    hb1_shrink_ratio,
+    hb2_shrink_ratios,
+)
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -65,14 +71,6 @@ __all__ = [
 
 class PreconditionError(ValueError):
     """The estimator's domain requirements are not met by this model/loss."""
-
-
-class ReplicateError(ArithmeticError):
-    """A batch kernel's numerics failed on one replicate (index within the batch)."""
-
-    def __init__(self, replicate: int, cause: ArithmeticError) -> None:
-        super().__init__(str(cause))
-        self.replicate = replicate
 
 
 @dataclass(frozen=True)
@@ -299,18 +297,11 @@ def batch_hb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     of the empirical pair but vary smoothly with both statistics.
     """
     tol = st.tol
-    phi, psi = np.empty((2, b.s.shape[0]))
     try:
-        exponents = st.hb_exponents
-        for r in range(phi.shape[0]):
-            try:
-                phi[r], psi[r] = hb2_shrink_ratios(
-                    float(b.residual_stat[r]), float(b.pooled_norm_stat[r]), float(b.s[r]),
-                    exponents, st.hyper.big_l, rel_tol=tol.quad_rel, budget=tol.quad_budget,
-                    tol=tol,
-                )
-            except ArithmeticError as exc:
-                raise ReplicateError(r, exc) from exc
+        phi, psi = hb2_shrink_ratios(
+            b.residual_stat, b.pooled_norm_stat, b.s, st.hb_exponents, st.hyper.big_l,
+            rel_tol=tol.quad_rel, budget=tol.quad_budget, tol=tol,
+        )
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
     mu_hat = (

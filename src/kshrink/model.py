@@ -171,7 +171,22 @@ class LossSpec:
     def for_model(
         cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray], tol: Tolerances = DEFAULT
     ) -> "LossSpec":
-        """Build a LossSpec for explicit weight matrices: guard q, derive eig_floor and q_inv."""
+        """Build a LossSpec for explicit weight matrices: guard v, then as _weighted."""
+        _, bad = _guard_spd("v", model.v, tol)
+        if bad:
+            raise ValueError("invalid model: " + "; ".join(bad))
+        return cls._weighted(model, q, tol)
+
+    @classmethod
+    def inverse_v(cls, model: CanonicalModel, tol: Tolerances = DEFAULT) -> "LossSpec":
+        """Loss weighted by the inverse scale matrices (eig_floor is 1); inverts v, guards q."""
+        return cls._weighted(model, _guarded_inverse("v", model.v, tol, screen=False), tol)
+
+    @classmethod
+    def _weighted(
+        cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray], tol: Tolerances
+    ) -> "LossSpec":
+        """Guard q, derive eig_floor (which factors v, so v must be positive definite) and q_inv."""
         qa = _as_stack("q must have shape (k, p, p) =", q, model.k, model.p)
         q_inv = _guarded_inverse("q", qa, tol)
         floor = np.inf
@@ -183,11 +198,6 @@ class LossSpec:
         spec = cls(q=qa, eig_floor=float(floor))
         object.__setattr__(spec, "q_inv", _freeze(q_inv))
         return spec
-
-    @classmethod
-    def inverse_v(cls, model: CanonicalModel, tol: Tolerances = DEFAULT) -> "LossSpec":
-        """Loss weighted by the inverse scale matrices (eig_floor is 1); inverts v, guards q."""
-        return cls.for_model(model, _guarded_inverse("v", model.v, tol, screen=False), tol)
 
     def matches_inverse_v(self, model: CanonicalModel, rtol: float = 1e-9) -> bool:
         """True when every q[i] equals inv(v[i]) up to rtol."""

@@ -4,13 +4,26 @@ The hierarchical Bayes estimators need ratios of incomplete-beta style
 integrals (one-dimensional for the residual-only factor, two-dimensional for
 the joint residual/location factor). Ratios are always formed in log space:
 every integrand is evaluated as exp(log_integrand - shift) with a common
-shift probed from the denominator, so extreme exponent combinations cannot
+shift taken from the denominator, so extreme exponent combinations cannot
 underflow the ratio even when the raw integrals would.
 
 The adaptive integrator is a 15-point Gauss-Kronrod panel scheme with
-worst-panel bisection. Integrands passed to it must be vectorized
+worst-panel bisection; the rule and its error estimate follow QUADPACK
+(Piessens et al., 1983). Integrands passed to it must be vectorized
 (ndarray in, ndarray out) and are never evaluated at panel endpoints, so
 integrable endpoint singularities are fine.
+
+hb2_shrink_ratios takes arrays of statistics. With zero tilt, the joint
+factors of all regular points (both statistics above
+tol.degenerate_stat) come from one fixed rule: the composite GK15 on the
+11 panels the adaptive path starts from, which scale with f, so one
+(R, 11, 15) node grid serves the whole array, and each point takes its
+log shift from its own denominator nodes. A point is accepted when every
+one of its three integrals has a QUADPACK error estimate within
+rel_tol * |value|, every value is finite and the denominator is positive.
+Every other point (a miss, a degenerate statistic, a positive tilt, or a
+budget below the rule's 165 evaluations) goes through the scalar adaptive
+path in index order, which raises exactly as it does for one point.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ from .tolerances import DEFAULT, Tolerances
 __all__ = [
     "HbExponents",
     "QuadratureResult",
+    "ReplicateError",
     "reg_inc_beta",
     "reg_upper_inc_gamma",
     "f_quantile",
@@ -88,6 +102,13 @@ _G_WEIGHTS = np.array(
 
 _MAX_SPLIT_BATCH = 256
 _TINY_LOG = 1e-300
+
+# Per-call grids of the joint shrink factors, as fractions of the upper
+# limit they are scaled by.
+_GEO_FRACTIONS = np.array([1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5, 0.75])
+_ZERO_TILT_PROBES = np.geomspace(1e-9, 1.0, 64)
+_POS_TILT_PROBES = np.geomspace(1e-9, 1.0, 32)
+_INNER_FRACTIONS = np.geomspace(1e-12, 1.0, 40)
 
 
 def reg_inc_beta(a: float, b: float, x) -> float | np.ndarray:
@@ -170,24 +191,35 @@ class QuadratureResult:
     evals: int
 
 
-def _gk15_panels(
-    f: Callable[[np.ndarray], np.ndarray], los: np.ndarray, his: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the Gauss-Kronrod 15(7) pair to a batch of panels."""
+class ReplicateError(ArithmeticError):
+    """Numerics failed on one element of an array call; replicate is its flat index."""
+
+    def __init__(self, replicate: int, cause: ArithmeticError) -> None:
+        super().__init__(str(cause))
+        self.replicate = replicate
+
+
+def _panel_nodes(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 nodes (..., 15) and half-widths (...) of panels [los, his]."""
     mid = 0.5 * (los + his)
     half = 0.5 * (his - los)
-    nodes = mid[:, None] + half[:, None] * _GK_NODES[None, :]
-    fx = np.asarray(f(nodes.reshape(-1)), dtype=float).reshape(nodes.shape)
-    if not np.all(np.isfinite(fx)):
-        raise ValueError("integrand returned a non-finite value inside the domain")
+    return mid[..., None] + half[..., None] * _GK_NODES, half
+
+
+def _gk15_panels(fx: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Kronrod 15(7) values and error estimates of panels evaluated at their nodes.
+
+    fx holds the integrand at _panel_nodes (last axis the 15 nodes), half the
+    panel half-widths; leading axes broadcast.
+    """
     k15 = half * (fx @ _GK_WEIGHTS)
-    g7 = half * (fx[:, 1::2] @ _G_WEIGHTS)
+    g7 = half * (fx[..., 1::2] @ _G_WEIGHTS)
     raw = np.abs(k15 - g7)
     resabs = half * (np.abs(fx) @ _GK_WEIGHTS)
-    width = his - los
+    width = 2.0 * half
     meanval = np.divide(k15, width, out=np.zeros_like(k15), where=width > 0.0)
-    resasc = half * (np.abs(fx - meanval[:, None]) @ _GK_WEIGHTS)
-    # Standard rescaled error estimate: |K-G| measures the Gauss error, the
+    resasc = half * (np.abs(fx - meanval[..., None]) @ _GK_WEIGHTS)
+    # QUADPACK's rescaled error estimate: |K-G| measures the Gauss error, the
     # Kronrod value is far better than that on smooth panels.
     err = np.where(
         resasc > 0.0,
@@ -239,7 +271,15 @@ def integrate_adaptive_1d(
     his = edges[1:].copy()
     if 15 * len(los) > budget:
         raise ValueError(f"budget {budget} cannot cover the {len(los)} initial panels")
-    vals, errs = _gk15_panels(f, los, his)
+
+    def panels(lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nodes, half = _panel_nodes(lefts, rights)
+        fx = np.asarray(f(nodes.reshape(-1)), dtype=float).reshape(nodes.shape)
+        if not np.all(np.isfinite(fx)):
+            raise ValueError("integrand returned a non-finite value inside the domain")
+        return _gk15_panels(fx, half)
+
+    vals, errs = panels(los, his)
     evals = 15 * len(los)
 
     while True:
@@ -265,7 +305,7 @@ def integrate_adaptive_1d(
 
         new_los = np.concatenate([los[idx], mids])
         new_his = np.concatenate([mids, his[idx]])
-        new_vals, new_errs = _gk15_panels(f, new_los, new_his)
+        new_vals, new_errs = panels(new_los, new_his)
         evals += 15 * len(new_los)
         keep = np.ones(len(los), dtype=bool)
         keep[idx] = False
@@ -422,7 +462,27 @@ class HbExponents:
 
 def _geo_points(upper: float) -> np.ndarray:
     """Geometric breakpoints clustering panels toward 0 on [0, upper]."""
-    return upper * np.array([1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5, 0.75])
+    return upper * _GEO_FRACTIONS
+
+
+# The fixed rule of _hb2_zero_tilt_block on [0, 1]: the 11 panels seeded by
+# _geo_points(1), 165 nodes.
+_UNIT_EDGES = np.concatenate([[0.0], _GEO_FRACTIONS, [1.0]])
+_UNIT_NODES, _UNIT_HALF = _panel_nodes(_UNIT_EDGES[:-1], _UNIT_EDGES[1:])
+
+
+def _zero_tilt_log_integrand(
+    x: np.ndarray, u: np.ndarray, ap: float, bp: float, ga: float, log_inc=None
+) -> np.ndarray:
+    """log of x^ap (1+x)^(bp-ga) B(bp+1, ga-bp) I_u(bp+1, ga-bp), u = g/(1+x+g).
+
+    This is a zero-tilt joint integrand once its location integral is done
+    in closed form. log_inc is _log_betainc(bp+1, ga-bp, u) when the caller
+    already has it.
+    """
+    if log_inc is None:
+        log_inc = _log_betainc(bp + 1.0, ga - bp, u)
+    return ap * np.log(x) + (bp - ga) * np.log1p(x) + sc.betaln(bp + 1.0, ga - bp) + log_inc
 
 
 def _hb2_zero_tilt(
@@ -441,22 +501,10 @@ def _hb2_zero_tilt(
     al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
 
     def make_log_integrand(ap: float, bp: float) -> Callable[[np.ndarray], np.ndarray]:
-        lbeta = sc.betaln(bp + 1.0, ga - bp)
-
-        def log_integrand(x: np.ndarray) -> np.ndarray:
-            u = g_stat / (1.0 + x + g_stat)
-            return (
-                ap * np.log(x)
-                + (bp - ga) * np.log1p(x)
-                + lbeta
-                + _log_betainc(bp + 1.0, ga - bp, u)
-            )
-
-        return log_integrand
+        return lambda x: _zero_tilt_log_integrand(x, g_stat / (1.0 + x + g_stat), ap, bp, ga)
 
     log_den = make_log_integrand(al, be)
-    probes = f_stat * np.geomspace(1e-9, 1.0, 64)
-    shift = float(np.max(log_den(probes)))
+    shift = float(np.max(log_den(f_stat * _ZERO_TILT_PROBES)))
     seeds = _geo_points(f_stat)
 
     def integrate(log_f: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -483,15 +531,45 @@ def _hb2_zero_tilt(
     return phi, psi
 
 
+def _hb2_zero_tilt_block(
+    f_stat: np.ndarray, g_stat: np.ndarray, e: HbExponents, rel_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, psi) of many regular zero-tilt points by one fixed rule; NaN where it misses.
+
+    The rule is the GK15 on the 11 panels _hb2_zero_tilt starts from, so the
+    nodes are f times _UNIT_NODES. Each point's log shift is the maximum of
+    its denominator log-integrand over its nodes; it cancels in the ratios.
+    Den and phi share one incomplete-beta sweep. A point is NaN when any of
+    its three error estimates exceeds rel_tol * |value|, a value is not
+    finite, or the denominator is not positive.
+    """
+    al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
+    x = f_stat[:, None, None] * _UNIT_NODES
+    g = g_stat[:, None, None]
+    u = g / (1.0 + x + g)
+    with np.errstate(invalid="ignore", over="ignore"):
+        log_inc = _log_betainc(be + 1.0, ga - be, u)
+        logs = np.stack([
+            _zero_tilt_log_integrand(x, u, al, be, ga, log_inc),
+            _zero_tilt_log_integrand(x, u, al + 1.0, be, ga, log_inc),
+            _zero_tilt_log_integrand(x, u, al, be + 1.0, ga),
+        ])
+        shift = np.max(logs[0], axis=(1, 2))
+        fx = np.exp(logs - shift[:, None, None])
+        vals, errs = _gk15_panels(fx, f_stat[:, None] * _UNIT_HALF)
+    value, error = vals.sum(axis=-1), errs.sum(axis=-1)
+    den, num_phi, num_psi = value
+    ok = np.all(np.isfinite(value) & (error <= rel_tol * np.abs(value)), axis=0) & (den > 0.0)
+    safe = np.where(ok, den, 1.0)
+    return np.where(ok, num_phi / safe, np.nan), np.where(ok, num_psi / safe, np.nan)
+
+
 def _inner_log_nodes(upper: float) -> tuple[np.ndarray, np.ndarray]:
     """Fixed composite GK15 nodes/weights on [0, upper], geometric toward 0."""
-    edges = np.concatenate([[0.0], upper * np.geomspace(1e-12, 1.0, 40)])
-    los, his = edges[:-1], edges[1:]
-    mid = 0.5 * (los + his)
-    half = 0.5 * (his - los)
-    nodes = (mid[:, None] + half[:, None] * _GK_NODES[None, :]).reshape(-1)
+    edges = np.concatenate([[0.0], upper * _INNER_FRACTIONS])
+    nodes, half = _panel_nodes(edges[:-1], edges[1:])
     weights = (half[:, None] * _GK_WEIGHTS[None, :]).reshape(-1)
-    return nodes, weights
+    return nodes.reshape(-1), weights
 
 
 def _hb2_pos_tilt(
@@ -539,8 +617,7 @@ def _hb2_pos_tilt(
         return log_integrand
 
     log_den = make_log_integrand(al, be)
-    probes = f_stat * np.geomspace(1e-9, 1.0, 32)
-    shift = float(np.max(log_den(probes)))
+    shift = float(np.max(log_den(f_stat * _POS_TILT_PROBES)))
     if not np.isfinite(shift):
         raise ArithmeticError("joint shrink-factor integrand underflowed everywhere")
     seeds = _geo_points(f_stat)
@@ -669,26 +746,45 @@ def hb2_factors(
 
 
 def hb2_shrink_ratios(
-    f_stat: float,
-    g_stat: float,
-    scale_sum: float,
+    f_stat,
+    g_stat,
+    scale_sum,
     exponents: HbExponents,
     big_l: float = 0.0,
     rel_tol: float = DEFAULT.quad_rel,
     budget: int = DEFAULT.quad_budget,
     tol: Tolerances = DEFAULT,
-) -> tuple[float, float]:
-    """(phi/f, psi/g) with exact series limits at degenerate statistics."""
-    phi, psi = hb2_factors(
-        f_stat, g_stat, scale_sum, exponents, big_l, rel_tol, budget, tol
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """(phi/f, psi/g) with exact series limits at degenerate statistics.
+
+    The statistics broadcast together; scalars give floats, arrays arrays.
+    Regular zero-tilt points (big_l == 0, both statistics above
+    tol.degenerate_stat, budget enough for the 165 nodes of the fixed rule)
+    are computed together by _hb2_zero_tilt_block. Every other point, and
+    every point that rule misses, goes through hb2_factors in index order;
+    an ArithmeticError there is raised as ReplicateError naming that
+    point's flat index, so the first one raised is the lowest failing.
+    """
+    f, g, s = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (f_stat, g_stat, scale_sum))
     )
+    shape = f.shape
+    f, g, s = f.ravel(), g.ravel(), s.ravel()
+    phi, psi = np.full((2, f.size), np.nan)
+    deg = tol.degenerate_stat
+    if big_l == 0.0 and budget >= _UNIT_NODES.size:
+        reg = np.flatnonzero((f > deg) & (g > deg))
+        phi[reg], psi[reg] = _hb2_zero_tilt_block(f[reg], g[reg], exponents, rel_tol)
+    for i in np.flatnonzero(np.isnan(phi)):
+        try:
+            phi[i], psi[i] = hb2_factors(
+                f[i], g[i], s[i], exponents, big_l, rel_tol, budget, tol
+            )
+        except ArithmeticError as exc:
+            raise ReplicateError(int(i), exc) from exc
     al, be = exponents.alpha_e, exponents.beta_e
-    if f_stat > tol.degenerate_stat:
-        phi_ratio = phi / f_stat
-    else:
-        phi_ratio = (al + 1.0) / (al + 2.0)
-    if g_stat > tol.degenerate_stat:
-        psi_ratio = psi / g_stat
-    else:
-        psi_ratio = (be + 1.0) / (be + 2.0)
-    return phi_ratio, psi_ratio
+    phi_ratio = np.where(f > deg, phi / np.where(f > deg, f, 1.0), (al + 1.0) / (al + 2.0))
+    psi_ratio = np.where(g > deg, psi / np.where(g > deg, g, 1.0), (be + 1.0) / (be + 2.0))
+    if not shape:
+        return float(phi_ratio[0]), float(psi_ratio[0])
+    return phi_ratio.reshape(shape), psi_ratio.reshape(shape)

@@ -239,6 +239,22 @@ class TestSimulate:
         assert "PRIAL" in out
         assert "flat" in out and "tilt" in out
 
+    @pytest.mark.parametrize(
+        "bad, text",
+        [
+            ("[[0, 0, 0], [0, 0, 0], [0, 0, 0]]", "v[1] is the zero matrix"),
+            ("[[1, 0, 0], [0, 1, 0], [0, 0, -1]]", "v[1] is not positive definite"),
+        ],
+        ids=["zero", "indefinite"],
+    )
+    def test_bad_scale_with_explicit_loss_is_bad_input(self, tmp_path, capsys, bad, text):
+        body = SIMULATE_CONFIG.replace(
+            "  v: identity\n", f"  v: [identity, {bad}, identity]\n  q: identity\n"
+        )
+        cfg = put(tmp_path, "cfg.yaml", body)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert f"error: invalid model: {text}" in capsys.readouterr().err
+
     def test_config_without_experiment(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", "hyper: {a: 0.2}\n")
         assert main(["simulate", "--config", cfg]) == 2

@@ -230,6 +230,18 @@ def test_every_entry_path_rejects_every_bad_matrix(defect, path):
     assert reject(np.stack([np.eye(3), matrix])) == [expected]
 
 
+@pytest.mark.parametrize("defect", ["non-finite", "zero", "indefinite"])
+def test_explicit_loss_guards_v_before_factoring_it(defect):
+    # An explicit q makes the loss factor each v[i] for eig_floor; v is
+    # guarded first, so the message is the guard's and names v[1].
+    matrix, text = BAD_MATRICES[defect]
+    stack = np.stack([np.eye(3), matrix])
+    expected = [f"invalid model: v[1] {text}"]
+    assert _raised(lambda: _experiment(stack, q=np.stack([np.eye(3)] * 2)).validate()) == expected
+    model = CanonicalModel(x=np.zeros((2, 3)), v=stack, s=1.0, n=5)
+    assert _raised(lambda: LossSpec.for_model(model, np.eye(3))) == expected
+
+
 class TestKsampleReduction:
     def test_two_scalar_groups(self):
         # group1 = {1, 3}, group2 = {2, 2}: means (2, 2), pooled spread 2.

@@ -18,7 +18,7 @@ from kshrink import (
     validate_identities,
     validate_uer,
 )
-from kshrink import estimators
+from kshrink import estimators, numerics
 from kshrink.estimators import ESTIMATORS, PreconditionError, ShrinkageFunctions, estimate_js1
 from kshrink.risk import loss
 from kshrink.tolerances import DEFAULT, Tolerances
@@ -217,23 +217,43 @@ class TestRunExperiment:
     def test_hb2_numeric_failure_names_lowest_replicate(self, monkeypatch):
         # Two replicates of "spread", one in each 256-replicate block, make
         # the HB2 quadrature fail; they are picked by their scale statistic,
-        # which the public sampler reproduces draw for draw.
+        # which the public sampler reproduces draw for draw. The clean run
+        # records each block's statistics, which give the residual statistic
+        # of those replicates; the fixed rule is then made to miss them and
+        # the adaptive path they fall back to fails on them.
         cfg = small_config(estimators=("EB", "HB1", "HB2"), replicates=300)
+        seen = []
+        real_ratios = estimators.hb2_shrink_ratios
+
+        def spy(f_stat, g_stat, s_stat, *args, **kwargs):
+            seen.append((f_stat, s_stat))
+            return real_ratios(f_stat, g_stat, s_stat, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "hb2_shrink_ratios", spy)
         clean = run_experiment(cfg)
+        monkeypatch.setattr(estimators, "hb2_shrink_ratios", real_ratios)
         truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
         failing_s = {
             sample_canonical(truth, cfg.v, cfg.n, replicate_stream(cfg.seed, 0, r)).s
             for r in (270, 7)
         }
-        real = estimators.hb2_shrink_ratios
+        failing_f = [f for fs, ss in seen for f, s in zip(fs, ss) if s in failing_s]
+        assert len(failing_f) == 2
+        real_block, real_factors = numerics._hb2_zero_tilt_block, numerics.hb2_factors
         reason = "joint shrink-factor denominator underflowed to zero"
 
-        def flaky(f_stat, g_stat, s_stat, *args, **kwargs):
-            if s_stat in failing_s:
-                raise ArithmeticError(reason)
-            return real(f_stat, g_stat, s_stat, *args, **kwargs)
+        def missing(f_stat, *args):
+            phi, psi = real_block(f_stat, *args)
+            hit = np.isin(f_stat, failing_f)
+            return np.where(hit, np.nan, phi), np.where(hit, np.nan, psi)
 
-        monkeypatch.setattr(estimators, "hb2_shrink_ratios", flaky)
+        def flaky(f_stat, *args, **kwargs):
+            if f_stat in failing_f:
+                raise ArithmeticError(reason)
+            return real_factors(f_stat, *args, **kwargs)
+
+        monkeypatch.setattr(numerics, "_hb2_zero_tilt_block", missing)
+        monkeypatch.setattr(numerics, "hb2_factors", flaky)
         one = run_experiment(cfg)
         two = run_experiment(replace(cfg, threads=2))
         assert one.errors == {("spread", "HB2"): f"replicate 7: {reason}"}

@@ -9,6 +9,7 @@ from pytest import approx
 import oracles
 from kshrink.numerics import (
     HbExponents,
+    ReplicateError,
     f_quantile,
     hb1_phi,
     hb1_shrink_ratio,
@@ -358,3 +359,121 @@ class TestHb2ShrinkRatios:
             rphi, rpsi = hb2_shrink_ratios(float(f), float(g), 1.0, BENCH)
             assert 0.0 < rphi < 1.0
             assert 0.0 < rpsi < 1.0
+
+    def test_array_call_matches_elementwise_scalar_calls(self):
+        f = np.array([1e-12, 0.5, 3.0, 500.0])
+        g = np.array([0.7, 1e-12, 2.0, 40.0])
+        rphi, rpsi = hb2_shrink_ratios(f, g, 1.0, BENCH)
+        assert rphi.shape == rpsi.shape == (4,)
+        for i in range(4):
+            one = hb2_shrink_ratios(float(f[i]), float(g[i]), 1.0, BENCH)
+            assert isinstance(one[0], float) and isinstance(one[1], float)
+            assert (rphi[i], rpsi[i]) == approx(one, rel=1e-12)
+
+    def test_array_call_names_lowest_failing_element(self):
+        # No quadrature meets a relative tolerance of 1e-300, so every
+        # regular element fails; degenerate ones are closed-form series.
+        f = np.array([1e-12, 1e-12, 2.0, 1e-12, 3.0])
+        with pytest.raises(ReplicateError, match="failed to converge") as raised:
+            hb2_shrink_ratios(f, 0.5, 1.0, BENCH, rel_tol=1e-300, budget=400)
+        assert raised.value.replicate == 2
+        with pytest.raises(ArithmeticError, match="failed to converge"):
+            hb2_shrink_ratios(2.0, 0.5, 1.0, BENCH, rel_tol=1e-300, budget=400)
+
+    def test_invalid_element_raises_as_scalar_path(self):
+        with pytest.raises(ValueError, match="statistics must be nonnegative"):
+            hb2_shrink_ratios(np.array([1.0, -1.0]), 0.5, 1.0, BENCH)
+        with pytest.raises(ValueError, match="budget 100 cannot cover"):
+            hb2_shrink_ratios(np.array([1.0, 2.0]), 0.5, 1.0, BENCH, budget=100)
+
+
+# (args, keywords, (phi, psi)) from the implementation before its per-call
+# grids became module constants; the hoisting must not move a bit. The
+# second point bisects, the last two take the tilted degenerate limits.
+UNCHANGED_HB2 = [
+    ((0.8, 0.5, 1.0), {}, (0.6036996738660273, 0.1907622351226345)),
+    ((300.0, 2.0, 1.0), {}, (1.0409602024171545, 0.267704008884415)),
+    ((1.3, 0.7, 25.0), {"big_l": 2.0}, (0.3817476614074583, 0.09827120447653416)),
+    ((1e-12, 0.7, 25.0), {"big_l": 2.0}, (9.0990990990991e-13, 0.09375486558575147)),
+    ((0.9, 1e-12, 25.0), {"big_l": 2.0}, (0.3783093395137709, 7.222222222222223e-13)),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, expected", UNCHANGED_HB2)
+def test_scalar_hb2_paths_are_bit_identical(args, kwargs, expected):
+    assert hb2_factors(*args, BENCH, **kwargs) == expected
+
+
+class TestHbFactorsOverTheStatisticRange:
+    """The HB factors over f, g in [1e-11, 1e9], both sides of degenerate_stat.
+
+    At the benchmark exponents the fixed rule of the array call misses for
+    large f (about 600 of these 1681 points), so the grid covers the
+    adaptive fallback as well.
+    """
+
+    GRID = np.geomspace(1e-11, 1e9, 41)
+    TIGHT = 1e-10
+
+    @pytest.fixture(scope="class")
+    def tight(self):
+        f, g = np.meshgrid(self.GRID, self.GRID, indexing="ij")
+        rphi, rpsi = hb2_shrink_ratios(f, g, 1.0, BENCH, rel_tol=self.TIGHT)
+        return rphi, rpsi, rphi * f, rpsi * g
+
+    def test_array_call_matches_scalar_factors(self):
+        # At the default tolerance, where the simulations run.
+        f, g = (a.ravel() for a in np.meshgrid(self.GRID, self.GRID, indexing="ij"))
+        rphi, rpsi = hb2_shrink_ratios(f, g, 1.0, BENCH)
+        phi, psi = np.array([hb2_factors(a, b, 1.0, BENCH) for a, b in zip(f, g)]).T
+        deg = DEFAULT.degenerate_stat
+        np.testing.assert_allclose(rphi[f > deg], (phi / f)[f > deg], rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(rpsi[g > deg], (psi / g)[g > deg], rtol=1e-10, atol=0.0)
+
+    def test_monotone_in_each_statistic(self, tight):
+        # Within ten times the quadrature tolerance: phi and psi rise with
+        # both statistics, phi/f falls with f and psi/g with g.
+        rphi, rpsi, phi, psi = tight
+        slack = 10.0 * self.TIGHT
+        for values, sign, axis in [
+            (phi, 1, 0), (phi, 1, 1), (psi, 1, 0), (psi, 1, 1),
+            (rphi, -1, 0), (rphi, 1, 1), (rpsi, 1, 0), (rpsi, -1, 1),
+        ]:
+            step = sign * np.diff(values, axis=axis)
+            scale = np.abs(values).max(axis=axis, keepdims=True)
+            assert np.all(step >= -slack * scale)
+
+    def test_large_statistics_reach_the_limits(self, tight):
+        _, _, phi, psi = tight
+        lim_phi, lim_psi = BENCH.limits()
+        assert phi[-1, -1] == approx(lim_phi, rel=1e-9)
+        assert psi[-1, -1] == approx(lim_psi, rel=1e-9)
+
+    @pytest.mark.parametrize("other", [1e-3, 0.5, 30.0, 1e6])
+    def test_continuous_across_the_degenerate_switch(self, other):
+        deg = DEFAULT.degenerate_stat
+        both = np.array([deg, deg * (1.0 + 1e-6)])
+        rphi, _ = hb2_shrink_ratios(both, other, 1.0, BENCH)
+        _, rpsi = hb2_shrink_ratios(other, both, 1.0, BENCH)
+        assert rphi[1] == approx(rphi[0], rel=1e-8)
+        assert rpsi[1] == approx(rpsi[0], rel=1e-8)
+        hb1 = hb1_shrink_ratio(both, 5, 5, 20)
+        assert hb1[1] == approx(hb1[0], rel=1e-8)
+
+    def test_array_call_matches_riemann_oracle(self):
+        f = np.array([0.3, 3.0, 30.0])
+        g = np.array([2.0, 0.2, 8.0])
+        rphi, rpsi = hb2_shrink_ratios(f, g, 1.0, BENCH)
+        for i in range(3):
+            slow_phi, slow_psi = oracles.hb2_factors_riemann(
+                f[i], g[i], 1.0, 5, 5, 20, 0.1, 0.1, 0.1
+            )
+            assert rphi[i] * f[i] == approx(slow_phi, rel=1e-9)
+            assert rpsi[i] * g[i] == approx(slow_psi, rel=1e-9)
+
+    def test_hb1_over_the_range(self):
+        ratio = hb1_shrink_ratio(self.GRID, 5, 5, 20)
+        assert np.all(np.diff(ratio) <= 0.0)
+        for f in (1e-3, 0.5, 5.0, 50.0):
+            slow = oracles.hb1_phi_riemann(f, 5, 5, 20, 0.1, 0.1)
+            assert hb1_shrink_ratio(f, 5, 5, 20) * f == approx(slow, rel=1e-9)
