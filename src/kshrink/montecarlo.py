@@ -1,12 +1,16 @@
 """Deterministic Monte Carlo harness for risk comparison.
 
-Reproducibility contract: a run is addressed by (seed, config index,
-replicate index). Each replicate owns a counter-based substream
-(Philox keyed by SeedSequence(entropy=seed, spawn_key=(0, config, rep)))
-and all variates are produced by inverse-CDF transforms, so results are
-bit-identical across runs, thread counts, and platforms with IEEE-754
+Reproducibility contract: every uniform is addressed by (seed, key, i),
+output i of the Philox stream keyed by SeedSequence(entropy=seed,
+spawn_key=key), read by advancing the stream's counter, so no draw depends
+on the draws taken before it. Replicate r of configuration c owns outputs
+r*w .. r*w + k*p of key (0, c): k*p for the observations, then one for the
+scale statistic; w is k*p + 1 rounded up to a whole counter step of four
+outputs. All variates are produced by inverse-CDF transforms, so results
+are bit-identical across runs, thread counts, and platforms with IEEE-754
 doubles. Replicates are evaluated in fixed-size blocks (never a function
-of the thread count) and reduced with numpy's pairwise summation.
+of the thread count), each drawn by one call, and reduced with numpy's
+pairwise summation.
 
 Each block runs the batch kernels of the estimators module on the pooled
 statistics of its replicates, the same code the single-shot estimators
@@ -55,20 +59,37 @@ __all__ = [
 ]
 
 _BLOCK = 256
-# Substream namespaces; first spawn_key element.
+# Stream namespaces; first spawn_key element.
 _NS_EXPERIMENT = 0
 _NS_UER = 1
 _NS_IDENTITY = 2
 
 
-def _substream(seed: int, *key: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(x) for x in key))
-    return np.random.Generator(np.random.Philox(ss))
+def _uniforms(seed: int, key: tuple[int, ...], start: int, count: int) -> np.ndarray:
+    """Outputs start .. start+count-1 of stream (seed, key) as (0, 1) uniforms.
+
+    The uniforms sit on a fixed 2^53 lattice. Each Philox counter step
+    yields four outputs, so start must be a multiple of four.
+    """
+    bitgen = np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
+    bitgen.advance(start // 4)
+    raw = bitgen.random_raw(count)
+    raw >>= 11
+    return (raw + 0.5) * 2.0**-53
 
 
-def _uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    """Open-interval (0,1) uniforms on a fixed 2^53 lattice."""
-    return (rng.integers(0, 1 << 53, size=shape) + 0.5) * 2.0**-53
+def _replicate_uniforms(
+    seed: int, config: int, r0: int, r1: int, k: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniforms (R, k, p) and (R,) of replicates r0 .. r1-1 of one configuration."""
+    w = 4 * -(-(k * p + 1) // 4)
+    u = _uniforms(seed, (_NS_EXPERIMENT, config), r0 * w, (r1 - r0) * w).reshape(r1 - r0, w)
+    return u[:, : k * p].reshape(r1 - r0, k, p), u[:, k * p]
+
+
+def _need_replicates(count: int) -> None:
+    if count < 2:
+        raise ValueError(f"need at least 2 replicates, got {count}")
 
 
 def _draw(
@@ -81,18 +102,18 @@ def _draw(
 
 
 def sample_canonical(
-    truth: TrueParameters, v: np.ndarray, n: int, rng: np.random.Generator
+    truth: TrueParameters, v: np.ndarray, n: int, seed: int, config: int = 0, replicate: int = 0
 ) -> CanonicalModel:
-    """Draw one canonical model from the supplied stream.
+    """Draw replicate `replicate` of configuration `config` under `seed`.
 
-    Draw order is fixed: one (k, p) block of uniforms for the observations,
-    then one uniform for the scale statistic; both mapped through inverse
-    CDFs. The harness reproduces these draws exactly.
+    These are the harness's draws for that address: run_experiment with the
+    same seed, truth and v sees exactly this model as that replicate.
     """
     va = np.asarray(v, dtype=float)
-    u = _uniforms(rng, truth.mu.shape)
-    x, s = _draw(truth, np.linalg.cholesky(va), n, u[None], _uniforms(rng, ()))
-    return CanonicalModel(x=x[0], v=va, s=float(s), n=n)
+    k, p = truth.mu.shape
+    u, us = _replicate_uniforms(seed, config, replicate, replicate + 1, k, p)
+    x, s = _draw(truth, np.linalg.cholesky(va), n, u, us)
+    return CanonicalModel(x=x[0], v=va, s=float(s[0]), n=n)
 
 
 @dataclass(frozen=True)
@@ -180,8 +201,7 @@ class ExperimentConfig:
             )
         if self.q is not None and self.q.shape != (self.k, self.p, self.p):
             raise ValueError(f"q must have shape {(self.k, self.p, self.p)}, got {self.q.shape}")
-        if self.replicates < 2:
-            raise ValueError(f"need at least 2 replicates, got {self.replicates}")
+        _need_replicates(self.replicates)
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not self.mean_configs:
@@ -311,12 +331,7 @@ def _config_losses(
     chol = np.linalg.cholesky(cfg.v)
 
     def losses_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
-        u = np.empty((r1 - r0, cfg.k, cfg.p))
-        us = np.empty(r1 - r0)
-        for j, r in enumerate(range(r0, r1)):
-            rng = _substream(cfg.seed, _NS_EXPERIMENT, ci, r)
-            u[j] = _uniforms(rng, (cfg.k, cfg.p))
-            us[j] = _uniforms(rng, ())
+        u, us = _replicate_uniforms(cfg.seed, ci, r0, r1, cfg.k, cfg.p)
         x, s = _draw(truth, chol, cfg.n, u, us)
         batch = setting.pooled.summarize(x, s, setting.tol)
         out = np.full((len(names), r1 - r0), np.nan)
@@ -481,16 +496,18 @@ def validate_uer(
 ) -> UerValidation:
     """Check that the unbiased risk estimator matches Monte Carlo loss.
 
-    For each truth point, draws are taken as one vectorized block from a
-    point-indexed substream (the per-replicate addressing of the
+    For each truth point, draws are taken as one vectorized block from the
+    start of a point-indexed stream (the per-replicate addressing of the
     experiment runner is not needed here), the supplied class member is
     applied, and the paired difference between its realized loss and the
     unbiased risk estimate must be within three standard errors of zero.
     Derivatives come from the member when present, otherwise from central
     differences with relative step fd_step.
     """
+    _need_replicates(replicates)
     setting = cfg.validate(tol)
     chol = np.linalg.cholesky(cfg.v)
+    size = replicates * cfg.k * cfg.p
 
     def derivative(direct, base, args: list, which: int) -> np.ndarray:
         if direct is not None:
@@ -510,9 +527,8 @@ def validate_uer(
             raise ValueError(
                 f"truth point {pi} has shape {truth.mu.shape}, expected {(cfg.k, cfg.p)}"
             )
-        rng = _substream(cfg.seed, _NS_UER, pi)
-        u = _uniforms(rng, (replicates, cfg.k, cfg.p))
-        x, s = _draw(truth, chol, cfg.n, u, _uniforms(rng, replicates))
+        u = _uniforms(cfg.seed, (_NS_UER, pi), 0, size + replicates)
+        x, s = _draw(truth, chol, cfg.n, u[:size].reshape(replicates, cfg.k, cfg.p), u[size:])
         batch = setting.pooled.summarize(x, s, tol)
         mu_hat, diags = batch_general(setting, batch, sf)
         f, g = floored_statistics(batch, tol)
@@ -659,6 +675,7 @@ def validate_identities(
     sigma2 * (n g(S) + 2 S g'(S)). Both are paired comparisons with a
     three-standard-error margin.
     """
+    _need_replicates(draws)
     mu_vec = np.ones(p) if mu is None else np.asarray(mu, dtype=float)
     cov_mat = 2.0 * np.eye(p) if cov is None else np.asarray(cov, dtype=float)
     if mu_vec.shape != (p,):
@@ -666,8 +683,7 @@ def validate_identities(
     if cov_mat.shape != (p, p):
         raise ValueError(f"cov must have shape ({p}, {p}), got {cov_mat.shape}")
 
-    rng = _substream(seed, _NS_IDENTITY, 0)
-    z = ndtri(_uniforms(rng, (draws, p)))
+    z = ndtri(_uniforms(seed, (_NS_IDENTITY, 0), 0, draws * p).reshape(draws, p))
     y = mu_vec + z @ np.linalg.cholesky(cov_mat).T
     r2 = np.einsum("ra,ra->r", y, y)
     denom = 1.0 + r2
@@ -686,8 +702,7 @@ def validate_identities(
         passed=bool(abs(mean_d) <= 3.0 * se_d),
     )
 
-    rng = _substream(seed, _NS_IDENTITY, 1)
-    s = sigma2 * 2.0 * gammaincinv(0.5 * n, _uniforms(rng, draws))
+    s = sigma2 * 2.0 * gammaincinv(0.5 * n, _uniforms(seed, (_NS_IDENTITY, 1), 0, draws))
     g_val = 1.0 / (1.0 + s)
     lhs2 = s * g_val
     rhs2 = sigma2 * (n * g_val - 2.0 * s * g_val**2)

@@ -235,7 +235,6 @@ def integrate_adaptive_1d(
     lo: float,
     hi: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
     budget: int = DEFAULT.quad_budget,
     points: Sequence[float] | None = None,
 ) -> QuadratureResult:
@@ -243,13 +242,13 @@ def integrate_adaptive_1d(
 
     Gauss-Kronrod 15(7) panels; the worst panels (those carrying 90% of the
     estimated error, capped per round) are bisected until the summed error
-    estimate drops below max(abs_tol, rel_tol * |value|) or the evaluation
+    estimate drops below rel_tol * |value| or the evaluation
     budget runs out. Endpoints are never evaluated.
 
     Args:
         f: vectorized integrand, ndarray in / ndarray out.
         lo, hi: integration limits, lo <= hi.
-        rel_tol, abs_tol: stopping tolerances.
+        rel_tol: relative stopping tolerance.
         budget: maximum integrand evaluations.
         points: optional interior breakpoints seeding the initial panels;
             useful when the mass sits far from the middle of the domain.
@@ -285,8 +284,7 @@ def integrate_adaptive_1d(
     while True:
         total = float(np.sum(vals))
         toterr = float(np.sum(errs))
-        threshold = max(abs_tol, rel_tol * abs(total))
-        if toterr <= threshold:
+        if toterr <= rel_tol * abs(total):
             return QuadratureResult(total, toterr, True, len(los), evals)
         if evals + 30 > budget:
             return QuadratureResult(total, toterr, False, len(los), evals)
@@ -485,36 +483,27 @@ def _zero_tilt_log_integrand(
     return ap * np.log(x) + (bp - ga) * np.log1p(x) + sc.betaln(bp + 1.0, ga - bp) + log_inc
 
 
-def _hb2_zero_tilt(
-    f_stat: float,
-    g_stat: float,
-    e: HbExponents,
-    rel_tol: float,
-    budget: int,
+def _hb2_outer(
+    make_log_integrand: Callable[[float, float], Callable[[np.ndarray], np.ndarray]],
+    probes: np.ndarray, f_stat: float, e: HbExponents, rel_tol: float, budget: int,
 ) -> tuple[float, float]:
-    """(phi, psi) for zero precision tilt: the location integral is analytic.
+    """(phi, psi) from three outer integrals over [0, f_stat] seeded by _geo_points.
 
-    The inner integral over the location coordinate collapses to a
-    regularized incomplete beta, leaving three one-dimensional outer
-    integrals that share a common log shift probed from the denominator.
+    make_log_integrand(ap, bp) gives the log-integrand with residual exponent
+    ap and location exponent bp; the common log shift is the maximum of the
+    denominator's at f_stat * probes.
     """
-    al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
-
-    def make_log_integrand(ap: float, bp: float) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: _zero_tilt_log_integrand(x, g_stat / (1.0 + x + g_stat), ap, bp, ga)
-
+    al, be = e.alpha_e, e.beta_e
     log_den = make_log_integrand(al, be)
-    shift = float(np.max(log_den(f_stat * _ZERO_TILT_PROBES)))
+    shift = float(np.max(log_den(f_stat * probes)))
+    if not np.isfinite(shift):
+        raise ArithmeticError("joint shrink-factor integrand underflowed everywhere")
     seeds = _geo_points(f_stat)
 
     def integrate(log_f: Callable[[np.ndarray], np.ndarray]) -> float:
         res = integrate_adaptive_1d(
-            lambda x: np.exp(log_f(x) - shift),
-            0.0,
-            f_stat,
-            rel_tol=rel_tol,
-            budget=budget,
-            points=seeds,
+            lambda x: np.exp(log_f(x) - shift), 0.0, f_stat,
+            rel_tol=rel_tol, budget=budget, points=seeds,
         )
         if not res.converged:
             raise ArithmeticError(
@@ -529,6 +518,23 @@ def _hb2_zero_tilt(
     phi = integrate(make_log_integrand(al + 1.0, be)) / den
     psi = integrate(make_log_integrand(al, be + 1.0)) / den
     return phi, psi
+
+
+def _hb2_zero_tilt(
+    f_stat: float, g_stat: float, e: HbExponents, rel_tol: float, budget: int
+) -> tuple[float, float]:
+    """(phi, psi) for zero precision tilt: the location integral is analytic.
+
+    The inner integral over the location coordinate collapses to a
+    regularized incomplete beta, leaving three one-dimensional outer
+    integrals.
+    """
+    ga = e.gamma_e
+
+    def make_log_integrand(ap: float, bp: float) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda x: _zero_tilt_log_integrand(x, g_stat / (1.0 + x + g_stat), ap, bp, ga)
+
+    return _hb2_outer(make_log_integrand, _ZERO_TILT_PROBES, f_stat, e, rel_tol, budget)
 
 
 def _hb2_zero_tilt_block(
@@ -589,7 +595,7 @@ def _hb2_pos_tilt(
     inner rule over the location coordinate (smooth integrand, geometric
     panels soak up the power singularity at zero).
     """
-    al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
+    ga = e.gamma_e
     z0 = 0.5 * big_l * scale_sum
     ys, yw = _inner_log_nodes(g_stat)
     log_ys = np.log(ys)
@@ -611,39 +617,9 @@ def _hb2_pos_tilt(
             return peak[:, 0] + np.log(total)
 
     def make_log_integrand(ap: float, bp: float) -> Callable[[np.ndarray], np.ndarray]:
-        def log_integrand(x: np.ndarray) -> np.ndarray:
-            return ap * np.log(x) + log_inner(x, bp)
+        return lambda x: ap * np.log(x) + log_inner(x, bp)
 
-        return log_integrand
-
-    log_den = make_log_integrand(al, be)
-    shift = float(np.max(log_den(f_stat * _POS_TILT_PROBES)))
-    if not np.isfinite(shift):
-        raise ArithmeticError("joint shrink-factor integrand underflowed everywhere")
-    seeds = _geo_points(f_stat)
-
-    def integrate(log_f: Callable[[np.ndarray], np.ndarray]) -> float:
-        res = integrate_adaptive_1d(
-            lambda x: np.exp(log_f(x) - shift),
-            0.0,
-            f_stat,
-            rel_tol=rel_tol,
-            budget=budget,
-            points=seeds,
-        )
-        if not res.converged:
-            raise ArithmeticError(
-                f"joint shrink-factor quadrature failed to converge "
-                f"(error {res.error:.3e} after {res.evals} evaluations)"
-            )
-        return res.value
-
-    den = integrate(log_den)
-    if not den > 0.0:
-        raise ArithmeticError("joint shrink-factor denominator underflowed to zero")
-    phi = integrate(make_log_integrand(al + 1.0, be)) / den
-    psi = integrate(make_log_integrand(al, be + 1.0)) / den
-    return phi, psi
+    return _hb2_outer(make_log_integrand, _POS_TILT_PROBES, f_stat, e, rel_tol, budget)
 
 
 def _hb2_degenerate(
@@ -725,11 +701,17 @@ def hb2_factors(
 
     Returns:
         (phi, psi). phi is nondecreasing in both statistics, psi is
-        nondecreasing in both, and for big_l == 0 neither depends on
-        scale_sum.
+        nondecreasing in both, both approach exponents.limits() as the
+        statistics grow, and for big_l == 0 neither depends on scale_sum.
+        The monotonicity and the limits hold only within the quadrature's
+        accepted error, about rel_tol relative: at the default 1e-6, phi
+        can fall by about 1e-6 relative between two large f, or exceed its
+        limit by a few 1e-7.
     """
     if f_stat < 0.0 or g_stat < 0.0:
         raise ValueError(f"statistics must be nonnegative, got ({f_stat}, {g_stat})")
+    if not (math.isfinite(f_stat) and math.isfinite(g_stat)):
+        raise ValueError(f"statistics must be finite, got ({f_stat}, {g_stat})")
     if big_l < 0.0:
         raise ValueError(f"big_l must be nonnegative, got {big_l}")
     if big_l > 0.0 and not scale_sum > 0.0:

@@ -342,6 +342,17 @@ class TestValidate:
         assert out.strip().endswith("all checks passed")
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("with_config", [False, True], ids=["benchmark", "config"])
+    @pytest.mark.parametrize("replicates", ["1", "0", "-3"])
+    def test_too_few_replicates_is_bad_input(self, tmp_path, capsys, replicates, with_config):
+        argv = ["validate", "--replicates", replicates]
+        if with_config:
+            argv += ["--config", put(tmp_path, "cfg.yaml", SIMULATE_CONFIG)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"need at least 2 replicates, got {replicates}" in captured.err
+        assert captured.out == ""
+
 
 class TestUsage:
     def test_no_subcommand(self, capsys):

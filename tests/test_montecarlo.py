@@ -18,16 +18,10 @@ from kshrink import (
     validate_identities,
     validate_uer,
 )
-from kshrink import estimators, numerics
+from kshrink import estimators, montecarlo, numerics
 from kshrink.estimators import ESTIMATORS, PreconditionError, ShrinkageFunctions, estimate_js1
 from kshrink.risk import loss
 from kshrink.tolerances import DEFAULT, Tolerances
-
-
-def replicate_stream(seed, config_index, rep):
-    """The documented substream address of one experiment replicate."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, config_index, rep))
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def small_config(**overrides):
@@ -53,17 +47,19 @@ class TestSampleCanonical:
     def test_reproducible_from_stream_address(self):
         truth = TrueParameters(mu=np.zeros((2, 3)), sigma2=2.0)
         v = np.array([np.eye(3), 2.0 * np.eye(3)])
-        a = sample_canonical(truth, v, 10, replicate_stream(1, 0, 0))
-        b = sample_canonical(truth, v, 10, replicate_stream(1, 0, 0))
+        a = sample_canonical(truth, v, 10, 1, 0, 0)
+        b = sample_canonical(truth, v, 10, 1, 0, 0)
         assert np.array_equal(a.x, b.x)
         assert a.s == b.s
 
     def test_distinct_replicates_differ(self):
         truth = TrueParameters(mu=np.zeros((2, 3)), sigma2=2.0)
         v = np.array([np.eye(3), np.eye(3)])
-        a = sample_canonical(truth, v, 10, replicate_stream(1, 0, 0))
-        b = sample_canonical(truth, v, 10, replicate_stream(1, 0, 1))
+        a = sample_canonical(truth, v, 10, 1, 0, 0)
+        b = sample_canonical(truth, v, 10, 1, 0, 1)
+        c = sample_canonical(truth, v, 10, 1, 1, 0)
         assert not np.array_equal(a.x, b.x)
+        assert not np.array_equal(a.x, c.x)
 
     def test_first_moments(self):
         mu = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
@@ -72,7 +68,7 @@ class TestSampleCanonical:
         xs = np.empty((3000, 2, 3))
         ss = np.empty(3000)
         for r in range(3000):
-            m = sample_canonical(truth, v, 10, replicate_stream(99, 0, r))
+            m = sample_canonical(truth, v, 10, 99, 0, r)
             xs[r] = m.x
             ss[r] = m.s
         assert xs.mean(axis=0) == approx(mu, abs=0.15)
@@ -83,8 +79,40 @@ class TestSampleCanonical:
         truth = TrueParameters(mu=np.zeros((2, 2)), sigma2=0.5)
         v = np.array([np.eye(2), np.eye(2)])
         for r in range(50):
-            m = sample_canonical(truth, v, 3, replicate_stream(4, 1, r))
+            m = sample_canonical(truth, v, 3, 4, 1, r)
             assert m.s > 0.0
+
+
+class TestReplicateUniforms:
+    @pytest.mark.parametrize(
+        "k, p", [pytest.param(3, 1, id="kp1-multiple-of-4"), pytest.param(5, 5, id="kp1-26")]
+    )
+    def test_rows_do_not_depend_on_how_a_range_is_split(self, k, p):
+        whole_u, whole_us = montecarlo._replicate_uniforms(11, 3, 5, 45, k, p)
+        assert whole_u.shape == (40, k, p) and whole_us.shape == (40,)
+        for u in (whole_u, whole_us):
+            assert np.all((u > 0.0) & (u < 1.0))
+        for cuts in ((5, 6, 45), (5, 12, 13, 28, 45), tuple(range(5, 46))):
+            parts = [
+                montecarlo._replicate_uniforms(11, 3, r0, r1, k, p)
+                for r0, r1 in zip(cuts, cuts[1:])
+            ]
+            assert np.array_equal(np.concatenate([u for u, _ in parts]), whole_u)
+            assert np.array_equal(np.concatenate([us for _, us in parts]), whole_us)
+
+    def test_one_seed_sequence_per_configuration_block(self, monkeypatch):
+        real = np.random.SeedSequence
+        made = []
+
+        def counting(*args, **kwargs):
+            made.append(kwargs.get("spawn_key"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        cfg = small_config(replicates=300)
+        run_experiment(cfg)
+        blocks = -(-cfg.replicates // montecarlo._BLOCK)
+        assert 0 < len(made) <= len(cfg.mean_configs) * blocks
 
 
 class TestMeanConfig:
@@ -143,9 +171,7 @@ def assert_engine_matches_public_estimators(tol):
         truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
         by_hand = {name: [] for name in table.estimator_names}
         for r in range(cfg.replicates):
-            model = sample_canonical(
-                truth, cfg.v, cfg.n, replicate_stream(cfg.seed, ci, r)
-            )
+            model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, ci, r)
             for name in table.estimator_names:
                 est = ESTIMATORS[name](model, ls, hyper=cfg.hyper, tol=tol)
                 by_hand[name].append(loss(est, truth, ls))
@@ -234,7 +260,7 @@ class TestRunExperiment:
         monkeypatch.setattr(estimators, "hb2_shrink_ratios", real_ratios)
         truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
         failing_s = {
-            sample_canonical(truth, cfg.v, cfg.n, replicate_stream(cfg.seed, 0, r)).s
+            sample_canonical(truth, cfg.v, cfg.n, cfg.seed, 0, r).s
             for r in (270, 7)
         }
         failing_f = [f for fs, ss in seen for f, s in zip(fs, ss) if s in failing_s]
@@ -383,6 +409,25 @@ class TestValidateUer:
             with_d.checks[0].mean_uer, rel=1e-7
         )
 
+    def test_draws_are_pinned(self, cfg):
+        # Pinned values: a change means the draws of validate_uer moved.
+        _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
+        points = [
+            TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)
+        ]
+        checks = validate_uer(cfg, smooth, points, replicates=2000).checks
+        assert [(c.mean_loss, c.diff, c.se_diff) for c in checks] == [
+            (11.582404170628724, 0.08653912634630254, 0.0724744580967259),
+            (20.28117466047418, 0.12616738758976595, 0.12924189926320093),
+        ]
+
+    @pytest.mark.parametrize("replicates", [1, 0, -3])
+    def test_needs_two_replicates(self, cfg, replicates):
+        _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
+        points = [TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)]
+        with pytest.raises(ValueError, match=f"need at least 2 replicates, got {replicates}$"):
+            validate_uer(cfg, smooth, points, replicates=replicates)
+
     def test_truth_shape_checked(self, cfg):
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
         bad = [TrueParameters(mu=np.zeros((2, 2)), sigma2=1.0)]
@@ -406,6 +451,21 @@ class TestValidateIdentities:
         b = validate_identities(draws=5000)
         assert a.checks[0].diff == b.checks[0].diff
         assert a.checks[1].mean_lhs == b.checks[1].mean_lhs
+
+    def test_draws_are_pinned(self):
+        # Pinned values: a change means the draws of validate_identities moved.
+        gauss, chisq = validate_identities(draws=5000).checks
+        assert (gauss.mean_lhs, gauss.diff, gauss.se_diff) == (
+            0.5847546148997493, -0.0031120241134859447, 0.008844149297784697
+        )
+        assert (chisq.mean_lhs, chisq.diff, chisq.se_diff) == (
+            0.9729298525770093, -0.004862004205955202, 0.00482683303878639
+        )
+
+    @pytest.mark.parametrize("draws", [1, 0, -3])
+    def test_needs_two_draws(self, draws):
+        with pytest.raises(ValueError, match=f"need at least 2 replicates, got {draws}$"):
+            validate_identities(draws=draws)
 
     def test_custom_truth(self):
         mu = np.linspace(-1.0, 1.0, 4)

@@ -386,6 +386,12 @@ class TestHb2ShrinkRatios:
         with pytest.raises(ValueError, match="budget 100 cannot cover"):
             hb2_shrink_ratios(np.array([1.0, 2.0]), 0.5, 1.0, BENCH, budget=100)
 
+    @pytest.mark.parametrize("big_l", [0.0, 0.5])
+    @pytest.mark.parametrize("f, g", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_non_finite_statistic_is_invalid(self, f, g, big_l):
+        with pytest.raises(ValueError, match="statistics must be finite"):
+            hb2_shrink_ratios(np.array([1.0, f]), g, 1.0, BENCH, big_l=big_l)
+
 
 # (args, keywords, (phi, psi)) from the implementation before its per-call
 # grids became module constants; the hoisting must not move a bit. The
