@@ -172,7 +172,7 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     if args.config is not None:
         doc = load_document(args.config)
-        cfg = experiment_from_document(doc, seed=args.seed, threads=args.threads)
+        cfg = experiment_from_document(doc, seed=args.seed)
     else:
         cfg = _benchmark_config(args)
     replicates = args.replicates if args.replicates is not None else 100_000
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, *, config=False, config_required=False,
-            needs_input=False, output=False, runs=False):
+            needs_input=False, output=False, runs=False, threads=False):
         cmd = sub.add_parser(name, help=help_text)
         if config:
             cmd.add_argument("--config", required=config_required,
@@ -232,13 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--output", help="write CSV here instead of stdout")
         if runs:
             cmd.add_argument("--seed", type=int, help="override the RNG seed")
-            cmd.add_argument("--threads", type=int, help="worker thread count")
             cmd.add_argument("--replicates", type=int, help="Monte Carlo replicates")
+        if threads:
+            cmd.add_argument("--threads", type=int, help="worker thread count")
         return cmd
 
-    add("table1", "reproduce the benchmark PRIAL table", output=True, runs=True)
+    add("table1", "reproduce the benchmark PRIAL table", output=True, runs=True, threads=True)
     add("simulate", "run a configured experiment", config=True, config_required=True,
-        output=True, runs=True)
+        output=True, runs=True, threads=True)
     add("estimate", "apply estimators to a dataset", config=True, config_required=True,
         needs_input=True, output=True)
     add("check-conditions", "report minimaxity margins", config=True)

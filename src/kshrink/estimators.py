@@ -300,7 +300,7 @@ def batch_hb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     try:
         phi, psi = hb2_shrink_ratios(
             b.residual_stat, b.pooled_norm_stat, b.s, st.hb_exponents, st.hyper.big_l,
-            rel_tol=tol.quad_rel, budget=tol.quad_budget, tol=tol,
+            rel_tol=tol.quad_rel, tol=tol,
         )
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc

@@ -153,7 +153,7 @@ class LossSpec:
 
     q: (k, p, p) stack of positive definite weight matrices.
     eig_floor: min over groups of the smallest eigenvalue of v[i] @ q[i];
-        equals 1 when q[i] is the inverse of v[i] for every group.
+        inverse_v, where every q[i] is inv(v[i]), sets it to 1 exactly.
     q_inv: (k, p, p) stack of inv(q[i]), set only by the factories for_model
         and inverse_v, which guard q once; validate_model and from_model trust
         it and reject a spec built by hand, whose q_inv is None.
@@ -179,23 +179,30 @@ class LossSpec:
 
     @classmethod
     def inverse_v(cls, model: CanonicalModel, tol: Tolerances = DEFAULT) -> "LossSpec":
-        """Loss weighted by the inverse scale matrices (eig_floor is 1); inverts v, guards q."""
-        return cls._weighted(model, _guarded_inverse("v", model.v, tol, screen=False), tol)
+        """Loss weighted by the inverse scale matrices; inverts v, guards q, eig_floor is 1."""
+        return cls._weighted(
+            model, _guarded_inverse("v", model.v, tol, screen=False), tol, eig_floor=1.0
+        )
 
     @classmethod
     def _weighted(
-        cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray], tol: Tolerances
+        cls,
+        model: CanonicalModel,
+        q: np.ndarray | Sequence[np.ndarray],
+        tol: Tolerances,
+        eig_floor: float | None = None,
     ) -> "LossSpec":
-        """Guard q, derive eig_floor (which factors v, so v must be positive definite) and q_inv."""
+        """Guard q and set q_inv; derive eig_floor unless given (that factors v, so v must be SPD)."""
         qa = _as_stack("q must have shape (k, p, p) =", q, model.k, model.p)
         q_inv = _guarded_inverse("q", qa, tol)
-        floor = np.inf
-        for vi, qi in zip(model.v, qa):
-            chol = np.linalg.cholesky(0.5 * (vi + vi.T))
-            # v @ q shares its spectrum with the symmetric chol' q chol
-            vals = np.linalg.eigvalsh(chol.T @ (0.5 * (qi + qi.T)) @ chol)
-            floor = min(floor, vals[0])
-        spec = cls(q=qa, eig_floor=float(floor))
+        if eig_floor is None:
+            eig_floor = np.inf
+            for vi, qi in zip(model.v, qa):
+                chol = np.linalg.cholesky(0.5 * (vi + vi.T))
+                # v @ q shares its spectrum with the symmetric chol' q chol
+                vals = np.linalg.eigvalsh(chol.T @ (0.5 * (qi + qi.T)) @ chol)
+                eig_floor = min(eig_floor, vals[0])
+        spec = cls(q=qa, eig_floor=float(eig_floor))
         object.__setattr__(spec, "q_inv", _freeze(q_inv))
         return spec
 

@@ -7,27 +7,34 @@ every integrand is evaluated as exp(log_integrand - shift) with a common
 shift taken from the denominator, so extreme exponent combinations cannot
 underflow the ratio even when the raw integrals would.
 
-The adaptive integrator is a 15-point Gauss-Kronrod panel scheme with
-worst-panel bisection; the rule and its error estimate follow QUADPACK
-(Piessens et al., 1983). Integrands passed to it must be vectorized
-(ndarray in, ndarray out) and are never evaluated at panel endpoints, so
-integrable endpoint singularities are fine.
+The hierarchical factors use no adaptive quadrature. hb2_shrink_ratios and
+hb2_factors evaluate the joint factors of regular points (both statistics
+above tol.degenerate_stat) by one tensor Gauss-Jacobi rule (Golub and
+Welsch, Math. Comp. 23, 1969). The substitutions x = t/(1-t), t = T s and
+y = w(1+x)/(1-w), w = U r take the box [0, f] x [0, g] to the unit square,
+where the weights s^alpha_e and r^beta_e absorb the power singularities at
+zero; a positive tilt adds one log incomplete-gamma term to the
+integrand. All points of an array run through the rule together at n and
+n + 8 nodes per axis, starting at n = 20. A point is accepted when phi
+and psi of the two agree within rel_tol relative and are finite, and it
+takes the n + 8 values. The points that miss run again at doubled n (40,
+80, 160). A point still missing after that fails with ArithmeticError
+"failed to converge"; a tilted point whose integrand underflows at every
+node fails with "underflowed everywhere". The array call raises either
+as ReplicateError naming the lowest failing flat index. Degenerate
+statistics take exact series limits; with a tilt, the remaining 1-D
+ratio takes the same rule with the vanishing statistic set to 0.
 
-hb2_shrink_ratios takes arrays of statistics. With zero tilt, the joint
-factors of all regular points (both statistics above
-tol.degenerate_stat) come from one fixed rule: the composite GK15 on the
-11 panels the adaptive path starts from, which scale with f, so one
-(R, 11, 15) node grid serves the whole array, and each point takes its
-log shift from its own denominator nodes. A point is accepted when every
-one of its three integrals has a QUADPACK error estimate within
-rel_tol * |value|, every value is finite and the denominator is positive.
-Every other point (a miss, a degenerate statistic, a positive tilt, or a
-budget below the rule's 165 evaluations) goes through the scalar adaptive
-path in index order, which raises exactly as it does for one point.
+integrate_adaptive_1d is a standalone 15-point Gauss-Kronrod panel scheme
+with worst-panel bisection; the rule and its error estimate follow
+QUADPACK (Piessens et al., 1983). Integrands passed to it must be
+vectorized (ndarray in, ndarray out) and are never evaluated at panel
+endpoints, so integrable endpoint singularities are fine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -102,13 +109,6 @@ _G_WEIGHTS = np.array(
 
 _MAX_SPLIT_BATCH = 256
 _TINY_LOG = 1e-300
-
-# Per-call grids of the joint shrink factors, as fractions of the upper
-# limit they are scaled by.
-_GEO_FRACTIONS = np.array([1e-8, 1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.15, 0.3, 0.5, 0.75])
-_ZERO_TILT_PROBES = np.geomspace(1e-9, 1.0, 64)
-_POS_TILT_PROBES = np.geomspace(1e-9, 1.0, 32)
-_INNER_FRACTIONS = np.geomspace(1e-12, 1.0, 40)
 
 
 def reg_inc_beta(a: float, b: float, x) -> float | np.ndarray:
@@ -235,7 +235,7 @@ def integrate_adaptive_1d(
     lo: float,
     hi: float,
     rel_tol: float = 1e-10,
-    budget: int = DEFAULT.quad_budget,
+    budget: int = 1_000_000,
     points: Sequence[float] | None = None,
 ) -> QuadratureResult:
     """Integrate a vectorized callable over [lo, hi] adaptively.
@@ -458,217 +458,173 @@ class HbExponents:
         return (self.alpha_e + 1.0) / gap, (self.beta_e + 1.0) / gap
 
 
-def _geo_points(upper: float) -> np.ndarray:
-    """Geometric breakpoints clustering panels toward 0 on [0, upper]."""
-    return upper * _GEO_FRACTIONS
+# Node counts of the HB2 rule: each round compares n and n + _RULE_STEP nodes
+# per axis and passes the points that miss on to the next round.
+_RULE_SIZES = (20, 40, 80, 160)
+_RULE_STEP = 8
 
 
-# The fixed rule of _hb2_zero_tilt_block on [0, 1]: the 11 panels seeded by
-# _geo_points(1), 165 nodes.
-_UNIT_EDGES = np.concatenate([[0.0], _GEO_FRACTIONS, [1.0]])
-_UNIT_NODES, _UNIT_HALF = _panel_nodes(_UNIT_EDGES[:-1], _UNIT_EDGES[1:])
+@functools.lru_cache(maxsize=128)
+def _jacobi_rule(n: int, expo: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss rule for int_0^1 s^expo h(s) ds."""
+    xi, wt = sc.roots_jacobi(n, 0.0, expo)
+    nodes, weights = 0.5 * (xi + 1.0), wt / 2.0 ** (expo + 1.0)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-def _zero_tilt_log_integrand(
-    x: np.ndarray, u: np.ndarray, ap: float, bp: float, ga: float, log_inc=None
-) -> np.ndarray:
-    """log of x^ap (1+x)^(bp-ga) B(bp+1, ga-bp) I_u(bp+1, ga-bp), u = g/(1+x+g).
-
-    This is a zero-tilt joint integrand once its location integral is done
-    in closed form. log_inc is _log_betainc(bp+1, ga-bp, u) when the caller
-    already has it.
-    """
-    if log_inc is None:
-        log_inc = _log_betainc(bp + 1.0, ga - bp, u)
-    return ap * np.log(x) + (bp - ga) * np.log1p(x) + sc.betaln(bp + 1.0, ga - bp) + log_inc
-
-
-def _hb2_outer(
-    make_log_integrand: Callable[[float, float], Callable[[np.ndarray], np.ndarray]],
-    probes: np.ndarray, f_stat: float, e: HbExponents, rel_tol: float, budget: int,
-) -> tuple[float, float]:
-    """(phi, psi) from three outer integrals over [0, f_stat] seeded by _geo_points.
-
-    make_log_integrand(ap, bp) gives the log-integrand with residual exponent
-    ap and location exponent bp; the common log shift is the maximum of the
-    denominator's at f_stat * probes.
-    """
-    al, be = e.alpha_e, e.beta_e
-    log_den = make_log_integrand(al, be)
-    shift = float(np.max(log_den(f_stat * probes)))
-    if not np.isfinite(shift):
-        raise ArithmeticError("joint shrink-factor integrand underflowed everywhere")
-    seeds = _geo_points(f_stat)
-
-    def integrate(log_f: Callable[[np.ndarray], np.ndarray]) -> float:
-        res = integrate_adaptive_1d(
-            lambda x: np.exp(log_f(x) - shift), 0.0, f_stat,
-            rel_tol=rel_tol, budget=budget, points=seeds,
-        )
-        if not res.converged:
-            raise ArithmeticError(
-                f"joint shrink-factor quadrature failed to converge "
-                f"(error {res.error:.3e} after {res.evals} evaluations)"
-            )
-        return res.value
-
-    den = integrate(log_den)
-    if not den > 0.0:
-        raise ArithmeticError("joint shrink-factor denominator underflowed to zero")
-    phi = integrate(make_log_integrand(al + 1.0, be)) / den
-    psi = integrate(make_log_integrand(al, be + 1.0)) / den
-    return phi, psi
-
-
-def _hb2_zero_tilt(
-    f_stat: float, g_stat: float, e: HbExponents, rel_tol: float, budget: int
-) -> tuple[float, float]:
-    """(phi, psi) for zero precision tilt: the location integral is analytic.
-
-    The inner integral over the location coordinate collapses to a
-    regularized incomplete beta, leaving three one-dimensional outer
-    integrals.
-    """
-    ga = e.gamma_e
-
-    def make_log_integrand(ap: float, bp: float) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: _zero_tilt_log_integrand(x, g_stat / (1.0 + x + g_stat), ap, bp, ga)
-
-    return _hb2_outer(make_log_integrand, _ZERO_TILT_PROBES, f_stat, e, rel_tol, budget)
-
-
-def _hb2_zero_tilt_block(
-    f_stat: np.ndarray, g_stat: np.ndarray, e: HbExponents, rel_tol: float
+def _joint_rule(
+    n: int, f_stat: np.ndarray, g_stat: np.ndarray, z0: np.ndarray, e: HbExponents
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, psi) of many regular zero-tilt points by one fixed rule; NaN where it misses.
+    """(phi, psi) of regular points by the n x n rule, stacked (2, R), and each point's peak.
 
-    The rule is the GK15 on the 11 panels _hb2_zero_tilt starts from, so the
-    nodes are f times _UNIT_NODES. Each point's log shift is the maximum of
-    its denominator log-integrand over its nodes; it cancels in the ratios.
-    Den and phi share one incomplete-beta sweep. A point is NaN when any of
-    its three error estimates exceeds rel_tol * |value|, a value is not
-    finite, or the denominator is not positive.
+    x = t/(1-t) with t = T s, T = f/(1+f), and y = w(1+x)/(1-w) with
+    w = U r, U = g/(1+x+g), map the box [0, f] x [0, g] onto the unit
+    square, where the rule's weights s^alpha_e and r^beta_e absorb the
+    power singularities at zero. The rest of the integrand is exp(L), with
+    L = (ga-al-be-2) log(1-t) + (be+1) log U + (ga-be-1) log(1-w), plus
+    log Q(ga+1, z0 (1+x)/(1-w)) under a tilt (z0 > 0). The factor
+    T^(al+1) and each point's peak of L cancel in the ratios; a peak of
+    -inf means the integrand underflowed at every node.
     """
     al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
-    x = f_stat[:, None, None] * _UNIT_NODES
-    g = g_stat[:, None, None]
-    u = g / (1.0 + x + g)
-    with np.errstate(invalid="ignore", over="ignore"):
-        log_inc = _log_betainc(be + 1.0, ga - be, u)
-        logs = np.stack([
-            _zero_tilt_log_integrand(x, u, al, be, ga, log_inc),
-            _zero_tilt_log_integrand(x, u, al + 1.0, be, ga, log_inc),
-            _zero_tilt_log_integrand(x, u, al, be + 1.0, ga),
-        ])
-        shift = np.max(logs[0], axis=(1, 2))
-        fx = np.exp(logs - shift[:, None, None])
-        vals, errs = _gk15_panels(fx, f_stat[:, None] * _UNIT_HALF)
-    value, error = vals.sum(axis=-1), errs.sum(axis=-1)
-    den, num_phi, num_psi = value
-    ok = np.all(np.isfinite(value) & (error <= rel_tol * np.abs(value)), axis=0) & (den > 0.0)
-    safe = np.where(ok, den, 1.0)
-    return np.where(ok, num_phi / safe, np.nan), np.where(ok, num_psi / safe, np.nan)
+    s, s_wt = _jacobi_rule(n, al)
+    r, r_wt = _jacobi_rule(n, be)
+    t = (f_stat / (1.0 + f_stat))[:, None] * s
+    x = t / (1.0 - t)
+    u = g_stat[:, None] / (1.0 + x + g_stat[:, None])
+    # Two (R, n, n) buffers: w, turned into y/(1+x) = w/(1-w); and 1-w,
+    # turned into L and then into exp(L - peak).
+    y_x = u[:, :, None] * r
+    kernel = np.subtract(1.0, y_x)
+    y_x /= kernel
+    np.log(kernel, out=kernel)
+    kernel *= ga - be - 1.0
+    kernel += ((ga - al - be - 2.0) * np.log1p(-t) + (be + 1.0) * np.log(u))[:, :, None]
+    if z0.any():
+        tail = y_x + 1.0
+        tail *= (z0[:, None] * (1.0 + x))[:, :, None]
+        with np.errstate(divide="ignore"):
+            kernel += np.log(sc.gammaincc(ga + 1.0, tail, out=tail), out=tail)
+        del tail
+    peak = kernel.max(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        kernel -= peak[:, None, None]
+        np.exp(kernel, out=kernel)
+        inner = kernel @ r_wt
+        y_x *= kernel
+        inner_y = y_x @ r_wt
+        den = inner @ s_wt
+        return np.stack([(inner * x) @ s_wt / den, (inner_y * (1.0 + x)) @ s_wt / den]), peak
 
 
-def _inner_log_nodes(upper: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed composite GK15 nodes/weights on [0, upper], geometric toward 0."""
-    edges = np.concatenate([[0.0], upper * _INNER_FRACTIONS])
-    nodes, half = _panel_nodes(edges[:-1], edges[1:])
-    weights = (half[:, None] * _GK_WEIGHTS[None, :]).reshape(-1)
-    return nodes.reshape(-1), weights
-
-
-def _hb2_pos_tilt(
-    f_stat: float,
-    g_stat: float,
-    scale_sum: float,
-    e: HbExponents,
-    big_l: float,
+def _by_rule(
+    evaluate: Callable[..., tuple[np.ndarray, np.ndarray]],
+    args: tuple[np.ndarray, ...],
     rel_tol: float,
-    budget: int,
-) -> tuple[float, float]:
-    """(phi, psi) with a positive precision tilt.
+    what: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values of a rule where its n and n + _RULE_STEP node versions agree.
 
-    The precision integral reduces to a regularized upper incomplete gamma
-    factor; the remaining double integral is handled by an adaptive outer
-    rule over the residual coordinate with a fixed vectorized composite
-    inner rule over the location coordinate (smooth integrand, geometric
-    panels soak up the power singularity at zero).
+    evaluate(n, *args) gives (values (m, R), peak (R,)) for the points of
+    args. Each round of _RULE_SIZES runs only the points still missing. A
+    point is accepted when both versions are finite and agree within
+    rel_tol relative, and it fails when a peak is not finite (the
+    integrand underflowed at every node) or when the last round misses.
+    Returns the accepted (n + _RULE_STEP)-node values, NaN where a point
+    failed, and each point's failure message ("" where it was accepted).
     """
-    ga = e.gamma_e
-    z0 = 0.5 * big_l * scale_sum
-    ys, yw = _inner_log_nodes(g_stat)
-    log_ys = np.log(ys)
-    log_yw = np.log(yw)
-
-    def log_inner(x: np.ndarray, bp: float) -> np.ndarray:
-        grid = 1.0 + x[:, None] + ys[None, :]
-        with np.errstate(divide="ignore"):
-            log_kernel = (
-                bp * log_ys[None, :]
-                - (ga + 1.0) * np.log(grid)
-                + np.log(sc.gammaincc(ga + 1.0, z0 * grid))
-                + log_yw[None, :]
-            )
-        peak = np.max(log_kernel, axis=1, keepdims=True)
-        peak = np.where(np.isfinite(peak), peak, 0.0)
-        total = np.sum(np.exp(log_kernel - peak), axis=1)
-        with np.errstate(divide="ignore"):
-            return peak[:, 0] + np.log(total)
-
-    def make_log_integrand(ap: float, bp: float) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda x: ap * np.log(x) + log_inner(x, bp)
-
-    return _hb2_outer(make_log_integrand, _POS_TILT_PROBES, f_stat, e, rel_tol, budget)
+    todo = np.arange(args[0].size)
+    errors = np.full(todo.size, "", dtype=object)
+    values = None
+    for n in _RULE_SIZES:
+        sub = [a[todo] for a in args]
+        lo, lo_peak = evaluate(n, *sub)
+        hi, hi_peak = evaluate(n + _RULE_STEP, *sub)
+        if values is None:
+            values = np.full((hi.shape[0], todo.size), np.nan)
+        under = ~(np.isfinite(lo_peak) & np.isfinite(hi_peak))
+        with np.errstate(invalid="ignore"):
+            ok = np.all(np.isfinite(hi) & (np.abs(hi - lo) <= rel_tol * np.abs(hi)), axis=0)
+        ok &= ~under
+        values[:, todo[ok]] = hi[:, ok]
+        errors[todo[under]] = f"{what} integrand underflowed everywhere"
+        todo = todo[~ok & ~under]
+        if not todo.size:
+            break
+    errors[todo] = f"{what} quadrature failed to converge with {n + _RULE_STEP} nodes per axis"
+    return values, errors
 
 
-def _hb2_degenerate(
-    f_stat: float,
-    g_stat: float,
-    scale_sum: float,
+def _check_statistics(f: np.ndarray, g: np.ndarray, s: np.ndarray, big_l: float) -> None:
+    """Raise the ValueError of the lowest invalid point, as a one-point call would."""
+    if not big_l >= 0.0:
+        raise ValueError(f"big_l must be nonnegative, got {big_l}")
+    ok = (f >= 0.0) & (g >= 0.0) & np.isfinite(f) & np.isfinite(g)
+    if big_l > 0.0:
+        ok &= s > 0.0
+    if ok.all():
+        return
+    i = int(np.argmin(ok))
+    fi, gi = float(f[i]), float(g[i])
+    if fi < 0.0 or gi < 0.0:
+        raise ValueError(f"statistics must be nonnegative, got ({fi}, {gi})")
+    if not (math.isfinite(fi) and math.isfinite(gi)):
+        raise ValueError(f"statistics must be finite, got ({fi}, {gi})")
+    raise ValueError(f"scale_sum must be positive when big_l > 0, got {float(s[i])}")
+
+
+def _hb2_flat(
+    f: np.ndarray,
+    g: np.ndarray,
+    s: np.ndarray,
     e: HbExponents,
     big_l: float,
     rel_tol: float,
-    budget: int,
     tol: Tolerances,
-) -> tuple[float, float]:
-    """Series limits of (phi, psi) when one or both statistics vanish."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, psi) of flat statistic arrays; the one implementation behind both public calls.
+
+    Regular points take _joint_rule. Where a statistic is at most
+    tol.degenerate_stat, its factor takes the series limit. A failing
+    point raises ReplicateError with the lowest failing flat index.
+    """
+    _check_statistics(f, g, s, big_l)
     al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
-    f_deg = f_stat <= tol.degenerate_stat
-    g_deg = g_stat <= tol.degenerate_stat
-    z0 = 0.5 * big_l * scale_sum
-
-    def one_dim_ratio(upper: float, expo: float) -> float:
-        """int x^(expo+1) K / int x^expo K over [0, upper], K the shared kernel."""
+    z0 = 0.5 * big_l * s if big_l > 0.0 else np.zeros_like(f)
+    f_deg = f <= tol.degenerate_stat
+    g_deg = g <= tol.degenerate_stat
+    phi = f * (al + 1.0) / (al + 2.0)
+    psi = g * (be + 1.0) / (be + 2.0)
+    errors = np.full(f.size, "", dtype=object)
+    reg = np.flatnonzero(~f_deg & ~g_deg)
+    (phi[reg], psi[reg]), errors[reg] = _by_rule(
+        functools.partial(_joint_rule, e=e), (f[reg], g[reg], z0[reg]), rel_tol,
+        "joint shrink-factor",
+    )
+    # With one statistic degenerate, the other factor is a 1-D ratio at the
+    # vanishing coordinate: a closed form with zero tilt, else the rule with
+    # that statistic at 0 (x and y swap roles when g vanishes).
+    for edge, stat, factor, expo, roles in (
+        (f_deg & ~g_deg, g, psi, be, e),
+        (g_deg & ~f_deg, f, phi, al, HbExponents(be, al, ga)),
+    ):
+        idx = np.flatnonzero(edge)
+        if not idx.size:
+            continue
         if big_l == 0.0:
-            log_num = _log_int_pow(upper, expo + 1.0, ga + 1.0)
-            log_den = _log_int_pow(upper, expo, ga + 1.0)
-            return float(np.exp(log_num - log_den))
-        xs, xw = _inner_log_nodes(upper)
-        with np.errstate(divide="ignore"):
-            base = (
-                expo * np.log(xs)
-                - (ga + 1.0) * np.log1p(xs)
-                + np.log(sc.gammaincc(ga + 1.0, z0 * (1.0 + xs)))
-                + np.log(xw)
+            factor[idx] = np.exp(
+                _log_int_pow(stat[idx], expo + 1.0, ga + 1.0)
+                - _log_int_pow(stat[idx], expo, ga + 1.0)
             )
-        peak = float(np.max(base))
-        if not np.isfinite(peak):
-            raise ArithmeticError("degenerate-limit kernel underflowed everywhere")
-        den = float(np.sum(np.exp(base - peak)))
-        num = float(np.sum(xs * np.exp(base - peak)))
-        return num / den
-
-    if f_deg and g_deg:
-        return f_stat * (al + 1.0) / (al + 2.0), g_stat * (be + 1.0) / (be + 2.0)
-    if f_deg:
-        # x ~ 0: phi follows its series, psi reduces to a 1-D ratio in y.
-        phi = f_stat * (al + 1.0) / (al + 2.0)
-        psi = one_dim_ratio(g_stat, be)
-        return phi, psi
-    # y ~ 0: psi follows its series, phi reduces to a 1-D ratio in x.
-    psi = g_stat * (be + 1.0) / (be + 2.0)
-    phi = one_dim_ratio(f_stat, al)
+        else:
+            (_, factor[idx]), errors[idx] = _by_rule(
+                functools.partial(_joint_rule, e=roles), (np.zeros(idx.size), stat[idx], z0[idx]),
+                rel_tol, "degenerate-limit",
+            )
+    failed = np.flatnonzero(errors != "")
+    if failed.size:
+        raise ReplicateError(int(failed[0]), ArithmeticError(errors[failed[0]]))
     return phi, psi
 
 
@@ -679,7 +635,6 @@ def hb2_factors(
     exponents: HbExponents,
     big_l: float = 0.0,
     rel_tol: float = DEFAULT.quad_rel,
-    budget: int = DEFAULT.quad_budget,
     tol: Tolerances = DEFAULT,
 ) -> tuple[float, float]:
     """Joint shrink factors (phi, psi) of the second hierarchical estimator.
@@ -688,7 +643,7 @@ def hb2_factors(
     pooled mean toward zero. Both are ratios of truncated double integrals
     over the residual and location coordinates; with big_l == 0 the factors
     are free of scale_sum, with big_l > 0 an upper incomplete gamma tilt
-    couples them to it.
+    couples them to it. This is the one-point case of hb2_shrink_ratios.
 
     Args:
         f_stat: residual statistic, >= 0.
@@ -696,35 +651,25 @@ def hb2_factors(
         scale_sum: pooled scale statistic (only read when big_l > 0).
         exponents: integral exponents, see HbExponents.
         big_l: precision tilt rate, >= 0.
-        rel_tol, budget: quadrature controls.
+        rel_tol: acceptance tolerance of the Gauss-Jacobi rule.
         tol: degenerate-statistic switch threshold.
 
     Returns:
         (phi, psi). phi is nondecreasing in both statistics, psi is
         nondecreasing in both, both approach exponents.limits() as the
         statistics grow, and for big_l == 0 neither depends on scale_sum.
-        The monotonicity and the limits hold only within the quadrature's
-        accepted error, about rel_tol relative: at the default 1e-6, phi
-        can fall by about 1e-6 relative between two large f, or exceed its
-        limit by a few 1e-7.
+        The monotonicity and the limits hold only within the rule's
+        accepted error, about rel_tol relative.
+
+    Raises:
+        ArithmeticError (a ReplicateError naming index 0) when the rule
+        fails to converge or the tilted integrand underflows everywhere.
     """
-    if f_stat < 0.0 or g_stat < 0.0:
-        raise ValueError(f"statistics must be nonnegative, got ({f_stat}, {g_stat})")
-    if not (math.isfinite(f_stat) and math.isfinite(g_stat)):
-        raise ValueError(f"statistics must be finite, got ({f_stat}, {g_stat})")
-    if big_l < 0.0:
-        raise ValueError(f"big_l must be nonnegative, got {big_l}")
-    if big_l > 0.0 and not scale_sum > 0.0:
-        raise ValueError(f"scale_sum must be positive when big_l > 0, got {scale_sum}")
-    f_stat = float(f_stat)
-    g_stat = float(g_stat)
-    if f_stat <= tol.degenerate_stat or g_stat <= tol.degenerate_stat:
-        return _hb2_degenerate(
-            f_stat, g_stat, scale_sum, exponents, big_l, rel_tol, budget, tol
-        )
-    if big_l == 0.0:
-        return _hb2_zero_tilt(f_stat, g_stat, exponents, rel_tol, budget)
-    return _hb2_pos_tilt(f_stat, g_stat, float(scale_sum), exponents, big_l, rel_tol, budget)
+    phi, psi = _hb2_flat(
+        *(np.array([v], dtype=float) for v in (f_stat, g_stat, scale_sum)),
+        exponents, big_l, rel_tol, tol,
+    )
+    return float(phi[0]), float(psi[0])
 
 
 def hb2_shrink_ratios(
@@ -734,37 +679,23 @@ def hb2_shrink_ratios(
     exponents: HbExponents,
     big_l: float = 0.0,
     rel_tol: float = DEFAULT.quad_rel,
-    budget: int = DEFAULT.quad_budget,
     tol: Tolerances = DEFAULT,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(phi/f, psi/g) with exact series limits at degenerate statistics.
 
     The statistics broadcast together; scalars give floats, arrays arrays.
-    Regular zero-tilt points (big_l == 0, both statistics above
-    tol.degenerate_stat, budget enough for the 165 nodes of the fixed rule)
-    are computed together by _hb2_zero_tilt_block. Every other point, and
-    every point that rule misses, goes through hb2_factors in index order;
-    an ArithmeticError there is raised as ReplicateError naming that
-    point's flat index, so the first one raised is the lowest failing.
+    All points go through the Gauss-Jacobi rule together (see the module
+    docstring). A failing point raises ReplicateError naming its flat
+    index, the lowest one if several fail.
     """
     f, g, s = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (f_stat, g_stat, scale_sum))
     )
     shape = f.shape
     f, g, s = f.ravel(), g.ravel(), s.ravel()
-    phi, psi = np.full((2, f.size), np.nan)
-    deg = tol.degenerate_stat
-    if big_l == 0.0 and budget >= _UNIT_NODES.size:
-        reg = np.flatnonzero((f > deg) & (g > deg))
-        phi[reg], psi[reg] = _hb2_zero_tilt_block(f[reg], g[reg], exponents, rel_tol)
-    for i in np.flatnonzero(np.isnan(phi)):
-        try:
-            phi[i], psi[i] = hb2_factors(
-                f[i], g[i], s[i], exponents, big_l, rel_tol, budget, tol
-            )
-        except ArithmeticError as exc:
-            raise ReplicateError(int(i), exc) from exc
+    phi, psi = _hb2_flat(f, g, s, exponents, big_l, rel_tol, tol)
     al, be = exponents.alpha_e, exponents.beta_e
+    deg = tol.degenerate_stat
     phi_ratio = np.where(f > deg, phi / np.where(f > deg, f, 1.0), (al + 1.0) / (al + 2.0))
     psi_ratio = np.where(g > deg, psi / np.where(g > deg, g, 1.0), (be + 1.0) / (be + 2.0))
     if not shape:

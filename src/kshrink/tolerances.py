@@ -17,9 +17,9 @@ class Tolerances:
         (e.g. the decomposition of the pooled quadratic forms).
     max_condition: condition-number ceiling above which a matrix inversion
         is refused rather than silently degraded.
-    quad_rel: relative tolerance for the adaptive quadrature used in the
-        hierarchical Bayes factors.
-    quad_budget: hard cap on integrand evaluations per quadrature call.
+    quad_rel: acceptance tolerance of the Gauss-Jacobi rule behind the
+        hierarchical Bayes factors: phi and psi at n and n + 8 nodes per
+        axis must agree within it, relative.
     degenerate_stat: pooled statistics below this switch the shrinkage
         ratios to their exact series limits.
     """
@@ -28,7 +28,6 @@ class Tolerances:
     identity_rel: float = 1e-8
     max_condition: float = 1e12
     quad_rel: float = 1e-6
-    quad_budget: int = 1_000_000
     degenerate_stat: float = 1e-10
 
 

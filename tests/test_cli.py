@@ -163,8 +163,9 @@ class TestDecompositionCount:
     """Each scale and loss matrix is guarded once where it enters an estimate run.
 
     Per command with inverse-scale loss: v0 (ksample only), v where the loss
-    spec inverts it, q, the eig_floor products, v in the model validation,
-    and the weight sum, so at most 5k+1 eigvalsh calls (4k+1 without v0).
+    spec inverts it, q, v in the model validation, and the weight sum, so at
+    most 4k+1 eigvalsh calls (3k+1 without v0). The loss spec's eig_floor is
+    1 by construction and factors nothing.
     """
 
     K, P = 6, 5
@@ -190,7 +191,7 @@ class TestDecompositionCount:
         cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample, v0: identity}\n")
         calls = self.count_eigvalsh(monkeypatch, ["estimate", "--config", cfg, "--input", data])
         capsys.readouterr()
-        assert calls <= 5 * self.K + 1
+        assert calls <= 4 * self.K + 1
 
     def test_regression(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(7)
@@ -205,7 +206,7 @@ class TestDecompositionCount:
             monkeypatch, ["estimate", "--config", cfg, "--input", str(groups)]
         )
         capsys.readouterr()
-        assert calls <= 4 * self.K + 1
+        assert calls <= 3 * self.K + 1
 
 
 class TestSimulate:
@@ -351,6 +352,15 @@ class TestValidate:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert f"need at least 2 replicates, got {replicates}" in captured.err
+        assert captured.out == ""
+
+    def test_threads_flag_is_rejected(self, capsys):
+        # Neither validator runs threads, so validate offers no --threads.
+        with pytest.raises(SystemExit) as raised:
+            main(["validate", "--threads", "2", "--replicates", "2500"])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err
         assert captured.out == ""
 
 

@@ -86,7 +86,7 @@ class TestValidateModel:
 class TestLossSpec:
     def test_inverse_v_eig_floor_is_one(self):
         ls = LossSpec.inverse_v(d0_model())
-        assert ls.eig_floor == approx(1.0)
+        assert ls.eig_floor == 1.0
         assert ls.matches_inverse_v(d0_model())
 
     def test_general_q_eig_floor(self):

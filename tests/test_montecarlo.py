@@ -245,8 +245,8 @@ class TestRunExperiment:
         # the HB2 quadrature fail; they are picked by their scale statistic,
         # which the public sampler reproduces draw for draw. The clean run
         # records each block's statistics, which give the residual statistic
-        # of those replicates; the fixed rule is then made to miss them and
-        # the adaptive path they fall back to fails on them.
+        # of those replicates; the rule is then made to give NaN for them at
+        # every node count, so they miss the first round and every doubling.
         cfg = small_config(estimators=("EB", "HB1", "HB2"), replicates=300)
         seen = []
         real_ratios = estimators.hb2_shrink_ratios
@@ -265,21 +265,15 @@ class TestRunExperiment:
         }
         failing_f = [f for fs, ss in seen for f, s in zip(fs, ss) if s in failing_s]
         assert len(failing_f) == 2
-        real_block, real_factors = numerics._hb2_zero_tilt_block, numerics.hb2_factors
-        reason = "joint shrink-factor denominator underflowed to zero"
+        real_rule = numerics._joint_rule
+        reason = "joint shrink-factor quadrature failed to converge with 168 nodes per axis"
 
-        def missing(f_stat, *args):
-            phi, psi = real_block(f_stat, *args)
-            hit = np.isin(f_stat, failing_f)
-            return np.where(hit, np.nan, phi), np.where(hit, np.nan, psi)
+        def missing(n, f_stat, *args, **kwargs):
+            values, peak = real_rule(n, f_stat, *args, **kwargs)
+            values[:, np.isin(f_stat, failing_f)] = np.nan
+            return values, peak
 
-        def flaky(f_stat, *args, **kwargs):
-            if f_stat in failing_f:
-                raise ArithmeticError(reason)
-            return real_factors(f_stat, *args, **kwargs)
-
-        monkeypatch.setattr(numerics, "_hb2_zero_tilt_block", missing)
-        monkeypatch.setattr(numerics, "hb2_factors", flaky)
+        monkeypatch.setattr(numerics, "_joint_rule", missing)
         one = run_experiment(cfg)
         two = run_experiment(replace(cfg, threads=2))
         assert one.errors == {("spread", "HB2"): f"replicate 7: {reason}"}

@@ -375,16 +375,14 @@ class TestHb2ShrinkRatios:
         # regular element fails; degenerate ones are closed-form series.
         f = np.array([1e-12, 1e-12, 2.0, 1e-12, 3.0])
         with pytest.raises(ReplicateError, match="failed to converge") as raised:
-            hb2_shrink_ratios(f, 0.5, 1.0, BENCH, rel_tol=1e-300, budget=400)
+            hb2_shrink_ratios(f, 0.5, 1.0, BENCH, rel_tol=1e-300)
         assert raised.value.replicate == 2
         with pytest.raises(ArithmeticError, match="failed to converge"):
-            hb2_shrink_ratios(2.0, 0.5, 1.0, BENCH, rel_tol=1e-300, budget=400)
+            hb2_shrink_ratios(2.0, 0.5, 1.0, BENCH, rel_tol=1e-300)
 
     def test_invalid_element_raises_as_scalar_path(self):
         with pytest.raises(ValueError, match="statistics must be nonnegative"):
             hb2_shrink_ratios(np.array([1.0, -1.0]), 0.5, 1.0, BENCH)
-        with pytest.raises(ValueError, match="budget 100 cannot cover"):
-            hb2_shrink_ratios(np.array([1.0, 2.0]), 0.5, 1.0, BENCH, budget=100)
 
     @pytest.mark.parametrize("big_l", [0.0, 0.5])
     @pytest.mark.parametrize("f, g", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)])
@@ -393,30 +391,71 @@ class TestHb2ShrinkRatios:
             hb2_shrink_ratios(np.array([1.0, f]), g, 1.0, BENCH, big_l=big_l)
 
 
-# (args, keywords, (phi, psi)) from the implementation before its per-call
-# grids became module constants; the hoisting must not move a bit. The
-# second point bisects, the last two take the tilted degenerate limits.
-UNCHANGED_HB2 = [
+class TestTiltedHb2:
+    """The tilted (big_l > 0) factors: array calls against the oracle, and failures."""
+
+    # (big_l, f, g, scale_sum). z0 = big_l * scale_sum / 2 puts the tilt's
+    # shoulder, where z0 (1 + x + y) is near gamma_e + 1, inside the box.
+    ORACLE_POINTS = [
+        (0.05, 30.0, 8.0, 40.0),
+        (0.5, 3.0, 2.0, 20.0),
+        (2.0, 0.3, 2.0, 8.0),
+        (2.0, 5.0, 0.2, 3.0),
+    ]
+
+    @pytest.mark.parametrize("big_l", [0.05, 0.5, 2.0])
+    def test_array_call_matches_riemann_oracle(self, big_l):
+        f, g, s = np.array([pt[1:] for pt in self.ORACLE_POINTS if pt[0] == big_l]).T
+        rphi, rpsi = hb2_shrink_ratios(f, g, s, BENCH, big_l=big_l)
+        for i in range(f.size):
+            slow_phi, slow_psi = oracles.hb2_factors_riemann(
+                f[i], g[i], s[i], 5, 5, 20, 0.1, 0.1, 0.1, big_l=big_l
+            )
+            assert rphi[i] * f[i] == approx(slow_phi, rel=1e-7)
+            assert rpsi[i] * g[i] == approx(slow_psi, rel=1e-7)
+
+    def test_strong_tilt_point_is_pinned(self):
+        # Far into the tilt the smallest rules disagree, so this point needs
+        # more nodes than the first round gives.
+        phi, psi = hb2_factors(1e4, 1e-6, 200.0, BENCH, big_l=2.0)
+        assert phi == approx(0.05023395559832252, rel=1e-9)
+        assert psi == approx(7.222134531532231e-07, rel=1e-9)
+
+    def test_underflow_everywhere_is_named(self):
+        # z0 = 1000: the upper gamma tail underflows on the whole box.
+        with pytest.raises(ArithmeticError, match="underflowed everywhere"):
+            hb2_factors(1.3, 0.7, 1e3, BENCH, big_l=2.0)
+        with pytest.raises(ReplicateError, match="underflowed everywhere") as raised:
+            hb2_shrink_ratios(1.3, 0.7, np.array([25.0, 1e3]), BENCH, big_l=2.0)
+        assert raised.value.replicate == 1
+
+
+# (args, keywords, (phi, psi)) from the adaptive implementation the
+# Gauss-Jacobi rule replaced. The three quadrature values lie within 1.4e-13
+# of that implementation at rel_tol=1e-12; the series components
+# 9.0990990990991e-13 and 7.222222222222223e-13 are closed forms and must
+# not move a bit.
+PINNED_HB2 = [
     ((0.8, 0.5, 1.0), {}, (0.6036996738660273, 0.1907622351226345)),
     ((300.0, 2.0, 1.0), {}, (1.0409602024171545, 0.267704008884415)),
     ((1.3, 0.7, 25.0), {"big_l": 2.0}, (0.3817476614074583, 0.09827120447653416)),
     ((1e-12, 0.7, 25.0), {"big_l": 2.0}, (9.0990990990991e-13, 0.09375486558575147)),
     ((0.9, 1e-12, 25.0), {"big_l": 2.0}, (0.3783093395137709, 7.222222222222223e-13)),
 ]
+SERIES_COMPONENTS = (9.0990990990991e-13, 7.222222222222223e-13)
 
 
-@pytest.mark.parametrize("args, kwargs, expected", UNCHANGED_HB2)
-def test_scalar_hb2_paths_are_bit_identical(args, kwargs, expected):
-    assert hb2_factors(*args, BENCH, **kwargs) == expected
+@pytest.mark.parametrize("args, kwargs, expected", PINNED_HB2)
+def test_scalar_hb2_values_are_pinned(args, kwargs, expected):
+    for got, want in zip(hb2_factors(*args, BENCH, **kwargs), expected):
+        if want in SERIES_COMPONENTS:
+            assert got == want
+        else:
+            assert got == approx(want, rel=1e-12)
 
 
 class TestHbFactorsOverTheStatisticRange:
-    """The HB factors over f, g in [1e-11, 1e9], both sides of degenerate_stat.
-
-    At the benchmark exponents the fixed rule of the array call misses for
-    large f (about 600 of these 1681 points), so the grid covers the
-    adaptive fallback as well.
-    """
+    """The HB factors over f, g in [1e-11, 1e9], both sides of degenerate_stat."""
 
     GRID = np.geomspace(1e-11, 1e9, 41)
     TIGHT = 1e-10
