@@ -14,16 +14,21 @@ Welsch, Math. Comp. 23, 1969). The substitutions x = t/(1-t), t = T s and
 y = w(1+x)/(1-w), w = U r take the box [0, f] x [0, g] to the unit square,
 where the weights s^alpha_e and r^beta_e absorb the power singularities at
 zero; a positive tilt adds one log incomplete-gamma term to the
-integrand. All points of an array run through the rule together at n and
-n + 8 nodes per axis, starting at n = 20. A point is accepted when phi
-and psi of the two agree within rel_tol relative and are finite, and it
-takes the n + 8 values. The points that miss run again at doubled n (40,
-80, 160). A point still missing after that fails with ArithmeticError
-"failed to converge"; a tilted point whose integrand underflows at every
-node fails with "underflowed everywhere". The array call raises either
-as ReplicateError naming the lowest failing flat index. Degenerate
-statistics take exact series limits; with a tilt, the remaining 1-D
-ratio takes the same rule with the vanishing statistic set to 0.
+integrand. T and U are capped where less than 1e-20 of every integral
+lies beyond, which for large gamma_e (the kernel falls off over about
+1/gamma_e) keeps the nodes where the mass is. All points of an array run
+through the rule together at n and n + 8 nodes per axis, starting at
+n = 20, in blocks small enough that every round's buffers stay at the
+size of a 256-point first round. A point is accepted when phi and psi of
+the two agree within rel_tol relative and are finite, and it takes the
+n + 8 values. The points that miss run again at doubled n (40, 80, 160).
+A point still missing after that fails with ArithmeticError "failed to
+converge"; a tilted point whose integrand underflows at every node of
+both rules of a round fails with "underflowed everywhere". The array
+call raises either as ReplicateError naming the lowest failing flat
+index. Degenerate statistics take exact series limits; with a tilt, the
+remaining 1-D ratio takes the same rule with the vanishing statistic set
+to 0.
 
 integrate_adaptive_1d is a standalone 15-point Gauss-Kronrod panel scheme
 with worst-panel bisection; the rule and its error estimate follow
@@ -462,6 +467,11 @@ class HbExponents:
 # per axis and passes the points that miss on to the next round.
 _RULE_SIZES = (20, 40, 80, 160)
 _RULE_STEP = 8
+# Points x nodes^2 that one _joint_rule call evaluates at most, so that its
+# (R, n, n) buffers stay at the size of a 256-point first round.
+_RULE_CELLS = 256 * (_RULE_SIZES[0] + _RULE_STEP) ** 2
+# Share of each HB2 integral that the rule may drop beyond its axis caps.
+_TAIL_MASS = 1e-20
 
 
 @functools.lru_cache(maxsize=128)
@@ -473,13 +483,33 @@ def _jacobi_rule(n: int, expo: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=32)
+def _axis_caps(e: HbExponents) -> tuple[float, float]:
+    """Caps on t and w (see _joint_rule) past which every integral keeps under _TAIL_MASS.
+
+    In t each integrand is t^al (1-t)^(ga-al-be-2) times x, 1 or 1+x and a
+    factor that falls with t (the inner integral and the tilt); in w it is
+    w^be (1-w)^(ga-be-1) times 1 or y/(1+x) and a falling factor. The
+    heaviest tails are the Beta(al+2, ga-al-be-2) and Beta(be+2, ga-be-1)
+    laws, and cutting each axis at their upper _TAIL_MASS quantile drops at
+    most that share of every integral. For large ga the kernel falls off
+    over about 1/ga, which the rule's nodes would miss on the whole box.
+    """
+    al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
+    return (
+        float(sc.betainccinv(al + 2.0, ga - al - be - 2.0, _TAIL_MASS)),
+        float(sc.betainccinv(be + 2.0, ga - be - 1.0, _TAIL_MASS)),
+    )
+
+
 def _joint_rule(
     n: int, f_stat: np.ndarray, g_stat: np.ndarray, z0: np.ndarray, e: HbExponents
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi, psi) of regular points by the n x n rule, stacked (2, R), and each point's peak.
 
-    x = t/(1-t) with t = T s, T = f/(1+f), and y = w(1+x)/(1-w) with
-    w = U r, U = g/(1+x+g), map the box [0, f] x [0, g] onto the unit
+    x = t/(1-t) with t = T s, T = min(f/(1+f), t_cap), and y = w(1+x)/(1-w)
+    with w = U r, U = min(g/(1+x+g), w_cap), map the box [0, f] x [0, g],
+    less the negligible tails past the caps of _axis_caps, onto the unit
     square, where the rule's weights s^alpha_e and r^beta_e absorb the
     power singularities at zero. The rest of the integrand is exp(L), with
     L = (ga-al-be-2) log(1-t) + (be+1) log U + (ga-be-1) log(1-w), plus
@@ -488,11 +518,12 @@ def _joint_rule(
     -inf means the integrand underflowed at every node.
     """
     al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
+    t_cap, w_cap = _axis_caps(e)
     s, s_wt = _jacobi_rule(n, al)
     r, r_wt = _jacobi_rule(n, be)
-    t = (f_stat / (1.0 + f_stat))[:, None] * s
+    t = np.minimum(f_stat / (1.0 + f_stat), t_cap)[:, None] * s
     x = t / (1.0 - t)
-    u = g_stat[:, None] / (1.0 + x + g_stat[:, None])
+    u = np.minimum(g_stat[:, None] / (1.0 + x + g_stat[:, None]), w_cap)
     # Two (R, n, n) buffers: w, turned into y/(1+x) = w/(1-w); and 1-w,
     # turned into L and then into exp(L - peak).
     y_x = u[:, :, None] * r
@@ -518,40 +549,51 @@ def _joint_rule(
         return np.stack([(inner * x) @ s_wt / den, (inner_y * (1.0 + x)) @ s_wt / den]), peak
 
 
+def _rule_round(
+    n: int, f: np.ndarray, g: np.ndarray, z0: np.ndarray, e: HbExponents
+) -> tuple[np.ndarray, np.ndarray]:
+    """_joint_rule over all points, in blocks of at most _RULE_CELLS // n^2 points."""
+    step = max(1, _RULE_CELLS // n**2)
+    parts = [
+        _joint_rule(n, f[i : i + step], g[i : i + step], z0[i : i + step], e)
+        for i in range(0, f.size, step)
+    ]
+    return np.concatenate([v for v, _ in parts], axis=1), np.concatenate([p for _, p in parts])
+
+
 def _by_rule(
-    evaluate: Callable[..., tuple[np.ndarray, np.ndarray]],
-    args: tuple[np.ndarray, ...],
+    e: HbExponents,
+    f: np.ndarray,
+    g: np.ndarray,
+    z0: np.ndarray,
     rel_tol: float,
     what: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values of a rule where its n and n + _RULE_STEP node versions agree.
+    """(phi, psi) of the points where the n and n + _RULE_STEP node rules agree.
 
-    evaluate(n, *args) gives (values (m, R), peak (R,)) for the points of
-    args. Each round of _RULE_SIZES runs only the points still missing. A
-    point is accepted when both versions are finite and agree within
-    rel_tol relative, and it fails when a peak is not finite (the
-    integrand underflowed at every node) or when the last round misses.
-    Returns the accepted (n + _RULE_STEP)-node values, NaN where a point
-    failed, and each point's failure message ("" where it was accepted).
+    Each round of _RULE_SIZES runs only the points still missing. A point
+    is accepted when both versions are finite and agree within rel_tol
+    relative. It fails with "underflowed everywhere" when both versions
+    underflowed at every node, and with "failed to converge" when it still
+    misses after the last round. Returns the accepted (n + _RULE_STEP)-node
+    values, NaN where a point failed, and each point's failure message (""
+    where it was accepted).
     """
-    todo = np.arange(args[0].size)
-    errors = np.full(todo.size, "", dtype=object)
-    values = None
+    todo = np.arange(f.size)
+    values = np.full((2, f.size), np.nan)
+    errors = np.full(f.size, "", dtype=object)
     for n in _RULE_SIZES:
-        sub = [a[todo] for a in args]
-        lo, lo_peak = evaluate(n, *sub)
-        hi, hi_peak = evaluate(n + _RULE_STEP, *sub)
-        if values is None:
-            values = np.full((hi.shape[0], todo.size), np.nan)
-        under = ~(np.isfinite(lo_peak) & np.isfinite(hi_peak))
+        if not todo.size:
+            break
+        sub = (f[todo], g[todo], z0[todo], e)
+        lo, lo_peak = _rule_round(n, *sub)
+        hi, hi_peak = _rule_round(n + _RULE_STEP, *sub)
+        under = (lo_peak == -np.inf) & (hi_peak == -np.inf)
         with np.errstate(invalid="ignore"):
             ok = np.all(np.isfinite(hi) & (np.abs(hi - lo) <= rel_tol * np.abs(hi)), axis=0)
-        ok &= ~under
         values[:, todo[ok]] = hi[:, ok]
         errors[todo[under]] = f"{what} integrand underflowed everywhere"
         todo = todo[~ok & ~under]
-        if not todo.size:
-            break
     errors[todo] = f"{what} quadrature failed to converge with {n + _RULE_STEP} nodes per axis"
     return values, errors
 
@@ -599,8 +641,7 @@ def _hb2_flat(
     errors = np.full(f.size, "", dtype=object)
     reg = np.flatnonzero(~f_deg & ~g_deg)
     (phi[reg], psi[reg]), errors[reg] = _by_rule(
-        functools.partial(_joint_rule, e=e), (f[reg], g[reg], z0[reg]), rel_tol,
-        "joint shrink-factor",
+        e, f[reg], g[reg], z0[reg], rel_tol, "joint shrink-factor"
     )
     # With one statistic degenerate, the other factor is a 1-D ratio at the
     # vanishing coordinate: a closed form with zero tilt, else the rule with
@@ -619,8 +660,7 @@ def _hb2_flat(
             )
         else:
             (_, factor[idx]), errors[idx] = _by_rule(
-                functools.partial(_joint_rule, e=roles), (np.zeros(idx.size), stat[idx], z0[idx]),
-                rel_tol, "degenerate-limit",
+                roles, np.zeros(idx.size), stat[idx], z0[idx], rel_tol, "degenerate-limit"
             )
     failed = np.flatnonzero(errors != "")
     if failed.size:

@@ -1,12 +1,14 @@
 """Special functions, quadrature, and the hierarchical shrink factors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from pytest import approx
 
 import oracles
+from kshrink import numerics
 from kshrink.numerics import (
     HbExponents,
     ReplicateError,
@@ -429,6 +431,99 @@ class TestTiltedHb2:
             hb2_shrink_ratios(1.3, 0.7, np.array([25.0, 1e3]), BENCH, big_l=2.0)
         assert raised.value.replicate == 1
 
+
+
+class TestLargeDegreesOfFreedom:
+    """HB2 at the exponents of datasets with thousands of residual degrees of freedom.
+
+    estimate sets n to the residual degrees of freedom, which has no upper
+    bound. For large gamma_e the kernel falls off over about 1/gamma_e, far
+    inside the box; the rule caps its axes there (see _axis_caps).
+    """
+
+    STATS = np.array([0.1, 1.0, 10.0])
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    @pytest.mark.parametrize("big_l", [0.0, 0.5])
+    @pytest.mark.parametrize("rel_tol", [DEFAULT.quad_rel, 1e-10])
+    def test_saturated_statistics_give_the_limits(self, n, big_l, rel_tol):
+        # Past f, g = 0.1 the integrals lack less than e^-90 of their mass,
+        # and z0 = 6.25 leaves the tilt within 1e-300 of 1, so the factors
+        # are their large-statistic limits.
+        e = HbExponents.from_model(5, 6, n)
+        f, g = (a.ravel() for a in np.meshgrid(self.STATS, self.STATS, indexing="ij"))
+        rphi, rpsi = hb2_shrink_ratios(f, g, 25.0, e, big_l=big_l, rel_tol=rel_tol)
+        lim_phi, lim_psi = e.limits()
+        np.testing.assert_allclose(rphi * f, lim_phi, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(rpsi * g, lim_psi, rtol=1e-10, atol=0.0)
+
+    # (n, f, g, big_l, scale_sum, (phi, psi)): statistics on the 1/gamma_e
+    # scale, with z0 = big_l * scale_sum / 2 at or past gamma_e + 1. The
+    # values are those of the adaptive implementation the rule replaced at
+    # rel_tol=1e-10, which this rule meets within 4e-12.
+    PINNED = [
+        (2000, 1e-3, 1e-2, 0.0, 25.0, (0.0009214724044985991, 0.002558931434365328)),
+        (2000, 1e-2, 1e-3, 0.5, 4059.6, (0.00831752927986424, 0.0006733524329802052)),
+        (2000, 1e-3, 1e-3, 0.5, 4262.58, (0.000921119799762603, 0.000671229408754075)),
+        (20000, 1e-4, 1e-3, 0.0, 25.0, (9.215307936030248e-05, 0.000258446852583327)),
+        (20000, 1e-3, 1e-4, 0.5, 44065.56, (0.00082112749144023, 6.700633062453924e-05)),
+        (20000, 1e-5, 1e-4, 0.5, 40059.6, (9.25996946742148e-06, 6.747718682112495e-05)),
+    ]
+
+    @pytest.mark.parametrize("n, f, g, big_l, s, expected", PINNED)
+    def test_unsaturated_points_are_pinned(self, n, f, g, big_l, s, expected):
+        got = hb2_factors(f, g, s, HbExponents.from_model(5, 6, n), big_l=big_l)
+        assert got == approx(expected, rel=1e-9)
+
+
+class TestRuleRounds:
+    """How the rule's rounds take misses, underflow and memory."""
+
+    def test_one_underflowed_rule_goes_to_the_next_round(self, monkeypatch):
+        # A peak of -inf in only one of the two rules is a miss, not underflow.
+        real_rule = numerics._joint_rule
+        want = hb2_factors(1.3, 0.7, 25.0, BENCH, big_l=2.0)
+
+        def first_rule_empty(n, *args, **kwargs):
+            values, peak = real_rule(n, *args, **kwargs)
+            if n == 20:
+                values[:], peak[:] = np.nan, -np.inf
+            return values, peak
+
+        monkeypatch.setattr(numerics, "_joint_rule", first_rule_empty)
+        assert hb2_factors(1.3, 0.7, 25.0, BENCH, big_l=2.0) == approx(want, rel=1e-12)
+
+    def test_nan_peak_is_not_underflow(self, monkeypatch):
+        real_rule = numerics._joint_rule
+
+        def nan_everywhere(*args, **kwargs):
+            values, peak = real_rule(*args, **kwargs)
+            values[:], peak[:] = np.nan, np.nan
+            return values, peak
+
+        monkeypatch.setattr(numerics, "_joint_rule", nan_everywhere)
+        with pytest.raises(ArithmeticError, match="failed to converge with 168 nodes"):
+            hb2_factors(1.3, 0.7, 25.0, BENCH, big_l=2.0)
+
+    def test_last_round_memory_stays_at_the_first_rounds(self):
+        # A 256-point block where every point runs all four rounds peaks no
+        # higher than one where every point is accepted in the first.
+        rng = np.random.default_rng(5)
+        f, g = rng.uniform(0.1, 30.0, size=(2, 256))
+        hb2_shrink_ratios(f, g, 1.0, BENCH)
+
+        def peak_mib(**kwargs):
+            tracemalloc.start()
+            try:
+                hb2_shrink_ratios(f, g, 1.0, BENCH, **kwargs)
+            except ReplicateError:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak / 2**20
+
+        first = peak_mib()
+        assert peak_mib(rel_tol=1e-300) <= 1.05 * first
 
 # (args, keywords, (phi, psi)) from the adaptive implementation the
 # Gauss-Jacobi rule replaced. The three quadrature values lie within 1.4e-13
