@@ -18,6 +18,7 @@ import argparse
 import glob
 import os
 import sys
+from dataclasses import replace
 
 from .config import (
     ConfigError,
@@ -170,18 +171,23 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    # The count is --replicates, else the file's experiment.replicates, else
+    # 100,000; cfg carries it, so cfg's guards check the count that runs.
+    from_file = False
     if args.config is not None:
         doc = load_document(args.config)
-        cfg = experiment_from_document(doc, seed=args.seed)
+        cfg = experiment_from_document(doc, seed=args.seed, replicates=args.replicates)
+        from_file = "replicates" in doc["experiment"]
     else:
         cfg = _benchmark_config(args)
-    replicates = args.replicates if args.replicates is not None else 100_000
+    if args.replicates is None and not from_file:
+        cfg = replace(cfg, replicates=100_000)
 
     lines = []
     ok = True
 
     idv = validate_identities(
-        p=cfg.p, n=cfg.n, sigma2=cfg.sigma2, draws=replicates, seed=cfg.seed
+        p=cfg.p, n=cfg.n, sigma2=cfg.sigma2, draws=cfg.replicates, seed=cfg.seed
     )
     for check in idv.checks:
         ok = ok and check.passed
@@ -195,8 +201,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     points = [
         TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in picks
     ]
-    for member_name, sf in uer_members(cfg.p, cfg.k, cfg.n):
-        uv = validate_uer(cfg, sf, points, replicates=replicates)
+    members = uer_members(cfg.p, cfg.k, cfg.n)
+    reports = validate_uer(cfg, [sf for _, sf in members], points, replicates=cfg.replicates)
+    for (member_name, _), uv in zip(members, reports):
         for idx, check in zip(picks, uv.checks):
             ok = ok and check.passed
             cfg_name = cfg.mean_configs[idx].name

@@ -6,11 +6,15 @@ spawn_key=key), read by advancing the stream's counter, so no draw depends
 on the draws taken before it. Replicate r of configuration c owns outputs
 r*w .. r*w + k*p of key (0, c): k*p for the observations, then one for the
 scale statistic; w is k*p + 1 rounded up to a whole counter step of four
-outputs. All variates are produced by inverse-CDF transforms, so results
+outputs. Truth point i of validate_uer owns key (1, i): the observations
+of all its R replicates come first, replicate r at outputs
+r*k*p .. (r+1)*k*p - 1, then one scale output per replicate at R*k*p + r.
+All variates are produced by inverse-CDF transforms, so results
 are bit-identical across runs, thread counts, and platforms with IEEE-754
 doubles. Replicates are evaluated in fixed-size blocks (never a function
-of the thread count), each drawn by one call, and reduced with numpy's
-pairwise summation.
+of the thread count), each reading only its own slice of the stream; the
+per-replicate values are joined in replicate order and reduced with
+numpy's pairwise summation, so the block size never changes a result.
 
 Each block runs the batch kernels of the estimators module on the pooled
 statistics of its replicates, the same code the single-shot estimators
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import gammaincinv, ndtri
@@ -85,6 +89,22 @@ def _replicate_uniforms(
     w = 4 * -(-(k * p + 1) // 4)
     u = _uniforms(seed, (_NS_EXPERIMENT, config), r0 * w, (r1 - r0) * w).reshape(r1 - r0, w)
     return u[:, : k * p].reshape(r1 - r0, k, p), u[:, k * p]
+
+
+def _point_uniforms(
+    seed: int, point: int, replicates: int, r0: int, r1: int, k: int, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uniforms (R, k, p) and (R,) of replicates r0 .. r1-1 of one UER truth point.
+
+    The observations of all replicates come first, then one scale uniform
+    per replicate; each read starts at the counter step holding its first
+    output and drops the outputs before it.
+    """
+    key = (_NS_UER, point)
+    obs, scale = r0 * k * p, replicates * k * p + r0
+    u = _uniforms(seed, key, obs - obs % 4, obs % 4 + (r1 - r0) * k * p)[obs % 4 :]
+    us = _uniforms(seed, key, scale - scale % 4, scale % 4 + r1 - r0)[scale % 4 :]
+    return u.reshape(r1 - r0, k, p), us
 
 
 def _need_replicates(count: int) -> None:
@@ -317,6 +337,35 @@ class RiskTable:
         return "\n".join(lines) + "\n"
 
 
+def _blocked(
+    count: int,
+    threads: int,
+    rows: int,
+    block: Callable[[int, int], tuple[np.ndarray, dict[str, str]]],
+) -> tuple[np.ndarray, dict[str, str]]:
+    """Run block(r0, r1) over replicates 0 .. count-1 in _BLOCK-replicate blocks.
+
+    Each block returns its (rows, r1 - r0) values and a dict of messages.
+    The values are joined in replicate order into one (rows, count) array,
+    and the first message per key is kept, so neither depends on the
+    thread count.
+    """
+    blocks = [(r0, min(r0 + _BLOCK, count)) for r0 in range(0, count, _BLOCK)]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(block, r0, r1) for r0, r1 in blocks]
+            results = [fut.result() for fut in futures]
+    else:
+        results = (block(r0, r1) for r0, r1 in blocks)
+    values = np.empty((rows, count))
+    errors: dict[str, str] = {}
+    for (r0, r1), (block_values, block_errors) in zip(blocks, results):
+        values[:, r0:r1] = block_values
+        for name, msg in block_errors.items():
+            errors.setdefault(name, msg)  # blocks in replicate order: the first is the lowest
+    return values, errors
+
+
 def _config_losses(
     cfg: ExperimentConfig, setting: EstimatorSetting, ci: int, names: tuple[str, ...]
 ) -> tuple[np.ndarray, dict[str, str]]:
@@ -348,20 +397,7 @@ def _config_losses(
             out[ei] = loss(mu_hat, truth, setting.pooled.loss)
         return out, errors
 
-    losses = np.empty((len(names), cfg.replicates))
-    blocks = [(r0, min(r0 + _BLOCK, cfg.replicates)) for r0 in range(0, cfg.replicates, _BLOCK)]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(losses_block, r0, r1) for r0, r1 in blocks]
-            results = [fut.result() for fut in futures]
-    else:
-        results = (losses_block(r0, r1) for r0, r1 in blocks)
-    errors: dict[str, str] = {}
-    for (r0, r1), (block_losses, block_errors) in zip(blocks, results):
-        losses[:, r0:r1] = block_losses
-        for name, msg in block_errors.items():
-            errors.setdefault(name, msg)  # blocks in replicate order: the first is the lowest
-    return losses, errors
+    return _blocked(cfg.replicates, cfg.threads, len(names), losses_block)
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -488,26 +524,33 @@ class UerValidation:
 
 def validate_uer(
     cfg: ExperimentConfig,
-    sf: ShrinkageFunctions,
+    members: Sequence[ShrinkageFunctions],
     truth_points: Sequence[TrueParameters],
     replicates: int = 100_000,
     fd_step: float = 1e-5,
     tol: Tolerances = DEFAULT,
-) -> UerValidation:
+) -> tuple[UerValidation, ...]:
     """Check that the unbiased risk estimator matches Monte Carlo loss.
 
-    For each truth point, draws are taken as one vectorized block from the
-    start of a point-indexed stream (the per-replicate addressing of the
-    experiment runner is not needed here), the supplied class member is
-    applied, and the paired difference between its realized loss and the
-    unbiased risk estimate must be within three standard errors of zero.
-    Derivatives come from the member when present, otherwise from central
-    differences with relative step fd_step.
+    Returns one UerValidation per class member, in member order. Each truth
+    point is drawn from its own stream (see the module docstring) and
+    summarized once per block of replicates, and every member runs on that
+    block; the blocks go through the harness's block loop with cfg.threads
+    workers, so results depend on neither the block size nor the thread
+    count. For each member and point, the paired difference between the
+    unbiased risk estimate and the realized loss must be within three
+    standard errors of zero. Derivatives come from the member when
+    present, otherwise from central differences with relative step fd_step.
+    Every truth point's shape is checked before anything is drawn.
     """
     _need_replicates(replicates)
     setting = cfg.validate(tol)
+    for pi, truth in enumerate(truth_points):
+        if truth.mu.shape != (cfg.k, cfg.p):
+            raise ValueError(
+                f"truth point {pi} has shape {truth.mu.shape}, expected {(cfg.k, cfg.p)}"
+            )
     chol = np.linalg.cholesky(cfg.v)
-    size = replicates * cfg.k * cfg.p
 
     def derivative(direct, base, args: list, which: int) -> np.ndarray:
         if direct is not None:
@@ -521,59 +564,73 @@ def validate_uer(
             np.asarray(base(*up), dtype=float) - np.asarray(base(*dn), dtype=float)
         ) / (2.0 * step)
 
-    checks = []
-    for pi, truth in enumerate(truth_points):
-        if truth.mu.shape != (cfg.k, cfg.p):
-            raise ValueError(
-                f"truth point {pi} has shape {truth.mu.shape}, expected {(cfg.k, cfg.p)}"
+    # Rows of a point's per-replicate values: f, g, s, then for each member
+    # its loss and the eight factor values and derivatives UerInputs takes;
+    # uer then runs once per check, on the rows joined over all blocks.
+    factor_rows = ("phi", "psi", "phi_f", "phi_g", "phi_s", "psi_f", "psi_g", "psi_s")
+    width = 1 + len(factor_rows)
+
+    def point_checks(pi: int, truth: TrueParameters) -> list[UerCheck]:
+        def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
+            u, us = _point_uniforms(cfg.seed, pi, replicates, r0, r1, cfg.k, cfg.p)
+            x, s = _draw(truth, chol, cfg.n, u, us)
+            batch = setting.pooled.summarize(x, s, tol)
+            f, g = floored_statistics(batch, tol)
+            args = [f, g, s]
+            out = np.empty((3 + width * len(members), r1 - r0))
+            out[0], out[1], out[2] = f, g, s
+            for mi, sf in enumerate(members):
+                mu_hat, diags = batch_general(setting, batch, sf)
+                rows = (
+                    loss(mu_hat, truth, setting.pooled.loss),
+                    diags["phi"],
+                    diags["psi"],
+                    derivative(sf.phi_f, sf.phi, args, 0),
+                    derivative(sf.phi_g, sf.phi, args, 1),
+                    derivative(sf.phi_s, sf.phi, args, 2),
+                    derivative(sf.psi_f, sf.psi, args, 0),
+                    derivative(sf.psi_g, sf.psi, args, 1),
+                    derivative(sf.psi_s, sf.psi, args, 2),
+                )
+                for i, row in enumerate(rows):
+                    out[3 + width * mi + i] = row
+            return out, {}
+
+        values, _ = _blocked(replicates, cfg.threads, 3 + width * len(members), uer_block)
+        f, g, s = values[:3]
+        checks = []
+        for mi in range(len(members)):
+            losses, *factors = values[3 + width * mi : 3 + width * (mi + 1)]
+            inputs = UerInputs(
+                f_stat=f,
+                g_stat=g,
+                scale_sum=s,
+                p=cfg.p,
+                k=cfg.k,
+                n=cfg.n,
+                trace_sum=setting.pooled.trace_sum,
+                **dict(zip(factor_rows, factors)),
             )
-        u = _uniforms(cfg.seed, (_NS_UER, pi), 0, size + replicates)
-        x, s = _draw(truth, chol, cfg.n, u[:size].reshape(replicates, cfg.k, cfg.p), u[size:])
-        batch = setting.pooled.summarize(x, s, tol)
-        mu_hat, diags = batch_general(setting, batch, sf)
-        f, g = floored_statistics(batch, tol)
-
-        args = [f, g, s]
-        phi_f = derivative(sf.phi_f, sf.phi, args, 0)
-        phi_g = derivative(sf.phi_g, sf.phi, args, 1)
-        phi_s = derivative(sf.phi_s, sf.phi, args, 2)
-        psi_f = derivative(sf.psi_f, sf.psi, args, 0)
-        psi_g = derivative(sf.psi_g, sf.psi, args, 1)
-        psi_s = derivative(sf.psi_s, sf.psi, args, 2)
-
-        losses = loss(mu_hat, truth, setting.pooled.loss)
-
-        inputs = UerInputs(
-            f_stat=f,
-            g_stat=g,
-            scale_sum=s,
-            p=cfg.p,
-            k=cfg.k,
-            n=cfg.n,
-            trace_sum=setting.pooled.trace_sum,
-            phi=diags["phi"],
-            psi=diags["psi"],
-            phi_f=phi_f,
-            phi_g=phi_g,
-            phi_s=phi_s,
-            psi_f=psi_f,
-            psi_g=psi_g,
-            psi_s=psi_s,
-        )
-        estimates = np.asarray(uer(inputs))
-        mean_d, se_d = _mean_se(estimates - losses)
-        mean_loss = float(np.sum(losses) / replicates)
-        checks.append(
-            UerCheck(
-                point=f"point-{pi}",
-                mean_loss=mean_loss,
-                mean_uer=mean_loss + mean_d,
-                diff=mean_d,
-                se_diff=se_d,
-                passed=bool(abs(mean_d) <= 3.0 * se_d),
+            mean_d, se_d = _mean_se(np.asarray(uer(inputs)) - losses)
+            mean_loss = float(np.sum(losses) / replicates)
+            checks.append(
+                UerCheck(
+                    point=f"point-{pi}",
+                    mean_loss=mean_loss,
+                    mean_uer=mean_loss + mean_d,
+                    diff=mean_d,
+                    se_diff=se_d,
+                    passed=bool(abs(mean_d) <= 3.0 * se_d),
+                )
             )
-        )
-    return UerValidation(checks=tuple(checks), passed=all(c.passed for c in checks))
+        return checks
+
+    per_point = [point_checks(pi, truth) for pi, truth in enumerate(truth_points)]
+    member_checks = [tuple(checks[mi] for checks in per_point) for mi in range(len(members))]
+    return tuple(
+        UerValidation(checks=checks, passed=all(c.passed for c in checks))
+        for checks in member_checks
+    )
 
 
 def uer_members(p: int, k: int, n: int) -> tuple[tuple[str, ShrinkageFunctions], ...]:

@@ -132,8 +132,8 @@ def test_04_unbiased_risk_estimator():
     ]
     ok = True
     worst = 0.0
-    for name, sf in uer_members(cfg.p, cfg.k, cfg.n):
-        report = validate_uer(cfg, sf, points, replicates=100_000)
+    members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
+    for report in validate_uer(cfg, members, points, replicates=100_000):
         ok = ok and report.passed
         for check in report.checks:
             worst = max(worst, abs(check.diff) / (3.0 * check.se_diff))

@@ -49,6 +49,23 @@ SIMULATE_CONFIG = textwrap.dedent(
 )
 
 
+# `kshrink validate --seed 1 --replicates 2001`, one line per check.
+VALIDATE_SEED1_2001 = (
+    "gaussian-by-parts: |0.580764 - 0.568791| = 0.012 vs 3 SE = 0.0396: pass\n"
+    "chi-square-derivative: |0.986418 - 0.979579| = 0.00684 vs 3 SE = 0.0231: pass\n"
+    "risk-estimate mean-shrink @ all-zero: |7.5129 - 7.43864| = 0.0743 vs 3 SE = 0.478: pass\n"
+    "risk-estimate mean-shrink @ centered-1.0: |20.6265 - 20.6701| = 0.0436 vs 3 SE = 0.411: pass\n"
+    "risk-estimate mean-shrink @ ramp-0-4: |20.6319 - 20.7247| = 0.0927 vs 3 SE = 0.436: pass\n"
+    "risk-estimate double-shrink @ all-zero: |4.33763 - 4.07217| = 0.265 vs 3 SE = 0.478: pass\n"
+    "risk-estimate double-shrink @ centered-1.0: |20.2095 - 20.2691| = 0.0596 vs 3 SE = 0.415: pass\n"
+    "risk-estimate double-shrink @ ramp-0-4: |20.4322 - 20.5505| = 0.118 vs 3 SE = 0.434: pass\n"
+    "risk-estimate smooth @ all-zero: |11.6468 - 11.6501| = 0.00332 vs 3 SE = 0.219: pass\n"
+    "risk-estimate smooth @ centered-1.0: |20.2123 - 20.3004| = 0.0881 vs 3 SE = 0.38: pass\n"
+    "risk-estimate smooth @ ramp-0-4: |20.4057 - 20.5425| = 0.137 vs 3 SE = 0.399: pass\n"
+    "all checks passed\n"
+)
+
+
 def put(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -353,6 +370,33 @@ class TestValidate:
         captured = capsys.readouterr()
         assert f"need at least 2 replicates, got {replicates}" in captured.err
         assert captured.out == ""
+
+    def test_stdout_is_pinned(self, capsys):
+        # Line order and digits of every check at a count that is not a
+        # multiple of the block size.
+        assert main(["validate", "--seed", "1", "--replicates", "2001"]) == 0
+        assert capsys.readouterr().out == VALIDATE_SEED1_2001
+
+    def test_replicates_flag_beats_the_file(self, tmp_path, capsys):
+        one = put(
+            tmp_path, "one.yaml", SIMULATE_CONFIG.replace("replicates: 40", "replicates: 1")
+        )
+        bare = put(tmp_path, "bare.yaml", SIMULATE_CONFIG.replace("  replicates: 40\n", ""))
+        assert main(["validate", "--config", one, "--replicates", "2000"]) == 0
+        from_flag = capsys.readouterr()
+        assert from_flag.err == ""
+        assert main(["validate", "--config", bare, "--replicates", "2000"]) == 0
+        assert capsys.readouterr().out == from_flag.out
+
+    def test_file_replicates_are_the_count_that_runs(self, tmp_path, capsys):
+        in_file = put(
+            tmp_path, "in.yaml", SIMULATE_CONFIG.replace("replicates: 40", "replicates: 300")
+        )
+        bare = put(tmp_path, "bare.yaml", SIMULATE_CONFIG.replace("  replicates: 40\n", ""))
+        assert main(["validate", "--config", in_file]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["validate", "--config", bare, "--replicates", "300"]) == 0
+        assert capsys.readouterr().out == from_file
 
     def test_threads_flag_is_rejected(self, capsys):
         # Neither validator runs threads, so validate offers no --threads.

@@ -1,5 +1,6 @@
 """The simulation harness: determinism, engine agreement, validators."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from kshrink import (
 )
 from kshrink import estimators, montecarlo, numerics
 from kshrink.estimators import ESTIMATORS, PreconditionError, ShrinkageFunctions, estimate_js1
+from kshrink.model import PooledConstants
 from kshrink.risk import loss
 from kshrink.tolerances import DEFAULT, Tolerances
 
@@ -99,6 +101,20 @@ class TestReplicateUniforms:
             ]
             assert np.array_equal(np.concatenate([u for u, _ in parts]), whole_u)
             assert np.array_equal(np.concatenate([us for _, us in parts]), whole_us)
+
+    @pytest.mark.parametrize("k, p", [(3, 1), (5, 5), (2, 3)])
+    def test_point_rows_are_slices_of_one_point_stream(self, k, p):
+        replicates = 45
+        whole = montecarlo._uniforms(11, (montecarlo._NS_UER, 2), 0, replicates * (k * p + 1))
+        u0 = whole[: replicates * k * p].reshape(replicates, k, p)
+        us0 = whole[replicates * k * p :]
+        for cuts in ((0, 45), (0, 5, 6, 45), (0, 3, 13, 28, 45), tuple(range(46))):
+            parts = [
+                montecarlo._point_uniforms(11, 2, replicates, r0, r1, k, p)
+                for r0, r1 in zip(cuts, cuts[1:])
+            ]
+            assert np.array_equal(np.concatenate([u for u, _ in parts]), u0)
+            assert np.array_equal(np.concatenate([us for _, us in parts]), us0)
 
     def test_one_seed_sequence_per_configuration_block(self, monkeypatch):
         real = np.random.SeedSequence
@@ -382,8 +398,10 @@ class TestValidateUer:
             TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2),
             TrueParameters(mu=cfg.mean_configs[7].mu, sigma2=cfg.sigma2),
         ]
-        for name, sf in uer_members(cfg.p, cfg.k, cfg.n):
-            report = validate_uer(cfg, sf, points, replicates=4000)
+        members = uer_members(cfg.p, cfg.k, cfg.n)
+        reports = validate_uer(cfg, [sf for _, sf in members], points, replicates=4000)
+        assert len(reports) == len(members)
+        for (name, _), report in zip(members, reports):
             assert report.passed, name
             for check in report.checks:
                 assert abs(check.mean_uer - check.mean_loss) == approx(
@@ -395,8 +413,7 @@ class TestValidateUer:
         bare = ShrinkageFunctions(phi=smooth.phi, psi=smooth.psi)
         assert not bare.has_derivatives()
         points = [TrueParameters(mu=cfg.mean_configs[3].mu, sigma2=cfg.sigma2)]
-        with_d = validate_uer(cfg, smooth, points, replicates=2000)
-        without = validate_uer(cfg, bare, points, replicates=2000)
+        with_d, without = validate_uer(cfg, [smooth, bare], points, replicates=2000)
         assert without.passed
         # Same draws, so the two routes agree to finite-difference accuracy.
         assert without.checks[0].mean_uer == approx(
@@ -409,7 +426,7 @@ class TestValidateUer:
         points = [
             TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)
         ]
-        checks = validate_uer(cfg, smooth, points, replicates=2000).checks
+        checks = validate_uer(cfg, [smooth], points, replicates=2000)[0].checks
         assert [(c.mean_loss, c.diff, c.se_diff) for c in checks] == [
             (11.582404170628724, 0.08653912634630254, 0.0724744580967259),
             (20.28117466047418, 0.12616738758976595, 0.12924189926320093),
@@ -420,13 +437,71 @@ class TestValidateUer:
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
         points = [TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)]
         with pytest.raises(ValueError, match=f"need at least 2 replicates, got {replicates}$"):
-            validate_uer(cfg, smooth, points, replicates=replicates)
+            validate_uer(cfg, [smooth], points, replicates=replicates)
 
-    def test_truth_shape_checked(self, cfg):
+    def test_truth_shape_checked(self, cfg, monkeypatch):
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
         bad = [TrueParameters(mu=np.zeros((2, 2)), sigma2=1.0)]
         with pytest.raises(ValueError, match="truth point"):
-            validate_uer(cfg, smooth, bad, replicates=100)
+            validate_uer(cfg, [smooth], bad, replicates=100)
+        # A bad point after a good one is found before anything is drawn.
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        good = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
+        with pytest.raises(ValueError, match="truth point 2 has shape"):
+            validate_uer(cfg, [smooth], [good, good, bad[0]], replicates=100)
+        assert drawn == []
+
+    @pytest.mark.parametrize("replicates", [2, 3, 257, 2001])
+    def test_blocking_never_changes_results(self, cfg, monkeypatch, replicates):
+        members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
+        members.append(ShrinkageFunctions(phi=members[-1].phi, psi=members[-1].psi))
+        points = [
+            TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 4, 7)
+        ]
+        blocked = validate_uer(cfg, members, points, replicates=replicates)
+        threaded = validate_uer(replace(cfg, threads=2), members, points, replicates=replicates)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 10**9)
+        whole = validate_uer(cfg, members, points, replicates=replicates)
+        assert len(blocked) == len(members)
+        assert blocked == whole
+        assert threaded == blocked
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_draws_are_shared_by_members(self, cfg, monkeypatch, count):
+        real = PooledConstants.summarize
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0].shape[0])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PooledConstants, "summarize", counting)
+        members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)][:count]
+        points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
+        replicates = 600
+        validate_uer(cfg, members, points, replicates=replicates)
+        blocks = -(-replicates // montecarlo._BLOCK)
+        assert len(calls) == len(points) * blocks
+        assert max(calls) <= montecarlo._BLOCK
+
+    def test_memory_grows_only_by_the_kept_values(self, cfg):
+        # Per replicate, a point keeps f, g, s and each member's loss and
+        # eight factor values and derivatives until its one uer call per
+        # member; everything else lives for one block.
+        members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
+        points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
+        validate_uer(cfg, members, points, replicates=300)  # warm caches
+        peaks = {}
+        for replicates in (2560, 20480):
+            tracemalloc.start()
+            try:
+                validate_uer(cfg, members, points, replicates=replicates)
+                peaks[replicates] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        kept = (3 + 9 * len(members)) * 8 * (20480 - 2560)
+        assert peaks[20480] - peaks[2560] <= 1.25 * kept
 
 
 class TestValidateIdentities:
