@@ -202,7 +202,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in picks
     ]
     members = uer_members(cfg.p, cfg.k, cfg.n)
-    reports = validate_uer(cfg, [sf for _, sf in members], points, replicates=cfg.replicates)
+    reports = validate_uer(cfg, [sf for _, sf in members], points)
     for (member_name, _), uv in zip(members, reports):
         for idx, check in zip(picks, uv.checks):
             ok = ok and check.passed

@@ -40,37 +40,31 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _guard_spd(
-    name: str, mats: np.ndarray, tol: Tolerances, screen: bool = True
-) -> tuple[np.ndarray, list[str]]:
-    """Symmetrised inverses of a (m, p, p) stack, or one (p, p) matrix, and every violation.
-
-    screen=False is a bare inversion: no finite, zero or symmetry check, terse messages.
-    """
+def _guard_spd(name: str, mats: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[str]]:
+    """Symmetrised inverses of a (m, p, p) stack, or one (p, p) matrix, and every violation."""
     stack = mats.reshape((-1,) + mats.shape[-2:])
     inverse = np.full(stack.shape, np.nan)
     bad: list[str] = []
     for i, m in enumerate(stack):
         label = name if mats.ndim == 2 else f"{name}[{i}]"
-        if screen and not np.all(np.isfinite(m)):
+        if not np.all(np.isfinite(m)):
             bad.append(f"{label} has non-finite entries")
             continue
         scale = np.linalg.norm(m)
-        if screen and scale == 0.0:
+        if scale == 0.0:
             bad.append(f"{label} is the zero matrix")
             continue
-        if screen and np.linalg.norm(m - m.T) > tol.symmetry * scale:
+        if np.linalg.norm(m - m.T) > tol.symmetry * scale:
             bad.append(f"{label} is not symmetric within tolerance {tol.symmetry}")
             continue
         sym = 0.5 * (m + m.T)
         vals = np.linalg.eigvalsh(sym)
         if vals[0] <= 0.0:
-            detail = f" (min eigenvalue {vals[0]:.3e})" if screen else ""
-            bad.append(f"{label} is not positive definite{detail}")
+            bad.append(f"{label} is not positive definite (min eigenvalue {vals[0]:.3e})")
         elif vals[-1] / vals[0] > tol.max_condition:
             bad.append(
                 f"{label} condition number {vals[-1] / vals[0]:.3e} "
-                f"exceeds {'ceiling ' if screen else ''}{tol.max_condition:.1e}"
+                f"exceeds ceiling {tol.max_condition:.1e}"
             )
         else:
             inv = np.linalg.inv(sym)
@@ -78,11 +72,11 @@ def _guard_spd(
     return inverse.reshape(mats.shape), bad
 
 
-def _guarded_inverse(name: str, mats: np.ndarray, tol: Tolerances, screen=True) -> np.ndarray:
-    """_guard_spd that raises on its violations (a bare inversion, on the first one)."""
-    inverse, bad = _guard_spd(name, mats, tol, screen)
+def _guarded_inverse(name: str, mats: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """_guard_spd that raises on its violations."""
+    inverse, bad = _guard_spd(name, mats, tol)
     if bad:
-        raise ValueError("; ".join(bad if screen else bad[:1]))
+        raise ValueError("; ".join(bad))
     return inverse
 
 
@@ -154,9 +148,10 @@ class LossSpec:
     q: (k, p, p) stack of positive definite weight matrices.
     eig_floor: min over groups of the smallest eigenvalue of v[i] @ q[i];
         inverse_v, where every q[i] is inv(v[i]), sets it to 1 exactly.
-    q_inv: (k, p, p) stack of inv(q[i]), set only by the factories for_model
-        and inverse_v, which guard q once; validate_model and from_model trust
-        it and reject a spec built by hand, whose q_inv is None.
+    q_inv: (k, p, p) stack of inv(q[i]), set only by the factories: for_model
+        guards q and inverts it, inverse_v guards v and sets q_inv = v.
+        validate_model and from_model trust it and reject a spec built by
+        hand, whose q_inv is None.
     """
 
     q: np.ndarray
@@ -171,39 +166,27 @@ class LossSpec:
     def for_model(
         cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray], tol: Tolerances = DEFAULT
     ) -> "LossSpec":
-        """Build a LossSpec for explicit weight matrices: guard v, then as _weighted."""
+        """Build a LossSpec for explicit weight matrices: guard v, guard q, derive eig_floor."""
         _, bad = _guard_spd("v", model.v, tol)
         if bad:
             raise ValueError("invalid model: " + "; ".join(bad))
-        return cls._weighted(model, q, tol)
+        qa = _as_stack("q must have shape (k, p, p) =", q, model.k, model.p)
+        q_inv = _guarded_inverse("q", qa, tol)
+        eig_floor = np.inf
+        for vi, qi in zip(model.v, qa):
+            chol = np.linalg.cholesky(0.5 * (vi + vi.T))
+            # v @ q shares its spectrum with the symmetric chol' q chol
+            vals = np.linalg.eigvalsh(chol.T @ (0.5 * (qi + qi.T)) @ chol)
+            eig_floor = min(eig_floor, vals[0])
+        spec = cls(q=qa, eig_floor=float(eig_floor))
+        object.__setattr__(spec, "q_inv", _freeze(q_inv))
+        return spec
 
     @classmethod
     def inverse_v(cls, model: CanonicalModel, tol: Tolerances = DEFAULT) -> "LossSpec":
-        """Loss weighted by the inverse scale matrices; inverts v, guards q, eig_floor is 1."""
-        return cls._weighted(
-            model, _guarded_inverse("v", model.v, tol, screen=False), tol, eig_floor=1.0
-        )
-
-    @classmethod
-    def _weighted(
-        cls,
-        model: CanonicalModel,
-        q: np.ndarray | Sequence[np.ndarray],
-        tol: Tolerances,
-        eig_floor: float | None = None,
-    ) -> "LossSpec":
-        """Guard q and set q_inv; derive eig_floor unless given (that factors v, so v must be SPD)."""
-        qa = _as_stack("q must have shape (k, p, p) =", q, model.k, model.p)
-        q_inv = _guarded_inverse("q", qa, tol)
-        if eig_floor is None:
-            eig_floor = np.inf
-            for vi, qi in zip(model.v, qa):
-                chol = np.linalg.cholesky(0.5 * (vi + vi.T))
-                # v @ q shares its spectrum with the symmetric chol' q chol
-                vals = np.linalg.eigvalsh(chol.T @ (0.5 * (qi + qi.T)) @ chol)
-                eig_floor = min(eig_floor, vals[0])
-        spec = cls(q=qa, eig_floor=float(eig_floor))
-        object.__setattr__(spec, "q_inv", _freeze(q_inv))
+        """Loss weighted by the inverse scale matrices: guard v once, q = inv(v), q_inv = v."""
+        spec = cls(q=_guarded_inverse("v", model.v, tol), eig_floor=1.0)
+        object.__setattr__(spec, "q_inv", model.v)
         return spec
 
     def matches_inverse_v(self, model: CanonicalModel, rtol: float = 1e-9) -> bool:
@@ -294,7 +277,7 @@ class PooledConstants:
             v_inv=_freeze(v_inv),
             weights=_freeze(weights),
             weight_sum=_freeze(weight_sum),
-            pooled_cov=_freeze(_guarded_inverse("sum of weights", weight_sum, tol, screen=False)),
+            pooled_cov=_freeze(_guarded_inverse("sum of weights", weight_sum, tol)),
             directions=_freeze(np.einsum("kab,kbc->kac", model.v, weights)),
             trace_sum=float(np.einsum("kab,kba->", model.v, loss_spec.q)),
             inverse_loss=loss_spec.matches_inverse_v(model),

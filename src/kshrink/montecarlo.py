@@ -3,18 +3,19 @@
 Reproducibility contract: every uniform is addressed by (seed, key, i),
 output i of the Philox stream keyed by SeedSequence(entropy=seed,
 spawn_key=key), read by advancing the stream's counter, so no draw depends
-on the draws taken before it. Replicate r of configuration c owns outputs
-r*w .. r*w + k*p of key (0, c): k*p for the observations, then one for the
-scale statistic; w is k*p + 1 rounded up to a whole counter step of four
-outputs. Truth point i of validate_uer owns key (1, i): the observations
-of all its R replicates come first, replicate r at outputs
-r*k*p .. (r+1)*k*p - 1, then one scale output per replicate at R*k*p + r.
-All variates are produced by inverse-CDF transforms, so results
-are bit-identical across runs, thread counts, and platforms with IEEE-754
-doubles. Replicates are evaluated in fixed-size blocks (never a function
-of the thread count), each reading only its own slice of the stream; the
-per-replicate values are joined in replicate order and reduced with
-numpy's pairwise summation, so the block size never changes a result.
+on the draws taken before it. Every stream has one layout: replicate r
+owns outputs r*w .. r*w + k*p, k*p for the observations and then one for
+the scale statistic, where w is k*p + 1 rounded up to a whole counter step
+of four outputs. So a replicate's address depends on neither the run's
+length nor the draws before it. The keys are (0, c) for configuration c
+of an experiment, (1, i) for truth point i of validate_uer, and (2, 0),
+read with k = 1, for validate_identities. All variates are produced by
+inverse-CDF transforms, so results are bit-identical across runs, thread
+counts, and platforms with IEEE-754 doubles. Replicates are evaluated in
+fixed-size blocks (never a function of the thread count), each reading
+only its own slice of the stream; the per-replicate values are joined in
+replicate order and reduced with numpy's pairwise summation, so the block
+size never changes a result.
 
 Each block runs the batch kernels of the estimators module on the pooled
 statistics of its replicates, the same code the single-shot estimators
@@ -63,6 +64,8 @@ __all__ = [
 ]
 
 _BLOCK = 256
+# Relative step of validate_uer's central differences for a member without derivatives.
+_FD_STEP = 1e-5
 # Stream namespaces; first spawn_key element.
 _NS_EXPERIMENT = 0
 _NS_UER = 1
@@ -83,28 +86,12 @@ def _uniforms(seed: int, key: tuple[int, ...], start: int, count: int) -> np.nda
 
 
 def _replicate_uniforms(
-    seed: int, config: int, r0: int, r1: int, k: int, p: int
+    seed: int, key: tuple[int, int], r0: int, r1: int, k: int, p: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniforms (R, k, p) and (R,) of replicates r0 .. r1-1 of one configuration."""
+    """Uniforms (R, k, p) and (R,) of replicates r0 .. r1-1 of stream key."""
     w = 4 * -(-(k * p + 1) // 4)
-    u = _uniforms(seed, (_NS_EXPERIMENT, config), r0 * w, (r1 - r0) * w).reshape(r1 - r0, w)
+    u = _uniforms(seed, key, r0 * w, (r1 - r0) * w).reshape(r1 - r0, w)
     return u[:, : k * p].reshape(r1 - r0, k, p), u[:, k * p]
-
-
-def _point_uniforms(
-    seed: int, point: int, replicates: int, r0: int, r1: int, k: int, p: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Uniforms (R, k, p) and (R,) of replicates r0 .. r1-1 of one UER truth point.
-
-    The observations of all replicates come first, then one scale uniform
-    per replicate; each read starts at the counter step holding its first
-    output and drops the outputs before it.
-    """
-    key = (_NS_UER, point)
-    obs, scale = r0 * k * p, replicates * k * p + r0
-    u = _uniforms(seed, key, obs - obs % 4, obs % 4 + (r1 - r0) * k * p)[obs % 4 :]
-    us = _uniforms(seed, key, scale - scale % 4, scale % 4 + r1 - r0)[scale % 4 :]
-    return u.reshape(r1 - r0, k, p), us
 
 
 def _need_replicates(count: int) -> None:
@@ -129,9 +116,12 @@ def sample_canonical(
     These are the harness's draws for that address: run_experiment with the
     same seed, truth and v sees exactly this model as that replicate.
     """
+    for name, value in (("config", config), ("replicate", replicate)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     va = np.asarray(v, dtype=float)
     k, p = truth.mu.shape
-    u, us = _replicate_uniforms(seed, config, replicate, replicate + 1, k, p)
+    u, us = _replicate_uniforms(seed, (_NS_EXPERIMENT, config), replicate, replicate + 1, k, p)
     x, s = _draw(truth, np.linalg.cholesky(va), n, u, us)
     return CanonicalModel(x=x[0], v=va, s=float(s[0]), n=n)
 
@@ -380,7 +370,7 @@ def _config_losses(
     chol = np.linalg.cholesky(cfg.v)
 
     def losses_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
-        u, us = _replicate_uniforms(cfg.seed, ci, r0, r1, cfg.k, cfg.p)
+        u, us = _replicate_uniforms(cfg.seed, (_NS_EXPERIMENT, ci), r0, r1, cfg.k, cfg.p)
         x, s = _draw(truth, chol, cfg.n, u, us)
         batch = setting.pooled.summarize(x, s, setting.tol)
         out = np.full((len(names), r1 - r0), np.nan)
@@ -526,24 +516,23 @@ def validate_uer(
     cfg: ExperimentConfig,
     members: Sequence[ShrinkageFunctions],
     truth_points: Sequence[TrueParameters],
-    replicates: int = 100_000,
-    fd_step: float = 1e-5,
     tol: Tolerances = DEFAULT,
 ) -> tuple[UerValidation, ...]:
     """Check that the unbiased risk estimator matches Monte Carlo loss.
 
-    Returns one UerValidation per class member, in member order. Each truth
-    point is drawn from its own stream (see the module docstring) and
-    summarized once per block of replicates, and every member runs on that
-    block; the blocks go through the harness's block loop with cfg.threads
-    workers, so results depend on neither the block size nor the thread
-    count. For each member and point, the paired difference between the
-    unbiased risk estimate and the realized loss must be within three
-    standard errors of zero. Derivatives come from the member when
-    present, otherwise from central differences with relative step fd_step.
-    Every truth point's shape is checked before anything is drawn.
+    Returns one UerValidation per class member, in member order, each over
+    cfg.replicates replicates. Truth point i draws replicate r from the
+    address every stream uses (see the module docstring) under key (1, i),
+    so the first R replicates are the same whatever the run's length. Each
+    point is summarized once per block of replicates and every member runs
+    on that block; the blocks go through the harness's block loop with
+    cfg.threads workers, so results depend on neither the block size nor
+    the thread count. For each member and point, the paired difference
+    between the unbiased risk estimate and the realized loss must be within
+    three standard errors of zero. Derivatives come from the member when
+    present, otherwise from central differences with relative step
+    _FD_STEP. Every truth point's shape is checked before anything is drawn.
     """
-    _need_replicates(replicates)
     setting = cfg.validate(tol)
     for pi, truth in enumerate(truth_points):
         if truth.mu.shape != (cfg.k, cfg.p):
@@ -555,7 +544,7 @@ def validate_uer(
     def derivative(direct, base, args: list, which: int) -> np.ndarray:
         if direct is not None:
             return np.asarray(direct(*args), dtype=float)
-        step = fd_step * args[which]
+        step = _FD_STEP * args[which]
         up = list(args)
         dn = list(args)
         up[which] = args[which] + step
@@ -572,7 +561,7 @@ def validate_uer(
 
     def point_checks(pi: int, truth: TrueParameters) -> list[UerCheck]:
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
-            u, us = _point_uniforms(cfg.seed, pi, replicates, r0, r1, cfg.k, cfg.p)
+            u, us = _replicate_uniforms(cfg.seed, (_NS_UER, pi), r0, r1, cfg.k, cfg.p)
             x, s = _draw(truth, chol, cfg.n, u, us)
             batch = setting.pooled.summarize(x, s, tol)
             f, g = floored_statistics(batch, tol)
@@ -596,7 +585,7 @@ def validate_uer(
                     out[3 + width * mi + i] = row
             return out, {}
 
-        values, _ = _blocked(replicates, cfg.threads, 3 + width * len(members), uer_block)
+        values, _ = _blocked(cfg.replicates, cfg.threads, 3 + width * len(members), uer_block)
         f, g, s = values[:3]
         checks = []
         for mi in range(len(members)):
@@ -612,7 +601,7 @@ def validate_uer(
                 **dict(zip(factor_rows, factors)),
             )
             mean_d, se_d = _mean_se(np.asarray(uer(inputs)) - losses)
-            mean_loss = float(np.sum(losses) / replicates)
+            mean_loss = float(np.sum(losses) / cfg.replicates)
             checks.append(
                 UerCheck(
                     point=f"point-{pi}",
@@ -730,7 +719,8 @@ def validate_identities(
     of tr(cov J_h(Y)). Chi-square part: for S = sigma2 * chi2(n) and
     g(s) = 1 / (1 + s), the mean of S g(S) must match
     sigma2 * (n g(S) + 2 S g'(S)). Both are paired comparisons with a
-    three-standard-error margin.
+    three-standard-error margin. Draw r is replicate r of stream (2, 0)
+    read with k = 1: Y takes its observations, S its scale uniform.
     """
     _need_replicates(draws)
     mu_vec = np.ones(p) if mu is None else np.asarray(mu, dtype=float)
@@ -740,7 +730,8 @@ def validate_identities(
     if cov_mat.shape != (p, p):
         raise ValueError(f"cov must have shape ({p}, {p}), got {cov_mat.shape}")
 
-    z = ndtri(_uniforms(seed, (_NS_IDENTITY, 0), 0, draws * p).reshape(draws, p))
+    u, us = _replicate_uniforms(seed, (_NS_IDENTITY, 0), 0, draws, 1, p)
+    z = ndtri(u[:, 0])
     y = mu_vec + z @ np.linalg.cholesky(cov_mat).T
     r2 = np.einsum("ra,ra->r", y, y)
     denom = 1.0 + r2
@@ -759,7 +750,7 @@ def validate_identities(
         passed=bool(abs(mean_d) <= 3.0 * se_d),
     )
 
-    s = sigma2 * 2.0 * gammaincinv(0.5 * n, _uniforms(seed, (_NS_IDENTITY, 1), 0, draws))
+    s = sigma2 * 2.0 * gammaincinv(0.5 * n, us)
     g_val = 1.0 / (1.0 + s)
     lhs2 = s * g_val
     rhs2 = sigma2 * (n * g_val - 2.0 * s * g_val**2)

@@ -126,14 +126,14 @@ def test_03_minimax_risk_bound(benchmark_run):
 
 
 def test_04_unbiased_risk_estimator():
-    cfg = ExperimentConfig.benchmark()
+    cfg = ExperimentConfig.benchmark(replicates=100_000)
     points = [
         TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 4, 7)
     ]
     ok = True
     worst = 0.0
     members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
-    for report in validate_uer(cfg, members, points, replicates=100_000):
+    for report in validate_uer(cfg, members, points):
         ok = ok and report.passed
         for check in report.checks:
             worst = max(worst, abs(check.diff) / (3.0 * check.se_diff))

@@ -51,17 +51,17 @@ SIMULATE_CONFIG = textwrap.dedent(
 
 # `kshrink validate --seed 1 --replicates 2001`, one line per check.
 VALIDATE_SEED1_2001 = (
-    "gaussian-by-parts: |0.580764 - 0.568791| = 0.012 vs 3 SE = 0.0396: pass\n"
-    "chi-square-derivative: |0.986418 - 0.979579| = 0.00684 vs 3 SE = 0.0231: pass\n"
-    "risk-estimate mean-shrink @ all-zero: |7.5129 - 7.43864| = 0.0743 vs 3 SE = 0.478: pass\n"
-    "risk-estimate mean-shrink @ centered-1.0: |20.6265 - 20.6701| = 0.0436 vs 3 SE = 0.411: pass\n"
-    "risk-estimate mean-shrink @ ramp-0-4: |20.6319 - 20.7247| = 0.0927 vs 3 SE = 0.436: pass\n"
-    "risk-estimate double-shrink @ all-zero: |4.33763 - 4.07217| = 0.265 vs 3 SE = 0.478: pass\n"
-    "risk-estimate double-shrink @ centered-1.0: |20.2095 - 20.2691| = 0.0596 vs 3 SE = 0.415: pass\n"
-    "risk-estimate double-shrink @ ramp-0-4: |20.4322 - 20.5505| = 0.118 vs 3 SE = 0.434: pass\n"
-    "risk-estimate smooth @ all-zero: |11.6468 - 11.6501| = 0.00332 vs 3 SE = 0.219: pass\n"
-    "risk-estimate smooth @ centered-1.0: |20.2123 - 20.3004| = 0.0881 vs 3 SE = 0.38: pass\n"
-    "risk-estimate smooth @ ramp-0-4: |20.4057 - 20.5425| = 0.137 vs 3 SE = 0.399: pass\n"
+    "gaussian-by-parts: |0.578958 - 0.574675| = 0.00428 vs 3 SE = 0.0379: pass\n"
+    "chi-square-derivative: |0.986161 - 0.998162| = 0.012 vs 3 SE = 0.0241: pass\n"
+    "risk-estimate mean-shrink @ all-zero: |7.81562 - 7.52433| = 0.291 vs 3 SE = 0.483: pass\n"
+    "risk-estimate mean-shrink @ centered-1.0: |20.611 - 20.608| = 0.00305 vs 3 SE = 0.424: pass\n"
+    "risk-estimate mean-shrink @ ramp-0-4: |20.6358 - 20.8112| = 0.175 vs 3 SE = 0.448: pass\n"
+    "risk-estimate double-shrink @ all-zero: |4.50905 - 4.25001| = 0.259 vs 3 SE = 0.49: pass\n"
+    "risk-estimate double-shrink @ centered-1.0: |20.2034 - 20.1858| = 0.0177 vs 3 SE = 0.419: pass\n"
+    "risk-estimate double-shrink @ ramp-0-4: |20.4415 - 20.6031| = 0.162 vs 3 SE = 0.446: pass\n"
+    "risk-estimate smooth @ all-zero: |11.8083 - 11.7457| = 0.0626 vs 3 SE = 0.232: pass\n"
+    "risk-estimate smooth @ centered-1.0: |20.2005 - 20.2125| = 0.012 vs 3 SE = 0.388: pass\n"
+    "risk-estimate smooth @ ramp-0-4: |20.421 - 20.5782| = 0.157 vs 3 SE = 0.41: pass\n"
     "all checks passed\n"
 )
 
@@ -180,9 +180,10 @@ class TestDecompositionCount:
     """Each scale and loss matrix is guarded once where it enters an estimate run.
 
     Per command with inverse-scale loss: v0 (ksample only), v where the loss
-    spec inverts it, q, v in the model validation, and the weight sum, so at
-    most 4k+1 eigvalsh calls (3k+1 without v0). The loss spec's eig_floor is
-    1 by construction and factors nothing.
+    spec inverts it, v in the model validation, and the weight sum, so at
+    most 3k+1 eigvalsh calls (2k+1 without v0). The loss spec neither guards
+    q = inv(v) again nor factors anything for eig_floor, which is 1 by
+    construction.
     """
 
     K, P = 6, 5
@@ -208,7 +209,7 @@ class TestDecompositionCount:
         cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample, v0: identity}\n")
         calls = self.count_eigvalsh(monkeypatch, ["estimate", "--config", cfg, "--input", data])
         capsys.readouterr()
-        assert calls <= 4 * self.K + 1
+        assert calls <= 3 * self.K + 1
 
     def test_regression(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(7)
@@ -223,7 +224,7 @@ class TestDecompositionCount:
             monkeypatch, ["estimate", "--config", cfg, "--input", str(groups)]
         )
         capsys.readouterr()
-        assert calls <= 3 * self.K + 1
+        assert calls <= 2 * self.K + 1
 
 
 class TestSimulate:

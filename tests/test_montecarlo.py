@@ -84,37 +84,33 @@ class TestSampleCanonical:
             m = sample_canonical(truth, v, 3, 4, 1, r)
             assert m.s > 0.0
 
+    @pytest.mark.parametrize("name", ["config", "replicate"])
+    def test_negative_address_rejected(self, name):
+        truth = TrueParameters(mu=np.zeros((2, 2)), sigma2=0.5)
+        v = np.array([np.eye(2), np.eye(2)])
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+            sample_canonical(truth, v, 3, 4, **{name: -1})
+
 
 class TestReplicateUniforms:
     @pytest.mark.parametrize(
+        "key", [(0, 3), (1, 2), (2, 0)], ids=lambda key: f"key{key[0]}-{key[1]}"
+    )
+    @pytest.mark.parametrize(
         "k, p", [pytest.param(3, 1, id="kp1-multiple-of-4"), pytest.param(5, 5, id="kp1-26")]
     )
-    def test_rows_do_not_depend_on_how_a_range_is_split(self, k, p):
-        whole_u, whole_us = montecarlo._replicate_uniforms(11, 3, 5, 45, k, p)
+    def test_rows_do_not_depend_on_how_a_range_is_split(self, k, p, key):
+        whole_u, whole_us = montecarlo._replicate_uniforms(11, key, 5, 45, k, p)
         assert whole_u.shape == (40, k, p) and whole_us.shape == (40,)
         for u in (whole_u, whole_us):
             assert np.all((u > 0.0) & (u < 1.0))
         for cuts in ((5, 6, 45), (5, 12, 13, 28, 45), tuple(range(5, 46))):
             parts = [
-                montecarlo._replicate_uniforms(11, 3, r0, r1, k, p)
+                montecarlo._replicate_uniforms(11, key, r0, r1, k, p)
                 for r0, r1 in zip(cuts, cuts[1:])
             ]
             assert np.array_equal(np.concatenate([u for u, _ in parts]), whole_u)
             assert np.array_equal(np.concatenate([us for _, us in parts]), whole_us)
-
-    @pytest.mark.parametrize("k, p", [(3, 1), (5, 5), (2, 3)])
-    def test_point_rows_are_slices_of_one_point_stream(self, k, p):
-        replicates = 45
-        whole = montecarlo._uniforms(11, (montecarlo._NS_UER, 2), 0, replicates * (k * p + 1))
-        u0 = whole[: replicates * k * p].reshape(replicates, k, p)
-        us0 = whole[replicates * k * p :]
-        for cuts in ((0, 45), (0, 5, 6, 45), (0, 3, 13, 28, 45), tuple(range(46))):
-            parts = [
-                montecarlo._point_uniforms(11, 2, replicates, r0, r1, k, p)
-                for r0, r1 in zip(cuts, cuts[1:])
-            ]
-            assert np.array_equal(np.concatenate([u for u, _ in parts]), u0)
-            assert np.array_equal(np.concatenate([us for _, us in parts]), us0)
 
     def test_one_seed_sequence_per_configuration_block(self, monkeypatch):
         real = np.random.SeedSequence
@@ -388,6 +384,22 @@ class TestUerMembers:
 BENCH_CFG = ExperimentConfig.benchmark()
 
 
+def mean_se_inputs(monkeypatch, run, counts):
+    """Per count, the vectors _mean_se reduces while run(count) runs."""
+    real = montecarlo._mean_se
+    seen = []
+
+    def recording(values):
+        seen[-1].append(np.array(values))
+        return real(values)
+
+    monkeypatch.setattr(montecarlo, "_mean_se", recording)
+    for count in counts:
+        seen.append([])
+        run(count)
+    return seen
+
+
 class TestValidateUer:
     @pytest.fixture()
     def cfg(self):
@@ -399,7 +411,7 @@ class TestValidateUer:
             TrueParameters(mu=cfg.mean_configs[7].mu, sigma2=cfg.sigma2),
         ]
         members = uer_members(cfg.p, cfg.k, cfg.n)
-        reports = validate_uer(cfg, [sf for _, sf in members], points, replicates=4000)
+        reports = validate_uer(replace(cfg, replicates=4000), [sf for _, sf in members], points)
         assert len(reports) == len(members)
         for (name, _), report in zip(members, reports):
             assert report.passed, name
@@ -413,7 +425,7 @@ class TestValidateUer:
         bare = ShrinkageFunctions(phi=smooth.phi, psi=smooth.psi)
         assert not bare.has_derivatives()
         points = [TrueParameters(mu=cfg.mean_configs[3].mu, sigma2=cfg.sigma2)]
-        with_d, without = validate_uer(cfg, [smooth, bare], points, replicates=2000)
+        with_d, without = validate_uer(replace(cfg, replicates=2000), [smooth, bare], points)
         assert without.passed
         # Same draws, so the two routes agree to finite-difference accuracy.
         assert without.checks[0].mean_uer == approx(
@@ -426,30 +438,42 @@ class TestValidateUer:
         points = [
             TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)
         ]
-        checks = validate_uer(cfg, [smooth], points, replicates=2000)[0].checks
+        checks = validate_uer(replace(cfg, replicates=2000), [smooth], points)[0].checks
         assert [(c.mean_loss, c.diff, c.se_diff) for c in checks] == [
-            (11.582404170628724, 0.08653912634630254, 0.0724744580967259),
-            (20.28117466047418, 0.12616738758976595, 0.12924189926320093),
+            (11.568080939573548, 0.08637367522486762, 0.07296616358431943),
+            (20.355110713072943, 0.020957496917250296, 0.1279008388527683),
         ]
+
+    def test_first_replicates_do_not_depend_on_the_count(self, cfg, monkeypatch):
+        _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
+        points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
+        short, long = mean_se_inputs(
+            monkeypatch,
+            lambda count: validate_uer(replace(cfg, replicates=count), [smooth], points),
+            (300, 2001),
+        )
+        assert len(short) == len(long) == len(points)
+        for a, b in zip(short, long):
+            assert np.array_equal(a, b[:300])
 
     @pytest.mark.parametrize("replicates", [1, 0, -3])
     def test_needs_two_replicates(self, cfg, replicates):
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
         points = [TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)]
         with pytest.raises(ValueError, match=f"need at least 2 replicates, got {replicates}$"):
-            validate_uer(cfg, [smooth], points, replicates=replicates)
+            validate_uer(replace(cfg, replicates=replicates), [smooth], points)
 
     def test_truth_shape_checked(self, cfg, monkeypatch):
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
         bad = [TrueParameters(mu=np.zeros((2, 2)), sigma2=1.0)]
         with pytest.raises(ValueError, match="truth point"):
-            validate_uer(cfg, [smooth], bad, replicates=100)
+            validate_uer(replace(cfg, replicates=100), [smooth], bad)
         # A bad point after a good one is found before anything is drawn.
         drawn = []
         monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
         good = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
         with pytest.raises(ValueError, match="truth point 2 has shape"):
-            validate_uer(cfg, [smooth], [good, good, bad[0]], replicates=100)
+            validate_uer(replace(cfg, replicates=100), [smooth], [good, good, bad[0]])
         assert drawn == []
 
     @pytest.mark.parametrize("replicates", [2, 3, 257, 2001])
@@ -459,10 +483,11 @@ class TestValidateUer:
         points = [
             TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 4, 7)
         ]
-        blocked = validate_uer(cfg, members, points, replicates=replicates)
-        threaded = validate_uer(replace(cfg, threads=2), members, points, replicates=replicates)
+        cfg = replace(cfg, replicates=replicates)
+        blocked = validate_uer(cfg, members, points)
+        threaded = validate_uer(replace(cfg, threads=2), members, points)
         monkeypatch.setattr(montecarlo, "_BLOCK", 10**9)
-        whole = validate_uer(cfg, members, points, replicates=replicates)
+        whole = validate_uer(cfg, members, points)
         assert len(blocked) == len(members)
         assert blocked == whole
         assert threaded == blocked
@@ -480,7 +505,7 @@ class TestValidateUer:
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)][:count]
         points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
         replicates = 600
-        validate_uer(cfg, members, points, replicates=replicates)
+        validate_uer(replace(cfg, replicates=replicates), members, points)
         blocks = -(-replicates // montecarlo._BLOCK)
         assert len(calls) == len(points) * blocks
         assert max(calls) <= montecarlo._BLOCK
@@ -491,12 +516,12 @@ class TestValidateUer:
         # member; everything else lives for one block.
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
         points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
-        validate_uer(cfg, members, points, replicates=300)  # warm caches
+        validate_uer(replace(cfg, replicates=300), members, points)  # warm caches
         peaks = {}
         for replicates in (2560, 20480):
             tracemalloc.start()
             try:
-                validate_uer(cfg, members, points, replicates=replicates)
+                validate_uer(replace(cfg, replicates=replicates), members, points)
                 peaks[replicates] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -525,11 +550,19 @@ class TestValidateIdentities:
         # Pinned values: a change means the draws of validate_identities moved.
         gauss, chisq = validate_identities(draws=5000).checks
         assert (gauss.mean_lhs, gauss.diff, gauss.se_diff) == (
-            0.5847546148997493, -0.0031120241134859447, 0.008844149297784697
+            0.5852457302331436, 0.010746688711452759, 0.008448304146040374
         )
         assert (chisq.mean_lhs, chisq.diff, chisq.se_diff) == (
-            0.9729298525770093, -0.004862004205955202, 0.00482683303878639
+            0.9730211770994736, -0.0014678090893692286, 0.004858979211671831
         )
+
+    def test_first_draws_do_not_depend_on_the_count(self, monkeypatch):
+        short, long = mean_se_inputs(
+            monkeypatch, lambda count: validate_identities(draws=count), (300, 2001)
+        )
+        assert len(short) == len(long) == 2
+        for a, b in zip(short, long):
+            assert np.array_equal(a, b[:300])
 
     @pytest.mark.parametrize("draws", [1, 0, -3])
     def test_needs_two_draws(self, draws):
