@@ -183,37 +183,29 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.replicates is None and not from_file:
         cfg = replace(cfg, replicates=100_000)
 
-    lines = []
-    ok = True
-
     idv = validate_identities(
         p=cfg.p, n=cfg.n, sigma2=cfg.sigma2, draws=cfg.replicates, seed=cfg.seed
     )
-    for check in idv.checks:
-        ok = ok and check.passed
-        lines.append(
-            f"{check.name}: |{check.mean_lhs:.6g} - {check.mean_rhs:.6g}| = "
-            f"{abs(check.diff):.3g} vs 3 SE = {3.0 * check.se_diff:.3g}: "
-            f"{'pass' if check.passed else 'FAIL'}"
-        )
-
+    labelled = [(check.name, check) for check in idv.checks]
     picks = sorted({0, len(cfg.mean_configs) // 2, len(cfg.mean_configs) - 1})
     points = [
         TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in picks
     ]
     members = uer_members(cfg.p, cfg.k, cfg.n)
     reports = validate_uer(cfg, [sf for _, sf in members], points)
-    for (member_name, _), uv in zip(members, reports):
-        for idx, check in zip(picks, uv.checks):
-            ok = ok and check.passed
-            cfg_name = cfg.mean_configs[idx].name
-            lines.append(
-                f"risk-estimate {member_name} @ {cfg_name}: "
-                f"|{check.mean_uer:.6g} - {check.mean_loss:.6g}| = "
-                f"{abs(check.diff):.3g} vs 3 SE = {3.0 * check.se_diff:.3g}: "
-                f"{'pass' if check.passed else 'FAIL'}"
-            )
+    for (member_name, _), report in zip(members, reports):
+        labelled += [
+            (f"risk-estimate {member_name} @ {cfg.mean_configs[idx].name}", check)
+            for idx, check in zip(picks, report.checks)
+        ]
 
+    lines = [
+        f"{label}: |{check.mean_lhs:.6g} - {check.mean_rhs:.6g}| = "
+        f"{abs(check.diff):.3g} vs 3 SE = {3.0 * check.se_diff:.3g}: "
+        f"{'pass' if check.passed else 'FAIL'}"
+        for label, check in labelled
+    ]
+    ok = all(check.passed for _, check in labelled)
     lines.append("all checks passed" if ok else "SOME CHECKS FAILED")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_PASS if ok else EXIT_STATISTICAL

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -96,10 +96,11 @@ class ShrinkageFunctions:
     """A member of the general double-shrinkage class.
 
     phi and psi take (residual_stat, pooled_norm_stat, scale_sum) and return
-    the two shrink factors. The optional partial derivatives (same
-    signature) feed the unbiased risk estimator; when absent, callers fall
-    back to finite differences. All callables must accept ndarray inputs
-    elementwise.
+    the two shrink factors. The partial derivatives (same signature) feed
+    the unbiased risk estimator: estimating needs only phi and psi, but
+    montecarlo.validate_uer rejects a member that lacks any of the six, and
+    there is no finite-difference fallback. All callables must accept
+    ndarray inputs elementwise.
     """
 
     phi: Callable
@@ -111,15 +112,14 @@ class ShrinkageFunctions:
     psi_g: Callable | None = None
     psi_s: Callable | None = None
 
+    # The six partial derivatives, in the order UerInputs takes them.
+    PARTIALS: ClassVar[tuple[str, ...]] = ("phi_f", "phi_g", "phi_s", "psi_f", "psi_g", "psi_s")
+
+    def missing_partials(self) -> tuple[str, ...]:
+        return tuple(name for name in self.PARTIALS if getattr(self, name) is None)
+
     def has_derivatives(self) -> bool:
-        return None not in (
-            self.phi_f,
-            self.phi_g,
-            self.phi_s,
-            self.psi_f,
-            self.psi_g,
-            self.psi_s,
-        )
+        return not self.missing_partials()
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,17 @@ length nor the draws before it. The keys are (0, c) for configuration c
 of an experiment, (1, i) for truth point i of validate_uer, and (2, 0),
 read with k = 1, for validate_identities. All variates are produced by
 inverse-CDF transforms, so results are bit-identical across runs, thread
-counts, and platforms with IEEE-754 doubles. Replicates are evaluated in
-fixed-size blocks (never a function of the thread count), each reading
-only its own slice of the stream; the per-replicate values are joined in
-replicate order and reduced with numpy's pairwise summation, so the block
-size never changes a result.
+counts, and platforms with IEEE-754 doubles. Every stream is read in
+_BLOCK-replicate blocks through one block loop (never a function of the
+thread count), each block reading only its own slice of the stream; the
+per-replicate values are joined in replicate order and reduced with
+numpy's pairwise summation, so the block size never changes a result.
 
 Each block runs the batch kernels of the estimators module on the pooled
 statistics of its replicates, the same code the single-shot estimators
-run with one replicate.
+run with one replicate. Both self-checks, validate_uer and
+validate_identities, report paired checks of one kind: the mean of
+lhs - rhs over common draws must lie within three standard errors of 0.
 """
 
 from __future__ import annotations
@@ -43,7 +45,14 @@ from .estimators import (
     floored_statistics,
     resolve_estimator,
 )
-from .model import CanonicalModel, Hyperparameters, LossSpec, PooledConstants, TrueParameters
+from .model import (
+    CanonicalModel,
+    Hyperparameters,
+    LossSpec,
+    PooledConstants,
+    TrueParameters,
+    _guarded_inverse,
+)
 # Unused here; kept because perfbench/spans.py traces them as attributes of this module.
 from .numerics import f_quantile, hb1_shrink_ratio, hb2_shrink_ratios  # noqa: F401
 from .risk import UerInputs, loss, uer
@@ -54,8 +63,8 @@ __all__ = [
     "ExperimentConfig",
     "RiskTable",
     "DominationReport",
-    "UerValidation",
-    "IdentityValidation",
+    "PairedCheck",
+    "CheckSet",
     "sample_canonical",
     "run_experiment",
     "paired_domination",
@@ -64,8 +73,6 @@ __all__ = [
 ]
 
 _BLOCK = 256
-# Relative step of validate_uer's central differences for a member without derivatives.
-_FD_STEP = 1e-5
 # Stream namespaces; first spawn_key element.
 _NS_EXPERIMENT = 0
 _NS_UER = 1
@@ -82,7 +89,10 @@ def _uniforms(seed: int, key: tuple[int, ...], start: int, count: int) -> np.nda
     bitgen.advance(start // 4)
     raw = bitgen.random_raw(count)
     raw >>= 11
-    return (raw + 0.5) * 2.0**-53
+    u = raw.astype(float)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 def _replicate_uniforms(
@@ -497,19 +507,44 @@ def paired_domination(
 
 
 @dataclass(frozen=True)
-class UerCheck:
-    point: str
-    mean_loss: float
-    mean_uer: float
+class PairedCheck:
+    """One paired comparison of per-draw values lhs and rhs on common draws.
+
+    mean_lhs and mean_rhs are the two means; diff and se_diff are the mean
+    and standard error of lhs - rhs, and passed is |diff| <= 3 se_diff.
+    """
+
+    name: str
+    mean_lhs: float
+    mean_rhs: float
     diff: float
     se_diff: float
     passed: bool
 
 
 @dataclass(frozen=True)
-class UerValidation:
-    checks: tuple[UerCheck, ...]
-    passed: bool
+class CheckSet:
+    """Paired checks that pass together: passed is true when every check passed."""
+
+    checks: tuple[PairedCheck, ...]
+    passed: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", all(c.passed for c in self.checks))
+
+
+def _paired_check(name: str, lhs: np.ndarray, rhs: np.ndarray) -> PairedCheck:
+    """The three-standard-error verdict on lhs - rhs, with pairwise-sum means."""
+    diff, se_diff = _mean_se(lhs - rhs)
+    count = lhs.shape[0]
+    return PairedCheck(
+        name=name,
+        mean_lhs=float(np.sum(lhs) / count),
+        mean_rhs=float(np.sum(rhs) / count),
+        diff=diff,
+        se_diff=se_diff,
+        passed=bool(abs(diff) <= 3.0 * se_diff),
+    )
 
 
 def validate_uer(
@@ -517,23 +552,31 @@ def validate_uer(
     members: Sequence[ShrinkageFunctions],
     truth_points: Sequence[TrueParameters],
     tol: Tolerances = DEFAULT,
-) -> tuple[UerValidation, ...]:
+) -> tuple[CheckSet, ...]:
     """Check that the unbiased risk estimator matches Monte Carlo loss.
 
-    Returns one UerValidation per class member, in member order, each over
+    Returns one CheckSet per class member, in member order, each over
     cfg.replicates replicates. Truth point i draws replicate r from the
     address every stream uses (see the module docstring) under key (1, i),
     so the first R replicates are the same whatever the run's length. Each
     point is summarized once per block of replicates and every member runs
     on that block; the blocks go through the harness's block loop with
     cfg.threads workers, so results depend on neither the block size nor
-    the thread count. For each member and point, the paired difference
-    between the unbiased risk estimate and the realized loss must be within
-    three standard errors of zero. Derivatives come from the member when
-    present, otherwise from central differences with relative step
-    _FD_STEP. Every truth point's shape is checked before anything is drawn.
+    the thread count. Check i compares the per-replicate unbiased risk
+    estimate (lhs) with the realized loss (rhs) at truth point i and is
+    named point-i. Every member must carry all six partial derivatives of
+    its factors; there is no numerical fallback. No member, no truth
+    point, a member without derivatives and a truth point of the wrong
+    shape are all rejected before anything is drawn.
     """
     setting = cfg.validate(tol)
+    if not members:
+        raise ValueError("no class members to check")
+    if not truth_points:
+        raise ValueError("no truth points to check")
+    for mi, sf in enumerate(members):
+        if missing := sf.missing_partials():
+            raise ValueError(f"member {mi} lacks the partial derivatives {', '.join(missing)}")
     for pi, truth in enumerate(truth_points):
         if truth.mu.shape != (cfg.k, cfg.p):
             raise ValueError(
@@ -541,48 +584,27 @@ def validate_uer(
             )
     chol = np.linalg.cholesky(cfg.v)
 
-    def derivative(direct, base, args: list, which: int) -> np.ndarray:
-        if direct is not None:
-            return np.asarray(direct(*args), dtype=float)
-        step = _FD_STEP * args[which]
-        up = list(args)
-        dn = list(args)
-        up[which] = args[which] + step
-        dn[which] = args[which] - step
-        return (
-            np.asarray(base(*up), dtype=float) - np.asarray(base(*dn), dtype=float)
-        ) / (2.0 * step)
-
     # Rows of a point's per-replicate values: f, g, s, then for each member
     # its loss and the eight factor values and derivatives UerInputs takes;
     # uer then runs once per check, on the rows joined over all blocks.
-    factor_rows = ("phi", "psi", "phi_f", "phi_g", "phi_s", "psi_f", "psi_g", "psi_s")
+    factor_rows = ("phi", "psi") + ShrinkageFunctions.PARTIALS
     width = 1 + len(factor_rows)
 
-    def point_checks(pi: int, truth: TrueParameters) -> list[UerCheck]:
+    def point_checks(pi: int, truth: TrueParameters) -> list[PairedCheck]:
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
             u, us = _replicate_uniforms(cfg.seed, (_NS_UER, pi), r0, r1, cfg.k, cfg.p)
             x, s = _draw(truth, chol, cfg.n, u, us)
             batch = setting.pooled.summarize(x, s, tol)
             f, g = floored_statistics(batch, tol)
-            args = [f, g, s]
             out = np.empty((3 + width * len(members), r1 - r0))
             out[0], out[1], out[2] = f, g, s
             for mi, sf in enumerate(members):
                 mu_hat, diags = batch_general(setting, batch, sf)
-                rows = (
-                    loss(mu_hat, truth, setting.pooled.loss),
-                    diags["phi"],
-                    diags["psi"],
-                    derivative(sf.phi_f, sf.phi, args, 0),
-                    derivative(sf.phi_g, sf.phi, args, 1),
-                    derivative(sf.phi_s, sf.phi, args, 2),
-                    derivative(sf.psi_f, sf.psi, args, 0),
-                    derivative(sf.psi_g, sf.psi, args, 1),
-                    derivative(sf.psi_s, sf.psi, args, 2),
-                )
-                for i, row in enumerate(rows):
-                    out[3 + width * mi + i] = row
+                rows = out[3 + width * mi : 3 + width * (mi + 1)]
+                rows[0] = loss(mu_hat, truth, setting.pooled.loss)
+                rows[1], rows[2] = diags["phi"], diags["psi"]
+                for i, name in enumerate(sf.PARTIALS):
+                    rows[3 + i] = getattr(sf, name)(f, g, s)
             return out, {}
 
         values, _ = _blocked(cfg.replicates, cfg.threads, 3 + width * len(members), uer_block)
@@ -600,25 +622,12 @@ def validate_uer(
                 trace_sum=setting.pooled.trace_sum,
                 **dict(zip(factor_rows, factors)),
             )
-            mean_d, se_d = _mean_se(np.asarray(uer(inputs)) - losses)
-            mean_loss = float(np.sum(losses) / cfg.replicates)
-            checks.append(
-                UerCheck(
-                    point=f"point-{pi}",
-                    mean_loss=mean_loss,
-                    mean_uer=mean_loss + mean_d,
-                    diff=mean_d,
-                    se_diff=se_d,
-                    passed=bool(abs(mean_d) <= 3.0 * se_d),
-                )
-            )
+            checks.append(_paired_check(f"point-{pi}", np.asarray(uer(inputs)), losses))
         return checks
 
     per_point = [point_checks(pi, truth) for pi, truth in enumerate(truth_points)]
-    member_checks = [tuple(checks[mi] for checks in per_point) for mi in range(len(members))]
     return tuple(
-        UerValidation(checks=checks, passed=all(c.passed for c in checks))
-        for checks in member_checks
+        CheckSet(tuple(checks[mi] for checks in per_point)) for mi in range(len(members))
     )
 
 
@@ -687,22 +696,6 @@ def uer_members(p: int, k: int, n: int) -> tuple[tuple[str, ShrinkageFunctions],
     )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    mean_lhs: float
-    mean_rhs: float
-    diff: float
-    se_diff: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class IdentityValidation:
-    checks: tuple[IdentityCheck, ...]
-    passed: bool
-
-
 def validate_identities(
     p: int = 5,
     n: int = 20,
@@ -711,57 +704,55 @@ def validate_identities(
     cov: np.ndarray | None = None,
     draws: int = 100_000,
     seed: int = 20260816,
-) -> IdentityValidation:
+) -> CheckSet:
     """Monte Carlo check of the two identities behind the risk calculus.
 
     Gaussian part: for Y ~ N_p(mu, cov) and the bounded test field
     h(y) = y / (1 + |y|^2), the mean of (Y - mu)' h(Y) must match the mean
     of tr(cov J_h(Y)). Chi-square part: for S = sigma2 * chi2(n) and
     g(s) = 1 / (1 + s), the mean of S g(S) must match
-    sigma2 * (n g(S) + 2 S g'(S)). Both are paired comparisons with a
-    three-standard-error margin. Draw r is replicate r of stream (2, 0)
-    read with k = 1: Y takes its observations, S its scale uniform.
+    sigma2 * (n g(S) + 2 S g'(S)). Both are paired checks. Draw r is
+    replicate r of stream (2, 0) read with k = 1: Y takes its
+    observations, S its scale uniform. The draws run in _BLOCK-draw blocks
+    through the harness's block loop, so only the four per-draw rows are
+    kept at full length. p and n must be at least 1, mu finite, sigma2
+    positive and finite, and cov a well-conditioned positive definite
+    matrix; all of that is checked before anything is drawn.
     """
     _need_replicates(draws)
+    for name, value in (("p", p), ("n", n)):
+        if value < 1:
+            raise ValueError(f"need {name} >= 1, got {value}")
     mu_vec = np.ones(p) if mu is None else np.asarray(mu, dtype=float)
     cov_mat = 2.0 * np.eye(p) if cov is None else np.asarray(cov, dtype=float)
     if mu_vec.shape != (p,):
         raise ValueError(f"mu must have shape ({p},), got {mu_vec.shape}")
     if cov_mat.shape != (p, p):
         raise ValueError(f"cov must have shape ({p}, {p}), got {cov_mat.shape}")
+    truth = TrueParameters(mu_vec[None], sigma2)
+    _guarded_inverse("cov", cov_mat, DEFAULT)
+    chol = np.linalg.cholesky(cov_mat)
+    trace = np.trace(cov_mat)
 
-    u, us = _replicate_uniforms(seed, (_NS_IDENTITY, 0), 0, draws, 1, p)
-    z = ndtri(u[:, 0])
-    y = mu_vec + z @ np.linalg.cholesky(cov_mat).T
-    r2 = np.einsum("ra,ra->r", y, y)
-    denom = 1.0 + r2
-    h_val = y / denom[:, None]
-    lhs = np.einsum("ra,ra->r", y - mu_vec, h_val)
-    quad = np.einsum("ra,ab,rb->r", y, cov_mat, y)
-    rhs = np.trace(cov_mat) / denom - 2.0 * quad / denom**2
-    mean_d, se_d = _mean_se(lhs - rhs)
-    mean_lhs = float(np.sum(lhs) / draws)
-    gauss = IdentityCheck(
-        name="gaussian-by-parts",
-        mean_lhs=mean_lhs,
-        mean_rhs=mean_lhs - mean_d,
-        diff=mean_d,
-        se_diff=se_d,
-        passed=bool(abs(mean_d) <= 3.0 * se_d),
-    )
+    def identity_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
+        u, us = _replicate_uniforms(seed, (_NS_IDENTITY, 0), r0, r1, 1, p)
+        y = mu_vec + ndtri(u[:, 0]) @ chol.T
+        denom = 1.0 + np.einsum("ra,ra->r", y, y)
+        quad = np.einsum("ra,ab,rb->r", y, cov_mat, y)
+        s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
+        g = 1.0 / (1.0 + s)
+        rows = (
+            np.einsum("ra,ra->r", y - mu_vec, y / denom[:, None]),
+            trace / denom - 2.0 * quad / denom**2,
+            s * g,
+            truth.sigma2 * (n * g - 2.0 * s * g**2),
+        )
+        return np.stack(rows), {}
 
-    s = sigma2 * 2.0 * gammaincinv(0.5 * n, us)
-    g_val = 1.0 / (1.0 + s)
-    lhs2 = s * g_val
-    rhs2 = sigma2 * (n * g_val - 2.0 * s * g_val**2)
-    mean_d2, se_d2 = _mean_se(lhs2 - rhs2)
-    mean_lhs2 = float(np.sum(lhs2) / draws)
-    chisq = IdentityCheck(
-        name="chi-square-derivative",
-        mean_lhs=mean_lhs2,
-        mean_rhs=mean_lhs2 - mean_d2,
-        diff=mean_d2,
-        se_diff=se_d2,
-        passed=bool(abs(mean_d2) <= 3.0 * se_d2),
+    values, _ = _blocked(draws, 1, 4, identity_block)
+    return CheckSet(
+        (
+            _paired_check("gaussian-by-parts", values[0], values[1]),
+            _paired_check("chi-square-derivative", values[2], values[3]),
+        )
     )
-    return IdentityValidation(checks=(gauss, chisq), passed=gauss.passed and chisq.passed)

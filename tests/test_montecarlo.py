@@ -416,21 +416,38 @@ class TestValidateUer:
         for (name, _), report in zip(members, reports):
             assert report.passed, name
             for check in report.checks:
-                assert abs(check.mean_uer - check.mean_loss) == approx(
+                assert abs(check.mean_lhs - check.mean_rhs) == approx(
                     abs(check.diff), abs=1e-12
                 )
 
-    def test_finite_difference_fallback(self, cfg):
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("no-members", "no class members to check$"),
+            ("no-points", "no truth points to check$"),
+            ("bare", "member 1 lacks the partial derivatives "
+                     "phi_f, phi_g, phi_s, psi_f, psi_g, psi_s$"),
+            ("no-psi_g", "member 1 lacks the partial derivatives psi_g$"),
+        ],
+    )
+    def test_vacuous_or_incomplete_input_rejected_before_drawing(
+        self, cfg, monkeypatch, case, message
+    ):
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
-        bare = ShrinkageFunctions(phi=smooth.phi, psi=smooth.psi)
-        assert not bare.has_derivatives()
-        points = [TrueParameters(mu=cfg.mean_configs[3].mu, sigma2=cfg.sigma2)]
-        with_d, without = validate_uer(replace(cfg, replicates=2000), [smooth, bare], points)
-        assert without.passed
-        # Same draws, so the two routes agree to finite-difference accuracy.
-        assert without.checks[0].mean_uer == approx(
-            with_d.checks[0].mean_uer, rel=1e-7
-        )
+        members = {
+            "no-members": [],
+            "no-points": [smooth],
+            "bare": [smooth, ShrinkageFunctions(phi=smooth.phi, psi=smooth.psi)],
+            "no-psi_g": [smooth, replace(smooth, psi_g=None)],
+        }[case]
+        points = [] if case == "no-points" else [
+            TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
+        ]
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=message):
+            validate_uer(replace(cfg, replicates=100), members, points)
+        assert drawn == []
 
     def test_draws_are_pinned(self, cfg):
         # Pinned values: a change means the draws of validate_uer moved.
@@ -439,7 +456,7 @@ class TestValidateUer:
             TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)
         ]
         checks = validate_uer(replace(cfg, replicates=2000), [smooth], points)[0].checks
-        assert [(c.mean_loss, c.diff, c.se_diff) for c in checks] == [
+        assert [(c.mean_rhs, c.diff, c.se_diff) for c in checks] == [
             (11.568080939573548, 0.08637367522486762, 0.07296616358431943),
             (20.355110713072943, 0.020957496917250296, 0.1279008388527683),
         ]
@@ -479,7 +496,6 @@ class TestValidateUer:
     @pytest.mark.parametrize("replicates", [2, 3, 257, 2001])
     def test_blocking_never_changes_results(self, cfg, monkeypatch, replicates):
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
-        members.append(ShrinkageFunctions(phi=members[-1].phi, psi=members[-1].psi))
         points = [
             TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 4, 7)
         ]
@@ -568,6 +584,58 @@ class TestValidateIdentities:
     def test_needs_two_draws(self, draws):
         with pytest.raises(ValueError, match=f"need at least 2 replicates, got {draws}$"):
             validate_identities(draws=draws)
+
+    @pytest.mark.parametrize("draws", [2, 3, 257, 2001])
+    def test_blocking_never_changes_results(self, monkeypatch, draws):
+        blocked = validate_identities(draws=draws)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 10**9)
+        assert validate_identities(draws=draws) == blocked
+
+    def test_reads_at_most_a_block_per_call(self, monkeypatch):
+        real = montecarlo._replicate_uniforms
+        spans = []
+
+        def spying(seed, key, r0, r1, k, p):
+            spans.append((r0, r1))
+            return real(seed, key, r0, r1, k, p)
+
+        monkeypatch.setattr(montecarlo, "_replicate_uniforms", spying)
+        validate_identities(draws=600)
+        assert sorted(spans) == [(0, 256), (256, 512), (512, 600)]
+        assert max(r1 - r0 for r0, r1 in spans) <= montecarlo._BLOCK
+
+    def test_memory_is_bounded(self):
+        # Only the four per-draw rows (3.2 MB at 100,000 draws) live for the
+        # whole run; every other array lives for one block.
+        validate_identities(draws=300)  # warm caches
+        tracemalloc.start()
+        try:
+            validate_identities(draws=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(p=0), "need p >= 1, got 0$"),
+            (dict(n=0), "need n >= 1, got 0$"),
+            (dict(sigma2=-1.0), "sigma2 must be positive and finite, got -1.0$"),
+            (dict(sigma2=float("inf")), "sigma2 must be positive and finite, got inf$"),
+            (dict(p=3, mu=np.array([0.0, np.nan, 1.0])), "mu has non-finite entries$"),
+            (dict(p=3, cov=np.diag([1.0, 1.0, -1.0])), "cov is not positive definite"),
+            (dict(p=2, cov=np.ones((2, 2))), "cov is not positive definite"),
+        ],
+        ids=["p0", "n0", "sigma2-negative", "sigma2-inf", "mu-nan", "cov-indefinite",
+             "cov-singular"],
+    )
+    def test_bad_arguments_rejected_before_drawing(self, monkeypatch, kwargs, message):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=message):
+            validate_identities(draws=100, **kwargs)
+        assert drawn == []
 
     def test_custom_truth(self):
         mu = np.linspace(-1.0, 1.0, 4)
