@@ -161,17 +161,6 @@ def _capped(t: float, stat: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.where(stat > tol.degenerate_stat, np.minimum(t / safe, 1.0), 1.0)
 
 
-def _toward_pooled(b: PooledBatch) -> np.ndarray:
-    """Direction maps applied to each group's deviation from the pooled mean."""
-    centered = b.x - b.pooled_mean[:, None, :]
-    return np.einsum("kab,rkb->rka", b.constants.directions, centered)
-
-
-def _toward_zero(b: PooledBatch) -> np.ndarray:
-    """Direction maps applied to the pooled mean."""
-    return np.einsum("kab,rb->rka", b.constants.directions, b.pooled_mean)
-
-
 def batch_unshrunk(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     """The observations themselves; the baseline everything is measured against."""
     return b.x, {}
@@ -256,7 +245,7 @@ def batch_eb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     if d1 < 3:
         raise PreconditionError(f"pooled-mean shrink needs p(k-1) >= 3, got {d1}")
     factor = _capped((d1 - 2.0) / (c.n + 2.0), b.residual_stat, st.tol)
-    mu_hat = b.x - factor[:, None, None] * _toward_pooled(b)
+    mu_hat = b.x - factor[:, None, None] * b.toward_pooled
     return mu_hat, {"residual_stat": b.residual_stat, "mean_shrink": factor}
 
 
@@ -267,7 +256,7 @@ def batch_eb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
         raise PreconditionError(f"pooled-mean zero-shrink needs p >= 3, got p={c.p}")
     mu_hat, diags = batch_eb1(st, b)
     factor = _capped((c.p - 2.0) / (c.n + 2.0), b.pooled_norm_stat, st.tol)
-    mu_hat = mu_hat - factor[:, None, None] * _toward_zero(b)
+    mu_hat = mu_hat - factor[:, None, None] * b.toward_zero
     return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": factor}
 
 
@@ -285,7 +274,7 @@ def batch_hb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
         )
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
-    mu_hat = b.x - ratio[:, None, None] * _toward_pooled(b)
+    mu_hat = b.x - ratio[:, None, None] * b.toward_pooled
     return mu_hat, {"residual_stat": b.residual_stat, "mean_shrink": ratio}
 
 
@@ -306,8 +295,8 @@ def batch_hb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
         raise PreconditionError(str(exc)) from exc
     mu_hat = (
         b.x
-        - phi[:, None, None] * _toward_pooled(b)
-        - psi[:, None, None] * _toward_zero(b)
+        - phi[:, None, None] * b.toward_pooled
+        - psi[:, None, None] * b.toward_zero
     )
     return mu_hat, {
         "residual_stat": b.residual_stat,
@@ -331,8 +320,8 @@ def batch_general(st: EstimatorSetting, b: PooledBatch, sf: ShrinkageFunctions) 
     psi = np.asarray(sf.psi(f, g, b.s), dtype=float)
     mu_hat = (
         b.x
-        - (phi / f)[:, None, None] * _toward_pooled(b)
-        - (psi / g)[:, None, None] * _toward_zero(b)
+        - (phi / f)[:, None, None] * b.toward_pooled
+        - (psi / g)[:, None, None] * b.toward_zero
     )
     return mu_hat, {
         "residual_stat": b.residual_stat,

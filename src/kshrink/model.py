@@ -12,6 +12,7 @@ Loss is weighted quadratic: sum_i (d_i - mu_i)' Q_i (d_i - mu_i) / sigma2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -291,7 +292,7 @@ class PooledConstants:
         the inputs broke the conditioning guards.
         """
         wx = np.einsum("kab,rkb->rka", self.weights, x)
-        pooled_mean = wx.sum(axis=1) @ self.pooled_cov
+        pooled_mean = np.einsum("ra,ab->rb", wx.sum(axis=1), self.pooled_cov)
         total = np.einsum("rka,rka->r", x, wx)
         centered = x - pooled_mean[:, None, :]
         residual = np.einsum("rka,kab,rkb->r", centered, self.weights, centered)
@@ -315,6 +316,10 @@ class PooledBatch:
     pooled_mean: (R, p) generalized least squares means pooled_cov @ sum_i w[i] x[i].
     residual_stat: (R,) sum_i (x[i]-pooled_mean)' w[i] (x[i]-pooled_mean) / s.
     pooled_norm_stat: (R,) pooled_mean' weight_sum pooled_mean / s.
+
+    The two direction maps every pooled-mean estimator applies are built
+    on first use and kept, so the estimators that run on one batch share
+    them.
     """
 
     constants: PooledConstants
@@ -323,6 +328,17 @@ class PooledBatch:
     pooled_mean: np.ndarray
     residual_stat: np.ndarray
     pooled_norm_stat: np.ndarray
+
+    @cached_property
+    def toward_pooled(self) -> np.ndarray:
+        """(R, k, p) direction maps applied to each group's deviation from the pooled mean."""
+        centered = self.x - self.pooled_mean[:, None, :]
+        return np.einsum("kab,rkb->rka", self.constants.directions, centered)
+
+    @cached_property
+    def toward_zero(self) -> np.ndarray:
+        """(R, k, p) direction maps applied to the pooled mean."""
+        return np.einsum("kab,rb->rka", self.constants.directions, self.pooled_mean)
 
 
 @dataclass(frozen=True)

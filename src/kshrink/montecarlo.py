@@ -13,8 +13,12 @@ read with k = 1, for validate_identities. All variates are produced by
 inverse-CDF transforms, so results are bit-identical across runs, thread
 counts, and platforms with IEEE-754 doubles. Every stream is read in
 _BLOCK-replicate blocks through one block loop (never a function of the
-thread count), each block reading only its own slice of the stream; the
-per-replicate values are joined in replicate order and reduced with
+thread count), each block reading only its own slice of the stream. The
+per-replicate work takes no matrix product over replicate rows (whose
+BLAS bits depend on the row count): every sum over a replicate's own
+entries is an einsum or elementwise step, so a replicate's values do not
+depend on the length of its block, whatever v and the loss weights are.
+The per-replicate values are joined in replicate order and reduced with
 numpy's pairwise summation, so the block size never changes a result.
 
 Each block runs the batch kernels of the estimators module on the pooled
@@ -736,7 +740,7 @@ def validate_identities(
 
     def identity_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
         u, us = _replicate_uniforms(seed, (_NS_IDENTITY, 0), r0, r1, 1, p)
-        y = mu_vec + ndtri(u[:, 0]) @ chol.T
+        y = mu_vec + np.einsum("ab,rb->ra", chol, ndtri(u[:, 0]))
         denom = 1.0 + np.einsum("ra,ra->r", y, y)
         quad = np.einsum("ra,ab,rb->r", y, cov_mat, y)
         s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)

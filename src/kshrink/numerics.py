@@ -18,17 +18,21 @@ integrand. T and U are capped where less than 1e-20 of every integral
 lies beyond, which for large gamma_e (the kernel falls off over about
 1/gamma_e) keeps the nodes where the mass is. All points of an array run
 through the rule together at n and n + 8 nodes per axis, starting at
-n = 20, in blocks small enough that every round's buffers stay at the
-size of a 256-point first round. A point is accepted when phi and psi of
-the two agree within rel_tol relative and are finite, and it takes the
-n + 8 values. The points that miss run again at doubled n (40, 80, 160).
-A point still missing after that fails with ArithmeticError "failed to
-converge"; a tilted point whose integrand underflows at every node of
-both rules of a round fails with "underflowed everywhere". The array
-call raises either as ReplicateError naming the lowest failing flat
-index. Degenerate statistics take exact series limits; with a tilt, the
-remaining 1-D ratio takes the same rule with the vanishing statistic set
-to 0.
+n = 20, in chunks of 64 points at 28 nodes (as many cells at other n),
+whose buffers stay in a core's L2 cache. Every sum runs over one point's
+nodes alone, so a point's values do not depend on the array or chunk it
+sits in. Without a tilt the grid is summed unshifted, since the axis
+caps keep it far above underflow; under a tilt each row of a point's
+grid is shifted by its first node, its largest. A point is accepted
+when phi and psi of the two agree within rel_tol relative and are
+finite, and it takes the n + 8 values. The points that miss run again
+at doubled n (40, 80, 160). A point still missing after that fails with
+ArithmeticError "failed to converge"; a tilted point whose integrand
+underflows at every node of both rules of a round fails with
+"underflowed everywhere". The array call raises either as
+ReplicateError naming the lowest failing flat index. Degenerate
+statistics take exact series limits; with a tilt, the remaining 1-D
+ratio takes the same rule with the vanishing statistic set to 0.
 
 integrate_adaptive_1d is a standalone 15-point Gauss-Kronrod panel scheme
 with worst-panel bisection; the rule and its error estimate follow
@@ -467,9 +471,10 @@ class HbExponents:
 # per axis and passes the points that miss on to the next round.
 _RULE_SIZES = (20, 40, 80, 160)
 _RULE_STEP = 8
-# Points x nodes^2 that one _joint_rule call evaluates at most, so that its
-# (R, n, n) buffers stay at the size of a 256-point first round.
-_RULE_CELLS = 256 * (_RULE_SIZES[0] + _RULE_STEP) ** 2
+# Points x nodes^2 that one _joint_rule call evaluates at most: 64 points at
+# the first round's n + _RULE_STEP nodes. Its two (R, n, n) buffers then take
+# 0.8 MB together, which stays in a core's L2 cache between the passes.
+_RULE_CELLS = 64 * (_RULE_SIZES[0] + _RULE_STEP) ** 2
 # Share of each HB2 integral that the rule may drop beyond its axis caps.
 _TAIL_MASS = 1e-20
 
@@ -503,7 +508,12 @@ def _axis_caps(e: HbExponents) -> tuple[float, float]:
 
 
 def _joint_rule(
-    n: int, f_stat: np.ndarray, g_stat: np.ndarray, z0: np.ndarray, e: HbExponents
+    n: int,
+    f_stat: np.ndarray,
+    g_stat: np.ndarray,
+    z0: np.ndarray,
+    e: HbExponents,
+    work: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi, psi) of regular points by the n x n rule, stacked (2, R), and each point's peak.
 
@@ -511,11 +521,26 @@ def _joint_rule(
     with w = U r, U = min(g/(1+x+g), w_cap), map the box [0, f] x [0, g],
     less the negligible tails past the caps of _axis_caps, onto the unit
     square, where the rule's weights s^alpha_e and r^beta_e absorb the
-    power singularities at zero. The rest of the integrand is exp(L), with
-    L = (ga-al-be-2) log(1-t) + (be+1) log U + (ga-be-1) log(1-w), plus
-    log Q(ga+1, z0 (1+x)/(1-w)) under a tilt (z0 > 0). The factor
-    T^(al+1) and each point's peak of L cancel in the ratios; a peak of
-    -inf means the integrand underflowed at every node.
+    power singularities at zero. The rest of the integrand is exp(A + B):
+    the outer part A = (ga-al-be-2) log(1-t) + (be+1) log U lives on the
+    (R, n) s nodes, the inner part B = (ga-be-1) log(1-w), plus
+    log Q(ga+1, z0 (1+x)/(1-w)) under a tilt (z0 > 0), on the (R, n, n)
+    grid. Every factor of exp(B) falls as r grows, so each grid row (one
+    point and s node) is largest at its first r node. With zero tilt the
+    axis caps keep B far above underflow (above -65 for p <= 12, k <= 50,
+    n <= 20,000), and the grid is not shifted. Under a tilt
+    each row is shifted by its first-node value and the value joins A (a
+    row whose first node is -inf is shifted by 0 and adds nothing, since
+    its A is then -inf). exp(B) is summed over r first; exp(A - peak) then
+    weights those sums over s, where a point's peak is its largest A after
+    the shift. Under a tilt that is the largest value of A + B on its
+    grid, and a peak of -inf means the integrand underflowed at every
+    node. The factor T^(al+1) and the peak cancel in the ratios. Every sum
+    runs over one point's nodes alone, so a point's values do not depend
+    on the other points of the call.
+
+    work holds two (three under a tilt) (m, n, n) buffers, m at least R,
+    that the rule overwrites.
     """
     al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
     t_cap, w_cap = _axis_caps(e)
@@ -524,38 +549,50 @@ def _joint_rule(
     t = np.minimum(f_stat / (1.0 + f_stat), t_cap)[:, None] * s
     x = t / (1.0 - t)
     u = np.minimum(g_stat[:, None] / (1.0 + x + g_stat[:, None]), w_cap)
-    # Two (R, n, n) buffers: w, turned into y/(1+x) = w/(1-w); and 1-w,
-    # turned into L and then into exp(L - peak).
-    y_x = u[:, :, None] * r
-    kernel = np.subtract(1.0, y_x)
+    outer = (ga - al - be - 2.0) * np.log1p(-t) + (be + 1.0) * np.log(u)
+    # Two (R, n, n) buffers: 1-w, turned into B and then into exp(B - shift);
+    # and w, turned into y/(1+x) = w/(1-w) and then into y/(1+x) exp(B - shift).
+    # A tilt uses a third.
+    grid = work[:2, : f_stat.size]
+    kernel, y_x = grid
+    np.multiply(u[:, :, None], r, out=y_x)
+    np.subtract(1.0, y_x, out=kernel)
     y_x /= kernel
     np.log(kernel, out=kernel)
     kernel *= ga - be - 1.0
-    kernel += ((ga - al - be - 2.0) * np.log1p(-t) + (be + 1.0) * np.log(u))[:, :, None]
     if z0.any():
-        tail = y_x + 1.0
+        tail = np.add(y_x, 1.0, out=work[2, : f_stat.size])
         tail *= (z0[:, None] * (1.0 + x))[:, :, None]
         with np.errstate(divide="ignore"):
             kernel += np.log(sc.gammaincc(ga + 1.0, tail, out=tail), out=tail)
         del tail
-    peak = kernel.max(axis=(1, 2))
+        shift = kernel[:, :, 0].copy()
+        outer += shift
+        shift[shift == -np.inf] = 0.0
+        kernel -= shift[:, :, None]
+    np.exp(kernel, out=kernel)
+    y_x *= kernel
+    inner, inner_y = np.einsum("cpij,j->cpi", grid, r_wt)
+    peak = outer.max(axis=1)
     with np.errstate(invalid="ignore"):
-        kernel -= peak[:, None, None]
-        np.exp(kernel, out=kernel)
-        inner = kernel @ r_wt
-        y_x *= kernel
-        inner_y = y_x @ r_wt
-        den = inner @ s_wt
-        return np.stack([(inner * x) @ s_wt / den, (inner_y * (1.0 + x)) @ s_wt / den]), peak
+        weight = np.exp(outer - peak[:, None])
+        terms = np.stack([inner * x, inner_y * (1.0 + x), inner])
+        terms *= weight
+        phi_psi_den = np.einsum("cpi,i->cp", terms, s_wt)
+        return phi_psi_den[:2] / phi_psi_den[2], peak
 
 
 def _rule_round(
     n: int, f: np.ndarray, g: np.ndarray, z0: np.ndarray, e: HbExponents
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_joint_rule over all points, in blocks of at most _RULE_CELLS // n^2 points."""
+    """_joint_rule over all points, in blocks of at most _RULE_CELLS // n^2 points.
+
+    The blocks share one set of work buffers, so a round allocates them once.
+    """
     step = max(1, _RULE_CELLS // n**2)
+    work = np.empty((3 if z0.any() else 2, min(step, f.size), n, n))
     parts = [
-        _joint_rule(n, f[i : i + step], g[i : i + step], z0[i : i + step], e)
+        _joint_rule(n, f[i : i + step], g[i : i + step], z0[i : i + step], e, work)
         for i in range(0, f.size, step)
     ]
     return np.concatenate([v for v, _ in parts], axis=1), np.concatenate([p for _, p in parts])

@@ -7,6 +7,8 @@ the groupwise zero-shrink keeps 1 - 10/144 of group two, and the capped
 factors all equal 1/(12 * 0.6) = 5/36.
 """
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -14,8 +16,10 @@ from pytest import approx
 import oracles
 from kshrink import CanonicalModel, Hyperparameters, LossSpec, pooled_summary
 from kshrink.estimators import (
+    BATCH_ESTIMATORS,
     ESTIMATOR_ORDER,
     ESTIMATORS,
+    EstimatorSetting,
     PreconditionError,
     ShrinkageFunctions,
     estimate_eb1,
@@ -30,6 +34,8 @@ from kshrink.estimators import (
     estimate_unshrunk,
     resolve_estimator,
 )
+from kshrink.model import PooledBatch, PooledConstants
+from kshrink.tolerances import DEFAULT
 
 J = np.ones(3)
 
@@ -365,6 +371,31 @@ class TestGeneralClass:
             psi_f=zero, psi_g=zero, psi_s=zero,
         )
         assert full.has_derivatives()
+
+
+class TestBatch:
+    def test_direction_maps_are_built_once_per_batch(self, monkeypatch):
+        built = []
+        for name in ("toward_pooled", "toward_zero"):
+            build = getattr(PooledBatch, name).func
+
+            def counting(batch, build=build, name=name):
+                built.append(name)
+                return build(batch)
+
+            prop = cached_property(counting)
+            prop.__set_name__(PooledBatch, name)
+            monkeypatch.setattr(PooledBatch, name, prop)
+        rng = np.random.default_rng(4)
+        model = random_model(rng)
+        constants = PooledConstants.from_model(model, LossSpec.inverse_v(model))
+        batch = constants.summarize(
+            rng.normal(size=(6, model.k, model.p)), rng.uniform(5.0, 15.0, 6)
+        )
+        setting = EstimatorSetting(constants, Hyperparameters(), DEFAULT, False)
+        for name in ("EB", "EB*", "HB1", "HB2"):
+            BATCH_ESTIMATORS[name](setting, batch)
+        assert sorted(built) == ["toward_pooled", "toward_zero"]
 
 
 class TestRegistry:

@@ -21,7 +21,7 @@ from kshrink import (
 )
 from kshrink import estimators, montecarlo, numerics
 from kshrink.estimators import ESTIMATORS, PreconditionError, ShrinkageFunctions, estimate_js1
-from kshrink.model import PooledConstants
+from kshrink.model import PooledConstants, pooled_summary
 from kshrink.risk import loss
 from kshrink.tolerances import DEFAULT, Tolerances
 
@@ -297,6 +297,80 @@ class TestRunExperiment:
         assert np.array_equal(one.se[~hit], clean.se[~hit])
         assert one.to_text() == two.to_text()
         assert one.to_csv() == two.to_csv()
+
+
+def spd_stack(count, p, seed):
+    """count well-conditioned symmetric positive definite (p, p) matrices, none diagonal."""
+    a = np.random.default_rng(seed).normal(size=(count, p, p))
+    return np.einsum("kab,kcb->kac", a, a) + p * np.eye(p)
+
+
+def blocked_values(monkeypatch, run, counts):
+    """Per count, the (rows, count) arrays _blocked returns while run(count) runs."""
+    real = montecarlo._blocked
+    seen = []
+
+    def recording(*args):
+        values, errors = real(*args)
+        seen[-1].append(values)
+        return values, errors
+
+    monkeypatch.setattr(montecarlo, "_blocked", recording)
+    for count in counts:
+        seen.append([])
+        run(count)
+    return seen
+
+
+class TestNonDiagonalScale:
+    """A replicate's values do not depend on the length of its block when v is not diagonal."""
+
+    @pytest.fixture()
+    def cfg(self):
+        return small_config(
+            p=5,
+            k=5,
+            v=spd_stack(5, 5, seed=8),
+            mean_configs=(MeanConfig.from_scales("ramp", (0.0, 0.5, 1.0, 1.5, 2.0), 5),),
+            estimators=("JS2", "EB*", "HB2"),
+        )
+
+    def test_first_losses_do_not_depend_on_the_count(self, cfg, monkeypatch):
+        # Replicate 256 is a block of its own in the short run and the first
+        # row of the second block in the long one.
+        short, long = blocked_values(
+            monkeypatch, lambda count: run_experiment(replace(cfg, replicates=count)), (257, 512)
+        )
+        assert len(short) == len(long) == len(cfg.mean_configs)
+        for a, b in zip(short, long):
+            assert np.array_equal(a, b[:, :257])
+
+    def test_first_identity_draws_do_not_depend_on_the_count(self, monkeypatch):
+        cov = spd_stack(1, 4, seed=9)[0]
+        short, long = blocked_values(
+            monkeypatch, lambda count: validate_identities(p=4, cov=cov, draws=count), (257, 512)
+        )
+        assert np.array_equal(short[0], long[0][:, :257])
+
+    def test_single_shot_summary_is_the_harness_row(self, cfg, monkeypatch):
+        real = PooledConstants.summarize
+        batches = []
+
+        def recording(self, *args, **kwargs):
+            batches.append(real(self, *args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(PooledConstants, "summarize", recording)
+        run_experiment(replace(cfg, replicates=256))
+        monkeypatch.setattr(PooledConstants, "summarize", real)
+        block = batches[0]
+        truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
+        for r in (0, 1, 100, 255):
+            model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, 0, r)
+            one = pooled_summary(model, cfg.loss_spec(model))
+            assert np.array_equal(one.pooled_mean, block.pooled_mean[r])
+            assert one.residual_stat == block.residual_stat[r]
+            assert one.pooled_norm_stat == block.pooled_norm_stat[r]
 
     def test_csv_shape(self):
         table = run_experiment(small_config())

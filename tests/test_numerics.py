@@ -525,6 +525,60 @@ class TestRuleRounds:
         first = peak_mib()
         assert peak_mib(rel_tol=1e-300) <= 1.05 * first
 
+    def test_a_block_fits_in_the_cache(self):
+        # A 256-point zero-tilt call keeps two chunk-sized work buffers
+        # (64 points at 28 nodes per axis) and per-point vectors.
+        rng = np.random.default_rng(5)
+        f, g = rng.uniform(0.1, 30.0, size=(2, 256))
+        hb2_shrink_ratios(f, g, 1.0, BENCH)
+        tracemalloc.start()
+        try:
+            hb2_shrink_ratios(f, g, 1.0, BENCH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
+    @pytest.mark.parametrize("big_l", [0.0, 0.5])
+    def test_a_point_does_not_depend_on_its_neighbours(self, big_l):
+        # Every sum runs over one point's nodes, so the whole array, its
+        # 37-point pieces and single points give the same bits.
+        rng = np.random.default_rng(17)
+        f = rng.uniform(0.05, 40.0, 300)
+        g = rng.uniform(0.05, 15.0, 300)
+        s = rng.uniform(1.0, 30.0, 300)
+        whole = np.array(hb2_shrink_ratios(f, g, s, BENCH, big_l=big_l))
+        pieces = np.concatenate(
+            [
+                np.array(hb2_shrink_ratios(f[i : i + 37], g[i : i + 37], s[i : i + 37], BENCH,
+                                           big_l=big_l))
+                for i in range(0, 300, 37)
+            ],
+            axis=1,
+        )
+        alone = np.array(
+            [hb2_shrink_ratios(f[i], g[i], s[i], BENCH, big_l=big_l) for i in range(300)]
+        ).T
+        assert np.array_equal(pieces, whole)
+        assert np.array_equal(alone, whole)
+
+    def test_zero_tilt_grid_stays_far_from_underflow(self):
+        # Without a tilt the rule does not shift its (R, n, n) grid: exp of
+        # (ga-be-1) log(1 - U r) must stay far above the -708 where doubles
+        # stop being normal, at every rule size and U at its cap.
+        sizes = sorted({m for n in numerics._RULE_SIZES for m in (n, n + numerics._RULE_STEP)})
+        worst = 0.0
+        for p in range(1, 13):
+            for k in (2, 3, 5, 10, 20, 50):
+                for n in (1, 2, 5, 10, 20, 50, 100, 200, 500, 2000, 5000, 20000):
+                    e = HbExponents.from_model(p, k, n)
+                    _, w_cap = numerics._axis_caps(e)
+                    for m in sizes:
+                        r_max = numerics._jacobi_rule(m, e.beta_e)[0][-1]
+                        expo = (e.gamma_e - e.beta_e - 1.0) * math.log1p(-w_cap * r_max)
+                        worst = min(worst, expo)
+        assert worst > -100.0
+
 # (args, keywords, (phi, psi)) from the adaptive implementation the
 # Gauss-Jacobi rule replaced. The three quadrature values lie within 1.4e-13
 # of that implementation at rel_tol=1e-12; the series components
