@@ -149,15 +149,17 @@ class LossSpec:
     q: (k, p, p) stack of positive definite weight matrices.
     eig_floor: min over groups of the smallest eigenvalue of v[i] @ q[i];
         inverse_v, where every q[i] is inv(v[i]), sets it to 1 exactly.
-    q_inv: (k, p, p) stack of inv(q[i]), set only by the factories: for_model
-        guards q and inverts it, inverse_v guards v and sets q_inv = v.
-        validate_model and from_model trust it and reject a spec built by
-        hand, whose q_inv is None.
+    q_inv, v, v_inv: inv(q[i]), the model's v and inv(v[i]), set only by the
+        factories, which guard v and q (inverse_v sets q_inv = v and
+        v_inv = q). validate_model and from_model trust them, and reject a
+        spec built by hand, whose q_inv is None, or built for another v.
     """
 
     q: np.ndarray
     eig_floor: float
     q_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    v: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    v_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "q", _freeze(np.asarray(self.q, dtype=float)))
@@ -168,7 +170,7 @@ class LossSpec:
         cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray], tol: Tolerances = DEFAULT
     ) -> "LossSpec":
         """Build a LossSpec for explicit weight matrices: guard v, guard q, derive eig_floor."""
-        _, bad = _guard_spd("v", model.v, tol)
+        v_inv, bad = _guard_spd("v", model.v, tol)
         if bad:
             raise ValueError("invalid model: " + "; ".join(bad))
         qa = _as_stack("q must have shape (k, p, p) =", q, model.k, model.p)
@@ -181,6 +183,8 @@ class LossSpec:
             eig_floor = min(eig_floor, vals[0])
         spec = cls(q=qa, eig_floor=float(eig_floor))
         object.__setattr__(spec, "q_inv", _freeze(q_inv))
+        object.__setattr__(spec, "v", model.v)
+        object.__setattr__(spec, "v_inv", _freeze(v_inv))
         return spec
 
     @classmethod
@@ -188,6 +192,8 @@ class LossSpec:
         """Loss weighted by the inverse scale matrices: guard v once, q = inv(v), q_inv = v."""
         spec = cls(q=_guarded_inverse("v", model.v, tol), eig_floor=1.0)
         object.__setattr__(spec, "q_inv", model.v)
+        object.__setattr__(spec, "v", model.v)
+        object.__setattr__(spec, "v_inv", spec.q)
         return spec
 
     def matches_inverse_v(self, model: CanonicalModel, rtol: float = 1e-9) -> bool:
@@ -263,10 +269,11 @@ class PooledConstants:
     def from_model(
         cls, model: CanonicalModel, loss_spec: LossSpec, tol: Tolerances = DEFAULT
     ) -> "PooledConstants":
-        """Guard v and the weight sum, reuse the loss spec's inv(q), derive the constants."""
-        bad, v_inv = _model_violations(model, loss_spec, None, tol)
+        """Guard the weight sum, reuse the loss spec's inv(v) and inv(q), derive the constants."""
+        bad = _model_violations(model, loss_spec, None, tol)
         if bad:
             raise ValueError("invalid model: " + "; ".join(bad))
+        v_inv = loss_spec.v_inv
         w = np.einsum("kab,kbc,kcd->kad", v_inv, loss_spec.q_inv, v_inv)
         weights = 0.5 * (w + np.transpose(w, (0, 2, 1)))
         weight_sum = weights.sum(axis=0)
@@ -385,16 +392,17 @@ def validate_model(
     """Check the structural invariants of a model (and optional loss/truth).
 
     Returns a report rather than raising, so callers can present all
-    violations at once. v is guarded here, q when the LossSpec was built.
+    violations at once. v and q are guarded when the LossSpec was built,
+    which must have been for this v; without a LossSpec v is guarded here.
     """
-    bad, _ = _model_violations(model, loss_spec, truth, tol)
+    bad = _model_violations(model, loss_spec, truth, tol)
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
 def _model_violations(
     model: CanonicalModel, loss_spec: LossSpec | None, truth: TrueParameters | None, tol: Tolerances
-) -> tuple[list[str], np.ndarray]:
-    """validate_model's violations, plus inv(v) from the same pass over v."""
+) -> list[str]:
+    """validate_model's violations."""
     bad: list[str] = []
     if not np.all(np.isfinite(model.x)):
         bad.append("x has non-finite entries")
@@ -406,22 +414,23 @@ def _model_violations(
         bad.append(f"s must be positive and finite, got {model.s}")
     if model.n < 1:
         bad.append(f"n must be a positive integer, got {model.n}")
-    v_inv, v_bad = _guard_spd("v", model.v, tol)
-    bad.extend(v_bad)
-    if loss_spec is not None:
-        if loss_spec.q.shape != (model.k, model.p, model.p):
-            bad.append(
-                f"loss q shape {loss_spec.q.shape} does not match model "
-                f"{(model.k, model.p, model.p)}"
-            )
-        elif loss_spec.q_inv is None:
-            bad.append("loss q is unguarded: build the LossSpec with for_model or inverse_v")
-        elif not (np.isfinite(loss_spec.eig_floor) and loss_spec.eig_floor > 0.0):
-            bad.append(f"eig_floor must be positive, got {loss_spec.eig_floor}")
+    if loss_spec is None:
+        bad.extend(_guard_spd("v", model.v, tol)[1])
+    elif loss_spec.q.shape != (model.k, model.p, model.p):
+        bad.append(
+            f"loss q shape {loss_spec.q.shape} does not match model "
+            f"{(model.k, model.p, model.p)}"
+        )
+    elif loss_spec.q_inv is None:
+        bad.append("loss q is unguarded: build the LossSpec with for_model or inverse_v")
+    elif not np.array_equal(loss_spec.v, model.v):
+        bad.append("loss spec was built for a different v: build it for this model")
+    elif not (np.isfinite(loss_spec.eig_floor) and loss_spec.eig_floor > 0.0):
+        bad.append(f"eig_floor must be positive, got {loss_spec.eig_floor}")
     if truth is not None:
         if truth.mu.shape != (model.k, model.p):
             bad.append(f"mu shape {truth.mu.shape} does not match x shape {model.x.shape}")
-    return bad, v_inv
+    return bad
 
 
 def canonicalize_ksample(

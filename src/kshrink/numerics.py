@@ -50,7 +50,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.special as sc
-from scipy.optimize import brentq
 
 from .tolerances import DEFAULT, Tolerances
 
@@ -150,36 +149,24 @@ def reg_upper_inc_gamma(shape: float, z) -> float | np.ndarray:
 def f_quantile(d1: float, d2: float, alpha: float) -> float:
     """Upper-alpha quantile of the F(d1, d2) distribution.
 
-    Solved by bracketing plus Brent root-finding on the CDF written through
-    the regularized incomplete beta, so the quantile and the beta routine
-    stay mutually consistent by construction.
+    If X ~ Beta(d1/2, d2/2) then (d2/d1) X / (1 - X) ~ F(d1, d2), so the
+    quantile is (d2/d1) x / (1 - x) with P(X > x) = alpha. The inverse upper
+    incomplete beta gives x, and the inverse lower one of the reflected
+    Beta(d2/2, d1/2) gives 1 - x, both straight from alpha. No root finder
+    is needed, and no 1 - alpha is formed, so a small alpha keeps its digits.
     """
-    if not (d1 > 0.0 and d2 > 0.0):
-        raise ValueError(f"degrees of freedom must be positive, got d1={d1}, d2={d2}")
+    if not (d1 > 0.0 and d2 > 0.0 and math.isfinite(d1) and math.isfinite(d2)):
+        raise ValueError(f"degrees of freedom must be positive and finite, got d1={d1}, d2={d2}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    target = 1.0 - alpha
-
-    def cdf_gap(t: float) -> float:
-        w = d1 * t / (d1 * t + d2)
-        return float(sc.betainc(0.5 * d1, 0.5 * d2, w)) - target
-
-    lo, hi = 1.0, 1.0
-    for _ in range(2000):
-        if cdf_gap(lo) <= 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise ArithmeticError("failed to bracket the F quantile from below")
-    for _ in range(2000):
-        if cdf_gap(hi) >= 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("failed to bracket the F quantile from above")
-    if lo == hi:
-        return lo
-    return float(brentq(cdf_gap, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps, maxiter=200))
+    a, b = 0.5 * d1, 0.5 * d2
+    with np.errstate(divide="ignore", over="ignore"):
+        q = float(d2 / d1 * sc.betainccinv(a, b, alpha) / sc.betaincinv(b, a, alpha))
+    if not (math.isfinite(q) and q > 0.0):
+        raise ArithmeticError(
+            f"F quantile is not finite and positive: d1={d1}, d2={d2}, alpha={alpha} gives {q}"
+        )
+    return q
 
 
 @dataclass(frozen=True)

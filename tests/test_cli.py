@@ -1,10 +1,15 @@
 """The command-line interface, driven in process through main(argv)."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kshrink
 from kshrink.cli import main
 
 # Two observations per group chosen so the reduction lands on exact
@@ -180,10 +185,10 @@ class TestDecompositionCount:
     """Each scale and loss matrix is guarded once where it enters an estimate run.
 
     Per command with inverse-scale loss: v0 (ksample only), v where the loss
-    spec inverts it, v in the model validation, and the weight sum, so at
-    most 3k+1 eigvalsh calls (2k+1 without v0). The loss spec neither guards
-    q = inv(v) again nor factors anything for eig_floor, which is 1 by
-    construction.
+    spec inverts it, and the weight sum, so at most 2k+1 eigvalsh calls (k+1
+    without v0). The pooled constants take inv(v) from the loss spec. The
+    loss spec neither guards q = inv(v) again nor factors anything for
+    eig_floor, which is 1 by construction.
     """
 
     K, P = 6, 5
@@ -209,7 +214,7 @@ class TestDecompositionCount:
         cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample, v0: identity}\n")
         calls = self.count_eigvalsh(monkeypatch, ["estimate", "--config", cfg, "--input", data])
         capsys.readouterr()
-        assert calls <= 3 * self.K + 1
+        assert calls <= 2 * self.K + 1
 
     def test_regression(self, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(7)
@@ -224,7 +229,18 @@ class TestDecompositionCount:
             monkeypatch, ["estimate", "--config", cfg, "--input", str(groups)]
         )
         capsys.readouterr()
-        assert calls <= 2 * self.K + 1
+        assert calls <= self.K + 1
+
+
+def test_start_up_imports_no_root_finder():
+    # scipy.optimize is about a third of the CLI's import time, and nothing
+    # in kshrink needs it; a fresh interpreter shows what start-up loads.
+    env = dict(os.environ, PYTHONPATH=str(Path(kshrink.__file__).resolve().parents[1]))
+    code = "import sys, kshrink, kshrink.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestSimulate:

@@ -7,6 +7,7 @@ from pytest import approx
 from kshrink.model import (
     CanonicalModel,
     LossSpec,
+    PooledConstants,
     PooledSummary,
     TrueParameters,
     canonicalize_ksample,
@@ -226,6 +227,23 @@ def test_explicit_loss_guards_v_before_factoring_it(defect):
     assert _raised(lambda: _experiment(stack, q=np.stack([np.eye(3)] * 2)).validate()) == expected
     model = CanonicalModel(x=np.zeros((2, 3)), v=stack, s=1.0, n=5)
     assert _raised(lambda: LossSpec.for_model(model, np.eye(3))) == expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [LossSpec.inverse_v, lambda m: LossSpec.for_model(m, np.eye(3))],
+    ids=["inverse_v", "for_model"],
+)
+def test_spec_does_not_lend_its_inverse_to_another_v(build, monkeypatch):
+    # The pooled constants take inv(v) from the spec, so a spec built for
+    # another v is refused before anything is factored.
+    model = d0_model()
+    spec = build(CanonicalModel(x=model.x, v=2.0 * model.v, s=model.s, n=model.n))
+    message = "loss spec was built for a different v: build it for this model"
+    for name in ("eigvalsh", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, None)
+    assert _raised(lambda: PooledConstants.from_model(model, spec)) == [f"invalid model: {message}"]
+    assert validate_model(model, spec).violations == (message,)
 
 
 class TestKsampleReduction:

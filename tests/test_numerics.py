@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special as sc
 from pytest import approx
 
 import oracles
@@ -106,6 +107,37 @@ class TestFQuantile:
             f_quantile(10, 10, 0.0)
         with pytest.raises(ValueError):
             f_quantile(10, 10, 1.0)
+        for d1, d2 in ((math.inf, 10), (10, math.inf), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                f_quantile(d1, d2, 0.05)
+
+    @pytest.mark.parametrize("d2", [1, 7])
+    def test_closed_form_for_two_numerator_degrees(self, d2):
+        # F(2, d2) has upper tail (1 + 2q/d2)^(-d2/2), so q = d2/2 (alpha^(-2/d2) - 1).
+        alpha = 1e-6
+        exact = 0.5 * d2 * math.expm1(-2.0 / d2 * math.log(alpha))
+        assert f_quantile(2, d2, alpha) == approx(exact, rel=1e-12)
+
+    def test_upper_tail_recovers_alpha_over_a_grid(self):
+        # 567 points; a small alpha must keep its digits, not cancel against 1.
+        misses = []
+        for d1 in (1, 2, 3, 5, 10, 100, 1000, 10**4, 10**5):
+            for d2 in (1, 2, 5, 30, 1000, 10**5, 10**6):
+                for alpha in (1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.9, 0.999):
+                    tail = sc.fdtrc(d1, d2, f_quantile(d1, d2, alpha))
+                    if abs(tail - alpha) > 1e-9 * alpha:
+                        misses.append((d1, d2, alpha, tail))
+        assert misses == []
+
+    @pytest.mark.parametrize(
+        "d1,d2,alpha",
+        [(2, 1e-3, 0.5), (1e-3, 2, 0.999)],
+        ids=["overflows", "underflows"],
+    )
+    def test_result_outside_the_floats_raises(self, d1, d2, alpha):
+        # The exact quantiles, about 6e598 and 2e-5997, lie outside the doubles.
+        with pytest.raises(ArithmeticError, match="not finite and positive"):
+            f_quantile(d1, d2, alpha)
 
 
 class TestAdaptiveQuadrature:
