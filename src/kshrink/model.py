@@ -170,9 +170,7 @@ class LossSpec:
         cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray], tol: Tolerances = DEFAULT
     ) -> "LossSpec":
         """Build a LossSpec for explicit weight matrices: guard v, guard q, derive eig_floor."""
-        v_inv, bad = _guard_spd("v", model.v, tol)
-        if bad:
-            raise ValueError("invalid model: " + "; ".join(bad))
+        v_inv = _guarded_inverse("v", model.v, tol)
         qa = _as_stack("q must have shape (k, p, p) =", q, model.k, model.p)
         q_inv = _guarded_inverse("q", qa, tol)
         eig_floor = np.inf

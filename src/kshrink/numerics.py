@@ -17,22 +17,23 @@ zero; a positive tilt adds one log incomplete-gamma term to the
 integrand. T and U are capped where less than 1e-20 of every integral
 lies beyond, which for large gamma_e (the kernel falls off over about
 1/gamma_e) keeps the nodes where the mass is. All points of an array run
-through the rule together at n and n + 8 nodes per axis, starting at
-n = 20, in chunks of 64 points at 28 nodes (as many cells at other n),
-whose buffers stay in a core's L2 cache. Every sum runs over one point's
-nodes alone, so a point's values do not depend on the array or chunk it
-sits in. Without a tilt the grid is summed unshifted, since the axis
-caps keep it far above underflow; under a tilt each row of a point's
-grid is shifted by its first node, its largest. A point is accepted
-when phi and psi of the two agree within rel_tol relative and are
-finite, and it takes the n + 8 values. The points that miss run again
-at doubled n (40, 80, 160). A point still missing after that fails with
-ArithmeticError "failed to converge"; a tilted point whose integrand
-underflows at every node of both rules of a round fails with
-"underflowed everywhere". The array call raises either as
-ReplicateError naming the lowest failing flat index. Degenerate
-statistics take exact series limits; with a tilt, the remaining 1-D
-ratio takes the same rule with the vanishing statistic set to 0.
+through the rule together on one ladder of node counts per axis, 12, 20,
+28, 40, 48, 80, 88, 160 and 168, in chunks of as many cells as 64 points
+at 28 nodes, whose buffers stay in a core's L2 cache. Every sum runs over
+one point's nodes alone, so a point's values do not depend on the array
+or chunk it sits in. Without a tilt the grid is summed unshifted, since
+the axis caps keep it far above underflow; under a tilt each row of a
+point's grid is shifted by its first node, its largest. Each round runs
+the next size on the points still missing and accepts a point when its
+phi and psi are finite and agree within rel_tol relative with its values
+at the size before; the point takes the larger rule's values. A point
+still missing after the 168-node round fails with ArithmeticError, as
+"underflowed everywhere" when its tilted integrand underflowed at every
+node of both of the last two rules, else as "failed to converge". The
+array call raises either as ReplicateError naming the lowest failing
+flat index. Degenerate statistics take exact series limits; with a tilt,
+the remaining 1-D ratio takes the same rule with the vanishing statistic
+set to 0.
 
 integrate_adaptive_1d is a standalone 15-point Gauss-Kronrod panel scheme
 with worst-panel bisection; the rule and its error estimate follow
@@ -454,14 +455,14 @@ class HbExponents:
         return (self.alpha_e + 1.0) / gap, (self.beta_e + 1.0) / gap
 
 
-# Node counts of the HB2 rule: each round compares n and n + _RULE_STEP nodes
-# per axis and passes the points that miss on to the next round.
-_RULE_SIZES = (20, 40, 80, 160)
-_RULE_STEP = 8
+# Node counts per axis of the HB2 rule, one new rule per round: each round
+# compares a point's values with those of the size before. The pairs
+# (20, 28), (40, 48), (80, 88) and (160, 168) are all consecutive.
+_RULE_SIZES = (12, 20, 28, 40, 48, 80, 88, 160, 168)
 # Points x nodes^2 that one _joint_rule call evaluates at most: 64 points at
-# the first round's n + _RULE_STEP nodes. Its two (R, n, n) buffers then take
-# 0.8 MB together, which stays in a core's L2 cache between the passes.
-_RULE_CELLS = 64 * (_RULE_SIZES[0] + _RULE_STEP) ** 2
+# 28 nodes. Its two (R, n, n) buffers then take 0.8 MB together, which stays
+# in a core's L2 cache between the passes.
+_RULE_CELLS = 64 * 28**2
 # Share of each HB2 integral that the rule may drop beyond its axis caps.
 _TAIL_MASS = 1e-20
 
@@ -578,11 +579,11 @@ def _rule_round(
     """
     step = max(1, _RULE_CELLS // n**2)
     work = np.empty((3 if z0.any() else 2, min(step, f.size), n, n))
-    parts = [
-        _joint_rule(n, f[i : i + step], g[i : i + step], z0[i : i + step], e, work)
-        for i in range(0, f.size, step)
-    ]
-    return np.concatenate([v for v, _ in parts], axis=1), np.concatenate([p for _, p in parts])
+    values, peak = np.empty((2, f.size)), np.empty(f.size)
+    for i in range(0, f.size, step):
+        chunk = slice(i, i + step)
+        values[:, chunk], peak[chunk] = _joint_rule(n, f[chunk], g[chunk], z0[chunk], e, work)
+    return values, peak
 
 
 def _by_rule(
@@ -593,32 +594,37 @@ def _by_rule(
     rel_tol: float,
     what: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, psi) of the points where the n and n + _RULE_STEP node rules agree.
+    """(phi, psi) of the points where two consecutive rules of _RULE_SIZES agree.
 
-    Each round of _RULE_SIZES runs only the points still missing. A point
-    is accepted when both versions are finite and agree within rel_tol
-    relative. It fails with "underflowed everywhere" when both versions
-    underflowed at every node, and with "failed to converge" when it still
-    misses after the last round. Returns the accepted (n + _RULE_STEP)-node
-    values, NaN where a point failed, and each point's failure message (""
+    Each round runs the next size on the points still missing only, and
+    compares it with their values at the size before (NaN before the
+    first, so the first round misses). A point is accepted when both are
+    finite and agree within rel_tol relative. A point still missing after
+    the last round fails with "underflowed everywhere" when both of the
+    last two rules underflowed at every node, else with "failed to
+    converge". Returns each point's values at the last size it ran (the
+    accepted ones where it was accepted) and its failure message (""
     where it was accepted).
     """
     todo = np.arange(f.size)
     values = np.full((2, f.size), np.nan)
+    peaks = np.full(f.size, np.nan)
     errors = np.full(f.size, "", dtype=object)
+    under = np.zeros(f.size, dtype=bool)
     for n in _RULE_SIZES:
         if not todo.size:
             break
-        sub = (f[todo], g[todo], z0[todo], e)
-        lo, lo_peak = _rule_round(n, *sub)
-        hi, hi_peak = _rule_round(n + _RULE_STEP, *sub)
-        under = (lo_peak == -np.inf) & (hi_peak == -np.inf)
+        new, peak = _rule_round(n, f[todo], g[todo], z0[todo], e)
         with np.errstate(invalid="ignore"):
-            ok = np.all(np.isfinite(hi) & (np.abs(hi - lo) <= rel_tol * np.abs(hi)), axis=0)
-        values[:, todo[ok]] = hi[:, ok]
-        errors[todo[under]] = f"{what} integrand underflowed everywhere"
-        todo = todo[~ok & ~under]
-    errors[todo] = f"{what} quadrature failed to converge with {n + _RULE_STEP} nodes per axis"
+            gap = np.abs(new - values[:, todo])
+            ok = np.all(np.isfinite(new) & (gap <= rel_tol * np.abs(new)), axis=0)
+        under = (peak == -np.inf) & (peaks[todo] == -np.inf)
+        values[:, todo], peaks[todo] = new, peak
+        todo, under = todo[~ok], under[~ok]
+    errors[todo[under]] = f"{what} integrand underflowed everywhere"
+    errors[todo[~under]] = (
+        f"{what} quadrature failed to converge with {_RULE_SIZES[-1]} nodes per axis"
+    )
     return values, errors
 
 

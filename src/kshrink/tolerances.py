@@ -18,8 +18,8 @@ class Tolerances:
     max_condition: condition-number ceiling above which a matrix inversion
         is refused rather than silently degraded.
     quad_rel: acceptance tolerance of the Gauss-Jacobi rule behind the
-        hierarchical Bayes factors: phi and psi at n and n + 8 nodes per
-        axis must agree within it, relative.
+        hierarchical Bayes factors: phi and psi of two consecutive node
+        counts of the rule must agree within it, relative.
     degenerate_stat: pooled statistics below this switch the shrinkage
         ratios to their exact series limits.
     """

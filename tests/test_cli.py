@@ -288,7 +288,7 @@ class TestSimulate:
         )
         cfg = put(tmp_path, "cfg.yaml", body)
         assert main(["simulate", "--config", cfg]) == 2
-        assert f"error: invalid model: {text}" in capsys.readouterr().err
+        assert f"error: {text}" in capsys.readouterr().err
 
     def test_config_without_experiment(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", "hyper: {a: 0.2}\n")

@@ -163,6 +163,11 @@ def _via_loss_spec(stack):
     return _raised(lambda: LossSpec.for_model(d0_model(), stack))
 
 
+def _via_inverse_v(stack):
+    model = CanonicalModel(x=np.zeros((2, 3)), v=stack, s=1.0, n=5)
+    return _raised(lambda: LossSpec.inverse_v(model))
+
+
 def _via_experiment_v(stack):
     return _raised(lambda: _experiment(stack).validate())
 
@@ -177,6 +182,7 @@ ENTRY_PATHS = {
     "canonicalize_ksample-v0": ("v0", _via_canonicalize),
     "validate_model-v": ("v", _via_validate_model),
     "LossSpec.for_model-q": ("q", _via_loss_spec),
+    "LossSpec.inverse_v-v": ("v", _via_inverse_v),
     "ExperimentConfig.validate-v": ("v", _via_experiment_v),
     "ExperimentConfig.validate-q": ("q", _via_experiment_q),
 }
@@ -220,10 +226,11 @@ def test_every_entry_path_rejects_every_bad_matrix(defect, path):
 @pytest.mark.parametrize("defect", ["non-finite", "zero", "indefinite"])
 def test_explicit_loss_guards_v_before_factoring_it(defect):
     # An explicit q makes the loss factor each v[i] for eig_floor; v is
-    # guarded first, so the message is the guard's and names v[1].
+    # guarded first, so the message is the guard's and names v[1], worded
+    # as inverse_v words it.
     matrix, text = BAD_MATRICES[defect]
     stack = np.stack([np.eye(3), matrix])
-    expected = [f"invalid model: v[1] {text}"]
+    expected = [f"v[1] {text}"]
     assert _raised(lambda: _experiment(stack, q=np.stack([np.eye(3)] * 2)).validate()) == expected
     model = CanonicalModel(x=np.zeros((2, 3)), v=stack, s=1.0, n=5)
     assert _raised(lambda: LossSpec.for_model(model, np.eye(3))) == expected

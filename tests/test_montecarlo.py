@@ -258,7 +258,7 @@ class TestRunExperiment:
         # which the public sampler reproduces draw for draw. The clean run
         # records each block's statistics, which give the residual statistic
         # of those replicates; the rule is then made to give NaN for them at
-        # every node count, so they miss the first round and every doubling.
+        # every node count, so they miss at every size of the rule.
         cfg = small_config(estimators=("EB", "HB1", "HB2"), replicates=300)
         seen = []
         real_ratios = estimators.hb2_shrink_ratios

@@ -463,6 +463,21 @@ class TestTiltedHb2:
             hb2_shrink_ratios(1.3, 0.7, np.array([25.0, 1e3]), BENCH, big_l=2.0)
         assert raised.value.replicate == 1
 
+    def test_underflow_of_the_smaller_rules_is_a_miss(self):
+        # The 12- to 28-node rules underflow at every node of this point
+        # (z0 = 750), while the larger ones converge on the 320-node rule.
+        e = HbExponents.from_model(2, 20, 2)
+
+        def rule(n):
+            return numerics._joint_rule(
+                n, np.array([224.0]), np.array([1.0]), np.array([750.0]), e,
+                np.empty((3, 1, n, n)),
+            )
+
+        assert [rule(n)[1][0] for n in (12, 20, 28)] == [-np.inf] * 3
+        got = hb2_factors(224.0, 1.0, 750.0, e, big_l=2.0)
+        assert got == approx(tuple(rule(320)[0][:, 0]), rel=DEFAULT.quad_rel)
+
 
 
 class TestLargeDegreesOfFreedom:
@@ -508,8 +523,40 @@ class TestLargeDegreesOfFreedom:
         assert got == approx(expected, rel=1e-9)
 
 
+def spy_rule_sizes(monkeypatch):
+    """The node count of every _joint_rule call, in call order."""
+    sizes = []
+    real_rule = numerics._joint_rule
+
+    def spy(n, *args, **kwargs):
+        sizes.append(n)
+        return real_rule(n, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "_joint_rule", spy)
+    return sizes
+
+
 class TestRuleRounds:
     """How the rule's rounds take misses, underflow and memory."""
+
+    def test_a_converged_block_runs_only_the_first_two_sizes(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        f, g = rng.uniform(0.1, 30.0, size=(2, 256))
+        sizes = spy_rule_sizes(monkeypatch)
+        hb2_shrink_ratios(f, g, 1.0, BENCH)
+        assert sorted(set(sizes)) == [12, 20]
+
+    def test_a_missing_point_runs_each_size_once_in_order(self, monkeypatch):
+        sizes = spy_rule_sizes(monkeypatch)
+        with pytest.raises(ArithmeticError, match="failed to converge with 168 nodes per axis"):
+            hb2_factors(2.0, 0.5, 1.0, BENCH, rel_tol=1e-300)
+        assert sizes == list(numerics._RULE_SIZES)
+
+    @pytest.mark.parametrize("n", [20, 40, 80, 160])
+    def test_every_n_and_n_plus_8_pair_is_consecutive(self, n):
+        # A point whose n and n + 8 node rules agree is accepted by then.
+        sizes = numerics._RULE_SIZES
+        assert sizes[sizes.index(n) + 1] == n + 8
 
     def test_one_underflowed_rule_goes_to_the_next_round(self, monkeypatch):
         # A peak of -inf in only one of the two rules is a miss, not underflow.
@@ -538,8 +585,8 @@ class TestRuleRounds:
             hb2_factors(1.3, 0.7, 25.0, BENCH, big_l=2.0)
 
     def test_last_round_memory_stays_at_the_first_rounds(self):
-        # A 256-point block where every point runs all four rounds peaks no
-        # higher than one where every point is accepted in the first.
+        # A 256-point block where every point runs every size of the rule
+        # peaks no higher than one where every point is accepted at 20 nodes.
         rng = np.random.default_rng(5)
         f, g = rng.uniform(0.1, 30.0, size=(2, 256))
         hb2_shrink_ratios(f, g, 1.0, BENCH)
@@ -598,7 +645,7 @@ class TestRuleRounds:
         # Without a tilt the rule does not shift its (R, n, n) grid: exp of
         # (ga-be-1) log(1 - U r) must stay far above the -708 where doubles
         # stop being normal, at every rule size and U at its cap.
-        sizes = sorted({m for n in numerics._RULE_SIZES for m in (n, n + numerics._RULE_STEP)})
+        sizes = numerics._RULE_SIZES
         worst = 0.0
         for p in range(1, 13):
             for k in (2, 3, 5, 10, 20, 50):
