@@ -91,6 +91,29 @@ def _as_stack(what: str, mats: np.ndarray | Sequence[np.ndarray], k: int, p: int
     return arr
 
 
+def quad_forms(x: np.ndarray, m: np.ndarray, per_group: bool = False) -> np.ndarray:
+    """x[r]' m x[r] for every replicate r of x, the replicate axis first.
+
+    x is (R, k, p) with m a (k, p, p) stack, giving sum_i x[r, i]' m[i] x[r, i]
+    as (R,), or each group's form as (R, k) with per_group; or x is (R, p)
+    with one (p, p) matrix, giving (R,). Every quadratic form over
+    replicates is taken here. numpy's three-operand einsum builds each
+    output from its (k, a, b) terms in the same nested order whichever axis
+    is innermost, so copying x with the replicate axis last (a contiguous
+    inner loop over replicates) keeps the bits of the replicate-first
+    subscripts ("rka,kab,rkb", "ra,ab,rb") and is about twice as fast on
+    (256, 5, 5) blocks. One shape differs: a two-replicate block with
+    p = 2 and one matrix (or k = 1), which those subscripts summed as they
+    sum one replicate and this sums as they sum three or more.
+    """
+    xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    if m.ndim == 2:
+        return np.einsum("ar,ab,br->r", xt, m, xt)
+    if per_group:
+        return np.einsum("kar,kab,kbr->kr", xt, m, xt).T
+    return np.einsum("kar,kab,kbr->r", xt, m, xt)
+
+
 @dataclass(frozen=True)
 class CanonicalModel:
     """Observed data in canonical form.
@@ -300,8 +323,8 @@ class PooledConstants:
         pooled_mean = np.einsum("ra,ab->rb", wx.sum(axis=1), self.pooled_cov)
         total = np.einsum("rka,rka->r", x, wx)
         centered = x - pooled_mean[:, None, :]
-        residual = np.einsum("rka,kab,rkb->r", centered, self.weights, centered)
-        pooled_norm = np.einsum("ra,ab,rb->r", pooled_mean, self.weight_sum, pooled_mean)
+        residual = quad_forms(centered, self.weights)
+        pooled_norm = quad_forms(pooled_mean, self.weight_sum)
         gap = np.abs((residual + pooled_norm) - total)
         bad = np.flatnonzero(gap > tol.identity_rel * np.maximum(1.0, np.abs(total)))
         if bad.size:

@@ -56,6 +56,7 @@ from .model import (
     PooledConstants,
     TrueParameters,
     _guarded_inverse,
+    quad_forms,
 )
 # Unused here; kept because perfbench/spans.py traces them as attributes of this module.
 from .numerics import f_quantile, hb1_shrink_ratio, hb2_shrink_ratios  # noqa: F401
@@ -113,6 +114,11 @@ def _need_replicates(count: int) -> None:
         raise ValueError(f"need at least 2 replicates, got {count}")
 
 
+def _need_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def _draw(
     truth: TrueParameters, chol: np.ndarray, n: int, u: np.ndarray, us: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -130,9 +136,8 @@ def sample_canonical(
     These are the harness's draws for that address: run_experiment with the
     same seed, truth and v sees exactly this model as that replicate.
     """
-    for name, value in (("config", config), ("replicate", replicate)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    for name, value in (("seed", seed), ("config", config), ("replicate", replicate)):
+        _need_nonnegative(name, value)
     va = np.asarray(v, dtype=float)
     k, p = truth.mu.shape
     u, us = _replicate_uniforms(seed, (_NS_EXPERIMENT, config), replicate, replicate + 1, k, p)
@@ -226,6 +231,7 @@ class ExperimentConfig:
         if self.q is not None and self.q.shape != (self.k, self.p, self.p):
             raise ValueError(f"q must have shape {(self.k, self.p, self.p)}, got {self.q.shape}")
         _need_replicates(self.replicates)
+        _need_nonnegative("seed", self.seed)
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not self.mean_configs:
@@ -719,11 +725,13 @@ def validate_identities(
     replicate r of stream (2, 0) read with k = 1: Y takes its
     observations, S its scale uniform. The draws run in _BLOCK-draw blocks
     through the harness's block loop, so only the four per-draw rows are
-    kept at full length. p and n must be at least 1, mu finite, sigma2
-    positive and finite, and cov a well-conditioned positive definite
-    matrix; all of that is checked before anything is drawn.
+    kept at full length. p and n must be at least 1, the seed
+    non-negative, mu finite, sigma2 positive and finite, and cov a
+    well-conditioned positive definite matrix; all of that is checked
+    before anything is drawn.
     """
     _need_replicates(draws)
+    _need_nonnegative("seed", seed)
     for name, value in (("p", p), ("n", n)):
         if value < 1:
             raise ValueError(f"need {name} >= 1, got {value}")
@@ -742,7 +750,7 @@ def validate_identities(
         u, us = _replicate_uniforms(seed, (_NS_IDENTITY, 0), r0, r1, 1, p)
         y = mu_vec + np.einsum("ab,rb->ra", chol, ndtri(u[:, 0]))
         denom = 1.0 + np.einsum("ra,ra->r", y, y)
-        quad = np.einsum("ra,ab,rb->r", y, cov_mat, y)
+        quad = quad_forms(y, cov_mat)
         s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
         g = 1.0 / (1.0 + s)
         rows = (

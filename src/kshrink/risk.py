@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimateSet
-from .model import CanonicalModel, LossSpec, TrueParameters
+from .model import CanonicalModel, LossSpec, TrueParameters, quad_forms
 
 __all__ = [
     "UerInputs",
@@ -39,8 +39,8 @@ def loss(
     if mu_hat.shape[-2:] != truth.mu.shape:
         raise ValueError(f"estimate shape {mu_hat.shape} does not match truth {truth.mu.shape}")
     diff = mu_hat - truth.mu
-    out = np.einsum("...ka,kab,...kb->...", diff, ls.q, diff) / truth.sigma2
-    return float(out) if out.ndim == 0 else out
+    out = quad_forms(diff.reshape((-1,) + truth.mu.shape), ls.q) / truth.sigma2
+    return float(out[0]) if diff.ndim == 2 else out.reshape(diff.shape[:-2])
 
 
 @dataclass(frozen=True)

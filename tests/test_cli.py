@@ -425,6 +425,24 @@ class TestValidate:
         assert captured.out == ""
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize(
+        "command, seed",
+        [("table1", "-1"), ("simulate", "-4"), ("validate", "-3")],
+    )
+    def test_rejected_with_one_message(self, tmp_path, capsys, command, seed):
+        # simulate takes its seed from the file, the others from --seed.
+        if command == "simulate":
+            body = SIMULATE_CONFIG.replace("seed: 31", f"seed: {seed}")
+            argv = ["simulate", "--config", put(tmp_path, "cfg.yaml", body)]
+        else:
+            argv = [command, "--seed", seed, "--replicates", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be >= 0, got {seed}\n"
+        assert captured.out == ""
+
+
 class TestUsage:
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit):

@@ -13,6 +13,7 @@ from kshrink.model import (
     canonicalize_ksample,
     canonicalize_regression,
     pooled_summary,
+    quad_forms,
     validate_model,
 )
 from kshrink.montecarlo import ExperimentConfig, MeanConfig
@@ -401,6 +402,53 @@ class TestPooledSummary:
         ls = LossSpec.for_model(m, np.stack([np.eye(2), np.eye(2)]))
         with pytest.raises(ValueError, match="sum of weights"):
             pooled_summary(m, ls)
+
+
+def spd_stack(rng, k, p, full):
+    """k well-conditioned positive definite (p, p) matrices, diagonal or full."""
+    if not full:
+        return np.stack([np.diag(rng.uniform(0.2, 3.0, size=p)) for _ in range(k)])
+    root = rng.normal(size=(k, p, p))
+    return np.einsum("kab,kcb->kac", root, root) + p * np.eye(p)
+
+
+class TestQuadForms:
+    # The helper must keep the bits of the replicate-first einsum subscripts
+    # it replaced, at every block length the harness uses (1, 2, a full
+    # 256-replicate block and either side of it).
+    @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+    @pytest.mark.parametrize("r", [1, 2, 255, 256, 257])
+    def test_stacked_forms_match_the_replicate_first_subscripts(self, r, full):
+        rng = np.random.default_rng(1000 * r + full)
+        for k in (1, 2, 5, 13):
+            for p in (1, 2, 3, 5, 12):
+                m = spd_stack(rng, k, p, full)
+                x = 3.0 * rng.normal(size=(r, k, p))
+                got = quad_forms(x, m)
+                by_group = quad_forms(x, m, per_group=True)
+                assert got.shape == (r,) and by_group.shape == (r, k)
+                if (r, k, p) == (2, 1, 2):
+                    # The one shape where the old subscripts summed a
+                    # two-row block as they sum one row; the helper sums it
+                    # as the old subscripts sum any block of three or more.
+                    x = np.concatenate([x, x[:1]])
+                assert np.array_equal(got, np.einsum("rka,kab,rkb->r", x, m, x)[:r])
+                assert np.array_equal(got, np.einsum("...ka,kab,...kb->...", x, m, x)[:r])
+                assert np.array_equal(by_group, np.einsum("rka,kab,rkb->rk", x, m, x)[:r])
+
+    @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+    @pytest.mark.parametrize("r", [1, 2, 255, 256, 257])
+    def test_single_matrix_form_matches_the_replicate_first_subscripts(self, r, full):
+        rng = np.random.default_rng(2000 * r + full)
+        for p in (1, 2, 3, 5, 12):
+            m = spd_stack(rng, 1, p, full)[0]
+            y = 3.0 * rng.normal(size=(r, p))
+            got = quad_forms(y, m)
+            assert got.shape == (r,)
+            if (r, p) == (2, 2):
+                # As for k = 1 above: compare with a three-row block.
+                y = np.concatenate([y, y[:1]])
+            assert np.array_equal(got, np.einsum("ra,ab,rb->r", y, m, y)[:r])
 
 
 class TestTrueParameters:

@@ -84,12 +84,15 @@ class TestSampleCanonical:
             m = sample_canonical(truth, v, 3, 4, 1, r)
             assert m.s > 0.0
 
-    @pytest.mark.parametrize("name", ["config", "replicate"])
-    def test_negative_address_rejected(self, name):
+    @pytest.mark.parametrize("name", ["seed", "config", "replicate"])
+    def test_negative_address_rejected(self, name, monkeypatch):
         truth = TrueParameters(mu=np.zeros((2, 2)), sigma2=0.5)
         v = np.array([np.eye(2), np.eye(2)])
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
-            sample_canonical(truth, v, 3, 4, **{name: -1})
+            sample_canonical(truth, v, 3, **{"seed": 4, name: -1})
+        assert drawn == []
 
 
 class TestReplicateUniforms:
@@ -169,6 +172,15 @@ class TestExperimentConfig:
     def test_validate_rejects_single_replicate(self):
         with pytest.raises(ValueError, match="replicates"):
             small_config(replicates=1).validate()
+
+    def test_negative_seed_rejected_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            small_config(seed=-1).validate()
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            run_experiment(small_config(seed=-1))
+        assert drawn == []
 
 
 def assert_engine_matches_public_estimators(tol):
@@ -700,9 +712,10 @@ class TestValidateIdentities:
             (dict(p=3, mu=np.array([0.0, np.nan, 1.0])), "mu has non-finite entries$"),
             (dict(p=3, cov=np.diag([1.0, 1.0, -1.0])), "cov is not positive definite"),
             (dict(p=2, cov=np.ones((2, 2))), "cov is not positive definite"),
+            (dict(seed=-2), "seed must be >= 0, got -2$"),
         ],
         ids=["p0", "n0", "sigma2-negative", "sigma2-inf", "mu-nan", "cov-indefinite",
-             "cov-singular"],
+             "cov-singular", "seed-negative"],
     )
     def test_bad_arguments_rejected_before_drawing(self, monkeypatch, kwargs, message):
         drawn = []

@@ -62,6 +62,28 @@ class TestLoss:
         wrapped = EstimateSet(mu_hat=model.x)
         assert loss(wrapped, truth, ls) == approx(loss(model.x, truth, ls))
 
+    @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+    @pytest.mark.parametrize("r", [1, 2, 255, 256, 257])
+    def test_stacked_losses_are_the_one_replicate_losses(self, r, full):
+        # The block-length contract: a replicate's loss has the same bits
+        # in a block of any length as in a call of its own.
+        rng = np.random.default_rng(r)
+        k, p = 5, 5
+        if full:
+            root = rng.normal(size=(k, p, p))
+            v = np.einsum("kab,kcb->kac", root, root) + p * np.eye(p)
+        else:
+            v = np.stack([np.diag(rng.uniform(0.2, 3.0, size=p)) for _ in range(k)])
+        model = CanonicalModel(x=np.zeros((k, p)), v=v, s=1.0, n=10)
+        ls = LossSpec.inverse_v(model)
+        truth = TrueParameters(mu=rng.normal(size=(k, p)), sigma2=4.0)
+        mu_hat = truth.mu + 2.0 * rng.normal(size=(r, k, p))
+        stacked = loss(mu_hat, truth, ls)
+        assert stacked.shape == (r,)
+        singles = [loss(row, truth, ls) for row in mu_hat]
+        assert all(type(one) is float for one in singles)
+        assert np.array_equal(stacked, np.array(singles))
+
     def test_shape_mismatch(self):
         model = two_group_model()
         ls = LossSpec.inverse_v(model)
