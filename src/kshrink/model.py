@@ -102,10 +102,13 @@ def quad_forms(x: np.ndarray, m: np.ndarray, per_group: bool = False) -> np.ndar
     is innermost, so copying x with the replicate axis last (a contiguous
     inner loop over replicates) keeps the bits of the replicate-first
     subscripts ("rka,kab,rkb", "ra,ab,rb") and is about twice as fast on
-    (256, 5, 5) blocks. One shape differs: a two-replicate block with
-    p = 2 and one matrix (or k = 1), which those subscripts summed as they
-    sum one replicate and this sums as they sum three or more.
+    (256, 5, 5) blocks. A replicate's form does not depend on how many
+    rows share its call: at p = 2 with one matrix (or k = 1) numpy sums a
+    lone replicate in another order than two or more, so one row is run
+    as two copies of itself.
     """
+    if x.shape[0] == 1:
+        return quad_forms(np.concatenate([x, x]), m, per_group)[:1]
     xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
     if m.ndim == 2:
         return np.einsum("ar,ab,br->r", xt, m, xt)

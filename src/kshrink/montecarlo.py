@@ -23,16 +23,18 @@ numpy's pairwise summation, so the block size never changes a result.
 
 Each block runs the batch kernels of the estimators module on the pooled
 statistics of its replicates, the same code the single-shot estimators
-run with one replicate. Both self-checks, validate_uer and
-validate_identities, report paired checks of one kind: the mean of
-lhs - rhs over common draws must lie within three standard errors of 0.
+run with one replicate. run_experiment is the one loop over
+configurations; paired_domination reads its paired contrasts. Both
+self-checks, validate_uer and validate_identities, report paired checks
+of one kind: the mean of lhs - rhs over common draws must lie within
+three standard errors of 0.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,7 +62,7 @@ from .model import (
 )
 # Unused here; kept because perfbench/spans.py traces them as attributes of this module.
 from .numerics import f_quantile, hb1_shrink_ratio, hb2_shrink_ratios  # noqa: F401
-from .risk import UerInputs, loss, uer
+from .risk import UerInputs, loss, prial, uer
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -294,11 +296,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RiskTable:
-    """Monte Carlo risks, standard errors and percentage improvements.
+    """Monte Carlo risks, standard errors, percentage improvements and contrasts.
 
     risk, se, prial are (configs, estimators) arrays. risk_reference is the
     exact risk of the unshrunk estimator (sum of traces), used as the
-    improvement baseline. An estimator whose preconditions fail on some
+    improvement baseline. paired_diff[c, a, b] and paired_se[c, a, b] are the
+    mean and standard error of loss[a] - loss[b] over configuration c's
+    replicates. An estimator whose preconditions fail on some
     configuration gets NaN entries and a message in errors.
     """
 
@@ -307,6 +311,8 @@ class RiskTable:
     risk: np.ndarray
     se: np.ndarray
     prial: np.ndarray
+    paired_diff: np.ndarray
+    paired_se: np.ndarray
     risk_reference: float
     replicates: int
     seed: int
@@ -316,6 +322,32 @@ class RiskTable:
         ci = self.config_names.index(config)
         ei = self.estimator_names.index(estimator)
         return float(self.risk[ci, ei]), float(self.se[ci, ei]), float(self.prial[ci, ei])
+
+    def domination(self, candidate: str, baseline: str) -> "DominationReport":
+        """Paired 3-SE test that candidate never does worse than baseline.
+
+        Raises PreconditionError if either was skipped on a configuration.
+        """
+        cand, _ = resolve_estimator(candidate)
+        base, _ = resolve_estimator(baseline)
+        for cname in self.config_names:
+            skipped = [n for n in dict.fromkeys((cand, base)) if (cname, n) in self.errors]
+            if skipped:
+                what = "; ".join(f"{n}: {self.errors[cname, n]}" for n in skipped)
+                raise PreconditionError(f"cannot compare on {cname!r}: {what}")
+        ci, bi = self.estimator_names.index(cand), self.estimator_names.index(base)
+        mean_diff = self.paired_diff[:, bi, ci]  # baseline minus candidate
+        se_diff = self.paired_se[:, bi, ci]
+        per_config = mean_diff >= -3.0 * se_diff
+        return DominationReport(
+            candidate=cand,
+            baseline=base,
+            config_names=self.config_names,
+            mean_diff=mean_diff,
+            se_diff=se_diff,
+            per_config=per_config,
+            dominated=bool(np.all(per_config)),
+        )
 
     def to_csv(self) -> str:
         lines = ["config,estimator,risk,se,prial,replicates,seed"]
@@ -410,12 +442,12 @@ def _config_losses(
     return _blocked(cfg.replicates, cfg.threads, len(names), losses_block)
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    """Deterministic (pairwise-sum) mean and standard error along a vector."""
-    r = values.shape[0]
-    mean = float(np.sum(values) / r)
-    var = float(np.sum((values - mean) ** 2) / (r - 1))
-    return mean, math.sqrt(var / r)
+def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic (pairwise-sum) means and standard errors along the last axis."""
+    r = values.shape[-1]
+    mean = np.sum(values, axis=-1) / r
+    var = np.sum((values - mean[..., None]) ** 2, axis=-1) / (r - 1)
+    return mean, np.sqrt(var / r)
 
 
 def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT) -> RiskTable:
@@ -423,38 +455,28 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT) -> RiskTabl
 
     Identical (seed, config) pairs give bit-identical tables regardless of
     cfg.threads. Estimators whose preconditions fail on a configuration are
-    reported in RiskTable.errors and skipped; the rest proceed.
+    reported in RiskTable.errors and skipped; the rest proceed. The paired
+    contrasts come from the same loss matrices.
     """
     setting = cfg.validate(tol)
-    names = []
-    for raw in cfg.estimators:
-        canon, _ = resolve_estimator(raw)
-        if canon not in names:
-            names.append(canon)
-    names = tuple(names)
-    ncfg = len(cfg.mean_configs)
-    risk = np.empty((ncfg, len(names)))
-    se = np.empty_like(risk)
+    names = tuple(dict.fromkeys(resolve_estimator(raw)[0] for raw in cfg.estimators))
     errors: dict[tuple[str, str], str] = {}
+    rows = []
     for ci, mc in enumerate(cfg.mean_configs):
         losses, cfg_errors = _config_losses(cfg, setting, ci, names)
-        for name, msg in cfg_errors.items():
-            errors[(mc.name, name)] = msg
-        for ei in range(len(names)):
-            if np.any(np.isnan(losses[ei])):
-                risk[ci, ei] = np.nan
-                se[ci, ei] = np.nan
-            else:
-                risk[ci, ei], se[ci, ei] = _mean_se(losses[ei])
+        errors.update(((mc.name, name), msg) for name, msg in cfg_errors.items())
+        # A skipped estimator's NaN losses give NaN means and standard errors.
+        rows.append((*_mean_se(losses), *_mean_se(losses[:, None] - losses[None])))
+    risk, se, paired_diff, paired_se = (np.array(col) for col in zip(*rows))
     reference = setting.pooled.trace_sum
-    with np.errstate(invalid="ignore"):
-        prial_tab = 100.0 * (reference - risk) / reference
     return RiskTable(
         config_names=tuple(mc.name for mc in cfg.mean_configs),
         estimator_names=names,
         risk=risk,
         se=se,
-        prial=prial_tab,
+        prial=prial(reference, risk),
+        paired_diff=paired_diff,
+        paired_se=paired_se,
         risk_reference=reference,
         replicates=cfg.replicates,
         seed=cfg.seed,
@@ -485,35 +507,10 @@ def paired_domination(
 ) -> DominationReport:
     """Test whether candidate never does worse than baseline on cfg.
 
-    Both estimators see the same replicates, so the comparison is paired;
-    the margin is three standard errors of the paired loss difference.
+    A run of the two estimators alone, read through RiskTable.domination.
     """
-    setting = cfg.validate(tol)
-    cand, _ = resolve_estimator(candidate)
-    base, _ = resolve_estimator(baseline)
-    names = (cand, base) if cand != base else (cand,)
-    ncfg = len(cfg.mean_configs)
-    mean_diff = np.empty(ncfg)
-    se_diff = np.empty(ncfg)
-    for ci in range(ncfg):
-        losses, errors = _config_losses(cfg, setting, ci, names)
-        if errors:
-            what = "; ".join(f"{n}: {m}" for n, m in errors.items())
-            raise PreconditionError(
-                f"cannot compare on {cfg.mean_configs[ci].name!r}: {what}"
-            )
-        diffs = losses[-1] - losses[0]  # baseline minus candidate
-        mean_diff[ci], se_diff[ci] = _mean_se(diffs)
-    per_config = mean_diff >= -3.0 * se_diff
-    return DominationReport(
-        candidate=cand,
-        baseline=base,
-        config_names=tuple(mc.name for mc in cfg.mean_configs),
-        mean_diff=mean_diff,
-        se_diff=se_diff,
-        per_config=per_config,
-        dominated=bool(np.all(per_config)),
-    )
+    table = run_experiment(replace(cfg, estimators=(candidate, baseline)), tol)
+    return table.domination(candidate, baseline)
 
 
 @dataclass(frozen=True)
@@ -551,8 +548,8 @@ def _paired_check(name: str, lhs: np.ndarray, rhs: np.ndarray) -> PairedCheck:
         name=name,
         mean_lhs=float(np.sum(lhs) / count),
         mean_rhs=float(np.sum(rhs) / count),
-        diff=diff,
-        se_diff=se_diff,
+        diff=float(diff),
+        se_diff=float(se_diff),
         passed=bool(abs(diff) <= 3.0 * se_diff),
     )
 

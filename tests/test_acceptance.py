@@ -27,7 +27,6 @@ from kshrink import (
     validate_uer,
 )
 from kshrink.cli import main
-from kshrink.montecarlo import paired_domination
 from kshrink.numerics import HbExponents, hb2_factors
 
 # Published benchmark PRIALs, config name -> one value per estimator in
@@ -78,18 +77,30 @@ def test_01_benchmark_table_reproduction(benchmark_run):
     )
 
 
-def test_02_paired_domination():
-    cfg = ExperimentConfig.benchmark(replicates=10_000, threads=4)
+def test_02_paired_domination(benchmark_run):
+    # One 10k-replicate pass gates both pairs. HB2 over HB1 is a simulation
+    # finding of the paper, not a theorem, so it is read from the benchmark
+    # run's table and reported without gating.
+    cfg = ExperimentConfig.benchmark(
+        replicates=10_000, threads=4, estimators=("PT", "PT*", "EB", "EB*")
+    )
+    table = run_experiment(cfg)
     details = []
     ok = True
-    for cand, base in (("PT*", "PT"), ("EB2", "EB1")):
-        rep = paired_domination(cfg, cand, base)
-        ok = ok and rep.dominated
+
+    def report(rep) -> str:
         tightest = float(np.min(rep.mean_diff + 3.0 * rep.se_diff))
-        details.append(
+        return (
             f"{rep.candidate} vs {rep.baseline}: dominated={rep.dominated}, "
             f"min(mean+3SE)={tightest:.4f}"
         )
+
+    for cand, base in (("PT*", "PT"), ("EB2", "EB1")):
+        rep = table.domination(cand, base)
+        ok = ok and rep.dominated
+        details.append(report(rep))
+    hb = benchmark_run[0].domination("HB2", "HB1")
+    details.append(f"{report(hb)} (5000 replicates, not gated)")
     verdict(2, "paired domination at 10k replicates", ok, "; ".join(details))
 
 

@@ -427,11 +427,11 @@ class TestQuadForms:
                 got = quad_forms(x, m)
                 by_group = quad_forms(x, m, per_group=True)
                 assert got.shape == (r,) and by_group.shape == (r, k)
-                if (r, k, p) == (2, 1, 2):
-                    # The one shape where the old subscripts summed a
-                    # two-row block as they sum one row; the helper sums it
-                    # as the old subscripts sum any block of three or more.
-                    x = np.concatenate([x, x[:1]])
+                if r <= 2 and (k, p) == (1, 2):
+                    # The one shape where the old subscripts summed a one- or
+                    # two-row block in another order than a longer one; the
+                    # helper sums it as they sum any block of three or more.
+                    x = np.concatenate([x, x, x])
                 assert np.array_equal(got, np.einsum("rka,kab,rkb->r", x, m, x)[:r])
                 assert np.array_equal(got, np.einsum("...ka,kab,...kb->...", x, m, x)[:r])
                 assert np.array_equal(by_group, np.einsum("rka,kab,rkb->rk", x, m, x)[:r])
@@ -445,10 +445,29 @@ class TestQuadForms:
             y = 3.0 * rng.normal(size=(r, p))
             got = quad_forms(y, m)
             assert got.shape == (r,)
-            if (r, p) == (2, 2):
-                # As for k = 1 above: compare with a three-row block.
-                y = np.concatenate([y, y[:1]])
+            if r <= 2 and p == 2:
+                # As for k = 1 above: compare with a block of three or more.
+                y = np.concatenate([y, y, y])
             assert np.array_equal(got, np.einsum("ra,ab,rb->r", y, m, y)[:r])
+
+    @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+    def test_rows_alone_match_their_block(self, full):
+        # A replicate's form must not depend on how many rows share its
+        # call: every run of 1, 2 or 3 rows matches the same rows of a
+        # 300-row block, for both stacked forms and the one-matrix form.
+        rng = np.random.default_rng(3000 + full)
+        for k in range(1, 6):
+            for p in range(1, 8):
+                m = spd_stack(rng, k, p, full)
+                x = 3.0 * rng.normal(size=(300, k, p))
+                forms = [lambda z: quad_forms(z, m), lambda z: quad_forms(z, m, per_group=True)]
+                if k == 1:
+                    forms.append(lambda z: quad_forms(z[:, 0], m[0]))
+                for form in forms:
+                    block = form(x)
+                    for r in (1, 2, 3):
+                        for r0 in range(0, 300 - r + 1, r):
+                            assert np.array_equal(form(x[r0 : r0 + r]), block[r0 : r0 + r])
 
 
 class TestTrueParameters:

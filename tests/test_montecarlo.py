@@ -334,6 +334,28 @@ def blocked_values(monkeypatch, run, counts):
     return seen
 
 
+def assert_single_shot_rows(cfg, monkeypatch, rows):
+    """pooled_summary of each replicate in rows is that row of the harness's first block."""
+    real = PooledConstants.summarize
+    batches = []
+
+    def recording(self, *args, **kwargs):
+        batches.append(real(self, *args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(PooledConstants, "summarize", recording)
+    run_experiment(replace(cfg, replicates=256))
+    monkeypatch.setattr(PooledConstants, "summarize", real)
+    block = batches[0]
+    truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
+    for r in rows:
+        model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, 0, r)
+        one = pooled_summary(model, cfg.loss_spec(model))
+        assert np.array_equal(one.pooled_mean, block.pooled_mean[r])
+        assert one.residual_stat == block.residual_stat[r]
+        assert one.pooled_norm_stat == block.pooled_norm_stat[r]
+
+
 class TestNonDiagonalScale:
     """A replicate's values do not depend on the length of its block when v is not diagonal."""
 
@@ -365,24 +387,18 @@ class TestNonDiagonalScale:
         assert np.array_equal(short[0], long[0][:, :257])
 
     def test_single_shot_summary_is_the_harness_row(self, cfg, monkeypatch):
-        real = PooledConstants.summarize
-        batches = []
+        assert_single_shot_rows(cfg, monkeypatch, (0, 1, 100, 255))
 
-        def recording(self, *args, **kwargs):
-            batches.append(real(self, *args, **kwargs))
-            return batches[-1]
-
-        monkeypatch.setattr(PooledConstants, "summarize", recording)
-        run_experiment(replace(cfg, replicates=256))
-        monkeypatch.setattr(PooledConstants, "summarize", real)
-        block = batches[0]
-        truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
-        for r in (0, 1, 100, 255):
-            model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, 0, r)
-            one = pooled_summary(model, cfg.loss_spec(model))
-            assert np.array_equal(one.pooled_mean, block.pooled_mean[r])
-            assert one.residual_stat == block.residual_stat[r]
-            assert one.pooled_norm_stat == block.pooled_norm_stat[r]
+    def test_single_shot_summary_is_the_harness_row_at_p2(self, monkeypatch):
+        # At p = 2 numpy sums a lone replicate's quadratic forms in another
+        # order than a block's unless quad_forms runs it as a block.
+        cfg = small_config(
+            p=2,
+            v=spd_stack(3, 2, seed=10),
+            mean_configs=(MeanConfig.from_scales("ramp", (0.0, 0.5, 1.0), 2),),
+            estimators=("EB",),
+        )
+        assert_single_shot_rows(cfg, monkeypatch, range(256))
 
     def test_csv_shape(self):
         table = run_experiment(small_config())
@@ -426,6 +442,62 @@ class TestPairedDomination:
         )
         with pytest.raises(PreconditionError, match="cannot compare"):
             paired_domination(cfg, "EB*", "EB")
+
+    def test_table_domination_is_paired_domination(self):
+        cfg = small_config()
+        table = run_experiment(cfg)
+        assert table.errors == {}
+        pairs = (("PT*", "PT"), ("EB2", "EB1"), ("HB2", "HB1"), ("HB1", "HB2"),
+                 ("JS1", "JS2"), ("EB", "EB"))
+        for cand, base in pairs:
+            got = table.domination(cand, base)
+            want = paired_domination(cfg, cand, base)
+            assert (got.candidate, got.baseline, got.config_names, got.dominated) == (
+                want.candidate, want.baseline, want.config_names, want.dominated
+            )
+            assert np.array_equal(got.mean_diff, want.mean_diff)
+            assert np.array_equal(got.se_diff, want.se_diff)
+            assert np.array_equal(got.per_config, want.per_config)
+
+    def test_contrasts_depend_on_neither_threads_nor_other_estimators(self):
+        full = run_experiment(small_config())
+        threaded = run_experiment(small_config(threads=3))
+        assert np.array_equal(full.paired_diff, threaded.paired_diff)
+        assert np.array_equal(full.paired_se, threaded.paired_se)
+        some = run_experiment(small_config(estimators=("HB2", "PT", "EB*")))
+        pick = [full.estimator_names.index(name) for name in some.estimator_names]
+        assert np.array_equal(some.paired_diff, full.paired_diff[:, pick][:, :, pick])
+        assert np.array_equal(some.paired_se, full.paired_se[:, pick][:, :, pick])
+
+    def test_contrasts_are_antisymmetric(self):
+        table = run_experiment(small_config())
+        assert table.paired_diff.shape == table.paired_se.shape == (2, 8, 8)
+        assert np.array_equal(table.paired_diff, -table.paired_diff.transpose(0, 2, 1))
+        assert np.array_equal(table.paired_se, table.paired_se.transpose(0, 2, 1))
+        assert np.all(np.diagonal(table.paired_diff, axis1=1, axis2=2) == 0.0)
+        assert np.all(np.diagonal(table.paired_se, axis1=1, axis2=2) == 0.0)
+        # The mean of a difference is the difference of the means, up to rounding.
+        gaps = table.risk[:, :, None] - table.risk[:, None, :]
+        assert table.paired_diff == approx(gaps, rel=1e-12, abs=1e-12)
+
+    def test_skipped_estimator_cannot_be_compared(self):
+        v = np.stack([np.eye(2)] * 3)
+        cfg = ExperimentConfig(
+            p=2, k=3, n=12, sigma2=1.0, v=v,
+            mean_configs=(MeanConfig.from_scales("z", (0.0, 0.0, 1.0), 2),),
+            estimators=("JS1", "EB", "PT"),
+            replicates=32, seed=5,
+        )
+        table = run_experiment(cfg)
+        reason = table.errors[("z", "JS1")]
+        for cand, base in (("EB", "JS1"), ("JS1", "EB"), ("JS1", "JS1")):
+            with pytest.raises(PreconditionError) as raised:
+                table.domination(cand, base)
+            assert str(raised.value) == f"cannot compare on 'z': JS1: {reason}"
+        js1 = table.estimator_names.index("JS1")
+        assert np.all(np.isnan(table.paired_diff[0, js1]))
+        assert np.all(np.isnan(table.paired_diff[0, :, js1]))
+        assert np.all(np.isfinite(table.domination("EB", "PT").mean_diff))
 
 
 class TestUerMembers:
