@@ -43,7 +43,7 @@ from .numerics import (
     hb1_shrink_ratio,
     hb2_shrink_ratios,
 )
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEGENERATE_STAT
 
 __all__ = [
     "PreconditionError",
@@ -129,13 +129,11 @@ class EstimatorSetting:
 
     pooled: constants of the pooled statistics.
     hyper: tuning constants of the Bayes-motivated estimators.
-    tol: degenerate-statistic switch and quadrature controls.
     positive_part: clip the James-Stein retained fractions at zero.
     """
 
     pooled: PooledConstants
     hyper: Hyperparameters
-    tol: Tolerances
     positive_part: bool
 
     @cached_property
@@ -156,10 +154,10 @@ class EstimatorSetting:
 BatchResult = tuple[np.ndarray, dict]
 
 
-def _capped(t: float, stat: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """min(t / stat, 1), at its limit 1 for degenerate statistics."""
-    safe = np.maximum(stat, tol.degenerate_stat)
-    return np.where(stat > tol.degenerate_stat, np.minimum(t / safe, 1.0), 1.0)
+def _capped(t: float, stat: np.ndarray) -> np.ndarray:
+    """min(t / stat, 1), at its limit 1 for statistics at most DEGENERATE_STAT."""
+    safe = np.maximum(stat, DEGENERATE_STAT)
+    return np.where(stat > DEGENERATE_STAT, np.minimum(t / safe, 1.0), 1.0)
 
 
 def batch_unshrunk(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
@@ -230,7 +228,7 @@ def batch_pt_star(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     if c.p < 3:
         raise PreconditionError(f"pooled-mean zero-shrink needs p >= 3, got p={c.p}")
     mu_hat, diags = batch_pt(st, b)
-    factor = _capped((c.p - 2.0) / (c.n + 2.0), b.pooled_norm_stat, st.tol)
+    factor = _capped((c.p - 2.0) / (c.n + 2.0), b.pooled_norm_stat)
     mu_hat = mu_hat - factor[:, None, None] * b.pooled_mean[:, None, :]
     return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": factor}
 
@@ -245,7 +243,7 @@ def batch_eb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     d1 = c.p * (c.k - 1)
     if d1 < 3:
         raise PreconditionError(f"pooled-mean shrink needs p(k-1) >= 3, got {d1}")
-    factor = _capped((d1 - 2.0) / (c.n + 2.0), b.residual_stat, st.tol)
+    factor = _capped((d1 - 2.0) / (c.n + 2.0), b.residual_stat)
     mu_hat = b.x - factor[:, None, None] * b.toward_pooled
     return mu_hat, {"residual_stat": b.residual_stat, "mean_shrink": factor}
 
@@ -256,7 +254,7 @@ def batch_eb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     if c.p < 3:
         raise PreconditionError(f"pooled-mean zero-shrink needs p >= 3, got p={c.p}")
     mu_hat, diags = batch_eb1(st, b)
-    factor = _capped((c.p - 2.0) / (c.n + 2.0), b.pooled_norm_stat, st.tol)
+    factor = _capped((c.p - 2.0) / (c.n + 2.0), b.pooled_norm_stat)
     mu_hat = mu_hat - factor[:, None, None] * b.toward_zero
     return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": factor}
 
@@ -270,9 +268,7 @@ def batch_hb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     """
     c, h = st.pooled, st.hyper
     try:
-        ratio = hb1_shrink_ratio(
-            b.residual_stat, c.p, c.k, c.n, h.a, h.c, c.loss.eig_floor, st.tol
-        )
+        ratio = hb1_shrink_ratio(b.residual_stat, c.p, c.k, c.n, h.a, h.c, c.loss.eig_floor)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
     mu_hat = b.x - ratio[:, None, None] * b.toward_pooled
@@ -286,11 +282,9 @@ def batch_hb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     integrals (hb2_factors); they play the roles of the two capped factors
     of the empirical pair but vary smoothly with both statistics.
     """
-    tol = st.tol
     try:
         phi, psi = hb2_shrink_ratios(
-            b.residual_stat, b.pooled_norm_stat, b.s, st.hb_exponents, st.hyper.big_l,
-            rel_tol=tol.quad_rel, tol=tol,
+            b.residual_stat, b.pooled_norm_stat, b.s, st.hb_exponents, st.hyper.big_l
         )
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
@@ -307,16 +301,16 @@ def batch_hb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     }
 
 
-def floored_statistics(b: PooledBatch, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """(f, g) floored at tol.degenerate_stat: where class members are evaluated."""
+def floored_statistics(b: PooledBatch) -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) floored at DEGENERATE_STAT: where class members are evaluated."""
     return (
-        np.maximum(b.residual_stat, tol.degenerate_stat),
-        np.maximum(b.pooled_norm_stat, tol.degenerate_stat),
+        np.maximum(b.residual_stat, DEGENERATE_STAT),
+        np.maximum(b.pooled_norm_stat, DEGENERATE_STAT),
     )
 
 
 def batch_general(st: EstimatorSetting, b: PooledBatch, sf: ShrinkageFunctions) -> BatchResult:
-    f, g = floored_statistics(b, st.tol)
+    f, g = floored_statistics(b)
     phi = np.asarray(sf.phi(f, g, b.s), dtype=float)
     psi = np.asarray(sf.psi(f, g, b.s), dtype=float)
     mu_hat = (
@@ -344,12 +338,11 @@ def _single(
     ls: LossSpec,
     summary: PooledSummary | None,
     hyper: Hyperparameters | None,
-    tol: Tolerances,
     positive_part: bool = False,
 ) -> EstimateSet:
     """Run a batch kernel on one model, the R = 1 case."""
-    ps = summary if summary is not None else pooled_summary(model, ls, tol)
-    setting = EstimatorSetting(ps.constants, hyper or Hyperparameters(), tol, positive_part)
+    ps = summary if summary is not None else pooled_summary(model, ls)
+    setting = EstimatorSetting(ps.constants, hyper or Hyperparameters(), positive_part)
     batch = PooledBatch(ps.constants, model.x[None], np.array([model.s]), ps.pooled_mean[None],
                         np.array([ps.residual_stat]), np.array([ps.pooled_norm_stat]))
     mu_hat, diags = kernel(setting, batch)
@@ -364,9 +357,8 @@ def _single_shot(kernel: Callable) -> Callable:
         ls: LossSpec,
         summary: PooledSummary | None = None,
         hyper: Hyperparameters | None = None,
-        tol: Tolerances = DEFAULT,
     ) -> EstimateSet:
-        return _single(kernel, model, ls, summary, hyper, tol)
+        return _single(kernel, model, ls, summary, hyper)
 
     estimate.__name__ = estimate.__qualname__ = kernel.__name__.replace("batch_", "estimate_")
     estimate.__doc__ = kernel.__doc__
@@ -379,7 +371,6 @@ def estimate_js1(
     summary: PooledSummary | None = None,
     hyper: Hyperparameters | None = None,
     positive_part: bool = False,
-    tol: Tolerances = DEFAULT,
 ) -> EstimateSet:
     """Groupwise shrink toward zero, each group scaled by its own norm.
 
@@ -388,7 +379,7 @@ def estimate_js1(
     exactly zero is left alone. ``positive_part`` clips negative retained
     fractions to zero (exploratory variant, off by default).
     """
-    return _single(batch_js1, model, ls, summary, hyper, tol, positive_part)
+    return _single(batch_js1, model, ls, summary, hyper, positive_part)
 
 
 def estimate_js2(
@@ -397,10 +388,9 @@ def estimate_js2(
     summary: PooledSummary | None = None,
     hyper: Hyperparameters | None = None,
     positive_part: bool = False,
-    tol: Tolerances = DEFAULT,
 ) -> EstimateSet:
     """Shrink all groups toward zero by one factor pooled over groups."""
-    return _single(batch_js2, model, ls, summary, hyper, tol, positive_part)
+    return _single(batch_js2, model, ls, summary, hyper, positive_part)
 
 
 estimate_unshrunk = _single_shot(batch_unshrunk)
@@ -417,16 +407,15 @@ def estimate_general(
     ls: LossSpec,
     sf: ShrinkageFunctions,
     summary: PooledSummary | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> EstimateSet:
     """Any member of the double-shrinkage class.
 
     Applies x_i - (phi/f) d_i (x_i - pooled) - (psi/g) d_i pooled with the
-    direction maps d_i. Statistics below the degenerate threshold are
-    floored before dividing, so members whose factors vanish there (all the
-    built-ins) stay well-defined.
+    direction maps d_i. Statistics below DEGENERATE_STAT are floored before
+    dividing, so members whose factors vanish there (all the built-ins)
+    stay well-defined.
     """
-    return _single(lambda st, b: batch_general(st, b, sf), model, ls, summary, None, tol)
+    return _single(lambda st, b: batch_general(st, b, sf), model, ls, summary, None)
 
 
 ESTIMATORS: dict[str, Callable] = {

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import IDENTITY_REL, MAX_CONDITION, SYMMETRY
 
 __all__ = [
     "CanonicalModel",
@@ -34,6 +34,9 @@ __all__ = [
     "pooled_summary",
 ]
 
+# Relative tolerance of LossSpec.matches_inverse_v: v[i] q[i] within it of the identity.
+_INVERSE_LOSS_REL = 1e-9
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
@@ -41,7 +44,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _guard_spd(name: str, mats: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list[str]]:
+def _guard_spd(name: str, mats: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Symmetrised inverses of a (m, p, p) stack, or one (p, p) matrix, and every violation."""
     stack = mats.reshape((-1,) + mats.shape[-2:])
     inverse = np.full(stack.shape, np.nan)
@@ -55,17 +58,17 @@ def _guard_spd(name: str, mats: np.ndarray, tol: Tolerances) -> tuple[np.ndarray
         if scale == 0.0:
             bad.append(f"{label} is the zero matrix")
             continue
-        if np.linalg.norm(m - m.T) > tol.symmetry * scale:
-            bad.append(f"{label} is not symmetric within tolerance {tol.symmetry}")
+        if np.linalg.norm(m - m.T) > SYMMETRY * scale:
+            bad.append(f"{label} is not symmetric within tolerance {SYMMETRY}")
             continue
         sym = 0.5 * (m + m.T)
         vals = np.linalg.eigvalsh(sym)
         if vals[0] <= 0.0:
             bad.append(f"{label} is not positive definite (min eigenvalue {vals[0]:.3e})")
-        elif vals[-1] / vals[0] > tol.max_condition:
+        elif vals[-1] / vals[0] > MAX_CONDITION:
             bad.append(
                 f"{label} condition number {vals[-1] / vals[0]:.3e} "
-                f"exceeds ceiling {tol.max_condition:.1e}"
+                f"exceeds ceiling {MAX_CONDITION:.1e}"
             )
         else:
             inv = np.linalg.inv(sym)
@@ -73,9 +76,9 @@ def _guard_spd(name: str, mats: np.ndarray, tol: Tolerances) -> tuple[np.ndarray
     return inverse.reshape(mats.shape), bad
 
 
-def _guarded_inverse(name: str, mats: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _guarded_inverse(name: str, mats: np.ndarray) -> np.ndarray:
     """_guard_spd that raises on its violations."""
-    inverse, bad = _guard_spd(name, mats, tol)
+    inverse, bad = _guard_spd(name, mats)
     if bad:
         raise ValueError("; ".join(bad))
     return inverse
@@ -192,13 +195,11 @@ class LossSpec:
         object.__setattr__(self, "eig_floor", float(self.eig_floor))
 
     @classmethod
-    def for_model(
-        cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray], tol: Tolerances = DEFAULT
-    ) -> "LossSpec":
+    def for_model(cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray]) -> "LossSpec":
         """Build a LossSpec for explicit weight matrices: guard v, guard q, derive eig_floor."""
-        v_inv = _guarded_inverse("v", model.v, tol)
+        v_inv = _guarded_inverse("v", model.v)
         qa = _as_stack("q must have shape (k, p, p) =", q, model.k, model.p)
-        q_inv = _guarded_inverse("q", qa, tol)
+        q_inv = _guarded_inverse("q", qa)
         eig_floor = np.inf
         for vi, qi in zip(model.v, qa):
             chol = np.linalg.cholesky(0.5 * (vi + vi.T))
@@ -212,19 +213,19 @@ class LossSpec:
         return spec
 
     @classmethod
-    def inverse_v(cls, model: CanonicalModel, tol: Tolerances = DEFAULT) -> "LossSpec":
+    def inverse_v(cls, model: CanonicalModel) -> "LossSpec":
         """Loss weighted by the inverse scale matrices: guard v once, q = inv(v), q_inv = v."""
-        spec = cls(q=_guarded_inverse("v", model.v, tol), eig_floor=1.0)
+        spec = cls(q=_guarded_inverse("v", model.v), eig_floor=1.0)
         object.__setattr__(spec, "q_inv", model.v)
         object.__setattr__(spec, "v", model.v)
         object.__setattr__(spec, "v_inv", spec.q)
         return spec
 
-    def matches_inverse_v(self, model: CanonicalModel, rtol: float = 1e-9) -> bool:
-        """True when every q[i] equals inv(v[i]) up to rtol."""
+    def matches_inverse_v(self, model: CanonicalModel) -> bool:
+        """True when every q[i] equals inv(v[i]) up to _INVERSE_LOSS_REL."""
         prod = np.einsum("kab,kbc->kac", model.v, self.q)
-        eye = np.eye(model.p)
-        return bool(np.all(np.abs(prod - eye) <= rtol * max(1.0, float(np.abs(prod).max()))))
+        bound = _INVERSE_LOSS_REL * max(1.0, float(np.abs(prod).max()))
+        return bool(np.all(np.abs(prod - np.eye(model.p)) <= bound))
 
 
 @dataclass(frozen=True)
@@ -290,11 +291,9 @@ class PooledConstants:
     inverse_loss: bool
 
     @classmethod
-    def from_model(
-        cls, model: CanonicalModel, loss_spec: LossSpec, tol: Tolerances = DEFAULT
-    ) -> "PooledConstants":
+    def from_model(cls, model: CanonicalModel, loss_spec: LossSpec) -> "PooledConstants":
         """Guard the weight sum, reuse the loss spec's inv(v) and inv(q), derive the constants."""
-        bad = _model_violations(model, loss_spec, None, tol)
+        bad = _model_violations(model, loss_spec, None)
         if bad:
             raise ValueError("invalid model: " + "; ".join(bad))
         v_inv = loss_spec.v_inv
@@ -309,18 +308,19 @@ class PooledConstants:
             v_inv=_freeze(v_inv),
             weights=_freeze(weights),
             weight_sum=_freeze(weight_sum),
-            pooled_cov=_freeze(_guarded_inverse("sum of weights", weight_sum, tol)),
+            pooled_cov=_freeze(_guarded_inverse("sum of weights", weight_sum)),
             directions=_freeze(np.einsum("kab,kbc->kac", model.v, weights)),
             trace_sum=float(np.einsum("kab,kba->", model.v, loss_spec.q)),
             inverse_loss=loss_spec.matches_inverse_v(model),
         )
 
-    def summarize(self, x: np.ndarray, s: np.ndarray, tol: Tolerances = DEFAULT) -> "PooledBatch":
+    def summarize(self, x: np.ndarray, s: np.ndarray) -> "PooledBatch":
         """Pooled statistics of R replicates: x is (R, k, p), s is (R,).
 
         For every replicate, residual_stat + pooled_norm_stat times s must
-        reproduce sum_i x[i]' w[i] x[i]; a failure raises, since it means
-        the inputs broke the conditioning guards.
+        reproduce sum_i x[i]' w[i] x[i] within IDENTITY_REL, relative; a
+        failure raises, since it means the inputs broke the conditioning
+        guards (SYMMETRY, MAX_CONDITION).
         """
         wx = np.einsum("kab,rkb->rka", self.weights, x)
         pooled_mean = np.einsum("ra,ab->rb", wx.sum(axis=1), self.pooled_cov)
@@ -329,7 +329,7 @@ class PooledConstants:
         residual = quad_forms(centered, self.weights)
         pooled_norm = quad_forms(pooled_mean, self.weight_sum)
         gap = np.abs((residual + pooled_norm) - total)
-        bad = np.flatnonzero(gap > tol.identity_rel * np.maximum(1.0, np.abs(total)))
+        bad = np.flatnonzero(gap > IDENTITY_REL * np.maximum(1.0, np.abs(total)))
         if bad.size:
             raise ArithmeticError(
                 "pooled quadratic forms failed the decomposition check: "
@@ -411,7 +411,6 @@ def validate_model(
     model: CanonicalModel,
     loss_spec: LossSpec | None = None,
     truth: TrueParameters | None = None,
-    tol: Tolerances = DEFAULT,
 ) -> ValidationReport:
     """Check the structural invariants of a model (and optional loss/truth).
 
@@ -419,12 +418,12 @@ def validate_model(
     violations at once. v and q are guarded when the LossSpec was built,
     which must have been for this v; without a LossSpec v is guarded here.
     """
-    bad = _model_violations(model, loss_spec, truth, tol)
+    bad = _model_violations(model, loss_spec, truth)
     return ValidationReport(ok=not bad, violations=tuple(bad))
 
 
 def _model_violations(
-    model: CanonicalModel, loss_spec: LossSpec | None, truth: TrueParameters | None, tol: Tolerances
+    model: CanonicalModel, loss_spec: LossSpec | None, truth: TrueParameters | None
 ) -> list[str]:
     """validate_model's violations."""
     bad: list[str] = []
@@ -439,7 +438,7 @@ def _model_violations(
     if model.n < 1:
         bad.append(f"n must be a positive integer, got {model.n}")
     if loss_spec is None:
-        bad.extend(_guard_spd("v", model.v, tol)[1])
+        bad.extend(_guard_spd("v", model.v)[1])
     elif loss_spec.q.shape != (model.k, model.p, model.p):
         bad.append(
             f"loss q shape {loss_spec.q.shape} does not match model "
@@ -460,7 +459,6 @@ def _model_violations(
 def canonicalize_ksample(
     samples: Sequence[np.ndarray],
     v0: np.ndarray | Sequence[np.ndarray],
-    tol: Tolerances = DEFAULT,
 ) -> CanonicalModel:
     """Reduce raw multi-sample data to canonical form.
 
@@ -491,7 +489,7 @@ def canonicalize_ksample(
             raise ValueError(f"samples[{i}] has non-finite entries")
     k = len(arrays)
     v0a = _as_stack("v0 must have shape", v0, k, p)
-    v0_inv = _guarded_inverse("v0", v0a, tol)
+    v0_inv = _guarded_inverse("v0", v0a)
 
     x = np.empty((k, p))
     v = np.empty((k, p, p))
@@ -564,9 +562,7 @@ def canonicalize_regression(
     return CanonicalModel(x=x, v=v, s=s, n=df)
 
 
-def pooled_summary(
-    model: CanonicalModel, loss_spec: LossSpec, tol: Tolerances = DEFAULT
-) -> PooledSummary:
+def pooled_summary(model: CanonicalModel, loss_spec: LossSpec) -> PooledSummary:
     """Compute the pooled statistics the shrinkage estimators share.
 
     The weights w[i] = inv(v[i]) inv(q[i]) inv(v[i]) define a generalized
@@ -575,8 +571,8 @@ def pooled_summary(
     the one-replicate case of PooledConstants.summarize, with the same
     validation and decomposition check.
     """
-    constants = PooledConstants.from_model(model, loss_spec, tol)
-    batch = constants.summarize(model.x[None], np.array([model.s]), tol)
+    constants = PooledConstants.from_model(model, loss_spec)
+    batch = constants.summarize(model.x[None], np.array([model.s]))
     return PooledSummary(
         constants=constants,
         pooled_mean=batch.pooled_mean[0],

@@ -63,7 +63,6 @@ from .model import (
 # Unused here; kept because perfbench/spans.py traces them as attributes of this module.
 from .numerics import f_quantile, hb1_shrink_ratio, hb2_shrink_ratios  # noqa: F401
 from .risk import UerInputs, loss, prial, uer
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "MeanConfig",
@@ -221,7 +220,7 @@ class ExperimentConfig:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
 
-    def validate(self, tol: Tolerances = DEFAULT) -> EstimatorSetting:
+    def validate(self) -> EstimatorSetting:
         """Check the configuration; return the estimator setting its replicates share."""
         self.check_dimensions(self.p, self.k, self.n)
         if not self.sigma2 > 0.0:
@@ -244,20 +243,20 @@ class ExperimentConfig:
                     f"mean config {mc.name!r} has shape {mc.mu.shape}, "
                     f"expected {(self.k, self.p)}"
                 )
+            if not np.all(np.isfinite(mc.mu)):
+                raise ValueError(f"mean config {mc.name!r} has non-finite entries")
         for name in self.estimators:
             resolve_estimator(name)
         template = CanonicalModel(x=np.zeros((self.k, self.p)), v=self.v, s=1.0, n=self.n)
-        pooled = PooledConstants.from_model(template, self.loss_spec(template, tol), tol)
-        return EstimatorSetting(pooled, self.hyper, tol, self.positive_part_js)
+        pooled = PooledConstants.from_model(template, self.loss_spec(template))
+        return EstimatorSetting(pooled, self.hyper, self.positive_part_js)
 
-    def loss_spec(
-        self, model: CanonicalModel | None = None, tol: Tolerances = DEFAULT
-    ) -> LossSpec:
+    def loss_spec(self, model: CanonicalModel | None = None) -> LossSpec:
         if model is None:
             model = CanonicalModel(x=np.zeros((self.k, self.p)), v=self.v, s=1.0, n=self.n)
         if self.q is None:
-            return LossSpec.inverse_v(model, tol)
-        return LossSpec.for_model(model, self.q, tol)
+            return LossSpec.inverse_v(model)
+        return LossSpec.for_model(model, self.q)
 
     @classmethod
     def benchmark(
@@ -294,6 +293,13 @@ class ExperimentConfig:
         )
 
 
+def _position(what: str, names: tuple[str, ...], name: str) -> int:
+    """Index of name in names, else a KeyError naming it and listing names."""
+    if name not in names:
+        raise KeyError(f"{what} {name!r} is not in the table; it has: {', '.join(names)}")
+    return names.index(name)
+
+
 @dataclass(frozen=True)
 class RiskTable:
     """Monte Carlo risks, standard errors, percentage improvements and contrasts.
@@ -319,23 +325,25 @@ class RiskTable:
     errors: dict[tuple[str, str], str] = field(default_factory=dict)
 
     def lookup(self, config: str, estimator: str) -> tuple[float, float, float]:
-        ci = self.config_names.index(config)
-        ei = self.estimator_names.index(estimator)
+        ci = _position("configuration", self.config_names, config)
+        ei = _position("estimator", self.estimator_names, estimator)
         return float(self.risk[ci, ei]), float(self.se[ci, ei]), float(self.prial[ci, ei])
 
     def domination(self, candidate: str, baseline: str) -> "DominationReport":
         """Paired 3-SE test that candidate never does worse than baseline.
 
-        Raises PreconditionError if either was skipped on a configuration.
+        Raises KeyError if either is not in the table, and
+        PreconditionError if either was skipped on a configuration.
         """
         cand, _ = resolve_estimator(candidate)
         base, _ = resolve_estimator(baseline)
+        ci = _position("estimator", self.estimator_names, cand)
+        bi = _position("estimator", self.estimator_names, base)
         for cname in self.config_names:
             skipped = [n for n in dict.fromkeys((cand, base)) if (cname, n) in self.errors]
             if skipped:
                 what = "; ".join(f"{n}: {self.errors[cname, n]}" for n in skipped)
                 raise PreconditionError(f"cannot compare on {cname!r}: {what}")
-        ci, bi = self.estimator_names.index(cand), self.estimator_names.index(base)
         mean_diff = self.paired_diff[:, bi, ci]  # baseline minus candidate
         se_diff = self.paired_se[:, bi, ci]
         per_config = mean_diff >= -3.0 * se_diff
@@ -424,7 +432,7 @@ def _config_losses(
     def losses_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
         u, us = _replicate_uniforms(cfg.seed, (_NS_EXPERIMENT, ci), r0, r1, cfg.k, cfg.p)
         x, s = _draw(truth, chol, cfg.n, u, us)
-        batch = setting.pooled.summarize(x, s, setting.tol)
+        batch = setting.pooled.summarize(x, s)
         out = np.full((len(names), r1 - r0), np.nan)
         errors: dict[str, str] = {}
         for ei, name in enumerate(names):
@@ -450,7 +458,7 @@ def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var / r)
 
 
-def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT) -> RiskTable:
+def run_experiment(cfg: ExperimentConfig) -> RiskTable:
     """Estimate the risk of each requested estimator on each configuration.
 
     Identical (seed, config) pairs give bit-identical tables regardless of
@@ -458,7 +466,7 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT) -> RiskTabl
     reported in RiskTable.errors and skipped; the rest proceed. The paired
     contrasts come from the same loss matrices.
     """
-    setting = cfg.validate(tol)
+    setting = cfg.validate()
     names = tuple(dict.fromkeys(resolve_estimator(raw)[0] for raw in cfg.estimators))
     errors: dict[tuple[str, str], str] = {}
     rows = []
@@ -502,14 +510,12 @@ class DominationReport:
     dominated: bool
 
 
-def paired_domination(
-    cfg: ExperimentConfig, candidate: str, baseline: str, tol: Tolerances = DEFAULT
-) -> DominationReport:
+def paired_domination(cfg: ExperimentConfig, candidate: str, baseline: str) -> DominationReport:
     """Test whether candidate never does worse than baseline on cfg.
 
     A run of the two estimators alone, read through RiskTable.domination.
     """
-    table = run_experiment(replace(cfg, estimators=(candidate, baseline)), tol)
+    table = run_experiment(replace(cfg, estimators=(candidate, baseline)))
     return table.domination(candidate, baseline)
 
 
@@ -558,7 +564,6 @@ def validate_uer(
     cfg: ExperimentConfig,
     members: Sequence[ShrinkageFunctions],
     truth_points: Sequence[TrueParameters],
-    tol: Tolerances = DEFAULT,
 ) -> tuple[CheckSet, ...]:
     """Check that the unbiased risk estimator matches Monte Carlo loss.
 
@@ -576,7 +581,7 @@ def validate_uer(
     point, a member without derivatives and a truth point of the wrong
     shape are all rejected before anything is drawn.
     """
-    setting = cfg.validate(tol)
+    setting = cfg.validate()
     if not members:
         raise ValueError("no class members to check")
     if not truth_points:
@@ -601,8 +606,8 @@ def validate_uer(
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
             u, us = _replicate_uniforms(cfg.seed, (_NS_UER, pi), r0, r1, cfg.k, cfg.p)
             x, s = _draw(truth, chol, cfg.n, u, us)
-            batch = setting.pooled.summarize(x, s, tol)
-            f, g = floored_statistics(batch, tol)
+            batch = setting.pooled.summarize(x, s)
+            f, g = floored_statistics(batch)
             out = np.empty((3 + width * len(members), r1 - r0))
             out[0], out[1], out[2] = f, g, s
             for mi, sf in enumerate(members):
@@ -739,7 +744,7 @@ def validate_identities(
     if cov_mat.shape != (p, p):
         raise ValueError(f"cov must have shape ({p}, {p}), got {cov_mat.shape}")
     truth = TrueParameters(mu_vec[None], sigma2)
-    _guarded_inverse("cov", cov_mat, DEFAULT)
+    _guarded_inverse("cov", cov_mat)
     chol = np.linalg.cholesky(cov_mat)
     trace = np.trace(cov_mat)
 

@@ -9,7 +9,7 @@ underflow the ratio even when the raw integrals would.
 
 The hierarchical factors use no adaptive quadrature. hb2_shrink_ratios and
 hb2_factors evaluate the joint factors of regular points (both statistics
-above tol.degenerate_stat) by one tensor Gauss-Jacobi rule (Golub and
+above DEGENERATE_STAT) by one tensor Gauss-Jacobi rule (Golub and
 Welsch, Math. Comp. 23, 1969). The substitutions x = t/(1-t), t = T s and
 y = w(1+x)/(1-w), w = U r take the box [0, f] x [0, g] to the unit square,
 where the weights s^alpha_e and r^beta_e absorb the power singularities at
@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.special as sc
 
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEGENERATE_STAT, QUAD_REL
 
 __all__ = [
     "HbExponents",
@@ -398,19 +398,18 @@ def hb1_shrink_ratio(
     a: float = 0.1,
     c: float = 0.1,
     eig_floor: float = 1.0,
-    tol: Tolerances = DEFAULT,
 ) -> float | np.ndarray:
     """hb1_phi(f) / f, switching to the exact series limit for tiny f.
 
     As f -> 0 the ratio tends to eig_floor * (m+a)/(m+a+1) with
-    m = p(k-1)/2; below tol.degenerate_stat that limit is returned directly.
+    m = p(k-1)/2; at or below DEGENERATE_STAT that limit is returned directly.
     """
     m = 0.5 * p * (k - 1)
     fa = np.asarray(f_stat, dtype=float)
     limit = eig_floor * (m + a) / (m + a + 1.0)
-    safe = np.where(fa > tol.degenerate_stat, fa, 1.0)
+    safe = np.where(fa > DEGENERATE_STAT, fa, 1.0)
     ratio = hb1_phi(safe, p, k, n, a, c, eig_floor) / safe
-    out = np.where(fa > tol.degenerate_stat, ratio, limit)
+    out = np.where(fa > DEGENERATE_STAT, ratio, limit)
     return float(out) if np.isscalar(f_stat) else out
 
 
@@ -655,19 +654,18 @@ def _hb2_flat(
     e: HbExponents,
     big_l: float,
     rel_tol: float,
-    tol: Tolerances,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi, psi) of flat statistic arrays; the one implementation behind both public calls.
 
     Regular points take _joint_rule. Where a statistic is at most
-    tol.degenerate_stat, its factor takes the series limit. A failing
+    DEGENERATE_STAT, its factor takes the series limit. A failing
     point raises ReplicateError with the lowest failing flat index.
     """
     _check_statistics(f, g, s, big_l)
     al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
     z0 = 0.5 * big_l * s if big_l > 0.0 else np.zeros_like(f)
-    f_deg = f <= tol.degenerate_stat
-    g_deg = g <= tol.degenerate_stat
+    f_deg = f <= DEGENERATE_STAT
+    g_deg = g <= DEGENERATE_STAT
     phi = f * (al + 1.0) / (al + 2.0)
     psi = g * (be + 1.0) / (be + 2.0)
     errors = np.full(f.size, "", dtype=object)
@@ -706,8 +704,7 @@ def hb2_factors(
     scale_sum: float,
     exponents: HbExponents,
     big_l: float = 0.0,
-    rel_tol: float = DEFAULT.quad_rel,
-    tol: Tolerances = DEFAULT,
+    rel_tol: float = QUAD_REL,
 ) -> tuple[float, float]:
     """Joint shrink factors (phi, psi) of the second hierarchical estimator.
 
@@ -724,7 +721,6 @@ def hb2_factors(
         exponents: integral exponents, see HbExponents.
         big_l: precision tilt rate, >= 0.
         rel_tol: acceptance tolerance of the Gauss-Jacobi rule.
-        tol: degenerate-statistic switch threshold.
 
     Returns:
         (phi, psi). phi is nondecreasing in both statistics, psi is
@@ -736,7 +732,7 @@ def hb2_factors(
         big_l 2 (scale sums 1 and 750, p up to 12, k up to 50, n 1 to
         20,000, f and g from 1e-3 to 1e4), 27 of 11,400 accepted points
         differed from a 320-node rule by more than 1e-6 relative, the
-        worst by 1.07e-5, at the default rel_tol of 1e-6.
+        worst by 1.07e-5, at the default rel_tol of QUAD_REL = 1e-6.
 
     Raises:
         ArithmeticError (a ReplicateError naming index 0) when the rule
@@ -744,7 +740,7 @@ def hb2_factors(
     """
     phi, psi = _hb2_flat(
         *(np.array([v], dtype=float) for v in (f_stat, g_stat, scale_sum)),
-        exponents, big_l, rel_tol, tol,
+        exponents, big_l, rel_tol,
     )
     return float(phi[0]), float(psi[0])
 
@@ -755,8 +751,7 @@ def hb2_shrink_ratios(
     scale_sum,
     exponents: HbExponents,
     big_l: float = 0.0,
-    rel_tol: float = DEFAULT.quad_rel,
-    tol: Tolerances = DEFAULT,
+    rel_tol: float = QUAD_REL,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(phi/f, psi/g) with exact series limits at degenerate statistics.
 
@@ -770,9 +765,9 @@ def hb2_shrink_ratios(
     )
     shape = f.shape
     f, g, s = f.ravel(), g.ravel(), s.ravel()
-    phi, psi = _hb2_flat(f, g, s, exponents, big_l, rel_tol, tol)
+    phi, psi = _hb2_flat(f, g, s, exponents, big_l, rel_tol)
     al, be = exponents.alpha_e, exponents.beta_e
-    deg = tol.degenerate_stat
+    deg = DEGENERATE_STAT
     phi_ratio = np.where(f > deg, phi / np.where(f > deg, f, 1.0), (al + 1.0) / (al + 2.0))
     psi_ratio = np.where(g > deg, psi / np.where(g > deg, g, 1.0), (be + 1.0) / (be + 2.0))
     if not shape:

@@ -290,6 +290,21 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 2
         assert f"error: {text}" in capsys.readouterr().err
 
+    def test_non_finite_mean_config_is_bad_input(self, tmp_path, capsys, monkeypatch):
+        # Rejected before any configuration is simulated, naming the configuration.
+        drawn = []
+        monkeypatch.setattr(kshrink.montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        body = SIMULATE_CONFIG.replace(
+            "    - name: tilt\n      scales: [-1.0, 0.0, 1.0]\n",
+            "    - name: spread\n      scales: [0, .nan, 1]\n",
+        )
+        cfg = put(tmp_path, "cfg.yaml", body)
+        assert main(["simulate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: mean config 'spread' has non-finite entries\n"
+        assert captured.out == ""
+        assert drawn == []
+
     def test_config_without_experiment(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", "hyper: {a: 0.2}\n")
         assert main(["simulate", "--config", cfg]) == 2

@@ -7,12 +7,14 @@ the groupwise zero-shrink keeps 1 - 10/144 of group two, and the capped
 factors all equal 1/(12 * 0.6) = 5/36.
 """
 
+import inspect
 from functools import cached_property
 
 import numpy as np
 import pytest
 from pytest import approx
 
+import kshrink
 import oracles
 from kshrink import CanonicalModel, Hyperparameters, LossSpec, pooled_summary
 from kshrink.estimators import (
@@ -35,7 +37,6 @@ from kshrink.estimators import (
     resolve_estimator,
 )
 from kshrink.model import PooledBatch, PooledConstants
-from kshrink.tolerances import DEFAULT
 
 J = np.ones(3)
 
@@ -392,7 +393,7 @@ class TestBatch:
         batch = constants.summarize(
             rng.normal(size=(6, model.k, model.p)), rng.uniform(5.0, 15.0, 6)
         )
-        setting = EstimatorSetting(constants, Hyperparameters(), DEFAULT, False)
+        setting = EstimatorSetting(constants, Hyperparameters(), False)
         for name in ("EB", "EB*", "HB1", "HB2"):
             BATCH_ESTIMATORS[name](setting, batch)
         assert sorted(built) == ["toward_pooled", "toward_zero"]
@@ -417,3 +418,45 @@ class TestRegistry:
             est = fn(model, ls, ps)
             for key, value in est.diagnostics.items():
                 assert isinstance(value, (float, bool)), (name, key)
+
+
+class TestFixedTolerances:
+    """Every path runs under the constants of kshrink.tolerances; no call takes other values."""
+
+    @staticmethod
+    def signatures():
+        """(label, parameter names) of every public callable and of the configuration methods."""
+        found = {}
+        for module in (kshrink, kshrink.model, kshrink.numerics, kshrink.estimators,
+                       kshrink.risk, kshrink.montecarlo):
+            for name in module.__all__:
+                obj = getattr(module, name)
+                if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+                    found[f"{module.__name__}.{name}"] = obj
+        found.update({f"ESTIMATORS[{n}]": f for n, f in ESTIMATORS.items()})
+        found.update({f"BATCH_ESTIMATORS[{n}]": f for n, f in BATCH_ESTIMATORS.items()})
+        for cls in (kshrink.ExperimentConfig, LossSpec, PooledConstants, EstimatorSetting):
+            for name in vars(cls):
+                member = getattr(cls, name)
+                routine = inspect.isfunction(member) or inspect.ismethod(member)
+                if routine and not name.startswith("_"):
+                    found[f"{cls.__name__}.{name}"] = member
+        return {label: set(inspect.signature(obj).parameters) for label, obj in found.items()}
+
+    def test_no_tolerance_parameter(self):
+        signatures = self.signatures()
+        assert "kshrink.montecarlo.run_experiment" in signatures
+        assert "LossSpec.matches_inverse_v" in signatures
+        takes = {label for label, params in signatures.items() if params & {"tol", "rtol"}}
+        assert takes == set()
+        assert "tol" not in EstimatorSetting.__dataclass_fields__
+
+    def test_rel_tol_only_on_the_hb2_entry_points(self):
+        # integrate_adaptive_1d, the standalone integrator no HB factor
+        # calls, keeps its own stopping tolerance.
+        takes = {
+            label.rsplit(".", 1)[-1]
+            for label, params in self.signatures().items()
+            if "rel_tol" in params
+        }
+        assert takes == {"hb2_factors", "hb2_shrink_ratios", "integrate_adaptive_1d"}

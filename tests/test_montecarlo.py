@@ -10,6 +10,7 @@ from pytest import approx
 from kshrink import (
     CanonicalModel,
     ExperimentConfig,
+    Hyperparameters,
     MeanConfig,
     TrueParameters,
     paired_domination,
@@ -20,10 +21,16 @@ from kshrink import (
     validate_uer,
 )
 from kshrink import estimators, montecarlo, numerics
-from kshrink.estimators import ESTIMATORS, PreconditionError, ShrinkageFunctions, estimate_js1
+from kshrink.estimators import (
+    BATCH_ESTIMATORS,
+    ESTIMATORS,
+    PreconditionError,
+    ShrinkageFunctions,
+    estimate_js1,
+)
 from kshrink.model import PooledConstants, pooled_summary
 from kshrink.risk import loss
-from kshrink.tolerances import DEFAULT, Tolerances
+from kshrink.tolerances import DEGENERATE_STAT
 
 
 def small_config(**overrides):
@@ -182,36 +189,41 @@ class TestExperimentConfig:
             run_experiment(small_config(seed=-1))
         assert drawn == []
 
-
-def assert_engine_matches_public_estimators(tol):
-    # The vectorized engine must reproduce the one-model-at-a-time
-    # estimators draw for draw, under the tolerances it is given.
-    # Rebuild every replicate through the public sampling function and
-    # compare average losses.
-    cfg = small_config(estimators=("X",) + ExperimentConfig.benchmark().estimators)
-    table = run_experiment(cfg, tol)
-    ls = cfg.loss_spec(tol=tol)
-    for ci, mc in enumerate(cfg.mean_configs):
-        truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
-        by_hand = {name: [] for name in table.estimator_names}
-        for r in range(cfg.replicates):
-            model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, ci, r)
-            for name in table.estimator_names:
-                est = ESTIMATORS[name](model, ls, hyper=cfg.hyper, tol=tol)
-                by_hand[name].append(loss(est, truth, ls))
-        for ei, name in enumerate(table.estimator_names):
-            want = float(np.sum(np.asarray(by_hand[name])) / cfg.replicates)
-            assert table.risk[ci, ei] == approx(want, rel=1e-8), name
+    def test_non_finite_mean_config_rejected_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        means = (
+            MeanConfig.from_scales("flat", (0.0, 0.0, 0.0), 3),
+            MeanConfig.from_scales("spread", (0.0, np.nan, 1.0), 3),
+        )
+        for bad in (means, means[::-1]):
+            with pytest.raises(ValueError, match="^mean config 'spread' has non-finite entries$"):
+                run_experiment(small_config(mean_configs=bad))
+        inf = (MeanConfig(name="far", mu=np.full((3, 3), np.inf)),)
+        with pytest.raises(ValueError, match="^mean config 'far' has non-finite entries$"):
+            small_config(mean_configs=inf).validate()
+        assert drawn == []
 
 
 class TestRunExperiment:
     def test_engine_agrees_with_public_estimators(self):
-        assert_engine_matches_public_estimators(DEFAULT)
-
-    def test_engine_agrees_with_public_estimators_under_loose_tolerances(self):
-        assert_engine_matches_public_estimators(
-            Tolerances(degenerate_stat=0.3, quad_rel=1e-3)
-        )
+        # The vectorized engine must reproduce the one-model-at-a-time
+        # estimators draw for draw. Rebuild every replicate through the
+        # public sampling function and compare average losses.
+        cfg = small_config(estimators=("X",) + ExperimentConfig.benchmark().estimators)
+        table = run_experiment(cfg)
+        ls = cfg.loss_spec()
+        for ci, mc in enumerate(cfg.mean_configs):
+            truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
+            by_hand = {name: [] for name in table.estimator_names}
+            for r in range(cfg.replicates):
+                model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, ci, r)
+                for name in table.estimator_names:
+                    est = ESTIMATORS[name](model, ls, hyper=cfg.hyper)
+                    by_hand[name].append(loss(est, truth, ls))
+            for ei, name in enumerate(table.estimator_names):
+                want = float(np.sum(np.asarray(by_hand[name])) / cfg.replicates)
+                assert table.risk[ci, ei] == approx(want, rel=1e-8), name
 
     def test_thread_count_never_changes_results(self):
         lone = run_experiment(small_config(threads=1))
@@ -242,6 +254,17 @@ class TestRunExperiment:
         ei = table.estimator_names.index("EB")
         assert (risk, se, pr) == (table.risk[ci, ei], table.se[ci, ei], table.prial[ci, ei])
         assert se > 0.0
+
+    def test_lookup_names_what_is_missing(self):
+        table = run_experiment(small_config(estimators=("PT", "PT*"), replicates=16))
+        with pytest.raises(KeyError) as raised:
+            table.lookup("all-zero", "PT")
+        assert raised.value.args[0] == (
+            "configuration 'all-zero' is not in the table; it has: spread, tight"
+        )
+        with pytest.raises(KeyError) as raised:
+            table.lookup("tight", "HB2")
+        assert raised.value.args[0] == "estimator 'HB2' is not in the table; it has: PT, PT*"
 
     def test_aliases_deduplicate(self):
         table = run_experiment(small_config(estimators=("EB1", "EB", "EB2")))
@@ -415,6 +438,54 @@ class TestNonDiagonalScale:
         assert "seed 777" in text
 
 
+class TestDegenerateRows:
+    """Statistics at or below DEGENERATE_STAT take each kernel's limit branch, row by row."""
+
+    @pytest.mark.parametrize("big_l", [0.0, 0.5])
+    def test_block_rows_are_the_single_shot_estimates(self, big_l):
+        cfg = small_config(v=spd_stack(3, 3, seed=12), hyper=Hyperparameters(big_l=big_l))
+        setting = cfg.validate()
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=(3, 3))
+        y -= y.mean(axis=0)
+        x = np.stack([
+            np.zeros((3, 3)),  # x = 0: f = g = 0
+            np.broadcast_to(rng.normal(size=3), (3, 3)),  # coincident groups: f ~ 0
+            np.einsum("kab,kb->ka", cfg.v, y),  # sum_i inv(v[i]) x[i] ~ 0: g ~ 0
+            rng.normal(size=(3, 3)),
+        ])
+        s = np.array([0.5, 1.0, 2.0, 4.0])
+        batch = setting.pooled.summarize(x, s)
+        f, g = batch.residual_stat, batch.pooled_norm_stat
+        assert f[0] == g[0] == 0.0
+        assert f[1] <= DEGENERATE_STAT < g[1]
+        assert g[2] <= DEGENERATE_STAT < f[2]
+        assert min(f[3], g[3]) > DEGENERATE_STAT
+        # Each factor of a degenerate statistic is its limit: f at rows 0
+        # and 1, g at rows 0 and 2; HB1's is (m + a) / (m + a + 1), m = 3.
+        e = setting.hb_exponents
+        at_f0, at_g0 = [0, 1], [0, 2]
+        limits = [
+            ("EB", "mean_shrink", at_f0, 1.0),
+            ("EB*", "zero_shrink", at_g0, 1.0),
+            ("PT*", "zero_shrink", at_g0, 1.0),
+            ("HB1", "mean_shrink", at_f0, 3.1 / 4.1),
+            ("HB2", "mean_shrink", at_f0, (e.alpha_e + 1.0) / (e.alpha_e + 2.0)),
+            ("HB2", "zero_shrink", at_g0, (e.beta_e + 1.0) / (e.beta_e + 2.0)),
+        ]
+        for name, kernel in BATCH_ESTIMATORS.items():
+            block, diags = kernel(setting, batch)
+            for lname, key, rows, want in limits:
+                if lname == name:
+                    assert np.all(diags[key][rows] == want), (name, key)
+            for r in range(s.size):
+                model = CanonicalModel(x=x[r], v=cfg.v, s=s[r], n=cfg.n)
+                one = ESTIMATORS[name](model, setting.pooled.loss, hyper=cfg.hyper)
+                assert np.array_equal(one.mu_hat, block[r]), (name, r)
+                row = {key: value[r] if np.ndim(value) else value for key, value in diags.items()}
+                assert one.diagnostics == row, (name, r)
+
+
 class TestPairedDomination:
     def test_self_comparison_is_exact_tie(self):
         rep = paired_domination(small_config(), "EB", "EB")
@@ -498,6 +569,16 @@ class TestPairedDomination:
         assert np.all(np.isnan(table.paired_diff[0, js1]))
         assert np.all(np.isnan(table.paired_diff[0, :, js1]))
         assert np.all(np.isfinite(table.domination("EB", "PT").mean_diff))
+
+    def test_estimator_missing_from_the_table_is_named(self):
+        table = run_experiment(small_config(estimators=("PT", "PT*"), replicates=16))
+        for cand, base in (("HB2", "PT"), ("PT", "EB1")):
+            missing = "HB2" if cand == "HB2" else "EB"
+            with pytest.raises(KeyError) as raised:
+                table.domination(cand, base)
+            assert raised.value.args[0] == (
+                f"estimator {missing!r} is not in the table; it has: PT, PT*"
+            )
 
 
 class TestUerMembers:

@@ -22,7 +22,7 @@ from kshrink.numerics import (
     reg_inc_beta,
     reg_upper_inc_gamma,
 )
-from kshrink.tolerances import DEFAULT
+from kshrink.tolerances import DEGENERATE_STAT, QUAD_REL
 
 
 class TestRegIncBeta:
@@ -476,7 +476,7 @@ class TestTiltedHb2:
 
         assert [rule(n)[1][0] for n in (12, 20, 28)] == [-np.inf] * 3
         got = hb2_factors(224.0, 1.0, 750.0, e, big_l=2.0)
-        assert got == approx(tuple(rule(320)[0][:, 0]), rel=DEFAULT.quad_rel)
+        assert got == approx(tuple(rule(320)[0][:, 0]), rel=QUAD_REL)
 
 
 
@@ -492,7 +492,7 @@ class TestLargeDegreesOfFreedom:
 
     @pytest.mark.parametrize("n", [2000, 20000])
     @pytest.mark.parametrize("big_l", [0.0, 0.5])
-    @pytest.mark.parametrize("rel_tol", [DEFAULT.quad_rel, 1e-10])
+    @pytest.mark.parametrize("rel_tol", [QUAD_REL, 1e-10])
     def test_saturated_statistics_give_the_limits(self, n, big_l, rel_tol):
         # Past f, g = 0.1 the integrals lack less than e^-90 of their mass,
         # and z0 = 6.25 leaves the tilt within 1e-300 of 1, so the factors
@@ -699,7 +699,7 @@ class TestHbFactorsOverTheStatisticRange:
         f, g = (a.ravel() for a in np.meshgrid(self.GRID, self.GRID, indexing="ij"))
         rphi, rpsi = hb2_shrink_ratios(f, g, 1.0, BENCH)
         phi, psi = np.array([hb2_factors(a, b, 1.0, BENCH) for a, b in zip(f, g)]).T
-        deg = DEFAULT.degenerate_stat
+        deg = DEGENERATE_STAT
         np.testing.assert_allclose(rphi[f > deg], (phi / f)[f > deg], rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(rpsi[g > deg], (psi / g)[g > deg], rtol=1e-10, atol=0.0)
 
@@ -724,7 +724,7 @@ class TestHbFactorsOverTheStatisticRange:
 
     @pytest.mark.parametrize("other", [1e-3, 0.5, 30.0, 1e6])
     def test_continuous_across_the_degenerate_switch(self, other):
-        deg = DEFAULT.degenerate_stat
+        deg = DEGENERATE_STAT
         both = np.array([deg, deg * (1.0 + 1e-6)])
         rphi, _ = hb2_shrink_ratios(both, other, 1.0, BENCH)
         _, rpsi = hb2_shrink_ratios(other, both, 1.0, BENCH)
