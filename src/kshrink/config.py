@@ -22,6 +22,7 @@ group or a list of k specs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -72,6 +73,24 @@ def _get_int(node: dict, key: str, where: str, default: Any = _REQUIRED) -> Any:
     return value
 
 
+def _not_a_number(what: str, value: Any) -> ConfigError:
+    """The error for a non-number; a string such as '1e308' gets its YAML float form."""
+    message = f"{what} must be a number, got {value!r}"
+    try:
+        number = float(value) if isinstance(value, str) else math.nan
+    except ValueError:
+        number = math.nan
+    if math.isfinite(number):
+        mantissa, e, exponent = repr(number).partition("e")
+        if "." not in mantissa:
+            mantissa += ".0"
+        message += (
+            "; YAML reads a number as a string unless it has a dot and any exponent "
+            f"has a sign: write {mantissa}{e}{exponent}"
+        )
+    return ConfigError(message)
+
+
 def _get_float(node: dict, key: str, where: str, default: Any = None, required: bool = False) -> Any:
     if key not in node:
         if required:
@@ -79,7 +98,7 @@ def _get_float(node: dict, key: str, where: str, default: Any = None, required: 
         return default
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        raise _not_a_number(f"{where}.{key}", value)
     return float(value)
 
 
@@ -98,7 +117,7 @@ def _number_list(node: Any, where: str) -> list[float]:
     out = []
     for j, v in enumerate(node):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{where}[{j}] must be a number, got {v!r}")
+            raise _not_a_number(f"{where}[{j}]", v)
         out.append(float(v))
     return out
 

@@ -223,7 +223,7 @@ class LossSpec:
 
     def matches_inverse_v(self, model: CanonicalModel) -> bool:
         """True when every q[i] equals inv(v[i]) up to _INVERSE_LOSS_REL."""
-        prod = np.einsum("kab,kbc->kac", model.v, self.q)
+        prod = model.v @ self.q
         bound = _INVERSE_LOSS_REL * max(1.0, float(np.abs(prod).max()))
         return bool(np.all(np.abs(prod - np.eye(model.p)) <= bound))
 
@@ -297,7 +297,7 @@ class PooledConstants:
         if bad:
             raise ValueError("invalid model: " + "; ".join(bad))
         v_inv = loss_spec.v_inv
-        w = np.einsum("kab,kbc,kcd->kad", v_inv, loss_spec.q_inv, v_inv)
+        w = v_inv @ loss_spec.q_inv @ v_inv
         weights = 0.5 * (w + np.transpose(w, (0, 2, 1)))
         weight_sum = weights.sum(axis=0)
         return cls(
@@ -309,7 +309,7 @@ class PooledConstants:
             weights=_freeze(weights),
             weight_sum=_freeze(weight_sum),
             pooled_cov=_freeze(_guarded_inverse("sum of weights", weight_sum)),
-            directions=_freeze(np.einsum("kab,kbc->kac", model.v, weights)),
+            directions=_freeze(model.v @ weights),
             trace_sum=float(np.einsum("kab,kba->", model.v, loss_spec.q)),
             inverse_loss=loss_spec.matches_inverse_v(model),
         )

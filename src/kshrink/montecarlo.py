@@ -12,8 +12,12 @@ of an experiment, (1, i) for truth point i of validate_uer, and (2, 0),
 read with k = 1, for validate_identities. All variates are produced by
 inverse-CDF transforms, so results are bit-identical across runs, thread
 counts, and platforms with IEEE-754 doubles. Every stream is read in
-_BLOCK-replicate blocks through one block loop (never a function of the
-thread count), each block reading only its own slice of the stream. The
+blocks through one block loop, each block reading only its own slice of
+the stream. A block holds max(1, _BLOCK_VALUES // width) replicates, where
+width is the number of values a replicate has in the block's largest
+arrays (k*p for an experiment or a truth point, p for the identities), so
+a block's working set stays near _BLOCK_VALUES doubles per array at any
+dimension; the block length is never a function of the thread count. The
 per-replicate work takes no matrix product over replicate rows (whose
 BLAS bits depend on the row count): every sum over a replicate's own
 entries is an einsum or elementwise step, so a replicate's values do not
@@ -78,7 +82,8 @@ __all__ = [
     "validate_identities",
 ]
 
-_BLOCK = 256
+# Values per (R, k, p) array of a block; see the module docstring.
+_BLOCK_VALUES = 2**15
 # Stream namespaces; first spawn_key element.
 _NS_EXPERIMENT = 0
 _NS_UER = 1
@@ -237,7 +242,11 @@ class ExperimentConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not self.mean_configs:
             raise ValueError("no mean configurations")
+        seen: set[str] = set()
         for mc in self.mean_configs:
+            if mc.name in seen:
+                raise ValueError(f"mean config {mc.name!r} is named more than once")
+            seen.add(mc.name)
             if mc.mu.shape != (self.k, self.p):
                 raise ValueError(
                     f"mean config {mc.name!r} has shape {mc.mu.shape}, "
@@ -324,9 +333,14 @@ class RiskTable:
     seed: int
     errors: dict[tuple[str, str], str] = field(default_factory=dict)
 
+    def _estimator(self, name: str) -> tuple[str, int]:
+        """The canonical name of estimator name (or an alias) and its column."""
+        canon, _ = resolve_estimator(name)
+        return canon, _position("estimator", self.estimator_names, canon)
+
     def lookup(self, config: str, estimator: str) -> tuple[float, float, float]:
         ci = _position("configuration", self.config_names, config)
-        ei = _position("estimator", self.estimator_names, estimator)
+        _, ei = self._estimator(estimator)
         return float(self.risk[ci, ei]), float(self.se[ci, ei]), float(self.prial[ci, ei])
 
     def domination(self, candidate: str, baseline: str) -> "DominationReport":
@@ -335,10 +349,8 @@ class RiskTable:
         Raises KeyError if either is not in the table, and
         PreconditionError if either was skipped on a configuration.
         """
-        cand, _ = resolve_estimator(candidate)
-        base, _ = resolve_estimator(baseline)
-        ci = _position("estimator", self.estimator_names, cand)
-        bi = _position("estimator", self.estimator_names, base)
+        cand, ci = self._estimator(candidate)
+        base, bi = self._estimator(baseline)
         for cname in self.config_names:
             skipped = [n for n in dict.fromkeys((cand, base)) if (cname, n) in self.errors]
             if skipped:
@@ -389,18 +401,21 @@ class RiskTable:
 
 def _blocked(
     count: int,
+    width: int,
     threads: int,
     rows: int,
     block: Callable[[int, int], tuple[np.ndarray, dict[str, str]]],
 ) -> tuple[np.ndarray, dict[str, str]]:
-    """Run block(r0, r1) over replicates 0 .. count-1 in _BLOCK-replicate blocks.
+    """Run block(r0, r1) over replicates 0 .. count-1, width values per replicate.
 
-    Each block returns its (rows, r1 - r0) values and a dict of messages.
-    The values are joined in replicate order into one (rows, count) array,
-    and the first message per key is kept, so neither depends on the
-    thread count.
+    A block has max(1, _BLOCK_VALUES // width) replicates; the last one may
+    be shorter. Each block returns its (rows, r1 - r0) values and a dict of
+    messages. The values are joined in replicate order into one
+    (rows, count) array, and the first message per key is kept, so neither
+    depends on the block length or the thread count.
     """
-    blocks = [(r0, min(r0 + _BLOCK, count)) for r0 in range(0, count, _BLOCK)]
+    step = max(1, _BLOCK_VALUES // width)
+    blocks = [(r0, min(r0 + step, count)) for r0 in range(0, count, step)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(block, r0, r1) for r0, r1 in blocks]
@@ -447,7 +462,7 @@ def _config_losses(
             out[ei] = loss(mu_hat, truth, setting.pooled.loss)
         return out, errors
 
-    return _blocked(cfg.replicates, cfg.threads, len(names), losses_block)
+    return _blocked(cfg.replicates, cfg.k * cfg.p, cfg.threads, len(names), losses_block)
 
 
 def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -600,7 +615,7 @@ def validate_uer(
     # its loss and the eight factor values and derivatives UerInputs takes;
     # uer then runs once per check, on the rows joined over all blocks.
     factor_rows = ("phi", "psi") + ShrinkageFunctions.PARTIALS
-    width = 1 + len(factor_rows)
+    per_member = 1 + len(factor_rows)
 
     def point_checks(pi: int, truth: TrueParameters) -> list[PairedCheck]:
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
@@ -608,22 +623,24 @@ def validate_uer(
             x, s = _draw(truth, chol, cfg.n, u, us)
             batch = setting.pooled.summarize(x, s)
             f, g = floored_statistics(batch)
-            out = np.empty((3 + width * len(members), r1 - r0))
+            out = np.empty((3 + per_member * len(members), r1 - r0))
             out[0], out[1], out[2] = f, g, s
             for mi, sf in enumerate(members):
                 mu_hat, diags = batch_general(setting, batch, sf)
-                rows = out[3 + width * mi : 3 + width * (mi + 1)]
+                rows = out[3 + per_member * mi : 3 + per_member * (mi + 1)]
                 rows[0] = loss(mu_hat, truth, setting.pooled.loss)
                 rows[1], rows[2] = diags["phi"], diags["psi"]
                 for i, name in enumerate(sf.PARTIALS):
                     rows[3 + i] = getattr(sf, name)(f, g, s)
             return out, {}
 
-        values, _ = _blocked(cfg.replicates, cfg.threads, 3 + width * len(members), uer_block)
+        values, _ = _blocked(
+            cfg.replicates, cfg.k * cfg.p, cfg.threads, 3 + per_member * len(members), uer_block
+        )
         f, g, s = values[:3]
         checks = []
         for mi in range(len(members)):
-            losses, *factors = values[3 + width * mi : 3 + width * (mi + 1)]
+            losses, *factors = values[3 + per_member * mi : 3 + per_member * (mi + 1)]
             inputs = UerInputs(
                 f_stat=f,
                 g_stat=g,
@@ -725,9 +742,9 @@ def validate_identities(
     g(s) = 1 / (1 + s), the mean of S g(S) must match
     sigma2 * (n g(S) + 2 S g'(S)). Both are paired checks. Draw r is
     replicate r of stream (2, 0) read with k = 1: Y takes its
-    observations, S its scale uniform. The draws run in _BLOCK-draw blocks
-    through the harness's block loop, so only the four per-draw rows are
-    kept at full length. p and n must be at least 1, the seed
+    observations, S its scale uniform. The draws run through the harness's
+    block loop, max(1, _BLOCK_VALUES // p) draws per block, so only the four
+    per-draw rows are kept at full length. p and n must be at least 1, the seed
     non-negative, mu finite, sigma2 positive and finite, and cov a
     well-conditioned positive definite matrix; all of that is checked
     before anything is drawn.
@@ -763,7 +780,7 @@ def validate_identities(
         )
         return np.stack(rows), {}
 
-    values, _ = _blocked(draws, 1, 4, identity_block)
+    values, _ = _blocked(draws, p, 1, 4, identity_block)
     return CheckSet(
         (
             _paired_check("gaussian-by-parts", values[0], values[1]),

@@ -305,6 +305,19 @@ class TestSimulate:
         assert captured.out == ""
         assert drawn == []
 
+    def test_duplicate_mean_config_name_is_bad_input(self, tmp_path, capsys, monkeypatch):
+        # Two rows named alike could not be told apart in the table, in
+        # lookup or in the skipped lines; rejected before anything is drawn.
+        drawn = []
+        monkeypatch.setattr(kshrink.montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        body = SIMULATE_CONFIG.replace("    - name: tilt\n", "    - name: flat\n")
+        cfg = put(tmp_path, "cfg.yaml", body)
+        assert main(["simulate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: mean config 'flat' is named more than once\n"
+        assert captured.out == ""
+        assert drawn == []
+
     def test_config_without_experiment(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", "hyper: {a: 0.2}\n")
         assert main(["simulate", "--config", cfg]) == 2
@@ -468,3 +481,17 @@ class TestUsage:
         with pytest.raises(SystemExit):
             main(["simulate"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("table1", "also write the table as CSV here; the text table still goes to stdout"),
+            ("simulate", "also write the table as CSV here; the text table still goes to stdout"),
+            ("estimate", "write CSV here instead of stdout"),
+        ],
+    )
+    def test_output_help_says_where_the_text_goes(self, capsys, command, text):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--help"])
+        assert raised.value.code == 0
+        assert text in " ".join(capsys.readouterr().out.split())

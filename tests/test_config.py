@@ -4,6 +4,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import yaml
 from pytest import approx
 
 from kshrink import ConfigError, experiment_from_document, load_document
@@ -210,6 +211,34 @@ class TestParseHyper:
     def test_boolean_is_not_a_number(self):
         with pytest.raises(ConfigError, match="must be a number"):
             parse_hyper({"a": True})
+
+    @pytest.mark.parametrize(
+        "text, written",
+        [("1e308", "1.0e+308"), ("1e-5", "1.0e-05"), ("1.5e3", "1500.0"), ("2E+2", "200.0")],
+    )
+    def test_number_read_as_a_string_is_told_how_to_write_it(self, text, written):
+        # YAML 1.1 reads a float only with a dot and, if there is an
+        # exponent, a signed one; the message gives a form it reads.
+        doc = yaml.safe_load(f"c: {text}")
+        assert doc == {"c": text}
+        with pytest.raises(ConfigError) as raised:
+            parse_hyper(doc)
+        assert str(raised.value) == (
+            f"hyper.c must be a number, got {text!r}; YAML reads a number as a string "
+            f"unless it has a dot and any exponent has a sign: write {written}"
+        )
+        assert parse_hyper(yaml.safe_load(f"c: {written}")).c == float(text)
+
+    @pytest.mark.parametrize("value", ["x", "nan", "inf", [1.0]])
+    def test_other_non_numbers_get_no_hint(self, value):
+        with pytest.raises(ConfigError) as raised:
+            parse_hyper({"c": value})
+        assert str(raised.value) == f"hyper.c must be a number, got {value!r}"
+
+    def test_matrix_cell_read_as_a_string_is_told_how_to_write_it(self):
+        with pytest.raises(ConfigError) as raised:
+            parse_matrix(yaml.safe_load("[[1e3, 0.0], [0.0, 1.0]]"), 2, "w")
+        assert str(raised.value).endswith("write 1000.0")
 
 
 class TestExperimentFromDocument:

@@ -393,6 +393,31 @@ class TestPooledSummary:
         stacked = np.concatenate(groups, axis=0)
         assert ps.pooled_mean == approx(stacked.mean(axis=0))
 
+    @pytest.mark.parametrize("inverse", [True, False], ids=["inverse-loss", "general-loss"])
+    def test_constants_match_the_einsum_forms_at_p40(self, inverse):
+        # weights and directions are stacked products, not the four-index
+        # einsum numpy runs in O(k p^4); with a full v the sums run in
+        # another order, so the two agree to rounding, not in every bit.
+        # Rounding scales with a matrix's largest terms, so an entry that
+        # nearly cancels is held to 1e-12 of its matrix's largest entry.
+        rng = np.random.default_rng(40)
+        k, p = 3, 40
+        v = spd_stack(rng, k, p, full=True)
+        model = CanonicalModel(x=rng.normal(size=(k, p)), v=v, s=1.0, n=50)
+        if inverse:
+            ls = LossSpec.inverse_v(model)
+        else:
+            ls = LossSpec.for_model(model, spd_stack(rng, k, p, full=True))
+        constants = PooledConstants.from_model(model, ls)
+        w = np.einsum("kab,kbc,kcd->kad", ls.v_inv, ls.q_inv, ls.v_inv)
+        w = 0.5 * (w + np.transpose(w, (0, 2, 1)))
+        directions = np.einsum("kab,kbc->kac", v, w)
+        for got, want in ((constants.weights, w), (constants.directions, directions)):
+            scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
+        assert constants.inverse_loss is inverse
+        assert ls.matches_inverse_v(model) is inverse
+
     def test_singular_weight_sum_rejected(self):
         # Each v[i] passes the guards (condition 3.3e6) but the identity
         # loss squares that in w = inv(v) inv(q) inv(v), pushing cond(sum W)
@@ -414,10 +439,11 @@ def spd_stack(rng, k, p, full):
 
 class TestQuadForms:
     # The helper must keep the bits of the replicate-first einsum subscripts
-    # it replaced, at every block length the harness uses (1, 2, a full
-    # 256-replicate block and either side of it).
+    # it replaced, at block lengths the harness uses: 1, 2, 256, and a full
+    # block at k = p = 5 (1310 replicates) or of p = 5 draws (6553), each
+    # with its neighbours.
     @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
-    @pytest.mark.parametrize("r", [1, 2, 255, 256, 257])
+    @pytest.mark.parametrize("r", [1, 2, 255, 256, 257, 1309, 1310, 1311])
     def test_stacked_forms_match_the_replicate_first_subscripts(self, r, full):
         rng = np.random.default_rng(1000 * r + full)
         for k in (1, 2, 5, 13):
@@ -437,7 +463,7 @@ class TestQuadForms:
                 assert np.array_equal(by_group, np.einsum("rka,kab,rkb->rk", x, m, x)[:r])
 
     @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
-    @pytest.mark.parametrize("r", [1, 2, 255, 256, 257])
+    @pytest.mark.parametrize("r", [1, 2, 255, 256, 257, 6552, 6553, 6554])
     def test_single_matrix_form_matches_the_replicate_first_subscripts(self, r, full):
         rng = np.random.default_rng(2000 * r + full)
         for p in (1, 2, 3, 5, 12):

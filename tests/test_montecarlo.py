@@ -52,6 +52,31 @@ def small_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def block_rows(width):
+    """Replicates per harness block when a replicate has width values per array."""
+    return max(1, montecarlo._BLOCK_VALUES // width)
+
+
+def one_block(monkeypatch):
+    """Make every later harness run read each stream in a single block."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 10**12)
+
+
+def read_spans(monkeypatch, run):
+    """run()'s result and the (r0, r1) replicate ranges it read, in call order."""
+    real = montecarlo._replicate_uniforms
+    spans = []
+
+    def spying(seed, key, r0, r1, k, p):
+        spans.append((r0, r1))
+        return real(seed, key, r0, r1, k, p)
+
+    monkeypatch.setattr(montecarlo, "_replicate_uniforms", spying)
+    result = run()
+    monkeypatch.setattr(montecarlo, "_replicate_uniforms", real)
+    return result, spans
+
+
 class TestSampleCanonical:
     def test_reproducible_from_stream_address(self):
         truth = TrueParameters(mu=np.zeros((2, 3)), sigma2=2.0)
@@ -131,10 +156,12 @@ class TestReplicateUniforms:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "SeedSequence", counting)
-        cfg = small_config(replicates=300)
+        rows = block_rows(3 * 3)
+        cfg = small_config(replicates=2 * rows + 1, estimators=("EB",))
         run_experiment(cfg)
-        blocks = -(-cfg.replicates // montecarlo._BLOCK)
-        assert 0 < len(made) <= len(cfg.mean_configs) * blocks
+        blocks = -(-cfg.replicates // rows)
+        assert blocks == 3
+        assert len(made) == len(cfg.mean_configs) * blocks
 
 
 class TestMeanConfig:
@@ -204,6 +231,20 @@ class TestExperimentConfig:
             small_config(mean_configs=inf).validate()
         assert drawn == []
 
+    def test_duplicate_mean_config_names_rejected_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        means = (
+            MeanConfig.from_scales("a", (0.0, 0.0, 0.0), 3),
+            MeanConfig.from_scales("b", (0.0, 0.5, 1.0), 3),
+            MeanConfig.from_scales("a", (1.0, 1.0, 1.0), 3),
+        )
+        with pytest.raises(ValueError, match="^mean config 'a' is named more than once$"):
+            small_config(mean_configs=means).validate()
+        with pytest.raises(ValueError, match="^mean config 'a' is named more than once$"):
+            run_experiment(small_config(mean_configs=means))
+        assert drawn == []
+
 
 class TestRunExperiment:
     def test_engine_agrees_with_public_estimators(self):
@@ -266,6 +307,19 @@ class TestRunExperiment:
             table.lookup("tight", "HB2")
         assert raised.value.args[0] == "estimator 'HB2' is not in the table; it has: PT, PT*"
 
+    def test_lookup_resolves_aliases(self):
+        table = run_experiment(small_config(estimators=("EB1", "EB2"), replicates=16))
+        assert table.estimator_names == ("EB", "EB*")
+        for config in table.config_names:
+            assert table.lookup(config, "EB1") == table.lookup(config, "EB")
+            assert table.lookup(config, "EB2") == table.lookup(config, "EB*")
+        ci = table.config_names.index("tight")
+        risk, se, gain = table.lookup("tight", "EB2")
+        assert (risk, se, gain) == (table.risk[ci, 1], table.se[ci, 1], table.prial[ci, 1])
+        with pytest.raises(KeyError) as raised:
+            table.lookup("tight", "PT")
+        assert raised.value.args[0] == "estimator 'PT' is not in the table; it has: EB, EB*"
+
     def test_aliases_deduplicate(self):
         table = run_experiment(small_config(estimators=("EB1", "EB", "EB2")))
         assert table.estimator_names == ("EB", "EB*")
@@ -288,13 +342,14 @@ class TestRunExperiment:
         assert "JS1" in table.to_text()
 
     def test_hb2_numeric_failure_names_lowest_replicate(self, monkeypatch):
-        # Two replicates of "spread", one in each 256-replicate block, make
-        # the HB2 quadrature fail; they are picked by their scale statistic,
+        # Two replicates of "spread", one in each block, make the HB2
+        # quadrature fail; they are picked by their scale statistic,
         # which the public sampler reproduces draw for draw. The clean run
         # records each block's statistics, which give the residual statistic
         # of those replicates; the rule is then made to give NaN for them at
         # every node count, so they miss at every size of the rule.
-        cfg = small_config(estimators=("EB", "HB1", "HB2"), replicates=300)
+        rows = block_rows(3 * 3)
+        cfg = small_config(estimators=("EB", "HB1", "HB2"), replicates=rows + 44)
         seen = []
         real_ratios = estimators.hb2_shrink_ratios
 
@@ -308,7 +363,7 @@ class TestRunExperiment:
         truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
         failing_s = {
             sample_canonical(truth, cfg.v, cfg.n, cfg.seed, 0, r).s
-            for r in (270, 7)
+            for r in (rows + 14, 7)
         }
         failing_f = [f for fs, ss in seen for f, s in zip(fs, ss) if s in failing_s]
         assert len(failing_f) == 2
@@ -393,21 +448,51 @@ class TestNonDiagonalScale:
         )
 
     def test_first_losses_do_not_depend_on_the_count(self, cfg, monkeypatch):
-        # Replicate 256 is a block of its own in the short run and the first
-        # row of the second block in the long one.
+        # Replicate `rows` is a block of its own in the short run and the
+        # first row of the second block in the long one.
+        rows = block_rows(cfg.k * cfg.p)
+        assert rows == 1310
         short, long = blocked_values(
-            monkeypatch, lambda count: run_experiment(replace(cfg, replicates=count)), (257, 512)
+            monkeypatch,
+            lambda count: run_experiment(replace(cfg, replicates=count)),
+            (rows + 1, 2 * rows),
         )
         assert len(short) == len(long) == len(cfg.mean_configs)
         for a, b in zip(short, long):
-            assert np.array_equal(a, b[:, :257])
+            assert np.array_equal(a, b[:, : rows + 1])
 
     def test_first_identity_draws_do_not_depend_on_the_count(self, monkeypatch):
         cov = spd_stack(1, 4, seed=9)[0]
+        rows = block_rows(4)
         short, long = blocked_values(
-            monkeypatch, lambda count: validate_identities(p=4, cov=cov, draws=count), (257, 512)
+            monkeypatch,
+            lambda count: validate_identities(p=4, cov=cov, draws=count),
+            (rows + 1, 2 * rows),
         )
-        assert np.array_equal(short[0], long[0][:, :257])
+        assert np.array_equal(short[0], long[0][:, : rows + 1])
+
+    def test_blocks_of_a_few_rows_change_no_bits(self, monkeypatch):
+        # Many groups make a replicate 4096 values wide, so the budget gives
+        # 8-row blocks; 19 replicates end in a 3-row block.
+        k = p = 64
+        cfg = small_config(
+            p=p,
+            k=k,
+            v=spd_stack(k, p, seed=12),
+            mean_configs=(MeanConfig.from_scales("ramp", np.linspace(0.0, 2.0, k), p),),
+            estimators=("JS2", "PT*", "EB*", "HB1"),
+            replicates=19,
+        )
+        table, spans = read_spans(monkeypatch, lambda: run_experiment(cfg))
+        assert spans == [(0, 8), (8, 16), (16, 19)]
+        assert table.errors == {}
+        threaded = run_experiment(replace(cfg, threads=2))
+        one_block(monkeypatch)
+        whole = run_experiment(cfg)
+        for other in (threaded, whole):
+            assert np.array_equal(other.risk, table.risk)
+            assert np.array_equal(other.paired_se, table.paired_se)
+            assert other.to_csv() == table.to_csv()
 
     def test_single_shot_summary_is_the_harness_row(self, cfg, monkeypatch):
         assert_single_shot_rows(cfg, monkeypatch, (0, 1, 100, 255))
@@ -732,7 +817,8 @@ class TestValidateUer:
             validate_uer(replace(cfg, replicates=100), [smooth], [good, good, bad[0]])
         assert drawn == []
 
-    @pytest.mark.parametrize("replicates", [2, 3, 257, 2001])
+    # 1309, 1310 and 1311 sit at the 1310-replicate block of k = p = 5.
+    @pytest.mark.parametrize("replicates", [2, 3, 257, 1309, 1310, 1311, 2001, 2621])
     def test_blocking_never_changes_results(self, cfg, monkeypatch, replicates):
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
         points = [
@@ -741,7 +827,7 @@ class TestValidateUer:
         cfg = replace(cfg, replicates=replicates)
         blocked = validate_uer(cfg, members, points)
         threaded = validate_uer(replace(cfg, threads=2), members, points)
-        monkeypatch.setattr(montecarlo, "_BLOCK", 10**9)
+        one_block(monkeypatch)
         whole = validate_uer(cfg, members, points)
         assert len(blocked) == len(members)
         assert blocked == whole
@@ -759,11 +845,13 @@ class TestValidateUer:
         monkeypatch.setattr(PooledConstants, "summarize", counting)
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)][:count]
         points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
-        replicates = 600
+        rows = block_rows(cfg.k * cfg.p)
+        replicates = 2 * rows + 3
         validate_uer(replace(cfg, replicates=replicates), members, points)
-        blocks = -(-replicates // montecarlo._BLOCK)
+        blocks = -(-replicates // rows)
+        assert blocks == 3
         assert len(calls) == len(points) * blocks
-        assert max(calls) <= montecarlo._BLOCK
+        assert max(calls) <= rows
 
     def test_memory_grows_only_by_the_kept_values(self, cfg):
         # Per replicate, a point keeps f, g, s and each member's loss and
@@ -824,24 +912,17 @@ class TestValidateIdentities:
         with pytest.raises(ValueError, match=f"need at least 2 replicates, got {draws}$"):
             validate_identities(draws=draws)
 
-    @pytest.mark.parametrize("draws", [2, 3, 257, 2001])
+    # 6552, 6553 and 6554 sit at the 6553-draw block of p = 5.
+    @pytest.mark.parametrize("draws", [2, 3, 257, 2001, 6552, 6553, 6554, 13107])
     def test_blocking_never_changes_results(self, monkeypatch, draws):
         blocked = validate_identities(draws=draws)
-        monkeypatch.setattr(montecarlo, "_BLOCK", 10**9)
+        one_block(monkeypatch)
         assert validate_identities(draws=draws) == blocked
 
     def test_reads_at_most_a_block_per_call(self, monkeypatch):
-        real = montecarlo._replicate_uniforms
-        spans = []
-
-        def spying(seed, key, r0, r1, k, p):
-            spans.append((r0, r1))
-            return real(seed, key, r0, r1, k, p)
-
-        monkeypatch.setattr(montecarlo, "_replicate_uniforms", spying)
-        validate_identities(draws=600)
-        assert sorted(spans) == [(0, 256), (256, 512), (512, 600)]
-        assert max(r1 - r0 for r0, r1 in spans) <= montecarlo._BLOCK
+        _, spans = read_spans(monkeypatch, lambda: validate_identities(draws=13194))
+        assert sorted(spans) == [(0, 6553), (6553, 13106), (13106, 13194)]
+        assert max(r1 - r0 for r0, r1 in spans) <= block_rows(5)
 
     def test_memory_is_bounded(self):
         # Only the four per-draw rows (3.2 MB at 100,000 draws) live for the

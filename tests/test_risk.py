@@ -63,7 +63,7 @@ class TestLoss:
         assert loss(wrapped, truth, ls) == approx(loss(model.x, truth, ls))
 
     @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
-    @pytest.mark.parametrize("r", [1, 2, 255, 256, 257])
+    @pytest.mark.parametrize("r", [1, 2, 255, 256, 257, 1309, 1310, 1311])
     def test_stacked_losses_are_the_one_replicate_losses(self, r, full):
         # The block-length contract: a replicate's loss has the same bits
         # in a block of any length as in a call of its own.
