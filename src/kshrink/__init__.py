@@ -12,7 +12,6 @@ from .model import (
     CanonicalModel,
     Hyperparameters,
     LossSpec,
-    PooledSummary,
     TrueParameters,
     canonicalize_ksample,
     canonicalize_regression,
@@ -76,7 +75,6 @@ __all__ = [
     "CanonicalModel",
     "TrueParameters",
     "LossSpec",
-    "PooledSummary",
     "Hyperparameters",
     "validate_model",
     "canonicalize_ksample",

@@ -21,7 +21,9 @@ import sys
 from dataclasses import replace
 
 from .config import (
+    _EXPERIMENT_KEYS,
     ConfigError,
+    _check_keys,
     _get_int,
     dataset_from_document,
     experiment_from_document,
@@ -142,6 +144,7 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
         if exp is not None:
             if not isinstance(exp, dict):
                 raise ConfigError("experiment must be a mapping")
+            _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
             p = _get_int(exp, "p", "experiment", p)
             k = _get_int(exp, "k", "experiment", k)
             n = _get_int(exp, "n", "experiment", n)

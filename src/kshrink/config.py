@@ -1,12 +1,13 @@
 """Strict YAML configuration for experiments and dataset estimation.
 
 The file mirrors the in-memory types field for field. Unknown keys are
-rejected rather than ignored, since a silently dropped setting would
-invalidate a reproduction run. Two top-level sections are understood:
+rejected rather than ignored, and so is a key named twice in one mapping
+(YAML would keep the last), since a silently dropped setting would
+invalidate a reproduction run. Three top-level sections are understood:
 
 ``experiment``
     Mirrors ExperimentConfig: p, k, n, sigma2, v, q, mean_configs,
-    estimators, replicates, seed, threads, positive_part_js.
+    estimators, replicates, seed, threads.
 
 ``hyper``
     Mirrors Hyperparameters: a, b, c, big_l, alpha.
@@ -40,7 +41,7 @@ class ConfigError(ValueError):
 
 _EXPERIMENT_KEYS = {
     "p", "k", "n", "sigma2", "v", "q", "mean_configs", "estimators",
-    "replicates", "seed", "threads", "positive_part_js",
+    "replicates", "seed", "threads",
 }
 _HYPER_KEYS = {"a", "b", "c", "big_l", "alpha"}
 _DATASET_KEYS = {"kind", "v0", "q", "estimators"}
@@ -100,15 +101,6 @@ def _get_float(node: dict, key: str, where: str, default: Any = None, required: 
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _not_a_number(f"{where}.{key}", value)
     return float(value)
-
-
-def _get_bool(node: dict, key: str, where: str, default: bool) -> bool:
-    if key not in node:
-        return default
-    value = node[key]
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
-    return value
 
 
 def _number_list(node: Any, where: str) -> list[float]:
@@ -196,6 +188,7 @@ def parse_mean_configs(node: Any, k: int, p: int, where: str) -> tuple[MeanConfi
 
 
 def parse_estimators(node: Any, where: str) -> tuple[str, ...]:
+    """Canonical estimator names, each once, in the order they first appear."""
     if node is None:
         return ESTIMATOR_ORDER
     if not isinstance(node, list) or not node:
@@ -209,7 +202,7 @@ def parse_estimators(node: Any, where: str) -> tuple[str, ...]:
         except KeyError as exc:
             raise ConfigError(f"{where}[{i}]: {exc.args[0]}") from None
         names.append(name)
-    return tuple(names)
+    return tuple(dict.fromkeys(names))
 
 
 def parse_hyper(node: Any) -> Hyperparameters:
@@ -227,11 +220,28 @@ def parse_hyper(node: Any) -> Hyperparameters:
     )
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a mapping naming a key twice, where YAML keeps the last."""
+
+    def construct_mapping(self, node, deep=False):
+        own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = super().construct_mapping(node, deep)
+        seen = set()
+        for key_node in own:
+            key = self.construct_object(key_node, deep)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"duplicate key {key!r}", key_node.start_mark
+                )
+            seen.add(key)
+        return mapping
+
+
 def load_document(path: str) -> dict:
-    """Load and type-check the top level of a config file."""
+    """Load and type-check the top level of a config file; a key named twice is an error."""
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     except yaml.YAMLError as exc:
@@ -278,7 +288,6 @@ def experiment_from_document(
         seed=seed if seed is not None else _get_int(node, "seed", "experiment", 20260816),
         threads=threads if threads is not None else _get_int(node, "threads", "experiment", 1),
         hyper=parse_hyper(doc.get("hyper")),
-        positive_part_js=_get_bool(node, "positive_part_js", "experiment", False),
     )
 
 

@@ -10,8 +10,10 @@ inverse-scale loss.
 
 Each estimator is written once, as a batch kernel (BATCH_ESTIMATORS) that
 maps an EstimatorSetting and a PooledBatch of R replicates to (R, k, p)
-estimates. The single-shot estimate_* functions run it with R = 1; the
-Monte Carlo harness runs it on blocks of replicates.
+estimates. The single-shot estimate_* functions run it on the one-row
+batch of pooled_summary, which a caller may pass in so that several
+estimators share it; the Monte Carlo harness runs it on blocks of
+replicates.
 
 Estimators raise PreconditionError when the model falls outside their
 domain (dimension too small for the shrink constants to be positive, or a
@@ -32,7 +34,6 @@ from .model import (
     LossSpec,
     PooledBatch,
     PooledConstants,
-    PooledSummary,
     pooled_summary,
     quad_forms,
 )
@@ -119,9 +120,6 @@ class ShrinkageFunctions:
     def missing_partials(self) -> tuple[str, ...]:
         return tuple(name for name in self.PARTIALS if getattr(self, name) is None)
 
-    def has_derivatives(self) -> bool:
-        return not self.missing_partials()
-
 
 @dataclass(frozen=True)
 class EstimatorSetting:
@@ -129,12 +127,10 @@ class EstimatorSetting:
 
     pooled: constants of the pooled statistics.
     hyper: tuning constants of the Bayes-motivated estimators.
-    positive_part: clip the James-Stein retained fractions at zero.
     """
 
     pooled: PooledConstants
     hyper: Hyperparameters
-    positive_part: bool
 
     @cached_property
     def pt_threshold(self) -> float:
@@ -166,6 +162,12 @@ def batch_unshrunk(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
 
 
 def batch_js1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+    """Groupwise shrink toward zero, each group scaled by its own norm.
+
+    Group i keeps the fraction 1 - (p-2) s / ((n+2) |x_i|^2) of its
+    observation, the squared norm taken in the inv(v[i]) metric. A group at
+    exactly zero is left alone.
+    """
     c = st.pooled
     if c.p < 3:
         raise PreconditionError(f"groupwise zero-shrink needs p >= 3, got p={c.p}")
@@ -174,13 +176,11 @@ def batch_js1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     retained = 1.0 - np.where(
         norms2 > 0.0, scale * b.s[:, None] / np.where(norms2 > 0.0, norms2, 1.0), 0.0
     )
-    if st.positive_part:
-        retained = np.maximum(retained, 0.0)
-    diags = {f"retained_{i}": retained[:, i] for i in range(c.k)}
-    return retained[:, :, None] * b.x, {**diags, "positive_part": st.positive_part}
+    return retained[:, :, None] * b.x, {f"retained_{i}": retained[:, i] for i in range(c.k)}
 
 
 def batch_js2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+    """Shrink all groups toward zero by one factor pooled over groups."""
     c = st.pooled
     if c.p * c.k < 3:
         raise PreconditionError(f"pooled zero-shrink needs p*k >= 3, got {c.p * c.k}")
@@ -189,9 +189,7 @@ def batch_js2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     retained = np.where(
         norms2 > 0.0, 1.0 - scale * b.s / np.where(norms2 > 0.0, norms2, 1.0), 1.0
     )
-    if st.positive_part:
-        retained = np.maximum(retained, 0.0)
-    return retained[:, None, None] * b.x, {"retained": retained, "positive_part": st.positive_part}
+    return retained[:, None, None] * b.x, {"retained": retained}
 
 
 def batch_pt(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
@@ -336,16 +334,12 @@ def _single(
     kernel: Callable,
     model: CanonicalModel,
     ls: LossSpec,
-    summary: PooledSummary | None,
+    summary: PooledBatch | None,
     hyper: Hyperparameters | None,
-    positive_part: bool = False,
 ) -> EstimateSet:
-    """Run a batch kernel on one model, the R = 1 case."""
-    ps = summary if summary is not None else pooled_summary(model, ls)
-    setting = EstimatorSetting(ps.constants, hyper or Hyperparameters(), positive_part)
-    batch = PooledBatch(ps.constants, model.x[None], np.array([model.s]), ps.pooled_mean[None],
-                        np.array([ps.residual_stat]), np.array([ps.pooled_norm_stat]))
-    mu_hat, diags = kernel(setting, batch)
+    """Run a batch kernel on one model: summary is its one-row PooledBatch, the R = 1 case."""
+    batch = summary if summary is not None else pooled_summary(model, ls)
+    mu_hat, diags = kernel(EstimatorSetting(batch.constants, hyper or Hyperparameters()), batch)
     return EstimateSet(mu_hat[0], {key: _first(value) for key, value in diags.items()})
 
 
@@ -355,7 +349,7 @@ def _single_shot(kernel: Callable) -> Callable:
     def estimate(
         model: CanonicalModel,
         ls: LossSpec,
-        summary: PooledSummary | None = None,
+        summary: PooledBatch | None = None,
         hyper: Hyperparameters | None = None,
     ) -> EstimateSet:
         return _single(kernel, model, ls, summary, hyper)
@@ -364,73 +358,6 @@ def _single_shot(kernel: Callable) -> Callable:
     estimate.__doc__ = kernel.__doc__
     return estimate
 
-
-def estimate_js1(
-    model: CanonicalModel,
-    ls: LossSpec,
-    summary: PooledSummary | None = None,
-    hyper: Hyperparameters | None = None,
-    positive_part: bool = False,
-) -> EstimateSet:
-    """Groupwise shrink toward zero, each group scaled by its own norm.
-
-    Group i keeps the fraction 1 - (p-2) s / ((n+2) |x_i|^2) of its
-    observation, the squared norm taken in the inv(v[i]) metric. A group at
-    exactly zero is left alone. ``positive_part`` clips negative retained
-    fractions to zero (exploratory variant, off by default).
-    """
-    return _single(batch_js1, model, ls, summary, hyper, positive_part)
-
-
-def estimate_js2(
-    model: CanonicalModel,
-    ls: LossSpec,
-    summary: PooledSummary | None = None,
-    hyper: Hyperparameters | None = None,
-    positive_part: bool = False,
-) -> EstimateSet:
-    """Shrink all groups toward zero by one factor pooled over groups."""
-    return _single(batch_js2, model, ls, summary, hyper, positive_part)
-
-
-estimate_unshrunk = _single_shot(batch_unshrunk)
-estimate_pt = _single_shot(batch_pt)
-estimate_pt_star = _single_shot(batch_pt_star)
-estimate_eb1 = _single_shot(batch_eb1)
-estimate_eb2 = _single_shot(batch_eb2)
-estimate_hb1 = _single_shot(batch_hb1)
-estimate_hb2 = _single_shot(batch_hb2)
-
-
-def estimate_general(
-    model: CanonicalModel,
-    ls: LossSpec,
-    sf: ShrinkageFunctions,
-    summary: PooledSummary | None = None,
-) -> EstimateSet:
-    """Any member of the double-shrinkage class.
-
-    Applies x_i - (phi/f) d_i (x_i - pooled) - (psi/g) d_i pooled with the
-    direction maps d_i. Statistics below DEGENERATE_STAT are floored before
-    dividing, so members whose factors vanish there (all the built-ins)
-    stay well-defined.
-    """
-    return _single(lambda st, b: batch_general(st, b, sf), model, ls, summary, None)
-
-
-ESTIMATORS: dict[str, Callable] = {
-    "X": estimate_unshrunk,
-    "JS1": estimate_js1,
-    "JS2": estimate_js2,
-    "PT": estimate_pt,
-    "PT*": estimate_pt_star,
-    "EB": estimate_eb1,
-    "EB*": estimate_eb2,
-    "HB1": estimate_hb1,
-    "HB2": estimate_hb2,
-}
-
-_ALIASES = {"EB1": "EB", "EB2": "EB*"}
 
 BATCH_ESTIMATORS: dict[str, Callable] = {
     "X": batch_unshrunk,
@@ -443,6 +370,38 @@ BATCH_ESTIMATORS: dict[str, Callable] = {
     "HB1": batch_hb1,
     "HB2": batch_hb2,
 }
+
+ESTIMATORS: dict[str, Callable] = {
+    name: _single_shot(kernel) for name, kernel in BATCH_ESTIMATORS.items()
+}
+estimate_unshrunk = ESTIMATORS["X"]
+estimate_js1 = ESTIMATORS["JS1"]
+estimate_js2 = ESTIMATORS["JS2"]
+estimate_pt = ESTIMATORS["PT"]
+estimate_pt_star = ESTIMATORS["PT*"]
+estimate_eb1 = ESTIMATORS["EB"]
+estimate_eb2 = ESTIMATORS["EB*"]
+estimate_hb1 = ESTIMATORS["HB1"]
+estimate_hb2 = ESTIMATORS["HB2"]
+
+
+def estimate_general(
+    model: CanonicalModel,
+    ls: LossSpec,
+    sf: ShrinkageFunctions,
+    summary: PooledBatch | None = None,
+) -> EstimateSet:
+    """Any member of the double-shrinkage class.
+
+    Applies x_i - (phi/f) d_i (x_i - pooled) - (psi/g) d_i pooled with the
+    direction maps d_i. Statistics below DEGENERATE_STAT are floored before
+    dividing, so members whose factors vanish there (all the built-ins)
+    stay well-defined.
+    """
+    return _single(lambda st, b: batch_general(st, b, sf), model, ls, summary, None)
+
+
+_ALIASES = {"EB1": "EB", "EB2": "EB*"}
 
 ESTIMATOR_ORDER = ("JS1", "JS2", "PT", "PT*", "EB", "EB*", "HB1", "HB2")
 

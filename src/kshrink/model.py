@@ -25,7 +25,6 @@ __all__ = [
     "LossSpec",
     "PooledConstants",
     "PooledBatch",
-    "PooledSummary",
     "Hyperparameters",
     "ValidationReport",
     "validate_model",
@@ -54,20 +53,24 @@ def _guard_spd(name: str, mats: np.ndarray) -> tuple[np.ndarray, list[str]]:
         if not np.all(np.isfinite(m)):
             bad.append(f"{label} has non-finite entries")
             continue
-        scale = np.linalg.norm(m)
+        with np.errstate(over="ignore"):
+            scale, skew = np.linalg.norm(m), np.linalg.norm(m - m.T)
+        if scale == np.inf:
+            bad.append(f"{label} has entries too large to square")
+            continue
         if scale == 0.0:
             bad.append(f"{label} is the zero matrix")
             continue
-        if np.linalg.norm(m - m.T) > SYMMETRY * scale:
+        if skew > SYMMETRY * scale:
             bad.append(f"{label} is not symmetric within tolerance {SYMMETRY}")
             continue
         sym = 0.5 * (m + m.T)
         vals = np.linalg.eigvalsh(sym)
         if vals[0] <= 0.0:
             bad.append(f"{label} is not positive definite (min eigenvalue {vals[0]:.3e})")
-        elif vals[-1] / vals[0] > MAX_CONDITION:
+        elif vals[-1] > MAX_CONDITION * vals[0]:
             bad.append(
-                f"{label} condition number {vals[-1] / vals[0]:.3e} "
+                f"{label} condition number {float(vals[-1]) / float(vals[0]):.3e} "
                 f"exceeds ceiling {MAX_CONDITION:.1e}"
             )
         else:
@@ -229,38 +232,6 @@ class LossSpec:
 
 
 @dataclass(frozen=True)
-class PooledSummary:
-    """Pooled statistics shared by the shrinkage estimators.
-
-    constants: the per-model constants (weights, pooled_cov, directions).
-    pooled_mean: pooled_cov @ sum_i w[i] x[i], the generalized least squares
-        combination of the group observations.
-    residual_stat: sum_i (x[i]-pooled_mean)' w[i] (x[i]-pooled_mean) / s.
-    pooled_norm_stat: pooled_mean' inv(pooled_cov) pooled_mean / s.
-    """
-
-    constants: PooledConstants
-    pooled_mean: np.ndarray
-    residual_stat: float
-    pooled_norm_stat: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pooled_mean", _freeze(self.pooled_mean))
-        object.__setattr__(self, "residual_stat", float(self.residual_stat))
-        object.__setattr__(self, "pooled_norm_stat", float(self.pooled_norm_stat))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """(k, p, p) stack w[i] = inv(v[i]) @ inv(q[i]) @ inv(v[i])."""
-        return self.constants.weights
-
-    @property
-    def pooled_cov(self) -> np.ndarray:
-        """Inverse of sum_i w[i]."""
-        return self.constants.pooled_cov
-
-
-@dataclass(frozen=True)
 class PooledConstants:
     """What the pooled statistics need besides x and s.
 
@@ -320,22 +291,30 @@ class PooledConstants:
         For every replicate, residual_stat + pooled_norm_stat times s must
         reproduce sum_i x[i]' w[i] x[i] within IDENTITY_REL, relative; a
         failure raises, since it means the inputs broke the conditioning
-        guards (SYMMETRY, MAX_CONDITION).
+        guards (SYMMETRY, MAX_CONDITION). So does a statistic that overflows.
         """
-        wx = np.einsum("kab,rkb->rka", self.weights, x)
-        pooled_mean = np.einsum("ra,ab->rb", wx.sum(axis=1), self.pooled_cov)
-        total = np.einsum("rka,rka->r", x, wx)
-        centered = x - pooled_mean[:, None, :]
-        residual = quad_forms(centered, self.weights)
-        pooled_norm = quad_forms(pooled_mean, self.weight_sum)
-        gap = np.abs((residual + pooled_norm) - total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            wx = np.einsum("kab,rkb->rka", self.weights, x)
+            pooled_mean = np.einsum("ra,ab->rb", wx.sum(axis=1), self.pooled_cov)
+            total = np.einsum("rka,rka->r", x, wx)
+            centered = x - pooled_mean[:, None, :]
+            residual = quad_forms(centered, self.weights)
+            pooled_norm = quad_forms(pooled_mean, self.weight_sum)
+            gap = np.abs((residual + pooled_norm) - total)
+            f, g = residual / s, pooled_norm / s
         bad = np.flatnonzero(gap > IDENTITY_REL * np.maximum(1.0, np.abs(total)))
         if bad.size:
             raise ArithmeticError(
                 "pooled quadratic forms failed the decomposition check: "
                 f"{residual[bad[0]]} + {pooled_norm[bad[0]]} != {total[bad[0]]}"
             )
-        return PooledBatch(self, x, s, pooled_mean, residual / s, pooled_norm / s)
+        bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(g)))
+        if bad.size:
+            raise ArithmeticError(
+                f"pooled statistics overflow: quadratic forms {residual[bad[0]]} and "
+                f"{pooled_norm[bad[0]]} over s = {s[bad[0]]}"
+            )
+        return PooledBatch(self, x, s, pooled_mean, f, g)
 
 
 @dataclass(frozen=True)
@@ -548,34 +527,28 @@ def canonicalize_regression(
             raise ValueError(f"designs[{i}] has fewer rows ({z.shape[0]}) than columns ({p})")
         if not (np.all(np.isfinite(z)) and np.all(np.isfinite(y))):
             raise ValueError(f"group {i} has non-finite entries")
-        gram = z.T @ z
+        with np.errstate(over="ignore"):
+            gram = z.T @ z
+        if not np.all(np.isfinite(gram)):
+            raise ValueError(f"designs[{i}] has entries too large to square")
         if np.linalg.matrix_rank(z) < p:
             raise ValueError(f"designs[{i}] is column rank deficient")
         coef, *_ = np.linalg.lstsq(z, y, rcond=None)
         x[i] = coef
         v[i] = np.linalg.inv(gram)
-        resid = y - z @ coef
-        s += float(resid @ resid)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite s fails validation
+            resid = y - z @ coef
+            s += float(resid @ resid)
         df += z.shape[0] - p
     if df < 1:
         raise ValueError("no residual degrees of freedom; need sum_i (m_i - p) >= 1")
     return CanonicalModel(x=x, v=v, s=s, n=df)
 
 
-def pooled_summary(model: CanonicalModel, loss_spec: LossSpec) -> PooledSummary:
-    """Compute the pooled statistics the shrinkage estimators share.
+def pooled_summary(model: CanonicalModel, loss_spec: LossSpec) -> PooledBatch:
+    """The pooled statistics of one model: summarize on its one row (x, s).
 
-    The weights w[i] = inv(v[i]) inv(q[i]) inv(v[i]) define a generalized
-    least squares pooled mean; residual_stat and pooled_norm_stat are the
-    two scale-free statistics every shrink factor is built from. This is
-    the one-replicate case of PooledConstants.summarize, with the same
-    validation and decomposition check.
+    Every field of the returned PooledBatch has a replicate axis of length 1.
     """
     constants = PooledConstants.from_model(model, loss_spec)
-    batch = constants.summarize(model.x[None], np.array([model.s]))
-    return PooledSummary(
-        constants=constants,
-        pooled_mean=batch.pooled_mean[0],
-        residual_stat=batch.residual_stat[0],
-        pooled_norm_stat=batch.pooled_norm_stat[0],
-    )
+    return constants.summarize(model.x[None], np.array([model.s]))

@@ -202,7 +202,6 @@ class ExperimentConfig:
     seed: int = 20260816
     threads: int = 1
     hyper: Hyperparameters = field(default_factory=Hyperparameters)
-    positive_part_js: bool = False
 
     def __post_init__(self) -> None:
         v = np.asarray(self.v, dtype=float)
@@ -258,7 +257,7 @@ class ExperimentConfig:
             resolve_estimator(name)
         template = CanonicalModel(x=np.zeros((self.k, self.p)), v=self.v, s=1.0, n=self.n)
         pooled = PooledConstants.from_model(template, self.loss_spec(template))
-        return EstimatorSetting(pooled, self.hyper, self.positive_part_js)
+        return EstimatorSetting(pooled, self.hyper)
 
     def loss_spec(self, model: CanonicalModel | None = None) -> LossSpec:
         if model is None:
@@ -692,16 +691,16 @@ def uer_members(p: int, k: int, n: int) -> tuple[tuple[str, ShrinkageFunctions],
         return t1 * f / (1.0 + f)
 
     def smooth_f_df(f, g, s):
-        f = np.asarray(f, dtype=float)
-        return t1 / (1.0 + f) ** 2
+        with np.errstate(over="ignore"):  # the square overflows to inf, the slope to 0
+            return t1 / (1.0 + np.asarray(f, dtype=float)) ** 2
 
     def smooth_g(f, g, s):
         g = np.asarray(g, dtype=float)
         return t2 * g / (1.0 + g)
 
     def smooth_g_dg(f, g, s):
-        g = np.asarray(g, dtype=float)
-        return t2 / (1.0 + g) ** 2
+        with np.errstate(over="ignore"):
+            return t2 / (1.0 + np.asarray(g, dtype=float)) ** 2
 
     mean_only = ShrinkageFunctions(
         phi=capped_f, psi=zero,
@@ -770,15 +769,18 @@ def validate_identities(
         y = mu_vec + np.einsum("ab,rb->ra", chol, ndtri(u[:, 0]))
         denom = 1.0 + np.einsum("ra,ra->r", y, y)
         quad = quad_forms(y, cov_mat)
-        s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
-        g = 1.0 / (1.0 + s)
-        rows = (
-            np.einsum("ra,ra->r", y - mu_vec, y / denom[:, None]),
-            trace / denom - 2.0 * quad / denom**2,
-            s * g,
-            truth.sigma2 * (n * g - 2.0 * s * g**2),
-        )
-        return np.stack(rows), {}
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
+            g = 1.0 / (1.0 + s)
+            rows = np.stack((
+                np.einsum("ra,ra->r", y - mu_vec, y / denom[:, None]),
+                trace / denom - 2.0 * quad / denom**2,
+                s * g,
+                truth.sigma2 * (n * g - 2.0 * s * g**2),
+            ))
+        if not np.isfinite(rows).all():
+            raise ArithmeticError(f"the identity checks overflow at sigma2 = {truth.sigma2:g}")
+        return rows, {}
 
     values, _ = _blocked(draws, p, 1, 4, identity_block)
     return CheckSet(

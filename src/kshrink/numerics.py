@@ -466,6 +466,9 @@ _RULE_SIZES = (12, 20, 28, 40, 48, 80, 88, 160, 168)
 _RULE_CELLS = 64 * 28**2
 # Share of each HB2 integral that the rule may drop beyond its axis caps.
 _TAIL_MASS = 1e-20
+# _jacobi_rule divides its weights by 2^(expo + 1), which overflows a double
+# from 2^1024 on.
+_RULE_POWER_LIMIT = 1024.0
 
 
 @functools.lru_cache(maxsize=128)
@@ -551,8 +554,8 @@ def _joint_rule(
     kernel *= ga - be - 1.0
     if z0.any():
         tail = np.add(y_x, 1.0, out=work[2, : f_stat.size])
-        tail *= (z0[:, None] * (1.0 + x))[:, :, None]
-        with np.errstate(divide="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):  # Q of an infinite tail is 0
+            tail *= (z0[:, None] * (1.0 + x))[:, :, None]
             kernel += np.log(sc.gammaincc(ga + 1.0, tail, out=tail), out=tail)
         del tail
         shift = kernel[:, :, 0].copy()
@@ -658,16 +661,25 @@ def _hb2_flat(
     """(phi, psi) of flat statistic arrays; the one implementation behind both public calls.
 
     Regular points take _joint_rule. Where a statistic is at most
-    DEGENERATE_STAT, its factor takes the series limit. A failing
-    point raises ReplicateError with the lowest failing flat index.
+    DEGENERATE_STAT, its factor takes the series limit. Exponents too
+    large for the rule's weights raise ValueError before any rule runs. A
+    failing point raises ReplicateError with the lowest failing flat index.
     """
     _check_statistics(f, g, s, big_l)
     al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
-    z0 = 0.5 * big_l * s if big_l > 0.0 else np.zeros_like(f)
+    if not max(al, be) + 1.0 < _RULE_POWER_LIMIT:
+        raise ValueError(
+            "the HB2 rule needs p(k-1)/2 + a and p/2 + b below "
+            f"{_RULE_POWER_LIMIT:g}, got {al + 1.0:g} and {be + 1.0:g}"
+        )
     f_deg = f <= DEGENERATE_STAT
     g_deg = g <= DEGENERATE_STAT
-    phi = f * (al + 1.0) / (al + 2.0)
-    psi = g * (be + 1.0) / (be + 2.0)
+    # An overflow here reaches no result: an infinite tilt underflows
+    # everywhere in the rule, and phi and psi are kept at degenerate points.
+    with np.errstate(over="ignore"):
+        z0 = 0.5 * big_l * s if big_l > 0.0 else np.zeros_like(f)
+        phi = f * (al + 1.0) / (al + 2.0)
+        psi = g * (be + 1.0) / (be + 2.0)
     errors = np.full(f.size, "", dtype=object)
     reg = np.flatnonzero(~f_deg & ~g_deg)
     (phi[reg], psi[reg]), errors[reg] = _by_rule(

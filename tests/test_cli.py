@@ -136,8 +136,19 @@ class TestEstimate:
         rows = csv_rows(capsys.readouterr().out)
         labels = [r[2] for r in rows if r[1] == "estimate"]
         assert labels == ["north", "south"]
-        flags = {r[2]: r[3] for r in rows if r[1] == "diagnostic"}
-        assert flags["positive_part"] == "false"
+        diagnostics = {r[2] for r in rows if r[1] == "diagnostic"}
+        assert diagnostics == {"retained"}
+
+    def test_repeated_estimator_is_written_once(self, tmp_path):
+        # EB1 is EB: the list names one estimator, so the CSV has one block.
+        cfg = put(tmp_path, "cfg.yaml", KSAMPLE_CONFIG.replace("[EB2]", "[EB, EB1, EB]"))
+        data = put(tmp_path, "data.csv", EXACT_KSAMPLE)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", cfg, "--input", data, "--output", str(out)]) == 0
+        rows = csv_rows(out.read_text())
+        assert {r[0] for r in rows[1:]} == {"EB"}
+        assert [r[2] for r in rows if r[1] == "estimate"] == ["1", "2"]
+        assert len(rows) == 1 + 2 + 2
 
     def test_missing_input_is_input_error(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", KSAMPLE_CONFIG)
@@ -374,6 +385,12 @@ class TestCheckConditions:
         assert code == 1
         assert "p=4" in out
         assert "minimax: true" in out and "minimax: false" in out
+
+    def test_unknown_experiment_key_is_bad_input(self, tmp_path, capsys):
+        # The experiment section is checked whole, though only p, k, n are read.
+        cfg = put(tmp_path, "cfg.yaml", "experiment:\n  p: 4\n  positive_part_js: true\n")
+        assert main(["check-conditions", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'positive_part_js' in experiment\n"
 
     @pytest.mark.parametrize(
         "key, value, message",

@@ -73,6 +73,20 @@ class TestLoadDocument:
     def test_empty_file_is_empty_document(self, tmp_path):
         assert load_document(write(tmp_path, "")) == {}
 
+    @pytest.mark.parametrize("text, key", [
+        ("experiment:\n  seed: 1\n  seed: 2\n", "'seed'"),
+        ("hyper: {a: 0.1, a: 0.2}\n", "'a'"),
+        ("hyper: {}\nhyper: {}\n", "'hyper'"),
+    ])
+    def test_key_named_twice(self, tmp_path, text, key):
+        # YAML would keep the last value and drop the first without a word.
+        with pytest.raises(ConfigError, match=f"duplicate key {key}"):
+            load_document(write(tmp_path, text))
+
+    def test_merged_key_may_be_overridden(self, tmp_path):
+        text = "experiment:\n  <<: {p: 3, k: 3}\n  p: 4\n"
+        assert load_document(write(tmp_path, text))["experiment"] == {"p": 4, "k": 3}
+
 
 class TestParseMatrix:
     def test_identity(self):
@@ -186,6 +200,9 @@ class TestParseEstimators:
 
     def test_aliases_canonicalized(self):
         assert parse_estimators(["EB1", "EB2"], "e") == ("EB", "EB*")
+
+    def test_repeats_dropped_after_aliases_in_first_order(self):
+        assert parse_estimators(["HB2", "EB", "EB1", "HB2", "EB2"], "e") == ("HB2", "EB", "EB*")
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="ridge"):
@@ -312,10 +329,11 @@ class TestExperimentFromDocument:
         with pytest.raises(ConfigError, match="must be an integer"):
             experiment_from_document(doc)
 
-    def test_positive_part_flag_must_be_boolean(self, tmp_path):
+    def test_positive_part_key_is_unknown(self, tmp_path):
+        # The James-Stein pair has no positive-part variant.
         doc = load_document(write(tmp_path, FULL_DOC))
-        doc["experiment"]["positive_part_js"] = 1
-        with pytest.raises(ConfigError, match="true or false"):
+        doc["experiment"]["positive_part_js"] = True
+        with pytest.raises(ConfigError, match="unknown key 'positive_part_js'"):
             experiment_from_document(doc)
 
 

@@ -91,17 +91,14 @@ class TestJs1:
         assert est.diagnostics["retained_0"] == 1.0
 
     def test_negative_retention_flips_sign(self):
-        # A tiny observation gets over-shrunk straight through zero unless
-        # the positive-part switch is on.
+        # A tiny observation gets over-shrunk straight through zero: the
+        # paper's rule has no positive part.
         x = np.array([[0.1, 0.1, 0.1], [2.0, 2.0, 2.0]])
         v = np.array([np.eye(3), np.eye(3)])
         model = CanonicalModel(x=x, v=v, s=10.0, n=10)
-        ls = LossSpec.inverse_v(model)
-        plain = estimate_js1(model, ls)
-        assert plain.mu_hat[0, 0] < 0.0
-        clipped = estimate_js1(model, ls, positive_part=True)
-        assert clipped.mu_hat[0] == approx(np.zeros(3))
-        assert clipped.diagnostics["positive_part"] is True
+        est = estimate_js1(model, LossSpec.inverse_v(model))
+        assert est.diagnostics["retained_0"] < 0.0
+        assert est.mu_hat[0, 0] < 0.0
 
     def test_norm_uses_inverse_scale_metric(self):
         # Inflating a group's scale matrix shrinks its inverse-metric norm
@@ -216,7 +213,7 @@ class TestEmpiricalShrink:
         ps = pooled_summary(model, ls)
         est = estimate_eb1(model, ls, ps)
         assert est.diagnostics["mean_shrink"] == 1.0
-        assert est.mu_hat == approx(np.vstack([ps.pooled_mean, ps.pooled_mean]))
+        assert est.mu_hat == approx(np.vstack([ps.pooled_mean[0], ps.pooled_mean[0]]))
 
     def test_eb1_needs_enough_residual_dimensions(self):
         x = np.zeros((2, 2))
@@ -238,7 +235,7 @@ class TestEmpiricalShrink:
         model, ls, ps = d0
         base = estimate_eb1(model, ls, ps)
         est = estimate_eb2(model, ls, ps)
-        pull = est.diagnostics["zero_shrink"] * ps.pooled_mean
+        pull = est.diagnostics["zero_shrink"] * ps.pooled_mean[0]
         assert est.mu_hat == approx(base.mu_hat - pull)
 
 
@@ -362,16 +359,16 @@ class TestGeneralClass:
         est = estimate_general(model, ls, sf, ps)
         assert est.mu_hat == approx(model.x)
 
-    def test_has_derivatives_flag(self):
+    def test_missing_partials(self):
         zero = lambda f, g, s: 0.0
         partial = ShrinkageFunctions(phi=zero, psi=zero, phi_f=zero)
-        assert not partial.has_derivatives()
+        assert partial.missing_partials() == ("phi_g", "phi_s", "psi_f", "psi_g", "psi_s")
         full = ShrinkageFunctions(
             phi=zero, psi=zero,
             phi_f=zero, phi_g=zero, phi_s=zero,
             psi_f=zero, psi_g=zero, psi_s=zero,
         )
-        assert full.has_derivatives()
+        assert full.missing_partials() == ()
 
 
 class TestBatch:
@@ -393,10 +390,34 @@ class TestBatch:
         batch = constants.summarize(
             rng.normal(size=(6, model.k, model.p)), rng.uniform(5.0, 15.0, 6)
         )
-        setting = EstimatorSetting(constants, Hyperparameters(), False)
+        setting = EstimatorSetting(constants, Hyperparameters())
         for name in ("EB", "EB*", "HB1", "HB2"):
             BATCH_ESTIMATORS[name](setting, batch)
         assert sorted(built) == ["toward_pooled", "toward_zero"]
+
+    def test_single_shot_estimators_share_one_summary(self, monkeypatch):
+        # The one-row batch pooled_summary returns is what the kernels run
+        # on, so estimators handed the same summary build the maps once.
+        built = []
+        build = PooledBatch.toward_pooled.func
+
+        def counting(batch):
+            built.append(batch)
+            return build(batch)
+
+        prop = cached_property(counting)
+        prop.__set_name__(PooledBatch, "toward_pooled")
+        monkeypatch.setattr(PooledBatch, "toward_pooled", prop)
+        model = random_model(np.random.default_rng(6))
+        ls = LossSpec.inverse_v(model)
+        summary = pooled_summary(model, ls)
+        assert isinstance(summary, PooledBatch) and summary.x.shape == (1, model.k, model.p)
+        shared = [ESTIMATORS[name](model, ls, summary) for name in ("EB", "EB*", "HB1", "HB2")]
+        assert built == [summary]
+        for name, est in zip(("EB", "EB*", "HB1", "HB2"), shared):
+            alone = ESTIMATORS[name](model, ls)
+            assert np.array_equal(est.mu_hat, alone.mu_hat), name
+            assert est.diagnostics == alone.diagnostics, name
 
 
 class TestRegistry:
@@ -418,6 +439,28 @@ class TestRegistry:
             est = fn(model, ls, ps)
             for key, value in est.diagnostics.items():
                 assert isinstance(value, (float, bool)), (name, key)
+
+
+class TestSignatures:
+    """Every registered estimator is called the same way: (model, ls, summary=None, hyper=None)."""
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_registered_estimators_share_one_signature(self, name):
+        params = inspect.signature(ESTIMATORS[name]).parameters
+        assert list(params) == ["model", "ls", "summary", "hyper"]
+        assert [p.default for p in params.values()] == [
+            inspect.Parameter.empty, inspect.Parameter.empty, None, None
+        ]
+
+    def test_no_positive_part_parameter(self):
+        # Config objects count too: a class's signature lists its fields.
+        signatures = TestFixedTolerances.signatures()
+        assert {"kshrink.estimators.estimate_js1", "kshrink.ExperimentConfig"} <= set(signatures)
+        takes = {
+            label for label, params in signatures.items()
+            if any("positive_part" in param for param in params)
+        }
+        assert takes == set()
 
 
 class TestFixedTolerances:

@@ -7,8 +7,8 @@ from pytest import approx
 from kshrink.model import (
     CanonicalModel,
     LossSpec,
+    PooledBatch,
     PooledConstants,
-    PooledSummary,
     TrueParameters,
     canonicalize_ksample,
     canonicalize_regression,
@@ -136,6 +136,12 @@ BAD_MATRICES = {
     "ill-conditioned": (
         np.diag([1.0, 1.0, 1e-13]),
         "condition number 1.000e+13 exceeds ceiling 1.0e+12",
+    ),
+    # Neither may overflow on the way to its message (warnings are errors here).
+    "too-large": (1e200 * np.eye(3), "has entries too large to square"),
+    "subnormal-eigenvalue": (
+        np.diag([1.0, 1.0, 5e-324]),
+        "condition number inf exceeds ceiling 1.0e+12",
     ),
 }
 
@@ -333,20 +339,23 @@ class TestRegressionReduction:
 
 
 class TestPooledSummary:
+    """pooled_summary is the one-row PooledBatch; each statistic is read at row 0."""
+
     def test_d0_hand_computation(self):
         ps = pooled_summary(d0_model(), LossSpec.inverse_v(d0_model()))
-        assert isinstance(ps, PooledSummary)
-        assert ps.pooled_mean == approx(np.array([1.0, 1.0, 1.0]))
-        assert ps.pooled_cov == approx(np.eye(3) / 2.0)
-        assert ps.residual_stat == approx(0.6)
-        assert ps.pooled_norm_stat == approx(0.6)
+        assert isinstance(ps, PooledBatch)
+        assert ps.x.shape == (1, 2, 3) and ps.s.shape == (1,)
+        assert ps.pooled_mean == approx(np.array([[1.0, 1.0, 1.0]]))
+        assert ps.constants.pooled_cov == approx(np.eye(3) / 2.0)
+        assert ps.residual_stat == approx(np.array([0.6]))
+        assert ps.pooled_norm_stat == approx(np.array([0.6]))
 
     def test_equal_observations_zero_residual(self):
         x = np.array([[1.5, -2.0], [1.5, -2.0], [1.5, -2.0]])
         m = CanonicalModel(x=x, v=np.eye(2), s=4.0, n=6)
         ps = pooled_summary(m, LossSpec.inverse_v(m))
-        assert ps.residual_stat == approx(0.0, abs=1e-14)
-        assert ps.pooled_mean == approx(x[0])
+        assert ps.residual_stat[0] == approx(0.0, abs=1e-14)
+        assert ps.pooled_mean[0] == approx(x[0])
 
     def test_decomposition_identity(self):
         rng = np.random.default_rng(7)
@@ -359,8 +368,8 @@ class TestPooledSummary:
             q = np.einsum("kab,kcb->kac", qroot, qroot) + 3.0 * np.eye(p)
             m = CanonicalModel(x=x, v=v, s=float(rng.uniform(0.5, 5.0)), n=9)
             ps = pooled_summary(m, LossSpec.for_model(m, q))
-            total = sum(float(x[i] @ ps.weights[i] @ x[i]) for i in range(k))
-            lhs = m.s * (ps.residual_stat + ps.pooled_norm_stat)
+            total = sum(float(x[i] @ ps.constants.weights[i] @ x[i]) for i in range(k))
+            lhs = m.s * (ps.residual_stat[0] + ps.pooled_norm_stat[0])
             assert lhs == approx(total, rel=1e-8)
 
     def test_congruence_equivariance(self):
@@ -379,9 +388,9 @@ class TestPooledSummary:
         qt = np.einsum("ba,kbc,cd->kad", binv, ls.q, binv)
         qt = 0.5 * (qt + np.transpose(qt, (0, 2, 1)))
         pst = pooled_summary(mt, LossSpec.for_model(mt, qt))
-        assert pst.residual_stat == approx(ps.residual_stat, rel=1e-8)
-        assert pst.pooled_norm_stat == approx(ps.pooled_norm_stat, rel=1e-8)
-        assert pst.pooled_mean == approx(b @ ps.pooled_mean, rel=1e-8)
+        assert pst.residual_stat[0] == approx(ps.residual_stat[0], rel=1e-8)
+        assert pst.pooled_norm_stat[0] == approx(ps.pooled_norm_stat[0], rel=1e-8)
+        assert pst.pooled_mean[0] == approx(b @ ps.pooled_mean[0], rel=1e-8)
 
     def test_classical_pooled_mean(self):
         # Equal scale matrices and inverse-scale loss collapse the pooled
@@ -391,7 +400,7 @@ class TestPooledSummary:
         m = canonicalize_ksample(groups, np.eye(2))
         ps = pooled_summary(m, LossSpec.inverse_v(m))
         stacked = np.concatenate(groups, axis=0)
-        assert ps.pooled_mean == approx(stacked.mean(axis=0))
+        assert ps.pooled_mean[0] == approx(stacked.mean(axis=0))
 
     @pytest.mark.parametrize("inverse", [True, False], ids=["inverse-loss", "general-loss"])
     def test_constants_match_the_einsum_forms_at_p40(self, inverse):
@@ -417,6 +426,16 @@ class TestPooledSummary:
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
         assert constants.inverse_loss is inverse
         assert ls.matches_inverse_v(model) is inverse
+
+    def test_overflowing_statistics_raise(self):
+        # Observations near the top of the double range square to inf; the
+        # statistics must fail by name rather than reach the estimators.
+        m = CanonicalModel(x=np.array([[1e200, 0.0], [0.0, 1.0]]), v=np.eye(2), s=1.0, n=4)
+        with pytest.raises(ArithmeticError, match="pooled statistics overflow"):
+            pooled_summary(m, LossSpec.inverse_v(m))
+        tiny = CanonicalModel(x=np.array([[1.0, 0.0], [0.0, 1.0]]), v=np.eye(2), s=5e-324, n=4)
+        with pytest.raises(ArithmeticError, match="pooled statistics overflow"):
+            pooled_summary(tiny, LossSpec.inverse_v(tiny))
 
     def test_singular_weight_sum_rejected(self):
         # Each v[i] passes the guards (condition 3.3e6) but the identity

@@ -341,6 +341,21 @@ class TestRunExperiment:
         assert np.isfinite(table.lookup("z", "EB")[0])
         assert "JS1" in table.to_text()
 
+    def test_hb2_too_wide_for_its_rule_is_skipped(self):
+        # p(k-1) = 4032: HB2's exponents are past its rule's weights, which
+        # is a skipped column, not the end of the run.
+        k = p = 64
+        cfg = ExperimentConfig(
+            p=p, k=k, n=20, sigma2=1.0, v=np.broadcast_to(np.eye(p), (k, p, p)),
+            mean_configs=(MeanConfig.from_scales("z", np.zeros(k), p),),
+            estimators=("EB", "HB2"), replicates=2, seed=5,
+        )
+        table = run_experiment(cfg)
+        assert np.isfinite(table.lookup("z", "EB")[0])
+        assert np.isnan(table.lookup("z", "HB2")[0])
+        assert "below 1024" in table.errors[("z", "HB2")]
+        assert list(table.errors) == [("z", "HB2")]
+
     def test_hb2_numeric_failure_names_lowest_replicate(self, monkeypatch):
         # Two replicates of "spread", one in each block, make the HB2
         # quadrature fail; they are picked by their scale statistic,
@@ -429,9 +444,9 @@ def assert_single_shot_rows(cfg, monkeypatch, rows):
     for r in rows:
         model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, 0, r)
         one = pooled_summary(model, cfg.loss_spec(model))
-        assert np.array_equal(one.pooled_mean, block.pooled_mean[r])
-        assert one.residual_stat == block.residual_stat[r]
-        assert one.pooled_norm_stat == block.pooled_norm_stat[r]
+        assert np.array_equal(one.pooled_mean[0], block.pooled_mean[r])
+        assert one.residual_stat[0] == block.residual_stat[r]
+        assert one.pooled_norm_stat[0] == block.pooled_norm_stat[r]
 
 
 class TestNonDiagonalScale:
@@ -671,7 +686,7 @@ class TestUerMembers:
         members = uer_members(5, 5, 20)
         assert [name for name, _ in members] == ["mean-shrink", "double-shrink", "smooth"]
         for _, sf in members:
-            assert sf.has_derivatives()
+            assert sf.missing_partials() == ()
 
     def test_capped_factor_values(self):
         (_, mean_only), (_, double), _ = uer_members(5, 5, 20)
@@ -679,6 +694,13 @@ class TestUerMembers:
         assert mean_only.phi(f, f, 10.0) == approx(np.minimum(18.0 / 22.0, f))
         assert mean_only.psi(f, f, 10.0) == approx(np.zeros(4))
         assert double.psi(f, f, 10.0) == approx(np.minimum(3.0 / 22.0, f))
+
+    def test_smooth_slope_vanishes_at_huge_statistics(self):
+        # (1 + f)^2 overflows to inf there, and the slope goes to its limit 0.
+        _, _, (_, smooth) = uer_members(5, 5, 20)
+        huge = np.array([1e300, 1e200])
+        assert np.array_equal(smooth.phi_f(huge, huge, 1.0), [0.0, 0.0])
+        assert np.array_equal(smooth.psi_g(huge, huge, 1.0), [0.0, 0.0])
 
     def test_derivatives_match_finite_differences(self):
         # Probe points keep clear of the cap kinks at 18/22 and 3/22.
@@ -882,6 +904,10 @@ class TestValidateIdentities:
         ]
         for check in report.checks:
             assert abs(check.diff) <= 3.0 * check.se_diff
+
+    def test_overflowing_scale_is_named(self):
+        with pytest.raises(ArithmeticError, match="overflow at sigma2 = 1e\\+308"):
+            validate_identities(sigma2=1e308, draws=20)
 
     def test_deterministic(self):
         a = validate_identities(draws=5000)

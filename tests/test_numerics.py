@@ -425,6 +425,17 @@ class TestHb2ShrinkRatios:
             hb2_shrink_ratios(np.array([1.0, f]), g, 1.0, BENCH, big_l=big_l)
 
 
+    def test_exponents_past_the_rule_weights_are_rejected(self):
+        # p(k-1)/2 + a = 1800.1 at p = 400, k = 10: 2^(expo + 1) overflows
+        # and roots_jacobi's weights are inf, so no rule may run there.
+        # Warnings are errors in this suite, so a warning would fail here.
+        huge = HbExponents.from_model(400, 10, 20)
+        with pytest.raises(ValueError, match="p\\(k-1\\)/2 \\+ a and p/2 \\+ b below 1024"):
+            hb2_shrink_ratios(np.array([0.5, 2.0]), 1.0, 1.0, huge)
+        # Just under the limit the rule still runs.
+        hb2_shrink_ratios(2.0, 1.0, 1.0, HbExponents(1022.0, 1.0, 1100.0))
+
+
 class TestTiltedHb2:
     """The tilted (big_l > 0) factors: array calls against the oracle, and failures."""
 
@@ -462,6 +473,13 @@ class TestTiltedHb2:
         with pytest.raises(ReplicateError, match="underflowed everywhere") as raised:
             hb2_shrink_ratios(1.3, 0.7, np.array([25.0, 1e3]), BENCH, big_l=2.0)
         assert raised.value.replicate == 1
+
+    @pytest.mark.parametrize("big_l, s", [(1e308, 3.0), (1e300, 1e10)])
+    def test_overflowing_tilt_underflows_everywhere(self, big_l, s):
+        # z0 = big_l s / 2 is inf or its products with the nodes are: the
+        # tail is 0 at every node, a named failure and no overflow warning.
+        with pytest.raises(ReplicateError, match="underflowed everywhere"):
+            hb2_shrink_ratios(np.array([1.3, 1e-300]), 0.7, s, BENCH, big_l=big_l)
 
     def test_underflow_of_the_smaller_rules_is_a_miss(self):
         # The 12- to 28-node rules underflow at every node of this point
