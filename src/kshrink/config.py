@@ -220,8 +220,8 @@ def parse_hyper(node: Any) -> Hyperparameters:
     )
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that rejects a mapping naming a key twice, where YAML keeps the last."""
+class _UniqueKeyLoader(yaml.CSafeLoader):
+    """libyaml's safe loader that rejects a key named twice in a mapping (YAML keeps the last)."""
 
     def construct_mapping(self, node, deep=False):
         own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
@@ -253,13 +253,18 @@ def load_document(path: str) -> dict:
     return doc
 
 
+def _overridden(override: Any, file_value: Any) -> Any:
+    """override unless it is None; file_value was type-checked either way."""
+    return file_value if override is None else override
+
+
 def experiment_from_document(
     doc: dict,
     seed: int | None = None,
     threads: int | None = None,
     replicates: int | None = None,
 ) -> ExperimentConfig:
-    """Build an ExperimentConfig; CLI overrides beat file values."""
+    """Build an ExperimentConfig; CLI overrides beat file values, which are type-checked first."""
     if "experiment" not in doc:
         raise ConfigError("missing 'experiment' section")
     node = _require_mapping(doc["experiment"], "experiment")
@@ -284,9 +289,9 @@ def experiment_from_document(
         q=q,
         mean_configs=parse_mean_configs(node["mean_configs"], k, p, "experiment.mean_configs"),
         estimators=parse_estimators(node.get("estimators"), "experiment.estimators"),
-        replicates=replicates if replicates is not None else _get_int(node, "replicates", "experiment", 5000),
-        seed=seed if seed is not None else _get_int(node, "seed", "experiment", 20260816),
-        threads=threads if threads is not None else _get_int(node, "threads", "experiment", 1),
+        replicates=_overridden(replicates, _get_int(node, "replicates", "experiment", 5000)),
+        seed=_overridden(seed, _get_int(node, "seed", "experiment", 20260816)),
+        threads=_overridden(threads, _get_int(node, "threads", "experiment", 1)),
         hyper=parse_hyper(doc.get("hyper")),
     )
 

@@ -19,8 +19,12 @@ arrays (k*p for an experiment or a truth point, p for the identities), so
 a block's working set stays near _BLOCK_VALUES doubles per array at any
 dimension; the block length is never a function of the thread count. The
 per-replicate work takes no matrix product over replicate rows (whose
-BLAS bits depend on the row count): every sum over a replicate's own
-entries is an einsum or elementwise step, so a replicate's values do not
+BLAS bits depend on the row count). Every matrix map of a replicate's
+entries (the Cholesky map of the draws, the weights, the pooled mean and
+the direction maps) goes through model.apply_maps, whose summation order
+is fixed by p alone; every quadratic form goes through model.quad_forms;
+every other sum over a replicate's own entries is an einsum or
+elementwise step on that row alone. So a replicate's values do not
 depend on the length of its block, whatever v and the loss weights are.
 The per-replicate values are joined in replicate order and reduced with
 numpy's pairwise summation, so the block size never changes a result.
@@ -62,6 +66,7 @@ from .model import (
     PooledConstants,
     TrueParameters,
     _guarded_inverse,
+    apply_maps,
     quad_forms,
 )
 # Unused here; kept because perfbench/spans.py traces them as attributes of this module.
@@ -129,7 +134,7 @@ def _draw(
     truth: TrueParameters, chol: np.ndarray, n: int, u: np.ndarray, us: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map uniforms u (R, k, p) and us (R,) to (x, s); chol factors the v stack."""
-    x = truth.mu + math.sqrt(truth.sigma2) * np.einsum("kab,rkb->rka", chol, ndtri(u))
+    x = truth.mu + math.sqrt(truth.sigma2) * apply_maps(chol, ndtri(u))
     s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
     return x, s
 
@@ -766,7 +771,7 @@ def validate_identities(
 
     def identity_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
         u, us = _replicate_uniforms(seed, (_NS_IDENTITY, 0), r0, r1, 1, p)
-        y = mu_vec + np.einsum("ab,rb->ra", chol, ndtri(u[:, 0]))
+        y = mu_vec + apply_maps(chol, ndtri(u[:, 0]))
         denom = 1.0 + np.einsum("ra,ra->r", y, y)
         quad = quad_forms(y, cov_mat)
         with np.errstate(over="ignore", invalid="ignore"):

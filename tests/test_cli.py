@@ -1,6 +1,7 @@
 """The command-line interface, driven in process through main(argv)."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -277,6 +278,29 @@ class TestSimulate:
         assert ",31" in ra.splitlines()[1]
         assert ",77" in rb.splitlines()[1]
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "key, flag, value",
+        [
+            ("replicates", "--replicates", "3"),
+            ("seed", "--seed", "2"),
+            ("threads", "--threads", "2"),
+        ],
+    )
+    def test_mistyped_file_value_is_bad_input_under_its_flag(
+        self, tmp_path, capsys, key, flag, value
+    ):
+        # The flag overrides the file's value, but a mistyped value is still an error.
+        body = SIMULATE_CONFIG.replace("  seed: 31\n", "  seed: 31\n  threads: 1\n")
+        body = re.sub(rf"  {key}: \d+\n", f'  {key}: "abc"\n', body)
+        cfg = put(tmp_path, "cfg.yaml", body)
+        message = f"error: experiment.{key} must be an integer, got 'abc'\n"
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["simulate", "--config", cfg, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
 
     def test_prints_text_table(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", SIMULATE_CONFIG)

@@ -9,6 +9,7 @@ from pytest import approx
 
 from kshrink import ConfigError, experiment_from_document, load_document
 from kshrink.config import (
+    _UniqueKeyLoader,
     dataset_from_document,
     parse_estimators,
     parse_hyper,
@@ -82,6 +83,14 @@ class TestLoadDocument:
         # YAML would keep the last value and drop the first without a word.
         with pytest.raises(ConfigError, match=f"duplicate key {key}"):
             load_document(write(tmp_path, text))
+
+    def test_key_named_twice_through_libyaml(self, tmp_path):
+        # The loader is libyaml's; the duplicate-key check runs on its nodes.
+        assert yaml.__with_libyaml__
+        assert issubclass(_UniqueKeyLoader, yaml.CSafeLoader)
+        path = write(tmp_path, "experiment:\n  p: 3\n  k: 2\n  p: 4\n")
+        with pytest.raises(ConfigError, match=r"duplicate key 'p'\n  in .*, line 4, column 3"):
+            load_document(path)
 
     def test_merged_key_may_be_overridden(self, tmp_path):
         text = "experiment:\n  <<: {p: 3, k: 3}\n  p: 4\n"

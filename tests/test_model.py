@@ -1,5 +1,8 @@
 """Canonical model construction, validation, reductions, pooled statistics."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -13,6 +16,8 @@ from kshrink.model import (
     canonicalize_ksample,
     canonicalize_regression,
     pooled_summary,
+    _LONG_MAPS_MAX_P,
+    apply_maps,
     quad_forms,
     validate_model,
 )
@@ -513,6 +518,99 @@ class TestQuadForms:
                     for r in (1, 2, 3):
                         for r0 in range(0, 300 - r + 1, r):
                             assert np.array_equal(form(x[r0 : r0 + r]), block[r0 : r0 + r])
+
+
+def ordered_maps(m, x):
+    """apply_maps' reference up to _LONG_MAPS_MAX_P: terms added one by one in b order."""
+    m3 = m if m.ndim == 3 else m[None]
+    x3 = x if x.ndim == 3 else x[:, None]
+    acc = m3[..., 0] * x3[..., None, 0]
+    for b in range(1, m3.shape[-1]):
+        acc = acc + m3[..., b] * x3[..., None, b]
+    return acc if m.ndim == 3 else acc[:, 0]
+
+
+def replicate_first_maps(m, x):
+    """apply_maps' reference past _LONG_MAPS_MAX_P: numpy's dot order over b."""
+    return np.einsum("kab,rkb->rka", m, x if x.ndim == 3 else np.repeat(x[:, None], len(m), 1))
+
+
+class TestApplyMaps:
+    # apply_maps' summation order is fixed by p alone. Up to
+    # _LONG_MAPS_MAX_P both its layouts (blocks of fewer than p rows, and
+    # the rest) must give the ordered loop's bits; past it, numpy's
+    # replicate-first dot. The sweep runs blocks of 1, 2, p - 1, p and
+    # p + 1 rows, and for p <= 16 also 1310 rows, the harness's block at
+    # k = p = 5; p = 211 stands for the wide models, at the k = 2 of the
+    # dimension ladder and at k = 1.
+    @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_summation_order_over_the_sweep(self, k, full):
+        assert _LONG_MAPS_MAX_P == 16
+        rng = np.random.default_rng(4000 + 10 * k + full)
+        for p in [*range(1, 65), *([211] if k <= 2 else [])]:
+            m = spd_stack(rng, k, p, full) * rng.choice([-1.0, 1.0], size=(k, 1, p))
+            want_form = ordered_maps if p <= 16 else replicate_first_maps
+            for r in sorted({1, 2, max(p - 1, 1), p, p + 1, *([1310] if p <= 16 else [])}):
+                for x in (rng.normal(size=(r, k, p)), rng.normal(size=(r, p))):
+                    got = apply_maps(m, x)
+                    assert got.flags.c_contiguous and got.shape == (r, k, p)
+                    assert np.array_equal(got, want_form(m, x))
+                    if k == 1:
+                        one = apply_maps(m[0], x[:, 0] if x.ndim == 3 else x)
+                        assert one.shape == (r, p)
+                        assert np.array_equal(one, got[:, 0])
+
+    @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
+    def test_rows_alone_match_their_block(self, full):
+        # A replicate's values must not depend on how many rows share its
+        # call: every run of 1, 2 or 3 rows matches the same rows of a
+        # 1310-row block, for the stacked, shared and one-matrix forms, on
+        # both sides of _LONG_MAPS_MAX_P.
+        rng = np.random.default_rng(5000 + full)
+        for k, p in ((1, 1), (1, 2), (2, 3), (5, 5), (3, 8), (1, 16), (2, 17), (2, 40)):
+            m = spd_stack(rng, k, p, full) @ spd_stack(rng, k, p, full)  # not symmetric
+            x = 3.0 * rng.normal(size=(1310, k, p))
+            forms = [lambda z: apply_maps(m, z), lambda z: apply_maps(m, z[:, 0])]
+            if k == 1:
+                forms.append(lambda z: apply_maps(m[0], z[:, 0]))
+            for form in forms:
+                block = form(x)
+                for r in (1, 2, 3):
+                    for r0 in range(0, 60, r):
+                        assert np.array_equal(form(x[r0 : r0 + r]), block[r0 : r0 + r])
+                        r1 = 1310 - r0
+                        assert np.array_equal(form(x[r1 - r : r1]), block[r1 - r : r1])
+
+    def test_no_replicate_map_outside_apply_maps(self):
+        # A fence: a two-operand einsum whose output keeps the replicate
+        # axis r and another axis is a per-replicate matrix map, and those
+        # are taken only in apply_maps, whose summation order the tests
+        # above pin. Every einsum's subscripts must be a literal, so this
+        # check can read them.
+        found = []
+        for path in sorted((Path(__file__).parents[1] / "src" / "kshrink").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = [
+                range(node.lineno, node.end_lineno + 1)
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "apply_maps"
+            ]
+            for node in ast.walk(tree):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum"
+                ):
+                    continue
+                spec = node.args[0]
+                where = f"{path.name}:{node.lineno}"
+                assert isinstance(spec, ast.Constant) and isinstance(spec.value, str), where
+                inputs, _, output = spec.value.partition("->")
+                is_map = len(inputs.split(",")) == 2 and "r" in output and len(output) > 1
+                if is_map and not any(node.lineno in lines for lines in allowed):
+                    found.append(f"{where} {spec.value}")
+        assert found == []
 
 
 class TestTrueParameters:
