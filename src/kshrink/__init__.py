@@ -53,7 +53,6 @@ from .montecarlo import (
     ExperimentConfig,
     MeanConfig,
     RiskTable,
-    paired_domination,
     run_experiment,
     sample_canonical,
     uer_members,
@@ -110,7 +109,6 @@ __all__ = [
     "RiskTable",
     "sample_canonical",
     "run_experiment",
-    "paired_domination",
     "uer_members",
     "validate_uer",
     "validate_identities",

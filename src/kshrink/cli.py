@@ -9,7 +9,8 @@ Subcommands::
     kshrink validate          Monte Carlo self-checks (identities, risk)
 
 Exit codes: 0 success, 1 a statistical check failed, 2 bad input
-(config, dataset, arguments), 3 an estimator precondition failed.
+(config, dataset, arguments), 3 estimate could run none of its
+estimators (it skips each one whose preconditions fail).
 """
 
 from __future__ import annotations
@@ -21,17 +22,15 @@ import sys
 from dataclasses import replace
 
 from .config import (
-    _EXPERIMENT_KEYS,
     ConfigError,
-    _check_keys,
-    _get_int,
     dataset_from_document,
+    dimensions_from_document,
     experiment_from_document,
     load_document,
     parse_hyper,
 )
 from .datasets import ParseError, read_ksample_csv, read_regression_csv
-from .estimators import ESTIMATORS, PreconditionError
+from .estimators import ESTIMATORS, PreconditionError, ReplicateError
 from .model import (
     LossSpec,
     TrueParameters,
@@ -40,6 +39,7 @@ from .model import (
     pooled_summary,
 )
 from .montecarlo import (
+    VALIDATE_DRAWS,
     ExperimentConfig,
     run_experiment,
     uer_members,
@@ -62,32 +62,27 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _benchmark_config(args: argparse.Namespace) -> ExperimentConfig:
-    kwargs = {}
-    if getattr(args, "replicates", None) is not None:
-        kwargs["replicates"] = args.replicates
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        kwargs["threads"] = args.threads
-    return ExperimentConfig.benchmark(**kwargs)
+def _experiment(args: argparse.Namespace, **defaults) -> ExperimentConfig:
+    """The --config file's experiment, else the benchmark's, with the flags given.
+
+    Flags beat file values, and the whole file is checked first. defaults
+    are the command's own values for counts the file leaves out.
+    """
+    if getattr(args, "config", None) is None:
+        cfg, in_file = ExperimentConfig.benchmark(), {}
+    else:
+        doc = load_document(args.config)
+        cfg = experiment_from_document(doc)
+        in_file = doc["experiment"]
+    changes = {key: value for key, value in defaults.items() if key not in in_file}
+    for key in ("replicates", "seed", "threads"):
+        if getattr(args, key, None) is not None:
+            changes[key] = getattr(args, key)
+    return replace(cfg, **changes)
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    cfg = _benchmark_config(args)
-    table = run_experiment(cfg)
-    sys.stdout.write(table.to_text())
-    if args.output is not None:
-        _write_text(args.output, table.to_csv())
-    return EXIT_PASS
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    doc = load_document(args.config)
-    cfg = experiment_from_document(
-        doc, seed=args.seed, threads=args.threads, replicates=args.replicates
-    )
-    table = run_experiment(cfg)
+def _cmd_run(args: argparse.Namespace) -> int:
+    table = run_experiment(_experiment(args))
     sys.stdout.write(table.to_text())
     if args.output is not None:
         _write_text(args.output, table.to_csv())
@@ -123,31 +118,29 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     lines = ["estimator,kind,label," + ",".join(f"v{j + 1}" for j in range(model.p))]
     pad = [""] * (model.p - 1)
+    ran = 0
     for name in spec.estimators:
-        est = ESTIMATORS[name](model, ls, summary, spec.hyper)
+        try:
+            est = ESTIMATORS[name](model, ls, summary, spec.hyper)
+        except (PreconditionError, ReplicateError) as exc:
+            print(f"skipped {name}: {exc}", file=sys.stderr)
+            continue
+        ran += 1
         for label, row in zip(labels, est.mu_hat):
             lines.append(f"{name},estimate,{label}," + ",".join(_format_cell(v) for v in row))
         for key in sorted(est.diagnostics):
             cells = [_format_cell(est.diagnostics[key])] + pad
             lines.append(f"{name},diagnostic,{key}," + ",".join(cells))
+    if not ran:
+        raise PreconditionError("no estimator could run on this input")
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_PASS
 
 
 def _cmd_check_conditions(args: argparse.Namespace) -> int:
-    p, k, n = 5, 5, 20
-    hyper = parse_hyper(None)
-    if args.config is not None:
-        doc = load_document(args.config)
-        hyper = parse_hyper(doc.get("hyper"))
-        exp = doc.get("experiment")
-        if exp is not None:
-            if not isinstance(exp, dict):
-                raise ConfigError("experiment must be a mapping")
-            _check_keys(exp, _EXPERIMENT_KEYS, "experiment")
-            p = _get_int(exp, "p", "experiment", p)
-            k = _get_int(exp, "k", "experiment", k)
-            n = _get_int(exp, "n", "experiment", n)
+    doc = {} if args.config is None else load_document(args.config)
+    hyper = parse_hyper(doc.get("hyper"))
+    p, k, n = dimensions_from_document(doc)
     ExperimentConfig.check_dimensions(p, k, n)
 
     out = []
@@ -174,17 +167,8 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    # The count is --replicates, else the file's experiment.replicates, else
-    # 100,000; cfg carries it, so cfg's guards check the count that runs.
-    from_file = False
-    if args.config is not None:
-        doc = load_document(args.config)
-        cfg = experiment_from_document(doc, seed=args.seed, replicates=args.replicates)
-        from_file = "replicates" in doc["experiment"]
-    else:
-        cfg = _benchmark_config(args)
-    if args.replicates is None and not from_file:
-        cfg = replace(cfg, replicates=100_000)
+    # cfg carries the count that runs, so cfg's guards check it.
+    cfg = _experiment(args, replicates=VALIDATE_DRAWS)
 
     idv = validate_identities(
         p=cfg.p, n=cfg.n, sigma2=cfg.sigma2, draws=cfg.replicates, seed=cfg.seed
@@ -252,8 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "table1": _cmd_table1,
-    "simulate": _cmd_simulate,
+    "table1": _cmd_run,
+    "simulate": _cmd_run,
     "estimate": _cmd_estimate,
     "check-conditions": _cmd_check_conditions,
     "validate": _cmd_validate,

@@ -43,6 +43,8 @@ _EXPERIMENT_KEYS = {
     "p", "k", "n", "sigma2", "v", "q", "mean_configs", "estimators",
     "replicates", "seed", "threads",
 }
+# Counts a file may leave out; ExperimentConfig's field defaults fill them.
+_COUNT_KEYS = ("replicates", "seed", "threads")
 _HYPER_KEYS = {"a", "b", "c", "big_l", "alpha"}
 _DATASET_KEYS = {"kind", "v0", "q", "estimators"}
 _MEAN_KEYS = {"name", "scales", "mu"}
@@ -253,18 +255,8 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def _overridden(override: Any, file_value: Any) -> Any:
-    """override unless it is None; file_value was type-checked either way."""
-    return file_value if override is None else override
-
-
-def experiment_from_document(
-    doc: dict,
-    seed: int | None = None,
-    threads: int | None = None,
-    replicates: int | None = None,
-) -> ExperimentConfig:
-    """Build an ExperimentConfig; CLI overrides beat file values, which are type-checked first."""
+def experiment_from_document(doc: dict) -> ExperimentConfig:
+    """Build an ExperimentConfig; a count the file leaves out takes the field's default."""
     if "experiment" not in doc:
         raise ConfigError("missing 'experiment' section")
     node = _require_mapping(doc["experiment"], "experiment")
@@ -289,11 +281,18 @@ def experiment_from_document(
         q=q,
         mean_configs=parse_mean_configs(node["mean_configs"], k, p, "experiment.mean_configs"),
         estimators=parse_estimators(node.get("estimators"), "experiment.estimators"),
-        replicates=_overridden(replicates, _get_int(node, "replicates", "experiment", 5000)),
-        seed=_overridden(seed, _get_int(node, "seed", "experiment", 20260816)),
-        threads=_overridden(threads, _get_int(node, "threads", "experiment", 1)),
+        **{key: _get_int(node, key, "experiment") for key in _COUNT_KEYS if key in node},
         hyper=parse_hyper(doc.get("hyper")),
     )
+
+
+def dimensions_from_document(doc: dict) -> tuple[int, int, int]:
+    """(p, k, n) of the experiment section, checked whole; the benchmark's where it is silent."""
+    base = ExperimentConfig.benchmark()
+    node = doc.get("experiment")
+    node = {} if node is None else _require_mapping(node, "experiment")
+    _check_keys(node, _EXPERIMENT_KEYS, "experiment")
+    return tuple(_get_int(node, key, "experiment", getattr(base, key)) for key in ("p", "k", "n"))
 
 
 @dataclass(frozen=True)

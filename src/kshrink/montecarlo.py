@@ -32,7 +32,7 @@ numpy's pairwise summation, so the block size never changes a result.
 Each block runs the batch kernels of the estimators module on the pooled
 statistics of its replicates, the same code the single-shot estimators
 run with one replicate. run_experiment is the one loop over
-configurations; paired_domination reads its paired contrasts. Both
+configurations; RiskTable.domination reads its paired contrasts. Both
 self-checks, validate_uer and validate_identities, report paired checks
 of one kind: the mean of lhs - rhs over common draws must lie within
 three standard errors of 0.
@@ -82,13 +82,14 @@ __all__ = [
     "CheckSet",
     "sample_canonical",
     "run_experiment",
-    "paired_domination",
     "validate_uer",
     "validate_identities",
 ]
 
 # Values per (R, k, p) array of a block; see the module docstring.
 _BLOCK_VALUES = 2**15
+# Replicates of a validate run, and identity draws, when no count is given.
+VALIDATE_DRAWS = 100_000
 # Stream namespaces; first spawn_key element.
 _NS_EXPERIMENT = 0
 _NS_UER = 1
@@ -145,15 +146,17 @@ def sample_canonical(
     """Draw replicate `replicate` of configuration `config` under `seed`.
 
     These are the harness's draws for that address: run_experiment with the
-    same seed, truth and v sees exactly this model as that replicate.
+    same seed, truth and v sees exactly this model as that replicate. v is
+    a (k, p, p) stack or, as CanonicalModel takes it, one (p, p) matrix
+    that the k groups share.
     """
     for name, value in (("seed", seed), ("config", config), ("replicate", replicate)):
         _need_nonnegative(name, value)
-    va = np.asarray(v, dtype=float)
-    k, p = truth.mu.shape
-    u, us = _replicate_uniforms(seed, (_NS_EXPERIMENT, config), replicate, replicate + 1, k, p)
-    x, s = _draw(truth, np.linalg.cholesky(va), n, u, us)
-    return CanonicalModel(x=x[0], v=va, s=float(s[0]), n=n)
+    model = CanonicalModel(x=truth.mu, v=v, s=1.0, n=n)
+    key = (_NS_EXPERIMENT, config)
+    u, us = _replicate_uniforms(seed, key, replicate, replicate + 1, model.k, model.p)
+    x, s = _draw(truth, np.linalg.cholesky(model.v), n, u, us)
+    return replace(model, x=x[0], s=float(s[0]))
 
 
 @dataclass(frozen=True)
@@ -272,19 +275,14 @@ class ExperimentConfig:
         return LossSpec.for_model(model, self.q)
 
     @classmethod
-    def benchmark(
-        cls,
-        replicates: int = 5000,
-        seed: int = 20260816,
-        threads: int = 1,
-        estimators: tuple[str, ...] = ESTIMATOR_ORDER,
-    ) -> "ExperimentConfig":
+    def benchmark(cls) -> "ExperimentConfig":
         """The standard comparison protocol: five groups of dimension five.
 
         v[i] = 0.1 * (i+1) * identity, inverse-scale loss, noise standard
         deviation 2 (sigma2 = 4), n = 20, eight mean configurations ranging
         from all-equal to widely spread, hyperparameters a = b = c = 0.1
-        with no precision tilt.
+        with no precision tilt, and the field defaults for the rest; change
+        those with dataclasses.replace.
         """
         p = k = 5
         v = np.stack([0.1 * (i + 1) * np.eye(p) for i in range(k)])
@@ -298,10 +296,6 @@ class ExperimentConfig:
             sigma2=4.0,
             v=v,
             mean_configs=means,
-            estimators=tuple(estimators),
-            replicates=replicates,
-            seed=seed,
-            threads=threads,
             hyper=Hyperparameters(a=0.1, b=0.1, c=0.1, big_l=0.0, alpha=0.05),
         )
 
@@ -529,15 +523,6 @@ class DominationReport:
     dominated: bool
 
 
-def paired_domination(cfg: ExperimentConfig, candidate: str, baseline: str) -> DominationReport:
-    """Test whether candidate never does worse than baseline on cfg.
-
-    A run of the two estimators alone, read through RiskTable.domination.
-    """
-    table = run_experiment(replace(cfg, estimators=(candidate, baseline)))
-    return table.domination(candidate, baseline)
-
-
 @dataclass(frozen=True)
 class PairedCheck:
     """One paired comparison of per-draw values lhs and rhs on common draws.
@@ -735,8 +720,8 @@ def validate_identities(
     sigma2: float = 2.0,
     mu: np.ndarray | None = None,
     cov: np.ndarray | None = None,
-    draws: int = 100_000,
-    seed: int = 20260816,
+    draws: int = VALIDATE_DRAWS,
+    seed: int = ExperimentConfig.seed,
 ) -> CheckSet:
     """Monte Carlo check of the two identities behind the risk calculus.
 

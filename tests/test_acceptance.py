@@ -7,6 +7,7 @@ benchmark run is shared by the criteria that need it.
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def verdict(num: int, name: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def benchmark_run():
-    cfg = ExperimentConfig.benchmark(threads=4)
+    cfg = replace(ExperimentConfig.benchmark(), threads=4)
     t0 = time.perf_counter()
     table = run_experiment(cfg)
     return table, time.perf_counter() - t0
@@ -81,8 +82,9 @@ def test_02_paired_domination(benchmark_run):
     # One 10k-replicate pass gates both pairs. HB2 over HB1 is a simulation
     # finding of the paper, not a theorem, so it is read from the benchmark
     # run's table and reported without gating.
-    cfg = ExperimentConfig.benchmark(
-        replicates=10_000, threads=4, estimators=("PT", "PT*", "EB", "EB*")
+    cfg = replace(
+        ExperimentConfig.benchmark(),
+        replicates=10_000, threads=4, estimators=("PT", "PT*", "EB", "EB*"),
     )
     table = run_experiment(cfg)
     details = []
@@ -137,7 +139,7 @@ def test_03_minimax_risk_bound(benchmark_run):
 
 
 def test_04_unbiased_risk_estimator():
-    cfg = ExperimentConfig.benchmark(replicates=100_000)
+    cfg = replace(ExperimentConfig.benchmark(), replicates=100_000)
     points = [
         TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 4, 7)
     ]

@@ -1,5 +1,6 @@
 """The command-line interface, driven in process through main(argv)."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 import kshrink
+from kshrink import ExperimentConfig
 from kshrink.cli import main
+from kshrink.montecarlo import VALIDATE_DRAWS
 
 # Two observations per group chosen so the reduction lands on exact
 # integers: group means (0,0,0) and (2,2,2), pooled spread 10, and with
@@ -69,6 +72,22 @@ VALIDATE_SEED1_2001 = (
     "risk-estimate smooth @ centered-1.0: |20.2005 - 20.2125| = 0.012 vs 3 SE = 0.388: pass\n"
     "risk-estimate smooth @ ramp-0-4: |20.421 - 20.5782| = 0.157 vs 3 SE = 0.41: pass\n"
     "all checks passed\n"
+)
+
+
+# Three groups of dimension two: JS1, PT* and EB* need p >= 3.
+P2_KSAMPLE = textwrap.dedent(
+    """\
+    group,x1,x2
+    1,0.5,1.0
+    1,1.5,-0.5
+    1,0.0,0.25
+    2,2.0,1.5
+    2,3.0,2.5
+    3,-1.0,0.5
+    3,-0.5,1.5
+    3,0.25,0.0
+    """
 )
 
 
@@ -178,6 +197,38 @@ class TestEstimate:
         code = main(["estimate", "--config", cfg, "--input", data])
         assert code == 3
         assert "inverse" in capsys.readouterr().err
+
+    def test_estimators_that_cannot_run_are_skipped(self, tmp_path, capsys):
+        # The default list names all eight; at p = 2 the rest still write rows.
+        cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample}\n")
+        data = put(tmp_path, "data.csv", P2_KSAMPLE)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", cfg, "--input", data, "--output", str(out)]) == 0
+        rows = csv_rows(out.read_text())
+        written = list(dict.fromkeys(r[0] for r in rows[1:]))
+        assert written == ["JS2", "PT", "EB", "HB1", "HB2"]
+        for name in written:
+            assert [r[2] for r in rows if r[:2] == [name, "estimate"]] == ["1", "2", "3"]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "skipped JS1: groupwise zero-shrink needs p >= 3, got p=2",
+            "skipped PT*: pooled-mean zero-shrink needs p >= 3, got p=2",
+            "skipped EB*: pooled-mean zero-shrink needs p >= 3, got p=2",
+        ]
+
+    def test_nothing_is_written_when_no_estimator_runs(self, tmp_path, capsys):
+        cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample, estimators: [JS1, EB*]}\n")
+        data = put(tmp_path, "data.csv", P2_KSAMPLE)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", cfg, "--input", data, "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "skipped JS1: groupwise zero-shrink needs p >= 3, got p=2",
+            "skipped EB*: pooled-mean zero-shrink needs p >= 3, got p=2",
+            "error: no estimator could run on this input",
+        ]
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_regression_input_must_be_directory(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: regression}\n")
@@ -357,6 +408,57 @@ class TestSimulate:
         cfg = put(tmp_path, "cfg.yaml", "hyper: {a: 0.2}\n")
         assert main(["simulate", "--config", cfg]) == 2
         assert "missing 'experiment'" in capsys.readouterr().err
+
+
+class Built(Exception):
+    """Raised in place of a run; carries what the command handed to it."""
+
+
+class TestOverrides:
+    """Flags beat file values; a count neither gives takes its default."""
+
+    @staticmethod
+    def built(monkeypatch, argv):
+        """The ExperimentConfig main(argv) hands to run_experiment, which does not run."""
+
+        def stop(cfg):
+            raise Built(cfg)
+
+        monkeypatch.setattr(kshrink.cli, "run_experiment", stop)
+        with pytest.raises(Built) as built:
+            main(argv)
+        return built.value.args[0]
+
+    def test_flags_beat_file_values(self, tmp_path, monkeypatch):
+        body = SIMULATE_CONFIG.replace("  seed: 31\n", "  seed: 31\n  threads: 2\n")
+        path = put(tmp_path, "cfg.yaml", body)
+        cfg = self.built(monkeypatch, ["simulate", "--config", path])
+        assert (cfg.replicates, cfg.seed, cfg.threads) == (40, 31, 2)
+        argv = ["simulate", "--config", path, "--seed", "123", "--threads", "8",
+                "--replicates", "17"]
+        cfg = self.built(monkeypatch, argv)
+        assert (cfg.replicates, cfg.seed, cfg.threads) == (17, 123, 8)
+        assert (cfg.p, cfg.k, cfg.n, cfg.sigma2) == (3, 3, 12, 1.5)
+
+    def test_file_without_counts_takes_the_field_defaults(self, tmp_path, monkeypatch):
+        body = SIMULATE_CONFIG.replace("  replicates: 40\n", "").replace("  seed: 31\n", "")
+        cfg = self.built(monkeypatch, ["simulate", "--config", put(tmp_path, "cfg.yaml", body)])
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        counts = (defaults["replicates"], defaults["seed"], defaults["threads"])
+        assert (cfg.replicates, cfg.seed, cfg.threads) == counts
+        bench = self.built(monkeypatch, ["table1"])
+        assert (bench.replicates, bench.seed, bench.threads) == counts
+
+    def test_validate_count_when_neither_gives_one(self, tmp_path, monkeypatch):
+        def stop(**kwargs):
+            raise Built(kwargs["draws"])
+
+        monkeypatch.setattr(kshrink.cli, "validate_identities", stop)
+        bare = put(tmp_path, "bare.yaml", SIMULATE_CONFIG.replace("  replicates: 40\n", ""))
+        for argv in (["validate"], ["validate", "--config", bare]):
+            with pytest.raises(Built) as built:
+                main(argv)
+            assert built.value.args[0] == VALIDATE_DRAWS
 
 
 class TestTable1:

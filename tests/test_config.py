@@ -1,4 +1,4 @@
-"""Strict YAML parsing: happy paths, overrides, and rejected documents."""
+"""Strict YAML parsing: happy paths, defaults, and rejected documents."""
 
 import textwrap
 
@@ -279,11 +279,6 @@ class TestExperimentFromDocument:
         assert cfg.hyper.alpha == approx(0.1)
         assert cfg.hyper.b == approx(0.1)  # untouched default
         cfg.validate()
-
-    def test_overrides_beat_file_values(self, tmp_path):
-        doc = load_document(write(tmp_path, FULL_DOC))
-        cfg = experiment_from_document(doc, seed=123, threads=8, replicates=17)
-        assert (cfg.seed, cfg.threads, cfg.replicates) == (123, 8, 17)
 
     def test_file_seed_zero_survives(self, tmp_path):
         text = FULL_DOC.replace("seed: 9", "seed: 0")

@@ -13,7 +13,6 @@ from kshrink import (
     Hyperparameters,
     MeanConfig,
     TrueParameters,
-    paired_domination,
     run_experiment,
     sample_canonical,
     uer_members,
@@ -115,6 +114,22 @@ class TestSampleCanonical:
         for r in range(50):
             m = sample_canonical(truth, v, 3, 4, 1, r)
             assert m.s > 0.0
+
+    def test_shared_scale_matrix_is_the_stack(self):
+        # One (p, p) v is shared by the k groups, as CanonicalModel takes it.
+        truth = TrueParameters(mu=np.arange(12.0).reshape(3, 4), sigma2=1.5)
+        a = np.random.default_rng(5).normal(size=(4, 4))
+        v = a @ a.T + 4.0 * np.eye(4)
+        shared = sample_canonical(truth, v, 7, 11, 2, 5)
+        stacked = sample_canonical(truth, np.stack([v] * 3), 7, 11, 2, 5)
+        assert np.array_equal(shared.x, stacked.x)
+        assert shared.s == stacked.s
+        assert np.array_equal(shared.v, stacked.v)
+
+    def test_scale_matrix_of_the_wrong_shape_is_named(self):
+        truth = TrueParameters(mu=np.zeros((3, 4)), sigma2=1.0)
+        with pytest.raises(ValueError, match=r"^v must have shape \(k, p, p\) = \(3, 4, 4\)"):
+            sample_canonical(truth, np.eye(3), 5, 1)
 
     @pytest.mark.parametrize("name", ["seed", "config", "replicate"])
     def test_negative_address_rejected(self, name, monkeypatch):
@@ -588,20 +603,22 @@ class TestDegenerateRows:
 
 class TestPairedDomination:
     def test_self_comparison_is_exact_tie(self):
-        rep = paired_domination(small_config(), "EB", "EB")
+        cfg = replace(small_config(), estimators=("EB", "EB"))
+        rep = run_experiment(cfg).domination("EB", "EB")
         assert rep.dominated is True
         assert rep.mean_diff == approx(np.zeros(2), abs=0.0)
 
     def test_star_variant_dominates_on_benchmark(self):
-        cfg = ExperimentConfig.benchmark(replicates=500, threads=2)
-        rep = paired_domination(cfg, "PT*", "PT")
+        cfg = replace(ExperimentConfig.benchmark(), replicates=500, threads=2)
+        rep = run_experiment(replace(cfg, estimators=("PT*", "PT"))).domination("PT*", "PT")
         assert rep.candidate == "PT*"
         assert rep.baseline == "PT"
         assert rep.dominated is True
         assert rep.config_names == tuple(m.name for m in cfg.mean_configs)
 
     def test_aliases_resolve(self):
-        rep = paired_domination(small_config(), "EB2", "EB1")
+        cfg = replace(small_config(), estimators=("EB2", "EB1"))
+        rep = run_experiment(cfg).domination("EB2", "EB1")
         assert (rep.candidate, rep.baseline) == ("EB*", "EB")
 
     def test_unavailable_estimator_raises(self):
@@ -609,26 +626,10 @@ class TestPairedDomination:
         cfg = ExperimentConfig(
             p=2, k=3, n=12, sigma2=1.0, v=v,
             mean_configs=(MeanConfig.from_scales("z", (0.0, 0.0, 1.0), 2),),
-            replicates=32, seed=5,
+            estimators=("EB*", "EB"), replicates=32, seed=5,
         )
         with pytest.raises(PreconditionError, match="cannot compare"):
-            paired_domination(cfg, "EB*", "EB")
-
-    def test_table_domination_is_paired_domination(self):
-        cfg = small_config()
-        table = run_experiment(cfg)
-        assert table.errors == {}
-        pairs = (("PT*", "PT"), ("EB2", "EB1"), ("HB2", "HB1"), ("HB1", "HB2"),
-                 ("JS1", "JS2"), ("EB", "EB"))
-        for cand, base in pairs:
-            got = table.domination(cand, base)
-            want = paired_domination(cfg, cand, base)
-            assert (got.candidate, got.baseline, got.config_names, got.dominated) == (
-                want.candidate, want.baseline, want.config_names, want.dominated
-            )
-            assert np.array_equal(got.mean_diff, want.mean_diff)
-            assert np.array_equal(got.se_diff, want.se_diff)
-            assert np.array_equal(got.per_config, want.per_config)
+            run_experiment(cfg).domination("EB*", "EB")
 
     def test_contrasts_depend_on_neither_threads_nor_other_estimators(self):
         full = run_experiment(small_config())
