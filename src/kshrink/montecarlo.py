@@ -24,7 +24,10 @@ entries (the Cholesky map of the draws, the weights, the pooled mean and
 the direction maps) goes through model.apply_maps, whose summation order
 is fixed by p alone; every quadratic form goes through model.quad_forms;
 every other sum over a replicate's own entries is an einsum or
-elementwise step on that row alone. So a replicate's values do not
+elementwise step on that row alone. Both helpers take an elementwise path
+when a matrix is diagonal (every scale and loss matrix of the default
+experiment), which adds the same nonzero terms in the same order and so
+gives the same bits as the full path. So a replicate's values do not
 depend on the length of its block, whatever v and the loss weights are.
 The per-replicate values are joined in replicate order and reduced with
 numpy's pairwise summation, so the block size never changes a result.
@@ -576,9 +579,9 @@ def validate_uer(
     address every stream uses (see the module docstring) under key (1, i),
     so the first R replicates are the same whatever the run's length. Each
     point is summarized once per block of replicates and every member runs
-    on that block; the blocks go through the harness's block loop with
-    cfg.threads workers, so results depend on neither the block size nor
-    the thread count. Check i compares the per-replicate unbiased risk
+    on that block; the blocks go through the harness's block loop in order,
+    one at a time (cfg.threads is not used), so results do not depend on
+    the block size. Check i compares the per-replicate unbiased risk
     estimate (lhs) with the realized loss (rhs) at truth point i and is
     named point-i. Every member must carry all six partial derivatives of
     its factors; there is no numerical fallback. No member, no truth
@@ -624,7 +627,7 @@ def validate_uer(
             return out, {}
 
         values, _ = _blocked(
-            cfg.replicates, cfg.k * cfg.p, cfg.threads, 3 + per_member * len(members), uer_block
+            cfg.replicates, cfg.k * cfg.p, 1, 3 + per_member * len(members), uer_block
         )
         f, g, s = values[:3]
         checks = []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kshrink
-from kshrink import ExperimentConfig
+from kshrink import ExperimentConfig, montecarlo
 from kshrink.cli import main
 from kshrink.montecarlo import VALIDATE_DRAWS
 
@@ -594,6 +594,28 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err
         assert captured.out == ""
+
+    def test_file_threads_make_no_pool(self, tmp_path, capsys, monkeypatch):
+        # A config file's thread count is for table1 and simulate; validate
+        # runs its blocks in order and prints the same lines without it.
+        pools = []
+        real = montecarlo.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", spy)
+        threaded = put(
+            tmp_path, "threaded.yaml", SIMULATE_CONFIG.replace("seed: 31", "seed: 31\n  threads: 2")
+        )
+        bare = put(tmp_path, "bare.yaml", SIMULATE_CONFIG)
+        assert main(["validate", "--config", threaded, "--replicates", "300"]) == 0
+        from_threaded = capsys.readouterr()
+        assert main(["validate", "--config", bare, "--replicates", "300"]) == 0
+        assert from_threaded.err == ""
+        assert from_threaded.out == capsys.readouterr().out
+        assert pools == []
 
 
 class TestNegativeSeed:

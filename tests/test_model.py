@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from kshrink import model
 from kshrink.model import (
     CanonicalModel,
     LossSpec,
@@ -17,6 +18,7 @@ from kshrink.model import (
     canonicalize_regression,
     pooled_summary,
     _LONG_MAPS_MAX_P,
+    _diagonal,
     apply_maps,
     quad_forms,
     validate_model,
@@ -461,6 +463,49 @@ def spd_stack(rng, k, p, full):
     return np.einsum("kab,kcb->kac", root, root) + p * np.eye(p)
 
 
+def full_path(fn, *args, **kwargs):
+    """fn(*args, **kwargs) with no matrix taken as diagonal: the full matrices' einsum path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_diagonal", lambda m: None)
+        return fn(*args, **kwargs)
+
+
+def same_bits(got, want):
+    """Equal shapes and bits, so +0.0 and -0.0 differ."""
+    as_bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    return got.shape == want.shape and np.array_equal(as_bits(got), as_bits(want))
+
+
+def signed_zeros(rng, shape):
+    """Normal draws with about half the entries +0.0 or -0.0."""
+    x = rng.normal(size=shape)
+    zero = rng.random(shape) < 0.5
+    x[zero] = rng.choice([-0.0, 0.0], size=int(zero.sum()))
+    return x
+
+
+# (k, p, R) of the diagonal path's bit checks: both sides of _LONG_MAPS_MAX_P,
+# blocks shorter and longer than p, and the lone rows quad_forms doubles.
+DIAGONAL_SWEEP = [
+    (k, p, r)
+    for k in (1, 2, 5)
+    for p in (1, 2, 3, 5, 16, 17, 40)
+    for r in (1, 2, 3, 4, 5, 16, 17, 300)
+]
+
+
+def signed_diagonal(rng, k, p):
+    """A diagonal stack with entries of both signs and -0.0 off the diagonal."""
+    return spd_stack(rng, k, p, full=False) * rng.choice([-1.0, 1.0], size=(k, 1, p))
+
+
+def with_one_tiny_entry(m):
+    """m with 1e-300 in one off-diagonal entry of its last matrix: no longer diagonal."""
+    out = m.copy()
+    out[-1, -1, 0] = 1e-300
+    return out
+
+
 class TestQuadForms:
     # The helper must keep the bits of the replicate-first einsum subscripts
     # it replaced, at block lengths the harness uses: 1, 2, 256, and a full
@@ -518,6 +563,47 @@ class TestQuadForms:
                     for r in (1, 2, 3):
                         for r0 in range(0, 300 - r + 1, r):
                             assert np.array_equal(form(x[r0 : r0 + r]), block[r0 : r0 + r])
+
+    # A diagonal stack runs "kar,ka,kar" in the same layout: the same
+    # (x * d) * x terms in the same (k, a) order as the full form's nonzero
+    # terms, whose zero terms change no partial sum of a zero-started
+    # accumulator. So the bits match, the sign of a zero sum included.
+    def test_diagonal_path_keeps_the_full_paths_bits(self):
+        rng = np.random.default_rng(6000)
+        for k, p, r in DIAGONAL_SWEEP:
+            m = signed_diagonal(rng, k, p)
+            x = signed_zeros(rng, (r, k, p))
+            assert _diagonal(m) is not None
+            for got, want in (
+                (quad_forms(x, m), full_path(quad_forms, x, m)),
+                (quad_forms(x, m, True), full_path(quad_forms, x, m, True)),
+                (quad_forms(x[:, 0], m[0]), full_path(quad_forms, x[:, 0], m[0])),
+            ):
+                assert same_bits(got, want), (k, p, r)
+
+    def test_one_tiny_off_diagonal_entry_takes_the_full_path(self):
+        # With diagonal entries near 1e-300 and coordinates near 1e150 the
+        # 1e-300 entry's terms are as large as the diagonal ones, so the
+        # diagonal terms alone would give other values.
+        rng = np.random.default_rng(6001)
+        m = 1e-300 * signed_diagonal(rng, 3, 4)
+        tiny = with_one_tiny_entry(m)
+        assert _diagonal(tiny) is None
+        x = 1e150 * rng.uniform(1.0, 2.0, size=(20, 3, 4))
+        for per_group in (False, True):
+            got = quad_forms(x, tiny, per_group)
+            assert same_bits(got, full_path(quad_forms, x, tiny, per_group))
+            assert not np.array_equal(got, quad_forms(x, m, per_group))
+        assert same_bits(quad_forms(x[:, 0], tiny[-1]), full_path(quad_forms, x[:, 0], tiny[-1]))
+        assert not np.array_equal(quad_forms(x[:, 0], tiny[-1]), quad_forms(x[:, 0], m[-1]))
+
+    def test_diagonal_overflow_is_quiet(self):
+        # Warnings are errors in this suite: overflow must give inf silently.
+        m = np.full((2, 3), 1e300)[..., None] * np.eye(3)
+        x = np.full((5, 2, 3), 1e300)
+        assert np.all(quad_forms(x, m) == np.inf)
+        assert np.all(quad_forms(x, m, per_group=True) == np.inf)
+        assert np.all(quad_forms(x[:, 0], m[0]) == np.inf)
 
 
 def ordered_maps(m, x):
@@ -581,6 +667,50 @@ class TestApplyMaps:
                         assert np.array_equal(form(x[r0 : r0 + r]), block[r0 : r0 + r])
                         r1 = 1310 - r0
                         assert np.array_equal(form(x[r1 - r : r1]), block[r1 - r : r1])
+
+    # A diagonal stack is applied as the products d[i, a] x[r, i, a]. Each
+    # full-path entry adds that product and zeros to a zero-started sum,
+    # which turns a -0.0 product into +0.0, and the diagonal path must too.
+    def test_diagonal_path_keeps_the_full_paths_bits(self):
+        rng = np.random.default_rng(7000)
+        for k, p, r in DIAGONAL_SWEEP:
+            m = signed_diagonal(rng, k, p)
+            x = signed_zeros(rng, (r, k, p))
+            assert _diagonal(m) is not None
+            for got, want in (
+                (apply_maps(m, x), full_path(apply_maps, m, x)),
+                (apply_maps(m, x[:, 0]), full_path(apply_maps, m, x[:, 0])),
+                (apply_maps(m[0], x[:, 0]), full_path(apply_maps, m[0], x[:, 0])),
+            ):
+                assert got.flags.c_contiguous
+                assert same_bits(got, want), (k, p, r)
+
+    def test_one_tiny_off_diagonal_entry_takes_the_full_path(self):
+        # 1e-300 times a coordinate of 1e300 adds about 1 to an entry, so
+        # the diagonal term alone would give another value.
+        rng = np.random.default_rng(7001)
+        m = signed_diagonal(rng, 3, 4)
+        tiny = with_one_tiny_entry(m)
+        assert _diagonal(tiny) is None and _diagonal(tiny[-1]) is None
+        x = rng.uniform(1.0, 2.0, size=(20, 3, 4))
+        x[..., 0] = 1e300
+        for args in ((tiny, x), (tiny, x[:, 0]), (tiny[-1], x[:, 0])):
+            got = apply_maps(*args)
+            assert same_bits(got, full_path(apply_maps, *args))
+            assert not np.array_equal(got, apply_maps(m if args[0].ndim == 3 else m[-1], args[1]))
+
+    def test_diagonal_overflow_is_quiet(self):
+        # Warnings are errors in this suite: a product past the double range
+        # is inf with no warning, as in the full path. An inf coordinate
+        # meets only its own diagonal entry, so it stays inf (the full path
+        # adds 0 * inf and gives NaN).
+        m = np.full((2, 3), 1e300)[..., None] * np.eye(3)
+        x = np.full((5, 2, 3), 1e300)
+        assert np.all(apply_maps(m, x) == np.inf)
+        assert np.all(apply_maps(m, x[:, 0]) == np.inf)
+        assert np.all(apply_maps(m[0], x[:, 0]) == np.inf)
+        x[:, :, 1] = -np.inf
+        assert np.array_equal(apply_maps(m, x)[:, :, 1], np.full((5, 2), -np.inf))
 
     def test_no_replicate_map_outside_apply_maps(self):
         # A fence: a two-operand einsum whose output keeps the replicate
