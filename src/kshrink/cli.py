@@ -16,6 +16,7 @@ estimators (it skips each one whose preconditions fail).
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import os
 import sys
@@ -126,8 +127,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             print(f"skipped {name}: {exc}", file=sys.stderr)
             continue
         ran += 1
-        for label, row in zip(labels, est.mu_hat):
-            lines.append(f"{name},estimate,{label}," + ",".join(_format_cell(v) for v in row))
+        for label, row in zip(labels, est.mu_hat.tolist()):
+            lines.append(f"{name},estimate,{label}," + ",".join(map("{:.17g}".format, row)))
         for key in sorted(est.diagnostics):
             cells = [_format_cell(est.diagnostics[key])] + pad
             lines.append(f"{name},diagnostic,{key}," + ",".join(cells))
@@ -198,7 +199,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_PASS if ok else EXIT_STATISTICAL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="kshrink",
         description="Shrinkage estimation of several Gaussian mean vectors.",

@@ -46,38 +46,51 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _guard_spd(name: str, mats: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Symmetrised inverses of a (m, p, p) stack, or one (p, p) matrix, and every violation."""
+    """Symmetrised inverses of a (m, p, p) stack, or one (p, p) matrix, and every violation.
+
+    Each check is one numpy call over the whole stack, and LAPACK sees only
+    the finite, nonzero, symmetric matrices, one at a time as in a loop, so
+    the inverses have the bits of a per-matrix loop. A violation names its
+    matrix's first failed check, in stack order.
+    """
     stack = mats.reshape((-1,) + mats.shape[-2:])
-    inverse = np.full(stack.shape, np.nan)
-    bad: list[str] = []
-    for i, m in enumerate(stack):
-        label = name if mats.ndim == 2 else f"{name}[{i}]"
-        if not np.all(np.isfinite(m)):
-            bad.append(f"{label} has non-finite entries")
-            continue
-        with np.errstate(over="ignore"):
-            scale, skew = np.linalg.norm(m), np.linalg.norm(m - m.T)
-        if scale == np.inf:
-            bad.append(f"{label} has entries too large to square")
-            continue
-        if scale == 0.0:
-            bad.append(f"{label} is the zero matrix")
-            continue
-        if skew > SYMMETRY * scale:
-            bad.append(f"{label} is not symmetric within tolerance {SYMMETRY}")
-            continue
-        sym = 0.5 * (m + m.T)
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite matrix fails the finite test
+        scale = np.linalg.norm(stack, axis=(-2, -1))
+        skew = np.linalg.norm(stack - np.swapaxes(stack, -2, -1), axis=(-2, -1))
+    symmetric = finite & (scale < np.inf) & (scale > 0.0) & (skew <= SYMMETRY * scale)
+    rows = slice(None) if symmetric.all() else symmetric  # a slice copies nothing
+    sym = 0.5 * (stack[rows] + np.swapaxes(stack[rows], -2, -1))
+    lo, hi = np.full(len(stack), np.nan), np.full(len(stack), np.nan)
+    if len(sym):
         vals = np.linalg.eigvalsh(sym)
-        if vals[0] <= 0.0:
-            bad.append(f"{label} is not positive definite (min eigenvalue {vals[0]:.3e})")
-        elif vals[-1] > MAX_CONDITION * vals[0]:
+        lo[rows], hi[rows] = vals[:, 0], vals[:, -1]
+    good = (lo > 0.0) & (hi <= MAX_CONDITION * lo)
+    if good.all():
+        inv = np.linalg.inv(sym)
+        return (0.5 * (inv + np.swapaxes(inv, -2, -1))).reshape(mats.shape), []
+    inverse = np.full(stack.shape, np.nan)
+    if good.any():
+        inv = np.linalg.inv(sym[good[symmetric]])
+        inverse[good] = 0.5 * (inv + np.swapaxes(inv, -2, -1))
+    bad: list[str] = []
+    for i in np.flatnonzero(~good):
+        label = name if mats.ndim == 2 else f"{name}[{i}]"
+        if not finite[i]:
+            bad.append(f"{label} has non-finite entries")
+        elif scale[i] == np.inf:
+            bad.append(f"{label} has entries too large to square")
+        elif scale[i] == 0.0:
+            bad.append(f"{label} is the zero matrix")
+        elif not symmetric[i]:
+            bad.append(f"{label} is not symmetric within tolerance {SYMMETRY}")
+        elif lo[i] <= 0.0:
+            bad.append(f"{label} is not positive definite (min eigenvalue {lo[i]:.3e})")
+        else:
             bad.append(
-                f"{label} condition number {float(vals[-1]) / float(vals[0]):.3e} "
+                f"{label} condition number {float(hi[i]) / float(lo[i]):.3e} "
                 f"exceeds ceiling {MAX_CONDITION:.1e}"
             )
-        else:
-            inv = np.linalg.inv(sym)
-            inverse[i] = 0.5 * (inv + inv.T)
     return inverse.reshape(mats.shape), bad
 
 
@@ -618,9 +631,9 @@ def canonicalize_regression(
             gram = z.T @ z
         if not np.all(np.isfinite(gram)):
             raise ValueError(f"designs[{i}] has entries too large to square")
-        if np.linalg.matrix_rank(z) < p:
+        coef, _, rank, _ = np.linalg.lstsq(z, y, rcond=None)
+        if rank < p:
             raise ValueError(f"designs[{i}] is column rank deficient")
-        coef, *_ = np.linalg.lstsq(z, y, rcond=None)
         x[i] = coef
         v[i] = np.linalg.inv(gram)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite s fails validation

@@ -1,6 +1,7 @@
 """The command-line interface, driven in process through main(argv)."""
 
 import dataclasses
+import hashlib
 import os
 import re
 import subprocess
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import kshrink
-from kshrink import ExperimentConfig, montecarlo
+from kshrink import ExperimentConfig, cli, montecarlo
 from kshrink.cli import main
 from kshrink.montecarlo import VALIDATE_DRAWS
 
@@ -293,6 +295,67 @@ class TestDecompositionCount:
         )
         capsys.readouterr()
         assert calls <= self.K + 1
+
+
+def _band(p, diag, off):
+    """A (p, p) tridiagonal matrix as config rows: diag on the diagonal, off beside it."""
+    return [[diag if i == j else off if abs(i - j) == 1 else 0.0 for j in range(p)]
+            for i in range(p)]
+
+
+def _golden_ksample(path, seed, k, p):
+    rng = np.random.default_rng(seed)
+    rows = [f"{g + 1}," + ",".join(f"{v:.6f}" for v in rng.normal(g % 3, 1.5, size=p))
+            for g in range(k) for _ in range(int(rng.integers(2, 7)))]
+    header = "group," + ",".join(f"x{j + 1}" for j in range(p))
+    path.write_text("\n".join([header] + rows) + "\n")
+
+
+def _golden_regression(path, seed, k, p):
+    rng = np.random.default_rng(seed)
+    path.mkdir()
+    header = "y," + ",".join(f"z{j + 1}" for j in range(p))
+    for g in range(k):
+        beta = rng.normal(0.0, 2.0, size=p)
+        z = rng.normal(size=(int(rng.integers(p + 2, p + 8)), p))
+        y = z @ beta + rng.normal(size=z.shape[0])
+        rows = [f"{yi:.6f}," + ",".join(f"{v:.6f}" for v in zi) for yi, zi in zip(y, z)]
+        (path / f"g{g + 1:02d}.csv").write_text("\n".join([header] + rows) + "\n")
+
+
+class TestEstimateGoldenBytes:
+    """estimate --output bytes pinned by sha256, default estimator list.
+
+    The workload check of the benchmark compares against ESTIMATORS run by
+    the same code, so only a pinned digest sees a bit move on the shared
+    path. A full v0 and a full q take LossSpec.for_model; with that q, PT
+    and PT* are skipped and the other six write rows.
+    """
+
+    CASES = {
+        # name: (kind, seed, k, p, dataset keys beyond kind, sha256 of --output)
+        "ksample-4x3": ("ksample", 11, 4, 3, {},
+            "2be6f3b75f77f1753da08e1d237131f5a2824e32e6817187263d35c85225a8db"),
+        "ksample-6x5-full-v0": (
+            "ksample", 12, 6, 5, {"v0": _band(5, 2.0, 0.5)},
+            "d7db15d80d475e4793ea6f585eefe25e47e218a6ae081d800231924bb7e07cfc"),
+        "regression-3x3": ("regression", 13, 3, 3, {},
+            "5e064e6dbc97507b31985b064dbdf97b60301473e5e28b665bf091055a2c5406"),
+        "regression-5x4-full-q": (
+            "regression", 14, 5, 4, {"q": _band(4, 1.0, 0.25)},
+            "e3fa200bad5b70a4d90c4a1a6e98044adba7c482594e80b6c442ac4d4c52a6d0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_bytes(self, tmp_path, case):
+        kind, seed, k, p, extra, digest = self.CASES[case]
+        src = tmp_path / ("in.csv" if kind == "ksample" else "in")
+        (_golden_ksample if kind == "ksample" else _golden_regression)(src, seed, k, p)
+        cfg = put(tmp_path, "cfg.yaml", yaml.safe_dump({"dataset": {"kind": kind, **extra}}))
+        out = tmp_path / "est.csv"
+        argv = ["estimate", "--config", cfg, "--input", str(src), "--output", str(out)]
+        assert main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_start_up_imports_no_root_finder():
@@ -634,6 +697,37 @@ class TestNegativeSeed:
         captured = capsys.readouterr()
         assert captured.err == f"error: seed must be >= 0, got {seed}\n"
         assert captured.out == ""
+
+
+class TestParserReuse:
+    """main builds its parser once per process; each call parses as the first did."""
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_after_errors_and_help_parse_as_the_first(self, tmp_path, capsys):
+        cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample}\n")
+        data = put(tmp_path, "data.csv", EXACT_KSAMPLE)
+        out = tmp_path / "est.csv"
+        argv = ["estimate", "--config", cfg, "--input", data, "--output", str(out)]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        out.unlink()
+        with pytest.raises(SystemExit) as raised:
+            main(["estimate", "--config", cfg, "--bogus"])
+        assert raised.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: kshrink estimate")
+        with pytest.raises(SystemExit) as raised:
+            main(["--help"])
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kshrink")
+        assert main(["check-conditions"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert out.read_bytes() == first
+        # --output given earlier leaves no default behind: stdout gets the same bytes.
+        assert main(argv[:-2]) == 0
+        assert capsys.readouterr().out.encode() == first
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 """Canonical model construction, validation, reductions, pooled statistics."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +238,74 @@ def test_every_entry_path_rejects_every_bad_matrix(defect, path):
     assert reject(np.stack([np.eye(3), matrix])) == [expected]
 
 
+def _spd(rng, p):
+    a = rng.normal(size=(p, p))
+    return a @ a.T + p * np.eye(p)
+
+
+class TestGuardStack:
+    """_guard_spd checks a whole stack at once and reports as a per-matrix loop would."""
+
+    def test_mixed_stack_reports_in_stack_order(self):
+        rng = np.random.default_rng(21)
+        slots = []
+        for defect in sorted(BAD_MATRICES):
+            slots += [("good", _spd(rng, 3)), (defect, BAD_MATRICES[defect][0])]
+        slots.append(("good", _spd(rng, 3)))
+        stack = np.stack([m for _, m in slots])
+        inverse, bad = model._guard_spd("v", stack)
+        assert bad == [
+            f"v[{i}] {BAD_MATRICES[kind][1]}" for i, (kind, _) in enumerate(slots)
+            if kind != "good"
+        ]
+        for i, (kind, m) in enumerate(slots):
+            if kind != "good":
+                assert np.isnan(inverse[i]).all()
+                continue
+            inv = np.linalg.inv(0.5 * (m + m.T))
+            assert inverse[i].tobytes() == (0.5 * (inv + inv.T)).tobytes()
+
+    def test_all_bad_stack_calls_no_lapack(self, monkeypatch):
+        overflowing = np.eye(3)
+        overflowing[0, 1], overflowing[1, 0] = 1e308, -1e308
+        stack = np.stack([
+            BAD_MATRICES["non-finite"][0],
+            np.full((3, 3), np.inf),
+            BAD_MATRICES["too-large"][0],
+            overflowing,
+            BAD_MATRICES["zero"][0],
+            BAD_MATRICES["asymmetric"][0],
+        ])
+        for name in ("eigvalsh", "inv"):
+            monkeypatch.setattr(np.linalg, name, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inverse, bad = model._guard_spd("q", stack)
+        assert bad == [
+            "q[0] has non-finite entries",
+            "q[1] has non-finite entries",
+            "q[2] has entries too large to square",
+            "q[3] has entries too large to square",
+            "q[4] is the zero matrix",
+            "q[5] is not symmetric within tolerance 1e-10",
+        ]
+        assert inverse.shape == stack.shape and np.isnan(inverse).all()
+
+    @pytest.mark.parametrize("defect", sorted(BAD_MATRICES))
+    def test_single_matrix_has_no_index(self, defect):
+        matrix, text = BAD_MATRICES[defect]
+        inverse, bad = model._guard_spd("q", matrix)
+        assert bad == [f"q {text}"]
+        assert inverse.shape == (3, 3) and np.isnan(inverse).all()
+
+    def test_single_good_matrix(self):
+        m = _spd(np.random.default_rng(4), 4)
+        inverse, bad = model._guard_spd("q", m)
+        inv = np.linalg.inv(0.5 * (m + m.T))
+        assert bad == []
+        assert inverse.tobytes() == (0.5 * (inv + inv.T)).tobytes()
+
+
 @pytest.mark.parametrize("defect", ["non-finite", "zero", "indefinite"])
 def test_explicit_loss_guards_v_before_factoring_it(defect):
     # An explicit q makes the loss factor each v[i] for eig_floor; v is
@@ -338,6 +407,44 @@ class TestRegressionReduction:
         z = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(ValueError):
             canonicalize_regression([z, z], [np.zeros(3), np.zeros(3)])
+
+    @staticmethod
+    def rank_sweep_designs():
+        """Seeded designs of every p in 1..6 and m in p..p+8, with near-edge variants."""
+        rng = np.random.default_rng(20)
+        for p in range(1, 7):
+            for m in range(p, p + 9):
+                z = rng.normal(size=(m, p))
+                tiny = z.copy()
+                tiny[:, -1] *= 1e-17
+                yield z
+                yield tiny
+                if p >= 2:
+                    dup = z.copy()
+                    dup[:, -1] = dup[:, 0]
+                    near = z.copy()
+                    near[:, -1] = near[:, 0] + 1e-6 * rng.normal(size=m)
+                    yield dup
+                    yield near
+
+    def test_rank_verdict_is_matrix_ranks(self):
+        # canonicalize_regression takes the rank from lstsq; with rcond=None
+        # it counts the singular values matrix_rank counts.
+        rng = np.random.default_rng(5)
+        seen = set()
+        for z in self.rank_sweep_designs():
+            m, p = z.shape
+            deficient = bool(np.linalg.matrix_rank(z) < p)
+            partner = rng.normal(size=(p + 3, p))
+            try:
+                canonicalize_regression([z, partner], [rng.normal(size=m), np.ones(p + 3)])
+                rejected = False
+            except ValueError as exc:
+                assert str(exc) == "designs[0] is column rank deficient"
+                rejected = True
+            assert rejected == deficient, z
+            seen.add(deficient)
+        assert seen == {True, False}
 
     def test_all_saturated_rejected(self):
         z = np.eye(2)
