@@ -24,8 +24,6 @@ from .numerics import (
     hb1_phi,
     hb2_factors,
     integrate_adaptive_1d,
-    reg_inc_beta,
-    reg_upper_inc_gamma,
 )
 from .estimators import (
     ESTIMATORS,
@@ -62,7 +60,6 @@ from .montecarlo import (
 from .config import ConfigError, experiment_from_document, load_document
 from .datasets import (
     ParseError,
-    model_to_ksample,
     read_ksample_csv,
     read_regression_csv,
     write_ksample_csv,
@@ -80,8 +77,6 @@ __all__ = [
     "canonicalize_regression",
     "pooled_summary",
     "HbExponents",
-    "reg_inc_beta",
-    "reg_upper_inc_gamma",
     "f_quantile",
     "integrate_adaptive_1d",
     "hb1_phi",
@@ -119,5 +114,4 @@ __all__ = [
     "read_ksample_csv",
     "write_ksample_csv",
     "read_regression_csv",
-    "model_to_ksample",
 ]

@@ -30,7 +30,7 @@ from .config import (
     load_document,
     parse_hyper,
 )
-from .datasets import ParseError, read_ksample_csv, read_regression_csv
+from .datasets import ParseError, quote_cell, read_ksample_csv, read_regression_csv
 from .estimators import ESTIMATORS, PreconditionError, ReplicateError
 from .model import (
     LossSpec,
@@ -119,6 +119,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     lines = ["estimator,kind,label," + ",".join(f"v{j + 1}" for j in range(model.p))]
     pad = [""] * (model.p - 1)
+    label_cells = [quote_cell(label) for label in labels]
     ran = 0
     for name in spec.estimators:
         try:
@@ -127,11 +128,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             print(f"skipped {name}: {exc}", file=sys.stderr)
             continue
         ran += 1
-        for label, row in zip(labels, est.mu_hat.tolist()):
-            lines.append(f"{name},estimate,{label}," + ",".join(map("{:.17g}".format, row)))
+        name_cell = quote_cell(name)
+        for label, row in zip(label_cells, est.mu_hat.tolist()):
+            lines.append(f"{name_cell},estimate,{label}," + ",".join(map("{:.17g}".format, row)))
         for key in sorted(est.diagnostics):
             cells = [_format_cell(est.diagnostics[key])] + pad
-            lines.append(f"{name},diagnostic,{key}," + ",".join(cells))
+            lines.append(f"{name_cell},diagnostic,{key}," + ",".join(cells))
     if not ran:
         raise PreconditionError("no estimator could run on this input")
     _write_text(args.output, "\n".join(lines) + "\n")

@@ -15,7 +15,8 @@ A regression dataset is one file per group, response first::
 
 Numeric cells are parsed as floats; a first row whose value cells are not
 all numeric is treated as a header and skipped. All writers emit floats at
-17 significant digits so a write/read cycle is lossless.
+17 significant digits so a write/read cycle is lossless, and quote text
+cells (quote_cell) as the csv module does.
 """
 
 from __future__ import annotations
@@ -33,6 +34,13 @@ class ParseError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def quote_cell(text: str) -> str:
+    """text as one CSV cell, quoted where the csv module's minimal quoting would quote it."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _parse_row(cells: list[str], path: str, lineno: int, start: int) -> list[float]:
@@ -165,24 +173,3 @@ def read_regression_csv(
         raise ParseError("regression datasets need at least 2 group files")
     return designs, responses, labels
 
-
-def model_to_ksample(model) -> tuple[list[np.ndarray], np.ndarray]:
-    """Synthesize a two-observation-per-group dataset matching a model.
-
-    Returns (groups, v0) such that the multi-sample reduction of the
-    result reproduces the model's x exactly, its per-group scale matrices
-    (v0[i] = 2 v[i], halved again by the group size), and its s up to
-    rounding. The reduction's degrees of freedom are k * p, fixed by the
-    two-observation layout, and will differ from the source model's n in
-    general; callers comparing against the source model should compare x,
-    v and s only.
-    """
-    k, p = model.x.shape
-    v0 = 2.0 * model.v
-    chol = np.linalg.cholesky(v0)
-    scale = np.sqrt(model.s / (2.0 * k))
-    groups = []
-    for i in range(k):
-        delta = scale * chol[i, :, 0]
-        groups.append(np.stack([model.x[i] + delta, model.x[i] - delta]))
-    return groups, v0

@@ -134,10 +134,17 @@ class EstimatorSetting:
 
     @cached_property
     def pt_threshold(self) -> float:
-        """p(k-1)/n times the upper-alpha F(p(k-1), n) quantile, derived once."""
+        """p(k-1)/n times the upper-alpha F(p(k-1), n) quantile, derived once.
+
+        A quantile that is not a finite positive float leaves the test
+        uncalibrated, so it raises PreconditionError.
+        """
         c = self.pooled
         d1 = c.p * (c.k - 1)
-        return d1 / c.n * f_quantile(d1, c.n, self.hyper.alpha)
+        try:
+            return d1 / c.n * f_quantile(d1, c.n, self.hyper.alpha)
+        except ArithmeticError as exc:
+            raise PreconditionError(str(exc)) from exc
 
     @cached_property
     def hb_exponents(self) -> HbExponents:
@@ -214,21 +221,34 @@ def batch_pt(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     }
 
 
+def _zero_shrunk(
+    st: EstimatorSetting,
+    b: PooledBatch,
+    kernel: Callable,
+    toward: Callable[[PooledBatch], np.ndarray],
+) -> BatchResult:
+    """kernel's estimates less min((p-2) / ((n+2) pooled_norm_stat), 1) of toward(b).
+
+    The pooled-mean zero-shrink of PT* and EB*. A vanishing pooled norm
+    means a vanishing pooled mean, so the cap branch subtracts zero.
+    """
+    c = st.pooled
+    if c.p < 3:
+        raise PreconditionError(f"pooled-mean zero-shrink needs p >= 3, got p={c.p}")
+    mu_hat, diags = kernel(st, b)
+    factor = _capped((c.p - 2.0) / (c.n + 2.0), b.pooled_norm_stat)
+    mu_hat = mu_hat - factor[:, None, None] * toward(b)
+    return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": factor}
+
+
 def batch_pt_star(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     """Preliminary test with the pooled mean itself shrunk toward zero.
 
     Whatever the test decides, the capped factor
     min((p-2) / ((n+2) pooled_norm_stat), 1) of the pooled mean is removed
-    from every group; a vanishing pooled norm means a vanishing pooled
-    mean, so the cap branch subtracts zero.
+    from every group.
     """
-    c = st.pooled
-    if c.p < 3:
-        raise PreconditionError(f"pooled-mean zero-shrink needs p >= 3, got p={c.p}")
-    mu_hat, diags = batch_pt(st, b)
-    factor = _capped((c.p - 2.0) / (c.n + 2.0), b.pooled_norm_stat)
-    mu_hat = mu_hat - factor[:, None, None] * b.pooled_mean[:, None, :]
-    return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": factor}
+    return _zero_shrunk(st, b, batch_pt, lambda b: b.pooled_mean[:, None, :])
 
 
 def batch_eb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
@@ -248,13 +268,7 @@ def batch_eb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
 
 def batch_eb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     """The capped empirical shrink plus a capped zero-shrink of the pooled mean."""
-    c = st.pooled
-    if c.p < 3:
-        raise PreconditionError(f"pooled-mean zero-shrink needs p >= 3, got p={c.p}")
-    mu_hat, diags = batch_eb1(st, b)
-    factor = _capped((c.p - 2.0) / (c.n + 2.0), b.pooled_norm_stat)
-    mu_hat = mu_hat - factor[:, None, None] * b.toward_zero
-    return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": factor}
+    return _zero_shrunk(st, b, batch_eb1, lambda b: b.toward_zero)
 
 
 def batch_hb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:

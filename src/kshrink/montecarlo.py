@@ -51,6 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
+from .datasets import quote_cell
 from .estimators import (
     BATCH_ESTIMATORS,
     ESTIMATOR_ORDER,
@@ -372,8 +373,9 @@ class RiskTable:
 
     def to_csv(self) -> str:
         lines = ["config,estimator,risk,se,prial,replicates,seed"]
-        for ci, cname in enumerate(self.config_names):
-            for ei, ename in enumerate(self.estimator_names):
+        enames = [quote_cell(ename) for ename in self.estimator_names]
+        for ci, cname in enumerate(map(quote_cell, self.config_names)):
+            for ei, ename in enumerate(enames):
                 lines.append(
                     f"{cname},{ename},{self.risk[ci, ei]:.17g},{self.se[ci, ei]:.17g},"
                     f"{self.prial[ci, ei]:.17g},{self.replicates},{self.seed}"

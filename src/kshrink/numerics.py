@@ -25,7 +25,7 @@ or chunk it sits in. Without a tilt the grid is summed unshifted, since
 the axis caps keep it far above underflow; under a tilt each row of a
 point's grid is shifted by its first node, its largest. Each round runs
 the next size on the points still missing and accepts a point when its
-phi and psi are finite and agree within rel_tol relative with its values
+phi and psi are finite and agree within QUAD_REL relative with its values
 at the size before; the point takes the larger rule's values. That
 agreement is an acceptance test, not an error bound (hb2_factors gives
 the worst miss measured). A point still missing after the 168-node round
@@ -35,7 +35,10 @@ as "failed to converge". The
 array call raises either as ReplicateError naming the lowest failing
 flat index. Degenerate statistics take exact series limits; with a tilt,
 the remaining 1-D ratio takes the same rule with the vanishing statistic
-set to 0.
+set to 0. Without a tilt it is the closed-form ratio of truncated power
+integrals that hb1_phi also takes (_power_ratio), and every ratio to a
+statistic switches to its limit at DEGENERATE_STAT in one place
+(_per_stat).
 
 integrate_adaptive_1d is a standalone 15-point Gauss-Kronrod panel scheme
 with worst-panel bisection; the rule and its error estimate follow
@@ -60,8 +63,6 @@ __all__ = [
     "HbExponents",
     "QuadratureResult",
     "ReplicateError",
-    "reg_inc_beta",
-    "reg_upper_inc_gamma",
     "f_quantile",
     "integrate_adaptive_1d",
     "hb1_phi",
@@ -120,33 +121,6 @@ _G_WEIGHTS = np.array(
 
 _MAX_SPLIT_BATCH = 256
 _TINY_LOG = 1e-300
-
-
-def reg_inc_beta(a: float, b: float, x) -> float | np.ndarray:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Args:
-        a, b: positive shape parameters.
-        x: point(s) in [0, 1].
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    xa = np.asarray(x, dtype=float)
-    if np.any((xa < 0.0) | (xa > 1.0)):
-        raise ValueError("x must lie in [0, 1]")
-    out = sc.betainc(a, b, xa)
-    return float(out) if np.isscalar(x) else out
-
-
-def reg_upper_inc_gamma(shape: float, z) -> float | np.ndarray:
-    """Regularized upper incomplete gamma function Q(shape, z) for z >= 0."""
-    if not shape > 0.0:
-        raise ValueError(f"shape must be positive, got {shape}")
-    za = np.asarray(z, dtype=float)
-    if np.any(za < 0.0):
-        raise ValueError("z must be nonnegative")
-    out = sc.gammaincc(shape, za)
-    return float(out) if np.isscalar(z) else out
 
 
 def f_quantile(d1: float, d2: float, alpha: float) -> float:
@@ -334,33 +308,37 @@ def _log_betainc(a: float, b: float, u) -> np.ndarray:
     return out
 
 
-def _log_int_pow(upper, ell: float, mprime: float) -> np.ndarray:
-    """log of int_0^upper x^ell (1+x)^(-mprime) dx in closed form.
+def _power_ratio(upper, num: float, den: float, mprime: float) -> np.ndarray:
+    """int_0^upper x^num (1+x)^(-mprime) dx over the same with x^den; 0 at upper 0.
 
-    Valid for ell > -1 and mprime - ell - 1 > 0; the substitution
-    w = x / (1+x) turns the integral into a regularized incomplete beta.
+    Valid for num, den > -1 and mprime above both plus 1; the substitution
+    w = x / (1+x) turns each integral into a regularized incomplete beta,
+    and the ratio is formed in log space.
     """
     ua = np.asarray(upper, dtype=float)
     w = ua / (1.0 + ua)
-    a0 = ell + 1.0
-    b0 = mprime - ell - 1.0
-    return sc.betaln(a0, b0) + _log_betainc(a0, b0, w)
+    log_num, log_den = (
+        sc.betaln(e + 1.0, mprime - e - 1.0) + _log_betainc(e + 1.0, mprime - e - 1.0, w)
+        for e in (num, den)
+    )
+    with np.errstate(invalid="ignore"):
+        out = np.exp(log_num - log_den)
+    return np.where(ua > 0.0, out, 0.0)
+
+
+def _per_stat(factor: np.ndarray, stat: np.ndarray, limit: float) -> np.ndarray:
+    """factor / stat, and its series limit where stat is at most DEGENERATE_STAT."""
+    regular = stat > DEGENERATE_STAT
+    return np.where(regular, factor / np.where(regular, stat, 1.0), limit)
 
 
 def hb1_phi(
-    f_stat,
-    p: int,
-    k: int,
-    n: int,
-    a: float = 0.1,
-    c: float = 0.1,
-    eig_floor: float = 1.0,
+    f_stat, p: int, k: int, n: int, a: float, c: float, eig_floor: float
 ) -> float | np.ndarray:
     """Residual-shrink factor of the first hierarchical Bayes estimator.
 
     The factor is the ratio of two truncated power/beta integrals over
-    [0, eig_floor * f_stat]; both reduce to regularized incomplete betas and
-    the ratio is assembled in log space.
+    [0, eig_floor * f_stat] (_power_ratio).
 
     Args:
         f_stat: residual statistic(s), >= 0; scalar or ndarray.
@@ -381,23 +359,12 @@ def hb1_phi(
     if np.any(fa < 0.0):
         raise ValueError("f_stat must be nonnegative")
     big_m = 0.5 * (n + p * (k - 1)) + 1.0 - c
-    upper = eig_floor * fa
-    log_num = _log_int_pow(upper, m + a, big_m)
-    log_den = _log_int_pow(upper, m + a - 1.0, big_m)
-    with np.errstate(invalid="ignore"):
-        out = np.exp(log_num - log_den)
-    out = np.where(upper > 0.0, out, 0.0)
+    out = _power_ratio(eig_floor * fa, m + a, m + a - 1.0, big_m)
     return float(out) if np.isscalar(f_stat) else out
 
 
 def hb1_shrink_ratio(
-    f_stat,
-    p: int,
-    k: int,
-    n: int,
-    a: float = 0.1,
-    c: float = 0.1,
-    eig_floor: float = 1.0,
+    f_stat, p: int, k: int, n: int, a: float, c: float, eig_floor: float
 ) -> float | np.ndarray:
     """hb1_phi(f) / f, switching to the exact series limit for tiny f.
 
@@ -407,9 +374,8 @@ def hb1_shrink_ratio(
     m = 0.5 * p * (k - 1)
     fa = np.asarray(f_stat, dtype=float)
     limit = eig_floor * (m + a) / (m + a + 1.0)
-    safe = np.where(fa > DEGENERATE_STAT, fa, 1.0)
-    ratio = hb1_phi(safe, p, k, n, a, c, eig_floor) / safe
-    out = np.where(fa > DEGENERATE_STAT, ratio, limit)
+    phi = hb1_phi(np.where(fa > DEGENERATE_STAT, fa, 1.0), p, k, n, a, c, eig_floor)
+    out = _per_stat(phi, fa, limit)
     return float(out) if np.isscalar(f_stat) else out
 
 
@@ -441,9 +407,7 @@ class HbExponents:
             )
 
     @classmethod
-    def from_model(
-        cls, p: int, k: int, n: int, a: float = 0.1, b: float = 0.1, c: float = 0.1
-    ) -> "HbExponents":
+    def from_model(cls, p: int, k: int, n: int, a: float, b: float, c: float) -> "HbExponents":
         return cls(
             alpha_e=0.5 * p * (k - 1) + a - 1.0,
             beta_e=0.5 * p + b - 1.0,
@@ -595,7 +559,6 @@ def _by_rule(
     f: np.ndarray,
     g: np.ndarray,
     z0: np.ndarray,
-    rel_tol: float,
     what: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi, psi) of the points where two consecutive rules of _RULE_SIZES agree.
@@ -603,7 +566,7 @@ def _by_rule(
     Each round runs the next size on the points still missing only, and
     compares it with their values at the size before (NaN before the
     first, so the first round misses). A point is accepted when both are
-    finite and agree within rel_tol relative. A point still missing after
+    finite and agree within QUAD_REL relative. A point still missing after
     the last round fails with "underflowed everywhere" when both of the
     last two rules underflowed at every node, else with "failed to
     converge". Returns each point's values at the last size it ran (the
@@ -621,7 +584,7 @@ def _by_rule(
         new, peak = _rule_round(n, f[todo], g[todo], z0[todo], e)
         with np.errstate(invalid="ignore"):
             gap = np.abs(new - values[:, todo])
-            ok = np.all(np.isfinite(new) & (gap <= rel_tol * np.abs(new)), axis=0)
+            ok = np.all(np.isfinite(new) & (gap <= QUAD_REL * np.abs(new)), axis=0)
         under = (peak == -np.inf) & (peaks[todo] == -np.inf)
         values[:, todo], peaks[todo] = new, peak
         todo, under = todo[~ok], under[~ok]
@@ -656,7 +619,6 @@ def _hb2_flat(
     s: np.ndarray,
     e: HbExponents,
     big_l: float,
-    rel_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi, psi) of flat statistic arrays; the one implementation behind both public calls.
 
@@ -682,9 +644,7 @@ def _hb2_flat(
         psi = g * (be + 1.0) / (be + 2.0)
     errors = np.full(f.size, "", dtype=object)
     reg = np.flatnonzero(~f_deg & ~g_deg)
-    (phi[reg], psi[reg]), errors[reg] = _by_rule(
-        e, f[reg], g[reg], z0[reg], rel_tol, "joint shrink-factor"
-    )
+    (phi[reg], psi[reg]), errors[reg] = _by_rule(e, f[reg], g[reg], z0[reg], "joint shrink-factor")
     # With one statistic degenerate, the other factor is a 1-D ratio at the
     # vanishing coordinate: a closed form with zero tilt, else the rule with
     # that statistic at 0 (x and y swap roles when g vanishes).
@@ -696,13 +656,10 @@ def _hb2_flat(
         if not idx.size:
             continue
         if big_l == 0.0:
-            factor[idx] = np.exp(
-                _log_int_pow(stat[idx], expo + 1.0, ga + 1.0)
-                - _log_int_pow(stat[idx], expo, ga + 1.0)
-            )
+            factor[idx] = _power_ratio(stat[idx], expo + 1.0, expo, ga + 1.0)
         else:
             (_, factor[idx]), errors[idx] = _by_rule(
-                roles, np.zeros(idx.size), stat[idx], z0[idx], rel_tol, "degenerate-limit"
+                roles, np.zeros(idx.size), stat[idx], z0[idx], "degenerate-limit"
             )
     failed = np.flatnonzero(errors != "")
     if failed.size:
@@ -716,7 +673,6 @@ def hb2_factors(
     scale_sum: float,
     exponents: HbExponents,
     big_l: float = 0.0,
-    rel_tol: float = QUAD_REL,
 ) -> tuple[float, float]:
     """Joint shrink factors (phi, psi) of the second hierarchical estimator.
 
@@ -732,27 +688,25 @@ def hb2_factors(
         scale_sum: pooled scale statistic (only read when big_l > 0).
         exponents: integral exponents, see HbExponents.
         big_l: precision tilt rate, >= 0.
-        rel_tol: acceptance tolerance of the Gauss-Jacobi rule.
 
     Returns:
         (phi, psi). phi is nondecreasing in both statistics, psi is
         nondecreasing in both, both approach exponents.limits() as the
         statistics grow, and for big_l == 0 neither depends on scale_sum.
         The monotonicity and the limits hold only within the rule's error.
-        Agreement of two consecutive rule sizes within rel_tol is the
-        rule's acceptance test, not a bound on that error: in a sweep at
-        big_l 2 (scale sums 1 and 750, p up to 12, k up to 50, n 1 to
+        Agreement of two consecutive rule sizes within QUAD_REL = 1e-6 is
+        the rule's acceptance test, not a bound on that error: in a sweep
+        at big_l 2 (scale sums 1 and 750, p up to 12, k up to 50, n 1 to
         20,000, f and g from 1e-3 to 1e4), 27 of 11,400 accepted points
         differed from a 320-node rule by more than 1e-6 relative, the
-        worst by 1.07e-5, at the default rel_tol of QUAD_REL = 1e-6.
+        worst by 1.07e-5.
 
     Raises:
         ArithmeticError (a ReplicateError naming index 0) when the rule
         fails to converge or the tilted integrand underflows everywhere.
     """
     phi, psi = _hb2_flat(
-        *(np.array([v], dtype=float) for v in (f_stat, g_stat, scale_sum)),
-        exponents, big_l, rel_tol,
+        *(np.array([v], dtype=float) for v in (f_stat, g_stat, scale_sum)), exponents, big_l
     )
     return float(phi[0]), float(psi[0])
 
@@ -763,7 +717,6 @@ def hb2_shrink_ratios(
     scale_sum,
     exponents: HbExponents,
     big_l: float = 0.0,
-    rel_tol: float = QUAD_REL,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """(phi/f, psi/g) with exact series limits at degenerate statistics.
 
@@ -777,11 +730,10 @@ def hb2_shrink_ratios(
     )
     shape = f.shape
     f, g, s = f.ravel(), g.ravel(), s.ravel()
-    phi, psi = _hb2_flat(f, g, s, exponents, big_l, rel_tol)
+    phi, psi = _hb2_flat(f, g, s, exponents, big_l)
     al, be = exponents.alpha_e, exponents.beta_e
-    deg = DEGENERATE_STAT
-    phi_ratio = np.where(f > deg, phi / np.where(f > deg, f, 1.0), (al + 1.0) / (al + 2.0))
-    psi_ratio = np.where(g > deg, psi / np.where(g > deg, g, 1.0), (be + 1.0) / (be + 2.0))
+    phi_ratio = _per_stat(phi, f, (al + 1.0) / (al + 2.0))
+    psi_ratio = _per_stat(psi, g, (be + 1.0) / (be + 2.0))
     if not shape:
         return float(phi_ratio[0]), float(psi_ratio[0])
     return phi_ratio.reshape(shape), psi_ratio.reshape(shape)

@@ -78,14 +78,6 @@ def binom_tail_inc_beta(a: int, b: int, x: float) -> float:
     )
 
 
-def poisson_tail_inc_gamma(shape: int, z: float) -> float:
-    """Regularized upper incomplete gamma for integer shape.
-
-    Q(s, z) is the probability a Poisson(z) count stays below s.
-    """
-    return float(math.exp(-z) * sum(z**j / math.factorial(j) for j in range(shape)))
-
-
 def _hb2_box_sums(
     f_stat: float,
     g_stat: float,

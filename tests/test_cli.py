@@ -1,7 +1,9 @@
 """The command-line interface, driven in process through main(argv)."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import os
 import re
 import subprocess
@@ -100,8 +102,26 @@ def put(tmp_path, name, text):
 
 
 def csv_rows(text):
-    lines = text.strip().split("\n")
-    return [line.split(",") for line in lines]
+    """The rows of text as the csv module reads them."""
+    return list(csv.reader(io.StringIO(text)))
+
+
+# Four groups of dimension two, two observations each: p(k-1) = 6 and
+# n = 8, where the upper 1e-300 F(6, 8) quantile is not a finite float.
+P2_N8_KSAMPLE = textwrap.dedent(
+    """\
+    group,x1,x2
+    1,0.5,1.0
+    1,1.5,-0.5
+    2,2.0,1.5
+    2,3.0,2.5
+    3,-1.0,0.5
+    3,-0.5,1.5
+    4,0.25,0.0
+    4,1.0,-1.0
+    """
+)
+NO_F_QUANTILE = "F quantile is not finite and positive: d1=6, d2=8, alpha=1e-300"
 
 
 class TestEstimate:
@@ -231,6 +251,38 @@ class TestEstimate:
         ]
         assert captured.out == ""
         assert not out.exists()
+
+    def test_uncomputable_pt_threshold_skips_pt(self, tmp_path, capsys):
+        cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample}\nhyper: {alpha: 1.0e-300}\n")
+        data = put(tmp_path, "data.csv", P2_N8_KSAMPLE)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", cfg, "--input", data, "--output", str(out)]) == 0
+        rows = csv_rows(out.read_text())
+        assert list(dict.fromkeys(r[0] for r in rows[1:])) == ["JS2", "EB", "HB1", "HB2"]
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == [
+            "skipped JS1", "skipped PT", "skipped PT*", "skipped EB*"
+        ]
+        assert err[1].startswith(f"skipped PT: {NO_F_QUANTILE}")
+
+    def test_text_cells_are_quoted(self, tmp_path, capsys):
+        cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample, estimators: [EB, HB1]}\n")
+        text = EXACT_KSAMPLE.replace("\n1,", '\n"g,1",').replace("\n2,", '\n"say ""2""",')
+        data = put(tmp_path, "data.csv", text)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", cfg, "--input", data, "--output", str(out)]) == 0
+        rows = csv_rows(out.read_text())
+        assert {len(row) for row in rows} == {6}
+        labels = [r[2] for r in rows if r[1] == "estimate"]
+        assert labels == ["g,1", 'say "2"'] * 2
+        plain = tmp_path / "plain.csv"
+        data = put(tmp_path, "plain_data.csv", EXACT_KSAMPLE)
+        assert main(["estimate", "--config", cfg, "--input", data, "--output", str(plain)]) == 0
+        # The numbers are the same, and only the quoted label cells differ.
+        assert [r[3:] for r in rows] == [r[3:] for r in csv_rows(plain.read_text())]
+        assert out.read_text().replace('"g,1"', "1").replace('"say ""2"""', "2") == (
+            plain.read_text()
+        )
 
     def test_regression_input_must_be_directory(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: regression}\n")
@@ -415,6 +467,43 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.err == message
         assert captured.out == ""
+
+    def test_uncomputable_pt_threshold_skips_pt_and_pt_star(self, tmp_path, capsys):
+        body = SIMULATE_CONFIG.replace("  n: 12\n", "  n: 8\n").replace(
+            "[JS2, EB, HB1]", "[JS2, PT, PT*, EB]"
+        )
+        cfg = put(tmp_path, "cfg.yaml", body + "hyper: {alpha: 1.0e-300}\n")
+        out = tmp_path / "table.csv"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        text = capsys.readouterr().out
+        skipped = [line for line in text.splitlines() if line.startswith("skipped")]
+        assert [line.split(":")[0] for line in skipped] == [
+            "skipped PT on flat", "skipped PT* on flat",
+            "skipped PT on tilt", "skipped PT* on tilt",
+        ]
+        assert all(line.split(": ", 1)[1].startswith(NO_F_QUANTILE) for line in skipped)
+        rows = csv_rows(out.read_text())[1:]
+        risk = {(r[0], r[1]): float(r[2]) for r in rows}
+        assert all(np.isnan(risk[c, e]) for c in ("flat", "tilt") for e in ("PT", "PT*"))
+        assert all(np.isfinite(risk[c, e]) for c in ("flat", "tilt") for e in ("JS2", "EB"))
+
+    def test_config_names_are_quoted_in_the_csv(self, tmp_path, capsys):
+        body = SIMULATE_CONFIG.replace("name: flat", "name: 'a,b'").replace(
+            "name: tilt", """name: 'say "hi"'"""
+        )
+        cfg = put(tmp_path, "cfg.yaml", body)
+        out = tmp_path / "table.csv"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        capsys.readouterr()
+        rows = csv_rows(out.read_text())
+        assert {len(row) for row in rows} == {7}
+        assert [r[0] for r in rows[1:]] == ["a,b"] * 3 + ['say "hi"'] * 3
+        plain = tmp_path / "plain.csv"
+        assert main(["simulate", "--config", put(tmp_path, "plain.yaml", SIMULATE_CONFIG),
+                     "--output", str(plain)]) == 0
+        capsys.readouterr()
+        # Names leave the run unchanged, and only their cells differ.
+        assert [r[1:] for r in rows] == [r[1:] for r in csv_rows(plain.read_text())]
 
     def test_prints_text_table(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", SIMULATE_CONFIG)

@@ -1,5 +1,8 @@
 """CSV ingestion, serialization, and the model-to-dataset synthesizer."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -9,11 +12,11 @@ from kshrink import (
     ParseError,
     canonicalize_ksample,
     canonicalize_regression,
-    model_to_ksample,
     read_ksample_csv,
     read_regression_csv,
     write_ksample_csv,
 )
+from kshrink.datasets import quote_cell
 
 
 def write_lines(tmp_path, name, lines):
@@ -183,6 +186,42 @@ class TestReadRegression:
         ])
         with pytest.raises(ParseError, match=r"west\.csv:2: column 1"):
             read_regression_csv(files + [extra])
+
+
+class TestQuoteCell:
+    TEXTS = ["g1", "a,b", 'say "hi"', '"', "", " padded ", "line\nbreak", "cr\rhere", "a;b", "x'y"]
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_matches_the_csv_writer(self, text):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([text, "x"])
+        assert quote_cell(text) + ",x\r\n" == buf.getvalue()
+
+    def test_round_trips_through_the_csv_reader(self):
+        line = ",".join(quote_cell(t) for t in self.TEXTS)
+        assert next(csv.reader(io.StringIO(line))) == self.TEXTS
+
+
+def model_to_ksample(model) -> tuple[list[np.ndarray], np.ndarray]:
+    """Synthesize a two-observation-per-group dataset matching a model.
+
+    Returns (groups, v0) such that the multi-sample reduction of the
+    result reproduces the model's x exactly, its per-group scale matrices
+    (v0[i] = 2 v[i], halved again by the group size), and its s up to
+    rounding. The reduction's degrees of freedom are k * p, fixed by the
+    two-observation layout, and will differ from the source model's n in
+    general; callers comparing against the source model should compare x,
+    v and s only.
+    """
+    k, p = model.x.shape
+    v0 = 2.0 * model.v
+    chol = np.linalg.cholesky(v0)
+    scale = np.sqrt(model.s / (2.0 * k))
+    groups = []
+    for i in range(k):
+        delta = scale * chol[i, :, 0]
+        groups.append(np.stack([model.x[i] + delta, model.x[i] - delta]))
+    return groups, v0
 
 
 class TestModelToKsample:

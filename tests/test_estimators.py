@@ -7,7 +7,9 @@ the groupwise zero-shrink keeps 1 - 10/144 of group two, and the capped
 factors all equal 1/(12 * 0.6) = 5/36.
 """
 
+import importlib
 import inspect
+import pkgutil
 from functools import cached_property
 
 import numpy as np
@@ -494,12 +496,49 @@ class TestFixedTolerances:
         assert takes == set()
         assert "tol" not in EstimatorSetting.__dataclass_fields__
 
-    def test_rel_tol_only_on_the_hb2_entry_points(self):
-        # integrate_adaptive_1d, the standalone integrator no HB factor
-        # calls, keeps its own stopping tolerance.
+    @staticmethod
+    def package_routines():
+        """(label, routine) of every function and method that a kshrink module defines."""
+        found = {}
+        for info in pkgutil.iter_modules(kshrink.__path__):
+            module = importlib.import_module(f"kshrink.{info.name}")
+            for name, obj in vars(module).items():
+                if getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                if isinstance(obj, type):
+                    for member in vars(obj):
+                        routine = getattr(obj, member)
+                        if inspect.isfunction(routine) or inspect.ismethod(routine):
+                            found[f"{module.__name__}.{name}.{member}"] = routine
+                elif callable(obj):
+                    found[f"{module.__name__}.{name}"] = obj
+        return found
+
+    def test_rel_tol_only_on_the_standalone_integrator(self):
+        # integrate_adaptive_1d, which no HB factor calls, keeps its own
+        # stopping tolerance; the HB2 rule reads QUAD_REL.
+        routines = self.package_routines()
+        assert {"kshrink.numerics.hb2_factors", "kshrink.numerics._by_rule",
+                "kshrink.cli.main"} <= set(routines)
         takes = {
-            label.rsplit(".", 1)[-1]
-            for label, params in self.signatures().items()
-            if "rel_tol" in params
+            label for label, routine in routines.items()
+            if "rel_tol" in inspect.signature(routine).parameters
         }
-        assert takes == {"hb2_factors", "hb2_shrink_ratios", "integrate_adaptive_1d"}
+        assert takes == {"kshrink.numerics.integrate_adaptive_1d"}
+
+    def test_numerics_restates_no_hyperparameter_default(self):
+        # Hyperparameters and LossSpec.inverse_v hold the defaults of the
+        # prior constants and of eig_floor once.
+        routines = {
+            label: routine for label, routine in self.package_routines().items()
+            if label.startswith("kshrink.numerics.")
+        }
+        assert {"kshrink.numerics.hb1_phi", "kshrink.numerics.hb1_shrink_ratio",
+                "kshrink.numerics.HbExponents.from_model"} <= set(routines)
+        defaulted = {
+            (label, name)
+            for label, routine in routines.items()
+            for name, param in inspect.signature(routine).parameters.items()
+            if name in {"a", "b", "c", "eig_floor"} and param.default is not param.empty
+        }
+        assert defaulted == set()

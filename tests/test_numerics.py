@@ -19,60 +19,8 @@ from kshrink.numerics import (
     hb2_factors,
     hb2_shrink_ratios,
     integrate_adaptive_1d,
-    reg_inc_beta,
-    reg_upper_inc_gamma,
 )
 from kshrink.tolerances import DEGENERATE_STAT, QUAD_REL
-
-
-class TestRegIncBeta:
-    def test_quarter_anchor(self):
-        # I_{1/4}(2, 2) = 3x^2 - 2x^3 at x = 1/4 = 5/32
-        assert reg_inc_beta(2.0, 2.0, 0.25) == approx(0.15625, abs=1e-15)
-
-    @pytest.mark.parametrize("a,b", [(1, 1), (2, 3), (5, 2), (4, 4), (7, 1)])
-    def test_integer_closed_forms(self, a, b):
-        for x in (0.05, 0.3, 0.5, 0.77, 0.99):
-            assert reg_inc_beta(a, b, x) == approx(
-                oracles.binom_tail_inc_beta(a, b, x), abs=1e-12
-            )
-
-    def test_reflection(self):
-        assert reg_inc_beta(2.7, 4.1, 0.3) == approx(
-            1.0 - reg_inc_beta(4.1, 2.7, 0.7), abs=1e-14
-        )
-
-    def test_endpoints(self):
-        assert reg_inc_beta(3.0, 2.0, 0.0) == 0.0
-        assert reg_inc_beta(3.0, 2.0, 1.0) == 1.0
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            reg_inc_beta(0.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            reg_inc_beta(1.0, 1.0, 1.5)
-
-    def test_vectorized(self):
-        x = np.array([0.1, 0.5, 0.9])
-        out = reg_inc_beta(2.0, 2.0, x)
-        assert out.shape == (3,)
-        assert out[1] == approx(0.5)
-
-
-class TestRegUpperIncGamma:
-    @pytest.mark.parametrize("shape", [1, 2, 5, 9])
-    def test_integer_poisson_tail(self, shape):
-        for z in (0.1, 1.0, 3.7, 12.0):
-            assert reg_upper_inc_gamma(shape, z) == approx(
-                oracles.poisson_tail_inc_gamma(shape, z), abs=1e-13
-            )
-
-    def test_at_zero(self):
-        assert reg_upper_inc_gamma(2.5, 0.0) == 1.0
-
-    def test_rejects_negative_z(self):
-        with pytest.raises(ValueError):
-            reg_upper_inc_gamma(1.0, -0.5)
 
 
 class TestFQuantile:
@@ -97,7 +45,7 @@ class TestFQuantile:
         # The quantile plugged back into the beta-form CDF recovers 1-alpha.
         d1, d2, alpha = 7, 23, 0.1
         q = f_quantile(d1, d2, alpha)
-        cdf = reg_inc_beta(d1 / 2.0, d2 / 2.0, d1 * q / (d1 * q + d2))
+        cdf = sc.betainc(d1 / 2.0, d2 / 2.0, d1 * q / (d1 * q + d2))
         assert cdf == approx(1.0 - alpha, abs=1e-12)
 
     def test_rejects_bad_arguments(self):
@@ -200,12 +148,12 @@ class TestAdaptiveQuadrature:
 
 class TestHb1Phi:
     def test_zero_at_origin(self):
-        assert hb1_phi(0.0, 5, 5, 20) == 0.0
+        assert hb1_phi(0.0, 5, 5, 20, 0.1, 0.1, 1.0) == 0.0
 
     def test_large_f_limit(self):
         # As the statistic grows the factor approaches
         # (p(k-1) + 2a) / (n - 2(a+c)): 20.2/19.6 at the default constants.
-        assert hb1_phi(1e9, 5, 5, 20, 0.1, 0.1) == approx(
+        assert hb1_phi(1e9, 5, 5, 20, 0.1, 0.1, 1.0) == approx(
             1.0306122448979593, rel=1e-9
         )
 
@@ -216,17 +164,17 @@ class TestHb1Phi:
             (40.0, 4, 3, 15, 0.05, 0.4),
         ]:
             slow = oracles.hb1_phi_riemann(f, p, k, n, a, c, panels=2_000_000)
-            assert hb1_phi(f, p, k, n, a, c) == approx(slow, rel=1e-8)
+            assert hb1_phi(f, p, k, n, a, c, 1.0) == approx(slow, rel=1e-8)
 
     def test_eig_floor_rescales_truncation(self):
         # Scaling the floor is the same as scaling the statistic.
-        assert hb1_phi(2.0, 5, 5, 20, eig_floor=0.5) == approx(
-            hb1_phi(1.0, 5, 5, 20, eig_floor=1.0), rel=1e-12
+        assert hb1_phi(2.0, 5, 5, 20, 0.1, 0.1, 0.5) == approx(
+            hb1_phi(1.0, 5, 5, 20, 0.1, 0.1, 1.0), rel=1e-12
         )
 
     def test_monotone_in_f(self):
         f = np.linspace(1e-3, 20.0, 300)
-        vals = hb1_phi(f, 5, 5, 20)
+        vals = hb1_phi(f, 5, 5, 20, 0.1, 0.1, 1.0)
         assert np.all(np.diff(vals) > 0.0)
 
     def test_bounded_when_checker_passes(self):
@@ -244,7 +192,7 @@ class TestHb1Phi:
             if not check_hb1_conditions(a, c, p, k, n).minimax:
                 continue
             f = rng.uniform(1e-4, 100.0, size=64)
-            vals = hb1_phi(f, p, k, n, a, c)
+            vals = hb1_phi(f, p, k, n, a, c, 1.0)
             bound = 2.0 * (p * (k - 1) - 2.0) / (n + 2.0)
             assert np.all(vals > 0.0)
             assert np.all(vals <= bound * (1.0 + 1e-12))
@@ -252,17 +200,17 @@ class TestHb1Phi:
     def test_shrink_ratio_series_limit(self):
         # phi/F tends to (m+a)/(m+a+1) as F -> 0; the default constants
         # give 10.1/11.1.
-        assert hb1_shrink_ratio(0.0, 5, 5, 20) == approx(0.9099099099099099)
-        assert hb1_shrink_ratio(1e-13, 5, 5, 20) == approx(0.9099099099099099)
+        assert hb1_shrink_ratio(0.0, 5, 5, 20, 0.1, 0.1, 1.0) == approx(0.9099099099099099)
+        assert hb1_shrink_ratio(1e-13, 5, 5, 20, 0.1, 0.1, 1.0) == approx(0.9099099099099099)
         # Continuity across the series switch.
-        just_above = hb1_shrink_ratio(2e-10, 5, 5, 20)
+        just_above = hb1_shrink_ratio(2e-10, 5, 5, 20, 0.1, 0.1, 1.0)
         assert just_above == approx(0.9099099099099099, rel=1e-9)
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError):
-            hb1_phi(1.0, 5, 5, 20, a=5.0, c=6.0)  # a + c >= n/2
+            hb1_phi(1.0, 5, 5, 20, 5.0, 6.0, 1.0)  # a + c >= n/2
         with pytest.raises(ValueError):
-            hb1_phi(-1.0, 5, 5, 20)
+            hb1_phi(-1.0, 5, 5, 20, 0.1, 0.1, 1.0)
 
 
 class TestHbExponents:
@@ -291,12 +239,13 @@ BENCH = HbExponents.from_model(5, 5, 20, 0.1, 0.1, 0.1)
 
 
 class TestHb2Factors:
-    def test_matches_riemann_oracle_zero_tilt(self):
+    def test_matches_riemann_oracle_zero_tilt(self, monkeypatch):
+        monkeypatch.setattr(numerics, "QUAD_REL", 1e-10)
         for f, g in [(0.8, 0.5), (5.0, 2.0)]:
             slow_phi, slow_psi = oracles.hb2_factors_riemann(
                 f, g, 1.0, 5, 5, 20, 0.1, 0.1, 0.1
             )
-            phi, psi = hb2_factors(f, g, 1.0, BENCH, rel_tol=1e-10)
+            phi, psi = hb2_factors(f, g, 1.0, BENCH)
             assert phi == approx(slow_phi, rel=1e-9)
             assert psi == approx(slow_psi, rel=1e-9)
 
@@ -327,11 +276,12 @@ class TestHb2Factors:
         assert phis[0] > phis[1] > phis[2]
         assert psis[0] > psis[1] > psis[2]
 
-    def test_monotone_in_both_statistics(self):
+    def test_monotone_in_both_statistics(self, monkeypatch):
+        monkeypatch.setattr(numerics, "QUAD_REL", 1e-10)
         grid = np.linspace(0.05, 4.0, 9)
         for g in (0.3, 1.5):
-            phis = [hb2_factors(f, g, 1.0, BENCH, rel_tol=1e-10)[0] for f in grid]
-            psis = [hb2_factors(f, g, 1.0, BENCH, rel_tol=1e-10)[1] for f in grid]
+            phis = [hb2_factors(f, g, 1.0, BENCH)[0] for f in grid]
+            psis = [hb2_factors(f, g, 1.0, BENCH)[1] for f in grid]
             assert np.all(np.diff(phis) > 0.0)
             assert np.all(np.diff(psis) > 0.0)
 
@@ -404,15 +354,16 @@ class TestHb2ShrinkRatios:
             assert isinstance(one[0], float) and isinstance(one[1], float)
             assert (rphi[i], rpsi[i]) == approx(one, rel=1e-12)
 
-    def test_array_call_names_lowest_failing_element(self):
+    def test_array_call_names_lowest_failing_element(self, monkeypatch):
         # No quadrature meets a relative tolerance of 1e-300, so every
         # regular element fails; degenerate ones are closed-form series.
+        monkeypatch.setattr(numerics, "QUAD_REL", 1e-300)
         f = np.array([1e-12, 1e-12, 2.0, 1e-12, 3.0])
         with pytest.raises(ReplicateError, match="failed to converge") as raised:
-            hb2_shrink_ratios(f, 0.5, 1.0, BENCH, rel_tol=1e-300)
+            hb2_shrink_ratios(f, 0.5, 1.0, BENCH)
         assert raised.value.replicate == 2
         with pytest.raises(ArithmeticError, match="failed to converge"):
-            hb2_shrink_ratios(2.0, 0.5, 1.0, BENCH, rel_tol=1e-300)
+            hb2_shrink_ratios(2.0, 0.5, 1.0, BENCH)
 
     def test_invalid_element_raises_as_scalar_path(self):
         with pytest.raises(ValueError, match="statistics must be nonnegative"):
@@ -429,7 +380,7 @@ class TestHb2ShrinkRatios:
         # p(k-1)/2 + a = 1800.1 at p = 400, k = 10: 2^(expo + 1) overflows
         # and roots_jacobi's weights are inf, so no rule may run there.
         # Warnings are errors in this suite, so a warning would fail here.
-        huge = HbExponents.from_model(400, 10, 20)
+        huge = HbExponents.from_model(400, 10, 20, 0.1, 0.1, 0.1)
         with pytest.raises(ValueError, match="p\\(k-1\\)/2 \\+ a and p/2 \\+ b below 1024"):
             hb2_shrink_ratios(np.array([0.5, 2.0]), 1.0, 1.0, huge)
         # Just under the limit the rule still runs.
@@ -484,7 +435,7 @@ class TestTiltedHb2:
     def test_underflow_of_the_smaller_rules_is_a_miss(self):
         # The 12- to 28-node rules underflow at every node of this point
         # (z0 = 750), while the larger ones converge on the 320-node rule.
-        e = HbExponents.from_model(2, 20, 2)
+        e = HbExponents.from_model(2, 20, 2, 0.1, 0.1, 0.1)
 
         def rule(n):
             return numerics._joint_rule(
@@ -510,14 +461,15 @@ class TestLargeDegreesOfFreedom:
 
     @pytest.mark.parametrize("n", [2000, 20000])
     @pytest.mark.parametrize("big_l", [0.0, 0.5])
-    @pytest.mark.parametrize("rel_tol", [QUAD_REL, 1e-10])
-    def test_saturated_statistics_give_the_limits(self, n, big_l, rel_tol):
+    @pytest.mark.parametrize("quad_rel", [QUAD_REL, 1e-10])
+    def test_saturated_statistics_give_the_limits(self, n, big_l, quad_rel, monkeypatch):
         # Past f, g = 0.1 the integrals lack less than e^-90 of their mass,
         # and z0 = 6.25 leaves the tilt within 1e-300 of 1, so the factors
         # are their large-statistic limits.
-        e = HbExponents.from_model(5, 6, n)
+        monkeypatch.setattr(numerics, "QUAD_REL", quad_rel)
+        e = HbExponents.from_model(5, 6, n, 0.1, 0.1, 0.1)
         f, g = (a.ravel() for a in np.meshgrid(self.STATS, self.STATS, indexing="ij"))
-        rphi, rpsi = hb2_shrink_ratios(f, g, 25.0, e, big_l=big_l, rel_tol=rel_tol)
+        rphi, rpsi = hb2_shrink_ratios(f, g, 25.0, e, big_l=big_l)
         lim_phi, lim_psi = e.limits()
         np.testing.assert_allclose(rphi * f, lim_phi, rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(rpsi * g, lim_psi, rtol=1e-10, atol=0.0)
@@ -537,7 +489,8 @@ class TestLargeDegreesOfFreedom:
 
     @pytest.mark.parametrize("n, f, g, big_l, s, expected", PINNED)
     def test_unsaturated_points_are_pinned(self, n, f, g, big_l, s, expected):
-        got = hb2_factors(f, g, s, HbExponents.from_model(5, 6, n), big_l=big_l)
+        e = HbExponents.from_model(5, 6, n, 0.1, 0.1, 0.1)
+        got = hb2_factors(f, g, s, e, big_l=big_l)
         assert got == approx(expected, rel=1e-9)
 
 
@@ -566,8 +519,9 @@ class TestRuleRounds:
 
     def test_a_missing_point_runs_each_size_once_in_order(self, monkeypatch):
         sizes = spy_rule_sizes(monkeypatch)
+        monkeypatch.setattr(numerics, "QUAD_REL", 1e-300)
         with pytest.raises(ArithmeticError, match="failed to converge with 168 nodes per axis"):
-            hb2_factors(2.0, 0.5, 1.0, BENCH, rel_tol=1e-300)
+            hb2_factors(2.0, 0.5, 1.0, BENCH)
         assert sizes == list(numerics._RULE_SIZES)
 
     @pytest.mark.parametrize("n", [20, 40, 80, 160])
@@ -602,17 +556,17 @@ class TestRuleRounds:
         with pytest.raises(ArithmeticError, match="failed to converge with 168 nodes"):
             hb2_factors(1.3, 0.7, 25.0, BENCH, big_l=2.0)
 
-    def test_last_round_memory_stays_at_the_first_rounds(self):
+    def test_last_round_memory_stays_at_the_first_rounds(self, monkeypatch):
         # A 256-point block where every point runs every size of the rule
         # peaks no higher than one where every point is accepted at 20 nodes.
         rng = np.random.default_rng(5)
         f, g = rng.uniform(0.1, 30.0, size=(2, 256))
         hb2_shrink_ratios(f, g, 1.0, BENCH)
 
-        def peak_mib(**kwargs):
+        def peak_mib():
             tracemalloc.start()
             try:
-                hb2_shrink_ratios(f, g, 1.0, BENCH, **kwargs)
+                hb2_shrink_ratios(f, g, 1.0, BENCH)
             except ReplicateError:
                 pass
             peak = tracemalloc.get_traced_memory()[1]
@@ -620,7 +574,8 @@ class TestRuleRounds:
             return peak / 2**20
 
         first = peak_mib()
-        assert peak_mib(rel_tol=1e-300) <= 1.05 * first
+        monkeypatch.setattr(numerics, "QUAD_REL", 1e-300)
+        assert peak_mib() <= 1.05 * first
 
     def test_a_block_fits_in_the_cache(self):
         # A 256-point zero-tilt call keeps two chunk-sized work buffers
@@ -668,7 +623,7 @@ class TestRuleRounds:
         for p in range(1, 13):
             for k in (2, 3, 5, 10, 20, 50):
                 for n in (1, 2, 5, 10, 20, 50, 100, 200, 500, 2000, 5000, 20000):
-                    e = HbExponents.from_model(p, k, n)
+                    e = HbExponents.from_model(p, k, n, 0.1, 0.1, 0.1)
                     _, w_cap = numerics._axis_caps(e)
                     for m in sizes:
                         r_max = numerics._jacobi_rule(m, e.beta_e)[0][-1]
@@ -709,7 +664,9 @@ class TestHbFactorsOverTheStatisticRange:
     @pytest.fixture(scope="class")
     def tight(self):
         f, g = np.meshgrid(self.GRID, self.GRID, indexing="ij")
-        rphi, rpsi = hb2_shrink_ratios(f, g, 1.0, BENCH, rel_tol=self.TIGHT)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "QUAD_REL", self.TIGHT)
+            rphi, rpsi = hb2_shrink_ratios(f, g, 1.0, BENCH)
         return rphi, rpsi, rphi * f, rpsi * g
 
     def test_array_call_matches_scalar_factors(self):
@@ -748,7 +705,7 @@ class TestHbFactorsOverTheStatisticRange:
         _, rpsi = hb2_shrink_ratios(other, both, 1.0, BENCH)
         assert rphi[1] == approx(rphi[0], rel=1e-8)
         assert rpsi[1] == approx(rpsi[0], rel=1e-8)
-        hb1 = hb1_shrink_ratio(both, 5, 5, 20)
+        hb1 = hb1_shrink_ratio(both, 5, 5, 20, 0.1, 0.1, 1.0)
         assert hb1[1] == approx(hb1[0], rel=1e-8)
 
     def test_array_call_matches_riemann_oracle(self):
@@ -763,8 +720,8 @@ class TestHbFactorsOverTheStatisticRange:
             assert rpsi[i] * g[i] == approx(slow_psi, rel=1e-9)
 
     def test_hb1_over_the_range(self):
-        ratio = hb1_shrink_ratio(self.GRID, 5, 5, 20)
+        ratio = hb1_shrink_ratio(self.GRID, 5, 5, 20, 0.1, 0.1, 1.0)
         assert np.all(np.diff(ratio) <= 0.0)
         for f in (1e-3, 0.5, 5.0, 50.0):
             slow = oracles.hb1_phi_riemann(f, 5, 5, 20, 0.1, 0.1)
-            assert hb1_shrink_ratio(f, 5, 5, 20) * f == approx(slow, rel=1e-9)
+            assert hb1_shrink_ratio(f, 5, 5, 20, 0.1, 0.1, 1.0) * f == approx(slow, rel=1e-9)
