@@ -23,7 +23,7 @@ import sys
 from dataclasses import replace
 
 from .config import (
-    ConfigError,
+    _COUNT_KEYS,
     dataset_from_document,
     dimensions_from_document,
     experiment_from_document,
@@ -76,7 +76,7 @@ def _experiment(args: argparse.Namespace, **defaults) -> ExperimentConfig:
         cfg = experiment_from_document(doc)
         in_file = doc["experiment"]
     changes = {key: value for key, value in defaults.items() if key not in in_file}
-    for key in ("replicates", "seed", "threads"):
+    for key in _COUNT_KEYS:
         if getattr(args, key, None) is not None:
             changes[key] = getattr(args, key)
     return replace(cfg, **changes)
@@ -256,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

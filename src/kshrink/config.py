@@ -24,8 +24,8 @@ group or a list of k specs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, fields
+from typing import Any, Collection
 
 import numpy as np
 import yaml
@@ -39,13 +39,11 @@ class ConfigError(ValueError):
     """A configuration file is malformed, mistyped, or has unknown keys."""
 
 
-_EXPERIMENT_KEYS = {
-    "p", "k", "n", "sigma2", "v", "q", "mean_configs", "estimators",
-    "replicates", "seed", "threads",
-}
+_EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)} - {"hyper"}
 # Counts a file may leave out; ExperimentConfig's field defaults fill them.
 _COUNT_KEYS = ("replicates", "seed", "threads")
-_HYPER_KEYS = {"a", "b", "c", "big_l", "alpha"}
+# In declaration order, the order parse_hyper checks them in.
+_HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
 _DATASET_KEYS = {"kind", "v0", "q", "estimators"}
 _MEAN_KEYS = {"name", "scales", "mu"}
 
@@ -56,8 +54,8 @@ def _require_mapping(node: Any, where: str) -> dict:
     return node
 
 
-def _check_keys(node: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(node) - allowed)
+def _check_keys(node: dict, allowed: Collection[str], where: str) -> None:
+    unknown = sorted(set(node).difference(allowed))
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
@@ -94,11 +92,9 @@ def _not_a_number(what: str, value: Any) -> ConfigError:
     return ConfigError(message)
 
 
-def _get_float(node: dict, key: str, where: str, default: Any = None, required: bool = False) -> Any:
+def _get_float(node: dict, key: str, where: str) -> float:
     if key not in node:
-        if required:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        return default
+        raise ConfigError(f"missing required key {key!r} in {where}")
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _not_a_number(f"{where}.{key}", value)
@@ -122,7 +118,7 @@ def parse_matrix(node: Any, p: int, where: str) -> np.ndarray:
         return np.eye(p)
     if isinstance(node, dict):
         _check_keys(node, {"scaled_identity"}, where)
-        s = _get_float(node, "scaled_identity", where, required=True)
+        s = _get_float(node, "scaled_identity", where)
         if s <= 0:
             raise ConfigError(f"{where}.scaled_identity must be positive, got {s}")
         return s * np.eye(p)
@@ -208,18 +204,13 @@ def parse_estimators(node: Any, where: str) -> tuple[str, ...]:
 
 
 def parse_hyper(node: Any) -> Hyperparameters:
+    """Hyperparameters of the hyper section; a key it leaves out takes the field's default."""
     if node is None:
         return Hyperparameters()
     node = _require_mapping(node, "hyper")
     _check_keys(node, _HYPER_KEYS, "hyper")
-    base = Hyperparameters()
-    return Hyperparameters(
-        a=_get_float(node, "a", "hyper", base.a),
-        b=_get_float(node, "b", "hyper", base.b),
-        c=_get_float(node, "c", "hyper", base.c),
-        big_l=_get_float(node, "big_l", "hyper", base.big_l),
-        alpha=_get_float(node, "alpha", "hyper", base.alpha),
-    )
+    values = {key: _get_float(node, key, "hyper") for key in _HYPER_KEYS if key in node}
+    return Hyperparameters(**values)
 
 
 class _UniqueKeyLoader(yaml.CSafeLoader):
@@ -276,7 +267,7 @@ def experiment_from_document(doc: dict) -> ExperimentConfig:
         p=p,
         k=k,
         n=n,
-        sigma2=_get_float(node, "sigma2", "experiment", required=True),
+        sigma2=_get_float(node, "sigma2", "experiment"),
         v=v,
         q=q,
         mean_configs=parse_mean_configs(node["mean_configs"], k, p, "experiment.mean_configs"),

@@ -178,7 +178,7 @@ def batch_js1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     c = st.pooled
     if c.p < 3:
         raise PreconditionError(f"groupwise zero-shrink needs p >= 3, got p={c.p}")
-    norms2 = quad_forms(b.x, c.v_inv, per_group=True)
+    norms2 = quad_forms(b.x, c.loss.v_inv, per_group=True)
     scale = (c.p - 2.0) / (c.n + 2.0)
     retained = 1.0 - np.where(
         norms2 > 0.0, scale * b.s[:, None] / np.where(norms2 > 0.0, norms2, 1.0), 0.0
@@ -191,7 +191,7 @@ def batch_js2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     c = st.pooled
     if c.p * c.k < 3:
         raise PreconditionError(f"pooled zero-shrink needs p*k >= 3, got {c.p * c.k}")
-    norms2 = quad_forms(b.x, c.v_inv)
+    norms2 = quad_forms(b.x, c.loss.v_inv)
     scale = (c.p * c.k - 2.0) / (c.n + 2.0)
     retained = np.where(
         norms2 > 0.0, 1.0 - scale * b.s / np.where(norms2 > 0.0, norms2, 1.0), 1.0

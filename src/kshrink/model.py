@@ -118,21 +118,32 @@ def _diagonal(m: np.ndarray) -> np.ndarray | None:
     return d if np.count_nonzero(m) == np.count_nonzero(d) else None
 
 
+def _replicates_last(x: np.ndarray) -> np.ndarray:
+    """A contiguous copy of x with its replicate axis (the first) last; a lone replicate twice.
+
+    numpy's einsum drops a length-1 axis and then sums a lone replicate's
+    terms in another order than a longer block's, so one row runs as two
+    copies of itself and the caller keeps the first len(x) results.
+    """
+    if len(x) == 1:
+        x = np.concatenate([x, x])
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
 def quad_forms(x: np.ndarray, m: np.ndarray, per_group: bool = False) -> np.ndarray:
     """x[r]' m x[r] for every replicate r of x, the replicate axis first.
 
     x is (R, k, p) with m a (k, p, p) stack, giving sum_i x[r, i]' m[i] x[r, i]
     as (R,), or each group's form as (R, k) with per_group; or x is (R, p)
-    with one (p, p) matrix, giving (R,). Every quadratic form over
-    replicates is taken here. numpy's three-operand einsum builds each
-    output from its (k, a, b) terms in the same nested order whichever axis
-    is innermost, so copying x with the replicate axis last (a contiguous
-    inner loop over replicates) keeps the bits of the replicate-first
-    subscripts ("rka,kab,rkb", "ra,ab,rb") and is about twice as fast on
-    (256, 5, 5) blocks. A replicate's form does not depend on how many
-    rows share its call: at p = 2 with one matrix (or k = 1) numpy sums a
-    lone replicate in another order than two or more, so one row is run
-    as two copies of itself.
+    with one (p, p) matrix, run as the one-group stack, giving (R,). Every
+    quadratic form over replicates is taken here. numpy's three-operand
+    einsum builds each output from its (k, a, b) terms in the same nested
+    order whichever axis is innermost, so copying x with the replicate axis
+    last (a contiguous inner loop over replicates) keeps the bits of the
+    replicate-first subscripts ("rka,kab,rkb", and "ra,ab,rb" for one
+    matrix) and is about twice as fast on (256, 5, 5) blocks. As in
+    apply_maps, a lone replicate runs as two copies of itself, so a
+    replicate's form does not depend on how many rows share its call.
 
     When every off-diagonal entry of m is exactly zero (the identity and
     scaled-identity scales of the paper's study), the same layout runs
@@ -144,21 +155,20 @@ def quad_forms(x: np.ndarray, m: np.ndarray, per_group: bool = False) -> np.ndar
     gives NaN and the diagonal one gives inf. A nonzero off-diagonal
     entry, however small, keeps the full form.
     """
-    if x.shape[0] == 1:
-        return quad_forms(np.concatenate([x, x]), m, per_group)[:1]
-    xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    if m.ndim == 2:
+        return quad_forms(x[:, None], m[None])
+    xt = _replicates_last(x)
     d = _diagonal(m)
     if d is None:
-        if m.ndim == 2:
-            return np.einsum("ar,ab,br->r", xt, m, xt)
         if per_group:
-            return np.einsum("kar,kab,kbr->kr", xt, m, xt).T
-        return np.einsum("kar,kab,kbr->r", xt, m, xt)
-    if m.ndim == 2:
-        return np.einsum("ar,a,ar->r", xt, d, xt)
-    if per_group:
-        return np.einsum("kar,ka,kar->kr", xt, d, xt).T
-    return np.einsum("kar,ka,kar->r", xt, d, xt)
+            out = np.einsum("kar,kab,kbr->kr", xt, m, xt)
+        else:
+            out = np.einsum("kar,kab,kbr->r", xt, m, xt)
+    elif per_group:
+        out = np.einsum("kar,ka,kar->kr", xt, d, xt)
+    else:
+        out = np.einsum("kar,ka,kar->r", xt, d, xt)
+    return out[..., : len(x)].T
 
 
 def apply_maps(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -166,24 +176,21 @@ def apply_maps(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     m is a (k, p, p) stack and x is (R, k, p), or (R, p) shared by the k
     maps; either gives (R, k, p). Or m is one (p, p) matrix and x is
-    (R, p), giving (R, p). Every matrix map over replicates is taken here,
-    and the result is C-contiguous.
+    (R, p), run as the one-group stack, giving (R, p). Every matrix map
+    over replicates is taken here, and the result is C-contiguous.
 
     The order in which an entry's terms m[i, a, b] x[r, i, b] are added is
     fixed by p alone, so a replicate's values do not depend on how many
-    rows share its call. Up to p = _LONG_MAPS_MAX_P they are added one
-    after another in the order of b, in one of two memory layouts that
-    give the same bits. A block of at least p rows is copied with the
-    replicate axis last, as in quad_forms, and numpy's inner loop runs
-    over the replicates: about 5x faster than the replicate-first
-    subscripts ("kab,rkb->rka") on (1310, 5, 5) blocks. A shorter block,
-    every single-shot call included, runs its inner loop over a against
-    the transposed maps (at most k * 256 values to copy); in the first
-    layout numpy would drop a lone replicate's axis and sum b in its
-    vectorized dot order. Past p = _LONG_MAPS_MAX_P neither layout beats
-    that dot on the harness's blocks, so wider maps keep the
-    replicate-first subscripts, whose order is the same for any number of
-    rows.
+    rows share its call. Up to p = _LONG_MAPS_MAX_P x is copied with the
+    replicate axis last, as in quad_forms, numpy's inner loop runs over
+    the replicates, and the terms are added one after another in the order
+    of b: about 5x faster than the replicate-first subscripts
+    ("kab,rkb->rka") on (1310, 5, 5) blocks. As in quad_forms, a lone
+    replicate runs as two copies of itself; alone, numpy would drop its
+    axis and sum b in its vectorized dot order. Past p = _LONG_MAPS_MAX_P
+    that layout no longer beats the dot on every block, so wider maps keep
+    the replicate-first subscripts, whose order is the same for any number
+    of rows.
 
     When every off-diagonal entry of m is exactly zero, at any p, the maps
     are the products d[i, a] x[r, i, a] with m's diagonal d, taken by an
@@ -205,22 +212,16 @@ def apply_maps(m: np.ndarray, x: np.ndarray) -> np.ndarray:
             return np.einsum("ka,ra->rka", d, x, order="C")
         return np.einsum("ka,rka->rka", d, x, order="C")
     x, m = np.ascontiguousarray(x), np.ascontiguousarray(m)
-    r, p = x.shape[0], x.shape[-1]
-    if p > _LONG_MAPS_MAX_P:
+    if x.shape[-1] > _LONG_MAPS_MAX_P:
         if x.ndim == 2:
             return np.einsum("kab,rb->rka", m, x)
         return np.einsum("kab,rkb->rka", m, x)
-    if r < p:
-        m_t = m.transpose(0, 2, 1).copy()
-        if x.ndim == 2:
-            return np.einsum("rb,kba->rka", x, m_t)
-        return np.einsum("rkb,kba->rka", x, m_t)
-    xt = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    xt = _replicates_last(x)
     if x.ndim == 2:
         out = np.einsum("kab,br->kar", m, xt)
     else:
         out = np.einsum("kab,kbr->kar", m, xt)
-    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+    return np.ascontiguousarray(np.moveaxis(out[..., : len(x)], -1, 0))
 
 
 @dataclass(frozen=True)
@@ -338,8 +339,7 @@ class PooledConstants:
     A simulation computes these once per configuration for all replicates.
 
     k, p, n: groups, coordinates and scale degrees of freedom.
-    loss: the loss weights.
-    v_inv: (k, p, p) stack of inv(v[i]).
+    loss: the loss weights; loss.v_inv is the (k, p, p) stack of inv(v[i]).
     weights: (k, p, p) stack w[i] = inv(v[i]) @ inv(q[i]) @ inv(v[i]).
     weight_sum: sum_i w[i].
     pooled_cov: inverse of weight_sum.
@@ -353,7 +353,6 @@ class PooledConstants:
     p: int
     n: int
     loss: LossSpec
-    v_inv: np.ndarray
     weights: np.ndarray
     weight_sum: np.ndarray
     pooled_cov: np.ndarray
@@ -376,7 +375,6 @@ class PooledConstants:
             p=model.p,
             n=model.n,
             loss=loss_spec,
-            v_inv=_freeze(v_inv),
             weights=_freeze(weights),
             weight_sum=_freeze(weight_sum),
             pooled_cov=_freeze(_guarded_inverse("sum of weights", weight_sum)),

@@ -24,11 +24,14 @@ entries (the Cholesky map of the draws, the weights, the pooled mean and
 the direction maps) goes through model.apply_maps, whose summation order
 is fixed by p alone; every quadratic form goes through model.quad_forms;
 every other sum over a replicate's own entries is an einsum or
-elementwise step on that row alone. Both helpers take an elementwise path
-when a matrix is diagonal (every scale and loss matrix of the default
-experiment), which adds the same nonzero terms in the same order and so
-gives the same bits as the full path. So a replicate's values do not
-depend on the length of its block, whatever v and the loss weights are.
+elementwise step on that row alone. Both helpers follow one rule: a lone
+replicate runs as two copies of itself, and full matrices run with the
+replicate axis innermost (maps up to p = 16, wider ones replicate-first).
+Both take an elementwise path when a matrix is diagonal (every scale and
+loss matrix of the default experiment), which adds the same nonzero
+terms in the same order and so gives the same bits as the full path. So
+a replicate's values do not depend on the length of its block, whatever
+v and the loss weights are.
 The per-replicate values are joined in replicate order and reduced with
 numpy's pairwise summation, so the block size never changes a result.
 
@@ -669,33 +672,34 @@ def uer_members(p: int, k: int, n: int) -> tuple[tuple[str, ShrinkageFunctions],
     def zero(f, g, s):
         return np.zeros_like(np.asarray(f, dtype=float))
 
-    def capped_f(f, g, s):
-        return np.minimum(t1, np.asarray(f, dtype=float))
+    def capped_pair(t, i):
+        """min(t, u) and its slope in u, where u is argument i of (f, g, s)."""
 
-    def capped_f_df(f, g, s):
-        return np.where(np.asarray(f, dtype=float) < t1, 1.0, 0.0)
+        def factor(*fgs):
+            return np.minimum(t, np.asarray(fgs[i], dtype=float))
 
-    def capped_g(f, g, s):
-        return np.minimum(t2, np.asarray(g, dtype=float))
+        def slope(*fgs):
+            return np.where(np.asarray(fgs[i], dtype=float) < t, 1.0, 0.0)
 
-    def capped_g_dg(f, g, s):
-        return np.where(np.asarray(g, dtype=float) < t2, 1.0, 0.0)
+        return factor, slope
 
-    def smooth_f(f, g, s):
-        f = np.asarray(f, dtype=float)
-        return t1 * f / (1.0 + f)
+    def smooth_pair(t, i):
+        """t u / (1 + u) and its slope in u, where u is argument i of (f, g, s)."""
 
-    def smooth_f_df(f, g, s):
-        with np.errstate(over="ignore"):  # the square overflows to inf, the slope to 0
-            return t1 / (1.0 + np.asarray(f, dtype=float)) ** 2
+        def factor(*fgs):
+            u = np.asarray(fgs[i], dtype=float)
+            return t * u / (1.0 + u)
 
-    def smooth_g(f, g, s):
-        g = np.asarray(g, dtype=float)
-        return t2 * g / (1.0 + g)
+        def slope(*fgs):
+            with np.errstate(over="ignore"):  # the square overflows to inf, the slope to 0
+                return t / (1.0 + np.asarray(fgs[i], dtype=float)) ** 2
 
-    def smooth_g_dg(f, g, s):
-        with np.errstate(over="ignore"):
-            return t2 / (1.0 + np.asarray(g, dtype=float)) ** 2
+        return factor, slope
+
+    capped_f, capped_f_df = capped_pair(t1, 0)
+    capped_g, capped_g_dg = capped_pair(t2, 1)
+    smooth_f, smooth_f_df = smooth_pair(t1, 0)
+    smooth_g, smooth_g_dg = smooth_pair(t2, 1)
 
     mean_only = ShrinkageFunctions(
         phi=capped_f, psi=zero,

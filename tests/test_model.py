@@ -730,9 +730,10 @@ def replicate_first_maps(m, x):
 
 class TestApplyMaps:
     # apply_maps' summation order is fixed by p alone. Up to
-    # _LONG_MAPS_MAX_P both its layouts (blocks of fewer than p rows, and
-    # the rest) must give the ordered loop's bits; past it, numpy's
-    # replicate-first dot. The sweep runs blocks of 1, 2, p - 1, p and
+    # _LONG_MAPS_MAX_P its one full-matrix layout (the replicate axis
+    # innermost, a lone row run as two copies of itself) must give the
+    # ordered loop's bits; past it, numpy's replicate-first dot. The
+    # sweep runs blocks of 1, 2, p - 1, p and
     # p + 1 rows, and for p <= 16 also 1310 rows, the harness's block at
     # k = p = 5; p = 211 stands for the wide models, at the k = 2 of the
     # dimension ladder and at k = 1.
