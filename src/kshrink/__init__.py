@@ -16,7 +16,6 @@ from .model import (
     canonicalize_ksample,
     canonicalize_regression,
     pooled_summary,
-    validate_model,
 )
 from .numerics import (
     HbExponents,
@@ -72,7 +71,6 @@ __all__ = [
     "TrueParameters",
     "LossSpec",
     "Hyperparameters",
-    "validate_model",
     "canonicalize_ksample",
     "canonicalize_regression",
     "pooled_summary",

@@ -40,6 +40,7 @@ from .model import (
 from .numerics import (
     HbExponents,
     ReplicateError,
+    _per_stat,
     f_quantile,
     hb1_shrink_ratio,
     hb2_shrink_ratios,
@@ -157,12 +158,6 @@ class EstimatorSetting:
 BatchResult = tuple[np.ndarray, dict]
 
 
-def _capped(t: float, stat: np.ndarray) -> np.ndarray:
-    """min(t / stat, 1), at its limit 1 for statistics at most DEGENERATE_STAT."""
-    safe = np.maximum(stat, DEGENERATE_STAT)
-    return np.where(stat > DEGENERATE_STAT, np.minimum(t / safe, 1.0), 1.0)
-
-
 def batch_unshrunk(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     """The observations themselves; the baseline everything is measured against."""
     return b.x, {}
@@ -236,7 +231,8 @@ def _zero_shrunk(
     if c.p < 3:
         raise PreconditionError(f"pooled-mean zero-shrink needs p >= 3, got p={c.p}")
     mu_hat, diags = kernel(st, b)
-    factor = _capped((c.p - 2.0) / (c.n + 2.0), b.pooled_norm_stat)
+    t = (c.p - 2.0) / (c.n + 2.0)
+    factor = _per_stat(np.minimum(t, b.pooled_norm_stat), b.pooled_norm_stat, 1.0)
     mu_hat = mu_hat - factor[:, None, None] * toward(b)
     return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": factor}
 
@@ -261,7 +257,8 @@ def batch_eb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     d1 = c.p * (c.k - 1)
     if d1 < 3:
         raise PreconditionError(f"pooled-mean shrink needs p(k-1) >= 3, got {d1}")
-    factor = _capped((d1 - 2.0) / (c.n + 2.0), b.residual_stat)
+    t = (d1 - 2.0) / (c.n + 2.0)
+    factor = _per_stat(np.minimum(t, b.residual_stat), b.residual_stat, 1.0)
     mu_hat = b.x - factor[:, None, None] * b.toward_pooled
     return mu_hat, {"residual_stat": b.residual_stat, "mean_shrink": factor}
 

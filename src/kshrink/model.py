@@ -11,12 +11,13 @@ Loss is weighted quadratic: sum_i (d_i - mu_i)' Q_i (d_i - mu_i) / sigma2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from .numerics import ReplicateError
 from .tolerances import IDENTITY_REL, MAX_CONDITION, SYMMETRY
 
 __all__ = [
@@ -26,8 +27,6 @@ __all__ = [
     "PooledConstants",
     "PooledBatch",
     "Hyperparameters",
-    "ValidationReport",
-    "validate_model",
     "canonicalize_ksample",
     "canonicalize_regression",
     "pooled_summary",
@@ -45,13 +44,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _guard_spd(name: str, mats: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Symmetrised inverses of a (m, p, p) stack, or one (p, p) matrix, and every violation.
+def _guarded_inverse(name: str, mats: np.ndarray) -> np.ndarray:
+    """Symmetrised inverses of a (m, p, p) stack, or one (p, p) matrix; raises on a bad matrix.
 
     Each check is one numpy call over the whole stack, and LAPACK sees only
     the finite, nonzero, symmetric matrices, one at a time as in a loop, so
-    the inverses have the bits of a per-matrix loop. A violation names its
-    matrix's first failed check, in stack order.
+    the inverses have the bits of a per-matrix loop. The ValueError joins,
+    in stack order, each bad matrix's first failed check.
     """
     stack = mats.reshape((-1,) + mats.shape[-2:])
     finite = np.isfinite(stack).all(axis=(-2, -1))
@@ -68,11 +67,7 @@ def _guard_spd(name: str, mats: np.ndarray) -> tuple[np.ndarray, list[str]]:
     good = (lo > 0.0) & (hi <= MAX_CONDITION * lo)
     if good.all():
         inv = np.linalg.inv(sym)
-        return (0.5 * (inv + np.swapaxes(inv, -2, -1))).reshape(mats.shape), []
-    inverse = np.full(stack.shape, np.nan)
-    if good.any():
-        inv = np.linalg.inv(sym[good[symmetric]])
-        inverse[good] = 0.5 * (inv + np.swapaxes(inv, -2, -1))
+        return (0.5 * (inv + np.swapaxes(inv, -2, -1))).reshape(mats.shape)
     bad: list[str] = []
     for i in np.flatnonzero(~good):
         label = name if mats.ndim == 2 else f"{name}[{i}]"
@@ -80,6 +75,8 @@ def _guard_spd(name: str, mats: np.ndarray) -> tuple[np.ndarray, list[str]]:
             bad.append(f"{label} has non-finite entries")
         elif scale[i] == np.inf:
             bad.append(f"{label} has entries too large to square")
+        elif scale[i] == 0.0 and stack[i].any():  # the squares underflow
+            bad.append(f"{label} has entries too small to square")
         elif scale[i] == 0.0:
             bad.append(f"{label} is the zero matrix")
         elif not symmetric[i]:
@@ -91,15 +88,7 @@ def _guard_spd(name: str, mats: np.ndarray) -> tuple[np.ndarray, list[str]]:
                 f"{label} condition number {float(hi[i]) / float(lo[i]):.3e} "
                 f"exceeds ceiling {MAX_CONDITION:.1e}"
             )
-    return inverse.reshape(mats.shape), bad
-
-
-def _guarded_inverse(name: str, mats: np.ndarray) -> np.ndarray:
-    """_guard_spd that raises on its violations."""
-    inverse, bad = _guard_spd(name, mats)
-    if bad:
-        raise ValueError("; ".join(bad))
-    return inverse
+    raise ValueError("; ".join(bad))
 
 
 def _as_stack(what: str, mats: np.ndarray | Sequence[np.ndarray], k: int, p: int) -> np.ndarray:
@@ -284,7 +273,7 @@ class LossSpec:
         inverse_v, where every q[i] is inv(v[i]), sets it to 1 exactly.
     q_inv, v, v_inv: inv(q[i]), the model's v and inv(v[i]), set only by the
         factories, which guard v and q (inverse_v sets q_inv = v and
-        v_inv = q). validate_model and from_model trust them, and reject a
+        v_inv = q). PooledConstants.from_model trusts them, and rejects a
         spec built by hand, whose q_inv is None, or built for another v.
     """
 
@@ -363,7 +352,7 @@ class PooledConstants:
     @classmethod
     def from_model(cls, model: CanonicalModel, loss_spec: LossSpec) -> "PooledConstants":
         """Guard the weight sum, reuse the loss spec's inv(v) and inv(q), derive the constants."""
-        bad = _model_violations(model, loss_spec, None)
+        bad = _model_violations(model, loss_spec)
         if bad:
             raise ValueError("invalid model: " + "; ".join(bad))
         v_inv = loss_spec.v_inv
@@ -389,7 +378,9 @@ class PooledConstants:
         For every replicate, residual_stat + pooled_norm_stat times s must
         reproduce sum_i x[i]' w[i] x[i] within IDENTITY_REL, relative; a
         failure raises, since it means the inputs broke the conditioning
-        guards (SYMMETRY, MAX_CONDITION). So does a statistic that overflows.
+        guards (SYMMETRY, MAX_CONDITION). A statistic or an s that is not
+        finite is an overflow, raised as a ReplicateError naming the lowest
+        such row.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             wx = apply_maps(self.weights, x)
@@ -406,12 +397,13 @@ class PooledConstants:
                 "pooled quadratic forms failed the decomposition check: "
                 f"{residual[bad[0]]} + {pooled_norm[bad[0]]} != {total[bad[0]]}"
             )
-        bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(g)))
+        bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(g) & np.isfinite(s)))
         if bad.size:
-            raise ArithmeticError(
+            msg = (
                 f"pooled statistics overflow: quadratic forms {residual[bad[0]]} and "
                 f"{pooled_norm[bad[0]]} over s = {s[bad[0]]}"
             )
+            raise ReplicateError(int(bad[0]), ArithmeticError(msg))
         return PooledBatch(self, x, s, pooled_mean, f, g)
 
 
@@ -467,7 +459,7 @@ class Hyperparameters:
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "big_l", "alpha"):
+        for name in (f.name for f in fields(self)):
             val = float(getattr(self, name))
             object.__setattr__(self, name, val)
             if not np.isfinite(val):
@@ -478,31 +470,8 @@ class Hyperparameters:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...] = field(default_factory=tuple)
-
-
-def validate_model(
-    model: CanonicalModel,
-    loss_spec: LossSpec | None = None,
-    truth: TrueParameters | None = None,
-) -> ValidationReport:
-    """Check the structural invariants of a model (and optional loss/truth).
-
-    Returns a report rather than raising, so callers can present all
-    violations at once. v and q are guarded when the LossSpec was built,
-    which must have been for this v; without a LossSpec v is guarded here.
-    """
-    bad = _model_violations(model, loss_spec, truth)
-    return ValidationReport(ok=not bad, violations=tuple(bad))
-
-
-def _model_violations(
-    model: CanonicalModel, loss_spec: LossSpec | None, truth: TrueParameters | None
-) -> list[str]:
-    """validate_model's violations."""
+def _model_violations(model: CanonicalModel, loss_spec: LossSpec) -> list[str]:
+    """Every way model and loss_spec break the canonical model; v and q were guarded by the spec."""
     bad: list[str] = []
     if not np.all(np.isfinite(model.x)):
         bad.append("x has non-finite entries")
@@ -514,9 +483,7 @@ def _model_violations(
         bad.append(f"s must be positive and finite, got {model.s}")
     if model.n < 1:
         bad.append(f"n must be a positive integer, got {model.n}")
-    if loss_spec is None:
-        bad.extend(_guard_spd("v", model.v)[1])
-    elif loss_spec.q.shape != (model.k, model.p, model.p):
+    if loss_spec.q.shape != (model.k, model.p, model.p):
         bad.append(
             f"loss q shape {loss_spec.q.shape} does not match model "
             f"{(model.k, model.p, model.p)}"
@@ -527,9 +494,6 @@ def _model_violations(
         bad.append("loss spec was built for a different v: build it for this model")
     elif not (np.isfinite(loss_spec.eig_floor) and loss_spec.eig_floor > 0.0):
         bad.append(f"eig_floor must be positive, got {loss_spec.eig_floor}")
-    if truth is not None:
-        if truth.mu.shape != (model.k, model.p):
-            bad.append(f"mu shape {truth.mu.shape} does not match x shape {model.x.shape}")
     return bad
 
 

@@ -70,6 +70,7 @@ from .model import (
     CanonicalModel,
     Hyperparameters,
     LossSpec,
+    PooledBatch,
     PooledConstants,
     TrueParameters,
     _guarded_inverse,
@@ -141,9 +142,13 @@ def _need_nonnegative(name: str, value: int) -> None:
 def _draw(
     truth: TrueParameters, chol: np.ndarray, n: int, u: np.ndarray, us: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniforms u (R, k, p) and us (R,) to (x, s); chol factors the v stack."""
-    x = truth.mu + math.sqrt(truth.sigma2) * apply_maps(chol, ndtri(u))
-    s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
+    """Map uniforms u (R, k, p) and us (R,) to (x, s); chol factors the v stack.
+
+    A draw may overflow to inf; PooledConstants.summarize rejects it.
+    """
+    with np.errstate(over="ignore"):
+        x = truth.mu + math.sqrt(truth.sigma2) * apply_maps(chol, ndtri(u))
+        s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
     return x, s
 
 
@@ -437,6 +442,17 @@ def _blocked(
     return values, errors
 
 
+def _summarize(
+    setting: EstimatorSetting, x: np.ndarray, s: np.ndarray, r0: int, where: str
+) -> PooledBatch:
+    """Pooled statistics of replicates r0 onward; an overflow names where and its replicate."""
+    try:
+        return setting.pooled.summarize(x, s)
+    except ReplicateError as exc:
+        r = r0 + exc.replicate
+        raise ReplicateError(r, ArithmeticError(f"{where}, replicate {r}: {exc}")) from exc
+
+
 def _config_losses(
     cfg: ExperimentConfig, setting: EstimatorSetting, ci: int, names: tuple[str, ...]
 ) -> tuple[np.ndarray, dict[str, str]]:
@@ -445,7 +461,8 @@ def _config_losses(
     An estimator whose preconditions fail, or whose numerics fail on some
     replicate, gets NaN losses and a message in the returned errors; a
     numeric failure names the lowest failing replicate, so the message does
-    not depend on the thread count.
+    not depend on the thread count. A draw that overflows stops the run
+    with a ReplicateError naming the configuration and that replicate.
     """
     truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
     chol = np.linalg.cholesky(cfg.v)
@@ -453,7 +470,7 @@ def _config_losses(
     def losses_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
         u, us = _replicate_uniforms(cfg.seed, (_NS_EXPERIMENT, ci), r0, r1, cfg.k, cfg.p)
         x, s = _draw(truth, chol, cfg.n, u, us)
-        batch = setting.pooled.summarize(x, s)
+        batch = _summarize(setting, x, s, r0, f"mean config {cfg.mean_configs[ci].name!r}")
         out = np.full((len(names), r1 - r0), np.nan)
         errors: dict[str, str] = {}
         for ei, name in enumerate(names):
@@ -591,7 +608,8 @@ def validate_uer(
     named point-i. Every member must carry all six partial derivatives of
     its factors; there is no numerical fallback. No member, no truth
     point, a member without derivatives and a truth point of the wrong
-    shape are all rejected before anything is drawn.
+    shape are all rejected before anything is drawn. A draw that overflows
+    raises a ReplicateError naming the truth point and the replicate.
     """
     setting = cfg.validate()
     if not members:
@@ -618,7 +636,7 @@ def validate_uer(
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
             u, us = _replicate_uniforms(cfg.seed, (_NS_UER, pi), r0, r1, cfg.k, cfg.p)
             x, s = _draw(truth, chol, cfg.n, u, us)
-            batch = setting.pooled.summarize(x, s)
+            batch = _summarize(setting, x, s, r0, f"truth point {pi}")
             f, g = floored_statistics(batch)
             out = np.empty((3 + per_member * len(members), r1 - r0))
             out[0], out[1], out[2] = f, g, s

@@ -528,6 +528,37 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg]) == 2
         assert f"error: {text}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "experiment, replicate",
+        [
+            # s overflows to inf, which leaves f = g = 0 finite.
+            ("sigma2: 1.0e+307, v: identity, q: {scaled_identity: 1.0e+100}, replicates: 500", 0),
+            # s and the quadratic forms overflow together.
+            ("sigma2: 1.0e+307, v: {scaled_identity: 100.0}, replicates: 500", 0),
+            # The first overflowing s is replicate 1513, in the second block.
+            ("sigma2: 4.0e+306, v: identity, q: {scaled_identity: 1.0e+100}, "
+             "estimators: [JS1], replicates: 2000, seed: 20260816", 1513),
+        ],
+        ids=["scale", "scale-and-forms", "later-block"],
+    )
+    def test_overflowing_draw_names_config_and_replicate(
+        self, tmp_path, capsys, experiment, replicate
+    ):
+        zero = "mean_configs: [{name: zero, scales: [0, 0, 0, 0, 0]}]"
+        body = f"experiment: {{p: 5, k: 5, n: 20, {zero}, {experiment}}}\n"
+        cfg = put(tmp_path, "cfg.yaml", body)
+        lines = set()
+        for threads in ("1", "2"):
+            assert main(["simulate", "--config", cfg, "--threads", threads]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("error:") == 1
+            lines.add(captured.err)
+        (line,) = lines
+        assert line.startswith(
+            f"error: mean config 'zero', replicate {replicate}: pooled statistics overflow: "
+        )
+
     def test_non_finite_mean_config_is_bad_input(self, tmp_path, capsys, monkeypatch):
         # Rejected before any configuration is simulated, naming the configuration.
         drawn = []

@@ -2,6 +2,7 @@
 
 import ast
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from pytest import approx
 from kshrink import model
 from kshrink.model import (
     CanonicalModel,
+    Hyperparameters,
     LossSpec,
     PooledBatch,
     PooledConstants,
@@ -22,7 +24,6 @@ from kshrink.model import (
     _diagonal,
     apply_maps,
     quad_forms,
-    validate_model,
 )
 from kshrink.montecarlo import ExperimentConfig, MeanConfig
 
@@ -56,41 +57,53 @@ class TestCanonicalModel:
         with pytest.raises(ValueError):
             CanonicalModel(x=np.zeros((2, 3)), v=np.zeros((2, 2, 2)), s=1.0, n=5)
 
-    def test_bad_scalars_surface_in_validation(self):
-        # Construction is shape-checked only; scalar invariants are the
-        # validator's job so every violation can be reported at once.
-        report = validate_model(CanonicalModel(x=np.zeros((2, 3)), v=np.eye(3), s=-1.0, n=5))
-        assert not report.ok
-        assert any("s must be positive" in msg for msg in report.violations)
-        report = validate_model(CanonicalModel(x=np.zeros((1, 3)), v=np.eye(3), s=1.0, n=5))
-        assert not report.ok
-        assert any("2 groups" in msg for msg in report.violations)
+    def test_bad_scalars_surface_in_the_pooled_summary(self):
+        # Construction is shape-checked only; scalar invariants are checked
+        # where the pooled statistics are built.
+        m = CanonicalModel(x=np.zeros((2, 3)), v=np.eye(3), s=-1.0, n=5)
+        assert _raised(lambda: pooled_summary(m, LossSpec.inverse_v(m))) == [
+            "invalid model: s must be positive and finite, got -1.0"
+        ]
+        m = CanonicalModel(x=np.zeros((1, 3)), v=np.eye(3), s=1.0, n=5)
+        assert _raised(lambda: pooled_summary(m, LossSpec.inverse_v(m))) == [
+            "invalid model: need at least 2 groups, got k=1"
+        ]
 
 
-class TestValidateModel:
+class TestModelChecks:
     def test_valid_model_passes(self):
-        report = validate_model(d0_model())
-        assert report.ok
-        assert report.violations == ()
+        m = d0_model()
+        assert pooled_summary(m, LossSpec.inverse_v(m)).residual_stat.shape == (1,)
 
     def test_asymmetric_v_flagged(self):
         v = np.stack([np.eye(3), np.eye(3)])
         v[1, 0, 1] = 1e-6  # breaks symmetry beyond the 1e-10 tolerance
-        report = validate_model(CanonicalModel(x=np.zeros((2, 3)), v=v, s=1.0, n=5))
-        assert not report.ok
-        assert any("symmetric" in msg for msg in report.violations)
+        m = CanonicalModel(x=np.zeros((2, 3)), v=v, s=1.0, n=5)
+        assert _raised(lambda: pooled_summary(m, LossSpec.inverse_v(m))) == [
+            "v[1] is not symmetric within tolerance 1e-10"
+        ]
 
     def test_indefinite_v_flagged(self):
         v = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])])
-        report = validate_model(CanonicalModel(x=np.zeros((2, 3)), v=v, s=1.0, n=5))
-        assert not report.ok
-        assert any("positive definite" in msg for msg in report.violations)
+        m = CanonicalModel(x=np.zeros((2, 3)), v=v, s=1.0, n=5)
+        assert _raised(lambda: pooled_summary(m, LossSpec.inverse_v(m))) == [
+            "v[1] is not positive definite (min eigenvalue -1.000e+00)"
+        ]
 
     def test_zero_scale_flagged(self):
         m = CanonicalModel(x=np.zeros((2, 3)), v=np.eye(3), s=0.0, n=5)
-        report = validate_model(m)
-        assert not report.ok
-        assert any("positive" in msg for msg in report.violations)
+        assert _raised(lambda: PooledConstants.from_model(m, LossSpec.inverse_v(m))) == [
+            "invalid model: s must be positive and finite, got 0.0"
+        ]
+
+    def test_every_violation_in_one_error(self):
+        x = np.zeros((1, 3))
+        x[0, 1] = np.nan
+        m = CanonicalModel(x=x, v=np.eye(3), s=-1.0, n=5)
+        assert _raised(lambda: PooledConstants.from_model(m, LossSpec.inverse_v(m))) == [
+            "invalid model: x has non-finite entries; need at least 2 groups, got k=1; "
+            "s must be positive and finite, got -1.0"
+        ]
 
 
 class TestLossSpec:
@@ -118,9 +131,9 @@ class TestLossSpec:
         with pytest.raises(TypeError):
             LossSpec(q=spec.q, eig_floor=1.0, q_inv=model.v)
         by_hand = LossSpec(q=spec.q, eig_floor=1.0)
-        assert validate_model(model, by_hand).violations == (
-            "loss q is unguarded: build the LossSpec with for_model or inverse_v",
-        )
+        assert _raised(lambda: PooledConstants.from_model(model, by_hand)) == [
+            "invalid model: loss q is unguarded: build the LossSpec with for_model or inverse_v"
+        ]
 
 
 def _nan_entry():
@@ -147,6 +160,8 @@ BAD_MATRICES = {
     ),
     # Neither may overflow on the way to its message (warnings are errors here).
     "too-large": (1e200 * np.eye(3), "has entries too large to square"),
+    # SPD with condition 1, but its squares underflow: not the zero matrix.
+    "too-small": (1e-200 * np.eye(3), "has entries too small to square"),
     "subnormal-eigenvalue": (
         np.diag([1.0, 1.0, 5e-324]),
         "condition number inf exceeds ceiling 1.0e+12",
@@ -167,11 +182,6 @@ def _experiment(v, q=None):
 
 def _via_canonicalize(stack):
     return _raised(lambda: canonicalize_ksample([np.eye(3), 2.0 * np.eye(3)], stack))
-
-
-def _via_validate_model(stack):
-    model = CanonicalModel(x=np.zeros((2, 3)), v=stack, s=1.0, n=5)
-    return list(validate_model(model).violations)
 
 
 def _via_loss_spec(stack):
@@ -195,7 +205,6 @@ def _via_experiment_q(stack):
 # (2, 3, 3) stack to the messages it rejects the stack with.
 ENTRY_PATHS = {
     "canonicalize_ksample-v0": ("v0", _via_canonicalize),
-    "validate_model-v": ("v", _via_validate_model),
     "LossSpec.for_model-q": ("q", _via_loss_spec),
     "LossSpec.inverse_v-v": ("v", _via_inverse_v),
     "ExperimentConfig.validate-v": ("v", _via_experiment_v),
@@ -243,8 +252,15 @@ def _spd(rng, p):
     return a @ a.T + p * np.eye(p)
 
 
+def _guard_messages(name, mats):
+    """The "; "-joined violations _guarded_inverse raises for mats, split apart."""
+    with pytest.raises(ValueError) as raised:
+        model._guarded_inverse(name, mats)
+    return str(raised.value).split("; ")
+
+
 class TestGuardStack:
-    """_guard_spd checks a whole stack at once and reports as a per-matrix loop would."""
+    """_guarded_inverse checks a whole stack at once and reports as a per-matrix loop would."""
 
     def test_mixed_stack_reports_in_stack_order(self):
         rng = np.random.default_rng(21)
@@ -253,15 +269,18 @@ class TestGuardStack:
             slots += [("good", _spd(rng, 3)), (defect, BAD_MATRICES[defect][0])]
         slots.append(("good", _spd(rng, 3)))
         stack = np.stack([m for _, m in slots])
-        inverse, bad = model._guard_spd("v", stack)
-        assert bad == [
+        assert _guard_messages("v", stack) == [
             f"v[{i}] {BAD_MATRICES[kind][1]}" for i, (kind, _) in enumerate(slots)
             if kind != "good"
         ]
-        for i, (kind, m) in enumerate(slots):
-            if kind != "good":
-                assert np.isnan(inverse[i]).all()
-                continue
+
+    def test_good_stack_inverts_as_a_loop(self):
+        # The good matrices of the mixed stack above, alone: each slot has
+        # the bits of its lone matrix's symmetrised inverse.
+        rng = np.random.default_rng(21)
+        goods = [_spd(rng, 3) for _ in range(len(BAD_MATRICES) + 1)]
+        inverse = model._guarded_inverse("v", np.stack(goods))
+        for i, m in enumerate(goods):
             inv = np.linalg.inv(0.5 * (m + m.T))
             assert inverse[i].tobytes() == (0.5 * (inv + inv.T)).tobytes()
 
@@ -275,12 +294,13 @@ class TestGuardStack:
             overflowing,
             BAD_MATRICES["zero"][0],
             BAD_MATRICES["asymmetric"][0],
+            BAD_MATRICES["too-small"][0],
         ])
         for name in ("eigvalsh", "inv"):
             monkeypatch.setattr(np.linalg, name, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inverse, bad = model._guard_spd("q", stack)
+            bad = _guard_messages("q", stack)
         assert bad == [
             "q[0] has non-finite entries",
             "q[1] has non-finite entries",
@@ -288,21 +308,18 @@ class TestGuardStack:
             "q[3] has entries too large to square",
             "q[4] is the zero matrix",
             "q[5] is not symmetric within tolerance 1e-10",
+            "q[6] has entries too small to square",
         ]
-        assert inverse.shape == stack.shape and np.isnan(inverse).all()
 
     @pytest.mark.parametrize("defect", sorted(BAD_MATRICES))
     def test_single_matrix_has_no_index(self, defect):
         matrix, text = BAD_MATRICES[defect]
-        inverse, bad = model._guard_spd("q", matrix)
-        assert bad == [f"q {text}"]
-        assert inverse.shape == (3, 3) and np.isnan(inverse).all()
+        assert _guard_messages("q", matrix) == [f"q {text}"]
 
     def test_single_good_matrix(self):
         m = _spd(np.random.default_rng(4), 4)
-        inverse, bad = model._guard_spd("q", m)
+        inverse = model._guarded_inverse("q", m)
         inv = np.linalg.inv(0.5 * (m + m.T))
-        assert bad == []
         assert inverse.tobytes() == (0.5 * (inv + inv.T)).tobytes()
 
 
@@ -333,7 +350,7 @@ def test_spec_does_not_lend_its_inverse_to_another_v(build, monkeypatch):
     for name in ("eigvalsh", "inv", "cholesky"):
         monkeypatch.setattr(np.linalg, name, None)
     assert _raised(lambda: PooledConstants.from_model(model, spec)) == [f"invalid model: {message}"]
-    assert validate_model(model, spec).violations == (message,)
+    assert _raised(lambda: pooled_summary(model, spec)) == [f"invalid model: {message}"]
 
 
 class TestKsampleReduction:
@@ -354,8 +371,10 @@ class TestKsampleReduction:
             np.eye(1),
         )
         assert m.s == 0.0
-        # Downstream validation is where s = 0 becomes a hard failure.
-        assert not validate_model(m).ok
+        # The pooled summary is where s = 0 becomes a hard failure.
+        assert _raised(lambda: pooled_summary(m, LossSpec.inverse_v(m))) == [
+            "invalid model: s must be positive and finite, got 0.0"
+        ]
 
     def test_reflected_pairs(self):
         # Each group is a point plus its reflection about the mean, so s is
@@ -860,3 +879,11 @@ class TestTrueParameters:
         t = TrueParameters(mu=np.zeros((2, 3)), sigma2=1.0)
         with pytest.raises(ValueError):
             t.mu[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(Hyperparameters)])
+def test_every_hyperparameter_must_be_finite(name, value):
+    with pytest.raises(ValueError) as raised:
+        Hyperparameters(**{name: value})
+    assert str(raised.value) == f"{name} must be finite, got {value}"

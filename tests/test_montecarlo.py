@@ -840,6 +840,17 @@ class TestValidateUer:
             validate_uer(replace(cfg, replicates=100), [smooth], [good, good, bad[0]])
         assert drawn == []
 
+    def test_overflowing_draw_names_point_and_replicate(self, cfg):
+        # Point 1's scale is so large that some of its draws overflow.
+        _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
+        points = [
+            TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=sigma2) for sigma2 in (1.0, 4e306)
+        ]
+        with pytest.raises(
+            ArithmeticError, match="^truth point 1, replicate 496: pooled statistics overflow: "
+        ):
+            validate_uer(replace(cfg, replicates=2000), [smooth], points)
+
     # 1309, 1310 and 1311 sit at the 1310-replicate block of k = p = 5.
     @pytest.mark.parametrize("replicates", [2, 3, 257, 1309, 1310, 1311, 2001, 2621])
     def test_blocking_never_changes_results(self, cfg, monkeypatch, replicates):
