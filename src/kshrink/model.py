@@ -249,7 +249,10 @@ class CanonicalModel:
 
 @dataclass(frozen=True)
 class TrueParameters:
-    """Ground truth for simulation: mean rows mu (k, p) and the scale sigma2."""
+    """Ground truth for simulation: mean rows mu (k, p) and the scale sigma2.
+
+    mu may also stack one (k, p) truth per replicate as an (R, k, p) array.
+    """
 
     mu: np.ndarray
     sigma2: float

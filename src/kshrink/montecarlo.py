@@ -12,14 +12,17 @@ of an experiment, (1, i) for truth point i of validate_uer, and (2, 0),
 read with k = 1, for validate_identities. All variates are produced by
 inverse-CDF transforms, so results are bit-identical across runs, thread
 counts, and platforms with IEEE-754 doubles. Every stream is read in
-blocks through one block loop, each block reading only its own slice of
-the stream. A block holds max(1, _BLOCK_VALUES // width) replicates, where
-width is the number of values a replicate has in the block's largest
-arrays (k*p for an experiment or a truth point, p for the identities), so
-a block's working set stays near _BLOCK_VALUES doubles per array at any
-dimension; the block length is never a function of the thread count. The
-per-replicate work takes no matrix product over replicate rows (whose
-BLAS bits depend on the row count). Every matrix map of a replicate's
+blocks through one block loop over rows, each block reading only its own
+slices of the streams. A row is one replicate of one stream, except in
+run_experiment, whose row c*R + r is replicate r of configuration c: there
+a block may read slices of several configurations' streams, each at its
+replicates' own addresses. A block holds max(1, _BLOCK_VALUES // width)
+rows, where width is the number of values a row has in the block's
+largest arrays (k*p for an experiment or a truth point, p for the
+identities), so a block's working set stays near _BLOCK_VALUES doubles per
+array at any dimension; the block length is never a function of the
+thread count. The per-replicate work takes no matrix product over rows
+(whose BLAS bits depend on the row count). Every matrix map of a replicate's
 entries (the Cholesky map of the draws, the weights, the pooled mean and
 the direction maps) goes through model.apply_maps, whose summation order
 is fixed by p alone; every quadratic form goes through model.quad_forms;
@@ -30,15 +33,16 @@ replicate axis innermost (maps up to p = 16, wider ones replicate-first).
 Both take an elementwise path when a matrix is diagonal (every scale and
 loss matrix of the default experiment), which adds the same nonzero
 terms in the same order and so gives the same bits as the full path. So
-a replicate's values do not depend on the length of its block, whatever
-v and the loss weights are.
-The per-replicate values are joined in replicate order and reduced with
-numpy's pairwise summation, so the block size never changes a result.
+a replicate's values depend on neither the length of its block nor its
+neighbours in it, whatever v and the loss weights are.
+The per-replicate values are joined in row order and each stream's are
+reduced with numpy's pairwise summation, so the block size never changes
+a result.
 
 Each block runs the batch kernels of the estimators module on the pooled
-statistics of its replicates, the same code the single-shot estimators
-run with one replicate. run_experiment is the one loop over
-configurations; RiskTable.domination reads its paired contrasts. Both
+statistics of its rows, the same code the single-shot estimators run
+with one replicate. run_experiment's one block loop covers every
+configuration; RiskTable.domination reads its paired contrasts. Both
 self-checks, validate_uer and validate_identities, report paired checks
 of one kind: the mean of lhs - rhs over common draws must lie within
 three standard errors of 0.
@@ -415,15 +419,17 @@ def _blocked(
     width: int,
     threads: int,
     rows: int,
-    block: Callable[[int, int], tuple[np.ndarray, dict[str, str]]],
-) -> tuple[np.ndarray, dict[str, str]]:
-    """Run block(r0, r1) over replicates 0 .. count-1, width values per replicate.
+    block: Callable[[int, int], tuple[np.ndarray, dict]],
+) -> tuple[np.ndarray, dict]:
+    """Run block(r0, r1) over rows 0 .. count-1, width values per row.
 
-    A block has max(1, _BLOCK_VALUES // width) replicates; the last one may
-    be shorter. Each block returns its (rows, r1 - r0) values and a dict of
-    messages. The values are joined in replicate order into one
-    (rows, count) array, and the first message per key is kept, so neither
-    depends on the block length or the thread count.
+    A block has max(1, _BLOCK_VALUES // width) rows; the last one may be
+    shorter. A caller's row may stand for a replicate of one stream or, as
+    in run_experiment, for a (configuration, replicate) pair. Each block
+    returns its (rows, r1 - r0) values and a dict of messages. The values
+    are joined in row order into one (rows, count) array, and the first
+    message per key is kept, so neither depends on the block length or the
+    thread count. With threads > 1 one pool runs every block.
     """
     step = max(1, _BLOCK_VALUES // width)
     blocks = [(r0, min(r0 + step, count)) for r0 in range(0, count, step)]
@@ -434,58 +440,23 @@ def _blocked(
     else:
         results = (block(r0, r1) for r0, r1 in blocks)
     values = np.empty((rows, count))
-    errors: dict[str, str] = {}
+    errors: dict = {}
     for (r0, r1), (block_values, block_errors) in zip(blocks, results):
         values[:, r0:r1] = block_values
-        for name, msg in block_errors.items():
-            errors.setdefault(name, msg)  # blocks in replicate order: the first is the lowest
+        for key, msg in block_errors.items():
+            errors.setdefault(key, msg)  # blocks in row order: the first is the lowest
     return values, errors
 
 
 def _summarize(
-    setting: EstimatorSetting, x: np.ndarray, s: np.ndarray, r0: int, where: str
+    setting: EstimatorSetting, x: np.ndarray, s: np.ndarray, where: Callable[[int], tuple[str, int]]
 ) -> PooledBatch:
-    """Pooled statistics of replicates r0 onward; an overflow names where and its replicate."""
+    """Pooled statistics of a block; an overflow names where(row), its (label, replicate)."""
     try:
         return setting.pooled.summarize(x, s)
     except ReplicateError as exc:
-        r = r0 + exc.replicate
-        raise ReplicateError(r, ArithmeticError(f"{where}, replicate {r}: {exc}")) from exc
-
-
-def _config_losses(
-    cfg: ExperimentConfig, setting: EstimatorSetting, ci: int, names: tuple[str, ...]
-) -> tuple[np.ndarray, dict[str, str]]:
-    """Full (estimators, replicates) loss matrix for one configuration.
-
-    An estimator whose preconditions fail, or whose numerics fail on some
-    replicate, gets NaN losses and a message in the returned errors; a
-    numeric failure names the lowest failing replicate, so the message does
-    not depend on the thread count. A draw that overflows stops the run
-    with a ReplicateError naming the configuration and that replicate.
-    """
-    truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
-    chol = np.linalg.cholesky(cfg.v)
-
-    def losses_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
-        u, us = _replicate_uniforms(cfg.seed, (_NS_EXPERIMENT, ci), r0, r1, cfg.k, cfg.p)
-        x, s = _draw(truth, chol, cfg.n, u, us)
-        batch = _summarize(setting, x, s, r0, f"mean config {cfg.mean_configs[ci].name!r}")
-        out = np.full((len(names), r1 - r0), np.nan)
-        errors: dict[str, str] = {}
-        for ei, name in enumerate(names):
-            try:
-                mu_hat, _ = BATCH_ESTIMATORS[name](setting, batch)
-            except PreconditionError as exc:
-                errors[name] = str(exc)
-                continue
-            except ReplicateError as exc:
-                errors[name] = f"replicate {r0 + exc.replicate}: {exc}"
-                continue
-            out[ei] = loss(mu_hat, truth, setting.pooled.loss)
-        return out, errors
-
-    return _blocked(cfg.replicates, cfg.k * cfg.p, cfg.threads, len(names), losses_block)
+        label, r = where(exc.replicate)
+        raise ReplicateError(r, ArithmeticError(f"{label}, replicate {r}: {exc}")) from exc
 
 
 def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -499,24 +470,80 @@ def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def run_experiment(cfg: ExperimentConfig) -> RiskTable:
     """Estimate the risk of each requested estimator on each configuration.
 
-    Identical (seed, config) pairs give bit-identical tables regardless of
-    cfg.threads. Estimators whose preconditions fail on a configuration are
-    reported in RiskTable.errors and skipped; the rest proceed. The paired
-    contrasts come from the same loss matrices.
+    One block loop runs over the rows c * replicates + r, replicate r of
+    configuration c, so a block may span configurations: it reads each
+    one's replicates from that configuration's stream, draws against
+    per-row means and runs each batch kernel once. Identical (seed, config)
+    pairs give bit-identical tables regardless of cfg.threads. An
+    estimator whose preconditions fail is skipped, with its message in
+    RiskTable.errors. One whose numerics fail on a block is rerun on each
+    configuration's part of it, so only the failing configurations skip
+    it, each naming its lowest failing replicate. A draw that overflows
+    stops the run with a ReplicateError naming the configuration and the
+    replicate. The paired contrasts come from the same loss matrices.
     """
     setting = cfg.validate()
     names = tuple(dict.fromkeys(resolve_estimator(raw)[0] for raw in cfg.estimators))
-    errors: dict[tuple[str, str], str] = {}
-    rows = []
-    for ci, mc in enumerate(cfg.mean_configs):
-        losses, cfg_errors = _config_losses(cfg, setting, ci, names)
-        errors.update(((mc.name, name), msg) for name, msg in cfg_errors.items())
-        # A skipped estimator's NaN losses give NaN means and standard errors.
-        rows.append((*_mean_se(losses), *_mean_se(losses[:, None] - losses[None])))
-    risk, se, paired_diff, paired_se = (np.array(col) for col in zip(*rows))
+    count = cfg.replicates
+    config_names = tuple(mc.name for mc in cfg.mean_configs)
+    means = np.stack([mc.mu for mc in cfg.mean_configs])
+    chol = np.linalg.cholesky(cfg.v)
+
+    def losses_block(b0: int, b1: int) -> tuple[np.ndarray, dict[tuple[str, str], str]]:
+        # (configuration, first replicate, end replicate) of each configuration in the block.
+        segments = [
+            (ci, max(b0 - ci * count, 0), min(b1 - ci * count, count))
+            for ci in range(b0 // count, (b1 - 1) // count + 1)
+        ]
+        drawn = [
+            _replicate_uniforms(cfg.seed, (_NS_EXPERIMENT, ci), r0, r1, cfg.k, cfg.p)
+            for ci, r0, r1 in segments
+        ]
+        u, us = (np.concatenate(parts) for parts in zip(*drawn))
+        truth = TrueParameters(mu=means[np.arange(b0, b1) // count], sigma2=cfg.sigma2)
+        x, s = _draw(truth, chol, cfg.n, u, us)
+
+        def where(i: int) -> tuple[str, int]:
+            ci, r = divmod(b0 + i, count)
+            return f"mean config {config_names[ci]!r}", r
+
+        batch = _summarize(setting, x, s, where)
+        out = np.full((len(names), b1 - b0), np.nan)
+        errors: dict[tuple[str, str], str] = {}
+        for ei, name in enumerate(names):
+            kernel = BATCH_ESTIMATORS[name]
+            try:
+                mu_hat, _ = kernel(setting, batch)
+            except PreconditionError as exc:
+                errors.update(((config_names[ci], name), str(exc)) for ci, _, _ in segments)
+                continue
+            except ReplicateError:
+                # Each configuration keeps its own values and lowest failing replicate.
+                mu_hat = np.full_like(x, np.nan)
+                for ci, r0, r1 in segments:
+                    rows = slice(ci * count + r0 - b0, ci * count + r1 - b0)
+                    part = setting.pooled.summarize(x[rows], s[rows])
+                    try:
+                        mu_hat[rows], _ = kernel(setting, part)
+                    except ReplicateError as exc:
+                        errors[config_names[ci], name] = f"replicate {r0 + exc.replicate}: {exc}"
+            out[ei] = loss(mu_hat, truth, setting.pooled.loss)
+        return out, errors
+
+    losses, errors = _blocked(
+        len(config_names) * count, cfg.k * cfg.p, cfg.threads, len(names), losses_block
+    )
+    # Configuration-major; the stable sort keeps each configuration's own order.
+    errors = dict(sorted(errors.items(), key=lambda item: config_names.index(item[0][0])))
+    # A skipped estimator's NaN losses give NaN means and standard errors.
+    stats = [
+        (*_mean_se(part), *_mean_se(part[:, None] - part[None]))
+        for part in np.split(losses, len(config_names), axis=1)
+    ]
+    risk, se, paired_diff, paired_se = (np.array(col) for col in zip(*stats))
     reference = setting.pooled.trace_sum
     return RiskTable(
-        config_names=tuple(mc.name for mc in cfg.mean_configs),
+        config_names=config_names,
         estimator_names=names,
         risk=risk,
         se=se,
@@ -524,7 +551,7 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
         paired_diff=paired_diff,
         paired_se=paired_se,
         risk_reference=reference,
-        replicates=cfg.replicates,
+        replicates=count,
         seed=cfg.seed,
         errors=errors,
     )
@@ -636,7 +663,7 @@ def validate_uer(
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
             u, us = _replicate_uniforms(cfg.seed, (_NS_UER, pi), r0, r1, cfg.k, cfg.p)
             x, s = _draw(truth, chol, cfg.n, u, us)
-            batch = _summarize(setting, x, s, r0, f"truth point {pi}")
+            batch = _summarize(setting, x, s, lambda i: (f"truth point {pi}", r0 + i))
             f, g = floored_statistics(batch)
             out = np.empty((3 + per_member * len(members), r1 - r0))
             out[0], out[1], out[2] = f, g, s

@@ -9,6 +9,7 @@ two hierarchical estimators under inverse-scale loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +33,18 @@ def loss(
 ) -> float | np.ndarray:
     """Realized weighted quadratic loss of an estimate set.
 
-    sum_i (mu_hat_i - mu_i)' q[i] (mu_hat_i - mu_i) / sigma2. An (R, k, p)
-    array of estimates gives the (R,) array of their losses.
+    sum_i (mu_hat_i - mu_i)' q[i] (mu_hat_i - mu_i) / sigma2, formed from the
+    errors scaled by sqrt(sigma2), so it overflows only when the loss
+    does. An (R, k, p) array of estimates gives the (R,) array of their
+    losses, against one (k, p) truth or an (R, k, p) truth per replicate.
     """
     mu_hat = estimate.mu_hat if isinstance(estimate, EstimateSet) else np.asarray(estimate)
-    if mu_hat.shape[-2:] != truth.mu.shape:
-        raise ValueError(f"estimate shape {mu_hat.shape} does not match truth {truth.mu.shape}")
-    diff = mu_hat - truth.mu
-    out = quad_forms(diff.reshape((-1,) + truth.mu.shape), ls.q) / truth.sigma2
+    mu = truth.mu
+    if mu_hat.shape[-2:] != mu.shape[-2:] or mu.shape[:-2] not in ((), mu_hat.shape[:-2]):
+        raise ValueError(f"estimate shape {mu_hat.shape} does not match truth {mu.shape}")
+    diff = mu_hat - mu
+    diff /= math.sqrt(truth.sigma2)
+    out = quad_forms(diff.reshape((-1,) + mu.shape[-2:]), ls.q)
     return float(out[0]) if diff.ndim == 2 else out.reshape(diff.shape[:-2])
 
 

@@ -559,6 +559,29 @@ class TestSimulate:
             f"error: mean config 'zero', replicate {replicate}: pooled statistics overflow: "
         )
 
+    def test_loss_past_the_weighted_form_range_is_finite(self, tmp_path, capsys):
+        # sigma2 times the loss weights is 1e400, but each loss is about the
+        # reference risk 2.5e101: every estimator that runs gets a PRIAL.
+        body = (
+            "experiment: {p: 5, k: 5, n: 20, sigma2: 1.0e+300, v: identity, "
+            "q: {scaled_identity: 1.0e+100}, "
+            "mean_configs: [{name: zero, scales: [0, 0, 0, 0, 0]}], replicates: 300}\n"
+        )
+        cfg = put(tmp_path, "cfg.yaml", body)
+        assert main(["simulate", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert lines[0].startswith("PRIAL (%), reference risk 2.5e+101, 300 replicates")
+        header, row = lines[1].split(), lines[2].split()
+        assert row[0] == "zero"
+        cells = dict(zip(header[1:], row[1:]))
+        assert cells.pop("PT") == cells.pop("PT*") == "-"
+        assert all(np.isfinite(float(cell)) for cell in cells.values()), cells
+        assert [line.split(":")[0] for line in lines[4:]] == [
+            "skipped PT on zero", "skipped PT* on zero"
+        ]
+
     def test_non_finite_mean_config_is_bad_input(self, tmp_path, capsys, monkeypatch):
         # Rejected before any configuration is simulated, naming the configuration.
         drawn = []

@@ -419,6 +419,143 @@ class TestRunExperiment:
         assert one.to_csv() == two.to_csv()
 
 
+class TestPackedBlocks:
+    """One block loop over the (configuration, replicate) rows, row c * R + r."""
+
+    def test_rows_on_both_sides_of_a_boundary_are_the_single_shot_losses(self, monkeypatch):
+        # 50-row blocks over 2 x 64 rows: the second block holds replicates
+        # 50-63 of "spread" and 0-35 of "tight".
+        cfg = small_config(estimators=ExperimentConfig.benchmark().estimators)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 50 * cfg.k * cfg.p)
+        ((losses,),) = blocked_values(
+            monkeypatch, lambda count: run_experiment(replace(cfg, replicates=count)), (64,)
+        )
+        packed = run_experiment(cfg)
+        ls = cfg.loss_spec()
+        for ci, r in ((0, 49), (0, 50), (0, 63), (1, 0), (1, 35), (1, 36)):
+            truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
+            model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, ci, r)
+            for ei, name in enumerate(packed.estimator_names):
+                one = loss(ESTIMATORS[name](model, ls, hyper=cfg.hyper), truth, ls)
+                assert losses[ei, ci * cfg.replicates + r] == one, (ci, r, name)
+        one_block(monkeypatch)
+        assert run_experiment(cfg).to_csv() == packed.to_csv()
+
+    def test_hb2_failures_in_one_block_stay_with_their_configuration(self, monkeypatch):
+        # 100-row blocks over 3 x 40 rows: the first holds every replicate of
+        # "spread" and "tight" and replicates 0-19 of "ramp". HB2 fails at
+        # replicate 30 of "spread" and at replicates 5 and 25 of "ramp"; the
+        # last is in the second block. "tight" fails nowhere.
+        cfg = small_config(estimators=("EB", "HB1", "HB2"), replicates=40)
+        ramp = MeanConfig.from_scales("ramp", (-0.5, 0.0, 1.5), cfg.p)
+        cfg = replace(cfg, mean_configs=cfg.mean_configs + (ramp,))
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 100 * cfg.k * cfg.p)
+        seen = []
+        real_ratios = estimators.hb2_shrink_ratios
+
+        def spy(f_stat, g_stat, s_stat, *args, **kwargs):
+            seen.append((f_stat, s_stat))
+            return real_ratios(f_stat, g_stat, s_stat, *args, **kwargs)
+
+        monkeypatch.setattr(estimators, "hb2_shrink_ratios", spy)
+        clean = run_experiment(cfg)
+        monkeypatch.setattr(estimators, "hb2_shrink_ratios", real_ratios)
+        failing_s = set()
+        for ci, r in ((0, 30), (2, 5), (2, 25)):
+            truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
+            failing_s.add(sample_canonical(truth, cfg.v, cfg.n, cfg.seed, ci, r).s)
+        failing_f = [f for fs, ss in seen for f, s in zip(fs, ss) if s in failing_s]
+        assert len(failing_f) == 3
+        real_rule = numerics._joint_rule
+        reason = "joint shrink-factor quadrature failed to converge with 168 nodes per axis"
+
+        def missing(n, f_stat, *args, **kwargs):
+            values, peak = real_rule(n, f_stat, *args, **kwargs)
+            values[:, np.isin(f_stat, failing_f)] = np.nan
+            return values, peak
+
+        monkeypatch.setattr(numerics, "_joint_rule", missing)
+        one = run_experiment(cfg)
+        two = run_experiment(replace(cfg, threads=2))
+        assert one.errors == {
+            ("spread", "HB2"): f"replicate 30: {reason}",
+            ("ramp", "HB2"): f"replicate 5: {reason}",
+        }
+        hb2 = one.estimator_names.index("HB2")
+        hit = np.zeros_like(one.risk, dtype=bool)
+        hit[[0, 2], hb2] = True
+        assert np.isnan(one.risk[hit]).all()
+        assert np.array_equal(one.risk[~hit], clean.risk[~hit])
+        assert np.array_equal(one.se[~hit], clean.se[~hit])
+        assert np.array_equal(one.paired_se[1], clean.paired_se[1])
+        assert one.to_csv() == two.to_csv()
+        assert one.to_text() == two.to_text()
+
+    def test_errors_keep_configuration_major_order(self):
+        # JS1 and PT* need p >= 3; every configuration of the one block
+        # records both, and the table lists them configuration by configuration.
+        names = ("spread", "tight", "ramp")
+        cfg = small_config(
+            p=2,
+            v=np.stack([np.eye(2)] * 3),
+            mean_configs=tuple(MeanConfig.from_scales(name, (0.0, 0.5, 1.0), 2) for name in names),
+            estimators=("JS1", "EB", "PT*"),
+        )
+        table = run_experiment(cfg)
+        assert list(table.errors) == [(c, e) for c in names for e in ("JS1", "PT*")]
+        assert np.isfinite(table.risk[:, 1]).all()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_draw_in_a_later_segment_names_its_configuration(self, threads):
+        # One 1310-row block holds replicates 0-599 of "a" and then of "b";
+        # the first scale draw of "b" that overflows is its replicate 535.
+        p = k = 5
+        cfg = ExperimentConfig(
+            p=p, k=k, n=20, sigma2=3.7e306,
+            v=np.stack([np.eye(p)] * k), q=np.stack([1e100 * np.eye(p)] * k),
+            mean_configs=tuple(MeanConfig.from_scales(name, [0.0] * k, p) for name in "ab"),
+            estimators=("JS1",), replicates=600, threads=threads,
+        )
+        with pytest.raises(numerics.ReplicateError) as raised:
+            run_experiment(cfg)
+        assert raised.value.replicate == 535
+        assert str(raised.value).startswith(
+            "mean config 'b', replicate 535: pooled statistics overflow: "
+        )
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools = []
+        real = montecarlo.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        cfg = small_config(threads=2, estimators=("EB",))
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 50 * cfg.k * cfg.p)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", spy)
+        _, spans = read_spans(monkeypatch, lambda: run_experiment(cfg))
+        # Two threads read the three blocks in any order.
+        assert sorted(spans) == [(0, 36), (0, 50), (36, 64), (50, 64)]
+        assert pools == [{"max_workers": 2}]
+
+    def test_benchmark_protocol_at_256_replicates_is_two_blocks(self, monkeypatch):
+        cfg = replace(ExperimentConfig.benchmark(), replicates=256)
+        assert block_rows(cfg.k * cfg.p) == 1310
+        real = PooledConstants.summarize
+        blocks = []
+
+        def counting(self, x, s):
+            blocks.append(len(s))
+            return real(self, x, s)
+
+        monkeypatch.setattr(PooledConstants, "summarize", counting)
+        _, spans = read_spans(monkeypatch, lambda: run_experiment(cfg))
+        # Replicates 0-29 of the sixth configuration end the first block.
+        assert spans == [(0, 256)] * 5 + [(0, 30), (30, 256)] + [(0, 256)] * 2
+        assert blocks == [1310, 8 * 256 - 1310]
+
+
 def spd_stack(count, p, seed):
     """count well-conditioned symmetric positive definite (p, p) matrices, none diagonal."""
     a = np.random.default_rng(seed).normal(size=(count, p, p))

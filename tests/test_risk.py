@@ -84,6 +84,19 @@ class TestLoss:
         assert all(type(one) is float for one in singles)
         assert np.array_equal(stacked, np.array(singles))
 
+    def test_per_replicate_truths_are_the_one_truth_losses(self):
+        rng = np.random.default_rng(8)
+        model = two_group_model()
+        ls = LossSpec.inverse_v(model)
+        mus = rng.normal(size=(4, 2, 3))
+        mu_hat = rng.normal(size=(4, 2, 3))
+        stacked = loss(mu_hat, TrueParameters(mu=mus, sigma2=2.0), ls)
+        singles = [loss(mu_hat[r], TrueParameters(mu=mus[r], sigma2=2.0), ls) for r in range(4)]
+        assert np.array_equal(stacked, np.array(singles))
+        for bad in (mu_hat[:3], mu_hat[0]):
+            with pytest.raises(ValueError, match="does not match"):
+                loss(bad, TrueParameters(mu=mus, sigma2=2.0), ls)
+
     def test_shape_mismatch(self):
         model = two_group_model()
         ls = LossSpec.inverse_v(model)
