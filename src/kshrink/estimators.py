@@ -13,7 +13,9 @@ maps an EstimatorSetting and a PooledBatch of R replicates to (R, k, p)
 estimates. The single-shot estimate_* functions run it on the one-row
 batch of pooled_summary, which a caller may pass in so that several
 estimators share it; the Monte Carlo harness runs it on blocks of
-replicates.
+replicates. EB and EB* are class members (ShrinkageFunctions) built by
+eb_members: their kernels run batch_general over them, PT* takes EB*'s psi
+as its zero-shrink, and montecarlo.validate_uer checks the same objects.
 
 Estimators raise PreconditionError when the model falls outside their
 domain (dimension too small for the shrink constants to be positive, or a
@@ -22,8 +24,8 @@ loss that the preliminary test cannot calibrate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -40,7 +42,6 @@ from .model import (
 from .numerics import (
     HbExponents,
     ReplicateError,
-    _per_stat,
     f_quantile,
     hb1_shrink_ratio,
     hb2_shrink_ratios,
@@ -57,6 +58,7 @@ __all__ = [
     "EstimatorSetting",
     "BATCH_ESTIMATORS",
     "batch_general",
+    "eb_members",
     "floored_statistics",
     "resolve_estimator",
     "estimate_unshrunk",
@@ -103,7 +105,7 @@ class ShrinkageFunctions:
     the unbiased risk estimator: estimating needs only phi and psi, but
     montecarlo.validate_uer rejects a member that lacks any of the six, and
     there is no finite-difference fallback. All callables must accept
-    ndarray inputs elementwise.
+    ndarray inputs elementwise. EB and EB* are members (eb_members).
     """
 
     phi: Callable
@@ -216,56 +218,80 @@ def batch_pt(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     }
 
 
-def _zero_shrunk(
-    st: EstimatorSetting,
-    b: PooledBatch,
-    kernel: Callable,
-    toward: Callable[[PooledBatch], np.ndarray],
-) -> BatchResult:
-    """kernel's estimates less min((p-2) / ((n+2) pooled_norm_stat), 1) of toward(b).
+def _zero(f, g, s):
+    """The zero factor, and the zero partial derivative."""
+    return np.zeros_like(np.asarray(f, dtype=float))
 
-    The pooled-mean zero-shrink of PT* and EB*. A vanishing pooled norm
-    means a vanishing pooled mean, so the cap branch subtracts zero.
+
+def _capped(t: float, i: int) -> tuple[Callable, Callable]:
+    """min(t, u) and its almost-everywhere slope in u, where u is argument i of (f, g, s)."""
+
+    def factor(*fgs):
+        return np.minimum(t, np.asarray(fgs[i], dtype=float))
+
+    def slope(*fgs):
+        return np.where(np.asarray(fgs[i], dtype=float) < t, 1.0, 0.0)
+
+    return factor, slope
+
+
+@cache
+def eb_members(p: int, k: int, n: int) -> tuple[ShrinkageFunctions, ShrinkageFunctions]:
+    """EB and EB* as class members, with their partials.
+
+    phi = min((p(k-1)-2) / (n+2), f); psi = 0 for EB, min((p-2) / (n+2), g)
+    for EB*. Their partials are the almost-everywhere slopes, all the risk
+    identity needs. The kernels reject dimensions where a cap is not positive.
     """
-    c = st.pooled
+    phi, phi_f = _capped((p * (k - 1) - 2.0) / (n + 2.0), 0)
+    psi, psi_g = _capped((p - 2.0) / (n + 2.0), 1)
+    eb = ShrinkageFunctions(
+        phi=phi, psi=_zero,
+        phi_f=phi_f, phi_g=_zero, phi_s=_zero,
+        psi_f=_zero, psi_g=_zero, psi_s=_zero,
+    )
+    return eb, replace(eb, psi=psi, psi_g=psi_g)
+
+
+def _need_mean_shrink(c: PooledConstants) -> None:
+    d1 = c.p * (c.k - 1)
+    if d1 < 3:
+        raise PreconditionError(f"pooled-mean shrink needs p(k-1) >= 3, got {d1}")
+
+
+def _need_zero_shrink(c: PooledConstants) -> None:
     if c.p < 3:
         raise PreconditionError(f"pooled-mean zero-shrink needs p >= 3, got p={c.p}")
-    mu_hat, diags = kernel(st, b)
-    t = (c.p - 2.0) / (c.n + 2.0)
-    factor = _per_stat(np.minimum(t, b.pooled_norm_stat), b.pooled_norm_stat, 1.0)
-    mu_hat = mu_hat - factor[:, None, None] * toward(b)
-    return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": factor}
 
 
 def batch_pt_star(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     """Preliminary test with the pooled mean itself shrunk toward zero.
 
-    Whatever the test decides, the capped factor
-    min((p-2) / ((n+2) pooled_norm_stat), 1) of the pooled mean is removed
-    from every group.
+    Whatever the test decides, EB*'s zero-shrink psi/g, capped at 1, of the
+    pooled mean is removed from every group.
     """
-    return _zero_shrunk(st, b, batch_pt, lambda b: b.pooled_mean[:, None, :])
+    c = st.pooled
+    _need_zero_shrink(c)
+    mu_hat, diags = batch_pt(st, b)
+    f, g = floored_statistics(b)
+    zero_shrink = eb_members(c.p, c.k, c.n)[1].psi(f, g, b.s) / g
+    mu_hat = mu_hat - zero_shrink[:, None, None] * b.pooled_mean[:, None, :]
+    return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": zero_shrink}
 
 
 def batch_eb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
-    """Empirical shrink toward the pooled mean with a capped factor.
-
-    Removes min((p(k-1)-2) / ((n+2) residual_stat), 1) of each group's
-    deviation from the pooled mean, mapped through the direction matrices.
-    """
+    """Empirical shrink toward the pooled mean with a capped factor (eb_members)."""
     c = st.pooled
-    d1 = c.p * (c.k - 1)
-    if d1 < 3:
-        raise PreconditionError(f"pooled-mean shrink needs p(k-1) >= 3, got {d1}")
-    t = (d1 - 2.0) / (c.n + 2.0)
-    factor = _per_stat(np.minimum(t, b.residual_stat), b.residual_stat, 1.0)
-    mu_hat = b.x - factor[:, None, None] * b.toward_pooled
-    return mu_hat, {"residual_stat": b.residual_stat, "mean_shrink": factor}
+    _need_mean_shrink(c)
+    return batch_general(st, b, eb_members(c.p, c.k, c.n)[0])
 
 
 def batch_eb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     """The capped empirical shrink plus a capped zero-shrink of the pooled mean."""
-    return _zero_shrunk(st, b, batch_eb1, lambda b: b.toward_zero)
+    c = st.pooled
+    _need_zero_shrink(c)
+    _need_mean_shrink(c)
+    return batch_general(st, b, eb_members(c.p, c.k, c.n)[1])
 
 
 def batch_hb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
@@ -319,20 +345,20 @@ def floored_statistics(b: PooledBatch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_general(st: EstimatorSetting, b: PooledBatch, sf: ShrinkageFunctions) -> BatchResult:
+    """Member sf's estimates, as estimate_general gives them, on a batch.
+
+    Diagnostics: residual_stat, mean_shrink = phi/f and, unless psi is EB's
+    zero factor, pooled_norm_stat and zero_shrink = psi/g.
+    """
     f, g = floored_statistics(b)
-    phi = np.asarray(sf.phi(f, g, b.s), dtype=float)
-    psi = np.asarray(sf.psi(f, g, b.s), dtype=float)
-    mu_hat = (
-        b.x
-        - (phi / f)[:, None, None] * b.toward_pooled
-        - (psi / g)[:, None, None] * b.toward_zero
-    )
-    return mu_hat, {
-        "residual_stat": b.residual_stat,
-        "pooled_norm_stat": b.pooled_norm_stat,
-        "phi": phi,
-        "psi": psi,
-    }
+    mean_shrink = np.asarray(sf.phi(f, g, b.s), dtype=float) / f
+    mu_hat = b.x - mean_shrink[:, None, None] * b.toward_pooled
+    diags = {"residual_stat": b.residual_stat, "mean_shrink": mean_shrink}
+    if sf.psi is _zero:
+        return mu_hat, diags
+    zero_shrink = np.asarray(sf.psi(f, g, b.s), dtype=float) / g
+    mu_hat = mu_hat - zero_shrink[:, None, None] * b.toward_zero
+    return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": zero_shrink}
 
 
 def _first(value) -> float | bool:

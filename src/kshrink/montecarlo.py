@@ -67,6 +67,7 @@ from .estimators import (
     ReplicateError,
     ShrinkageFunctions,
     batch_general,
+    eb_members,
     floored_statistics,
     resolve_estimator,
 )
@@ -668,12 +669,11 @@ def validate_uer(
             out = np.empty((3 + per_member * len(members), r1 - r0))
             out[0], out[1], out[2] = f, g, s
             for mi, sf in enumerate(members):
-                mu_hat, diags = batch_general(setting, batch, sf)
+                mu_hat, _ = batch_general(setting, batch, sf)
                 rows = out[3 + per_member * mi : 3 + per_member * (mi + 1)]
                 rows[0] = loss(mu_hat, truth, setting.pooled.loss)
-                rows[1], rows[2] = diags["phi"], diags["psi"]
-                for i, name in enumerate(sf.PARTIALS):
-                    rows[3 + i] = getattr(sf, name)(f, g, s)
+                for i, name in enumerate(factor_rows):
+                    rows[1 + i] = getattr(sf, name)(f, g, s)
             return out, {}
 
         values, _ = _blocked(
@@ -705,28 +705,13 @@ def validate_uer(
 def uer_members(p: int, k: int, n: int) -> tuple[tuple[str, ShrinkageFunctions], ...]:
     """Three class members with closed-form derivatives for risk checks.
 
-    The first shrinks group means only, with the capped factor of the
-    empirical mean-shrink estimator; the second adds the capped zero-shrink
-    of the pooled mean; the third uses smooth rational factors with the
-    same large-statistic limits. min-based factors get their almost-
-    everywhere derivatives, which is all the risk identity needs.
+    "mean-shrink" and "double-shrink" are EB's and EB*'s own members
+    (estimators.eb_members), the objects their kernels run, with the
+    capped factors' almost-everywhere derivatives. "smooth" has the smooth
+    rational factors t u / (1 + u), u = f for phi and g for psi, with the
+    capped factors' large-statistic limits t and EB*'s zero cross partials.
     """
-    t1 = (p * (k - 1) - 2.0) / (n + 2.0)
-    t2 = (p - 2.0) / (n + 2.0)
-
-    def zero(f, g, s):
-        return np.zeros_like(np.asarray(f, dtype=float))
-
-    def capped_pair(t, i):
-        """min(t, u) and its slope in u, where u is argument i of (f, g, s)."""
-
-        def factor(*fgs):
-            return np.minimum(t, np.asarray(fgs[i], dtype=float))
-
-        def slope(*fgs):
-            return np.where(np.asarray(fgs[i], dtype=float) < t, 1.0, 0.0)
-
-        return factor, slope
+    eb, eb_star = eb_members(p, k, n)
 
     def smooth_pair(t, i):
         """t u / (1 + u) and its slope in u, where u is argument i of (f, g, s)."""
@@ -741,29 +726,13 @@ def uer_members(p: int, k: int, n: int) -> tuple[tuple[str, ShrinkageFunctions],
 
         return factor, slope
 
-    capped_f, capped_f_df = capped_pair(t1, 0)
-    capped_g, capped_g_dg = capped_pair(t2, 1)
-    smooth_f, smooth_f_df = smooth_pair(t1, 0)
-    smooth_g, smooth_g_dg = smooth_pair(t2, 1)
-
-    mean_only = ShrinkageFunctions(
-        phi=capped_f, psi=zero,
-        phi_f=capped_f_df, phi_g=zero, phi_s=zero,
-        psi_f=zero, psi_g=zero, psi_s=zero,
-    )
-    double = ShrinkageFunctions(
-        phi=capped_f, psi=capped_g,
-        phi_f=capped_f_df, phi_g=zero, phi_s=zero,
-        psi_f=zero, psi_g=capped_g_dg, psi_s=zero,
-    )
-    smooth = ShrinkageFunctions(
-        phi=smooth_f, psi=smooth_g,
-        phi_f=smooth_f_df, phi_g=zero, phi_s=zero,
-        psi_f=zero, psi_g=smooth_g_dg, psi_s=zero,
-    )
+    # t is the capped factor's value at an infinite statistic.
+    smooth_f, smooth_f_df = smooth_pair(float(eb_star.phi(np.inf, np.inf, 1.0)), 0)
+    smooth_g, smooth_g_dg = smooth_pair(float(eb_star.psi(np.inf, np.inf, 1.0)), 1)
+    smooth = replace(eb_star, phi=smooth_f, psi=smooth_g, phi_f=smooth_f_df, psi_g=smooth_g_dg)
     return (
-        ("mean-shrink", mean_only),
-        ("double-shrink", double),
+        ("mean-shrink", eb),
+        ("double-shrink", eb_star),
         ("smooth", smooth),
     )
 
@@ -816,11 +785,15 @@ def validate_identities(
         with np.errstate(over="ignore", invalid="ignore"):
             s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
             g = 1.0 / (1.0 + s)
+            g2 = g**2
+            # s g^2 as (s g) g where g^2 leaves the normal range (sigma2 past
+            # about 1e150) and underflows; elsewhere s * g2 keeps the pinned bits.
+            s_g2 = np.where(g2 >= np.finfo(float).tiny, s * g2, (s * g) * g)
             rows = np.stack((
                 np.einsum("ra,ra->r", y - mu_vec, y / denom[:, None]),
                 trace / denom - 2.0 * quad / denom**2,
                 s * g,
-                truth.sigma2 * (n * g - 2.0 * s * g**2),
+                truth.sigma2 * (n * g - 2.0 * s_g2),
             ))
         if not np.isfinite(rows).all():
             raise ArithmeticError(f"the identity checks overflow at sigma2 = {truth.sigma2:g}")

@@ -103,13 +103,13 @@ def uer(u: UerInputs) -> float | np.ndarray:
         -(2.0 * (d1 - 2.0) - (u.n + 2.0) * phi) * phi / f
         - 4.0 * u.phi_f
         - 4.0 * phi * (f * u.phi_f + g * u.phi_g) / f
-        + 4.0 * s * phi * u.phi_s / f
+        + 4.0 * (s * u.phi_s) * phi / f
     )
     zero_block = (
         -(2.0 * (u.p - 2.0) - (u.n + 2.0) * psi) * psi / g
         - 4.0 * u.psi_g
         - 4.0 * psi * (f * u.psi_f + g * u.psi_g) / g
-        + 4.0 * s * psi * u.psi_s / g
+        + 4.0 * (s * u.psi_s) * psi / g
     )
     out = u.trace_sum + mean_block + zero_block
     return float(out) if np.ndim(out) == 0 else out

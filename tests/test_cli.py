@@ -792,6 +792,23 @@ class TestValidate:
         assert main(["validate", "--config", bare, "--replicates", "300"]) == 0
         assert capsys.readouterr().out == from_file
 
+    @pytest.mark.parametrize("sigma2", ["1.0e+200", "1.0e+306"])
+    def test_huge_scale_checks_pass(self, tmp_path, capsys, sigma2):
+        # Past sigma2 = 1e150 the chi-square check's g^2 underflows, and at
+        # 1e306 four times the scale sum overflows in the risk estimate's
+        # scale terms; both identities hold, so every check passes.
+        body = (
+            f"experiment: {{p: 5, k: 5, n: 20, sigma2: {sigma2}, v: identity, "
+            "q: {scaled_identity: 1.0e+100}, "
+            "mean_configs: [{name: zero, scales: [0, 0, 0, 0, 0]}]}\n"
+        )
+        cfg = put(tmp_path, "cfg.yaml", body)
+        assert main(["validate", "--config", cfg, "--replicates", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "FAIL" not in captured.out
+        assert captured.out.endswith("all checks passed\n")
+
     def test_threads_flag_is_rejected(self, capsys):
         # Neither validator runs threads, so validate offers no --threads.
         with pytest.raises(SystemExit) as raised:

@@ -26,6 +26,7 @@ from kshrink.estimators import (
     EstimatorSetting,
     PreconditionError,
     ShrinkageFunctions,
+    eb_members,
     estimate_eb1,
     estimate_eb2,
     estimate_general,
@@ -39,6 +40,7 @@ from kshrink.estimators import (
     resolve_estimator,
 )
 from kshrink.model import PooledBatch, PooledConstants
+from kshrink.montecarlo import uer_members
 
 J = np.ones(3)
 
@@ -330,6 +332,8 @@ class TestEquivariance:
 
 class TestGeneralClass:
     def test_capped_members_reproduce_empirical_pair(self):
+        # The capped factors written out here, apart from eb_members, are the
+        # reference: EB, EB* and PT*'s zero-shrink must match them bit for bit.
         rng = np.random.default_rng(19)
         t1 = (3.0 * 3.0 - 2.0) / (12.0 + 2.0)
         t2 = (3.0 - 2.0) / (12.0 + 2.0)
@@ -345,12 +349,21 @@ class TestGeneralClass:
             model = random_model(rng)
             ls = LossSpec.inverse_v(model)
             ps = pooled_summary(model, ls)
-            got1 = estimate_general(model, ls, mean_only, ps)
-            want1 = estimate_eb1(model, ls, ps)
-            assert got1.mu_hat == approx(want1.mu_hat, rel=1e-12)
-            got2 = estimate_general(model, ls, double, ps)
-            want2 = estimate_eb2(model, ls, ps)
-            assert got2.mu_hat == approx(want2.mu_hat, rel=1e-12)
+            want1 = estimate_general(model, ls, mean_only, ps)
+            got1 = estimate_eb1(model, ls, ps)
+            assert np.array_equal(got1.mu_hat, want1.mu_hat)
+            assert got1.diagnostics == {
+                key: want1.diagnostics[key] for key in ("residual_stat", "mean_shrink")
+            }
+            want2 = estimate_general(model, ls, double, ps)
+            got2 = estimate_eb2(model, ls, ps)
+            assert np.array_equal(got2.mu_hat, want2.mu_hat)
+            assert got2.diagnostics == want2.diagnostics
+            pt_star = estimate_pt_star(model, ls, ps)
+            assert pt_star.diagnostics["zero_shrink"] == want2.diagnostics["zero_shrink"]
+        # validate checks the risk identity on these same objects, not on copies.
+        (_, eb), (_, eb_star), _ = uer_members(3, 4, 12)
+        assert (eb, eb_star) == eb_members(3, 4, 12)
 
     def test_zero_functions_reproduce_observations(self, d0):
         model, ls, ps = d0

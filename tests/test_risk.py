@@ -1,5 +1,7 @@
 """Loss, the unbiased risk estimator, conditions, and the improvement scale."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -15,7 +17,7 @@ from kshrink import (
     prial,
     uer,
 )
-from kshrink.estimators import EstimateSet
+from kshrink.estimators import EstimateSet, ShrinkageFunctions, eb_members
 
 
 def two_group_model():
@@ -155,6 +157,34 @@ class TestUer:
                 psi_f=0.0, psi_g=float(psi_g[i]), psi_s=0.0,
             )
             assert got[i] == approx(uer(one), rel=1e-14)
+
+    def test_huge_scale_with_zero_scale_partials(self):
+        # 4 s phi passes the float range at s = 1e308, but s phi_s = 0: the
+        # scale terms vanish as they do at any s.
+        inputs = constant_inputs(18.0 / 22.0, 3.0 / 22.0)
+        huge = dataclasses.replace(inputs, scale_sum=1e308)
+        assert uer(huge) == uer(inputs)
+
+    @pytest.mark.parametrize(
+        "p, k, n", [(3, 2, 1), (3, 4, 12), (5, 5, 20), (8, 3, 40), (12, 6, 200)]
+    )
+    def test_eb_star_improves_on_eb_at_every_statistic(self, p, k, n):
+        # EB* is EB plus a capped zero-shrink of the pooled mean, and EB's phi
+        # depends on f alone, so UER(EB*) - UER(EB) is uer's zero-shrink block
+        # alone: shrinking the pooled mean lowers the risk estimate pointwise.
+        grid = np.logspace(-4.0, 5.0, 300)
+        f, g = np.meshgrid(grid, grid)
+        s = np.ones_like(f)
+
+        def risk_estimate(sf):
+            factors = ("phi", "psi") + ShrinkageFunctions.PARTIALS
+            return uer(UerInputs(
+                f_stat=f, g_stat=g, scale_sum=s, p=p, k=k, n=n, trace_sum=float(p * k),
+                **{name: getattr(sf, name)(f, g, s) for name in factors},
+            ))
+
+        eb, eb_star = eb_members(p, k, n)
+        assert np.max(risk_estimate(eb_star) - risk_estimate(eb)) < 0.0
 
     def test_rejects_nonpositive_statistics(self):
         with pytest.raises(ValueError, match="strictly positive"):
