@@ -39,7 +39,6 @@ from .estimators import (
     estimate_pt_star,
 )
 from .risk import (
-    UerInputs,
     check_hb1_conditions,
     check_hb2_conditions,
     loss,
@@ -91,7 +90,6 @@ __all__ = [
     "estimate_hb1",
     "estimate_hb2",
     "estimate_general",
-    "UerInputs",
     "loss",
     "uer",
     "check_hb1_conditions",

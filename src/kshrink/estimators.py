@@ -101,11 +101,13 @@ class ShrinkageFunctions:
     """A member of the general double-shrinkage class.
 
     phi and psi take (residual_stat, pooled_norm_stat, scale_sum) and return
-    the two shrink factors. The partial derivatives (same signature) feed
-    the unbiased risk estimator: estimating needs only phi and psi, but
-    montecarlo.validate_uer rejects a member that lacks any of the six, and
-    there is no finite-difference fallback. All callables must accept
-    ndarray inputs elementwise. EB and EB* are members (eb_members).
+    the two shrink factors. The partial derivatives (same signature) are
+    read only by risk.uer, which takes the member itself and evaluates all
+    eight functions once per risk estimate: estimating needs only phi and
+    psi, but risk.uer and montecarlo.validate_uer reject a member that
+    lacks any of the six, and there is no finite-difference fallback. All
+    callables must accept ndarray inputs elementwise. EB and EB* are
+    members (eb_members).
     """
 
     phi: Callable
@@ -117,7 +119,7 @@ class ShrinkageFunctions:
     psi_g: Callable | None = None
     psi_s: Callable | None = None
 
-    # The six partial derivatives, in the order UerInputs takes them.
+    # The six partial derivatives: of phi, then of psi, each by f, g and s.
     PARTIALS: ClassVar[tuple[str, ...]] = ("phi_f", "phi_g", "phi_s", "psi_f", "psi_g", "psi_s")
 
     def missing_partials(self) -> tuple[str, ...]:

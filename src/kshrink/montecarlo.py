@@ -84,7 +84,7 @@ from .model import (
 )
 # Unused here; kept because perfbench/spans.py traces them as attributes of this module.
 from .numerics import f_quantile, hb1_shrink_ratio, hb2_shrink_ratios  # noqa: F401
-from .risk import UerInputs, loss, prial, uer
+from .risk import loss, prial, uer
 
 __all__ = [
     "MeanConfig",
@@ -464,8 +464,13 @@ def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (pairwise-sum) means and standard errors along the last axis."""
     r = values.shape[-1]
     mean = np.sum(values, axis=-1) / r
-    var = np.sum((values - mean[..., None]) ** 2, axis=-1) / (r - 1)
-    return mean, np.sqrt(var / r)
+    dev = values - mean[..., None]
+    # Squared deviations near 1e-200 underflow to 0 (near 1e200 they
+    # overflow), so square them scaled by a power of two, which is exact.
+    _, exponent = np.frexp(np.max(np.abs(dev), axis=-1, keepdims=True))
+    np.ldexp(dev, -exponent, out=dev)
+    var = np.sum(np.square(dev, out=dev), axis=-1) / (r - 1)
+    return mean, np.ldexp(np.sqrt(var / r), exponent[..., 0])
 
 
 def run_experiment(cfg: ExperimentConfig) -> RiskTable:
@@ -631,7 +636,9 @@ def validate_uer(
     point is summarized once per block of replicates and every member runs
     on that block; the blocks go through the harness's block loop in order,
     one at a time (cfg.threads is not used), so results do not depend on
-    the block size. Check i compares the per-replicate unbiased risk
+    the block size. A block keeps only f, g, s and each member's loss;
+    risk.uer evaluates a member's factors once per check, on the rows
+    joined over all blocks. Check i compares the per-replicate unbiased risk
     estimate (lhs) with the realized loss (rhs) at truth point i and is
     named point-i. Every member must carry all six partial derivatives of
     its factors; there is no numerical fallback. No member, no truth
@@ -654,47 +661,28 @@ def validate_uer(
             )
     chol = np.linalg.cholesky(cfg.v)
 
-    # Rows of a point's per-replicate values: f, g, s, then for each member
-    # its loss and the eight factor values and derivatives UerInputs takes;
-    # uer then runs once per check, on the rows joined over all blocks.
-    factor_rows = ("phi", "psi") + ShrinkageFunctions.PARTIALS
-    per_member = 1 + len(factor_rows)
-
+    # Rows of a point's per-replicate values: f, g, s, then each member's
+    # loss; uer then runs once per check, on the rows joined over all blocks.
     def point_checks(pi: int, truth: TrueParameters) -> list[PairedCheck]:
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
             u, us = _replicate_uniforms(cfg.seed, (_NS_UER, pi), r0, r1, cfg.k, cfg.p)
             x, s = _draw(truth, chol, cfg.n, u, us)
             batch = _summarize(setting, x, s, lambda i: (f"truth point {pi}", r0 + i))
-            f, g = floored_statistics(batch)
-            out = np.empty((3 + per_member * len(members), r1 - r0))
-            out[0], out[1], out[2] = f, g, s
+            out = np.empty((3 + len(members), r1 - r0))
+            out[0], out[1] = floored_statistics(batch)
+            out[2] = s
             for mi, sf in enumerate(members):
                 mu_hat, _ = batch_general(setting, batch, sf)
-                rows = out[3 + per_member * mi : 3 + per_member * (mi + 1)]
-                rows[0] = loss(mu_hat, truth, setting.pooled.loss)
-                for i, name in enumerate(factor_rows):
-                    rows[1 + i] = getattr(sf, name)(f, g, s)
+                out[3 + mi] = loss(mu_hat, truth, setting.pooled.loss)
             return out, {}
 
-        values, _ = _blocked(
-            cfg.replicates, cfg.k * cfg.p, 1, 3 + per_member * len(members), uer_block
-        )
+        values, _ = _blocked(cfg.replicates, cfg.k * cfg.p, 1, 3 + len(members), uer_block)
         f, g, s = values[:3]
-        checks = []
-        for mi in range(len(members)):
-            losses, *factors = values[3 + per_member * mi : 3 + per_member * (mi + 1)]
-            inputs = UerInputs(
-                f_stat=f,
-                g_stat=g,
-                scale_sum=s,
-                p=cfg.p,
-                k=cfg.k,
-                n=cfg.n,
-                trace_sum=setting.pooled.trace_sum,
-                **dict(zip(factor_rows, factors)),
-            )
-            checks.append(_paired_check(f"point-{pi}", np.asarray(uer(inputs)), losses))
-        return checks
+        dims = dict(p=cfg.p, k=cfg.k, n=cfg.n, trace_sum=setting.pooled.trace_sum)
+        return [
+            _paired_check(f"point-{pi}", uer(sf, f, g, s, **dims), losses)
+            for sf, losses in zip(members, values[3:])
+        ]
 
     per_point = [point_checks(pi, truth) for pi, truth in enumerate(truth_points)]
     return tuple(

@@ -1,8 +1,10 @@
 """Loss, unbiased risk estimation, and minimaxity condition checks.
 
 The unbiased risk estimator covers the whole double-shrinkage class: given
-the two shrink factors and their six partial derivatives at the observed
-statistics, it returns a quantity whose expectation equals the risk. The
+a class member (estimators.ShrinkageFunctions) and the observed
+statistics, it evaluates the member's two shrink factors and their six
+partial derivatives there, once, and returns a quantity whose expectation
+equals the member's risk. No other code evaluates the partials. The
 condition checkers encode the sufficient minimaxity inequalities for the
 two hierarchical estimators under inverse-scale loss.
 """
@@ -14,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimateSet
+from .estimators import EstimateSet, ShrinkageFunctions
 from .model import CanonicalModel, LossSpec, TrueParameters, quad_forms
 
 __all__ = [
-    "UerInputs",
     "ConditionReport",
     "loss",
     "uer",
@@ -48,70 +49,57 @@ def loss(
     return float(out[0]) if diff.ndim == 2 else out.reshape(diff.shape[:-2])
 
 
-@dataclass(frozen=True)
-class UerInputs:
-    """Everything the unbiased risk estimator reads.
+def uer(
+    sf: ShrinkageFunctions,
+    f: float | np.ndarray,
+    g: float | np.ndarray,
+    s: float | np.ndarray,
+    *,
+    p: int,
+    k: int,
+    n: int,
+    trace_sum: float,
+) -> float | np.ndarray:
+    """Unbiased estimator of the risk of the double-shrinkage class member sf.
 
-    Statistics and factor values may be floats or equally-shaped ndarrays
-    (the estimator is written with elementwise operations throughout).
-
-    f_stat, g_stat: the two pooled statistics, strictly positive.
-    scale_sum: the pooled scale statistic.
+    f, g, s: the residual, pooled-norm and scale statistics, floats or
+        equally-shaped ndarrays, each finite and strictly positive.
     p, k, n: model dimensions and scale degrees of freedom.
     trace_sum: sum_i tr(v[i] q[i]), the risk of the unshrunk estimator.
-    phi, psi: shrink factors at (f_stat, g_stat, scale_sum).
-    phi_f, phi_g, phi_s, psi_f, psi_g, psi_s: partial derivatives of the
-        factors with respect to the three arguments, same point.
+
+    This is the one place that evaluates a member's factors phi, psi and
+    their six partial derivatives for a risk estimate: each once, at
+    (f, g, s), and each must be finite. A member that lacks a partial is
+    rejected. The expectation (over the model, at any truth) equals the
+    risk of the member's estimator. Scalar in, scalar out; ndarray
+    statistics give one value per entry.
     """
-
-    f_stat: float | np.ndarray
-    g_stat: float | np.ndarray
-    scale_sum: float | np.ndarray
-    p: int
-    k: int
-    n: int
-    trace_sum: float
-    phi: float | np.ndarray
-    psi: float | np.ndarray
-    phi_f: float | np.ndarray
-    phi_g: float | np.ndarray
-    phi_s: float | np.ndarray
-    psi_f: float | np.ndarray
-    psi_g: float | np.ndarray
-    psi_s: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("f_stat", "g_stat", "scale_sum"):
-            if np.any(np.asarray(getattr(self, name)) <= 0.0):
-                raise ValueError(f"{name} must be strictly positive")
-        for name in ("phi", "psi", "phi_f", "phi_g", "phi_s", "psi_f", "psi_g", "psi_s"):
-            if not np.all(np.isfinite(np.asarray(getattr(self, name)))):
-                raise ValueError(f"{name} must be finite")
-
-
-def uer(u: UerInputs) -> float | np.ndarray:
-    """Unbiased estimator of the risk of a double-shrinkage estimator.
-
-    Expectation (over the model, at any truth) equals the risk of the
-    class member whose factors and derivatives are supplied. Scalar in,
-    scalar out; ndarray fields give one value per entry.
-    """
-    d1 = u.p * (u.k - 1)
-    f, g, s = u.f_stat, u.g_stat, u.scale_sum
-    phi, psi = u.phi, u.psi
+    if missing := sf.missing_partials():
+        raise ValueError(f"the member lacks the partial derivatives {', '.join(missing)}")
+    for name, stat in (("f", f), ("g", g), ("s", s)):
+        stat = np.asarray(stat)
+        if not np.all((stat > 0.0) & (stat < np.inf)):
+            raise ValueError(f"statistic {name} must be finite and strictly positive")
+    names = ("phi", "psi") + sf.PARTIALS
+    values = [getattr(sf, name)(f, g, s) for name in names]
+    for name, value in zip(names, values):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+    phi, psi, phi_f, phi_g, phi_s, psi_f, psi_g, psi_s = values
+    d1 = p * (k - 1)
     mean_block = (
-        -(2.0 * (d1 - 2.0) - (u.n + 2.0) * phi) * phi / f
-        - 4.0 * u.phi_f
-        - 4.0 * phi * (f * u.phi_f + g * u.phi_g) / f
-        + 4.0 * (s * u.phi_s) * phi / f
+        -(2.0 * (d1 - 2.0) - (n + 2.0) * phi) * phi / f
+        - 4.0 * phi_f
+        - 4.0 * phi * (f * phi_f + g * phi_g) / f
+        + 4.0 * (s * phi_s) * phi / f
     )
     zero_block = (
-        -(2.0 * (u.p - 2.0) - (u.n + 2.0) * psi) * psi / g
-        - 4.0 * u.psi_g
-        - 4.0 * psi * (f * u.psi_f + g * u.psi_g) / g
-        + 4.0 * (s * u.psi_s) * psi / g
+        -(2.0 * (p - 2.0) - (n + 2.0) * psi) * psi / g
+        - 4.0 * psi_g
+        - 4.0 * psi * (f * psi_f + g * psi_g) / g
+        + 4.0 * (s * psi_s) * psi / g
     )
-    out = u.trace_sum + mean_block + zero_block
+    out = trace_sum + mean_block + zero_block
     return float(out) if np.ndim(out) == 0 else out
 
 

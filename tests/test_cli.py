@@ -410,6 +410,31 @@ class TestEstimateGoldenBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestRunGoldenBytes:
+    """table1 --output and validate stdout bytes pinned by sha256.
+
+    Both runs use their default replicate counts and seeds (validate at
+    50,000 replicates), so a bit that moves anywhere on the harness's path
+    (draws, pooled statistics, kernels, the unbiased risk estimate, the
+    standard errors or the formatting) changes a digest.
+    """
+
+    TABLE1 = "33155402449d45557ff40c4a1be25fec8fd3cc0110de1438844e7ac61263d146"
+    VALIDATE = "c393c353248c411a0eb7f7f3736c9eecc35195085a3da07fb192e198cacfeef2"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_table1_output_bytes(self, tmp_path, capsys, threads):
+        out = tmp_path / "table1.csv"
+        assert main(["table1", "--threads", threads, "--output", str(out)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TABLE1
+
+    def test_validate_stdout_bytes(self, capsys):
+        assert main(["validate", "--replicates", "50000"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.VALIDATE
+
+
 def test_start_up_imports_no_root_finder():
     # scipy.optimize is about a third of the CLI's import time, and nothing
     # in kshrink needs it; a fresh interpreter shows what start-up loads.
@@ -792,11 +817,13 @@ class TestValidate:
         assert main(["validate", "--config", bare, "--replicates", "300"]) == 0
         assert capsys.readouterr().out == from_file
 
-    @pytest.mark.parametrize("sigma2", ["1.0e+200", "1.0e+306"])
-    def test_huge_scale_checks_pass(self, tmp_path, capsys, sigma2):
-        # Past sigma2 = 1e150 the chi-square check's g^2 underflows, and at
-        # 1e306 four times the scale sum overflows in the risk estimate's
-        # scale terms; both identities hold, so every check passes.
+    @pytest.mark.parametrize("sigma2", ["1.0e-300", "1.0e-200", "1.0e+200", "1.0e+306"])
+    def test_extreme_scale_checks_pass(self, tmp_path, capsys, sigma2):
+        # Past sigma2 = 1e150 the chi-square check's g^2 underflows, at 1e306
+        # four times the scale sum overflows in the risk estimate's scale
+        # terms, and near 1e-200 the chi-square check's squared deviations
+        # underflow in its standard error; every identity holds, so every
+        # check passes.
         body = (
             f"experiment: {{p: 5, k: 5, n: 20, sigma2: {sigma2}, v: identity, "
             "q: {scaled_identity: 1.0e+100}, "

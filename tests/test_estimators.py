@@ -18,7 +18,7 @@ from pytest import approx
 
 import kshrink
 import oracles
-from kshrink import CanonicalModel, Hyperparameters, LossSpec, pooled_summary
+from kshrink import CanonicalModel, Hyperparameters, LossSpec, TrueParameters, pooled_summary
 from kshrink.estimators import (
     BATCH_ESTIMATORS,
     ESTIMATOR_ORDER,
@@ -40,7 +40,7 @@ from kshrink.estimators import (
     resolve_estimator,
 )
 from kshrink.model import PooledBatch, PooledConstants
-from kshrink.montecarlo import uer_members
+from kshrink.montecarlo import ExperimentConfig, MeanConfig, uer_members, validate_uer
 
 J = np.ones(3)
 
@@ -364,6 +364,52 @@ class TestGeneralClass:
         # validate checks the risk identity on these same objects, not on copies.
         (_, eb), (_, eb_star), _ = uer_members(3, 4, 12)
         assert (eb, eb_star) == eb_members(3, 4, 12)
+
+    @pytest.mark.parametrize("p, k, n", [(3, 4, 12), (5, 3, 20)])
+    def test_js2_is_a_class_member(self, p, k, n):
+        """JS2 is the member phi = c f/(f+g), psi = c g/(f+g), c = (pk-2)/(n+2).
+
+        phi/f = psi/g = c/(f+g), and under inverse-scale loss (f + g) s is
+        x's squared norm in the inv(v) metric, so the member keeps JS2's one
+        fraction of every group. Only inverse-scale loss is compared: JS2
+        applies no direction maps, while the class's shrink terms act
+        through them, so under any other q the two estimators differ.
+        """
+        c = (p * k - 2.0) / (n + 2.0)
+
+        d = lambda f, g: c / (f + g) ** 2
+        zero = lambda f, g, s: np.zeros_like(np.asarray(f, dtype=float))
+        js2 = ShrinkageFunctions(
+            phi=lambda f, g, s: c * f / (f + g),
+            psi=lambda f, g, s: c * g / (f + g),
+            phi_f=lambda f, g, s: g * d(f, g),
+            phi_g=lambda f, g, s: -f * d(f, g),
+            phi_s=zero,
+            psi_f=lambda f, g, s: -g * d(f, g),
+            psi_g=lambda f, g, s: f * d(f, g),
+            psi_s=zero,
+        )
+        rng = np.random.default_rng(p * k)
+        for _ in range(5):
+            model = random_model(rng, p, k, n)
+            assert np.any(model.v[:, 0, 1] != 0.0)
+            ls = LossSpec.inverse_v(model)
+            ps = pooled_summary(model, ls)
+            want = estimate_js2(model, ls, ps).mu_hat
+            got = estimate_general(model, ls, js2, ps).mu_hat
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # The unbiased risk estimate of the member matches its Monte Carlo
+        # loss. (At 4000 replicates the zero mean of (3, 4, 12) reads 3.1
+        # standard errors, a tail event of the first draws: 1.7 at 20000.)
+        means = (np.zeros((k, p)), rng.normal(size=(k, p)))
+        cfg = ExperimentConfig(
+            p=p, k=k, n=n, sigma2=2.0, v=model.v,
+            mean_configs=tuple(MeanConfig(f"m{i}", mu) for i, mu in enumerate(means)),
+            replicates=20000,
+        )
+        points = [TrueParameters(mu=mu, sigma2=cfg.sigma2) for mu in means]
+        (report,) = validate_uer(cfg, [js2], points)
+        assert report.passed
 
     def test_zero_functions_reproduce_observations(self, d0):
         model, ls, ps = d0

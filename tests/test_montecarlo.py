@@ -865,6 +865,24 @@ class TestUerMembers:
                 assert got == approx(fd, abs=1e-6)
 
 
+class TestMeanSe:
+    @pytest.mark.parametrize("power", [-1000, -700, 0, 700, 960])
+    def test_power_of_two_scale_moves_no_bit(self, power):
+        # Deviations near 2^-700 square below the smallest double and near
+        # 2^700 above the largest; the standard error scales exactly anyway.
+        values = np.random.default_rng(3).normal(1.0, 0.25, size=(2, 3, 500))
+        mean, se = montecarlo._mean_se(values)
+        scaled_mean, scaled_se = montecarlo._mean_se(np.ldexp(values, power))
+        assert np.array_equal(scaled_mean, np.ldexp(mean, power))
+        assert np.array_equal(scaled_se, np.ldexp(se, power))
+        assert np.all(se > 0.0)
+
+    def test_constant_and_nan_rows(self):
+        mean, se = montecarlo._mean_se(np.array([[2.0, 2.0, 2.0], [1.0, np.nan, 3.0]]))
+        assert mean[0] == 2.0 and se[0] == 0.0
+        assert np.isnan(mean[1]) and np.isnan(se[1])
+
+
 BENCH_CFG = ExperimentConfig.benchmark()
 
 
@@ -1025,9 +1043,10 @@ class TestValidateUer:
         assert max(calls) <= rows
 
     def test_memory_grows_only_by_the_kept_values(self, cfg):
-        # Per replicate, a point keeps f, g, s and each member's loss and
-        # eight factor values and derivatives until its one uer call per
-        # member; everything else lives for one block.
+        # Per replicate, a point keeps f, g, s and each member's loss until
+        # its uer calls, one member at a time, each holding that member's
+        # eight factors and the formula's temporaries (under 16 rows);
+        # everything else lives for one block.
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
         points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
         validate_uer(replace(cfg, replicates=300), members, points)  # warm caches
@@ -1039,7 +1058,7 @@ class TestValidateUer:
                 peaks[replicates] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        kept = (3 + 9 * len(members)) * 8 * (20480 - 2560)
+        kept = (3 + len(members) + 16) * 8 * (20480 - 2560)
         assert peaks[20480] - peaks[2560] <= 1.25 * kept
 
 

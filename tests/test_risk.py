@@ -1,7 +1,5 @@
 """Loss, the unbiased risk estimator, conditions, and the improvement scale."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from pytest import approx
@@ -10,7 +8,6 @@ from kshrink import (
     CanonicalModel,
     LossSpec,
     TrueParameters,
-    UerInputs,
     check_hb1_conditions,
     check_hb2_conditions,
     loss,
@@ -107,29 +104,32 @@ class TestLoss:
             loss(model.x, truth, ls)
 
 
-def constant_inputs(phi, psi, f=1.0, g=1.0, trace=25.0):
-    return UerInputs(
-        f_stat=f, g_stat=g, scale_sum=10.0,
-        p=5, k=5, n=20, trace_sum=trace,
-        phi=phi, psi=psi,
-        phi_f=0.0, phi_g=0.0, phi_s=0.0,
-        psi_f=0.0, psi_g=0.0, psi_s=0.0,
+def constant_member(phi=0.0, psi=0.0, **partials):
+    """Constant factors phi and psi; partials are zero unless given."""
+    values = {"phi": phi, "psi": psi, **dict.fromkeys(ShrinkageFunctions.PARTIALS, 0.0)}
+    values.update(partials)
+    return ShrinkageFunctions(
+        **{name: (lambda f, g, s, value=value: value) for name, value in values.items()}
     )
+
+
+def uer_at(sf, f=1.0, g=1.0, s=10.0, trace=25.0):
+    return uer(sf, f, g, s, p=5, k=5, n=20, trace_sum=trace)
 
 
 class TestUer:
     def test_no_shrink_returns_trace(self):
-        assert uer(constant_inputs(0.0, 0.0)) == approx(25.0)
+        assert uer_at(constant_member()) == approx(25.0)
 
     def test_constant_mean_shrink_anchor(self):
         # phi = 18/22 at F = 1 removes (36 - 18) * 18/22 from the trace:
         # 25 - 324/22.
-        got = uer(constant_inputs(18.0 / 22.0, 0.0))
+        got = uer_at(constant_member(18.0 / 22.0, 0.0))
         assert got == approx(10.272727272727272, abs=1e-12)
 
     def test_constant_zero_shrink_anchor(self):
         # The mirrored case psi = 3/22 at G = 1 removes (6 - 3) * 3/22.
-        got = uer(constant_inputs(0.0, 3.0 / 22.0))
+        got = uer_at(constant_member(0.0, 3.0 / 22.0))
         assert got == approx(24.59090909090909, abs=1e-12)
 
     def test_vectorized_matches_scalar_loop(self):
@@ -137,33 +137,26 @@ class TestUer:
         f = rng.uniform(0.2, 3.0, size=6)
         g = rng.uniform(0.2, 3.0, size=6)
         s = rng.uniform(5.0, 20.0, size=6)
-        phi = 0.3 * f / (1.0 + f)
-        psi = 0.1 * g / (1.0 + g)
-        phi_f = 0.3 / (1.0 + f) ** 2
-        psi_g = 0.1 / (1.0 + g) ** 2
-        zeros = np.zeros(6)
-        batch = UerInputs(
-            f_stat=f, g_stat=g, scale_sum=s, p=5, k=5, n=20, trace_sum=25.0,
-            phi=phi, psi=psi, phi_f=phi_f, phi_g=zeros, phi_s=zeros,
-            psi_f=zeros, psi_g=psi_g, psi_s=zeros,
+        zero = lambda f, g, s: 0.0
+        sf = ShrinkageFunctions(
+            phi=lambda f, g, s: 0.3 * f / (1.0 + f),
+            psi=lambda f, g, s: 0.1 * g / (1.0 + g),
+            phi_f=lambda f, g, s: 0.3 / (1.0 + f) ** 2,
+            phi_g=zero, phi_s=zero, psi_f=zero,
+            psi_g=lambda f, g, s: 0.1 / (1.0 + g) ** 2,
+            psi_s=zero,
         )
-        got = uer(batch)
+        got = uer_at(sf, f, g, s)
         for i in range(6):
-            one = UerInputs(
-                f_stat=float(f[i]), g_stat=float(g[i]), scale_sum=float(s[i]),
-                p=5, k=5, n=20, trace_sum=25.0,
-                phi=float(phi[i]), psi=float(psi[i]),
-                phi_f=float(phi_f[i]), phi_g=0.0, phi_s=0.0,
-                psi_f=0.0, psi_g=float(psi_g[i]), psi_s=0.0,
-            )
-            assert got[i] == approx(uer(one), rel=1e-14)
+            one = uer_at(sf, float(f[i]), float(g[i]), float(s[i]))
+            assert type(one) is float
+            assert got[i] == approx(one, rel=1e-14)
 
     def test_huge_scale_with_zero_scale_partials(self):
         # 4 s phi passes the float range at s = 1e308, but s phi_s = 0: the
         # scale terms vanish as they do at any s.
-        inputs = constant_inputs(18.0 / 22.0, 3.0 / 22.0)
-        huge = dataclasses.replace(inputs, scale_sum=1e308)
-        assert uer(huge) == uer(inputs)
+        sf = constant_member(18.0 / 22.0, 3.0 / 22.0)
+        assert uer_at(sf, s=1e308) == uer_at(sf)
 
     @pytest.mark.parametrize(
         "p, k, n", [(3, 2, 1), (3, 4, 12), (5, 5, 20), (8, 3, 40), (12, 6, 200)]
@@ -177,27 +170,39 @@ class TestUer:
         s = np.ones_like(f)
 
         def risk_estimate(sf):
-            factors = ("phi", "psi") + ShrinkageFunctions.PARTIALS
-            return uer(UerInputs(
-                f_stat=f, g_stat=g, scale_sum=s, p=p, k=k, n=n, trace_sum=float(p * k),
-                **{name: getattr(sf, name)(f, g, s) for name in factors},
-            ))
+            return uer(sf, f, g, s, p=p, k=k, n=n, trace_sum=float(p * k))
 
         eb, eb_star = eb_members(p, k, n)
         assert np.max(risk_estimate(eb_star) - risk_estimate(eb)) < 0.0
 
-    def test_rejects_nonpositive_statistics(self):
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("stat", ["f", "g", "s"])
+    def test_rejects_nonpositive_statistics(self, stat, value):
+        # NaN and inf are rejected too: a NaN statistic would pass a bare
+        # "<= 0" test and give a NaN risk estimate.
+        sf = constant_member()
+        good = {"f": 1.0, "g": 1.0, "s": 10.0}
+        with pytest.raises(ValueError, match=f"^statistic {stat} must be .*strictly positive$"):
+            uer_at(sf, **{**good, stat: value})
+        # One bad entry among good ones is enough.
+        arrays = {name: np.full(3, entry) for name, entry in good.items()}
+        arrays[stat][1] = value
         with pytest.raises(ValueError, match="strictly positive"):
-            constant_inputs(0.0, 0.0, f=0.0)
+            uer_at(sf, **arrays)
 
-    def test_rejects_non_finite_factors(self):
-        with pytest.raises(ValueError, match="finite"):
-            UerInputs(
-                f_stat=1.0, g_stat=1.0, scale_sum=1.0, p=5, k=5, n=20,
-                trace_sum=25.0, phi=np.nan, psi=0.0,
-                phi_f=0.0, phi_g=0.0, phi_s=0.0,
-                psi_f=0.0, psi_g=0.0, psi_s=0.0,
-            )
+    @pytest.mark.parametrize("name", ("phi", "psi") + ShrinkageFunctions.PARTIALS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_factors(self, name, value):
+        sf = constant_member(**{name: value})
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            uer_at(sf)
+
+    def test_rejects_member_without_partials(self):
+        zero = lambda f, g, s: 0.0
+        with pytest.raises(
+            ValueError, match="lacks the partial derivatives phi_s, psi_f, psi_g, psi_s$"
+        ):
+            uer_at(ShrinkageFunctions(phi=zero, psi=zero, phi_f=zero, phi_g=zero))
 
 
 class TestHb1Conditions:
