@@ -8,9 +8,9 @@ Subcommands::
     kshrink check-conditions  report the minimaxity margins
     kshrink validate          Monte Carlo self-checks (identities, risk)
 
-Exit codes: 0 success, 1 a statistical check failed, 2 bad input
-(config, dataset, arguments), 3 estimate could run none of its
-estimators (it skips each one whose preconditions fail).
+Exit codes: 0 success, 1 a statistical check failed, 2 bad input (config,
+dataset, arguments, counts too large for memory), 3 estimate could run
+none of its estimators (it skips each one whose preconditions fail).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .config import (
     parse_hyper,
 )
 from .datasets import ParseError, quote_cell, read_ksample_csv, read_regression_csv
-from .estimators import ESTIMATORS, PreconditionError, ReplicateError
+from .estimators import ESTIMATORS, PreconditionError, ReplicateError, eb_member
 from .model import (
     LossSpec,
     TrueParameters,
@@ -181,7 +181,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     points = [
         TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in picks
     ]
-    members = uer_members(cfg.p, cfg.k, cfg.n)
+    # EB's and EB*'s members are checked only where their kernels run.
+    pooled, unchecked = cfg.validate().pooled, {}
+    for name, star in (("mean-shrink", False), ("double-shrink", True)):
+        try:
+            eb_member(pooled, star)
+        except PreconditionError as exc:
+            unchecked[name] = str(exc)
+    members = [m for m in uer_members(cfg.p, cfg.k, cfg.n) if m[0] not in unchecked]
     reports = validate_uer(cfg, [sf for _, sf in members], points)
     for (member_name, _), report in zip(members, reports):
         labelled += [
@@ -195,6 +202,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"{'pass' if check.passed else 'FAIL'}"
         for label, check in labelled
     ]
+    lines += [f"skipped risk-estimate {name}: {msg}" for name, msg in unchecked.items()]
     ok = all(check.passed for _, check in labelled)
     lines.append("all checks passed" if ok else "SOME CHECKS FAILED")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -256,8 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -14,8 +14,8 @@ estimates. The single-shot estimate_* functions run it on the one-row
 batch of pooled_summary, which a caller may pass in so that several
 estimators share it; the Monte Carlo harness runs it on blocks of
 replicates. EB and EB* are class members (ShrinkageFunctions) built by
-eb_members: their kernels run batch_general over them, PT* takes EB*'s psi
-as its zero-shrink, and montecarlo.validate_uer checks the same objects.
+eb_members, which their kernels, PT*'s zero-shrink and validate_uer share;
+they, HB1, HB2 and estimate_general return through one shrink step, _shrink.
 
 Estimators raise PreconditionError when the model falls outside their
 domain (dimension too small for the shrink constants to be positive, or a
@@ -281,19 +281,22 @@ def batch_pt_star(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": zero_shrink}
 
 
+def eb_member(c: PooledConstants, star: bool) -> ShrinkageFunctions:
+    """EB's member, or EB*'s if star, where its kernel runs; PreconditionError elsewhere."""
+    if star:
+        _need_zero_shrink(c)
+    _need_mean_shrink(c)
+    return eb_members(c.p, c.k, c.n)[star]
+
+
 def batch_eb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     """Empirical shrink toward the pooled mean with a capped factor (eb_members)."""
-    c = st.pooled
-    _need_mean_shrink(c)
-    return batch_general(st, b, eb_members(c.p, c.k, c.n)[0])
+    return batch_general(st, b, eb_member(st.pooled, star=False))
 
 
 def batch_eb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     """The capped empirical shrink plus a capped zero-shrink of the pooled mean."""
-    c = st.pooled
-    _need_zero_shrink(c)
-    _need_mean_shrink(c)
-    return batch_general(st, b, eb_members(c.p, c.k, c.n)[1])
+    return batch_general(st, b, eb_member(st.pooled, star=True))
 
 
 def batch_hb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
@@ -308,8 +311,7 @@ def batch_hb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
         ratio = hb1_shrink_ratio(b.residual_stat, c.p, c.k, c.n, h.a, h.c, c.loss.eig_floor)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
-    mu_hat = b.x - ratio[:, None, None] * b.toward_pooled
-    return mu_hat, {"residual_stat": b.residual_stat, "mean_shrink": ratio}
+    return _shrink(b, ratio)
 
 
 def batch_hb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
@@ -325,17 +327,7 @@ def batch_hb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
         )
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
-    mu_hat = (
-        b.x
-        - phi[:, None, None] * b.toward_pooled
-        - psi[:, None, None] * b.toward_zero
-    )
-    return mu_hat, {
-        "residual_stat": b.residual_stat,
-        "pooled_norm_stat": b.pooled_norm_stat,
-        "mean_shrink": phi,
-        "zero_shrink": psi,
-    }
+    return _shrink(b, phi, psi)
 
 
 def floored_statistics(b: PooledBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -349,17 +341,23 @@ def floored_statistics(b: PooledBatch) -> tuple[np.ndarray, np.ndarray]:
 def batch_general(st: EstimatorSetting, b: PooledBatch, sf: ShrinkageFunctions) -> BatchResult:
     """Member sf's estimates, as estimate_general gives them, on a batch.
 
-    Diagnostics: residual_stat, mean_shrink = phi/f and, unless psi is EB's
-    zero factor, pooled_norm_stat and zero_shrink = psi/g.
+    x_i - (phi/f) d_i (x_i - pooled) - (psi/g) d_i pooled with the direction
+    maps d_i: the shrink step, with no zero-shrink when psi is EB's zero
+    factor. f and g are floored at DEGENERATE_STAT before dividing, so
+    members whose factors vanish there (all the built-ins) stay well-defined.
     """
     f, g = floored_statistics(b)
-    mean_shrink = np.asarray(sf.phi(f, g, b.s), dtype=float) / f
+    zero_shrink = None if sf.psi is _zero else np.asarray(sf.psi(f, g, b.s), dtype=float) / g
+    return _shrink(b, np.asarray(sf.phi(f, g, b.s), dtype=float) / f, zero_shrink)
+
+
+def _shrink(b: PooledBatch, mean_shrink: np.ndarray, zero_shrink=None) -> BatchResult:
+    """The one shrink step of EB, EB*, HB1, HB2 and every class member (batch_general)."""
     mu_hat = b.x - mean_shrink[:, None, None] * b.toward_pooled
     diags = {"residual_stat": b.residual_stat, "mean_shrink": mean_shrink}
-    if sf.psi is _zero:
+    if zero_shrink is None:
         return mu_hat, diags
-    zero_shrink = np.asarray(sf.psi(f, g, b.s), dtype=float) / g
-    mu_hat = mu_hat - zero_shrink[:, None, None] * b.toward_zero
+    mu_hat -= zero_shrink[:, None, None] * b.toward_zero
     return mu_hat, {**diags, "pooled_norm_stat": b.pooled_norm_stat, "zero_shrink": zero_shrink}
 
 
@@ -430,13 +428,7 @@ def estimate_general(
     sf: ShrinkageFunctions,
     summary: PooledBatch | None = None,
 ) -> EstimateSet:
-    """Any member of the double-shrinkage class.
-
-    Applies x_i - (phi/f) d_i (x_i - pooled) - (psi/g) d_i pooled with the
-    direction maps d_i. Statistics below DEGENERATE_STAT are floored before
-    dividing, so members whose factors vanish there (all the built-ins)
-    stay well-defined.
-    """
+    """Any member of the double-shrinkage class: batch_general on the one-row batch."""
     return _single(lambda st, b: batch_general(st, b, sf), model, ls, summary, None)
 
 

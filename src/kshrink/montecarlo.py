@@ -425,25 +425,25 @@ def _blocked(
     """Run block(r0, r1) over rows 0 .. count-1, width values per row.
 
     A block has max(1, _BLOCK_VALUES // width) rows; the last one may be
-    shorter. A caller's row may stand for a replicate of one stream or, as
-    in run_experiment, for a (configuration, replicate) pair. Each block
-    returns its (rows, r1 - r0) values and a dict of messages. The values
-    are joined in row order into one (rows, count) array, and the first
-    message per key is kept, so neither depends on the block length or the
-    thread count. With threads > 1 one pool runs every block.
+    shorter. Each block returns its (rows, r1 - r0) values and a dict of
+    messages. The values are joined in row order into one (rows, count)
+    array, allocated first so that a count past memory fails before any
+    block runs, and the first message per key is kept, so neither depends
+    on the block length or the thread count. With threads > 1 one pool
+    runs every block.
     """
+    values = np.empty((rows, count))
     step = max(1, _BLOCK_VALUES // width)
-    blocks = [(r0, min(r0 + step, count)) for r0 in range(0, count, step)]
+    starts = range(0, count, step)
+    ends = (min(r0 + step, count) for r0 in starts)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(block, r0, r1) for r0, r1 in blocks]
-            results = [fut.result() for fut in futures]
+            results = list(pool.map(block, starts, ends))
     else:
-        results = (block(r0, r1) for r0, r1 in blocks)
-    values = np.empty((rows, count))
+        results = map(block, starts, ends)
     errors: dict = {}
-    for (r0, r1), (block_values, block_errors) in zip(blocks, results):
-        values[:, r0:r1] = block_values
+    for r0, (block_values, block_errors) in zip(starts, results):
+        values[:, r0 : r0 + step] = block_values
         for key, msg in block_errors.items():
             errors.setdefault(key, msg)  # blocks in row order: the first is the lowest
     return values, errors

@@ -1,12 +1,13 @@
 """Loss, unbiased risk estimation, and minimaxity condition checks.
 
 The unbiased risk estimator covers the whole double-shrinkage class: given
-a class member (estimators.ShrinkageFunctions) and the observed
-statistics, it evaluates the member's two shrink factors and their six
-partial derivatives there, once, and returns a quantity whose expectation
-equals the member's risk. No other code evaluates the partials. The
-condition checkers encode the sufficient minimaxity inequalities for the
-two hierarchical estimators under inverse-scale loss.
+a class member (estimators.ShrinkageFunctions) and the observed statistics,
+it evaluates the member's two shrink factors and their six partial
+derivatives there, once, and returns a quantity whose expectation equals
+the member's risk: one term per factor, evaluated one term at a time. No
+other code evaluates the partials. The condition checkers encode the
+sufficient minimaxity inequalities of the hierarchical estimators under
+inverse-scale loss, one linear constraint per shrink.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ def uer(
     This is the one place that evaluates a member's factors phi, psi and
     their six partial derivatives for a risk estimate: each once, at
     (f, g, s), and each must be finite. A member that lacks a partial is
-    rejected. The expectation (over the model, at any truth) equals the
-    risk of the member's estimator. Scalar in, scalar out; ndarray
-    statistics give one value per entry.
+    rejected. It is trace_sum plus phi's, then psi's _uer_term (one factor's
+    functions at a time), whose expectation at any truth is the member's
+    risk. Scalar in, scalar out; ndarray statistics give one value each.
     """
     if missing := sf.missing_partials():
         raise ValueError(f"the member lacks the partial derivatives {', '.join(missing)}")
@@ -80,27 +81,29 @@ def uer(
         stat = np.asarray(stat)
         if not np.all((stat > 0.0) & (stat < np.inf)):
             raise ValueError(f"statistic {name} must be finite and strictly positive")
-    names = ("phi", "psi") + sf.PARTIALS
+    out = trace_sum + _uer_term(sf, "phi", 0, p * (k - 1), n, f, g, s)
+    out += _uer_term(sf, "psi", 1, p, n, f, g, s)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _uer_term(sf: ShrinkageFunctions, factor: str, own: int, d: int, n: int, f, g, s):
+    """The term of factor h (phi or psi), dimension d, own statistic u = (f, g, s)[own]:
+
+    -(2(d-2) - (n+2) h) h/u - 4 h_u - 4 h (f h_f + g h_g)/u + 4 (s h_s) h/u.
+    """
+    names = (factor, f"{factor}_f", f"{factor}_g", f"{factor}_s")
     values = [getattr(sf, name)(f, g, s) for name in names]
     for name, value in zip(names, values):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
-    phi, psi, phi_f, phi_g, phi_s, psi_f, psi_g, psi_s = values
-    d1 = p * (k - 1)
-    mean_block = (
-        -(2.0 * (d1 - 2.0) - (n + 2.0) * phi) * phi / f
-        - 4.0 * phi_f
-        - 4.0 * phi * (f * phi_f + g * phi_g) / f
-        + 4.0 * (s * phi_s) * phi / f
+    h, h_f, h_g, h_s = values
+    u, h_u = (f, g, s)[own], values[1 + own]
+    return (
+        -(2.0 * (d - 2.0) - (n + 2.0) * h) * h / u
+        - 4.0 * h_u
+        - 4.0 * h * (f * h_f + g * h_g) / u
+        + 4.0 * (s * h_s) * h / u
     )
-    zero_block = (
-        -(2.0 * (p - 2.0) - (n + 2.0) * psi) * psi / g
-        - 4.0 * psi_g
-        - 4.0 * psi * (f * psi_f + g * psi_g) / g
-        + 4.0 * (s * psi_s) * psi / g
-    )
-    out = trace_sum + mean_block + zero_block
-    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -119,21 +122,23 @@ class ConditionReport:
     proper_prior: bool | None = None
 
 
-def check_hb1_conditions(
-    a: float, c: float, p: int, k: int, n: int
-) -> ConditionReport:
+def _minimax_constraint(d: int, own: float, rest: float, n: int) -> tuple[float, float]:
+    """lhs, rhs of (2d + n - 2) own + 2 (d - 2) rest <= d (n - 2)/2 - 2n, one per shrink."""
+    return (2.0 * d + n - 2.0) * own + 2.0 * (d - 2.0) * rest, 0.5 * d * (n - 2.0) - 2.0 * n
+
+
+def check_hb1_conditions(a: float, c: float, p: int, k: int, n: int) -> ConditionReport:
     """Sufficient conditions for the residual-shrink hierarchical estimator.
 
     Requires p(k-1) >= 3, a + c < n/2, and the linear constraint
-    (2p(k-1) + n - 2) a + 2 (p(k-1) - 2) c <= (n-2) p(k-1)/2 - 2n.
-    The stricter n/2 bound on a + c is the one enforced; the margin
-    against (n+2)/2 is also reported for reference.
+    (_minimax_constraint) at d = p(k-1), own = a, rest = c. The stricter
+    n/2 bound on a + c is the one enforced; the margin against (n+2)/2 is
+    also reported for reference.
     """
     d1 = p * (k - 1)
     dim_margin = float(d1 - 3)
     ac_margin = 0.5 * n - (a + c)
-    lhs = (2.0 * d1 + n - 2.0) * a + 2.0 * (d1 - 2.0) * c
-    rhs = 0.5 * (n - 2.0) * d1 - 2.0 * n
+    lhs, rhs = _minimax_constraint(d1, a, c, n)
     margins = {
         "dimension": dim_margin,
         "a_plus_c": ac_margin,
@@ -146,26 +151,20 @@ def check_hb1_conditions(
     return ConditionReport(minimax=bool(ok), margins=margins)
 
 
-def check_hb2_conditions(
-    a: float, b: float, c: float, p: int, k: int, n: int
-) -> ConditionReport:
+def check_hb2_conditions(a: float, b: float, c: float, p: int, k: int, n: int) -> ConditionReport:
     """Sufficient conditions for the joint hierarchical estimator.
 
     Requires p(k-1) >= 3 and p >= 3, a + b + c < n/2, and two linear
-    constraints: one bounding the shrink toward the pooled mean,
-    (2p(k-1) + n - 2) a + 2 (p(k-1) - 2)(b + c) <= p(k-1)(n-2)/2 - 2n,
-    and one bounding the zero-shrink of the pooled mean,
-    (2p + n - 2) b + 2 (p - 2)(a + c) <= p(n-2)/2 - 2n.
-    Also reports whether the hyperparameters give a proper prior
-    (a > 0, b > 0, c > 1), which is informational, not part of minimax.
+    constraints (_minimax_constraint): the shrink toward the pooled mean
+    at (p(k-1), a, b + c) and the zero-shrink of the pooled mean at
+    (p, b, a + c). Also reports whether the hyperparameters give a proper
+    prior (a > 0, b > 0, c > 1), which is informational, not part of minimax.
     """
     d1 = p * (k - 1)
     dim_margin = float(min(d1 - 3, p - 3))
     abc_margin = 0.5 * n - (a + b + c)
-    lhs1 = (2.0 * d1 + n - 2.0) * a + 2.0 * (d1 - 2.0) * (b + c)
-    rhs1 = 0.5 * d1 * (n - 2.0) - 2.0 * n
-    lhs2 = (2.0 * p + n - 2.0) * b + 2.0 * (p - 2.0) * (a + c)
-    rhs2 = 0.5 * p * (n - 2.0) - 2.0 * n
+    lhs1, rhs1 = _minimax_constraint(d1, a, b + c, n)
+    lhs2, rhs2 = _minimax_constraint(p, b, a + c, n)
     margins = {
         "dimension": dim_margin,
         "a_plus_b_plus_c": abc_margin,

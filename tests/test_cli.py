@@ -411,7 +411,7 @@ class TestEstimateGoldenBytes:
 
 
 class TestRunGoldenBytes:
-    """table1 --output and validate stdout bytes pinned by sha256.
+    """table1 --output, validate and check-conditions stdout bytes pinned by sha256.
 
     Both runs use their default replicate counts and seeds (validate at
     50,000 replicates), so a bit that moves anywhere on the harness's path
@@ -421,6 +421,7 @@ class TestRunGoldenBytes:
 
     TABLE1 = "33155402449d45557ff40c4a1be25fec8fd3cc0110de1438844e7ac61263d146"
     VALIDATE = "c393c353248c411a0eb7f7f3736c9eecc35195085a3da07fb192e198cacfeef2"
+    CHECK_CONDITIONS = "d5a72d4cb0c775d4a4045cd835ef8c11d60086ae6448265a519a8ecd46a74f58"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_table1_output_bytes(self, tmp_path, capsys, threads):
@@ -433,6 +434,11 @@ class TestRunGoldenBytes:
         assert main(["validate", "--replicates", "50000"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.VALIDATE
+
+    def test_check_conditions_stdout_bytes(self, capsys):
+        assert main(["check-conditions"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.CHECK_CONDITIONS
 
 
 def test_start_up_imports_no_root_finder():
@@ -866,6 +872,55 @@ class TestValidate:
         assert from_threaded.err == ""
         assert from_threaded.out == capsys.readouterr().out
         assert pools == []
+
+    @pytest.mark.parametrize(
+        "p, k, skipped",
+        [
+            (1, 3, ["mean-shrink: pooled-mean shrink needs p(k-1) >= 3, got 2",
+                    "double-shrink: pooled-mean zero-shrink needs p >= 3, got p=1"]),
+            (2, 3, ["double-shrink: pooled-mean zero-shrink needs p >= 3, got p=2"]),
+        ],
+    )
+    def test_members_no_kernel_runs_are_skipped(self, tmp_path, capsys, p, k, skipped):
+        # At p = 1, EB*'s risk estimate goes as 1/g, whose mean is infinite;
+        # its check passed only on a huge standard error. A member is
+        # checked only where its EB or EB* kernel runs; "smooth" always is.
+        body = (
+            f"experiment: {{p: {p}, k: {k}, n: 20, sigma2: 1.0, v: identity, "
+            f"mean_configs: [{{name: z, scales: {[0] * k}}}]}}\n"
+        )
+        cfg = put(tmp_path, "cfg.yaml", body)
+        assert main(["validate", "--config", cfg, "--seed", "1", "--replicates", "2000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln for ln in lines if ln.startswith("skipped")] == [
+            f"skipped risk-estimate {line}" for line in skipped
+        ]
+        checked = {ln.split(" @ ")[0] for ln in lines if ln.startswith("risk-estimate")}
+        assert checked == {
+            f"risk-estimate {name}" for name in ("mean-shrink", "double-shrink", "smooth")
+        } - {f"risk-estimate {line.split(':')[0]}" for line in skipped}
+        assert lines[-1] == "all checks passed"
+
+
+# Run in a child whose address space is capped at 3 GB, so a count that
+# asks for terabytes fails at once instead of filling the machine's memory.
+def _capped_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("command", ["table1", "validate"])
+def test_replicates_too_large_for_memory_is_bad_input(command):
+    env = dict(os.environ, PYTHONPATH=str(Path(kshrink.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "kshrink.cli", command, "--replicates", "100000000000"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_capped_address_space,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert re.fullmatch(r"error: Unable to allocate [^\n]+\n", run.stderr)
 
 
 class TestNegativeSeed:

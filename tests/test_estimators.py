@@ -26,6 +26,7 @@ from kshrink.estimators import (
     EstimatorSetting,
     PreconditionError,
     ShrinkageFunctions,
+    eb_member,
     eb_members,
     estimate_eb1,
     estimate_eb2,
@@ -364,6 +365,23 @@ class TestGeneralClass:
         # validate checks the risk identity on these same objects, not on copies.
         (_, eb), (_, eb_star), _ = uer_members(3, 4, 12)
         assert (eb, eb_star) == eb_members(3, 4, 12)
+
+    @pytest.mark.parametrize("p, k", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (5, 5)])
+    def test_eb_member_refuses_where_its_kernel_does(self, p, k):
+        # validate skips the risk checks of a member where eb_member refuses,
+        # so it must refuse exactly where the kernel does, with its message.
+        model = CanonicalModel(x=np.ones((k, p)), v=np.stack([np.eye(p)] * k), s=1.0, n=20)
+        batch = pooled_summary(model, LossSpec.inverse_v(model))
+        setting = EstimatorSetting(batch.constants, Hyperparameters())
+        for name, star in (("EB", False), ("EB*", True)):
+            try:
+                BATCH_ESTIMATORS[name](setting, batch)
+            except PreconditionError as exc:
+                with pytest.raises(PreconditionError) as raised:
+                    eb_member(batch.constants, star)
+                assert str(raised.value) == str(exc)
+            else:
+                assert eb_member(batch.constants, star) is eb_members(p, k, 20)[star]
 
     @pytest.mark.parametrize("p, k, n", [(3, 4, 12), (5, 3, 20)])
     def test_js2_is_a_class_member(self, p, k, n):

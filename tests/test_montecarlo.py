@@ -1044,8 +1044,8 @@ class TestValidateUer:
 
     def test_memory_grows_only_by_the_kept_values(self, cfg):
         # Per replicate, a point keeps f, g, s and each member's loss until
-        # its uer calls, one member at a time, each holding that member's
-        # eight factors and the formula's temporaries (under 16 rows);
+        # its uer calls, one member at a time, each holding one factor's four
+        # arrays and the formula's temporaries (under 11 rows);
         # everything else lives for one block.
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
         points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
@@ -1058,7 +1058,7 @@ class TestValidateUer:
                 peaks[replicates] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        kept = (3 + len(members) + 16) * 8 * (20480 - 2560)
+        kept = (3 + len(members) + 11) * 8 * (20480 - 2560)
         assert peaks[20480] - peaks[2560] <= 1.25 * kept
 
 

@@ -1,5 +1,9 @@
 """Loss, the unbiased risk estimator, conditions, and the improvement scale."""
 
+import hashlib
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from pytest import approx
@@ -15,6 +19,7 @@ from kshrink import (
     uer,
 )
 from kshrink.estimators import EstimateSet, ShrinkageFunctions, eb_members
+from kshrink.montecarlo import uer_members
 
 
 def two_group_model():
@@ -203,6 +208,51 @@ class TestUer:
             ValueError, match="lacks the partial derivatives phi_s, psi_f, psi_g, psi_s$"
         ):
             uer_at(ShrinkageFunctions(phi=zero, psi=zero, phi_f=zero, phi_g=zero))
+
+    @pytest.mark.parametrize("index", range(3), ids=["mean-shrink", "double-shrink", "smooth"])
+    def test_transient_memory_is_one_factor_at_a_time(self, index):
+        # uer holds one factor's four arrays and its term's temporaries at a
+        # time: 10 rows of the statistics' length, measured; 11 allowed.
+        rows = 20480
+        sf = uer_members(5, 5, 20)[index][1]
+        rng = np.random.default_rng(5)
+        f, g, s = (rng.uniform(0.1, 30.0, rows) for _ in range(3))
+        uer(sf, f[:8], g[:8], s[:8], p=5, k=5, n=20, trace_sum=25.0)  # warm caches
+        tracemalloc.start()
+        try:
+            uer(sf, f, g, s, p=5, k=5, n=20, trace_sum=25.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * 8 * rows
+
+    def test_each_term_reads_its_own_statistic(self):
+        # f and g passed as one array: each term still takes its own
+        # statistic and its own partial by position (phi_f for phi, psi_g
+        # for psi), so the estimate is the one from two equal arrays.
+        f = np.array([0.5, 2.0, 9.0])
+        sf = uer_members(5, 5, 20)[2][1]
+        same = uer(sf, f, f, np.full(3, 10.0), p=5, k=5, n=20, trace_sum=25.0)
+        apart = uer(sf, f, f.copy(), np.full(3, 10.0), p=5, k=5, n=20, trace_sum=25.0)
+        assert np.array_equal(same, apart)
+
+
+class TestMinimaxMargins:
+    # 288 (a, b, c, p, k, n) points and both reports' reprs, pinned so a
+    # margin that moves in its last bit changes the digest.
+    DIGEST = "198083a0f9c108df11f9e66bbf5b286de47b729c22860a6a08a16cac6f617996"
+
+    def test_margins_are_pinned_bit_for_bit(self):
+        grid = itertools.product(
+            (0.0, 0.1, 2.5), (0.0, 0.3), (0.1, 1.5), (1, 3, 5, 12), (2, 5), (1, 20, 1000)
+        )
+        text = "".join(
+            f"{(a, b, c, p, k, n)}:{check_hb1_conditions(a, c, p, k, n)!r}"
+            f"{check_hb2_conditions(a, b, c, p, k, n)!r}\n"
+            for a, b, c, p, k, n in grid
+        )
+        assert text.count("\n") == 288
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
 
 
 class TestHb1Conditions:
