@@ -113,8 +113,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             raise ParseError(f"{args.input}: no CSV files found")
         designs, responses, labels = read_regression_csv(paths)
         model = canonicalize_regression(designs, responses)
-    q = spec.q_matrices(model.k, model.p)
-    ls = LossSpec.inverse_v(model) if q is None else LossSpec.for_model(model, q)
+    ls = LossSpec.for_model(model, spec.q_matrices(model.k, model.p))
     summary = pooled_summary(model, ls)
 
     lines = ["estimator,kind,label," + ",".join(f"v{j + 1}" for j in range(model.p))]
@@ -182,10 +181,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in picks
     ]
     # EB's and EB*'s members are checked only where their kernels run.
-    pooled, unchecked = cfg.validate().pooled, {}
+    constants, unchecked = cfg.validate(), {}
     for name, star in (("mean-shrink", False), ("double-shrink", True)):
         try:
-            eb_member(pooled, star)
+            eb_member(constants, star)
         except PreconditionError as exc:
             unchecked[name] = str(exc)
     members = [m for m in uer_members(cfg.p, cfg.k, cfg.n) if m[0] not in unchecked]

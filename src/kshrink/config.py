@@ -196,10 +196,9 @@ def parse_estimators(node: Any, where: str) -> tuple[str, ...]:
         if not isinstance(entry, str):
             raise ConfigError(f"{where}[{i}] must be a string, got {entry!r}")
         try:
-            name, _ = resolve_estimator(entry)
+            names.append(resolve_estimator(entry))
         except KeyError as exc:
             raise ConfigError(f"{where}[{i}]: {exc.args[0]}") from None
-        names.append(name)
     return tuple(dict.fromkeys(names))
 
 

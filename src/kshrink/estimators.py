@@ -9,23 +9,26 @@ v[i] @ w[i] (= inv(q[i]) inv(v[i])), which reduce to the identity under
 inverse-scale loss.
 
 Each estimator is written once, as a batch kernel (BATCH_ESTIMATORS) that
-maps an EstimatorSetting and a PooledBatch of R replicates to (R, k, p)
-estimates. The single-shot estimate_* functions run it on the one-row
-batch of pooled_summary, which a caller may pass in so that several
-estimators share it; the Monte Carlo harness runs it on blocks of
-replicates. EB and EB* are class members (ShrinkageFunctions) built by
-eb_members, which their kernels, PT*'s zero-shrink and validate_uer share;
-they, HB1, HB2 and estimate_general return through one shrink step, _shrink.
+maps the Hyperparameters and a PooledBatch of R replicates to (R, k, p)
+estimates; the batch carries the per-model constants (its PooledConstants,
+and through them the LossSpec). The single-shot estimate_* functions run
+it on the one-row batch of pooled_summary, which a caller may pass in so
+that several estimators share it; the Monte Carlo harness runs it on
+blocks of replicates. EB and EB* are class members (ShrinkageFunctions)
+built by eb_members, which their kernels, PT*'s zero-shrink and
+validate_uer share; they, HB1, HB2 and estimate_general return through one
+shrink step, _shrink.
 
 Estimators raise PreconditionError when the model falls outside their
 domain (dimension too small for the shrink constants to be positive, or a
-loss that the preliminary test cannot calibrate).
+loss that the preliminary test cannot calibrate: one not built as
+inverse-scale, LossSpec.inverse).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -55,7 +58,6 @@ __all__ = [
     "ShrinkageFunctions",
     "ESTIMATORS",
     "ESTIMATOR_ORDER",
-    "EstimatorSetting",
     "BATCH_ESTIMATORS",
     "batch_general",
     "eb_members",
@@ -126,55 +128,24 @@ class ShrinkageFunctions:
         return tuple(name for name in self.PARTIALS if getattr(self, name) is None)
 
 
-@dataclass(frozen=True)
-class EstimatorSetting:
-    """What the estimators need besides x and s, fixed per configuration.
-
-    pooled: constants of the pooled statistics.
-    hyper: tuning constants of the Bayes-motivated estimators.
-    """
-
-    pooled: PooledConstants
-    hyper: Hyperparameters
-
-    @cached_property
-    def pt_threshold(self) -> float:
-        """p(k-1)/n times the upper-alpha F(p(k-1), n) quantile, derived once.
-
-        A quantile that is not a finite positive float leaves the test
-        uncalibrated, so it raises PreconditionError.
-        """
-        c = self.pooled
-        d1 = c.p * (c.k - 1)
-        try:
-            return d1 / c.n * f_quantile(d1, c.n, self.hyper.alpha)
-        except ArithmeticError as exc:
-            raise PreconditionError(str(exc)) from exc
-
-    @cached_property
-    def hb_exponents(self) -> HbExponents:
-        c, h = self.pooled, self.hyper
-        return HbExponents.from_model(c.p, c.k, c.n, h.a, h.b, h.c)
-
-
-# A batch kernel maps (setting, batch) to (R, k, p) estimates and a dict of
+# A batch kernel maps (hyper, batch) to (R, k, p) estimates and a dict of
 # diagnostics, each an (R,) array or one value shared by every replicate.
 BatchResult = tuple[np.ndarray, dict]
 
 
-def batch_unshrunk(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+def batch_unshrunk(hyper: Hyperparameters, b: PooledBatch) -> BatchResult:
     """The observations themselves; the baseline everything is measured against."""
     return b.x, {}
 
 
-def batch_js1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+def batch_js1(hyper: Hyperparameters, b: PooledBatch) -> BatchResult:
     """Groupwise shrink toward zero, each group scaled by its own norm.
 
     Group i keeps the fraction 1 - (p-2) s / ((n+2) |x_i|^2) of its
     observation, the squared norm taken in the inv(v[i]) metric. A group at
     exactly zero is left alone.
     """
-    c = st.pooled
+    c = b.constants
     if c.p < 3:
         raise PreconditionError(f"groupwise zero-shrink needs p >= 3, got p={c.p}")
     norms2 = quad_forms(b.x, c.loss.v_inv, per_group=True)
@@ -185,9 +156,9 @@ def batch_js1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     return retained[:, :, None] * b.x, {f"retained_{i}": retained[:, i] for i in range(c.k)}
 
 
-def batch_js2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+def batch_js2(hyper: Hyperparameters, b: PooledBatch) -> BatchResult:
     """Shrink all groups toward zero by one factor pooled over groups."""
-    c = st.pooled
+    c = b.constants
     if c.p * c.k < 3:
         raise PreconditionError(f"pooled zero-shrink needs p*k >= 3, got {c.p * c.k}")
     norms2 = quad_forms(b.x, c.loss.v_inv)
@@ -198,24 +169,32 @@ def batch_js2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
     return retained[:, None, None] * b.x, {"retained": retained}
 
 
-def batch_pt(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+def batch_pt(hyper: Hyperparameters, b: PooledBatch) -> BatchResult:
     """Preliminary test: pool everything unless the equal-means test rejects.
 
     The residual statistic is compared with p(k-1)/n times the upper-alpha
     F quantile; above the threshold the observations are kept, at or below
-    it every group is replaced by the pooled mean. Requires inverse-scale
-    loss so the statistic really is the equal-means F test.
+    it every group is replaced by the pooled mean. Requires a loss built as
+    inverse-scale (LossSpec.inverse), so the statistic really is the
+    equal-means F test. A quantile that is not a finite positive float
+    leaves the test uncalibrated, so it raises PreconditionError.
     """
-    if not st.pooled.inverse_loss:
+    c = b.constants
+    if not c.loss.inverse:
         raise PreconditionError(
             "the preliminary-test estimator requires the loss weights to be the "
             "inverses of the scale matrices"
         )
-    keep = b.residual_stat > st.pt_threshold
+    d1 = c.p * (c.k - 1)
+    try:
+        threshold = d1 / c.n * f_quantile(d1, c.n, hyper.alpha)
+    except ArithmeticError as exc:
+        raise PreconditionError(str(exc)) from exc
+    keep = b.residual_stat > threshold
     mu_hat = np.where(keep[:, None, None], b.x, b.pooled_mean[:, None, :])
     return mu_hat, {
         "residual_stat": b.residual_stat,
-        "threshold": st.pt_threshold,
+        "threshold": threshold,
         "kept_separate": keep,
     }
 
@@ -266,15 +245,15 @@ def _need_zero_shrink(c: PooledConstants) -> None:
         raise PreconditionError(f"pooled-mean zero-shrink needs p >= 3, got p={c.p}")
 
 
-def batch_pt_star(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+def batch_pt_star(hyper: Hyperparameters, b: PooledBatch) -> BatchResult:
     """Preliminary test with the pooled mean itself shrunk toward zero.
 
     Whatever the test decides, EB*'s zero-shrink psi/g, capped at 1, of the
     pooled mean is removed from every group.
     """
-    c = st.pooled
+    c = b.constants
     _need_zero_shrink(c)
-    mu_hat, diags = batch_pt(st, b)
+    mu_hat, diags = batch_pt(hyper, b)
     f, g = floored_statistics(b)
     zero_shrink = eb_members(c.p, c.k, c.n)[1].psi(f, g, b.s) / g
     mu_hat = mu_hat - zero_shrink[:, None, None] * b.pooled_mean[:, None, :]
@@ -289,41 +268,43 @@ def eb_member(c: PooledConstants, star: bool) -> ShrinkageFunctions:
     return eb_members(c.p, c.k, c.n)[star]
 
 
-def batch_eb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+def batch_eb1(hyper: Hyperparameters, b: PooledBatch) -> BatchResult:
     """Empirical shrink toward the pooled mean with a capped factor (eb_members)."""
-    return batch_general(st, b, eb_member(st.pooled, star=False))
+    return batch_general(b, eb_member(b.constants, star=False))
 
 
-def batch_eb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+def batch_eb2(hyper: Hyperparameters, b: PooledBatch) -> BatchResult:
     """The capped empirical shrink plus a capped zero-shrink of the pooled mean."""
-    return batch_general(st, b, eb_member(st.pooled, star=True))
+    return batch_general(b, eb_member(b.constants, star=True))
 
 
-def batch_hb1(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+def batch_hb1(hyper: Hyperparameters, b: PooledBatch) -> BatchResult:
     """Hierarchical shrink toward the pooled mean with a smooth factor.
 
     The shrink fraction is the incomplete-beta ratio of hb1_phi divided by
     the residual statistic; it interpolates smoothly between full pooling
     at small residual and the capped empirical behavior at large residual.
     """
-    c, h = st.pooled, st.hyper
+    c = b.constants
     try:
-        ratio = hb1_shrink_ratio(b.residual_stat, c.p, c.k, c.n, h.a, h.c, c.loss.eig_floor)
+        ratio = hb1_shrink_ratio(b.residual_stat, c.p, c.k, c.n, hyper.a, hyper.c, c.loss.eig_floor)
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
     return _shrink(b, ratio)
 
 
-def batch_hb2(st: EstimatorSetting, b: PooledBatch) -> BatchResult:
+def batch_hb2(hyper: Hyperparameters, b: PooledBatch) -> BatchResult:
     """Hierarchical shrink toward the pooled mean and of the pooled mean.
 
     Both shrink fractions come from ratios of the joint truncated
     integrals (hb2_factors); they play the roles of the two capped factors
     of the empirical pair but vary smoothly with both statistics.
     """
+    c = b.constants
     try:
+        exponents = HbExponents.from_model(c.p, c.k, c.n, hyper.a, hyper.b, hyper.c)
         phi, psi = hb2_shrink_ratios(
-            b.residual_stat, b.pooled_norm_stat, b.s, st.hb_exponents, st.hyper.big_l
+            b.residual_stat, b.pooled_norm_stat, b.s, exponents, hyper.big_l
         )
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
@@ -338,7 +319,7 @@ def floored_statistics(b: PooledBatch) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def batch_general(st: EstimatorSetting, b: PooledBatch, sf: ShrinkageFunctions) -> BatchResult:
+def batch_general(b: PooledBatch, sf: ShrinkageFunctions) -> BatchResult:
     """Member sf's estimates, as estimate_general gives them, on a batch.
 
     x_i - (phi/f) d_i (x_i - pooled) - (psi/g) d_i pooled with the direction
@@ -376,7 +357,7 @@ def _single(
 ) -> EstimateSet:
     """Run a batch kernel on one model: summary is its one-row PooledBatch, the R = 1 case."""
     batch = summary if summary is not None else pooled_summary(model, ls)
-    mu_hat, diags = kernel(EstimatorSetting(batch.constants, hyper or Hyperparameters()), batch)
+    mu_hat, diags = kernel(hyper or Hyperparameters(), batch)
     return EstimateSet(mu_hat[0], {key: _first(value) for key, value in diags.items()})
 
 
@@ -429,7 +410,7 @@ def estimate_general(
     summary: PooledBatch | None = None,
 ) -> EstimateSet:
     """Any member of the double-shrinkage class: batch_general on the one-row batch."""
-    return _single(lambda st, b: batch_general(st, b, sf), model, ls, summary, None)
+    return _single(lambda hyper, b: batch_general(b, sf), model, ls, summary, None)
 
 
 _ALIASES = {"EB1": "EB", "EB2": "EB*"}
@@ -437,10 +418,10 @@ _ALIASES = {"EB1": "EB", "EB2": "EB*"}
 ESTIMATOR_ORDER = ("JS1", "JS2", "PT", "PT*", "EB", "EB*", "HB1", "HB2")
 
 
-def resolve_estimator(name: str) -> tuple[str, Callable]:
-    """Map a user-supplied estimator name (or alias) to (canonical, callable)."""
+def resolve_estimator(name: str) -> str:
+    """Map a user-supplied estimator name (or alias) to its canonical name."""
     canon = _ALIASES.get(name, name)
     if canon not in ESTIMATORS:
         known = ", ".join(list(ESTIMATORS) + list(_ALIASES))
         raise KeyError(f"unknown estimator {name!r}; known: {known}")
-    return canon, ESTIMATORS[canon]
+    return canon

@@ -164,9 +164,10 @@ def apply_maps(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """m[i] @ x[r, i] for every replicate r of x, the replicate axis first.
 
     m is a (k, p, p) stack and x is (R, k, p), or (R, p) shared by the k
-    maps; either gives (R, k, p). Or m is one (p, p) matrix and x is
-    (R, p), run as the one-group stack, giving (R, p). Every matrix map
-    over replicates is taken here, and the result is C-contiguous.
+    maps, which runs as its (R, k, p) broadcast; either gives (R, k, p).
+    Or m is one (p, p) matrix and x is (R, p), run as the one-group stack,
+    giving (R, p). Every matrix map over replicates is taken here, and the
+    result is C-contiguous.
 
     The order in which an entry's terms m[i, a, b] x[r, i, b] are added is
     fixed by p alone, so a replicate's values do not depend on how many
@@ -195,21 +196,15 @@ def apply_maps(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     if m.ndim == 2:
         return apply_maps(m[None], x[:, None])[:, 0]
+    if x.ndim == 2:
+        x = np.broadcast_to(x[:, None], (len(x),) + m.shape[:2])
     d = _diagonal(m)
     if d is not None:
-        if x.ndim == 2:
-            return np.einsum("ka,ra->rka", d, x, order="C")
         return np.einsum("ka,rka->rka", d, x, order="C")
-    x, m = np.ascontiguousarray(x), np.ascontiguousarray(m)
+    m = np.ascontiguousarray(m)
     if x.shape[-1] > _LONG_MAPS_MAX_P:
-        if x.ndim == 2:
-            return np.einsum("kab,rb->rka", m, x)
-        return np.einsum("kab,rkb->rka", m, x)
-    xt = _replicates_last(x)
-    if x.ndim == 2:
-        out = np.einsum("kab,br->kar", m, xt)
-    else:
-        out = np.einsum("kab,kbr->kar", m, xt)
+        return np.einsum("kab,rkb->rka", m, np.ascontiguousarray(x))
+    out = np.einsum("kab,kbr->kar", m, _replicates_last(x))
     return np.ascontiguousarray(np.moveaxis(out[..., : len(x)], -1, 0))
 
 
@@ -274,6 +269,10 @@ class LossSpec:
     q: (k, p, p) stack of positive definite weight matrices.
     eig_floor: min over groups of the smallest eigenvalue of v[i] @ q[i];
         inverse_v, where every q[i] is inv(v[i]), sets it to 1 exactly.
+    inverse: the loss is inverse-scale, every q[i] inv(v[i]), the one loss
+        under which the preliminary test is the equal-means F test.
+        inverse_v sets it True; for_model sets it for an explicit q by
+        matches_inverse_v. A spec built by hand reads False.
     q_inv, v, v_inv: inv(q[i]), the model's v and inv(v[i]), set only by the
         factories, which guard v and q (inverse_v sets q_inv = v and
         v_inv = q). PooledConstants.from_model trusts them, and rejects a
@@ -282,6 +281,7 @@ class LossSpec:
 
     q: np.ndarray
     eig_floor: float
+    inverse: bool = field(default=False, init=False, compare=False)
     q_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     v: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     v_inv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -291,8 +291,16 @@ class LossSpec:
         object.__setattr__(self, "eig_floor", float(self.eig_floor))
 
     @classmethod
-    def for_model(cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray]) -> "LossSpec":
-        """Build a LossSpec for explicit weight matrices: guard v, guard q, derive eig_floor."""
+    def for_model(
+        cls, model: CanonicalModel, q: np.ndarray | Sequence[np.ndarray] | None
+    ) -> "LossSpec":
+        """The loss with weights q for this model; q=None is the inverse-scale loss, inverse_v.
+
+        An explicit q is guarded with v, gets its eig_floor, and is
+        inverse-scale only if matches_inverse_v holds.
+        """
+        if q is None:
+            return cls.inverse_v(model)
         v_inv = _guarded_inverse("v", model.v)
         qa = _as_stack("q must have shape (k, p, p) =", q, model.k, model.p)
         q_inv = _guarded_inverse("q", qa)
@@ -303,6 +311,7 @@ class LossSpec:
             vals = np.linalg.eigvalsh(chol.T @ (0.5 * (qi + qi.T)) @ chol)
             eig_floor = min(eig_floor, vals[0])
         spec = cls(q=qa, eig_floor=float(eig_floor))
+        object.__setattr__(spec, "inverse", spec.matches_inverse_v(model))
         object.__setattr__(spec, "q_inv", _freeze(q_inv))
         object.__setattr__(spec, "v", model.v)
         object.__setattr__(spec, "v_inv", _freeze(v_inv))
@@ -312,6 +321,7 @@ class LossSpec:
     def inverse_v(cls, model: CanonicalModel) -> "LossSpec":
         """Loss weighted by the inverse scale matrices: guard v once, q = inv(v), q_inv = v."""
         spec = cls(q=_guarded_inverse("v", model.v), eig_floor=1.0)
+        object.__setattr__(spec, "inverse", True)
         object.__setattr__(spec, "q_inv", model.v)
         object.__setattr__(spec, "v", model.v)
         object.__setattr__(spec, "v_inv", spec.q)
@@ -338,7 +348,6 @@ class PooledConstants:
     directions: (k, p, p) stack v[i] @ w[i] (= inv(q[i]) inv(v[i])), the
         inverse-loss-weighted shrink maps.
     trace_sum: sum_i tr(v[i] q[i]), the risk of the unshrunk estimator.
-    inverse_loss: every q[i] is inv(v[i]).
     """
 
     k: int
@@ -350,7 +359,6 @@ class PooledConstants:
     pooled_cov: np.ndarray
     directions: np.ndarray
     trace_sum: float
-    inverse_loss: bool
 
     @classmethod
     def from_model(cls, model: CanonicalModel, loss_spec: LossSpec) -> "PooledConstants":
@@ -372,18 +380,17 @@ class PooledConstants:
             pooled_cov=_freeze(_guarded_inverse("sum of weights", weight_sum)),
             directions=_freeze(model.v @ weights),
             trace_sum=float(np.einsum("kab,kba->", model.v, loss_spec.q)),
-            inverse_loss=loss_spec.matches_inverse_v(model),
         )
 
     def summarize(self, x: np.ndarray, s: np.ndarray) -> "PooledBatch":
         """Pooled statistics of R replicates: x is (R, k, p), s is (R,).
 
         For every replicate, residual_stat + pooled_norm_stat times s must
-        reproduce sum_i x[i]' w[i] x[i] within IDENTITY_REL, relative; a
-        failure raises, since it means the inputs broke the conditioning
-        guards (SYMMETRY, MAX_CONDITION). A statistic or an s that is not
-        finite is an overflow, raised as a ReplicateError naming the lowest
-        such row.
+        reproduce sum_i x[i]' w[i] x[i] within IDENTITY_REL, relative. Inputs
+        that pass every guard can still fail it: with scale matrices of
+        condition 1e9, well under MAX_CONDITION, rounding breaks it on some
+        draws. A statistic or an s that is not finite is an overflow. Either
+        failure raises a ReplicateError naming the lowest failing row.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             wx = apply_maps(self.weights, x)
@@ -394,19 +401,21 @@ class PooledConstants:
             pooled_norm = quad_forms(pooled_mean, self.weight_sum)
             gap = np.abs((residual + pooled_norm) - total)
             f, g = residual / s, pooled_norm / s
-        bad = np.flatnonzero(gap > IDENTITY_REL * np.maximum(1.0, np.abs(total)))
+        undecomposed = gap > IDENTITY_REL * np.maximum(1.0, np.abs(total))
+        bad = np.flatnonzero(undecomposed | ~(np.isfinite(f) & np.isfinite(g) & np.isfinite(s)))
         if bad.size:
-            raise ArithmeticError(
-                "pooled quadratic forms failed the decomposition check: "
-                f"{residual[bad[0]]} + {pooled_norm[bad[0]]} != {total[bad[0]]}"
-            )
-        bad = np.flatnonzero(~(np.isfinite(f) & np.isfinite(g) & np.isfinite(s)))
-        if bad.size:
-            msg = (
-                f"pooled statistics overflow: quadratic forms {residual[bad[0]]} and "
-                f"{pooled_norm[bad[0]]} over s = {s[bad[0]]}"
-            )
-            raise ReplicateError(int(bad[0]), ArithmeticError(msg))
+            r = int(bad[0])
+            if undecomposed[r]:
+                msg = (
+                    "pooled quadratic forms failed the decomposition check: "
+                    f"{residual[r]} + {pooled_norm[r]} != {total[r]}"
+                )
+            else:
+                msg = (
+                    f"pooled statistics overflow: quadratic forms {residual[r]} and "
+                    f"{pooled_norm[r]} over s = {s[r]}"
+                )
+            raise ReplicateError(r, ArithmeticError(msg))
         return PooledBatch(self, x, s, pooled_mean, f, g)
 
 

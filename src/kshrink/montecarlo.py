@@ -62,7 +62,6 @@ from .datasets import quote_cell
 from .estimators import (
     BATCH_ESTIMATORS,
     ESTIMATOR_ORDER,
-    EstimatorSetting,
     PreconditionError,
     ReplicateError,
     ShrinkageFunctions,
@@ -211,8 +210,9 @@ _BENCHMARK_SCALES = (
 class ExperimentConfig:
     """Everything a simulation run depends on.
 
-    q=None means inverse-scale loss (q[i] = inv(v[i])). The seed addresses
-    the whole experiment; threads only affects wall time, never results.
+    q=None means inverse-scale loss (q[i] = inv(v[i])), as LossSpec.for_model
+    reads it. The seed addresses the whole experiment; threads only affects
+    wall time, never results.
     """
 
     p: int
@@ -249,8 +249,8 @@ class ExperimentConfig:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
 
-    def validate(self) -> EstimatorSetting:
-        """Check the configuration; return the estimator setting its replicates share."""
+    def validate(self) -> PooledConstants:
+        """Check the configuration; return the pooled constants its replicates share."""
         self.check_dimensions(self.p, self.k, self.n)
         if not self.sigma2 > 0.0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
@@ -281,14 +281,12 @@ class ExperimentConfig:
         for name in self.estimators:
             resolve_estimator(name)
         template = CanonicalModel(x=np.zeros((self.k, self.p)), v=self.v, s=1.0, n=self.n)
-        pooled = PooledConstants.from_model(template, self.loss_spec(template))
-        return EstimatorSetting(pooled, self.hyper)
+        return PooledConstants.from_model(template, self.loss_spec(template))
 
     def loss_spec(self, model: CanonicalModel | None = None) -> LossSpec:
+        """LossSpec.for_model(model, q): inverse-scale when q is None; model defaults to v's."""
         if model is None:
             model = CanonicalModel(x=np.zeros((self.k, self.p)), v=self.v, s=1.0, n=self.n)
-        if self.q is None:
-            return LossSpec.inverse_v(model)
         return LossSpec.for_model(model, self.q)
 
     @classmethod
@@ -350,7 +348,7 @@ class RiskTable:
 
     def _estimator(self, name: str) -> tuple[str, int]:
         """The canonical name of estimator name (or an alias) and its column."""
-        canon, _ = resolve_estimator(name)
+        canon = resolve_estimator(name)
         return canon, _position("estimator", self.estimator_names, canon)
 
     def lookup(self, config: str, estimator: str) -> tuple[float, float, float]:
@@ -450,11 +448,14 @@ def _blocked(
 
 
 def _summarize(
-    setting: EstimatorSetting, x: np.ndarray, s: np.ndarray, where: Callable[[int], tuple[str, int]]
+    constants: PooledConstants,
+    x: np.ndarray,
+    s: np.ndarray,
+    where: Callable[[int], tuple[str, int]],
 ) -> PooledBatch:
-    """Pooled statistics of a block; an overflow names where(row), its (label, replicate)."""
+    """Pooled statistics of a block; a failing row names where(row), its (label, replicate)."""
     try:
-        return setting.pooled.summarize(x, s)
+        return constants.summarize(x, s)
     except ReplicateError as exc:
         label, r = where(exc.replicate)
         raise ReplicateError(r, ArithmeticError(f"{label}, replicate {r}: {exc}")) from exc
@@ -486,10 +487,12 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
     configuration's part of it, so only the failing configurations skip
     it, each naming its lowest failing replicate. A draw that overflows
     stops the run with a ReplicateError naming the configuration and the
-    replicate. The paired contrasts come from the same loss matrices.
+    replicate, and so does a block whose pooled statistics fail their
+    decomposition check. The paired contrasts come from the same loss
+    matrices.
     """
-    setting = cfg.validate()
-    names = tuple(dict.fromkeys(resolve_estimator(raw)[0] for raw in cfg.estimators))
+    constants = cfg.validate()
+    names = tuple(dict.fromkeys(resolve_estimator(raw) for raw in cfg.estimators))
     count = cfg.replicates
     config_names = tuple(mc.name for mc in cfg.mean_configs)
     means = np.stack([mc.mu for mc in cfg.mean_configs])
@@ -513,13 +516,13 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
             ci, r = divmod(b0 + i, count)
             return f"mean config {config_names[ci]!r}", r
 
-        batch = _summarize(setting, x, s, where)
+        batch = _summarize(constants, x, s, where)
         out = np.full((len(names), b1 - b0), np.nan)
         errors: dict[tuple[str, str], str] = {}
         for ei, name in enumerate(names):
             kernel = BATCH_ESTIMATORS[name]
             try:
-                mu_hat, _ = kernel(setting, batch)
+                mu_hat, _ = kernel(cfg.hyper, batch)
             except PreconditionError as exc:
                 errors.update(((config_names[ci], name), str(exc)) for ci, _, _ in segments)
                 continue
@@ -528,12 +531,12 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
                 mu_hat = np.full_like(x, np.nan)
                 for ci, r0, r1 in segments:
                     rows = slice(ci * count + r0 - b0, ci * count + r1 - b0)
-                    part = setting.pooled.summarize(x[rows], s[rows])
+                    part = constants.summarize(x[rows], s[rows])
                     try:
-                        mu_hat[rows], _ = kernel(setting, part)
+                        mu_hat[rows], _ = kernel(cfg.hyper, part)
                     except ReplicateError as exc:
                         errors[config_names[ci], name] = f"replicate {r0 + exc.replicate}: {exc}"
-            out[ei] = loss(mu_hat, truth, setting.pooled.loss)
+            out[ei] = loss(mu_hat, truth, constants.loss)
         return out, errors
 
     losses, errors = _blocked(
@@ -547,7 +550,7 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
         for part in np.split(losses, len(config_names), axis=1)
     ]
     risk, se, paired_diff, paired_se = (np.array(col) for col in zip(*stats))
-    reference = setting.pooled.trace_sum
+    reference = constants.trace_sum
     return RiskTable(
         config_names=config_names,
         estimator_names=names,
@@ -643,10 +646,11 @@ def validate_uer(
     named point-i. Every member must carry all six partial derivatives of
     its factors; there is no numerical fallback. No member, no truth
     point, a member without derivatives and a truth point of the wrong
-    shape are all rejected before anything is drawn. A draw that overflows
-    raises a ReplicateError naming the truth point and the replicate.
+    shape are all rejected before anything is drawn. A draw that overflows,
+    or whose pooled statistics fail their decomposition check, raises a
+    ReplicateError naming the truth point and the replicate.
     """
-    setting = cfg.validate()
+    constants = cfg.validate()
     if not members:
         raise ValueError("no class members to check")
     if not truth_points:
@@ -667,18 +671,18 @@ def validate_uer(
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
             u, us = _replicate_uniforms(cfg.seed, (_NS_UER, pi), r0, r1, cfg.k, cfg.p)
             x, s = _draw(truth, chol, cfg.n, u, us)
-            batch = _summarize(setting, x, s, lambda i: (f"truth point {pi}", r0 + i))
+            batch = _summarize(constants, x, s, lambda i: (f"truth point {pi}", r0 + i))
             out = np.empty((3 + len(members), r1 - r0))
             out[0], out[1] = floored_statistics(batch)
             out[2] = s
             for mi, sf in enumerate(members):
-                mu_hat, _ = batch_general(setting, batch, sf)
-                out[3 + mi] = loss(mu_hat, truth, setting.pooled.loss)
+                mu_hat, _ = batch_general(batch, sf)
+                out[3 + mi] = loss(mu_hat, truth, constants.loss)
             return out, {}
 
         values, _ = _blocked(cfg.replicates, cfg.k * cfg.p, 1, 3 + len(members), uer_block)
         f, g, s = values[:3]
-        dims = dict(p=cfg.p, k=cfg.k, n=cfg.n, trace_sum=setting.pooled.trace_sum)
+        dims = dict(p=cfg.p, k=cfg.k, n=cfg.n, trace_sum=constants.trace_sum)
         return [
             _paired_check(f"point-{pi}", uer(sf, f, g, s, **dims), losses)
             for sf, losses in zip(members, values[3:])

@@ -265,6 +265,40 @@ class TestEstimate:
         ]
         assert err[1].startswith(f"skipped PT: {NO_F_QUANTILE}")
 
+    def test_nearly_collinear_regression_runs_pt(self, tmp_path, capsys):
+        # z3 = z1 + 1e-3 N(0, 1) gives scale matrices of condition about
+        # 2.6e7, where v @ inv(v) misses the identity by 1.9e-9. With no q
+        # the loss is inverse-scale all the same, so PT and PT* run.
+        rng = np.random.default_rng(29)
+        data = tmp_path / "in"
+        data.mkdir()
+        for g in range(4):
+            z = rng.normal(size=(12, 3))
+            z[:, 2] = z[:, 0] + 1e-3 * rng.normal(size=12)
+            y = z @ rng.normal(size=3) + rng.normal(size=12)
+            rows = [f"{yi:.6f}," + ",".join(f"{v:.6f}" for v in zi) for yi, zi in zip(y, z)]
+            (data / f"g{g + 1}.csv").write_text("\n".join(["y,z1,z2,z3"] + rows) + "\n")
+        cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: regression}\n")
+        out = tmp_path / "est.csv"
+        argv = ["estimate", "--config", cfg, "--input", str(data), "--output", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        names = list(dict.fromkeys(r[0] for r in csv_rows(out.read_text())[1:]))
+        assert names == list(kshrink.estimators.ESTIMATOR_ORDER)
+
+    def test_divergent_hb2_integrals_skip_only_hb2(self, tmp_path, capsys):
+        # b = 20 makes beta_e so large that gamma_e > alpha_e + beta_e + 2
+        # fails: HB2's integrals diverge, and EB still writes its rows.
+        body = "dataset: {kind: ksample, estimators: [EB, HB2]}\nhyper: {b: 20}\n"
+        cfg = put(tmp_path, "cfg.yaml", body)
+        data = put(tmp_path, "data.csv", EXACT_KSAMPLE)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--config", cfg, "--input", data, "--output", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "skipped HB2: gamma_e=5.9 must exceed alpha_e + beta_e + 2 = 23.1\n"
+        )
+        assert {r[0] for r in csv_rows(out.read_text())[1:]} == {"EB"}
+
     def test_text_cells_are_quoted(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample, estimators: [EB, HB1]}\n")
         text = EXACT_KSAMPLE.replace("\n1,", '\n"g,1",').replace("\n2,", '\n"say ""2""",')
@@ -411,17 +445,42 @@ class TestEstimateGoldenBytes:
 
 
 class TestRunGoldenBytes:
-    """table1 --output, validate and check-conditions stdout bytes pinned by sha256.
+    """table1 and simulate --output, validate and check-conditions stdout bytes pinned by sha256.
 
     Both runs use their default replicate counts and seeds (validate at
     50,000 replicates), so a bit that moves anywhere on the harness's path
     (draws, pooled statistics, kernels, the unbiased risk estimate, the
-    standard errors or the formatting) changes a digest.
+    standard errors or the formatting) changes a digest. table1's scale and
+    loss matrices are diagonal; the simulate run (FULL_MATRIX_CONFIG) takes
+    the full-matrix maps, LossSpec.for_model and eig_floor != 1 over two
+    blocks of 3640 and 360 rows, and skips PT and PT*.
     """
 
     TABLE1 = "33155402449d45557ff40c4a1be25fec8fd3cc0110de1438844e7ac61263d146"
+    FULL_MATRIX = "3018bc63203d49f5a7b0d5a41fb6afd34255aab5c272e53725449acdf4c6641d"
     VALIDATE = "c393c353248c411a0eb7f7f3736c9eecc35195085a3da07fb192e198cacfeef2"
     CHECK_CONDITIONS = "d5a72d4cb0c775d4a4045cd835ef8c11d60086ae6448265a519a8ecd46a74f58"
+    FULL_MATRIX_CONFIG = textwrap.dedent(
+        """\
+        experiment:
+          p: 3
+          k: 3
+          n: 12
+          sigma2: 1.5
+          v:
+            - [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]]
+            - [[1.0, -0.3, 0.0], [-0.3, 0.8, 0.1], [0.0, 0.1, 0.6]]
+            - [[0.5, 0.1, -0.2], [0.1, 1.2, 0.3], [-0.2, 0.3, 0.9]]
+          q: [[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 1.0]]
+          mean_configs:
+            - name: flat
+              scales: [0.0, 0.0, 0.0]
+            - name: tilt
+              scales: [-1.0, 0.0, 1.0]
+          replicates: 2000
+          seed: 31
+        """
+    )
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_table1_output_bytes(self, tmp_path, capsys, threads):
@@ -429,6 +488,18 @@ class TestRunGoldenBytes:
         assert main(["table1", "--threads", threads, "--output", str(out)]) == 0
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.TABLE1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_full_matrix_simulate_output_bytes(self, tmp_path, capsys, threads):
+        cfg = put(tmp_path, "cfg.yaml", self.FULL_MATRIX_CONFIG)
+        out = tmp_path / "full.csv"
+        assert main(["simulate", "--config", cfg, "--threads", threads, "--output", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        skipped = [line for line in lines if line.startswith("skipped")]
+        assert [line.split(":")[0] for line in skipped] == [
+            "skipped PT on flat", "skipped PT* on flat", "skipped PT on tilt", "skipped PT* on tilt"
+        ]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.FULL_MATRIX
 
     def test_validate_stdout_bytes(self, capsys):
         assert main(["validate", "--replicates", "50000"]) == 0
@@ -518,6 +589,22 @@ class TestSimulate:
         assert all(np.isnan(risk[c, e]) for c in ("flat", "tilt") for e in ("PT", "PT*"))
         assert all(np.isfinite(risk[c, e]) for c in ("flat", "tilt") for e in ("JS2", "EB"))
 
+    def test_divergent_hb2_integrals_skip_only_hb2(self, tmp_path, capsys):
+        body = SIMULATE_CONFIG.replace("[JS2, EB, HB1]", "[JS2, EB, HB2]")
+        cfg = put(tmp_path, "cfg.yaml", body + "hyper: {b: 20}\n")
+        out = tmp_path / "table.csv"
+        assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        skipped = [line for line in captured.out.splitlines() if line.startswith("skipped")]
+        assert skipped == [
+            f"skipped HB2 on {name}: gamma_e=10.4 must exceed alpha_e + beta_e + 2 = 24.6"
+            for name in ("flat", "tilt")
+        ]
+        risk = {(r[0], r[1]): float(r[2]) for r in csv_rows(out.read_text())[1:]}
+        assert all(np.isnan(risk[c, "HB2"]) for c in ("flat", "tilt"))
+        assert all(np.isfinite(risk[c, e]) for c in ("flat", "tilt") for e in ("JS2", "EB"))
+
     def test_config_names_are_quoted_in_the_csv(self, tmp_path, capsys):
         body = SIMULATE_CONFIG.replace("name: flat", "name: 'a,b'").replace(
             "name: tilt", """name: 'say "hi"'"""
@@ -589,6 +676,31 @@ class TestSimulate:
         assert line.startswith(
             f"error: mean config 'zero', replicate {replicate}: pooled statistics overflow: "
         )
+
+    def test_failed_decomposition_names_config_and_replicate(self, tmp_path, capsys):
+        # Scale matrices of condition 1e9 pass every guard, but replicate 19
+        # of "b" misses the pooled decomposition check.
+        rotation = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+        v = rotation @ np.diag(np.geomspace(1.0, 1e9, 4)) @ rotation.T
+        experiment = {
+            "p": 4, "k": 3, "n": 10, "sigma2": 1.0, "v": v.tolist(), "replicates": 2000,
+            "mean_configs": [
+                {"name": "a", "scales": [0.0] * 3}, {"name": "b", "scales": [1.0] * 3}
+            ],
+        }
+        cfg = put(tmp_path, "cfg.yaml", yaml.safe_dump({"experiment": experiment}))
+        lines = set()
+        for threads in ("1", "2"):
+            assert main(["simulate", "--config", cfg, "--threads", threads]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines.add(captured.err)
+        (line,) = lines
+        assert line.startswith(
+            "error: mean config 'b', replicate 19: "
+            "pooled quadratic forms failed the decomposition check: "
+        )
+        assert line.count("\n") == 1
 
     def test_loss_past_the_weighted_form_range_is_finite(self, tmp_path, capsys):
         # sigma2 times the loss weights is 1e400, but each loss is about the

@@ -23,7 +23,6 @@ from kshrink.estimators import (
     BATCH_ESTIMATORS,
     ESTIMATOR_ORDER,
     ESTIMATORS,
-    EstimatorSetting,
     PreconditionError,
     ShrinkageFunctions,
     eb_member,
@@ -41,7 +40,13 @@ from kshrink.estimators import (
     resolve_estimator,
 )
 from kshrink.model import PooledBatch, PooledConstants
-from kshrink.montecarlo import ExperimentConfig, MeanConfig, uer_members, validate_uer
+from kshrink.montecarlo import (
+    ExperimentConfig,
+    MeanConfig,
+    run_experiment,
+    uer_members,
+    validate_uer,
+)
 
 J = np.ones(3)
 
@@ -167,6 +172,31 @@ class TestPreliminaryTest:
         est = estimate_pt(model, ls, ps, loose)
         assert est.diagnostics["kept_separate"] is True
         assert est.mu_hat == approx(model.x)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_runs_under_an_ill_conditioned_inverse_scale_loss(self, seed):
+        # Scale matrices of condition 1e8, well inside MAX_CONDITION, leave
+        # v @ inv(v) more than 1e-9 from the identity. q=None is still the
+        # inverse-scale loss, and PT and PT* run on it.
+        rng = np.random.default_rng(seed)
+        rotations = [np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(3)]
+        v = np.stack([r @ np.diag(np.geomspace(1.0, 1e8, 4)) @ r.T for r in rotations])
+        model = CanonicalModel(x=rng.normal(size=(3, 4)), v=v, s=2.0, n=10)
+        ls = LossSpec.inverse_v(model)
+        for estimate in (estimate_pt, estimate_pt_star):
+            assert estimate(model, ls).mu_hat.shape == (3, 4)
+        assert ls.inverse and not ls.matches_inverse_v(model)
+        by_none = LossSpec.for_model(model, None)
+        assert by_none.inverse and by_none.eig_floor == 1.0
+        assert np.array_equal(by_none.q, ls.q)
+        cfg = ExperimentConfig(
+            p=4, k=3, n=10, sigma2=1.0, v=v,
+            mean_configs=(MeanConfig("zero", np.zeros((3, 4))),),
+            estimators=("PT", "PT*"), replicates=64,
+        )
+        table = run_experiment(cfg)
+        assert table.errors == {}
+        assert np.isfinite(table.risk).all()
 
     def test_requires_inverse_scale_loss(self, d0):
         model, _, _ = d0
@@ -372,10 +402,9 @@ class TestGeneralClass:
         # so it must refuse exactly where the kernel does, with its message.
         model = CanonicalModel(x=np.ones((k, p)), v=np.stack([np.eye(p)] * k), s=1.0, n=20)
         batch = pooled_summary(model, LossSpec.inverse_v(model))
-        setting = EstimatorSetting(batch.constants, Hyperparameters())
         for name, star in (("EB", False), ("EB*", True)):
             try:
-                BATCH_ESTIMATORS[name](setting, batch)
+                BATCH_ESTIMATORS[name](Hyperparameters(), batch)
             except PreconditionError as exc:
                 with pytest.raises(PreconditionError) as raised:
                     eb_member(batch.constants, star)
@@ -469,9 +498,8 @@ class TestBatch:
         batch = constants.summarize(
             rng.normal(size=(6, model.k, model.p)), rng.uniform(5.0, 15.0, 6)
         )
-        setting = EstimatorSetting(constants, Hyperparameters())
         for name in ("EB", "EB*", "HB1", "HB2"):
-            BATCH_ESTIMATORS[name](setting, batch)
+            BATCH_ESTIMATORS[name](Hyperparameters(), batch)
         assert sorted(built) == ["toward_pooled", "toward_zero"]
 
     def test_single_shot_estimators_share_one_summary(self, monkeypatch):
@@ -504,9 +532,9 @@ class TestRegistry:
         assert set(ESTIMATOR_ORDER) == set(ESTIMATORS) - {"X"}
 
     def test_aliases(self):
-        assert resolve_estimator("EB1")[0] == "EB"
-        assert resolve_estimator("EB2")[0] == "EB*"
-        assert resolve_estimator("HB1")[1] is estimate_hb1
+        assert resolve_estimator("EB1") == "EB"
+        assert resolve_estimator("EB2") == "EB*"
+        assert ESTIMATORS[resolve_estimator("HB1")] is estimate_hb1
 
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown estimator"):
@@ -557,7 +585,7 @@ class TestFixedTolerances:
                     found[f"{module.__name__}.{name}"] = obj
         found.update({f"ESTIMATORS[{n}]": f for n, f in ESTIMATORS.items()})
         found.update({f"BATCH_ESTIMATORS[{n}]": f for n, f in BATCH_ESTIMATORS.items()})
-        for cls in (kshrink.ExperimentConfig, LossSpec, PooledConstants, EstimatorSetting):
+        for cls in (kshrink.ExperimentConfig, LossSpec, PooledConstants):
             for name in vars(cls):
                 member = getattr(cls, name)
                 routine = inspect.isfunction(member) or inspect.ismethod(member)
@@ -571,7 +599,6 @@ class TestFixedTolerances:
         assert "LossSpec.matches_inverse_v" in signatures
         takes = {label for label, params in signatures.items() if params & {"tol", "rtol"}}
         assert takes == set()
-        assert "tol" not in EstimatorSetting.__dataclass_fields__
 
     @staticmethod
     def package_routines():

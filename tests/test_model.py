@@ -557,7 +557,7 @@ class TestPooledSummary:
         for got, want in ((constants.weights, w), (constants.directions, directions)):
             scale = np.abs(want).max(axis=(1, 2), keepdims=True)
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
-        assert constants.inverse_loss is inverse
+        assert ls.inverse is inverse
         assert ls.matches_inverse_v(model) is inverse
 
     def test_overflowing_statistics_raise(self):

@@ -523,6 +523,19 @@ class TestPackedBlocks:
             "mean config 'b', replicate 535: pooled statistics overflow: "
         )
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_decomposition_names_its_configuration(self, threads):
+        # Scale matrices of condition 1e9 pass every guard, yet the pooled
+        # forms of some draws miss their decomposition by more than
+        # IDENTITY_REL; the lowest such row is replicate 19 of "b".
+        with pytest.raises(numerics.ReplicateError) as raised:
+            run_experiment(replace(ill_conditioned_config(), threads=threads))
+        assert raised.value.replicate == 19
+        assert str(raised.value).startswith(
+            "mean config 'b', replicate 19: "
+            "pooled quadratic forms failed the decomposition check: "
+        )
+
     def test_one_pool_per_run(self, monkeypatch):
         pools = []
         real = montecarlo.ThreadPoolExecutor
@@ -554,6 +567,20 @@ class TestPackedBlocks:
         # Replicates 0-29 of the sixth configuration end the first block.
         assert spans == [(0, 256)] * 5 + [(0, 30), (30, 256)] + [(0, 256)] * 2
         assert blocks == [1310, 8 * 256 - 1310]
+
+
+def ill_conditioned_config():
+    """p = 4, k = 3: each v[i] is Q diag(geomspace(1, 1e9, 4)) Q', two configurations."""
+    rotation = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+    v = rotation @ np.diag(np.geomspace(1.0, 1e9, 4)) @ rotation.T
+    return ExperimentConfig(
+        p=4, k=3, n=10, sigma2=1.0, v=np.stack([v] * 3),
+        mean_configs=(
+            MeanConfig.from_scales("a", (0.0, 0.0, 0.0), 4),
+            MeanConfig.from_scales("b", (1.0, 1.0, 1.0), 4),
+        ),
+        replicates=2000,
+    )
 
 
 def spd_stack(count, p, seed):
@@ -696,7 +723,7 @@ class TestDegenerateRows:
     @pytest.mark.parametrize("big_l", [0.0, 0.5])
     def test_block_rows_are_the_single_shot_estimates(self, big_l):
         cfg = small_config(v=spd_stack(3, 3, seed=12), hyper=Hyperparameters(big_l=big_l))
-        setting = cfg.validate()
+        constants = cfg.validate()
         rng = np.random.default_rng(3)
         y = rng.normal(size=(3, 3))
         y -= y.mean(axis=0)
@@ -707,7 +734,7 @@ class TestDegenerateRows:
             rng.normal(size=(3, 3)),
         ])
         s = np.array([0.5, 1.0, 2.0, 4.0])
-        batch = setting.pooled.summarize(x, s)
+        batch = constants.summarize(x, s)
         f, g = batch.residual_stat, batch.pooled_norm_stat
         assert f[0] == g[0] == 0.0
         assert f[1] <= DEGENERATE_STAT < g[1]
@@ -715,7 +742,8 @@ class TestDegenerateRows:
         assert min(f[3], g[3]) > DEGENERATE_STAT
         # Each factor of a degenerate statistic is its limit: f at rows 0
         # and 1, g at rows 0 and 2; HB1's is (m + a) / (m + a + 1), m = 3.
-        e = setting.hb_exponents
+        h = cfg.hyper
+        e = numerics.HbExponents.from_model(cfg.p, cfg.k, cfg.n, h.a, h.b, h.c)
         at_f0, at_g0 = [0, 1], [0, 2]
         limits = [
             ("EB", "mean_shrink", at_f0, 1.0),
@@ -726,13 +754,13 @@ class TestDegenerateRows:
             ("HB2", "zero_shrink", at_g0, (e.beta_e + 1.0) / (e.beta_e + 2.0)),
         ]
         for name, kernel in BATCH_ESTIMATORS.items():
-            block, diags = kernel(setting, batch)
+            block, diags = kernel(cfg.hyper, batch)
             for lname, key, rows, want in limits:
                 if lname == name:
                     assert np.all(diags[key][rows] == want), (name, key)
             for r in range(s.size):
                 model = CanonicalModel(x=x[r], v=cfg.v, s=s[r], n=cfg.n)
-                one = ESTIMATORS[name](model, setting.pooled.loss, hyper=cfg.hyper)
+                one = ESTIMATORS[name](model, constants.loss, hyper=cfg.hyper)
                 assert np.array_equal(one.mu_hat, block[r]), (name, r)
                 row = {key: value[r] if np.ndim(value) else value for key, value in diags.items()}
                 assert one.diagnostics == row, (name, r)
@@ -1005,6 +1033,18 @@ class TestValidateUer:
             ArithmeticError, match="^truth point 1, replicate 496: pooled statistics overflow: "
         ):
             validate_uer(replace(cfg, replicates=2000), [smooth], points)
+
+    def test_failed_decomposition_names_point_and_replicate(self):
+        cfg = ill_conditioned_config()
+        _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
+        points = [TrueParameters(mu=mc.mu, sigma2=cfg.sigma2) for mc in cfg.mean_configs]
+        with pytest.raises(numerics.ReplicateError) as raised:
+            validate_uer(cfg, [smooth], points)
+        assert raised.value.replicate == 1946
+        assert str(raised.value).startswith(
+            "truth point 0, replicate 1946: "
+            "pooled quadratic forms failed the decomposition check: "
+        )
 
     # 1309, 1310 and 1311 sit at the 1310-replicate block of k = p = 5.
     @pytest.mark.parametrize("replicates", [2, 3, 257, 1309, 1310, 1311, 2001, 2621])
