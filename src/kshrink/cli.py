@@ -143,7 +143,6 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
     doc = {} if args.config is None else load_document(args.config)
     hyper = parse_hyper(doc.get("hyper"))
     p, k, n = dimensions_from_document(doc)
-    ExperimentConfig.check_dimensions(p, k, n)
 
     out = []
     failed = False

@@ -60,15 +60,14 @@ def _check_keys(node: dict, allowed: Collection[str], where: str) -> None:
         raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
 
 
-_REQUIRED = object()
-
-
-def _get_int(node: dict, key: str, where: str, default: Any = _REQUIRED) -> Any:
+def _require(node: dict, key: str, where: str) -> Any:
     if key not in node:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        return default
-    value = node[key]
+        raise ConfigError(f"missing required key {key!r} in {where}")
+    return node[key]
+
+
+def _get_int(node: dict, key: str, where: str) -> int:
+    value = _require(node, key, where)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     return value
@@ -93,9 +92,7 @@ def _not_a_number(what: str, value: Any) -> ConfigError:
 
 
 def _get_float(node: dict, key: str, where: str) -> float:
-    if key not in node:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    value = node[key]
+    value = _require(node, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _not_a_number(f"{where}.{key}", value)
     return float(value)
@@ -245,20 +242,22 @@ def load_document(path: str) -> dict:
     return doc
 
 
+def _dimensions(node: dict) -> tuple[int, int, int]:
+    """(p, k, n) of an experiment mapping, checked before any matrix is sized by them."""
+    p, k, n = (_get_int(node, key, "experiment") for key in ("p", "k", "n"))
+    ExperimentConfig.check_dimensions(p, k, n)
+    return p, k, n
+
+
 def experiment_from_document(doc: dict) -> ExperimentConfig:
     """Build an ExperimentConfig; a count the file leaves out takes the field's default."""
     if "experiment" not in doc:
         raise ConfigError("missing 'experiment' section")
     node = _require_mapping(doc["experiment"], "experiment")
     _check_keys(node, _EXPERIMENT_KEYS, "experiment")
-    p = _get_int(node, "p", "experiment")
-    k = _get_int(node, "k", "experiment")
-    n = _get_int(node, "n", "experiment")
-    if "v" not in node:
-        raise ConfigError("missing required key 'v' in experiment")
-    if "mean_configs" not in node:
-        raise ConfigError("missing required key 'mean_configs' in experiment")
-    v = parse_matrix_stack(node["v"], k, p, "experiment.v")
+    p, k, n = _dimensions(node)
+    v_node, mean_node = (_require(node, key, "experiment") for key in ("v", "mean_configs"))
+    v = parse_matrix_stack(v_node, k, p, "experiment.v")
     q = None
     if "q" in node and node["q"] is not None:
         q = parse_matrix_stack(node["q"], k, p, "experiment.q")
@@ -269,7 +268,7 @@ def experiment_from_document(doc: dict) -> ExperimentConfig:
         sigma2=_get_float(node, "sigma2", "experiment"),
         v=v,
         q=q,
-        mean_configs=parse_mean_configs(node["mean_configs"], k, p, "experiment.mean_configs"),
+        mean_configs=parse_mean_configs(mean_node, k, p, "experiment.mean_configs"),
         estimators=parse_estimators(node.get("estimators"), "experiment.estimators"),
         **{key: _get_int(node, key, "experiment") for key in _COUNT_KEYS if key in node},
         hyper=parse_hyper(doc.get("hyper")),
@@ -282,7 +281,7 @@ def dimensions_from_document(doc: dict) -> tuple[int, int, int]:
     node = doc.get("experiment")
     node = {} if node is None else _require_mapping(node, "experiment")
     _check_keys(node, _EXPERIMENT_KEYS, "experiment")
-    return tuple(_get_int(node, key, "experiment", getattr(base, key)) for key in ("p", "k", "n"))
+    return _dimensions({"p": base.p, "k": base.k, "n": base.n} | node)
 
 
 @dataclass(frozen=True)
@@ -301,9 +300,8 @@ class DatasetSpec:
     hyper: Hyperparameters
 
     def v0_matrices(self, k: int, p: int) -> np.ndarray:
-        if self.v0_node is None:
-            return np.broadcast_to(np.eye(p), (k, p, p)).copy()
-        return parse_matrix_stack(self.v0_node, k, p, "dataset.v0")
+        node = "identity" if self.v0_node is None else self.v0_node
+        return parse_matrix_stack(node, k, p, "dataset.v0")
 
     def q_matrices(self, k: int, p: int) -> np.ndarray | None:
         if self.q_node is None:

@@ -13,10 +13,12 @@ A regression dataset is one file per group, response first::
     y,z1,z2
     1.25,1.0,0.3
 
-Numeric cells are parsed as floats; a first row whose value cells are not
-all numeric is treated as a header and skipped. All writers emit floats at
-17 significant digits so a write/read cycle is lossless, and quote text
-cells (quote_cell) as the csv module does.
+Numeric cells are parsed as floats. A first row none of whose value cells
+is numeric is treated as a header and skipped; a first row with any numeric
+value cell is data, so a mistyped cell in it is an error rather than a
+dropped row. All writers emit floats at 17 significant digits so a
+write/read cycle is lossless, and quote text cells (quote_cell) as the csv
+module does.
 """
 
 from __future__ import annotations
@@ -56,15 +58,22 @@ def _parse_row(cells: list[str], path: str, lineno: int, start: int) -> list[flo
 
 
 def _is_header(cells: list[str], start: int) -> bool:
+    """True when none of the value cells, cells[start:], is a number."""
     for cell in cells[start:]:
         try:
             float(cell)
         except ValueError:
-            return True
-    return False
+            continue
+        return False
+    return True
 
 
-def _read_rows(path: str) -> list[tuple[int, list[str]]]:
+def _read_table(path: str, start: int, need: str) -> list[tuple[int, list[str], list[float]]]:
+    """(line number, cells, floats of the cells from column start on) of each data row.
+
+    Blank lines are skipped; the first row is a header only when none of
+    its value cells is numeric. need names what a one-cell first row lacks.
+    """
     try:
         with open(path, newline="") as fh:
             rows = [
@@ -76,7 +85,22 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
-    return rows
+    lineno0, first = rows[0]
+    if len(first) < 2:
+        raise ParseError(f"{path}:{lineno0}: need {need}")
+    if _is_header(first, start):
+        rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path}: header only, no data rows")
+    width = len(rows[0][1])
+    table = []
+    for lineno, cells in rows:
+        if len(cells) != width:
+            raise ParseError(
+                f"{path}:{lineno}: expected {width} columns, got {len(cells)}"
+            )
+        table.append((lineno, cells, _parse_row(cells, path, lineno, start)))
+    return table
 
 
 def read_ksample_csv(path: str) -> tuple[list[np.ndarray], list[str]]:
@@ -86,28 +110,13 @@ def read_ksample_csv(path: str) -> tuple[list[np.ndarray], list[str]]:
     group is an (n_i, p) array. Raises ParseError with a 1-based line
     number on ragged rows or non-numeric cells.
     """
-    rows = _read_rows(path)
-    lineno0, first = rows[0]
-    if len(first) < 2:
-        raise ParseError(f"{path}:{lineno0}: need a group column plus value columns")
-    if _is_header(first, 1):
-        rows = rows[1:]
-        if not rows:
-            raise ParseError(f"{path}: header only, no data rows")
-    width = len(rows[0][1])
     buckets: dict[str, list[list[float]]] = {}
-    for lineno, cells in rows:
-        if len(cells) != width:
-            raise ParseError(
-                f"{path}:{lineno}: expected {width} columns, got {len(cells)}"
-            )
+    for lineno, cells, values in _read_table(path, 1, "a group column plus value columns"):
         label = cells[0].strip()
         if not label:
             raise ParseError(f"{path}:{lineno}: empty group label")
-        buckets.setdefault(label, []).append(_parse_row(cells, path, lineno, 1))
-    labels = list(buckets)
-    groups = [np.asarray(buckets[lab], dtype=float) for lab in labels]
-    return groups, labels
+        buckets.setdefault(label, []).append(values)
+    return [np.asarray(rows, dtype=float) for rows in buckets.values()], list(buckets)
 
 
 def write_ksample_csv(
@@ -141,33 +150,16 @@ def read_regression_csv(
     labels: list[str] = []
     p = None
     for path in paths:
-        rows = _read_rows(path)
-        lineno0, first = rows[0]
-        if len(first) < 2:
-            raise ParseError(f"{path}:{lineno0}: need a response column plus covariates")
-        if _is_header(first, 0):
-            rows = rows[1:]
-            if not rows:
-                raise ParseError(f"{path}: header only, no data rows")
-        width = len(rows[0][1])
+        table = _read_table(path, 0, "a response column plus covariates")
+        values = np.asarray([row for _, _, row in table], dtype=float)
+        covariates = values.shape[1] - 1
         if p is None:
-            p = width - 1
-        elif width - 1 != p:
-            raise ParseError(
-                f"{path}: {width - 1} covariate columns, other files have {p}"
-            )
-        ys = []
-        zs = []
-        for lineno, cells in rows:
-            if len(cells) != width:
-                raise ParseError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(cells)}"
-                )
-            vals = _parse_row(cells, path, lineno, 0)
-            ys.append(vals[0])
-            zs.append(vals[1:])
-        designs.append(np.asarray(zs, dtype=float))
-        responses.append(np.asarray(ys, dtype=float))
+            p = covariates
+        elif covariates != p:
+            raise ParseError(f"{path}: {covariates} covariate columns, other files have {p}")
+        # Column slices of the table are strided; copy each to a C-contiguous array.
+        designs.append(values[:, 1:].copy())
+        responses.append(values[:, 0].copy())
         labels.append(os.path.splitext(os.path.basename(path))[0])
     if len(designs) < 2:
         raise ParseError("regression datasets need at least 2 group files")

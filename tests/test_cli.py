@@ -198,6 +198,16 @@ class TestEstimate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_mistyped_first_row_is_input_error(self, tmp_path, capsys):
+        # A first row with a numeric value cell is data: its bad cell is an
+        # error, where taking the row for a header would drop an observation.
+        cfg = put(tmp_path, "cfg.yaml", KSAMPLE_CONFIG)
+        data = put(tmp_path, "data.csv", "1,0.5,O.5,1\n1,0.4,0.6,1.2\n2,0.7,0.1,0.9\n")
+        assert main(["estimate", "--config", cfg, "--input", data]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data}:1: column 3 is not numeric: 'O.5'\n"
+        assert captured.out == ""
+
     def test_bad_config_is_input_error(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: ksample, shape: big}\n")
         data = put(tmp_path, "data.csv", EXACT_KSAMPLE)
@@ -1033,6 +1043,24 @@ def test_replicates_too_large_for_memory_is_bad_input(command):
     assert run.returncode == 2
     assert run.stdout == ""
     assert re.fullmatch(r"error: Unable to allocate [^\n]+\n", run.stderr)
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        pytest.param("p", -3, "need p >= 1, got -3", id="p"),
+        pytest.param("k", -2, "need k >= 2 groups, got -2", id="k"),
+    ],
+)
+def test_negative_dimension_is_bad_input(tmp_path, capsys, command, key, value, message):
+    # The dimensions are checked before any matrix is sized by them.
+    body = SIMULATE_CONFIG.replace(f"  {key}: 3\n", f"  {key}: {value}\n")
+    assert body != SIMULATE_CONFIG
+    assert main([command, "--config", put(tmp_path, "cfg.yaml", body)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 class TestNegativeSeed:

@@ -5,6 +5,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from pytest import approx
 
 from kshrink import (
@@ -56,46 +59,27 @@ class TestReadKsample:
         _, labels = read_ksample_csv(path)
         assert labels == ["z", "a"]
 
-    def test_blank_lines_skipped(self, tmp_path):
-        path = write_lines(tmp_path, "d.csv", [
-            "group,x1",
-            "",
-            "a,1.0",
-            "   ",
-            "b,2.0",
-        ])
-        groups, labels = read_ksample_csv(path)
-        assert labels == ["a", "b"]
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ParseError, match="empty file"):
-            read_ksample_csv(str(path))
-
-    def test_header_only(self, tmp_path):
-        path = write_lines(tmp_path, "d.csv", ["group,x1,x2"])
-        with pytest.raises(ParseError, match="header only"):
-            read_ksample_csv(path)
-
-    def test_ragged_row_reports_line(self, tmp_path):
-        path = write_lines(tmp_path, "d.csv", [
-            "group,x1,x2",
-            "a,1.0,2.0",
-            "a,1.0",
-        ])
-        with pytest.raises(ParseError, match=r"d\.csv:3"):
-            read_ksample_csv(path)
-
     def test_bad_cell_reports_column(self, tmp_path):
-        # The bad cell must sit below the first row; a non-numeric first
-        # row is taken for a header.
+        # The column count includes the label column. A bad first row is
+        # test_mistyped_first_row_is_an_error.
         path = write_lines(tmp_path, "d.csv", [
             "a,1.0,2.0",
             "b,2.0,oops",
         ])
         with pytest.raises(ParseError, match=r"d\.csv:2: column 3"):
             read_ksample_csv(path)
+
+    def test_mistyped_first_row_is_an_error(self, tmp_path):
+        # One numeric value cell makes the first row data, not a header,
+        # so its mistyped cell is reported instead of the row being dropped.
+        path = write_lines(tmp_path, "d.csv", [
+            "1,0.5,O.5,1",
+            "1,0.4,0.6,1.2",
+            "1,0.7,0.1,0.9",
+        ])
+        with pytest.raises(ParseError) as info:
+            read_ksample_csv(path)
+        assert str(info.value) == f"{path}:1: column 3 is not numeric: 'O.5'"
 
     def test_empty_label(self, tmp_path):
         path = write_lines(tmp_path, "d.csv", [
@@ -110,9 +94,84 @@ class TestReadKsample:
         with pytest.raises(ParseError, match="group column plus value"):
             read_ksample_csv(path)
 
-    def test_missing_file(self, tmp_path):
+
+
+def ksample_values(path):
+    """The value columns of a multi-sample file, rows in group order."""
+    return np.vstack(read_ksample_csv(path)[0])
+
+
+def regression_values(path):
+    """The response and covariate columns of one regression file, read as two groups."""
+    designs, responses, _ = read_regression_csv([path, path])
+    return np.column_stack([responses[0], designs[0]])
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(ksample_values, id="ksample"),
+    pytest.param(regression_values, id="regression"),
+])
+class TestEitherLayout:
+    def test_blank_lines_skipped(self, tmp_path, read):
+        path = write_lines(tmp_path, "d.csv", [
+            "group,x1",
+            "",
+            "1,1.0",
+            "   ",
+            "2,2.0",
+        ])
+        assert read(path)[:, -1].tolist() == [1.0, 2.0]
+
+    def test_empty_file(self, tmp_path, read):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ParseError, match="empty file"):
+            read(str(path))
+
+    def test_header_only(self, tmp_path, read):
+        path = write_lines(tmp_path, "d.csv", ["group,x1,x2"])
+        with pytest.raises(ParseError, match="header only"):
+            read(path)
+
+    def test_ragged_row_reports_line(self, tmp_path, read):
+        path = write_lines(tmp_path, "d.csv", [
+            "group,x1,x2",
+            "1,1.0,2.0",
+            "1,1.0",
+        ])
+        with pytest.raises(ParseError, match=r"d\.csv:3"):
+            read(path)
+
+    def test_missing_file(self, tmp_path, read):
         with pytest.raises(ParseError, match="No such file"):
-            read_ksample_csv(str(tmp_path / "nope.csv"))
+            read(str(tmp_path / "nope.csv"))
+
+
+# Labels come already stripped, as the reader strips them; ASCII holds every
+# character that makes a cell need quoting.
+LABELS = st.text(st.characters(codec="ascii"), min_size=1, max_size=6).map(str.strip).filter(bool)
+
+
+@st.composite
+def labelled_groups(draw):
+    """Groups of one width, each with its own label, over every float64 including NaN."""
+    labels = draw(st.lists(LABELS, min_size=1, max_size=4, unique=True))
+    p = draw(st.integers(1, 4))
+    groups = [
+        draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), p), elements=st.floats()))
+        for _ in labels
+    ]
+    return groups, labels
+
+
+def same_bits(a, b):
+    """a and b hold the same float64 bits, except that any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+    )
 
 
 class TestWriteKsample:
@@ -131,6 +190,23 @@ class TestWriteKsample:
         write_ksample_csv(path, [np.ones((1, 2)), np.zeros((1, 2))], ["ctl", "trt"])
         _, labels = read_ksample_csv(path)
         assert labels == ["ctl", "trt"]
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(data=labelled_groups())
+    @example(data=(
+        [np.array([[np.inf, -np.inf, -0.0], [5e-324, np.nan, -2.2250738585072009e-308]]),
+         np.array([[0.0, 1e308, -1.5]])],
+        ['a,"b"\r\nc', "'x'"],
+    ))
+    def test_round_trip_property(self, tmp_path_factory, data):
+        groups, labels = data
+        path = str(tmp_path_factory.mktemp("rt") / "out.csv")
+        write_ksample_csv(path, groups, labels)
+        back, back_labels = read_ksample_csv(path)
+        assert back_labels == labels
+        assert len(back) == len(groups)
+        for orig, got in zip(groups, back):
+            assert same_bits(orig, got)
 
     def test_vector_group_becomes_one_row(self, tmp_path):
         path = str(tmp_path / "out.csv")
@@ -161,6 +237,7 @@ class TestReadRegression:
         assert designs[0].shape == (3, 2)
         assert responses[1] == approx(np.array([0.5, 1.5, 3.0]))
         assert designs[1][2] == approx(np.array([1.0, 2.5]))
+        assert all(a.flags.c_contiguous for a in designs + responses)
 
     def test_covariate_count_must_agree(self, tmp_path):
         a = write_lines(tmp_path, "a.csv", ["1.0,1.0", "2.0,2.0"])
@@ -186,6 +263,17 @@ class TestReadRegression:
         ])
         with pytest.raises(ParseError, match=r"west\.csv:2: column 1"):
             read_regression_csv(files + [extra])
+
+    def test_mistyped_first_row_is_an_error(self, tmp_path):
+        # A numeric covariate makes the first row data, not a header.
+        a = write_lines(tmp_path, "a.csv", [
+            "high,1.0",
+            "2.0,1.0",
+            "3.0,2.0",
+        ])
+        with pytest.raises(ParseError) as info:
+            read_regression_csv([a, a])
+        assert str(info.value) == f"{a}:1: column 1 is not numeric: 'high'"
 
 
 class TestQuoteCell:

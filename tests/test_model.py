@@ -422,6 +422,13 @@ class TestRegressionReduction:
         coef = np.linalg.lstsq(z_tall, y_tall, rcond=None)[0]
         assert m.s == approx(float(((y_tall - z_tall @ coef) ** 2).sum()))
 
+    def test_design_whose_squares_underflow_is_named(self):
+        # Full column rank, but the Gram matrix underflows to zero.
+        tiny = np.array([[1e-200], [2e-200], [3.1e-200]])
+        with pytest.raises(ValueError) as info:
+            canonicalize_regression([tiny, np.ones((3, 1))], [np.ones(3), np.arange(3.0)])
+        assert str(info.value) == "designs[0] has entries too small to square"
+
     def test_rank_deficient_design_rejected(self):
         z = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         with pytest.raises(ValueError):
