@@ -605,8 +605,9 @@ def canonicalize_regression(
             gram = z.T @ z
         if not np.all(np.isfinite(gram)):
             raise ValueError(f"designs[{i}] has entries too large to square")
-        # A nonzero column whose squares underflowed leaves inv(gram) nothing to invert.
-        if np.any((np.diagonal(gram) == 0.0) & z.any(axis=0)):
+        # A nonzero column whose squares underflowed, to zero or to a subnormal,
+        # leaves inv(gram) nothing finite to invert.
+        if np.any((np.diagonal(gram) < np.finfo(float).tiny) & z.any(axis=0)):
             raise ValueError(f"designs[{i}] has entries too small to square")
         coef, _, rank, _ = np.linalg.lstsq(z, y, rcond=None)
         if rank < p:

@@ -7,37 +7,40 @@ every integrand is evaluated as exp(log_integrand - shift) with a common
 shift taken from the denominator, so extreme exponent combinations cannot
 underflow the ratio even when the raw integrals would.
 
-The hierarchical factors use no adaptive quadrature. hb2_shrink_ratios and
-hb2_factors evaluate the joint factors of regular points (both statistics
-above DEGENERATE_STAT) by one tensor Gauss-Jacobi rule (Golub and
-Welsch, Math. Comp. 23, 1969). The substitutions x = t/(1-t), t = T s and
-y = w(1+x)/(1-w), w = U r take the box [0, f] x [0, g] to the unit square,
-where the weights s^alpha_e and r^beta_e absorb the power singularities at
-zero; a positive tilt adds one log incomplete-gamma term to the
-integrand. T and U are capped where less than 1e-20 of every integral
-lies beyond, which for large gamma_e (the kernel falls off over about
-1/gamma_e) keeps the nodes where the mass is. All points of an array run
-through the rule together on one ladder of node counts per axis, 12, 20,
-28, 40, 48, 80, 88, 160 and 168, in chunks of as many cells as 64 points
-at 28 nodes, whose buffers stay in a core's L2 cache. Every sum runs over
-one point's nodes alone, so a point's values do not depend on the array
-or chunk it sits in. Without a tilt the grid is summed unshifted, since
-the axis caps keep it far above underflow; under a tilt each row of a
-point's grid is shifted by its first node, its largest. Each round runs
-the next size on the points still missing and accepts a point when its
-phi and psi are finite and agree within QUAD_REL relative with its values
-at the size before; the point takes the larger rule's values. That
-agreement is an acceptance test, not an error bound (hb2_factors gives
-the worst miss measured). A point still missing after the 168-node round
-fails with ArithmeticError, as "underflowed everywhere" when its tilted
-integrand underflowed at every node of both of the last two rules, else
-as "failed to converge". The
-array call raises either as ReplicateError naming the lowest failing
-flat index. Degenerate statistics take exact series limits; with a tilt,
-the remaining 1-D ratio takes the same rule with the vanishing statistic
-set to 0. Without a tilt it is the closed-form ratio of truncated power
-integrals that hb1_phi also takes (_power_ratio), and every ratio to a
-statistic switches to its limit at DEGENERATE_STAT in one place
+The hierarchical factors use no adaptive quadrature. Each factor has one
+public array implementation, hb1_phi and hb2_factors (whose three
+statistics broadcast together): a 0-d input gives a float, an array an
+array of its shape, and an invalid statistic raises ValueError;
+hb1_shrink_ratio and hb2_shrink_ratios divide their output by the
+statistics. hb2_factors evaluates the joint factors of regular points (both
+statistics above DEGENERATE_STAT) by one tensor Gauss-Jacobi rule (Golub
+and Welsch, Math. Comp. 23, 1969). The substitutions x = t/(1-t), t = T s
+and y = w(1+x)/(1-w), w = U r take the box [0, f] x [0, g] to the unit
+square, where the weights s^alpha_e and r^beta_e absorb the power
+singularities at zero; a positive tilt adds one log incomplete-gamma term
+to the integrand. T and U are capped where less than 1e-20 of every
+integral lies beyond, which for large gamma_e (the kernel falls off over
+about 1/gamma_e) keeps the nodes where the mass is. All points of an array
+run through the rule together on one ladder of node counts per axis, 12,
+20, 28, 40, 48, 80, 88, 160 and 168, in chunks of as many cells as 64
+points at 28 nodes, whose buffers stay in a core's L2 cache. Every sum runs
+over one point's nodes alone, so a point's values do not depend on the
+array or chunk it sits in. Without a tilt the grid is summed unshifted,
+since the axis caps keep it far above underflow; under a tilt each row of a
+point's grid is shifted by its first node, its largest. Each round runs the
+next size on the points still missing and accepts a point when its phi and
+psi are finite and agree within QUAD_REL relative with its values at the
+size before; the point takes the larger rule's values. That agreement is an
+acceptance test, not an error bound (hb2_factors gives the worst miss
+measured). A point still missing after the 168-node round fails with
+ArithmeticError, as "underflowed everywhere" when its tilted integrand
+underflowed at every node of both of the last two rules, else as "failed to
+converge". The call raises either as ReplicateError naming the lowest
+failing flat index. Degenerate statistics take exact series limits; with a
+tilt, the remaining 1-D ratio takes the same rule with the vanishing
+statistic set to 0. Without a tilt it is the closed-form ratio of truncated
+power integrals that hb1_phi also takes (_power_ratio), and every ratio to
+a statistic switches to its limit at DEGENERATE_STAT in one place
 (_per_stat).
 
 integrate_adaptive_1d is a standalone 15-point Gauss-Kronrod panel scheme
@@ -326,10 +329,16 @@ def _power_ratio(upper, num: float, den: float, mprime: float) -> np.ndarray:
     return np.where(ua > 0.0, out, 0.0)
 
 
-def _per_stat(factor: np.ndarray, stat: np.ndarray, limit: float) -> np.ndarray:
+def _as_output(values: np.ndarray) -> float | np.ndarray:
+    """The public calls' one scalar rule: 0-d values as a float, others as they are."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _per_stat(factor, stat, limit: float) -> float | np.ndarray:
     """factor / stat, and its series limit where stat is at most DEGENERATE_STAT."""
+    stat = np.asarray(stat, dtype=float)
     regular = stat > DEGENERATE_STAT
-    return np.where(regular, factor / np.where(regular, stat, 1.0), limit)
+    return _as_output(np.where(regular, factor / np.where(regular, stat, 1.0), limit))
 
 
 def hb1_phi(
@@ -341,7 +350,8 @@ def hb1_phi(
     [0, eig_floor * f_stat] (_power_ratio).
 
     Args:
-        f_stat: residual statistic(s), >= 0; scalar or ndarray.
+        f_stat: residual statistic(s), finite and >= 0; a 0-d input gives
+            a float, an array an array of its shape.
         p, k, n: model dimensions and scale degrees of freedom.
         a, c: prior exponents; requires p(k-1)/2 + a > 0 and a + c < n/2
             so that both integrals are finite.
@@ -356,11 +366,10 @@ def hb1_phi(
     if not eig_floor > 0.0:
         raise ValueError(f"eig_floor must be positive, got {eig_floor}")
     fa = np.asarray(f_stat, dtype=float)
-    if np.any(fa < 0.0):
-        raise ValueError("f_stat must be nonnegative")
+    if not np.all((fa >= 0.0) & (fa < np.inf)):
+        raise ValueError("f_stat must be finite and nonnegative")
     big_m = 0.5 * (n + p * (k - 1)) + 1.0 - c
-    out = _power_ratio(eig_floor * fa, m + a, m + a - 1.0, big_m)
-    return float(out) if np.isscalar(f_stat) else out
+    return _as_output(_power_ratio(eig_floor * fa, m + a, m + a - 1.0, big_m))
 
 
 def hb1_shrink_ratio(
@@ -372,11 +381,8 @@ def hb1_shrink_ratio(
     m = p(k-1)/2; at or below DEGENERATE_STAT that limit is returned directly.
     """
     m = 0.5 * p * (k - 1)
-    fa = np.asarray(f_stat, dtype=float)
-    limit = eig_floor * (m + a) / (m + a + 1.0)
-    phi = hb1_phi(np.where(fa > DEGENERATE_STAT, fa, 1.0), p, k, n, a, c, eig_floor)
-    out = _per_stat(phi, fa, limit)
-    return float(out) if np.isscalar(f_stat) else out
+    phi = hb1_phi(f_stat, p, k, n, a, c, eig_floor)
+    return _per_stat(phi, f_stat, eig_floor * (m + a) / (m + a + 1.0))
 
 
 @dataclass(frozen=True)
@@ -613,79 +619,30 @@ def _check_statistics(f: np.ndarray, g: np.ndarray, s: np.ndarray, big_l: float)
     raise ValueError(f"scale_sum must be positive when big_l > 0, got {float(s[i])}")
 
 
-def _hb2_flat(
-    f: np.ndarray,
-    g: np.ndarray,
-    s: np.ndarray,
-    e: HbExponents,
-    big_l: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, psi) of flat statistic arrays; the one implementation behind both public calls.
-
-    Regular points take _joint_rule. Where a statistic is at most
-    DEGENERATE_STAT, its factor takes the series limit. Exponents too
-    large for the rule's weights raise ValueError before any rule runs. A
-    failing point raises ReplicateError with the lowest failing flat index.
-    """
-    _check_statistics(f, g, s, big_l)
-    al, be, ga = e.alpha_e, e.beta_e, e.gamma_e
-    if not max(al, be) + 1.0 < _RULE_POWER_LIMIT:
-        raise ValueError(
-            "the HB2 rule needs p(k-1)/2 + a and p/2 + b below "
-            f"{_RULE_POWER_LIMIT:g}, got {al + 1.0:g} and {be + 1.0:g}"
-        )
-    f_deg = f <= DEGENERATE_STAT
-    g_deg = g <= DEGENERATE_STAT
-    # An overflow here reaches no result: an infinite tilt underflows
-    # everywhere in the rule, and phi and psi are kept at degenerate points.
-    with np.errstate(over="ignore"):
-        z0 = 0.5 * big_l * s if big_l > 0.0 else np.zeros_like(f)
-        phi = f * (al + 1.0) / (al + 2.0)
-        psi = g * (be + 1.0) / (be + 2.0)
-    errors = np.full(f.size, "", dtype=object)
-    reg = np.flatnonzero(~f_deg & ~g_deg)
-    (phi[reg], psi[reg]), errors[reg] = _by_rule(e, f[reg], g[reg], z0[reg], "joint shrink-factor")
-    # With one statistic degenerate, the other factor is a 1-D ratio at the
-    # vanishing coordinate: a closed form with zero tilt, else the rule with
-    # that statistic at 0 (x and y swap roles when g vanishes).
-    for edge, stat, factor, expo, roles in (
-        (f_deg & ~g_deg, g, psi, be, e),
-        (g_deg & ~f_deg, f, phi, al, HbExponents(be, al, ga)),
-    ):
-        idx = np.flatnonzero(edge)
-        if not idx.size:
-            continue
-        if big_l == 0.0:
-            factor[idx] = _power_ratio(stat[idx], expo + 1.0, expo, ga + 1.0)
-        else:
-            (_, factor[idx]), errors[idx] = _by_rule(
-                roles, np.zeros(idx.size), stat[idx], z0[idx], "degenerate-limit"
-            )
-    failed = np.flatnonzero(errors != "")
-    if failed.size:
-        raise ReplicateError(int(failed[0]), ArithmeticError(errors[failed[0]]))
-    return phi, psi
-
-
 def hb2_factors(
-    f_stat: float,
-    g_stat: float,
-    scale_sum: float,
+    f_stat,
+    g_stat,
+    scale_sum,
     exponents: HbExponents,
     big_l: float = 0.0,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Joint shrink factors (phi, psi) of the second hierarchical estimator.
 
     phi scales the shrink toward the pooled mean, psi the shrink of the
     pooled mean toward zero. Both are ratios of truncated double integrals
     over the residual and location coordinates; with big_l == 0 the factors
     are free of scale_sum, with big_l > 0 an upper incomplete gamma tilt
-    couples them to it. This is the one-point case of hb2_shrink_ratios.
+    couples them to it. The statistics broadcast together; 0-d inputs give
+    floats, arrays arrays of the broadcast shape. Regular points take the
+    Gauss-Jacobi rule (see the module docstring) all together; where a
+    statistic is at most DEGENERATE_STAT, its factor takes the series
+    limit. A point's values do not depend on the other points of the call.
 
     Args:
-        f_stat: residual statistic, >= 0.
-        g_stat: location statistic, >= 0.
-        scale_sum: pooled scale statistic (only read when big_l > 0).
+        f_stat: residual statistic(s), finite and >= 0.
+        g_stat: location statistic(s), finite and >= 0.
+        scale_sum: pooled scale statistic(s) (only read when big_l > 0,
+            where they must be positive).
         exponents: integral exponents, see HbExponents.
         big_l: precision tilt rate, >= 0.
 
@@ -702,13 +659,57 @@ def hb2_factors(
         worst by 1.07e-5.
 
     Raises:
-        ArithmeticError (a ReplicateError naming index 0) when the rule
-        fails to converge or the tilted integrand underflows everywhere.
+        ValueError for the lowest invalid point, or when the exponents are
+        too large for the rule's weights, before any rule runs.
+        ReplicateError (an ArithmeticError) naming the lowest failing flat
+        index when the rule fails to converge there or the tilted
+        integrand underflows everywhere.
     """
-    phi, psi = _hb2_flat(
-        *(np.array([v], dtype=float) for v in (f_stat, g_stat, scale_sum)), exponents, big_l
+    f, g, s = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (f_stat, g_stat, scale_sum))
     )
-    return float(phi[0]), float(psi[0])
+    shape = f.shape
+    f, g, s = f.ravel(), g.ravel(), s.ravel()
+    _check_statistics(f, g, s, big_l)
+    al, be, ga = exponents.alpha_e, exponents.beta_e, exponents.gamma_e
+    if not max(al, be) + 1.0 < _RULE_POWER_LIMIT:
+        raise ValueError(
+            "the HB2 rule needs p(k-1)/2 + a and p/2 + b below "
+            f"{_RULE_POWER_LIMIT:g}, got {al + 1.0:g} and {be + 1.0:g}"
+        )
+    f_deg = f <= DEGENERATE_STAT
+    g_deg = g <= DEGENERATE_STAT
+    # An overflow here reaches no result: an infinite tilt underflows
+    # everywhere in the rule, and phi and psi are kept at degenerate points.
+    with np.errstate(over="ignore"):
+        z0 = 0.5 * big_l * s if big_l > 0.0 else np.zeros_like(f)
+        phi = f * (al + 1.0) / (al + 2.0)
+        psi = g * (be + 1.0) / (be + 2.0)
+    errors = np.full(f.size, "", dtype=object)
+    reg = np.flatnonzero(~f_deg & ~g_deg)
+    (phi[reg], psi[reg]), errors[reg] = _by_rule(
+        exponents, f[reg], g[reg], z0[reg], "joint shrink-factor"
+    )
+    # With one statistic degenerate, the other factor is a 1-D ratio at the
+    # vanishing coordinate: a closed form with zero tilt, else the rule with
+    # that statistic at 0 (x and y swap roles when g vanishes).
+    for edge, stat, factor, expo, roles in (
+        (f_deg & ~g_deg, g, psi, be, exponents),
+        (g_deg & ~f_deg, f, phi, al, HbExponents(be, al, ga)),
+    ):
+        idx = np.flatnonzero(edge)
+        if not idx.size:
+            continue
+        if big_l == 0.0:
+            factor[idx] = _power_ratio(stat[idx], expo + 1.0, expo, ga + 1.0)
+        else:
+            (_, factor[idx]), errors[idx] = _by_rule(
+                roles, np.zeros(idx.size), stat[idx], z0[idx], "degenerate-limit"
+            )
+    failed = np.flatnonzero(errors != "")
+    if failed.size:
+        raise ReplicateError(int(failed[0]), ArithmeticError(errors[failed[0]]))
+    return _as_output(phi.reshape(shape)), _as_output(psi.reshape(shape))
 
 
 def hb2_shrink_ratios(
@@ -718,22 +719,13 @@ def hb2_shrink_ratios(
     exponents: HbExponents,
     big_l: float = 0.0,
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """(phi/f, psi/g) with exact series limits at degenerate statistics.
+    """(phi/f, psi/g) of hb2_factors, with exact series limits at degenerate statistics.
 
-    The statistics broadcast together; scalars give floats, arrays arrays.
-    All points go through the Gauss-Jacobi rule together (see the module
-    docstring). A failing point raises ReplicateError naming its flat
-    index, the lowest one if several fail.
+    Broadcasting, the scalar rule and the failures are those of hb2_factors.
     """
-    f, g, s = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (f_stat, g_stat, scale_sum))
-    )
-    shape = f.shape
-    f, g, s = f.ravel(), g.ravel(), s.ravel()
-    phi, psi = _hb2_flat(f, g, s, exponents, big_l)
+    phi, psi = hb2_factors(f_stat, g_stat, scale_sum, exponents, big_l)
     al, be = exponents.alpha_e, exponents.beta_e
-    phi_ratio = _per_stat(phi, f, (al + 1.0) / (al + 2.0))
-    psi_ratio = _per_stat(psi, g, (be + 1.0) / (be + 2.0))
-    if not shape:
-        return float(phi_ratio[0]), float(psi_ratio[0])
-    return phi_ratio.reshape(shape), psi_ratio.reshape(shape)
+    return (
+        _per_stat(phi, f_stat, (al + 1.0) / (al + 2.0)),
+        _per_stat(psi, g_stat, (be + 1.0) / (be + 2.0)),
+    )

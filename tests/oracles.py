@@ -1,8 +1,9 @@
 """Slow, independent numerical oracles used to pin the fast routines.
 
 Everything here is deliberately primitive: midpoint Riemann sums, plain
-bisection, binomial tail sums. Nothing imports from the package under
-test, so agreement between the two is evidence, not circularity.
+bisection, binomial tail sums, closed forms fed to scipy's own QUADPACK.
+Nothing imports from the package under test, so agreement between the two
+is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 from scipy import stats
-from scipy.special import gammaincc
+from scipy.integrate import quad
+from scipy.special import beta, betainc, gammaincc
 
 
 def riemann_midpoint(f, lo: float, hi: float, panels: int) -> float:
@@ -150,3 +152,43 @@ def hb2_factors_riemann(
     )
     num_phi, num_psi, den = ((4.0 * fv - cv) / 3.0 for fv, cv in zip(fine, coarse))
     return num_phi / den, num_psi / den
+
+
+def hb2_factors_closed_inner(
+    f_stat: float,
+    g_stat: float,
+    p: int,
+    k: int,
+    n: int,
+    a: float,
+    b: float,
+    c: float,
+) -> tuple[float, float]:
+    """Zero-tilt double-shrink factors with the inner integral in closed form.
+
+    Substituting y = (1+x) u and then w = u / (1+u) gives
+    int_0^G y^(beta+j) (1+x+y)^(-gamma-1) dy
+    = (1+x)^(beta+j-gamma) B(beta+j+1, gamma-beta-j) I_{G/(1+x+G)}(beta+j+1, gamma-beta-j).
+    scipy.integrate.quad then takes the outer integral of x^(alpha+i) times
+    that over (0, F) at relative tolerance 1e-13 and no absolute one (the
+    integrals can be far below 1).
+    """
+    alpha_e = 0.5 * p * (k - 1) + a - 1.0
+    beta_e = 0.5 * p + b - 1.0
+    gamma_e = 0.5 * (n + p * k) - c
+
+    def integrand(x, i, j):
+        shape = (beta_e + j + 1.0, gamma_e - beta_e - j)
+        return (
+            x ** (alpha_e + i)
+            * (1.0 + x) ** (beta_e + j - gamma_e)
+            * beta(*shape)
+            * betainc(*shape, g_stat / (1.0 + x + g_stat))
+        )
+
+    def outer(i, j):
+        value, _ = quad(integrand, 0.0, f_stat, args=(i, j), epsabs=0.0, epsrel=1e-13)
+        return value
+
+    den = outer(0, 0)
+    return outer(1, 0) / den, outer(0, 1) / den

@@ -423,11 +423,13 @@ class TestRegressionReduction:
         assert m.s == approx(float(((y_tall - z_tall @ coef) ** 2).sum()))
 
     def test_design_whose_squares_underflow_is_named(self):
-        # Full column rank, but the Gram matrix underflows to zero.
-        tiny = np.array([[1e-200], [2e-200], [3.1e-200]])
-        with pytest.raises(ValueError) as info:
-            canonicalize_regression([tiny, np.ones((3, 1))], [np.ones(3), np.arange(3.0)])
-        assert str(info.value) == "designs[0] has entries too small to square"
+        # Full column rank, but the Gram matrix underflows: to zero at 1e-200,
+        # to a subnormal (about 1.4e-319, whose inverse is inf) at 1e-160.
+        for scale in (1e-200, 1e-160):
+            tiny = scale * np.array([[1.0], [2.0], [3.1]])
+            with pytest.raises(ValueError) as info:
+                canonicalize_regression([tiny, np.ones((3, 1))], [np.ones(3), np.arange(3.0)])
+            assert str(info.value) == "designs[0] has entries too small to square"
 
     def test_rank_deficient_design_rejected(self):
         z = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])

@@ -9,7 +9,9 @@ import scipy.special as sc
 from pytest import approx
 
 import oracles
-from kshrink import numerics
+from kshrink import montecarlo, numerics
+from kshrink.model import TrueParameters
+from kshrink.montecarlo import ExperimentConfig
 from kshrink.numerics import (
     HbExponents,
     ReplicateError,
@@ -212,6 +214,14 @@ class TestHb1Phi:
         with pytest.raises(ValueError):
             hb1_phi(-1.0, 5, 5, 20, 0.1, 0.1, 1.0)
 
+    @pytest.mark.parametrize("call", [hb1_phi, hb1_shrink_ratio])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_statistic_is_invalid(self, call, bad):
+        # hb1_shrink_ratio reads hb1_phi's check, not a stand-in statistic.
+        for f in (bad, np.array([0.5, bad])):
+            with pytest.raises(ValueError, match="f_stat must be finite and nonnegative"):
+                call(f, 5, 5, 20, 0.1, 0.1, 1.0)
+
 
 class TestHbExponents:
     def test_from_model(self):
@@ -385,6 +395,38 @@ class TestHb2ShrinkRatios:
             hb2_shrink_ratios(np.array([0.5, 2.0]), 1.0, 1.0, huge)
         # Just under the limit the rule still runs.
         hb2_shrink_ratios(2.0, 1.0, 1.0, HbExponents(1022.0, 1.0, 1100.0))
+
+
+class TestHb2FactorsOverArrays:
+    """hb2_factors is the array implementation: its points are its scalar calls."""
+
+    F = np.array([0.0, 1e-12, DEGENERATE_STAT, 0.3, 2.0, 25.0, 1e-12, 0.8, 4.0])
+    G = np.array([0.5, 3.0, 1.2, 0.0, 1e-12, DEGENERATE_STAT, 0.0, 0.7, 12.0])
+    S = np.array([2.0, 8.0, 20.0, 5.0, 25.0, 40.0, 3.0, 10.0, 30.0])
+
+    @pytest.mark.parametrize("big_l", [0.0, 0.5])
+    def test_array_call_is_its_scalar_calls_bit_for_bit(self, big_l):
+        phi, psi = hb2_factors(self.F, self.G, self.S, BENCH, big_l=big_l)
+        assert phi.shape == psi.shape == self.F.shape
+        for i in range(self.F.size):
+            one = hb2_factors(self.F[i], self.G[i], self.S[i], BENCH, big_l=big_l)
+            assert isinstance(one[0], float) and isinstance(one[1], float)
+            assert one == (phi[i], psi[i])
+
+    def test_statistics_broadcast_and_keep_their_shape(self):
+        f = self.F[:6].reshape(2, 3)
+        phi, psi = hb2_factors(f, self.G[:3], 4.0, BENCH, big_l=0.5)
+        assert phi.shape == psi.shape == (2, 3)
+        flat = hb2_factors(f.ravel(), np.tile(self.G[:3], 2), 4.0, BENCH, big_l=0.5)
+        assert np.array_equal(phi.ravel(), flat[0]) and np.array_equal(psi.ravel(), flat[1])
+
+    def test_failing_point_names_its_lowest_flat_index(self):
+        # z0 = 1000 at scale sum 1e3: the tilted integrand underflows everywhere.
+        s = np.array([[25.0, 25.0, 25.0], [25.0, 1e3, 1e3]])
+        f = np.array([[1.3, 1e-12, 0.4], [2.0, 1.3, 1.3]])
+        with pytest.raises(ReplicateError, match="underflowed everywhere") as raised:
+            hb2_factors(f, 0.7, s, BENCH, big_l=2.0)
+        assert raised.value.replicate == 4
 
 
 class TestTiltedHb2:
@@ -725,3 +767,68 @@ class TestHbFactorsOverTheStatisticRange:
         for f in (1e-3, 0.5, 5.0, 50.0):
             slow = oracles.hb1_phi_riemann(f, 5, 5, 20, 0.1, 0.1)
             assert hb1_shrink_ratio(f, 5, 5, 20, 0.1, 0.1, 1.0) * f == approx(slow, rel=1e-9)
+
+
+def benchmark_statistics() -> tuple[np.ndarray, np.ndarray]:
+    """(f, g) of the first 256 replicates of each benchmark configuration, as table1 draws them."""
+    cfg = ExperimentConfig.benchmark()
+    constants = cfg.validate()
+    chol = np.linalg.cholesky(cfg.v)
+    batches = []
+    for ci, mc in enumerate(cfg.mean_configs):
+        key = (montecarlo._NS_EXPERIMENT, ci)
+        u, us = montecarlo._replicate_uniforms(cfg.seed, key, 0, 256, cfg.k, cfg.p)
+        truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
+        batches.append(constants.summarize(*montecarlo._draw(truth, chol, cfg.n, u, us)))
+    return (
+        np.concatenate([b.residual_stat for b in batches]),
+        np.concatenate([b.pooled_norm_stat for b in batches]),
+    )
+
+
+class TestZeroTiltClosedInnerOracle:
+    """Zero-tilt HB factors against oracles that share no code with the rule.
+
+    hb2_factors_closed_inner takes the inner integral in closed form and
+    the outer one by QUADPACK. One array call is checked at the statistics
+    the benchmark reaches and at seeded statistics of three other shapes.
+    """
+
+    REL = 1e-9
+
+    @pytest.fixture(scope="class")
+    def quantiles(self):
+        """11 quantiles each of f and g over table1's seeded 256-replicate draws."""
+        f, g = benchmark_statistics()
+        levels = np.linspace(0.0, 1.0, 11)
+        return np.quantile(f, levels), np.quantile(g, levels)
+
+    def check(self, f, g, p, k, n):
+        phi, psi = hb2_factors(f, g, 1.0, HbExponents.from_model(p, k, n, 0.1, 0.1, 0.1))
+        slow = np.array(
+            [oracles.hb2_factors_closed_inner(a, b, p, k, n, 0.1, 0.1, 0.1)
+             for a, b in zip(f.ravel(), g.ravel())]
+        )
+        np.testing.assert_allclose(phi.ravel(), slow[:, 0], rtol=self.REL, atol=0.0)
+        np.testing.assert_allclose(psi.ravel(), slow[:, 1], rtol=self.REL, atol=0.0)
+
+    def test_benchmark_quantile_grid(self, quantiles):
+        f, g = np.meshgrid(*quantiles, indexing="ij")
+        assert f.min() > DEGENERATE_STAT and g.min() > DEGENERATE_STAT
+        self.check(f, g, 5, 5, 20)
+
+    @pytest.mark.parametrize("p, k, n", [(3, 4, 12), (12, 10, 200), (5, 2, 2000)])
+    def test_seeded_points_of_other_shapes(self, p, k, n):
+        # f = X1/S and g = X2/S with X1 ~ chi2_{p(k-1)}(l1), X2 ~ chi2_p(l2)
+        # and S ~ chi2_n: the statistics of inverse-scale draws at this shape.
+        rng = np.random.default_rng(11)
+        d1 = p * (k - 1)
+        f = rng.noncentral_chisquare(d1, rng.uniform(0.0, 3.0 * d1, 16)) / rng.chisquare(n, 16)
+        g = rng.noncentral_chisquare(p, rng.uniform(0.0, 3.0 * p, 16)) / rng.chisquare(n, 16)
+        self.check(f, g, p, k, n)
+
+    def test_hb1_on_the_benchmark_f_quantiles(self, quantiles):
+        f, _ = quantiles
+        got = hb1_phi(f, 5, 5, 20, 0.1, 0.1, 1.0)
+        slow = [oracles.hb1_phi_riemann(a, 5, 5, 20, 0.1, 0.1) for a in f]
+        np.testing.assert_allclose(got, slow, rtol=self.REL, atol=0.0)
