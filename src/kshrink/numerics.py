@@ -14,34 +14,37 @@ array of its shape, and an invalid statistic raises ValueError;
 hb1_shrink_ratio and hb2_shrink_ratios divide their output by the
 statistics. hb2_factors evaluates the joint factors of regular points (both
 statistics above DEGENERATE_STAT) by one tensor Gauss-Jacobi rule (Golub
-and Welsch, Math. Comp. 23, 1969). The substitutions x = t/(1-t), t = T s
-and y = w(1+x)/(1-w), w = U r take the box [0, f] x [0, g] to the unit
-square, where the weights s^alpha_e and r^beta_e absorb the power
-singularities at zero; a positive tilt adds one log incomplete-gamma term
-to the integrand. T and U are capped where less than 1e-20 of every
-integral lies beyond, which for large gamma_e (the kernel falls off over
-about 1/gamma_e) keeps the nodes where the mass is. All points of an array
-run through the rule together on one ladder of node counts per axis, 12,
-20, 28, 40, 48, 80, 88, 160 and 168, in chunks of as many cells as 64
-points at 28 nodes, whose buffers stay in a core's L2 cache. Every sum runs
-over one point's nodes alone, so a point's values do not depend on the
-array or chunk it sits in. Without a tilt the grid is summed unshifted,
-since the axis caps keep it far above underflow; under a tilt each row of a
-point's grid is shifted by its first node, its largest. Each round runs the
-next size on the points still missing and accepts a point when its phi and
-psi are finite and agree within QUAD_REL relative with its values at the
-size before; the point takes the larger rule's values. That agreement is an
-acceptance test, not an error bound (hb2_factors gives the worst miss
-measured). A point still missing after the 168-node round fails with
-ArithmeticError, as "underflowed everywhere" when its tilted integrand
-underflowed at every node of both of the last two rules, else as "failed to
-converge". The call raises either as ReplicateError naming the lowest
-failing flat index. Degenerate statistics take exact series limits; with a
-tilt, the remaining 1-D ratio takes the same rule with the vanishing
-statistic set to 0. Without a tilt it is the closed-form ratio of truncated
-power integrals that hb1_phi also takes (_power_ratio), and every ratio to
-a statistic switches to its limit at DEGENERATE_STAT in one place
-(_per_stat).
+and Welsch, Math. Comp. 23, 1969): numpy's eigvalsh gives the eigenvalues
+of the dense Jacobi matrix, and scipy.special's Newton step and weight
+formula finish them into roots_jacobi's nodes and weights bit for bit, so
+no command loads scipy.linalg (about 40 ms and 5-8 MB) for its banded
+solver. The substitutions x = t/(1-t), t = T s and y = w(1+x)/(1-w),
+w = U r take the box [0, f] x [0, g] to the unit square, where the weights
+s^alpha_e and r^beta_e absorb the power singularities at zero; a positive
+tilt adds one log incomplete-gamma term to the integrand. T and U are
+capped where less than 1e-20 of every integral lies beyond, which for large
+gamma_e (the kernel falls off over about 1/gamma_e) keeps the nodes where
+the mass is. All points of an array run through the rule together on one
+ladder of node counts per axis, 12, 20, 28, 40, 48, 80, 88, 160 and 168, in
+chunks of as many cells as 64 points at 28 nodes, whose buffers stay in a
+core's L2 cache. Every sum runs over one point's nodes alone, so a point's
+values do not depend on the array or chunk it sits in. Without a tilt the
+grid is summed unshifted, since the axis caps keep it far above underflow;
+under a tilt each row of a point's grid is shifted by its first node, its
+largest. Each round runs the next size on the points still missing and
+accepts a point when its phi and psi are finite and agree within QUAD_REL
+relative with its values at the size before; the point takes the larger
+rule's values. That agreement is an acceptance test, not an error bound
+(hb2_factors gives the worst miss measured). A point still missing after
+the 168-node round fails with ArithmeticError, as "underflowed everywhere"
+when its tilted integrand underflowed at every node of both of the last two
+rules, else as "failed to converge". The call raises either as
+ReplicateError naming the lowest failing flat index. Degenerate statistics
+take exact series limits; with a tilt, the remaining 1-D ratio takes the
+same rule with the vanishing statistic set to 0. Without a tilt it is the
+closed-form ratio of truncated power integrals that hb1_phi also takes
+(_power_ratio), and every ratio to a statistic switches to its limit at
+DEGENERATE_STAT in one place (_per_stat).
 
 integrate_adaptive_1d is a standalone 15-point Gauss-Kronrod panel scheme
 with worst-panel bisection; the rule and its error estimate follow
@@ -441,10 +444,59 @@ _TAIL_MASS = 1e-20
 _RULE_POWER_LIMIT = 1024.0
 
 
+def _gauss_jacobi(n: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-node Gauss rule for int_{-1}^1 (1+x)^b h(x) dx.
+
+    The Golub-Welsch eigenvalues of the Jacobi matrix come from numpy's
+    dense eigvalsh; the recurrence, the Newton step, the weight formula and
+    the Legendre branch at b = 0 are scipy.special.roots_jacobi(n, 0, b)'s in
+    its operation order, which gives its bits (tests/test_numerics.py pins
+    them) without loading scipy.linalg for a banded solver.
+    """
+    k = np.arange(1, n, dtype="d")
+    if b == 0.0:
+        mu0, diag = 2.0, np.zeros(n)
+        off = k * np.sqrt(1.0 / (4 * k * k - 1))
+    else:
+        if b <= 1000:
+            mu0 = 2.0 ** (b + 1) * sc.beta(1.0, b + 1)
+        else:
+            mu0 = np.exp((b + 1) * np.log(2.0) + sc.betaln(1.0, b + 1))
+        diag = np.concatenate(([b / (2 + b)], b * b / ((2.0 * k + b) * (2.0 * k + b + 2))))
+        tail = np.sqrt(k * (k + b) / (2.0 * k + b - 1))
+        tail[0] = 1.0
+        off = 2.0 / (2.0 * k + b) * np.sqrt(k * (k + b) / (2 * k + b + 1)) * tail
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    if b == 0.0:
+        y = sc.eval_legendre(n, x)
+        dy = (-n * x * y + n * sc.eval_legendre(n - 1, x)) / (1 - x**2)
+        x -= y / dy
+        fm = sc.eval_legendre(n - 1, x)
+    else:
+        y = sc.eval_jacobi(n, 0.0, b, x)
+        dy = 0.5 * (n + b + 1) * sc.eval_jacobi(n - 1, 1.0, b + 1, x)
+        x -= y / dy
+        fm = sc.eval_jacobi(n - 1, 0.0, b, x)
+    # fm and dy span many decades: each is scaled to the middle of its log
+    # range before the product.
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    if b == 0.0:
+        w, x = (w + w[::-1]) / 2, (x - x[::-1]) / 2
+    w *= mu0 / w.sum()
+    return x, w
+
+
 @functools.lru_cache(maxsize=128)
 def _jacobi_rule(n: int, expo: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-node Gauss rule for int_0^1 s^expo h(s) ds."""
-    xi, wt = sc.roots_jacobi(n, 0.0, expo)
+    """Nodes and weights of the n-node Gauss rule for int_0^1 s^expo h(s) ds.
+
+    _gauss_jacobi's rule on [-1, 1] (numpy's eigvalsh, then scipy.special's
+    Newton step and weight formula) mapped by s = (x + 1)/2.
+    """
+    xi, wt = _gauss_jacobi(n, expo)
     nodes, weights = 0.5 * (xi + 1.0), wt / 2.0 ** (expo + 1.0)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights

@@ -388,7 +388,9 @@ class TestHb2ShrinkRatios:
 
     def test_exponents_past_the_rule_weights_are_rejected(self):
         # p(k-1)/2 + a = 1800.1 at p = 400, k = 10: 2^(expo + 1) overflows
-        # and roots_jacobi's weights are inf, so no rule may run there.
+        # in the weights' normaliser 2^(expo + 1) B(1, expo + 1), which makes them
+        # inf, and in the rule's division by 2.0 ** (expo + 1.0), so no rule may
+        # run there.
         # Warnings are errors in this suite, so a warning would fail here.
         huge = HbExponents.from_model(400, 10, 20, 0.1, 0.1, 0.1)
         with pytest.raises(ValueError, match="p\\(k-1\\)/2 \\+ a and p/2 \\+ b below 1024"):
@@ -547,6 +549,33 @@ def spy_rule_sizes(monkeypatch):
 
     monkeypatch.setattr(numerics, "_joint_rule", spy)
     return sizes
+
+
+def _rule_exponents():
+    """Seeded exponents over every branch the Gauss-Jacobi rule takes."""
+    rng = np.random.default_rng(33)
+    estimate = [HbExponents.from_model(p, k, 20, 0.1, 0.1, 0.1) for k in (3, 8) for p in (3, 6)]
+    return [
+        *rng.uniform(-1.0, 0.0, size=4).tolist(), -0.99,  # in (-1, 0)
+        0.0,  # the Legendre branch
+        BENCH.alpha_e, BENCH.beta_e,  # table1's 9.1 and 1.6
+        *(e for ex in estimate for e in (ex.alpha_e, ex.beta_e)),  # estimate's range
+        *rng.uniform(0.6, 20.1, size=4).tolist(),
+        1000.0, *rng.uniform(999.9, 1022.9, size=4).tolist(), 1022.9,  # the betaln branch
+    ]
+
+
+@pytest.mark.parametrize("n", numerics._RULE_SIZES)
+def test_jacobi_rule_is_scipys_rule_bit_for_bit(n):
+    # scipy.special.roots_jacobi is the reference the numpy eigenvalue solve
+    # replaced; the rule maps its nodes and weights to [0, 1].
+    for expo in _rule_exponents():
+        xi, wt = sc.roots_jacobi(n, 0.0, expo)
+        nodes, weights = numerics._jacobi_rule(n, expo)
+        np.testing.assert_array_equal(nodes, 0.5 * (xi + 1.0), err_msg=f"n={n}, expo={expo}")
+        np.testing.assert_array_equal(
+            weights, wt / 2.0 ** (expo + 1.0), err_msg=f"n={n}, expo={expo}"
+        )
 
 
 class TestRuleRounds:
