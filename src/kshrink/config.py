@@ -6,8 +6,9 @@ rejected rather than ignored, and so is a key named twice in one mapping
 invalidate a reproduction run. Three top-level sections are understood:
 
 ``experiment``
-    Mirrors ExperimentConfig: p, k, n, sigma2, v, q, mean_configs,
-    estimators, replicates, seed, threads.
+    Mirrors ExperimentConfig: n, sigma2, v, q, mean_configs, estimators,
+    replicates, seed, threads, plus p and k, which size the file's matrices
+    and which the config reads back from v's shape.
 
 ``hyper``
     Mirrors Hyperparameters: a, b, c, big_l, alpha.
@@ -39,7 +40,7 @@ class ConfigError(ValueError):
     """A configuration file is malformed, mistyped, or has unknown keys."""
 
 
-_EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)} - {"hyper"}
+_EXPERIMENT_KEYS = {f.name for f in fields(ExperimentConfig)} - {"hyper"} | {"p", "k"}
 # Counts a file may leave out; ExperimentConfig's field defaults fill them.
 _COUNT_KEYS = ("replicates", "seed", "threads")
 # In declaration order, the order parse_hyper checks them in.
@@ -262,8 +263,6 @@ def experiment_from_document(doc: dict) -> ExperimentConfig:
     if "q" in node and node["q"] is not None:
         q = parse_matrix_stack(node["q"], k, p, "experiment.q")
     return ExperimentConfig(
-        p=p,
-        k=k,
         n=n,
         sigma2=_get_float(node, "sigma2", "experiment"),
         v=v,

@@ -39,6 +39,7 @@ from .model import (
     LossSpec,
     PooledBatch,
     PooledConstants,
+    _freeze,
     pooled_summary,
     quad_forms,
 )
@@ -93,9 +94,7 @@ class EstimateSet:
     diagnostics: dict[str, float | bool] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.mu_hat, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "mu_hat", arr)
+        object.__setattr__(self, "mu_hat", _freeze(self.mu_hat))
 
 
 @dataclass(frozen=True)

@@ -77,6 +77,7 @@ from .model import (
     PooledBatch,
     PooledConstants,
     TrueParameters,
+    _freeze,
     _guarded_inverse,
     apply_maps,
     quad_forms,
@@ -183,9 +184,7 @@ class MeanConfig:
     mu: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.atleast_2d(np.asarray(self.mu, dtype=float))
-        arr.setflags(write=False)
-        object.__setattr__(self, "mu", arr)
+        object.__setattr__(self, "mu", _freeze(np.atleast_2d(self.mu)))
 
     @classmethod
     def from_scales(cls, name: str, scales: Sequence[float], p: int) -> "MeanConfig":
@@ -210,13 +209,13 @@ _BENCHMARK_SCALES = (
 class ExperimentConfig:
     """Everything a simulation run depends on.
 
-    q=None means inverse-scale loss (q[i] = inv(v[i])), as LossSpec.for_model
-    reads it. The seed addresses the whole experiment; threads only affects
-    wall time, never results.
+    k and p are read from the (k, p, p) stack v, as CanonicalModel reads
+    them from x; v, q and the mean rows are frozen copies of the caller's.
+    q=None means inverse-scale loss (q[i] = inv(v[i])), as
+    LossSpec.for_model reads it. The seed addresses the whole experiment;
+    threads only affects wall time, never results.
     """
 
-    p: int
-    k: int
     n: int
     sigma2: float
     v: np.ndarray
@@ -229,15 +228,19 @@ class ExperimentConfig:
     hyper: Hyperparameters = field(default_factory=Hyperparameters)
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", _freeze(self.v))
         if self.q is not None:
-            q = np.asarray(self.q, dtype=float)
-            q.setflags(write=False)
-            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "q", _freeze(self.q))
         object.__setattr__(self, "mean_configs", tuple(self.mean_configs))
         object.__setattr__(self, "estimators", tuple(self.estimators))
+
+    @property
+    def k(self) -> int:
+        return self.v.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.v.shape[-1]
 
     @staticmethod
     def check_dimensions(p: int, k: int, n: int) -> None:
@@ -251,15 +254,13 @@ class ExperimentConfig:
 
     def validate(self) -> PooledConstants:
         """Check the configuration; return the pooled constants its replicates share."""
+        if self.v.ndim != 3 or self.v.shape[1] != self.v.shape[2]:
+            raise ValueError(f"v must have shape (k, p, p), got {self.v.shape}")
         self.check_dimensions(self.p, self.k, self.n)
-        if not self.sigma2 > 0.0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.v.shape != (self.k, self.p, self.p):
-            raise ValueError(
-                f"v must have shape {(self.k, self.p, self.p)}, got {self.v.shape}"
-            )
-        if self.q is not None and self.q.shape != (self.k, self.p, self.p):
-            raise ValueError(f"q must have shape {(self.k, self.p, self.p)}, got {self.q.shape}")
+        if not (self.sigma2 > 0.0 and np.isfinite(self.sigma2)):
+            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if self.q is not None and self.q.shape != self.v.shape:
+            raise ValueError(f"q must have shape {self.v.shape}, got {self.q.shape}")
         _need_replicates(self.replicates)
         _need_nonnegative("seed", self.seed)
         if self.threads < 1:
@@ -281,13 +282,7 @@ class ExperimentConfig:
         for name in self.estimators:
             resolve_estimator(name)
         template = CanonicalModel(x=np.zeros((self.k, self.p)), v=self.v, s=1.0, n=self.n)
-        return PooledConstants.from_model(template, self.loss_spec(template))
-
-    def loss_spec(self, model: CanonicalModel | None = None) -> LossSpec:
-        """LossSpec.for_model(model, q): inverse-scale when q is None; model defaults to v's."""
-        if model is None:
-            model = CanonicalModel(x=np.zeros((self.k, self.p)), v=self.v, s=1.0, n=self.n)
-        return LossSpec.for_model(model, self.q)
+        return PooledConstants.from_model(template, LossSpec.for_model(template, self.q))
 
     @classmethod
     def benchmark(cls) -> "ExperimentConfig":
@@ -305,8 +300,6 @@ class ExperimentConfig:
             MeanConfig.from_scales(name, scales, p) for name, scales in _BENCHMARK_SCALES
         )
         return cls(
-            p=p,
-            k=k,
             n=20,
             sigma2=4.0,
             v=v,

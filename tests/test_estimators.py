@@ -190,7 +190,7 @@ class TestPreliminaryTest:
         assert by_none.inverse and by_none.eig_floor == 1.0
         assert np.array_equal(by_none.q, ls.q)
         cfg = ExperimentConfig(
-            p=4, k=3, n=10, sigma2=1.0, v=v,
+            n=10, sigma2=1.0, v=v,
             mean_configs=(MeanConfig("zero", np.zeros((3, 4))),),
             estimators=("PT", "PT*"), replicates=64,
         )
@@ -450,7 +450,7 @@ class TestGeneralClass:
         # standard errors, a tail event of the first draws: 1.7 at 20000.)
         means = (np.zeros((k, p)), rng.normal(size=(k, p)))
         cfg = ExperimentConfig(
-            p=p, k=k, n=n, sigma2=2.0, v=model.v,
+            n=n, sigma2=2.0, v=model.v,
             mean_configs=tuple(MeanConfig(f"m{i}", mu) for i, mu in enumerate(means)),
             replicates=20000,
         )

@@ -177,7 +177,7 @@ def _raised(build):
 
 def _experiment(v, q=None):
     mean = (MeanConfig.from_scales("flat", (0.0, 0.0), 3),)
-    return ExperimentConfig(p=3, k=2, n=10, sigma2=1.0, v=v, q=q, mean_configs=mean)
+    return ExperimentConfig(n=10, sigma2=1.0, v=v, q=q, mean_configs=mean)
 
 
 def _via_canonicalize(stack):

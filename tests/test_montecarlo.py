@@ -1,7 +1,7 @@
 """The simulation harness: determinism, engine agreement, validators."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from kshrink.estimators import (
     ShrinkageFunctions,
     estimate_js1,
 )
-from kshrink.model import PooledConstants, pooled_summary
+from kshrink.model import LossSpec, PooledConstants, pooled_summary
 from kshrink.risk import loss
 from kshrink.tolerances import DEGENERATE_STAT
 
@@ -35,8 +35,6 @@ from kshrink.tolerances import DEGENERATE_STAT
 def small_config(**overrides):
     v = np.stack([(0.5 + 0.25 * i) * np.eye(3) for i in range(3)])
     base = dict(
-        p=3,
-        k=3,
         n=12,
         sigma2=1.7,
         v=v,
@@ -207,9 +205,9 @@ class TestExperimentConfig:
 
     def test_validate_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="k >= 2"):
-            small_config(k=1, v=np.ones((1, 3, 3)) + np.eye(3)).validate()
+            small_config(v=np.ones((1, 3, 3)) + np.eye(3)).validate()
         with pytest.raises(ValueError, match="v must have shape"):
-            small_config(v=np.stack([np.eye(2)] * 3)).validate()
+            small_config(v=np.ones((3, 3, 2))).validate()
         bad_mean = (MeanConfig(name="bad", mu=np.zeros((2, 3))),)
         with pytest.raises(ValueError, match="mean config"):
             small_config(mean_configs=bad_mean).validate()
@@ -230,6 +228,38 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             run_experiment(small_config(seed=-1))
         assert drawn == []
+
+    def test_infinite_sigma2_rejected_before_drawing(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        message = "^sigma2 must be positive and finite, got inf$"
+        with pytest.raises(ValueError, match=message):
+            small_config(sigma2=np.inf).validate()
+        with pytest.raises(ValueError, match=message):
+            run_experiment(small_config(sigma2=np.inf))
+        assert drawn == []
+
+    def test_k_and_p_are_read_from_v(self):
+        cfg = small_config(v=np.stack([np.eye(2)] * 4))
+        assert (cfg.k, cfg.p) == (4, 2)
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert not names & {"p", "k"}
+        assert not hasattr(cfg, "loss_spec")
+
+    def test_caller_arrays_stay_the_callers(self):
+        v = np.stack([np.eye(3)] * 3)
+        q = np.stack([2.0 * np.eye(3)] * 3)
+        mu = np.zeros((3, 3))
+        mc = MeanConfig(name="flat", mu=mu)
+        cfg = small_config(v=v, q=q, mean_configs=(mc,))
+        v[0, 0] = q[0, 0] = mu[0] = 1.0
+        assert np.array_equal(cfg.v, np.stack([np.eye(3)] * 3))
+        assert np.array_equal(cfg.q, np.stack([2.0 * np.eye(3)] * 3))
+        assert np.array_equal(mc.mu, np.zeros((3, 3)))
+        for frozen in (cfg.v, cfg.q, mc.mu):
+            with pytest.raises(ValueError, match="read-only"):
+                frozen[0, 0] = 3.0
+        cfg.validate()
 
     def test_non_finite_mean_config_rejected_before_drawing(self, monkeypatch):
         drawn = []
@@ -268,7 +298,7 @@ class TestRunExperiment:
         # public sampling function and compare average losses.
         cfg = small_config(estimators=("X",) + ExperimentConfig.benchmark().estimators)
         table = run_experiment(cfg)
-        ls = cfg.loss_spec()
+        ls = cfg.validate().loss
         for ci, mc in enumerate(cfg.mean_configs):
             truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
             by_hand = {name: [] for name in table.estimator_names}
@@ -342,7 +372,7 @@ class TestRunExperiment:
     def test_unavailable_estimator_reports_nan(self):
         v = np.stack([np.eye(2)] * 3)
         cfg = ExperimentConfig(
-            p=2, k=3, n=12, sigma2=1.0, v=v,
+            n=12, sigma2=1.0, v=v,
             mean_configs=(MeanConfig.from_scales("z", (0.0, 0.0, 1.0), 2),),
             estimators=("JS1", "EB", "PT"),
             replicates=32, seed=5,
@@ -350,7 +380,7 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         model = CanonicalModel(x=np.zeros((3, 2)), v=v, s=1.0, n=12)
         with pytest.raises(PreconditionError) as raised:
-            estimate_js1(model, cfg.loss_spec())
+            estimate_js1(model, cfg.validate().loss)
         assert table.errors[("z", "JS1")] == str(raised.value)
         assert np.isnan(table.lookup("z", "JS1")[0])
         assert np.isfinite(table.lookup("z", "EB")[0])
@@ -361,7 +391,7 @@ class TestRunExperiment:
         # is a skipped column, not the end of the run.
         k = p = 64
         cfg = ExperimentConfig(
-            p=p, k=k, n=20, sigma2=1.0, v=np.broadcast_to(np.eye(p), (k, p, p)),
+            n=20, sigma2=1.0, v=np.broadcast_to(np.eye(p), (k, p, p)),
             mean_configs=(MeanConfig.from_scales("z", np.zeros(k), p),),
             estimators=("EB", "HB2"), replicates=2, seed=5,
         )
@@ -431,7 +461,7 @@ class TestPackedBlocks:
             monkeypatch, lambda count: run_experiment(replace(cfg, replicates=count)), (64,)
         )
         packed = run_experiment(cfg)
-        ls = cfg.loss_spec()
+        ls = cfg.validate().loss
         for ci, r in ((0, 49), (0, 50), (0, 63), (1, 0), (1, 35), (1, 36)):
             truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
             model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, ci, r)
@@ -496,7 +526,6 @@ class TestPackedBlocks:
         # records both, and the table lists them configuration by configuration.
         names = ("spread", "tight", "ramp")
         cfg = small_config(
-            p=2,
             v=np.stack([np.eye(2)] * 3),
             mean_configs=tuple(MeanConfig.from_scales(name, (0.0, 0.5, 1.0), 2) for name in names),
             estimators=("JS1", "EB", "PT*"),
@@ -511,7 +540,7 @@ class TestPackedBlocks:
         # the first scale draw of "b" that overflows is its replicate 535.
         p = k = 5
         cfg = ExperimentConfig(
-            p=p, k=k, n=20, sigma2=3.7e306,
+            n=20, sigma2=3.7e306,
             v=np.stack([np.eye(p)] * k), q=np.stack([1e100 * np.eye(p)] * k),
             mean_configs=tuple(MeanConfig.from_scales(name, [0.0] * k, p) for name in "ab"),
             estimators=("JS1",), replicates=600, threads=threads,
@@ -574,7 +603,7 @@ def ill_conditioned_config():
     rotation = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
     v = rotation @ np.diag(np.geomspace(1.0, 1e9, 4)) @ rotation.T
     return ExperimentConfig(
-        p=4, k=3, n=10, sigma2=1.0, v=np.stack([v] * 3),
+        n=10, sigma2=1.0, v=np.stack([v] * 3),
         mean_configs=(
             MeanConfig.from_scales("a", (0.0, 0.0, 0.0), 4),
             MeanConfig.from_scales("b", (1.0, 1.0, 1.0), 4),
@@ -622,7 +651,7 @@ def assert_single_shot_rows(cfg, monkeypatch, rows):
     truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
     for r in rows:
         model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, 0, r)
-        one = pooled_summary(model, cfg.loss_spec(model))
+        one = pooled_summary(model, LossSpec.for_model(model, cfg.q))
         assert np.array_equal(one.pooled_mean[0], block.pooled_mean[r])
         assert one.residual_stat[0] == block.residual_stat[r]
         assert one.pooled_norm_stat[0] == block.pooled_norm_stat[r]
@@ -634,8 +663,6 @@ class TestNonDiagonalScale:
     @pytest.fixture()
     def cfg(self):
         return small_config(
-            p=5,
-            k=5,
             v=spd_stack(5, 5, seed=8),
             mean_configs=(MeanConfig.from_scales("ramp", (0.0, 0.5, 1.0, 1.5, 2.0), 5),),
             estimators=("JS2", "EB*", "HB2"),
@@ -670,8 +697,6 @@ class TestNonDiagonalScale:
         # 8-row blocks; 19 replicates end in a 3-row block.
         k = p = 64
         cfg = small_config(
-            p=p,
-            k=k,
             v=spd_stack(k, p, seed=12),
             mean_configs=(MeanConfig.from_scales("ramp", np.linspace(0.0, 2.0, k), p),),
             estimators=("JS2", "PT*", "EB*", "HB1"),
@@ -695,7 +720,6 @@ class TestNonDiagonalScale:
         # At p = 2 numpy sums a lone replicate's quadratic forms in another
         # order than a block's unless quad_forms runs it as a block.
         cfg = small_config(
-            p=2,
             v=spd_stack(3, 2, seed=10),
             mean_configs=(MeanConfig.from_scales("ramp", (0.0, 0.5, 1.0), 2),),
             estimators=("EB",),
@@ -789,7 +813,7 @@ class TestPairedDomination:
     def test_unavailable_estimator_raises(self):
         v = np.stack([np.eye(2)] * 3)
         cfg = ExperimentConfig(
-            p=2, k=3, n=12, sigma2=1.0, v=v,
+            n=12, sigma2=1.0, v=v,
             mean_configs=(MeanConfig.from_scales("z", (0.0, 0.0, 1.0), 2),),
             estimators=("EB*", "EB"), replicates=32, seed=5,
         )
@@ -820,7 +844,7 @@ class TestPairedDomination:
     def test_skipped_estimator_cannot_be_compared(self):
         v = np.stack([np.eye(2)] * 3)
         cfg = ExperimentConfig(
-            p=2, k=3, n=12, sigma2=1.0, v=v,
+            n=12, sigma2=1.0, v=v,
             mean_configs=(MeanConfig.from_scales("z", (0.0, 0.0, 1.0), 2),),
             estimators=("JS1", "EB", "PT"),
             replicates=32, seed=5,

@@ -855,6 +855,9 @@ class TestZeroTiltClosedInnerOracle:
         f = rng.noncentral_chisquare(d1, rng.uniform(0.0, 3.0 * d1, 16)) / rng.chisquare(n, 16)
         g = rng.noncentral_chisquare(p, rng.uniform(0.0, 3.0 * p, 16)) / rng.chisquare(n, 16)
         self.check(f, g, p, k, n)
+        got = hb1_phi(f, p, k, n, 0.1, 0.1, 1.0)
+        slow = [oracles.hb1_phi_riemann(a, p, k, n, 0.1, 0.1) for a in f]
+        np.testing.assert_allclose(got, slow, rtol=self.REL, atol=0.0)
 
     def test_hb1_on_the_benchmark_f_quantiles(self, quantiles):
         f, _ = quantiles
