@@ -168,19 +168,17 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    # cfg carries the count that runs, so cfg's guards check it.
+    # cfg carries the count that runs, and the whole of it is checked before any draw.
     cfg = _experiment(args, replicates=VALIDATE_DRAWS)
+    constants = cfg.validate()
 
-    idv = validate_identities(
-        p=cfg.p, n=cfg.n, sigma2=cfg.sigma2, draws=cfg.replicates, seed=cfg.seed
-    )
-    labelled = [(check.name, check) for check in idv.checks]
+    labelled = [(check.name, check) for check in validate_identities(cfg).checks]
     picks = sorted({0, len(cfg.mean_configs) // 2, len(cfg.mean_configs) - 1})
     points = [
         TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in picks
     ]
     # EB's and EB*'s members are checked only where their kernels run.
-    constants, unchecked = cfg.validate(), {}
+    unchecked = {}
     for name, star in (("mean-shrink", False), ("double-shrink", True)):
         try:
             eb_member(constants, star)

@@ -550,13 +550,18 @@ def canonicalize_ksample(
     df = 0
     for i, arr in enumerate(arrays):
         ni = arr.shape[0]
-        mean = arr.mean(axis=0)
-        x[i] = mean
-        v[i] = v0a[i] / ni
-        if ni > 1:
-            resid = arr - mean
-            s += float(np.einsum("ja,ab,jb->", resid, v0_inv[i], resid))
-            df += (ni - 1) * p
+        # A spread that overflows leaves an infinite (or NaN) s, which the
+        # model check refuses; a mean that overflows is refused here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = arr.mean(axis=0)
+            if not np.all(np.isfinite(mean)):
+                raise ValueError(f"samples[{i}] has entries too large to average")
+            x[i] = mean
+            v[i] = v0a[i] / ni
+            if ni > 1:
+                resid = arr - mean
+                s += float(np.einsum("ja,ab,jb->", resid, v0_inv[i], resid))
+                df += (ni - 1) * p
     if df < 1:
         raise ValueError("all groups are singletons; no degrees of freedom for the scale")
     return CanonicalModel(x=x, v=v, s=s, n=df)

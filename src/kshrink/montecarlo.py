@@ -45,7 +45,9 @@ with one replicate. run_experiment's one block loop covers every
 configuration; RiskTable.domination reads its paired contrasts. Both
 self-checks, validate_uer and validate_identities, report paired checks
 of one kind: the mean of lhs - rhs over common draws must lie within
-three standard errors of 0.
+three standard errors of 0. Every entry point that draws (run_experiment,
+validate_uer, validate_identities, sample_canonical) takes the
+ExperimentConfig and runs cfg.validate() before its first draw.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .model import (
     PooledConstants,
     TrueParameters,
     _freeze,
-    _guarded_inverse,
     apply_maps,
     quad_forms,
 )
@@ -101,7 +102,7 @@ __all__ = [
 
 # Values per (R, k, p) array of a block; see the module docstring.
 _BLOCK_VALUES = 2**15
-# Replicates of a validate run, and identity draws, when no count is given.
+# Replicates of a validate run when no count is given.
 VALIDATE_DRAWS = 100_000
 # Stream namespaces; first spawn_key element.
 _NS_EXPERIMENT = 0
@@ -134,11 +135,6 @@ def _replicate_uniforms(
     return u[:, : k * p].reshape(r1 - r0, k, p), u[:, k * p]
 
 
-def _need_replicates(count: int) -> None:
-    if count < 2:
-        raise ValueError(f"need at least 2 replicates, got {count}")
-
-
 def _need_nonnegative(name: str, value: int) -> None:
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
@@ -155,25 +151,6 @@ def _draw(
         x = truth.mu + math.sqrt(truth.sigma2) * apply_maps(chol, ndtri(u))
         s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
     return x, s
-
-
-def sample_canonical(
-    truth: TrueParameters, v: np.ndarray, n: int, seed: int, config: int = 0, replicate: int = 0
-) -> CanonicalModel:
-    """Draw replicate `replicate` of configuration `config` under `seed`.
-
-    These are the harness's draws for that address: run_experiment with the
-    same seed, truth and v sees exactly this model as that replicate. v is
-    a (k, p, p) stack or, as CanonicalModel takes it, one (p, p) matrix
-    that the k groups share.
-    """
-    for name, value in (("seed", seed), ("config", config), ("replicate", replicate)):
-        _need_nonnegative(name, value)
-    model = CanonicalModel(x=truth.mu, v=v, s=1.0, n=n)
-    key = (_NS_EXPERIMENT, config)
-    u, us = _replicate_uniforms(seed, key, replicate, replicate + 1, model.k, model.p)
-    x, s = _draw(truth, np.linalg.cholesky(model.v), n, u, us)
-    return replace(model, x=x[0], s=float(s[0]))
 
 
 @dataclass(frozen=True)
@@ -261,7 +238,8 @@ class ExperimentConfig:
             raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
         if self.q is not None and self.q.shape != self.v.shape:
             raise ValueError(f"q must have shape {self.v.shape}, got {self.q.shape}")
-        _need_replicates(self.replicates)
+        if self.replicates < 2:
+            raise ValueError(f"need at least 2 replicates, got {self.replicates}")
         _need_nonnegative("seed", self.seed)
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
@@ -306,6 +284,28 @@ class ExperimentConfig:
             mean_configs=means,
             hyper=Hyperparameters(a=0.1, b=0.1, c=0.1, big_l=0.0, alpha=0.05),
         )
+
+
+def sample_canonical(
+    cfg: ExperimentConfig, config: int = 0, replicate: int = 0
+) -> CanonicalModel:
+    """Draw replicate `replicate` of cfg's mean configuration `config`.
+
+    These are the harness's draws for that address: run_experiment(cfg)
+    sees exactly this model as that replicate, drawn at the mean rows of
+    cfg.mean_configs[config] and at cfg's sigma2, v, n and seed. cfg is
+    checked by cfg.validate(), and config must index cfg.mean_configs,
+    before anything is drawn.
+    """
+    cfg.validate()
+    if not 0 <= config < len(cfg.mean_configs):
+        raise ValueError(f"config must be in [0, {len(cfg.mean_configs)}), got {config}")
+    _need_nonnegative("replicate", replicate)
+    truth = TrueParameters(mu=cfg.mean_configs[config].mu, sigma2=cfg.sigma2)
+    key = (_NS_EXPERIMENT, config)
+    u, us = _replicate_uniforms(cfg.seed, key, replicate, replicate + 1, cfg.k, cfg.p)
+    x, s = _draw(truth, np.linalg.cholesky(cfg.v), cfg.n, u, us)
+    return CanonicalModel(x=x[0], v=cfg.v, s=float(s[0]), n=cfg.n)
 
 
 def _position(what: str, names: tuple[str, ...], name: str) -> int:
@@ -722,69 +722,51 @@ def uer_members(p: int, k: int, n: int) -> tuple[tuple[str, ShrinkageFunctions],
     )
 
 
-def validate_identities(
-    p: int = 5,
-    n: int = 20,
-    sigma2: float = 2.0,
-    mu: np.ndarray | None = None,
-    cov: np.ndarray | None = None,
-    draws: int = VALIDATE_DRAWS,
-    seed: int = ExperimentConfig.seed,
-) -> CheckSet:
+def validate_identities(cfg: ExperimentConfig) -> CheckSet:
     """Monte Carlo check of the two identities behind the risk calculus.
 
-    Gaussian part: for Y ~ N_p(mu, cov) and the bounded test field
-    h(y) = y / (1 + |y|^2), the mean of (Y - mu)' h(Y) must match the mean
-    of tr(cov J_h(Y)). Chi-square part: for S = sigma2 * chi2(n) and
-    g(s) = 1 / (1 + s), the mean of S g(S) must match
-    sigma2 * (n g(S) + 2 S g'(S)). Both are paired checks. Draw r is
-    replicate r of stream (2, 0) read with k = 1: Y takes its
+    Gaussian part: for Y ~ N_p(mu, cov), with mu = (1, ..., 1) and
+    cov = 2 I, and the bounded test field h(y) = y / (1 + |y|^2), the mean
+    of (Y - mu)' h(Y) must match the mean of tr(cov J_h(Y)). Chi-square
+    part: for S = sigma2 * chi2(n) and g(s) = 1 / (1 + s), the mean of
+    S g(S) must match sigma2 * (n g(S) + 2 S g'(S)). p, n, sigma2, the
+    seed and the draw count (cfg.replicates) are cfg's, checked by
+    cfg.validate() before anything is drawn. Both are paired checks. Draw
+    r is replicate r of stream (2, 0) read with k = 1: Y takes its
     observations, S its scale uniform. The draws run through the harness's
     block loop, max(1, _BLOCK_VALUES // p) draws per block, so only the four
-    per-draw rows are kept at full length. p and n must be at least 1, the seed
-    non-negative, mu finite, sigma2 positive and finite, and cov a
-    well-conditioned positive definite matrix; all of that is checked
-    before anything is drawn.
+    per-draw rows are kept at full length.
     """
-    _need_replicates(draws)
-    _need_nonnegative("seed", seed)
-    for name, value in (("p", p), ("n", n)):
-        if value < 1:
-            raise ValueError(f"need {name} >= 1, got {value}")
-    mu_vec = np.ones(p) if mu is None else np.asarray(mu, dtype=float)
-    cov_mat = 2.0 * np.eye(p) if cov is None else np.asarray(cov, dtype=float)
-    if mu_vec.shape != (p,):
-        raise ValueError(f"mu must have shape ({p},), got {mu_vec.shape}")
-    if cov_mat.shape != (p, p):
-        raise ValueError(f"cov must have shape ({p}, {p}), got {cov_mat.shape}")
-    truth = TrueParameters(mu_vec[None], sigma2)
-    _guarded_inverse("cov", cov_mat)
-    chol = np.linalg.cholesky(cov_mat)
-    trace = np.trace(cov_mat)
+    cfg.validate()
+    p, n, sigma2 = cfg.p, cfg.n, cfg.sigma2
+    mu = np.ones(p)
+    cov = 2.0 * np.eye(p)
+    chol = np.linalg.cholesky(cov)
+    trace = np.trace(cov)
 
     def identity_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
-        u, us = _replicate_uniforms(seed, (_NS_IDENTITY, 0), r0, r1, 1, p)
-        y = mu_vec + apply_maps(chol, ndtri(u[:, 0]))
+        u, us = _replicate_uniforms(cfg.seed, (_NS_IDENTITY, 0), r0, r1, 1, p)
+        y = mu + apply_maps(chol, ndtri(u[:, 0]))
         denom = 1.0 + np.einsum("ra,ra->r", y, y)
-        quad = quad_forms(y, cov_mat)
+        quad = quad_forms(y, cov)
         with np.errstate(over="ignore", invalid="ignore"):
-            s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
+            s = sigma2 * 2.0 * gammaincinv(0.5 * n, us)
             g = 1.0 / (1.0 + s)
             g2 = g**2
             # s g^2 as (s g) g where g^2 leaves the normal range (sigma2 past
             # about 1e150) and underflows; elsewhere s * g2 keeps the pinned bits.
             s_g2 = np.where(g2 >= np.finfo(float).tiny, s * g2, (s * g) * g)
             rows = np.stack((
-                np.einsum("ra,ra->r", y - mu_vec, y / denom[:, None]),
+                np.einsum("ra,ra->r", y - mu, y / denom[:, None]),
                 trace / denom - 2.0 * quad / denom**2,
                 s * g,
-                truth.sigma2 * (n * g - 2.0 * s_g2),
+                sigma2 * (n * g - 2.0 * s_g2),
             ))
         if not np.isfinite(rows).all():
-            raise ArithmeticError(f"the identity checks overflow at sigma2 = {truth.sigma2:g}")
+            raise ArithmeticError(f"the identity checks overflow at sigma2 = {sigma2:g}")
         return rows, {}
 
-    values, _ = _blocked(draws, p, 1, 4, identity_block)
+    values, _ = _blocked(cfg.replicates, p, 1, 4, identity_block)
     return CheckSet(
         (
             _paired_check("gaussian-by-parts", values[0], values[1]),

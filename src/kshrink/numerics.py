@@ -655,8 +655,10 @@ def _by_rule(
 
 def _check_statistics(f: np.ndarray, g: np.ndarray, s: np.ndarray, big_l: float) -> None:
     """Raise the ValueError of the lowest invalid point, as a one-point call would."""
-    if not big_l >= 0.0:
-        raise ValueError(f"big_l must be nonnegative, got {big_l}")
+    if not math.isfinite(big_l):
+        raise ValueError(f"big_l must be finite, got {big_l}")
+    if big_l < 0.0:
+        raise ValueError(f"big_l must be >= 0, got {big_l}")
     ok = (f >= 0.0) & (g >= 0.0) & np.isfinite(f) & np.isfinite(g)
     if big_l > 0.0:
         ok &= s > 0.0
@@ -696,7 +698,7 @@ def hb2_factors(
         scale_sum: pooled scale statistic(s) (only read when big_l > 0,
             where they must be positive).
         exponents: integral exponents, see HbExponents.
-        big_l: precision tilt rate, >= 0.
+        big_l: precision tilt rate, finite and >= 0.
 
     Returns:
         (phi, psi). phi is nondecreasing in both statistics, psi is

@@ -237,7 +237,8 @@ def test_07_special_functions():
 
 
 def test_08_distribution_identities():
-    report = validate_identities(draws=100_000)
+    cfg = replace(ExperimentConfig.benchmark(), sigma2=2.0, replicates=100_000)
+    report = validate_identities(cfg)
     detail = "; ".join(
         f"{c.name}: |diff| = {abs(c.diff):.2e} vs 3 SE = {3.0 * c.se_diff:.2e}"
         for c in report.checks

@@ -823,8 +823,8 @@ class TestOverrides:
         assert (bench.replicates, bench.seed, bench.threads) == counts
 
     def test_validate_count_when_neither_gives_one(self, tmp_path, monkeypatch):
-        def stop(**kwargs):
-            raise Built(kwargs["draws"])
+        def stop(cfg):
+            raise Built(cfg.replicates)
 
         monkeypatch.setattr(kshrink.cli, "validate_identities", stop)
         bare = put(tmp_path, "bare.yaml", SIMULATE_CONFIG.replace("  replicates: 40\n", ""))
@@ -1036,6 +1036,18 @@ class TestValidate:
             f"risk-estimate {name}" for name in ("mean-shrink", "double-shrink", "smooth")
         } - {f"risk-estimate {line.split(':')[0]}" for line in skipped}
         assert lines[-1] == "all checks passed"
+
+    def test_bad_loss_matrix_rejected_before_drawing(self, tmp_path, capsys, monkeypatch):
+        bad = "[[1, 0, 0], [0, 1, 0], [0, 0, -1]]"
+        q = f"  q: [{bad}, identity, identity]\n"
+        body = SIMULATE_CONFIG.replace("  v: identity\n", "  v: identity\n" + q)
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        assert main(["validate", "--config", put(tmp_path, "cfg.yaml", body)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: q[0] is not positive definite")
+        assert captured.out == ""
+        assert drawn == []
 
 
 # Run in a child whose address space is capped at 3 GB, so a count that

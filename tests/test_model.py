@@ -386,6 +386,20 @@ class TestKsampleReduction:
         assert m.s == approx(dev)
         assert m.n == 4
 
+    def test_mean_that_overflows_is_named(self):
+        big = np.array([[1e308, 1e308, 1.0], [1e308, 1e308, 2.0]])
+        assert _raised(lambda: canonicalize_ksample([big, np.zeros((2, 3))], np.eye(3))) == [
+            "samples[0] has entries too large to average"
+        ]
+
+    def test_spread_that_overflows_is_an_infinite_s(self):
+        wide = np.array([[1.7e308], [-1.7e308], [1.7e308]])
+        m = canonicalize_ksample([np.zeros((2, 1)), wide], np.eye(1))
+        assert m.s == np.inf
+        assert _raised(lambda: pooled_summary(m, LossSpec.inverse_v(m))) == [
+            "invalid model: s must be positive and finite, got inf"
+        ]
+
     def test_singleton_groups_rejected(self):
         with pytest.raises(ValueError):
             canonicalize_ksample(

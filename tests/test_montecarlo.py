@@ -74,32 +74,38 @@ def read_spans(monkeypatch, run):
     return result, spans
 
 
+def sampling_config(mu, sigma2, v, n, seed, configs=1):
+    """A config of `configs` mean configurations, each with the mean rows mu."""
+    means = tuple(MeanConfig(f"c{i}", mu) for i in range(configs))
+    return ExperimentConfig(n=n, sigma2=sigma2, v=v, mean_configs=means, seed=seed)
+
+
 class TestSampleCanonical:
     def test_reproducible_from_stream_address(self):
-        truth = TrueParameters(mu=np.zeros((2, 3)), sigma2=2.0)
         v = np.array([np.eye(3), 2.0 * np.eye(3)])
-        a = sample_canonical(truth, v, 10, 1, 0, 0)
-        b = sample_canonical(truth, v, 10, 1, 0, 0)
+        cfg = sampling_config(np.zeros((2, 3)), 2.0, v, 10, 1)
+        a = sample_canonical(cfg, 0, 0)
+        b = sample_canonical(cfg, 0, 0)
         assert np.array_equal(a.x, b.x)
         assert a.s == b.s
 
     def test_distinct_replicates_differ(self):
-        truth = TrueParameters(mu=np.zeros((2, 3)), sigma2=2.0)
         v = np.array([np.eye(3), np.eye(3)])
-        a = sample_canonical(truth, v, 10, 1, 0, 0)
-        b = sample_canonical(truth, v, 10, 1, 0, 1)
-        c = sample_canonical(truth, v, 10, 1, 1, 0)
+        cfg = sampling_config(np.zeros((2, 3)), 2.0, v, 10, 1, configs=2)
+        a = sample_canonical(cfg, 0, 0)
+        b = sample_canonical(cfg, 0, 1)
+        c = sample_canonical(cfg, 1, 0)
         assert not np.array_equal(a.x, b.x)
         assert not np.array_equal(a.x, c.x)
 
     def test_first_moments(self):
         mu = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        truth = TrueParameters(mu=mu, sigma2=2.0)
         v = np.array([np.eye(3), np.eye(3)])
+        cfg = sampling_config(mu, 2.0, v, 10, 99)
         xs = np.empty((3000, 2, 3))
         ss = np.empty(3000)
         for r in range(3000):
-            m = sample_canonical(truth, v, 10, 99, 0, r)
+            m = sample_canonical(cfg, 0, r)
             xs[r] = m.x
             ss[r] = m.s
         assert xs.mean(axis=0) == approx(mu, abs=0.15)
@@ -107,36 +113,69 @@ class TestSampleCanonical:
         assert ss.mean() == approx(2.0 * 10.0, abs=1.0)
 
     def test_scale_statistic_positive(self):
-        truth = TrueParameters(mu=np.zeros((2, 2)), sigma2=0.5)
         v = np.array([np.eye(2), np.eye(2)])
+        cfg = sampling_config(np.zeros((2, 2)), 0.5, v, 3, 4, configs=2)
         for r in range(50):
-            m = sample_canonical(truth, v, 3, 4, 1, r)
+            m = sample_canonical(cfg, 1, r)
             assert m.s > 0.0
 
-    def test_shared_scale_matrix_is_the_stack(self):
-        # One (p, p) v is shared by the k groups, as CanonicalModel takes it.
-        truth = TrueParameters(mu=np.arange(12.0).reshape(3, 4), sigma2=1.5)
-        a = np.random.default_rng(5).normal(size=(4, 4))
-        v = a @ a.T + 4.0 * np.eye(4)
-        shared = sample_canonical(truth, v, 7, 11, 2, 5)
-        stacked = sample_canonical(truth, np.stack([v] * 3), 7, 11, 2, 5)
-        assert np.array_equal(shared.x, stacked.x)
-        assert shared.s == stacked.s
-        assert np.array_equal(shared.v, stacked.v)
-
-    def test_scale_matrix_of_the_wrong_shape_is_named(self):
-        truth = TrueParameters(mu=np.zeros((3, 4)), sigma2=1.0)
-        with pytest.raises(ValueError, match=r"^v must have shape \(k, p, p\) = \(3, 4, 4\)"):
-            sample_canonical(truth, np.eye(3), 5, 1)
-
-    @pytest.mark.parametrize("name", ["seed", "config", "replicate"])
-    def test_negative_address_rejected(self, name, monkeypatch):
-        truth = TrueParameters(mu=np.zeros((2, 2)), sigma2=0.5)
+    @pytest.mark.parametrize(
+        "address, message",
+        [
+            (dict(seed=-1), "seed must be >= 0, got -1"),
+            (dict(config=-1), r"config must be in \[0, 2\), got -1"),
+            (dict(config=2), r"config must be in \[0, 2\), got 2"),
+            (dict(replicate=-1), "replicate must be >= 0, got -1"),
+        ],
+        ids=["seed", "config", "config-past-the-last", "replicate"],
+    )
+    def test_negative_address_rejected(self, address, message, monkeypatch):
+        # Also a config past the last mean configuration, whose stream no run reads.
+        where = {"seed": 4, "config": 0, "replicate": 0, **address}
         v = np.array([np.eye(2), np.eye(2)])
+        cfg = sampling_config(np.zeros((2, 2)), 0.5, v, 3, where["seed"], configs=2)
         drawn = []
         monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
-        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
-            sample_canonical(truth, v, 3, **{"seed": 4, name: -1})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_canonical(cfg, where["config"], where["replicate"])
+        assert drawn == []
+
+
+def _validate_uer_of(cfg):
+    members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
+    return validate_uer(cfg, members, [TrueParameters(mu=np.zeros((cfg.k, cfg.p)), sigma2=1.0)])
+
+
+class TestOneGate:
+    """Every Monte Carlo entry point runs cfg.validate() before its first draw."""
+
+    SPREAD = MeanConfig.from_scales("spread", (0.0, 0.5, 1.0), 3)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(seed=-1), r"^seed must be >= 0, got -1$"),
+            (dict(sigma2=np.inf), r"^sigma2 must be positive and finite, got inf$"),
+            (dict(mean_configs=(SPREAD, SPREAD)),
+             r"^mean config 'spread' is named more than once$"),
+            (dict(q=np.stack([np.diag([1.0, 1.0, -1.0]), np.eye(3), np.eye(3)])),
+             r"^q\[0\] is not positive definite"),
+        ],
+        ids=["seed-negative", "sigma2-inf", "name-twice", "q-indefinite"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [run_experiment, _validate_uer_of, validate_identities, sample_canonical],
+        ids=["run_experiment", "validate_uer", "validate_identities", "sample_canonical"],
+    )
+    def test_bad_config_rejected_before_drawing(self, monkeypatch, entry, changes, message):
+        cfg = small_config(**changes)
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        with pytest.raises(ValueError, match=message):
+            entry(cfg)
         assert drawn == []
 
 
@@ -303,7 +342,7 @@ class TestRunExperiment:
             truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
             by_hand = {name: [] for name in table.estimator_names}
             for r in range(cfg.replicates):
-                model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, ci, r)
+                model = sample_canonical(cfg, ci, r)
                 for name in table.estimator_names:
                     est = ESTIMATORS[name](model, ls, hyper=cfg.hyper)
                     by_hand[name].append(loss(est, truth, ls))
@@ -420,11 +459,7 @@ class TestRunExperiment:
         monkeypatch.setattr(estimators, "hb2_shrink_ratios", spy)
         clean = run_experiment(cfg)
         monkeypatch.setattr(estimators, "hb2_shrink_ratios", real_ratios)
-        truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
-        failing_s = {
-            sample_canonical(truth, cfg.v, cfg.n, cfg.seed, 0, r).s
-            for r in (rows + 14, 7)
-        }
+        failing_s = {sample_canonical(cfg, 0, r).s for r in (rows + 14, 7)}
         failing_f = [f for fs, ss in seen for f, s in zip(fs, ss) if s in failing_s]
         assert len(failing_f) == 2
         real_rule = numerics._joint_rule
@@ -464,7 +499,7 @@ class TestPackedBlocks:
         ls = cfg.validate().loss
         for ci, r in ((0, 49), (0, 50), (0, 63), (1, 0), (1, 35), (1, 36)):
             truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
-            model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, ci, r)
+            model = sample_canonical(cfg, ci, r)
             for ei, name in enumerate(packed.estimator_names):
                 one = loss(ESTIMATORS[name](model, ls, hyper=cfg.hyper), truth, ls)
                 assert losses[ei, ci * cfg.replicates + r] == one, (ci, r, name)
@@ -492,8 +527,7 @@ class TestPackedBlocks:
         monkeypatch.setattr(estimators, "hb2_shrink_ratios", real_ratios)
         failing_s = set()
         for ci, r in ((0, 30), (2, 5), (2, 25)):
-            truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
-            failing_s.add(sample_canonical(truth, cfg.v, cfg.n, cfg.seed, ci, r).s)
+            failing_s.add(sample_canonical(cfg, ci, r).s)
         failing_f = [f for fs, ss in seen for f, s in zip(fs, ss) if s in failing_s]
         assert len(failing_f) == 3
         real_rule = numerics._joint_rule
@@ -648,9 +682,8 @@ def assert_single_shot_rows(cfg, monkeypatch, rows):
     run_experiment(replace(cfg, replicates=256))
     monkeypatch.setattr(PooledConstants, "summarize", real)
     block = batches[0]
-    truth = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
     for r in rows:
-        model = sample_canonical(truth, cfg.v, cfg.n, cfg.seed, 0, r)
+        model = sample_canonical(cfg, 0, r)
         one = pooled_summary(model, LossSpec.for_model(model, cfg.q))
         assert np.array_equal(one.pooled_mean[0], block.pooled_mean[r])
         assert one.residual_stat[0] == block.residual_stat[r]
@@ -681,16 +714,6 @@ class TestNonDiagonalScale:
         assert len(short) == len(long) == len(cfg.mean_configs)
         for a, b in zip(short, long):
             assert np.array_equal(a, b[:, : rows + 1])
-
-    def test_first_identity_draws_do_not_depend_on_the_count(self, monkeypatch):
-        cov = spd_stack(1, 4, seed=9)[0]
-        rows = block_rows(4)
-        short, long = blocked_values(
-            monkeypatch,
-            lambda count: validate_identities(p=4, cov=cov, draws=count),
-            (rows + 1, 2 * rows),
-        )
-        assert np.array_equal(short[0], long[0][:, : rows + 1])
 
     def test_blocks_of_a_few_rows_change_no_bits(self, monkeypatch):
         # Many groups make a replicate 4096 values wide, so the budget gives
@@ -1126,9 +1149,15 @@ class TestValidateUer:
         assert peaks[20480] - peaks[2560] <= 1.25 * kept
 
 
+def identity_config(replicates, **changes):
+    """The benchmark config at sigma2 = 2: p 5, n 20, the benchmark seed."""
+    cfg = replace(ExperimentConfig.benchmark(), sigma2=2.0, replicates=replicates)
+    return replace(cfg, **changes)
+
+
 class TestValidateIdentities:
     def test_both_identities_pass(self):
-        report = validate_identities(draws=20_000)
+        report = validate_identities(identity_config(20_000))
         assert report.passed
         assert [c.name for c in report.checks] == [
             "gaussian-by-parts",
@@ -1139,17 +1168,17 @@ class TestValidateIdentities:
 
     def test_overflowing_scale_is_named(self):
         with pytest.raises(ArithmeticError, match="overflow at sigma2 = 1e\\+308"):
-            validate_identities(sigma2=1e308, draws=20)
+            validate_identities(identity_config(20, sigma2=1e308))
 
     def test_deterministic(self):
-        a = validate_identities(draws=5000)
-        b = validate_identities(draws=5000)
+        a = validate_identities(identity_config(5000))
+        b = validate_identities(identity_config(5000))
         assert a.checks[0].diff == b.checks[0].diff
         assert a.checks[1].mean_lhs == b.checks[1].mean_lhs
 
     def test_draws_are_pinned(self):
         # Pinned values: a change means the draws of validate_identities moved.
-        gauss, chisq = validate_identities(draws=5000).checks
+        gauss, chisq = validate_identities(identity_config(5000)).checks
         assert (gauss.mean_lhs, gauss.diff, gauss.se_diff) == (
             0.5852457302331436, 0.010746688711452759, 0.008448304146040374
         )
@@ -1159,7 +1188,7 @@ class TestValidateIdentities:
 
     def test_first_draws_do_not_depend_on_the_count(self, monkeypatch):
         short, long = mean_se_inputs(
-            monkeypatch, lambda count: validate_identities(draws=count), (300, 2001)
+            monkeypatch, lambda count: validate_identities(identity_config(count)), (300, 2001)
         )
         assert len(short) == len(long) == 2
         for a, b in zip(short, long):
@@ -1168,62 +1197,46 @@ class TestValidateIdentities:
     @pytest.mark.parametrize("draws", [1, 0, -3])
     def test_needs_two_draws(self, draws):
         with pytest.raises(ValueError, match=f"need at least 2 replicates, got {draws}$"):
-            validate_identities(draws=draws)
+            validate_identities(identity_config(draws))
 
     # 6552, 6553 and 6554 sit at the 6553-draw block of p = 5.
     @pytest.mark.parametrize("draws", [2, 3, 257, 2001, 6552, 6553, 6554, 13107])
     def test_blocking_never_changes_results(self, monkeypatch, draws):
-        blocked = validate_identities(draws=draws)
+        blocked = validate_identities(identity_config(draws))
         one_block(monkeypatch)
-        assert validate_identities(draws=draws) == blocked
+        assert validate_identities(identity_config(draws)) == blocked
 
     def test_reads_at_most_a_block_per_call(self, monkeypatch):
-        _, spans = read_spans(monkeypatch, lambda: validate_identities(draws=13194))
+        _, spans = read_spans(monkeypatch, lambda: validate_identities(identity_config(13194)))
         assert sorted(spans) == [(0, 6553), (6553, 13106), (13106, 13194)]
         assert max(r1 - r0 for r0, r1 in spans) <= block_rows(5)
 
     def test_memory_is_bounded(self):
         # Only the four per-draw rows (3.2 MB at 100,000 draws) live for the
         # whole run; every other array lives for one block.
-        validate_identities(draws=300)  # warm caches
+        validate_identities(identity_config(300))  # warm caches
         tracemalloc.start()
         try:
-            validate_identities(draws=100_000)
+            validate_identities(identity_config(100_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
-        "kwargs, message",
+        "changes, message",
         [
-            (dict(p=0), "need p >= 1, got 0$"),
+            (dict(v=np.zeros((5, 0, 0))), "need p >= 1, got 0$"),
             (dict(n=0), "need n >= 1, got 0$"),
             (dict(sigma2=-1.0), "sigma2 must be positive and finite, got -1.0$"),
             (dict(sigma2=float("inf")), "sigma2 must be positive and finite, got inf$"),
-            (dict(p=3, mu=np.array([0.0, np.nan, 1.0])), "mu has non-finite entries$"),
-            (dict(p=3, cov=np.diag([1.0, 1.0, -1.0])), "cov is not positive definite"),
-            (dict(p=2, cov=np.ones((2, 2))), "cov is not positive definite"),
             (dict(seed=-2), "seed must be >= 0, got -2$"),
         ],
-        ids=["p0", "n0", "sigma2-negative", "sigma2-inf", "mu-nan", "cov-indefinite",
-             "cov-singular", "seed-negative"],
+        ids=["p0", "n0", "sigma2-negative", "sigma2-inf", "seed-negative"],
     )
-    def test_bad_arguments_rejected_before_drawing(self, monkeypatch, kwargs, message):
+    def test_bad_arguments_rejected_before_drawing(self, monkeypatch, changes, message):
         drawn = []
         monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=message):
-            validate_identities(draws=100, **kwargs)
+            validate_identities(identity_config(100, **changes))
         assert drawn == []
-
-    def test_custom_truth(self):
-        mu = np.linspace(-1.0, 1.0, 4)
-        cov = np.diag([0.5, 1.0, 1.5, 2.0])
-        report = validate_identities(p=4, n=8, mu=mu, cov=cov, draws=20_000)
-        assert report.passed
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="mu must have shape"):
-            validate_identities(p=3, mu=np.zeros(4), draws=100)
-        with pytest.raises(ValueError, match="cov must have shape"):
-            validate_identities(p=3, cov=np.eye(4), draws=100)

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.special as sc
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 import oracles
@@ -385,6 +387,21 @@ class TestHb2ShrinkRatios:
         with pytest.raises(ValueError, match="statistics must be finite"):
             hb2_shrink_ratios(np.array([1.0, f]), g, 1.0, BENCH, big_l=big_l)
 
+    @pytest.mark.parametrize(
+        "big_l, message",
+        [
+            (math.inf, "big_l must be finite, got inf"),
+            (math.nan, "big_l must be finite, got nan"),
+            (-1.0, "big_l must be >= 0, got -1.0"),
+        ],
+        ids=["inf", "nan", "negative"],
+    )
+    @pytest.mark.parametrize("factors", [hb2_factors, hb2_shrink_ratios])
+    def test_bad_tilt_is_rejected(self, factors, big_l, message):
+        # Hyperparameters' rule and wording; an infinite tilt used to end in
+        # "integrand underflowed everywhere".
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            factors(np.array([0.5, 2.0]), 1.0, 1.0, BENCH, big_l=big_l)
 
     def test_exponents_past_the_rule_weights_are_rejected(self):
         # p(k-1)/2 + a = 1800.1 at p = 400, k = 10: 2^(expo + 1) overflows
@@ -796,6 +813,44 @@ class TestHbFactorsOverTheStatisticRange:
         for f in (1e-3, 0.5, 5.0, 50.0):
             slow = oracles.hb1_phi_riemann(f, 5, 5, 20, 0.1, 0.1)
             assert hb1_shrink_ratio(f, 5, 5, 20, 0.1, 0.1, 1.0) * f == approx(slow, rel=1e-9)
+
+
+class TestHb2FactorProperties:
+    """hypothesis drives the monotonicity and limit properties over shapes and statistics.
+
+    Zero tilt, p <= 12, 2 <= k <= 10, n <= 2000 and f, g log-uniform in
+    [1e-3, 1e4], at a tight tolerance and within ten times it.
+    """
+
+    TIGHT = 1e-10
+    STAT = st.floats(-3.0, 4.0).map(lambda e: 10.0**e)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        p=st.integers(1, 12),
+        k=st.integers(2, 10),
+        n=st.integers(1, 2000),
+        f=STAT,
+        g=STAT,
+        grow=st.floats(1.1, 1.6),
+    )
+    def test_monotone_and_below_the_limits(self, p, k, n, f, g, grow):
+        e = HbExponents.from_model(p, k, n, 0.1, 0.1, 0.1)
+        fs = np.array([f, grow * f, f])
+        gs = np.array([g, g, grow * g])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numerics, "QUAD_REL", self.TIGHT)
+            phi, psi = hb2_factors(fs, gs, 1.0, e)
+        low, high = 1.0 - 10.0 * self.TIGHT, 1.0 + 10.0 * self.TIGHT
+        # phi and psi do not fall when f or g grows.
+        assert min(phi[1], phi[2]) >= low * phi[0]
+        assert min(psi[1], psi[2]) >= low * psi[0]
+        # phi/f does not rise with f, nor psi/g with g.
+        assert phi[1] / fs[1] <= high * phi[0] / f
+        assert psi[2] / gs[2] <= high * psi[0] / g
+        lim_phi, lim_psi = e.limits()
+        assert np.all(phi <= high * lim_phi)
+        assert np.all(psi <= high * lim_psi)
 
 
 def benchmark_statistics() -> tuple[np.ndarray, np.ndarray]:
