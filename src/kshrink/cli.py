@@ -30,7 +30,7 @@ from .config import (
     load_document,
     parse_hyper,
 )
-from .datasets import ParseError, quote_cell, read_ksample_csv, read_regression_csv
+from .datasets import ParseError, number_cell, quote_cell, read_ksample_csv, read_regression_csv
 from .estimators import ESTIMATORS, PreconditionError, ReplicateError, eb_member
 from .model import (
     LossSpec,
@@ -90,12 +90,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return f"{float(value):.17g}"
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
     doc = load_document(args.config)
     spec = dataset_from_document(doc)
@@ -129,9 +123,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         ran += 1
         name_cell = quote_cell(name)
         for label, row in zip(label_cells, est.mu_hat.tolist()):
-            lines.append(f"{name_cell},estimate,{label}," + ",".join(map("{:.17g}".format, row)))
+            lines.append(f"{name_cell},estimate,{label}," + ",".join(map(number_cell, row)))
         for key in sorted(est.diagnostics):
-            cells = [_format_cell(est.diagnostics[key])] + pad
+            cells = [number_cell(est.diagnostics[key])] + pad
             lines.append(f"{name_cell},diagnostic,{key}," + ",".join(cells))
     if not ran:
         raise PreconditionError("no estimator could run on this input")

@@ -16,9 +16,9 @@ A regression dataset is one file per group, response first::
 Numeric cells are parsed as floats. A first row none of whose value cells
 is numeric is treated as a header and skipped; a first row with any numeric
 value cell is data, so a mistyped cell in it is an error rather than a
-dropped row. All writers emit floats at 17 significant digits so a
-write/read cycle is lossless, and quote text cells (quote_cell) as the csv
-module does.
+dropped row. All writers emit floats at 17 significant digits
+(number_cell) so a write/read cycle is lossless, and quote text cells
+(quote_cell) as the csv module does.
 """
 
 from __future__ import annotations
@@ -34,8 +34,11 @@ class ParseError(ValueError):
     """A dataset file could not be parsed; message carries file and line."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def number_cell(value: float | bool) -> str:
+    """value as one CSV cell: 17 significant digits, or true/false for a bool."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{float(value):.17g}"
 
 
 def quote_cell(text: str) -> str:
@@ -134,7 +137,7 @@ def write_ksample_csv(
         writer.writerow(["group"] + [f"x{j + 1}" for j in range(p)])
         for label, arr in zip(labels, arrays):
             for row in arr:
-                writer.writerow([label] + [_fmt(v) for v in row])
+                writer.writerow([label] + [number_cell(v) for v in row])
 
 
 def read_regression_csv(

@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincinv, ndtri
 
-from .datasets import quote_cell
+from .datasets import number_cell, quote_cell
 from .estimators import (
     BATCH_ESTIMATORS,
     ESTIMATOR_ORDER,
@@ -268,22 +268,16 @@ class ExperimentConfig:
 
         v[i] = 0.1 * (i+1) * identity, inverse-scale loss, noise standard
         deviation 2 (sigma2 = 4), n = 20, eight mean configurations ranging
-        from all-equal to widely spread, hyperparameters a = b = c = 0.1
-        with no precision tilt, and the field defaults for the rest; change
-        those with dataclasses.replace.
+        from all-equal to widely spread, and the field defaults for the
+        rest, among them Hyperparameters() (a = b = c = 0.1, no precision
+        tilt, alpha = 0.05); change those with dataclasses.replace.
         """
         p = k = 5
         v = np.stack([0.1 * (i + 1) * np.eye(p) for i in range(k)])
         means = tuple(
             MeanConfig.from_scales(name, scales, p) for name, scales in _BENCHMARK_SCALES
         )
-        return cls(
-            n=20,
-            sigma2=4.0,
-            v=v,
-            mean_configs=means,
-            hyper=Hyperparameters(a=0.1, b=0.1, c=0.1, big_l=0.0, alpha=0.05),
-        )
+        return cls(n=20, sigma2=4.0, v=v, mean_configs=means)
 
 
 def sample_canonical(
@@ -380,9 +374,10 @@ class RiskTable:
         enames = [quote_cell(ename) for ename in self.estimator_names]
         for ci, cname in enumerate(map(quote_cell, self.config_names)):
             for ei, ename in enumerate(enames):
+                numbers = (self.risk[ci, ei], self.se[ci, ei], self.prial[ci, ei])
                 lines.append(
-                    f"{cname},{ename},{self.risk[ci, ei]:.17g},{self.se[ci, ei]:.17g},"
-                    f"{self.prial[ci, ei]:.17g},{self.replicates},{self.seed}"
+                    f"{cname},{ename},{','.join(map(number_cell, numbers))},"
+                    f"{self.replicates},{self.seed}"
                 )
         return "\n".join(lines) + "\n"
 

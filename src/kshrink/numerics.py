@@ -46,11 +46,11 @@ closed-form ratio of truncated power integrals that hb1_phi also takes
 (_power_ratio), and every ratio to a statistic switches to its limit at
 DEGENERATE_STAT in one place (_per_stat).
 
-integrate_adaptive_1d is a standalone 15-point Gauss-Kronrod panel scheme
-with worst-panel bisection; the rule and its error estimate follow
-QUADPACK (Piessens et al., 1983). Integrands passed to it must be
-vectorized (ndarray in, ndarray out) and are never evaluated at panel
-endpoints, so integrable endpoint singularities are fine.
+integrate_adaptive_1d, which no factor calls, runs QUADPACK (Piessens et
+al., 1983) through scipy.integrate.quad, imported on the first call so that
+no command loads it. Integrands passed to it must be vectorized (ndarray
+in, ndarray out) and are never evaluated at the endpoints, so integrable
+endpoint singularities are fine.
 """
 
 from __future__ import annotations
@@ -77,55 +77,6 @@ __all__ = [
     "hb2_shrink_ratios",
 ]
 
-# 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
-_XGK_HALF = np.array(
-    [
-        0.991455371120812639206854697526329,
-        0.949107912342758524526189684047851,
-        0.864864423359769072789712788640926,
-        0.741531185599394439863864773280788,
-        0.586087235467691130294144838258730,
-        0.405845151377397166906606412076961,
-        0.207784955007898467600689403773245,
-    ]
-)
-_WGK_HALF = np.array(
-    [
-        0.022935322010529224963732008058970,
-        0.063092092629978553290700663189204,
-        0.104790010322250183839876322541518,
-        0.140653259715525918745189590510238,
-        0.169004726639267902826583426598550,
-        0.190350578064785409913256402421014,
-        0.204432940075298892414161999234649,
-    ]
-)
-_WGK_CENTER = 0.209482141084727828012999174891714
-_WG_HALF = np.array(
-    [
-        0.129484966168869693270611432679082,
-        0.279705391489276667901467771423780,
-        0.381830050505118944950369775488975,
-    ]
-)
-_WG_CENTER = 0.417959183673469387755102040816327
-
-_GK_NODES = np.concatenate([-_XGK_HALF, [0.0], _XGK_HALF[::-1]])
-_GK_WEIGHTS = np.concatenate([_WGK_HALF, [_WGK_CENTER], _WGK_HALF[::-1]])
-# Gauss nodes sit at the odd Kronrod positions 1,3,5,7,9,11,13.
-_G_WEIGHTS = np.array(
-    [
-        _WG_HALF[0],
-        _WG_HALF[1],
-        _WG_HALF[2],
-        _WG_CENTER,
-        _WG_HALF[2],
-        _WG_HALF[1],
-        _WG_HALF[0],
-    ]
-)
-
-_MAX_SPLIT_BATCH = 256
 _TINY_LOG = 1e-300
 
 
@@ -178,37 +129,6 @@ class ReplicateError(ArithmeticError):
         self.replicate = replicate
 
 
-def _panel_nodes(los: np.ndarray, his: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GK15 nodes (..., 15) and half-widths (...) of panels [los, his]."""
-    mid = 0.5 * (los + his)
-    half = 0.5 * (his - los)
-    return mid[..., None] + half[..., None] * _GK_NODES, half
-
-
-def _gk15_panels(fx: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Kronrod 15(7) values and error estimates of panels evaluated at their nodes.
-
-    fx holds the integrand at _panel_nodes (last axis the 15 nodes), half the
-    panel half-widths; leading axes broadcast.
-    """
-    k15 = half * (fx @ _GK_WEIGHTS)
-    g7 = half * (fx[..., 1::2] @ _G_WEIGHTS)
-    raw = np.abs(k15 - g7)
-    resabs = half * (np.abs(fx) @ _GK_WEIGHTS)
-    width = 2.0 * half
-    meanval = np.divide(k15, width, out=np.zeros_like(k15), where=width > 0.0)
-    resasc = half * (np.abs(fx - meanval[..., None]) @ _GK_WEIGHTS)
-    # QUADPACK's rescaled error estimate: |K-G| measures the Gauss error, the
-    # Kronrod value is far better than that on smooth panels.
-    err = np.where(
-        resasc > 0.0,
-        resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0.0, resasc, 1.0)) ** 1.5),
-        raw,
-    )
-    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
-    return k15, err
-
-
 def integrate_adaptive_1d(
     f: Callable[[np.ndarray], np.ndarray],
     lo: float,
@@ -219,18 +139,21 @@ def integrate_adaptive_1d(
 ) -> QuadratureResult:
     """Integrate a vectorized callable over [lo, hi] adaptively.
 
-    Gauss-Kronrod 15(7) panels; the worst panels (those carrying 90% of the
-    estimated error, capped per round) are bisected until the summed error
-    estimate drops below rel_tol * |value| or the evaluation
-    budget runs out. Endpoints are never evaluated.
+    QUADPACK's qags, or qagp with breakpoints, through scipy.integrate.quad:
+    Gauss-Kronrod 21(10) panels, worst-panel bisection and extrapolation.
+    It stops once the error estimate drops below max(rel_tol, 50 eps) *
+    |value| (QUADPACK refuses a smaller relative tolerance) or the evaluation
+    budget runs out; converged says whether the estimate is at most
+    rel_tol * |value|. f is called on one-element arrays and never at an
+    endpoint.
 
     Args:
         f: vectorized integrand, ndarray in / ndarray out.
         lo, hi: integration limits, lo <= hi.
         rel_tol: relative stopping tolerance.
         budget: maximum integrand evaluations.
-        points: optional interior breakpoints seeding the initial panels;
-            useful when the mass sits far from the middle of the domain.
+        points: optional breakpoints; those inside (lo, hi) seed the initial
+            panels, useful when the mass sits far from the middle of the domain.
     """
     lo = float(lo)
     hi = float(hi)
@@ -240,56 +163,34 @@ def integrate_adaptive_1d(
         raise ValueError(f"upper limit {hi} below lower limit {lo}")
     if hi == lo:
         return QuadratureResult(0.0, 0.0, True, 0, 0)
+    inner = sorted({float(t) for t in ([] if points is None else points) if lo < float(t) < hi})
+    panels = len(inner) + 1
+    if 21 * panels > budget:
+        raise ValueError(f"budget {budget} cannot cover the {panels} initial panels")
 
-    edges = [lo, hi]
-    if points is not None:
-        edges.extend(float(t) for t in points if lo < float(t) < hi)
-    edges = np.array(sorted(set(edges)))
-    los = edges[:-1].copy()
-    his = edges[1:].copy()
-    if 15 * len(los) > budget:
-        raise ValueError(f"budget {budget} cannot cover the {len(los)} initial panels")
-
-    def panels(lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nodes, half = _panel_nodes(lefts, rights)
-        fx = np.asarray(f(nodes.reshape(-1)), dtype=float).reshape(nodes.shape)
-        if not np.all(np.isfinite(fx)):
+    def scalar(x: float) -> float:
+        (fx,) = np.asarray(f(np.array([x])), dtype=float)
+        if not np.isfinite(fx):
             raise ValueError("integrand returned a non-finite value inside the domain")
-        return _gk15_panels(fx, half)
+        return float(fx)
 
-    vals, errs = panels(los, his)
-    evals = 15 * len(los)
+    # Imported here, not at module level: scipy.integrate costs about 170 ms
+    # and 26 MB and pulls in scipy.optimize and scipy.linalg, which no command needs.
+    from scipy.integrate import quad
 
-    while True:
-        total = float(np.sum(vals))
-        toterr = float(np.sum(errs))
-        if toterr <= rel_tol * abs(total):
-            return QuadratureResult(total, toterr, True, len(los), evals)
-        if evals + 30 > budget:
-            return QuadratureResult(total, toterr, False, len(los), evals)
-
-        order = np.argsort(errs)[::-1]
-        cum = np.cumsum(errs[order])
-        n_split = int(np.searchsorted(cum, 0.9 * toterr)) + 1
-        n_split = min(n_split, _MAX_SPLIT_BATCH, (budget - evals) // 30, len(order))
-        idx = order[:n_split]
-        mids = 0.5 * (los[idx] + his[idx])
-        splittable = (mids > los[idx]) & (mids < his[idx])
-        if not np.any(splittable):
-            return QuadratureResult(total, toterr, False, len(los), evals)
-        idx = idx[splittable]
-        mids = mids[splittable]
-
-        new_los = np.concatenate([los[idx], mids])
-        new_his = np.concatenate([mids, his[idx]])
-        new_vals, new_errs = panels(new_los, new_his)
-        evals += 15 * len(new_los)
-        keep = np.ones(len(los), dtype=bool)
-        keep[idx] = False
-        los = np.concatenate([los[keep], new_los])
-        his = np.concatenate([his[keep], new_his])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
+    # The initial panels cost 21 evaluations each and every bisection 42, so
+    # a run ending with `limit` panels spends 42 * limit - 21 * panels.
+    value, error, info = quad(
+        scalar,
+        lo,
+        hi,
+        full_output=1,
+        epsabs=0.0,
+        epsrel=max(50.0 * np.finfo(float).eps, rel_tol),
+        limit=(budget + 21 * panels) // 42,
+        points=inner or None,
+    )[:3]
+    return QuadratureResult(value, error, error <= rel_tol * abs(value), info["last"], info["neval"])
 
 
 def _log_betainc(a: float, b: float, u) -> np.ndarray:
@@ -366,6 +267,8 @@ def hb1_phi(
         raise ValueError(f"need p(k-1)/2 + a > 0, got {m + a}")
     if not a + c < 0.5 * n:
         raise ValueError(f"need a + c < n/2, got a+c={a + c} with n={n}")
+    if not math.isfinite(eig_floor):
+        raise ValueError(f"eig_floor must be finite, got {eig_floor}")
     if not eig_floor > 0.0:
         raise ValueError(f"eig_floor must be positive, got {eig_floor}")
     fa = np.asarray(f_stat, dtype=float)

@@ -182,7 +182,7 @@ def check_hb2_conditions(a: float, b: float, c: float, p: int, k: int, n: int) -
 
 def prial(risk_reference: float, risk_estimator) -> float | np.ndarray:
     """Percentage reduction in average loss relative to a reference risk."""
-    if not risk_reference > 0.0:
-        raise ValueError(f"reference risk must be positive, got {risk_reference}")
+    if not 0.0 < risk_reference < math.inf:
+        raise ValueError(f"reference risk must be positive and finite, got {risk_reference}")
     out = 100.0 * (risk_reference - np.asarray(risk_estimator)) / risk_reference
     return float(out) if np.ndim(risk_estimator) == 0 else out

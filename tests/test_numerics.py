@@ -94,7 +94,7 @@ class TestFQuantile:
 
 class TestAdaptiveQuadrature:
     def test_polynomial_is_exact(self):
-        # Gauss-Kronrod 15 integrates low-degree polynomials exactly.
+        # QUADPACK's 21-point Kronrod rule integrates low-degree polynomials exactly.
         res = integrate_adaptive_1d(lambda x: 3.0 * x**2, 0.0, 1.0)
         assert res.converged
         assert res.value == approx(1.0, abs=1e-14)
@@ -115,12 +115,13 @@ class TestAdaptiveQuadrature:
 
     def test_interior_points_help_spiky_integrand(self):
         # A narrow bump at 1e-4 is invisible to the first panel unless a
-        # seed point lands near it.
+        # seed point lands near it. Points outside (lo, hi), the endpoints
+        # included, are dropped rather than refused.
         def bump(x):
             return np.exp(-(((x - 1e-4) / 1e-5) ** 2))
 
         exact = 1e-5 * math.sqrt(math.pi)
-        res = integrate_adaptive_1d(bump, 0.0, 1.0, points=[1e-4, 1e-3])
+        res = integrate_adaptive_1d(bump, 0.0, 1.0, points=[-0.5, 0.0, 1e-4, 1e-3, 1.0, 2.0])
         assert res.converged
         assert res.value == approx(exact, rel=1e-6)
 
@@ -133,7 +134,29 @@ class TestAdaptiveQuadrature:
             budget=500,
         )
         assert not res.converged
-        assert res.evals <= 500 + 15 * 256  # one refinement round may finish
+        assert res.evals <= 500
+
+    def test_budget_holds_with_breakpoints(self):
+        # Two breakpoints give three initial panels of 21 evaluations each;
+        # every bisection then costs 42.
+        def spike(x):
+            return 1.0 / np.sqrt(np.abs(x - 0.3) + 1e-15)
+
+        for budget in (63, 104, 105, 500):
+            res = integrate_adaptive_1d(spike, 0.0, 1.0, rel_tol=1e-15, budget=budget,
+                                        points=[0.5, 0.9])
+            assert not res.converged
+            assert 63 <= res.evals <= budget
+        with pytest.raises(ValueError, match="cannot cover the 3 initial panels"):
+            integrate_adaptive_1d(spike, 0.0, 1.0, budget=62, points=[0.5, 0.9])
+
+    def test_tolerance_below_quadpack_floor_reports_not_converged(self):
+        # QUADPACK accepts no relative tolerance below 50 eps; a smaller one
+        # runs at that floor and is then judged as asked.
+        res = integrate_adaptive_1d(lambda x: 3.0 * x**2, 0.0, 1.0, rel_tol=1e-16)
+        assert not res.converged
+        assert res.value == approx(1.0, abs=1e-14)
+        assert res.error > 1e-16
 
     def test_non_finite_integrand_raises(self):
         def bad(x):
@@ -141,7 +164,7 @@ class TestAdaptiveQuadrature:
             out[out < 0.5] = np.nan
             return out
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite value inside the domain"):
             integrate_adaptive_1d(bad, 0.0, 1.0)
 
     def test_empty_interval(self):
@@ -223,6 +246,16 @@ class TestHb1Phi:
         for f in (bad, np.array([0.5, bad])):
             with pytest.raises(ValueError, match="f_stat must be finite and nonnegative"):
                 call(f, 5, 5, 20, 0.1, 0.1, 1.0)
+
+    @pytest.mark.parametrize("call", [hb1_phi, hb1_shrink_ratio])
+    @pytest.mark.parametrize(
+        "eig_floor,match",
+        [(0.0, "positive"), (-1.0, "positive"), (math.nan, "finite"), (math.inf, "finite")],
+    )
+    def test_nonpositive_or_non_finite_eig_floor_is_invalid(self, call, eig_floor, match):
+        for f in (1.0, np.array([0.0, 1.0])):
+            with pytest.raises(ValueError, match=f"eig_floor must be {match}"):
+                call(f, 5, 5, 20, 0.1, 0.1, eig_floor)
 
 
 class TestHbExponents:

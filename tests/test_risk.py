@@ -366,3 +366,5 @@ class TestPrial:
             prial(0.0, 5.0)
         with pytest.raises(ValueError, match="positive"):
             prial(np.nan, 5.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            prial(np.inf, 5.0)
