@@ -22,7 +22,6 @@ from .numerics import (
     f_quantile,
     hb1_phi,
     hb2_factors,
-    integrate_adaptive_1d,
 )
 from .estimators import (
     ESTIMATORS,
@@ -75,7 +74,6 @@ __all__ = [
     "pooled_summary",
     "HbExponents",
     "f_quantile",
-    "integrate_adaptive_1d",
     "hb1_phi",
     "hb2_factors",
     "EstimateSet",

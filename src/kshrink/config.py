@@ -31,7 +31,7 @@ from typing import Any, Collection
 import numpy as np
 import yaml
 
-from .estimators import ESTIMATOR_ORDER, resolve_estimator
+from .estimators import ESTIMATOR_ORDER, canonical_estimators, resolve_estimator
 from .model import Hyperparameters
 from .montecarlo import ExperimentConfig, MeanConfig
 
@@ -184,20 +184,23 @@ def parse_mean_configs(node: Any, k: int, p: int, where: str) -> tuple[MeanConfi
 
 
 def parse_estimators(node: Any, where: str) -> tuple[str, ...]:
-    """Canonical estimator names, each once, in the order they first appear."""
+    """Canonical estimator names, each once, in the order they first appear.
+
+    Each entry is checked here, so that an error names its index; the list
+    then goes through estimators.canonical_estimators, as ExperimentConfig's does.
+    """
     if node is None:
         return ESTIMATOR_ORDER
     if not isinstance(node, list) or not node:
         raise ConfigError(f"{where} must be a non-empty list of estimator names")
-    names = []
     for i, entry in enumerate(node):
         if not isinstance(entry, str):
             raise ConfigError(f"{where}[{i}] must be a string, got {entry!r}")
         try:
-            names.append(resolve_estimator(entry))
+            resolve_estimator(entry)
         except KeyError as exc:
             raise ConfigError(f"{where}[{i}]: {exc.args[0]}") from None
-    return tuple(dict.fromkeys(names))
+    return canonical_estimators(node)
 
 
 def parse_hyper(node: Any) -> Hyperparameters:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -64,6 +64,7 @@ __all__ = [
     "eb_members",
     "floored_statistics",
     "resolve_estimator",
+    "canonical_estimators",
     "estimate_unshrunk",
     "estimate_js1",
     "estimate_js2",
@@ -424,3 +425,13 @@ def resolve_estimator(name: str) -> str:
         known = ", ".join(list(ESTIMATORS) + list(_ALIASES))
         raise KeyError(f"unknown estimator {name!r}; known: {known}")
     return canon
+
+
+def canonical_estimators(names: Iterable[str]) -> tuple[str, ...]:
+    """Canonical names of names, aliases resolved, each once in the order it first appears.
+
+    A bare string is refused, not read letter by letter.
+    """
+    if isinstance(names, str):
+        raise ValueError(f"estimators must be a sequence of names, got the string {names!r}")
+    return tuple(dict.fromkeys(map(resolve_estimator, names)))

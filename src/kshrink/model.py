@@ -11,9 +11,10 @@ Loss is weighted quadratic: sum_i (d_i - mu_i)' Q_i (d_i - mu_i) / sigma2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -36,6 +37,16 @@ __all__ = [
 _INVERSE_LOSS_REL = 1e-9
 # Widest p whose matrix maps run with the replicate axis innermost; see apply_maps.
 _LONG_MAPS_MAX_P = 16
+
+
+def _as_int(name: str, value: Any) -> int:
+    """value as a Python int (numpy integers pass); a bool, float or string raises ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -215,7 +226,7 @@ class CanonicalModel:
     x: (k, p) array, row i is the observation for group i.
     v: (k, p, p) stack of known positive definite scale matrices.
     s: pooled scale statistic, s / sigma2 ~ chi-square(n).
-    n: degrees of freedom of s.
+    n: degrees of freedom of s, an integer; a float, even 3.0, is refused.
     """
 
     x: np.ndarray
@@ -231,7 +242,7 @@ class CanonicalModel:
         v = _as_stack("v must have shape (k, p, p) =", self.v, *x.shape)
         object.__setattr__(self, "v", _freeze(v))
         object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _as_int("n", self.n))
 
     @property
     def k(self) -> int:

@@ -7,37 +7,39 @@ on the draws taken before it. Every stream has one layout: replicate r
 owns outputs r*w .. r*w + k*p, k*p for the observations and then one for
 the scale statistic, where w is k*p + 1 rounded up to a whole counter step
 of four outputs. So a replicate's address depends on neither the run's
-length nor the draws before it. The keys are (0, c) for configuration c
-of an experiment, (1, i) for truth point i of validate_uer, and (2, 0),
-read with k = 1, for validate_identities. All variates are produced by
+length nor the draws before it. The keys are (0, c) for configuration c of
+an experiment, (1, i) for truth point i of validate_uer, and (2, 0), read
+with k = 1, for validate_identities. All variates are produced by
 inverse-CDF transforms, so results are bit-identical across runs, thread
 counts, and platforms with IEEE-754 doubles. Every stream is read in
 blocks through one block loop over rows, each block reading only its own
-slices of the streams. A row is one replicate of one stream, except in
-run_experiment, whose row c*R + r is replicate r of configuration c: there
-a block may read slices of several configurations' streams, each at its
-replicates' own addresses. A block holds max(1, _BLOCK_VALUES // width)
-rows, where width is the number of values a row has in the block's
-largest arrays (k*p for an experiment or a truth point, p for the
-identities), so a block's working set stays near _BLOCK_VALUES doubles per
-array at any dimension; the block length is never a function of the
-thread count. The per-replicate work takes no matrix product over rows
-(whose BLAS bits depend on the row count). Every matrix map of a replicate's
-entries (the Cholesky map of the draws, the weights, the pooled mean and
-the direction maps) goes through model.apply_maps, whose summation order
-is fixed by p alone; every quadratic form goes through model.quad_forms;
-every other sum over a replicate's own entries is an einsum or
-elementwise step on that row alone. Both helpers follow one rule: a lone
-replicate runs as two copies of itself, and full matrices run with the
-replicate axis innermost (maps up to p = 16, wider ones replicate-first).
-Both take an elementwise path when a matrix is diagonal (every scale and
-loss matrix of the default experiment), which adds the same nonzero
-terms in the same order and so gives the same bits as the full path. So
-a replicate's values depend on neither the length of its block nor its
-neighbours in it, whatever v and the loss weights are.
-The per-replicate values are joined in row order and each stream's are
-reduced with numpy's pairwise summation, so the block size never changes
-a result.
+slices of the streams. One function, _draw, reads a slice (replicates r0
+to r1-1 of one stream) and maps it to (x, s) at every entry point but
+validate_identities, which reads its k = 1 stream and maps it itself. A
+row is one replicate of one stream, except in run_experiment, whose row
+c*R + r is replicate r of configuration c: there a block may read slices
+of several configurations' streams, each at its replicates' own addresses,
+with one _draw per slice. A block holds max(1, _BLOCK_VALUES // width)
+rows, where width is the number of values a row has in the block's largest
+arrays (k*p for an experiment or a truth point, p for the identities), so
+a block's working set stays near _BLOCK_VALUES doubles per array at any
+dimension; the block length is never a function of the thread count. The
+per-replicate work takes no matrix product over rows (whose BLAS bits
+depend on the row count). Every matrix map of a replicate's entries (the
+Cholesky map of the draws, the weights, the pooled mean and the direction
+maps) goes through model.apply_maps, whose summation order is fixed by p
+alone; every quadratic form goes through model.quad_forms; every other sum
+over a replicate's own entries is an einsum or elementwise step on that
+row alone. Both helpers follow one rule: a lone replicate runs as two
+copies of itself, and full matrices run with the replicate axis innermost
+(maps up to p = 16, wider ones replicate-first). Both take an elementwise
+path when a matrix is diagonal (every scale and loss matrix of the default
+experiment), which adds the same nonzero terms in the same order and so
+gives the same bits as the full path. So a replicate's values depend on
+neither the length of its block nor its neighbours in it, whatever v and
+the loss weights are. The per-replicate values are joined in row order and
+each stream's are reduced with numpy's pairwise summation, so the block
+size never changes a result.
 
 Each block runs the batch kernels of the estimators module on the pooled
 statistics of its rows, the same code the single-shot estimators run
@@ -47,7 +49,9 @@ self-checks, validate_uer and validate_identities, report paired checks
 of one kind: the mean of lhs - rhs over common draws must lie within
 three standard errors of 0. Every entry point that draws (run_experiment,
 validate_uer, validate_identities, sample_canonical) takes the
-ExperimentConfig and runs cfg.validate() before its first draw.
+ExperimentConfig and runs cfg.validate() before its first draw. The
+config holds its counts as Python ints and its estimators as canonical
+names from construction, so no entry point converts or resolves them.
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ from .estimators import (
     ReplicateError,
     ShrinkageFunctions,
     batch_general,
+    canonical_estimators,
     eb_members,
     floored_statistics,
     resolve_estimator,
@@ -79,6 +84,7 @@ from .model import (
     PooledBatch,
     PooledConstants,
     TrueParameters,
+    _as_int,
     _freeze,
     apply_maps,
     quad_forms,
@@ -116,7 +122,7 @@ def _uniforms(seed: int, key: tuple[int, ...], start: int, count: int) -> np.nda
     The uniforms sit on a fixed 2^53 lattice. Each Philox counter step
     yields four outputs, so start must be a multiple of four.
     """
-    bitgen = np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=key))
+    bitgen = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
     bitgen.advance(start // 4)
     raw = bitgen.random_raw(count)
     raw >>= 11
@@ -141,15 +147,23 @@ def _need_nonnegative(name: str, value: int) -> None:
 
 
 def _draw(
-    truth: TrueParameters, chol: np.ndarray, n: int, u: np.ndarray, us: np.ndarray
+    cfg: ExperimentConfig,
+    key: tuple[int, int],
+    truth: TrueParameters,
+    chol: np.ndarray,
+    r0: int,
+    r1: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map uniforms u (R, k, p) and us (R,) to (x, s); chol factors the v stack.
+    """(x, s) of replicates r0 .. r1-1 of stream key, drawn at truth; chol factors cfg.v.
 
-    A draw may overflow to inf; PooledConstants.summarize rejects it.
+    Each row is mapped from its own uniforms alone, so a range split into
+    parts gives the same rows as the whole. A draw may overflow to inf;
+    PooledConstants.summarize rejects it.
     """
+    u, us = _replicate_uniforms(cfg.seed, key, r0, r1, cfg.k, cfg.p)
     with np.errstate(over="ignore"):
         x = truth.mu + math.sqrt(truth.sigma2) * apply_maps(chol, ndtri(u))
-        s = truth.sigma2 * 2.0 * gammaincinv(0.5 * n, us)
+        s = truth.sigma2 * 2.0 * gammaincinv(0.5 * cfg.n, us)
     return x, s
 
 
@@ -190,7 +204,13 @@ class ExperimentConfig:
     them from x; v, q and the mean rows are frozen copies of the caller's.
     q=None means inverse-scale loss (q[i] = inv(v[i])), as
     LossSpec.for_model reads it. The seed addresses the whole experiment;
-    threads only affects wall time, never results.
+    threads only affects wall time, never results. Construction stores n,
+    replicates, seed and threads as Python ints (numpy integers pass; a
+    bool, float or string raises ValueError naming the field) and
+    estimators as canonical names, aliases resolved and each kept once in
+    the order it first appears (estimators.canonical_estimators: an
+    unknown name raises KeyError, a bare string ValueError). validate()
+    checks the values.
     """
 
     n: int
@@ -209,7 +229,9 @@ class ExperimentConfig:
         if self.q is not None:
             object.__setattr__(self, "q", _freeze(self.q))
         object.__setattr__(self, "mean_configs", tuple(self.mean_configs))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "estimators", canonical_estimators(self.estimators))
+        for name in ("n", "replicates", "seed", "threads"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
 
     @property
     def k(self) -> int:
@@ -257,8 +279,8 @@ class ExperimentConfig:
                 )
             if not np.all(np.isfinite(mc.mu)):
                 raise ValueError(f"mean config {mc.name!r} has non-finite entries")
-        for name in self.estimators:
-            resolve_estimator(name)
+        if not self.estimators:
+            raise ValueError("no estimators")
         template = CanonicalModel(x=np.zeros((self.k, self.p)), v=self.v, s=1.0, n=self.n)
         return PooledConstants.from_model(template, LossSpec.for_model(template, self.q))
 
@@ -289,16 +311,17 @@ def sample_canonical(
     sees exactly this model as that replicate, drawn at the mean rows of
     cfg.mean_configs[config] and at cfg's sigma2, v, n and seed. cfg is
     checked by cfg.validate(), and config must index cfg.mean_configs,
-    before anything is drawn.
+    before anything is drawn; config and replicate are integers (numpy
+    integers pass, a bool, float or string raises ValueError).
     """
     cfg.validate()
+    config, replicate = _as_int("config", config), _as_int("replicate", replicate)
     if not 0 <= config < len(cfg.mean_configs):
         raise ValueError(f"config must be in [0, {len(cfg.mean_configs)}), got {config}")
     _need_nonnegative("replicate", replicate)
     truth = TrueParameters(mu=cfg.mean_configs[config].mu, sigma2=cfg.sigma2)
     key = (_NS_EXPERIMENT, config)
-    u, us = _replicate_uniforms(cfg.seed, key, replicate, replicate + 1, cfg.k, cfg.p)
-    x, s = _draw(truth, np.linalg.cholesky(cfg.v), cfg.n, u, us)
+    x, s = _draw(cfg, key, truth, np.linalg.cholesky(cfg.v), replicate, replicate + 1)
     return CanonicalModel(x=x[0], v=cfg.v, s=float(s[0]), n=cfg.n)
 
 
@@ -480,10 +503,11 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
     matrices.
     """
     constants = cfg.validate()
-    names = tuple(dict.fromkeys(resolve_estimator(raw) for raw in cfg.estimators))
+    names = cfg.estimators
     count = cfg.replicates
     config_names = tuple(mc.name for mc in cfg.mean_configs)
     means = np.stack([mc.mu for mc in cfg.mean_configs])
+    truths = [TrueParameters(mu=mu, sigma2=cfg.sigma2) for mu in means]
     chol = np.linalg.cholesky(cfg.v)
 
     def losses_block(b0: int, b1: int) -> tuple[np.ndarray, dict[tuple[str, str], str]]:
@@ -493,12 +517,11 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
             for ci in range(b0 // count, (b1 - 1) // count + 1)
         ]
         drawn = [
-            _replicate_uniforms(cfg.seed, (_NS_EXPERIMENT, ci), r0, r1, cfg.k, cfg.p)
+            _draw(cfg, (_NS_EXPERIMENT, ci), truths[ci], chol, r0, r1)
             for ci, r0, r1 in segments
         ]
-        u, us = (np.concatenate(parts) for parts in zip(*drawn))
+        x, s = (np.concatenate(parts) for parts in zip(*drawn))
         truth = TrueParameters(mu=means[np.arange(b0, b1) // count], sigma2=cfg.sigma2)
-        x, s = _draw(truth, chol, cfg.n, u, us)
 
         def where(i: int) -> tuple[str, int]:
             ci, r = divmod(b0 + i, count)
@@ -657,8 +680,7 @@ def validate_uer(
     # loss; uer then runs once per check, on the rows joined over all blocks.
     def point_checks(pi: int, truth: TrueParameters) -> list[PairedCheck]:
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
-            u, us = _replicate_uniforms(cfg.seed, (_NS_UER, pi), r0, r1, cfg.k, cfg.p)
-            x, s = _draw(truth, chol, cfg.n, u, us)
+            x, s = _draw(cfg, (_NS_UER, pi), truth, chol, r0, r1)
             batch = _summarize(constants, x, s, lambda i: (f"truth point {pi}", r0 + i))
             out = np.empty((3 + len(members), r1 - r0))
             out[0], out[1] = floored_statistics(batch)

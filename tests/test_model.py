@@ -48,6 +48,11 @@ class TestCanonicalModel:
         assert m.v.shape == (4, 2, 2)
         assert np.array_equal(m.v[3], np.eye(2))
 
+    def test_n_is_an_integer(self):
+        assert type(CanonicalModel(x=np.zeros((2, 3)), v=np.eye(3), s=1.0, n=np.int64(5)).n) is int
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.7$"):
+            CanonicalModel(x=np.zeros((2, 3)), v=np.eye(3), s=1.0, n=2.7)
+
     def test_immutable(self):
         m = d0_model()
         with pytest.raises(ValueError):

@@ -89,6 +89,14 @@ class TestSampleCanonical:
         assert np.array_equal(a.x, b.x)
         assert a.s == b.s
 
+    def test_numpy_integer_address_is_the_int_address(self):
+        v = np.array([np.eye(3), 2.0 * np.eye(3)])
+        cfg = sampling_config(np.zeros((2, 3)), 2.0, v, 10, 1, configs=2)
+        a = sample_canonical(cfg, np.int64(1), np.int64(3))
+        b = sample_canonical(cfg, 1, 3)
+        assert np.array_equal(a.x, b.x)
+        assert a.s == b.s
+
     def test_distinct_replicates_differ(self):
         v = np.array([np.eye(3), np.eye(3)])
         cfg = sampling_config(np.zeros((2, 3)), 2.0, v, 10, 1, configs=2)
@@ -126,8 +134,11 @@ class TestSampleCanonical:
             (dict(config=-1), r"config must be in \[0, 2\), got -1"),
             (dict(config=2), r"config must be in \[0, 2\), got 2"),
             (dict(replicate=-1), "replicate must be >= 0, got -1"),
+            (dict(config=1.0), "config must be an integer, got 1.0"),
+            (dict(replicate=2.5), r"replicate must be an integer, got 2\.5"),
         ],
-        ids=["seed", "config", "config-past-the-last", "replicate"],
+        ids=["seed", "config", "config-past-the-last", "replicate", "config-float",
+             "replicate-float"],
     )
     def test_negative_address_rejected(self, address, message, monkeypatch):
         # Also a config past the last mean configuration, whose stream no run reads.
@@ -160,8 +171,9 @@ class TestOneGate:
              r"^mean config 'spread' is named more than once$"),
             (dict(q=np.stack([np.diag([1.0, 1.0, -1.0]), np.eye(3), np.eye(3)])),
              r"^q\[0\] is not positive definite"),
+            (dict(estimators=()), r"^no estimators$"),
         ],
-        ids=["seed-negative", "sigma2-inf", "name-twice", "q-indefinite"],
+        ids=["seed-negative", "sigma2-inf", "name-twice", "q-indefinite", "no-estimators"],
     )
     @pytest.mark.parametrize(
         "entry",
@@ -254,6 +266,39 @@ class TestExperimentConfig:
     def test_validate_rejects_unknown_estimator(self):
         with pytest.raises(KeyError, match="unknown estimator"):
             small_config(estimators=("JS1", "ridge")).validate()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(n=20.5), r"^n must be an integer, got 20\.5$"),
+            (dict(seed=1.5), r"^seed must be an integer, got 1\.5$"),
+            (dict(replicates=200.5), r"^replicates must be an integer, got 200\.5$"),
+            (dict(replicates=True), r"^replicates must be an integer, got True$"),
+            (dict(threads="2"), r"^threads must be an integer, got '2'$"),
+            (dict(estimators="JS1"),
+             r"^estimators must be a sequence of names, got the string 'JS1'$"),
+        ],
+        ids=["n-float", "seed-float", "replicates-float", "replicates-bool", "threads-str",
+             "estimators-str"],
+    )
+    def test_malformed_field_rejected_on_construction(self, changes, message):
+        # dataclasses.replace builds a new config, so it is refused the same way.
+        with pytest.raises(ValueError, match=message):
+            small_config(**changes)
+        with pytest.raises(ValueError, match=message):
+            replace(small_config(), **changes)
+
+    def test_estimators_are_canonical_from_construction(self):
+        cfg = small_config(estimators=("EB1", "EB", "JS1"))
+        assert cfg.estimators == ("EB", "JS1")
+        assert replace(cfg, estimators=["EB2", "HB1", "EB*"]).estimators == ("EB*", "HB1")
+
+    def test_numpy_integer_counts_are_the_ints(self):
+        counts = dict(n=12, replicates=40, seed=777, threads=2)
+        cfg = small_config(**{name: np.int64(value) for name, value in counts.items()})
+        for name, value in counts.items():
+            assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
+        assert run_experiment(cfg).to_csv() == run_experiment(small_config(**counts)).to_csv()
 
     def test_validate_rejects_single_replicate(self):
         with pytest.raises(ValueError, match="replicates"):
@@ -405,8 +450,10 @@ class TestRunExperiment:
         assert raised.value.args[0] == "estimator 'PT' is not in the table; it has: EB, EB*"
 
     def test_aliases_deduplicate(self):
-        table = run_experiment(small_config(estimators=("EB1", "EB", "EB2")))
+        cfg = small_config(estimators=("EB1", "EB", "EB2"))
+        table = run_experiment(cfg)
         assert table.estimator_names == ("EB", "EB*")
+        assert table.estimator_names == cfg.estimators
 
     def test_unavailable_estimator_reports_nan(self):
         v = np.stack([np.eye(2)] * 3)

@@ -894,9 +894,8 @@ def benchmark_statistics() -> tuple[np.ndarray, np.ndarray]:
     batches = []
     for ci, mc in enumerate(cfg.mean_configs):
         key = (montecarlo._NS_EXPERIMENT, ci)
-        u, us = montecarlo._replicate_uniforms(cfg.seed, key, 0, 256, cfg.k, cfg.p)
         truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
-        batches.append(constants.summarize(*montecarlo._draw(truth, chol, cfg.n, u, us)))
+        batches.append(constants.summarize(*montecarlo._draw(cfg, key, truth, chol, 0, 256)))
     return (
         np.concatenate([b.residual_stat for b in batches]),
         np.concatenate([b.pooled_norm_stat for b in batches]),
