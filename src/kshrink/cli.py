@@ -223,7 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--seed", type=int, help="override the RNG seed")
             cmd.add_argument("--replicates", type=int, help="Monte Carlo replicates")
         if threads:
-            cmd.add_argument("--threads", type=int, help="worker thread count")
+            cmd.add_argument("--threads", type=int,
+                             help="worker thread count (default: the usable cores)")
         return cmd
 
     table_output = "also write the table as CSV here; the text table still goes to stdout"
@@ -234,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("estimate", "apply estimators to a dataset", config=True, config_required=True,
         needs_input=True, output="write CSV here instead of stdout")
     add("check-conditions", "report minimaxity margins", config=True)
-    add("validate", "Monte Carlo self-checks", config=True, runs=True)
+    add("validate", "Monte Carlo self-checks", config=True, runs=True, threads=True)
     return parser
 
 

@@ -11,6 +11,7 @@ Loss is weighted quadratic: sum_i (d_i - mu_i)' Q_i (d_i - mu_i) / sigma2.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -47,6 +48,13 @@ def _as_int(name: str, value: Any) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _as_float(name: str, value: Any) -> float:
+    """value as a Python float (numpy reals pass); a bool, string or non-real raises ValueError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -12,8 +12,10 @@ an experiment, (1, i) for truth point i of validate_uer, and (2, 0), read
 with k = 1, for validate_identities. All variates are produced by
 inverse-CDF transforms, so results are bit-identical across runs, thread
 counts, and platforms with IEEE-754 doubles. Every stream is read in
-blocks through one block loop over rows, each block reading only its own
-slices of the streams. One function, _draw, reads a slice (replicates r0
+blocks through one block loop over rows, _blocked, each block reading
+only its own slices of the streams; run_experiment, validate_uer and
+validate_identities all run it on cfg.threads threads, the calling
+thread among them. One function, _draw, reads a slice (replicates r0
 to r1-1 of one stream) and maps it to (x, s) at every entry point but
 validate_identities, which reads its k = 1 stream and maps it itself. A
 row is one replicate of one stream, except in run_experiment, whose row
@@ -57,8 +59,10 @@ names from construction, so no entry point converts or resolves them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from threading import Lock, Thread
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,6 +88,7 @@ from .model import (
     PooledBatch,
     PooledConstants,
     TrueParameters,
+    _as_float,
     _as_int,
     _freeze,
     apply_maps,
@@ -104,6 +109,7 @@ __all__ = [
     "run_experiment",
     "validate_uer",
     "validate_identities",
+    "usable_cores",
 ]
 
 # Values per (R, k, p) array of a block; see the module docstring.
@@ -114,6 +120,14 @@ VALIDATE_DRAWS = 100_000
 _NS_EXPERIMENT = 0
 _NS_UER = 1
 _NS_IDENTITY = 2
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: the default thread count of a run."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _uniforms(seed: int, key: tuple[int, ...], start: int, count: int) -> np.ndarray:
@@ -204,13 +218,14 @@ class ExperimentConfig:
     them from x; v, q and the mean rows are frozen copies of the caller's.
     q=None means inverse-scale loss (q[i] = inv(v[i])), as
     LossSpec.for_model reads it. The seed addresses the whole experiment;
-    threads only affects wall time, never results. Construction stores n,
-    replicates, seed and threads as Python ints (numpy integers pass; a
-    bool, float or string raises ValueError naming the field) and
-    estimators as canonical names, aliases resolved and each kept once in
-    the order it first appears (estimators.canonical_estimators: an
-    unknown name raises KeyError, a bare string ValueError). validate()
-    checks the values.
+    threads, by default usable_cores(), only affects wall time, never
+    results. Construction stores n, replicates, seed and threads as Python
+    ints (numpy integers pass; a bool, float or string raises ValueError
+    naming the field), sigma2 as a Python float (real numbers pass; a bool
+    or string raises ValueError naming it) and estimators as canonical
+    names, aliases resolved and each kept once in the order it first
+    appears (estimators.canonical_estimators: an unknown name raises
+    KeyError, a bare string ValueError). validate() checks the values.
     """
 
     n: int
@@ -221,7 +236,7 @@ class ExperimentConfig:
     q: np.ndarray | None = None
     replicates: int = 5000
     seed: int = 20260816
-    threads: int = 1
+    threads: int = field(default_factory=usable_cores)
     hyper: Hyperparameters = field(default_factory=Hyperparameters)
 
     def __post_init__(self) -> None:
@@ -230,6 +245,7 @@ class ExperimentConfig:
             object.__setattr__(self, "q", _freeze(self.q))
         object.__setattr__(self, "mean_configs", tuple(self.mean_configs))
         object.__setattr__(self, "estimators", canonical_estimators(self.estimators))
+        object.__setattr__(self, "sigma2", _as_float("sigma2", self.sigma2))
         for name in ("n", "replicates", "seed", "threads"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
 
@@ -252,7 +268,17 @@ class ExperimentConfig:
             raise ValueError(f"need n >= 1, got {n}")
 
     def validate(self) -> PooledConstants:
-        """Check the configuration; return the pooled constants its replicates share."""
+        """Check the configuration; return the pooled constants its replicates share.
+
+        A config and its arrays never change, so the first call that passes
+        keeps the constants on the object and later calls return them; a
+        call that fails keeps nothing. dataclasses.replace builds a new
+        object, which is checked afresh.
+        """
+        return self._constants
+
+    @cached_property
+    def _constants(self) -> PooledConstants:
         if self.v.ndim != 3 or self.v.shape[1] != self.v.shape[2]:
             raise ValueError(f"v must have shape (k, p, p), got {self.v.shape}")
         self.check_dimensions(self.p, self.k, self.n)
@@ -431,30 +457,59 @@ def _blocked(
     rows: int,
     block: Callable[[int, int], tuple[np.ndarray, dict]],
 ) -> tuple[np.ndarray, dict]:
-    """Run block(r0, r1) over rows 0 .. count-1, width values per row.
+    """Run block(r0, r1) over rows 0 .. count-1 on `threads` threads, width values per row.
 
     A block has max(1, _BLOCK_VALUES // width) rows; the last one may be
     shorter. Each block returns its (rows, r1 - r0) values and a dict of
-    messages. The values are joined in row order into one (rows, count)
-    array, allocated first so that a count past memory fails before any
-    block runs, and the first message per key is kept, so neither depends
-    on the block length or the thread count. With threads > 1 one pool
-    runs every block.
+    messages, and its values go straight into one (rows, count) array,
+    allocated first so that a count past memory fails before any block
+    runs. The calling thread is one of the threads: it starts
+    min(threads, blocks) - 1 helpers, and each thread takes the lowest
+    block not yet taken until none is left. The first message per key in
+    row order is kept, so neither the values nor the messages depend on
+    the block length or the thread count. Once a block raises, no block
+    starts; every helper is joined, then the exception of the lowest
+    failing block is raised, the one a single thread raises.
     """
     values = np.empty((rows, count))
     step = max(1, _BLOCK_VALUES // width)
     starts = range(0, count, step)
-    ends = (min(r0 + step, count) for r0 in starts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(block, starts, ends))
-    else:
-        results = map(block, starts, ends)
+    messages: list[dict] = [{}] * len(starts)
+    failures: dict[int, BaseException] = {}
+    untaken = iter(range(len(starts)))
+    lock = Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if failures else next(untaken, None)
+            if i is None:
+                return
+            r0 = starts[i]
+            try:
+                values[:, r0 : r0 + step], messages[i] = block(r0, min(r0 + step, count))
+            except BaseException as exc:  # an interrupt too: it stops the helpers, then is raised
+                with lock:
+                    failures[i] = exc
+                return
+
+    helpers: list[Thread] = []
+    try:
+        for _ in range(min(threads, len(starts)) - 1):
+            helper = Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        # Blocks are taken in order, so every block below a failed one ran.
+        raise failures[min(failures)]
     errors: dict = {}
-    for r0, (block_values, block_errors) in zip(starts, results):
-        values[:, r0 : r0 + step] = block_values
+    for block_errors in messages:
         for key, msg in block_errors.items():
-            errors.setdefault(key, msg)  # blocks in row order: the first is the lowest
+            errors.setdefault(key, msg)
     return values, errors
 
 
@@ -648,9 +703,9 @@ def validate_uer(
     address every stream uses (see the module docstring) under key (1, i),
     so the first R replicates are the same whatever the run's length. Each
     point is summarized once per block of replicates and every member runs
-    on that block; the blocks go through the harness's block loop in order,
-    one at a time (cfg.threads is not used), so results do not depend on
-    the block size. A block keeps only f, g, s and each member's loss;
+    on that block; the blocks go through the harness's block loop on
+    cfg.threads threads, so results depend on neither the block size nor
+    the thread count. A block keeps only f, g, s and each member's loss;
     risk.uer evaluates a member's factors once per check, on the rows
     joined over all blocks. Check i compares the per-replicate unbiased risk
     estimate (lhs) with the realized loss (rhs) at truth point i and is
@@ -690,7 +745,9 @@ def validate_uer(
                 out[3 + mi] = loss(mu_hat, truth, constants.loss)
             return out, {}
 
-        values, _ = _blocked(cfg.replicates, cfg.k * cfg.p, 1, 3 + len(members), uer_block)
+        values, _ = _blocked(
+            cfg.replicates, cfg.k * cfg.p, cfg.threads, 3 + len(members), uer_block
+        )
         f, g, s = values[:3]
         dims = dict(p=cfg.p, k=cfg.k, n=cfg.n, trace_sum=constants.trace_sum)
         return [
@@ -751,8 +808,9 @@ def validate_identities(cfg: ExperimentConfig) -> CheckSet:
     cfg.validate() before anything is drawn. Both are paired checks. Draw
     r is replicate r of stream (2, 0) read with k = 1: Y takes its
     observations, S its scale uniform. The draws run through the harness's
-    block loop, max(1, _BLOCK_VALUES // p) draws per block, so only the four
-    per-draw rows are kept at full length.
+    block loop on cfg.threads threads, max(1, _BLOCK_VALUES // p) draws per
+    block, so only the four per-draw rows are kept at full length, and
+    the results and any overflow error are the same at any thread count.
     """
     cfg.validate()
     p, n, sigma2 = cfg.p, cfg.n, cfg.sigma2
@@ -783,7 +841,7 @@ def validate_identities(cfg: ExperimentConfig) -> CheckSet:
             raise ArithmeticError(f"the identity checks overflow at sigma2 = {sigma2:g}")
         return rows, {}
 
-    values, _ = _blocked(cfg.replicates, p, 1, 4, identity_block)
+    values, _ = _blocked(cfg.replicates, p, cfg.threads, 4, identity_block)
     return CheckSet(
         (
             _paired_check("gaussian-by-parts", values[0], values[1]),

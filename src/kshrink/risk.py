@@ -29,6 +29,9 @@ __all__ = [
     "prial",
 ]
 
+# Rows of the statistics per slice of one uer call; see uer.
+_UER_ROWS = 4096
+
 
 def loss(
     estimate: EstimateSet | np.ndarray, truth: TrueParameters, ls: LossSpec
@@ -73,7 +76,11 @@ def uer(
     (f, g, s), and each must be finite. A member that lacks a partial is
     rejected. It is trace_sum plus phi's, then psi's _uer_term (one factor's
     functions at a time), whose expectation at any truth is the member's
-    risk. Scalar in, scalar out; ndarray statistics give one value each.
+    risk. Scalar in, scalar out; ndarray statistics give one value each,
+    worked out over slices of _UER_ROWS rows along the first axis, so the
+    temporaries stay near that size at any length. Every step is
+    elementwise, so the slices give the bits of one pass over all rows; a
+    non-finite function value is reported from the first slice that has one.
     """
     if missing := sf.missing_partials():
         raise ValueError(f"the member lacks the partial derivatives {', '.join(missing)}")
@@ -81,9 +88,20 @@ def uer(
         stat = np.asarray(stat)
         if not np.all((stat > 0.0) & (stat < np.inf)):
             raise ValueError(f"statistic {name} must be finite and strictly positive")
-    out = trace_sum + _uer_term(sf, "phi", 0, p * (k - 1), n, f, g, s)
-    out += _uer_term(sf, "psi", 1, p, n, f, g, s)
-    return float(out) if np.ndim(out) == 0 else out
+
+    def terms(f, g, s):
+        out = trace_sum + _uer_term(sf, "phi", 0, p * (k - 1), n, f, g, s)
+        out += _uer_term(sf, "psi", 1, p, n, f, g, s)
+        return out
+
+    if max(np.ndim(f), np.ndim(g), np.ndim(s)) == 0:
+        return float(terms(f, g, s))
+    f, g, s = np.broadcast_arrays(f, g, s)
+    out = np.empty(f.shape)
+    for r0 in range(0, len(out), _UER_ROWS):
+        rows = slice(r0, r0 + _UER_ROWS)
+        out[rows] = terms(f[rows], g[rows], s[rows])
+    return out
 
 
 def _uer_term(sf: ShrinkageFunctions, factor: str, own: int, d: int, n: int, f, g, s):

@@ -18,7 +18,7 @@ import yaml
 import kshrink
 from kshrink import ExperimentConfig, cli, montecarlo
 from kshrink.cli import main
-from kshrink.montecarlo import VALIDATE_DRAWS
+from kshrink.montecarlo import VALIDATE_DRAWS, usable_cores
 
 # Two observations per group chosen so the reduction lands on exact
 # integers: group means (0,0,0) and (2,2,2), pooled spread 10, and with
@@ -817,7 +817,7 @@ class TestOverrides:
         body = SIMULATE_CONFIG.replace("  replicates: 40\n", "").replace("  seed: 31\n", "")
         cfg = self.built(monkeypatch, ["simulate", "--config", put(tmp_path, "cfg.yaml", body)])
         defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
-        counts = (defaults["replicates"], defaults["seed"], defaults["threads"])
+        counts = (defaults["replicates"], defaults["seed"], usable_cores())
         assert (cfg.replicates, cfg.seed, cfg.threads) == counts
         bench = self.built(monkeypatch, ["table1"])
         assert (bench.replicates, bench.seed, bench.threads) == counts
@@ -910,6 +910,19 @@ class TestCheckConditions:
         assert captured.out == ""
 
 
+def spy_helpers(monkeypatch):
+    """The list of helper threads that later harness runs start, filled as they start them."""
+    real = montecarlo.Thread
+    helpers = []
+
+    def spy(*args, **kwargs):
+        helpers.append(real(*args, **kwargs))
+        return helpers[-1]
+
+    monkeypatch.setattr(montecarlo, "Thread", spy)
+    return helpers
+
+
 class TestValidate:
     def test_benchmark_checks_pass(self, capsys):
         assert main(["validate", "--replicates", "2500"]) == 0
@@ -978,36 +991,44 @@ class TestValidate:
         assert "FAIL" not in captured.out
         assert captured.out.endswith("all checks passed\n")
 
-    def test_threads_flag_is_rejected(self, capsys):
-        # Neither validator runs threads, so validate offers no --threads.
-        with pytest.raises(SystemExit) as raised:
-            main(["validate", "--threads", "2", "--replicates", "2500"])
-        assert raised.value.code == 2
-        captured = capsys.readouterr()
-        assert "unrecognized arguments" in captured.err
-        assert captured.out == ""
+    @pytest.mark.parametrize("threads", ["1", "2", "5"])
+    def test_stdout_bytes_at_any_thread_count(self, capsys, threads):
+        assert main(["validate", "--replicates", "50000", "--threads", threads]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == TestRunGoldenBytes.VALIDATE
 
-    def test_file_threads_make_no_pool(self, tmp_path, capsys, monkeypatch):
-        # A config file's thread count is for table1 and simulate; validate
-        # runs its blocks in order and prints the same lines without it.
-        pools = []
-        real = montecarlo.ThreadPoolExecutor
+    def test_threads_flag_is_honoured(self, monkeypatch, capsys):
+        # validate runs its blocks on --threads threads and prints the same lines.
+        helpers = spy_helpers(monkeypatch)
+        assert main(["validate", "--threads", "1", "--replicates", "2500"]) == 0
+        one = capsys.readouterr()
+        assert helpers == []
+        assert main(["validate", "--threads", "3", "--replicates", "2500"]) == 0
+        three = capsys.readouterr()
+        # Each truth point has two blocks, so one helper; the identities'
+        # one block starts none.
+        assert len(helpers) == 3
+        assert (three.out, three.err) == (one.out, "")
 
-        def spy(*args, **kwargs):
-            pools.append(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", spy)
+    def test_file_threads_are_honoured(self, tmp_path, capsys, monkeypatch):
+        # A config file's thread count runs validate's blocks, as it does
+        # table1's and simulate's, and the lines stay the same.
+        helpers = spy_helpers(monkeypatch)
         threaded = put(
             tmp_path, "threaded.yaml", SIMULATE_CONFIG.replace("seed: 31", "seed: 31\n  threads: 2")
         )
-        bare = put(tmp_path, "bare.yaml", SIMULATE_CONFIG)
-        assert main(["validate", "--config", threaded, "--replicates", "300"]) == 0
+        single = put(
+            tmp_path, "single.yaml", SIMULATE_CONFIG.replace("seed: 31", "seed: 31\n  threads: 1")
+        )
+        # Four blocks per truth point (two of them) and two for the identities.
+        assert main(["validate", "--config", single, "--replicates", "11000"]) == 0
+        from_single = capsys.readouterr()
+        assert helpers == []
+        assert main(["validate", "--config", threaded, "--replicates", "11000"]) == 0
         from_threaded = capsys.readouterr()
-        assert main(["validate", "--config", bare, "--replicates", "300"]) == 0
         assert from_threaded.err == ""
-        assert from_threaded.out == capsys.readouterr().out
-        assert pools == []
+        assert from_threaded.out == from_single.out
+        assert len(helpers) == 3
 
     @pytest.mark.parametrize(
         "p, k, skipped",

@@ -18,6 +18,7 @@ from kshrink.config import (
     parse_mean_configs,
 )
 from kshrink.model import Hyperparameters
+from kshrink.montecarlo import usable_cores
 
 
 def write(tmp_path, text, name="cfg.yaml"):
@@ -298,7 +299,7 @@ class TestExperimentFromDocument:
                   scales: [0.0, 0.0]
         """
         cfg = experiment_from_document(load_document(write(tmp_path, text)))
-        assert (cfg.replicates, cfg.seed, cfg.threads) == (5000, 20260816, 1)
+        assert (cfg.replicates, cfg.seed, cfg.threads) == (5000, 20260816, usable_cores())
         assert cfg.estimators == parse_estimators(None, "e")
         assert cfg.q is None
 

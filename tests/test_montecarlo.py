@@ -1,5 +1,7 @@
 """The simulation harness: determinism, engine agreement, validators."""
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -72,6 +74,19 @@ def read_spans(monkeypatch, run):
     result = run()
     monkeypatch.setattr(montecarlo, "_replicate_uniforms", real)
     return result, spans
+
+
+def spy_helpers(monkeypatch):
+    """The list of helper threads that later harness runs start, filled as they start them."""
+    real = montecarlo.Thread
+    helpers = []
+
+    def spy(*args, **kwargs):
+        helpers.append(real(*args, **kwargs))
+        return helpers[-1]
+
+    monkeypatch.setattr(montecarlo, "Thread", spy)
+    return helpers
 
 
 def sampling_config(mu, sigma2, v, n, seed, configs=1):
@@ -277,9 +292,11 @@ class TestExperimentConfig:
             (dict(threads="2"), r"^threads must be an integer, got '2'$"),
             (dict(estimators="JS1"),
              r"^estimators must be a sequence of names, got the string 'JS1'$"),
+            (dict(sigma2="4"), r"^sigma2 must be a number, got '4'$"),
+            (dict(sigma2=True), r"^sigma2 must be a number, got True$"),
         ],
         ids=["n-float", "seed-float", "replicates-float", "replicates-bool", "threads-str",
-             "estimators-str"],
+             "estimators-str", "sigma2-str", "sigma2-bool"],
     )
     def test_malformed_field_rejected_on_construction(self, changes, message):
         # dataclasses.replace builds a new config, so it is refused the same way.
@@ -299,6 +316,51 @@ class TestExperimentConfig:
         for name, value in counts.items():
             assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
         assert run_experiment(cfg).to_csv() == run_experiment(small_config(**counts)).to_csv()
+
+    def test_sigma2_is_a_float(self):
+        for value in (2, np.int64(2), np.float32(2.0)):
+            cfg = small_config(sigma2=value)
+            assert type(cfg.sigma2) is float and cfg.sigma2 == 2.0
+        assert run_experiment(small_config(sigma2=2)).to_csv() == run_experiment(
+            small_config(sigma2=2.0)
+        ).to_csv()
+
+    def test_default_threads_are_the_usable_cores(self):
+        assert small_config().threads == montecarlo.usable_cores() >= 1
+
+    def test_usable_cores_without_affinity_are_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        assert montecarlo.usable_cores() == 3
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo.usable_cores() == 1
+
+    def test_validate_builds_the_constants_once(self, monkeypatch):
+        # The config is frozen, so every entry point after the first reuses
+        # the constants; a new config (replace builds one) is checked afresh.
+        real = PooledConstants.from_model
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(PooledConstants, "from_model", counting)
+        cfg = small_config(replicates=8)
+        first = cfg.validate()
+        for r in range(5):
+            sample_canonical(cfg, 1, r)
+        run_experiment(cfg)
+        validate_identities(cfg)
+        assert cfg.validate() is first
+        assert len(built) == 1
+        assert replace(cfg).validate() is not first
+        assert len(built) == 2
+        # A config that fails keeps nothing and fails again.
+        bad = small_config(seed=-1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+                bad.validate()
 
     def test_validate_rejects_single_replicate(self):
         with pytest.raises(ValueError, match="replicates"):
@@ -647,23 +709,17 @@ class TestPackedBlocks:
         )
 
     def test_one_pool_per_run(self, monkeypatch):
-        pools = []
-        real = montecarlo.ThreadPoolExecutor
-
-        def spy(*args, **kwargs):
-            pools.append(kwargs)
-            return real(*args, **kwargs)
-
         cfg = small_config(threads=2, estimators=("EB",))
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 50 * cfg.k * cfg.p)
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", spy)
+        helpers = spy_helpers(monkeypatch)
         _, spans = read_spans(monkeypatch, lambda: run_experiment(cfg))
-        # Two threads read the three blocks in any order.
+        # The calling thread and one helper read the three blocks in any order.
         assert sorted(spans) == [(0, 36), (0, 50), (36, 64), (50, 64)]
-        assert pools == [{"max_workers": 2}]
+        assert len(helpers) == 1
 
     def test_benchmark_protocol_at_256_replicates_is_two_blocks(self, monkeypatch):
-        cfg = replace(ExperimentConfig.benchmark(), replicates=256)
+        # One thread, so the blocks run in row order.
+        cfg = replace(ExperimentConfig.benchmark(), replicates=256, threads=1)
         assert block_rows(cfg.k * cfg.p) == 1310
         real = PooledConstants.summarize
         blocks = []
@@ -677,6 +733,75 @@ class TestPackedBlocks:
         # Replicates 0-29 of the sixth configuration end the first block.
         assert spans == [(0, 256)] * 5 + [(0, 30), (30, 256)] + [(0, 256)] * 2
         assert blocks == [1310, 8 * 256 - 1310]
+
+
+class TestBlockLoop:
+    """_blocked: the calling thread and min(threads, blocks) - 1 helpers share the blocks."""
+
+    @pytest.mark.parametrize(
+        "threads, blocks, helpers", [(1, 5, 0), (2, 5, 1), (8, 3, 2), (8, 1, 0)]
+    )
+    def test_helpers_never_outnumber_blocks(self, monkeypatch, threads, blocks, helpers):
+        started = spy_helpers(monkeypatch)
+        runners = set()
+
+        def block(r0, r1):
+            runners.add(threading.get_ident())
+            return np.full((2, r1 - r0), float(r0)), {"first": r0, r0 % 2: r0}
+
+        # A row as wide as a block: one row per block.
+        values, messages = montecarlo._blocked(
+            blocks, montecarlo._BLOCK_VALUES, threads, 2, block
+        )
+        assert len(started) == helpers
+        assert len(runners) <= blocks
+        assert np.array_equal(values, np.tile(np.arange(blocks, dtype=float), (2, 1)))
+        # The first message per key in row order.
+        assert messages == {"first": 0, 0: 0} | ({1: 1} if blocks > 1 else {})
+
+    def test_each_block_runs_once_under_frequent_switches(self, monkeypatch):
+        # More threads than cores, switching every microsecond: a block taken
+        # twice or never shows in the runs or in the values.
+        helpers = spy_helpers(monkeypatch)
+        ran = []
+
+        def block(r0, r1):
+            ran.append(r0)
+            return np.full((1, r1 - r0), r0 + 0.5), {r0: r0}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            values, messages = montecarlo._blocked(400, montecarlo._BLOCK_VALUES, 8, 1, block)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(helpers) == 7
+        assert sorted(ran) == list(range(400))
+        assert np.array_equal(values[0], np.arange(400) + 0.5)
+        assert list(messages) == list(range(400))
+
+    def test_a_failure_stops_the_loop_and_the_lowest_block_raises(self):
+        # Block 1 fails while block 0 is still running, then block 0 fails:
+        # no further block starts, both threads are joined, and block 0's
+        # exception is the one raised, as at one thread.
+        block_1_failed = threading.Event()
+        ran = []
+
+        def block(r0, r1):
+            ran.append(r0)
+            if r0 == 0:
+                assert block_1_failed.wait(timeout=60)
+                raise ArithmeticError("block 0")
+            if r0 == 1:
+                block_1_failed.set()
+                raise ArithmeticError("block 1")
+            return np.zeros((1, r1 - r0)), {}
+
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="^block 0$"):
+            montecarlo._blocked(8, montecarlo._BLOCK_VALUES, 2, 1, block)
+        assert sorted(ran) == [0, 1]
+        assert threading.active_count() == before
 
 
 def ill_conditioned_config():
@@ -1128,6 +1253,26 @@ class TestValidateUer:
         ):
             validate_uer(replace(cfg, replicates=2000), [smooth], points)
 
+    def test_overflow_names_the_same_replicate_at_any_thread_count(self, cfg, monkeypatch):
+        # Point 1's pooled statistics overflow in its 1310-replicate blocks 2,
+        # 3 and 11-14; one thread and three name the lowest, replicate 3725.
+        helpers = spy_helpers(monkeypatch)
+        _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
+        points = [
+            TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=sigma2) for sigma2 in (1.0, 3.6e306)
+        ]
+        raised = []
+        for threads in (1, 3):
+            with pytest.raises(numerics.ReplicateError) as error:
+                validate_uer(replace(cfg, replicates=20_000, threads=threads), [smooth], points)
+            raised.append((error.value.replicate, str(error.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == 3725
+        assert raised[0][1].startswith(
+            "truth point 1, replicate 3725: pooled statistics overflow: "
+        )
+        assert len(helpers) == 2 * len(points)
+
     def test_failed_decomposition_names_point_and_replicate(self):
         cfg = ill_conditioned_config()
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
@@ -1178,9 +1323,9 @@ class TestValidateUer:
 
     def test_memory_grows_only_by_the_kept_values(self, cfg):
         # Per replicate, a point keeps f, g, s and each member's loss until
-        # its uer calls, one member at a time, each holding one factor's four
-        # arrays and the formula's temporaries (under 11 rows);
-        # everything else lives for one block.
+        # its uer calls, one member at a time, each holding its output row
+        # and one slice's temporaries (under 2 rows); everything else lives
+        # for one block, whatever the thread count.
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
         points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
         validate_uer(replace(cfg, replicates=300), members, points)  # warm caches
@@ -1192,7 +1337,7 @@ class TestValidateUer:
                 peaks[replicates] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        kept = (3 + len(members) + 11) * 8 * (20480 - 2560)
+        kept = (3 + len(members) + 2) * 8 * (20480 - 2560)
         assert peaks[20480] - peaks[2560] <= 1.25 * kept
 
 
@@ -1216,6 +1361,18 @@ class TestValidateIdentities:
     def test_overflowing_scale_is_named(self):
         with pytest.raises(ArithmeticError, match="overflow at sigma2 = 1e\\+308"):
             validate_identities(identity_config(20, sigma2=1e308))
+
+    def test_overflow_is_the_same_error_at_any_thread_count(self, monkeypatch):
+        # At sigma2 = 3.3e306 the scale draws overflow in the 6553-draw
+        # blocks 2-5 and nowhere before; one thread and three raise alike.
+        helpers = spy_helpers(monkeypatch)
+        raised = []
+        for threads in (1, 3):
+            with pytest.raises(ArithmeticError) as error:
+                validate_identities(identity_config(40_000, sigma2=3.3e306, threads=threads))
+            raised.append(str(error.value))
+        assert raised == ["the identity checks overflow at sigma2 = 3.3e+306"] * 2
+        assert len(helpers) == 2
 
     def test_deterministic(self):
         a = validate_identities(identity_config(5000))

@@ -18,6 +18,7 @@ from kshrink import (
     prial,
     uer,
 )
+from kshrink import risk
 from kshrink.estimators import EstimateSet, ShrinkageFunctions, eb_members
 from kshrink.montecarlo import uer_members
 
@@ -210,10 +211,29 @@ class TestUer:
             uer_at(ShrinkageFunctions(phi=zero, psi=zero, phi_f=zero, phi_g=zero))
 
     @pytest.mark.parametrize("index", range(3), ids=["mean-shrink", "double-shrink", "smooth"])
+    def test_slices_give_the_per_row_bits(self, monkeypatch, index):
+        # Rows on both sides of each slice boundary, at a 7-row slice and at
+        # the module's, against one scalar call per row.
+        sf = uer_members(5, 5, 20)[index][1]
+        rng = np.random.default_rng(11)
+        for rows in (7, risk._UER_ROWS):
+            monkeypatch.setattr(risk, "_UER_ROWS", rows)
+            count = 2 * rows + 3
+            f, g, s = (rng.uniform(0.1, 30.0, count) for _ in range(3))
+            whole = uer(sf, f, g, s, p=5, k=5, n=20, trace_sum=25.0)
+            picks = sorted({0, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, count - 1})
+            one = np.array([uer(sf, f[r], g[r], s[r], p=5, k=5, n=20, trace_sum=25.0)
+                            for r in picks])
+            assert whole.shape == (count,)
+            assert np.array_equal(whole[picks].view(np.uint64), one.view(np.uint64))
+
+    @pytest.mark.parametrize("index", range(3), ids=["mean-shrink", "double-shrink", "smooth"])
     def test_transient_memory_is_one_factor_at_a_time(self, index):
-        # uer holds one factor's four arrays and its term's temporaries at a
-        # time: 10 rows of the statistics' length, measured; 11 allowed.
-        rows = 20480
+        # uer holds its output and, per slice of _UER_ROWS rows, one factor's
+        # four arrays and its term's temporaries: 1.2 rows of the statistics'
+        # length measured here, the output and about 10 slice rows; 2 rows
+        # and 16 slice rows allowed.
+        rows = 204_800
         sf = uer_members(5, 5, 20)[index][1]
         rng = np.random.default_rng(5)
         f, g, s = (rng.uniform(0.1, 30.0, rows) for _ in range(3))
@@ -224,7 +244,7 @@ class TestUer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 11 * 8 * rows
+        assert peak <= 2 * 8 * rows + 16 * 8 * risk._UER_ROWS
 
     def test_each_term_reads_its_own_statistic(self):
         # f and g passed as one array: each term still takes its own
