@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, *, config=False, config_required=False,
-            needs_input=False, output=None, runs=False, threads=False):
+            needs_input=False, output=None, runs=False):
         cmd = sub.add_parser(name, help=help_text)
         if config:
             cmd.add_argument("--config", required=config_required,
@@ -222,20 +222,18 @@ def _build_parser() -> argparse.ArgumentParser:
         if runs:
             cmd.add_argument("--seed", type=int, help="override the RNG seed")
             cmd.add_argument("--replicates", type=int, help="Monte Carlo replicates")
-        if threads:
             cmd.add_argument("--threads", type=int,
                              help="worker thread count (default: the usable cores)")
         return cmd
 
     table_output = "also write the table as CSV here; the text table still goes to stdout"
-    add("table1", "reproduce the benchmark PRIAL table", output=table_output, runs=True,
-        threads=True)
+    add("table1", "reproduce the benchmark PRIAL table", output=table_output, runs=True)
     add("simulate", "run a configured experiment", config=True, config_required=True,
-        output=table_output, runs=True, threads=True)
+        output=table_output, runs=True)
     add("estimate", "apply estimators to a dataset", config=True, config_required=True,
         needs_input=True, output="write CSV here instead of stdout")
     add("check-conditions", "report minimaxity margins", config=True)
-    add("validate", "Monte Carlo self-checks", config=True, runs=True, threads=True)
+    add("validate", "Monte Carlo self-checks", config=True, runs=True)
     return parser
 
 

@@ -109,7 +109,6 @@ __all__ = [
     "run_experiment",
     "validate_uer",
     "validate_identities",
-    "usable_cores",
 ]
 
 # Values per (R, k, p) array of a block; see the module docstring.

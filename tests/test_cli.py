@@ -910,19 +910,6 @@ class TestCheckConditions:
         assert captured.out == ""
 
 
-def spy_helpers(monkeypatch):
-    """The list of helper threads that later harness runs start, filled as they start them."""
-    real = montecarlo.Thread
-    helpers = []
-
-    def spy(*args, **kwargs):
-        helpers.append(real(*args, **kwargs))
-        return helpers[-1]
-
-    monkeypatch.setattr(montecarlo, "Thread", spy)
-    return helpers
-
-
 class TestValidate:
     def test_benchmark_checks_pass(self, capsys):
         assert main(["validate", "--replicates", "2500"]) == 0
@@ -997,23 +984,21 @@ class TestValidate:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == TestRunGoldenBytes.VALIDATE
 
-    def test_threads_flag_is_honoured(self, monkeypatch, capsys):
+    def test_threads_flag_is_honoured(self, capsys, helper_threads):
         # validate runs its blocks on --threads threads and prints the same lines.
-        helpers = spy_helpers(monkeypatch)
         assert main(["validate", "--threads", "1", "--replicates", "2500"]) == 0
         one = capsys.readouterr()
-        assert helpers == []
+        assert helper_threads == []
         assert main(["validate", "--threads", "3", "--replicates", "2500"]) == 0
         three = capsys.readouterr()
         # Each truth point has two blocks, so one helper; the identities'
         # one block starts none.
-        assert len(helpers) == 3
+        assert len(helper_threads) == 3
         assert (three.out, three.err) == (one.out, "")
 
-    def test_file_threads_are_honoured(self, tmp_path, capsys, monkeypatch):
+    def test_file_threads_are_honoured(self, tmp_path, capsys, helper_threads):
         # A config file's thread count runs validate's blocks, as it does
         # table1's and simulate's, and the lines stay the same.
-        helpers = spy_helpers(monkeypatch)
         threaded = put(
             tmp_path, "threaded.yaml", SIMULATE_CONFIG.replace("seed: 31", "seed: 31\n  threads: 2")
         )
@@ -1023,12 +1008,12 @@ class TestValidate:
         # Four blocks per truth point (two of them) and two for the identities.
         assert main(["validate", "--config", single, "--replicates", "11000"]) == 0
         from_single = capsys.readouterr()
-        assert helpers == []
+        assert helper_threads == []
         assert main(["validate", "--config", threaded, "--replicates", "11000"]) == 0
         from_threaded = capsys.readouterr()
         assert from_threaded.err == ""
         assert from_threaded.out == from_single.out
-        assert len(helpers) == 3
+        assert len(helper_threads) == 3
 
     @pytest.mark.parametrize(
         "p, k, skipped",

@@ -46,6 +46,7 @@ def small_config(**overrides):
         ),
         replicates=64,
         seed=777,
+        threads=1,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -74,19 +75,6 @@ def read_spans(monkeypatch, run):
     result = run()
     monkeypatch.setattr(montecarlo, "_replicate_uniforms", real)
     return result, spans
-
-
-def spy_helpers(monkeypatch):
-    """The list of helper threads that later harness runs start, filled as they start them."""
-    real = montecarlo.Thread
-    helpers = []
-
-    def spy(*args, **kwargs):
-        helpers.append(real(*args, **kwargs))
-        return helpers[-1]
-
-    monkeypatch.setattr(montecarlo, "Thread", spy)
-    return helpers
 
 
 def sampling_config(mu, sigma2, v, n, seed, configs=1):
@@ -326,7 +314,7 @@ class TestExperimentConfig:
         ).to_csv()
 
     def test_default_threads_are_the_usable_cores(self):
-        assert small_config().threads == montecarlo.usable_cores() >= 1
+        assert ExperimentConfig.benchmark().threads == montecarlo.usable_cores() >= 1
 
     def test_usable_cores_without_affinity_are_the_cpu_count(self, monkeypatch):
         monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
@@ -708,14 +696,13 @@ class TestPackedBlocks:
             "pooled quadratic forms failed the decomposition check: "
         )
 
-    def test_one_pool_per_run(self, monkeypatch):
+    def test_one_pool_per_run(self, monkeypatch, helper_threads):
         cfg = small_config(threads=2, estimators=("EB",))
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 50 * cfg.k * cfg.p)
-        helpers = spy_helpers(monkeypatch)
         _, spans = read_spans(monkeypatch, lambda: run_experiment(cfg))
         # The calling thread and one helper read the three blocks in any order.
         assert sorted(spans) == [(0, 36), (0, 50), (36, 64), (50, 64)]
-        assert len(helpers) == 1
+        assert len(helper_threads) == 1
 
     def test_benchmark_protocol_at_256_replicates_is_two_blocks(self, monkeypatch):
         # One thread, so the blocks run in row order.
@@ -741,8 +728,7 @@ class TestBlockLoop:
     @pytest.mark.parametrize(
         "threads, blocks, helpers", [(1, 5, 0), (2, 5, 1), (8, 3, 2), (8, 1, 0)]
     )
-    def test_helpers_never_outnumber_blocks(self, monkeypatch, threads, blocks, helpers):
-        started = spy_helpers(monkeypatch)
+    def test_helpers_never_outnumber_blocks(self, helper_threads, threads, blocks, helpers):
         runners = set()
 
         def block(r0, r1):
@@ -753,16 +739,15 @@ class TestBlockLoop:
         values, messages = montecarlo._blocked(
             blocks, montecarlo._BLOCK_VALUES, threads, 2, block
         )
-        assert len(started) == helpers
+        assert len(helper_threads) == helpers
         assert len(runners) <= blocks
         assert np.array_equal(values, np.tile(np.arange(blocks, dtype=float), (2, 1)))
         # The first message per key in row order.
         assert messages == {"first": 0, 0: 0} | ({1: 1} if blocks > 1 else {})
 
-    def test_each_block_runs_once_under_frequent_switches(self, monkeypatch):
+    def test_each_block_runs_once_under_frequent_switches(self, helper_threads):
         # More threads than cores, switching every microsecond: a block taken
         # twice or never shows in the runs or in the values.
-        helpers = spy_helpers(monkeypatch)
         ran = []
 
         def block(r0, r1):
@@ -775,7 +760,7 @@ class TestBlockLoop:
             values, messages = montecarlo._blocked(400, montecarlo._BLOCK_VALUES, 8, 1, block)
         finally:
             sys.setswitchinterval(interval)
-        assert len(helpers) == 7
+        assert len(helper_threads) == 7
         assert sorted(ran) == list(range(400))
         assert np.array_equal(values[0], np.arange(400) + 0.5)
         assert list(messages) == list(range(400))
@@ -1152,7 +1137,7 @@ def mean_se_inputs(monkeypatch, run, counts):
 class TestValidateUer:
     @pytest.fixture()
     def cfg(self):
-        return BENCH_CFG
+        return replace(BENCH_CFG, threads=1)
 
     def test_members_match_risk(self, cfg):
         points = [
@@ -1253,10 +1238,9 @@ class TestValidateUer:
         ):
             validate_uer(replace(cfg, replicates=2000), [smooth], points)
 
-    def test_overflow_names_the_same_replicate_at_any_thread_count(self, cfg, monkeypatch):
+    def test_overflow_names_the_same_replicate_at_any_thread_count(self, cfg, helper_threads):
         # Point 1's pooled statistics overflow in its 1310-replicate blocks 2,
         # 3 and 11-14; one thread and three name the lowest, replicate 3725.
-        helpers = spy_helpers(monkeypatch)
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
         points = [
             TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=sigma2) for sigma2 in (1.0, 3.6e306)
@@ -1271,7 +1255,7 @@ class TestValidateUer:
         assert raised[0][1].startswith(
             "truth point 1, replicate 3725: pooled statistics overflow: "
         )
-        assert len(helpers) == 2 * len(points)
+        assert len(helper_threads) == 2 * len(points)
 
     def test_failed_decomposition_names_point_and_replicate(self):
         cfg = ill_conditioned_config()
@@ -1343,7 +1327,7 @@ class TestValidateUer:
 
 def identity_config(replicates, **changes):
     """The benchmark config at sigma2 = 2: p 5, n 20, the benchmark seed."""
-    cfg = replace(ExperimentConfig.benchmark(), sigma2=2.0, replicates=replicates)
+    cfg = replace(ExperimentConfig.benchmark(), sigma2=2.0, replicates=replicates, threads=1)
     return replace(cfg, **changes)
 
 
@@ -1362,17 +1346,16 @@ class TestValidateIdentities:
         with pytest.raises(ArithmeticError, match="overflow at sigma2 = 1e\\+308"):
             validate_identities(identity_config(20, sigma2=1e308))
 
-    def test_overflow_is_the_same_error_at_any_thread_count(self, monkeypatch):
+    def test_overflow_is_the_same_error_at_any_thread_count(self, helper_threads):
         # At sigma2 = 3.3e306 the scale draws overflow in the 6553-draw
         # blocks 2-5 and nowhere before; one thread and three raise alike.
-        helpers = spy_helpers(monkeypatch)
         raised = []
         for threads in (1, 3):
             with pytest.raises(ArithmeticError) as error:
                 validate_identities(identity_config(40_000, sigma2=3.3e306, threads=threads))
             raised.append(str(error.value))
         assert raised == ["the identity checks overflow at sigma2 = 3.3e+306"] * 2
-        assert len(helpers) == 2
+        assert len(helper_threads) == 2
 
     def test_deterministic(self):
         a = validate_identities(identity_config(5000))
