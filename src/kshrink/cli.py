@@ -32,13 +32,7 @@ from .config import (
 )
 from .datasets import ParseError, number_cell, quote_cell, read_ksample_csv, read_regression_csv
 from .estimators import ESTIMATORS, PreconditionError, ReplicateError, eb_member
-from .model import (
-    LossSpec,
-    TrueParameters,
-    canonicalize_ksample,
-    canonicalize_regression,
-    pooled_summary,
-)
+from .model import LossSpec, canonicalize_ksample, canonicalize_regression, pooled_summary
 from .montecarlo import (
     VALIDATE_DRAWS,
     ExperimentConfig,
@@ -168,9 +162,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     labelled = [(check.name, check) for check in validate_identities(cfg).checks]
     picks = sorted({0, len(cfg.mean_configs) // 2, len(cfg.mean_configs) - 1})
-    points = [
-        TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in picks
-    ]
+    checked = replace(cfg, mean_configs=[cfg.mean_configs[i] for i in picks])
     # EB's and EB*'s members are checked only where their kernels run.
     unchecked = {}
     for name, star in (("mean-shrink", False), ("double-shrink", True)):
@@ -179,11 +171,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         except PreconditionError as exc:
             unchecked[name] = str(exc)
     members = [m for m in uer_members(cfg.p, cfg.k, cfg.n) if m[0] not in unchecked]
-    reports = validate_uer(cfg, [sf for _, sf in members], points)
+    reports = validate_uer(checked, [sf for _, sf in members])
     for (member_name, _), report in zip(members, reports):
         labelled += [
-            (f"risk-estimate {member_name} @ {cfg.mean_configs[idx].name}", check)
-            for idx, check in zip(picks, report.checks)
+            (f"risk-estimate {member_name} @ {check.name}", check) for check in report.checks
         ]
 
     lines = [

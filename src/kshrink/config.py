@@ -233,10 +233,12 @@ class _UniqueKeyLoader(yaml.CSafeLoader):
 def load_document(path: str) -> dict:
     """Load and type-check the top level of a config file; a key named twice is an error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if doc is None:

@@ -76,16 +76,23 @@ def _read_table(path: str, start: int, need: str) -> list[tuple[int, list[str], 
 
     Blank lines are skipped; the first row is a header only when none of
     its value cells is numeric. need names what a one-cell first row lacks.
+    A file that is not UTF-8, or a cell past the csv module's field size
+    limit, raises ParseError.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             rows = [
                 (lineno, cells)
-                for lineno, cells in enumerate(csv.reader(fh), start=1)
+                for lineno, cells in enumerate(reader, start=1)
                 if cells and any(c.strip() for c in cells)
             ]
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
     lineno0, first = rows[0]

@@ -8,7 +8,7 @@ owns outputs r*w .. r*w + k*p, k*p for the observations and then one for
 the scale statistic, where w is k*p + 1 rounded up to a whole counter step
 of four outputs. So a replicate's address depends on neither the run's
 length nor the draws before it. The keys are (0, c) for configuration c of
-an experiment, (1, i) for truth point i of validate_uer, and (2, 0), read
+an experiment, (1, c) for configuration c of validate_uer, and (2, 0), read
 with k = 1, for validate_identities. All variates are produced by
 inverse-CDF transforms, so results are bit-identical across runs, thread
 counts, and platforms with IEEE-754 doubles. Every stream is read in
@@ -17,17 +17,19 @@ only its own slices of the streams; run_experiment, validate_uer and
 validate_identities all run it on cfg.threads threads, the calling
 thread among them. One function, _draw, reads a slice (replicates r0
 to r1-1 of one stream) and maps it to (x, s) at every entry point but
-validate_identities, which reads its k = 1 stream and maps it itself. A
-row is one replicate of one stream, except in run_experiment, whose row
-c*R + r is replicate r of configuration c: there a block may read slices
-of several configurations' streams, each at its replicates' own addresses,
-with one _draw per slice. A block holds max(1, _BLOCK_VALUES // width)
-rows, where width is the number of values a row has in the block's largest
-arrays (k*p for an experiment or a truth point, p for the identities), so
-a block's working set stays near _BLOCK_VALUES doubles per array at any
-dimension; the block length is never a function of the thread count. The
-per-replicate work takes no matrix product over rows (whose BLAS bits
-depend on the row count). Every matrix map of a replicate's entries (the
+validate_identities, which reads its k = 1 stream and maps it itself. In
+run_experiment and validate_uer, row c*R + r is replicate r of
+configuration c, and a failing row is named by both. run_experiment's one
+block loop covers every row, so a block may read slices of several
+configurations' streams, each at its replicates' own addresses, with one
+_draw per slice; validate_uer runs one block loop per configuration. A
+block holds max(1, _BLOCK_VALUES // width) rows, where width is the number
+of values a row has in the block's largest arrays (k*p for a
+configuration's draws, p for the identities), so a block's working set
+stays near _BLOCK_VALUES doubles per array at any dimension; the block
+length is never a function of the thread count. The per-replicate work
+takes no matrix product over rows (whose BLAS bits depend on the row
+count). Every matrix map of a replicate's entries (the
 Cholesky map of the draws, the weights, the pooled mean and the direction
 maps) goes through model.apply_maps, whose summation order is fixed by p
 alone; every quadratic form goes through model.quad_forms; every other sum
@@ -162,21 +164,21 @@ def _need_nonnegative(name: str, value: int) -> None:
 def _draw(
     cfg: ExperimentConfig,
     key: tuple[int, int],
-    truth: TrueParameters,
+    mu: np.ndarray,
     chol: np.ndarray,
     r0: int,
     r1: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(x, s) of replicates r0 .. r1-1 of stream key, drawn at truth; chol factors cfg.v.
+    """(x, s) of replicates r0 .. r1-1 of stream key, drawn at mean rows mu and cfg.sigma2.
 
-    Each row is mapped from its own uniforms alone, so a range split into
-    parts gives the same rows as the whole. A draw may overflow to inf;
-    PooledConstants.summarize rejects it.
+    chol factors cfg.v. Each row is mapped from its own uniforms alone, so a
+    range split into parts gives the same rows as the whole. A draw may
+    overflow to inf; PooledConstants.summarize rejects it.
     """
     u, us = _replicate_uniforms(cfg.seed, key, r0, r1, cfg.k, cfg.p)
     with np.errstate(over="ignore"):
-        x = truth.mu + math.sqrt(truth.sigma2) * apply_maps(chol, ndtri(u))
-        s = truth.sigma2 * 2.0 * gammaincinv(0.5 * cfg.n, us)
+        x = mu + math.sqrt(cfg.sigma2) * apply_maps(chol, ndtri(u))
+        s = cfg.sigma2 * 2.0 * gammaincinv(0.5 * cfg.n, us)
     return x, s
 
 
@@ -344,9 +346,8 @@ def sample_canonical(
     if not 0 <= config < len(cfg.mean_configs):
         raise ValueError(f"config must be in [0, {len(cfg.mean_configs)}), got {config}")
     _need_nonnegative("replicate", replicate)
-    truth = TrueParameters(mu=cfg.mean_configs[config].mu, sigma2=cfg.sigma2)
-    key = (_NS_EXPERIMENT, config)
-    x, s = _draw(cfg, key, truth, np.linalg.cholesky(cfg.v), replicate, replicate + 1)
+    mu, chol = cfg.mean_configs[config].mu, np.linalg.cholesky(cfg.v)
+    x, s = _draw(cfg, (_NS_EXPERIMENT, config), mu, chol, replicate, replicate + 1)
     return CanonicalModel(x=x[0], v=cfg.v, s=float(s[0]), n=cfg.n)
 
 
@@ -463,12 +464,13 @@ def _blocked(
     messages, and its values go straight into one (rows, count) array,
     allocated first so that a count past memory fails before any block
     runs. The calling thread is one of the threads: it starts
-    min(threads, blocks) - 1 helpers, and each thread takes the lowest
-    block not yet taken until none is left. The first message per key in
-    row order is kept, so neither the values nor the messages depend on
-    the block length or the thread count. Once a block raises, no block
-    starts; every helper is joined, then the exception of the lowest
-    failing block is raised, the one a single thread raises.
+    min(threads, blocks) - 1 helpers, fewer if the system refuses one, and
+    each thread takes the lowest block not yet taken until none is left.
+    The first message per key in row order is kept, so neither the values
+    nor the messages depend on the block length or the thread count. Once
+    a block raises, no block starts; every helper is joined, then the
+    exception of the lowest failing block is raised, the one a single
+    thread raises.
     """
     values = np.empty((rows, count))
     step = max(1, _BLOCK_VALUES // width)
@@ -496,7 +498,10 @@ def _blocked(
     try:
         for _ in range(min(threads, len(starts)) - 1):
             helper = Thread(target=work)
-            helper.start()
+            try:
+                helper.start()
+            except RuntimeError:  # the system refused a thread: run with the ones started
+                break
             helpers.append(helper)
         work()
     finally:
@@ -512,18 +517,17 @@ def _blocked(
     return values, errors
 
 
-def _summarize(
-    constants: PooledConstants,
-    x: np.ndarray,
-    s: np.ndarray,
-    where: Callable[[int], tuple[str, int]],
-) -> PooledBatch:
-    """Pooled statistics of a block; a failing row names where(row), its (label, replicate)."""
+def _summarize(cfg: ExperimentConfig, x: np.ndarray, s: np.ndarray, row0: int) -> PooledBatch:
+    """Pooled statistics of rows row0, row0 + 1, ...; row c*R + r is replicate r of configuration c.
+
+    A failing row raises a ReplicateError naming its configuration and replicate.
+    """
     try:
-        return constants.summarize(x, s)
+        return cfg.validate().summarize(x, s)
     except ReplicateError as exc:
-        label, r = where(exc.replicate)
-        raise ReplicateError(r, ArithmeticError(f"{label}, replicate {r}: {exc}")) from exc
+        ci, r = divmod(row0 + exc.replicate, cfg.replicates)
+        label = f"mean config {cfg.mean_configs[ci].name!r}, replicate {r}"
+        raise ReplicateError(r, ArithmeticError(f"{label}: {exc}")) from exc
 
 
 def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -561,7 +565,6 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
     count = cfg.replicates
     config_names = tuple(mc.name for mc in cfg.mean_configs)
     means = np.stack([mc.mu for mc in cfg.mean_configs])
-    truths = [TrueParameters(mu=mu, sigma2=cfg.sigma2) for mu in means]
     chol = np.linalg.cholesky(cfg.v)
 
     def losses_block(b0: int, b1: int) -> tuple[np.ndarray, dict[tuple[str, str], str]]:
@@ -571,17 +574,12 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
             for ci in range(b0 // count, (b1 - 1) // count + 1)
         ]
         drawn = [
-            _draw(cfg, (_NS_EXPERIMENT, ci), truths[ci], chol, r0, r1)
+            _draw(cfg, (_NS_EXPERIMENT, ci), means[ci], chol, r0, r1)
             for ci, r0, r1 in segments
         ]
         x, s = (np.concatenate(parts) for parts in zip(*drawn))
         truth = TrueParameters(mu=means[np.arange(b0, b1) // count], sigma2=cfg.sigma2)
-
-        def where(i: int) -> tuple[str, int]:
-            ci, r = divmod(b0 + i, count)
-            return f"mean config {config_names[ci]!r}", r
-
-        batch = _summarize(constants, x, s, where)
+        batch = _summarize(cfg, x, s, b0)
         out = np.full((len(names), b1 - b0), np.nan)
         errors: dict[tuple[str, str], str] = {}
         for ei, name in enumerate(names):
@@ -691,51 +689,48 @@ def _paired_check(name: str, lhs: np.ndarray, rhs: np.ndarray) -> PairedCheck:
 
 
 def validate_uer(
-    cfg: ExperimentConfig,
-    members: Sequence[ShrinkageFunctions],
-    truth_points: Sequence[TrueParameters],
+    cfg: ExperimentConfig, members: Sequence[ShrinkageFunctions]
 ) -> tuple[CheckSet, ...]:
     """Check that the unbiased risk estimator matches Monte Carlo loss.
 
-    Returns one CheckSet per class member, in member order, each over
-    cfg.replicates replicates. Truth point i draws replicate r from the
-    address every stream uses (see the module docstring) under key (1, i),
-    so the first R replicates are the same whatever the run's length. Each
-    point is summarized once per block of replicates and every member runs
-    on that block; the blocks go through the harness's block loop on
-    cfg.threads threads, so results depend on neither the block size nor
-    the thread count. A block keeps only f, g, s and each member's loss;
-    risk.uer evaluates a member's factors once per check, on the rows
-    joined over all blocks. Check i compares the per-replicate unbiased risk
-    estimate (lhs) with the realized loss (rhs) at truth point i and is
-    named point-i. Every member must carry all six partial derivatives of
-    its factors; there is no numerical fallback. No member, no truth
-    point, a member without derivatives and a truth point of the wrong
-    shape are all rejected before anything is drawn. A draw that overflows,
-    or whose pooled statistics fail their decomposition check, raises a
-    ReplicateError naming the truth point and the replicate.
+    Returns one CheckSet per class member, in member order, with one check
+    per configuration of cfg.mean_configs, each over cfg.replicates
+    replicates drawn at the configuration's mean rows and cfg.sigma2.
+    Configuration c draws replicate r from the address every stream uses
+    (see the module docstring) under key (1, c), so the first R replicates
+    are the same whatever the run's length. Each configuration is
+    summarized once per block of replicates and every member runs on that
+    block; the blocks go through the harness's block loop on cfg.threads
+    threads, so results depend on neither the block size nor the thread
+    count. A block keeps only f, g, s and each member's loss; risk.uer
+    evaluates a member's factors once per check, on the rows joined over
+    all blocks. The check of configuration c compares the per-replicate
+    unbiased risk estimate (lhs) with the realized loss (rhs) there and
+    carries the configuration's name. Every member must carry all six
+    partial derivatives of its factors; there is no numerical fallback.
+    cfg.validate(), no member and a member without derivatives all reject
+    the call before anything is drawn. A draw that overflows, or whose
+    pooled statistics fail their decomposition check, raises a
+    ReplicateError naming the configuration and the replicate.
     """
     constants = cfg.validate()
     if not members:
         raise ValueError("no class members to check")
-    if not truth_points:
-        raise ValueError("no truth points to check")
     for mi, sf in enumerate(members):
         if missing := sf.missing_partials():
             raise ValueError(f"member {mi} lacks the partial derivatives {', '.join(missing)}")
-    for pi, truth in enumerate(truth_points):
-        if truth.mu.shape != (cfg.k, cfg.p):
-            raise ValueError(
-                f"truth point {pi} has shape {truth.mu.shape}, expected {(cfg.k, cfg.p)}"
-            )
     chol = np.linalg.cholesky(cfg.v)
 
-    # Rows of a point's per-replicate values: f, g, s, then each member's
-    # loss; uer then runs once per check, on the rows joined over all blocks.
-    def point_checks(pi: int, truth: TrueParameters) -> list[PairedCheck]:
+    # Rows of a configuration's per-replicate values: f, g, s, then each
+    # member's loss; uer then runs once per check, on the rows joined over
+    # all blocks. One block loop per configuration holds one configuration's
+    # rows at a time.
+    def config_checks(ci: int, mc: MeanConfig) -> list[PairedCheck]:
+        truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
+
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
-            x, s = _draw(cfg, (_NS_UER, pi), truth, chol, r0, r1)
-            batch = _summarize(constants, x, s, lambda i: (f"truth point {pi}", r0 + i))
+            x, s = _draw(cfg, (_NS_UER, ci), mc.mu, chol, r0, r1)
+            batch = _summarize(cfg, x, s, ci * cfg.replicates + r0)
             out = np.empty((3 + len(members), r1 - r0))
             out[0], out[1] = floored_statistics(batch)
             out[2] = s
@@ -750,13 +745,13 @@ def validate_uer(
         f, g, s = values[:3]
         dims = dict(p=cfg.p, k=cfg.k, n=cfg.n, trace_sum=constants.trace_sum)
         return [
-            _paired_check(f"point-{pi}", uer(sf, f, g, s, **dims), losses)
+            _paired_check(mc.name, uer(sf, f, g, s, **dims), losses)
             for sf, losses in zip(members, values[3:])
         ]
 
-    per_point = [point_checks(pi, truth) for pi, truth in enumerate(truth_points)]
+    per_config = [config_checks(ci, mc) for ci, mc in enumerate(cfg.mean_configs)]
     return tuple(
-        CheckSet(tuple(checks[mi] for checks in per_point)) for mi in range(len(members))
+        CheckSet(tuple(checks[mi] for checks in per_config)) for mi in range(len(members))
     )
 
 

@@ -198,6 +198,15 @@ class TestEstimate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_oversized_cell_is_input_error(self, tmp_path, capsys):
+        cfg = put(tmp_path, "cfg.yaml", KSAMPLE_CONFIG)
+        data = put(tmp_path, "data.csv", EXACT_KSAMPLE + "2," + "1" * 140_000 + ",0,0\n")
+        assert main(["estimate", "--config", cfg, "--input", data]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}:")
+        assert "field larger than field limit" in err
+        assert err.count("\n") == 1
+
     def test_mistyped_first_row_is_input_error(self, tmp_path, capsys):
         # A first row with a numeric value cell is data: its bad cell is an
         # error, where taking the row for a header would drop an observation.
@@ -932,6 +941,23 @@ class TestValidate:
         assert f"need at least 2 replicates, got {replicates}" in captured.err
         assert captured.out == ""
 
+    def test_unchecked_configuration_is_still_validated(self, tmp_path, capsys, monkeypatch):
+        # Of four configurations validate checks the first, third and last;
+        # the bad second one still stops the run before anything is drawn.
+        body = SIMULATE_CONFIG.replace(
+            "    - name: tilt\n",
+            "    - name: inf\n      scales: [0.0, .inf, 0.0]\n"
+            "    - name: ramp\n      scales: [0.0, 1.0, 2.0]\n"
+            "    - name: tilt\n",
+        )
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
+        assert main(["validate", "--config", put(tmp_path, "cfg.yaml", body)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: mean config 'inf' has non-finite entries\n"
+        assert captured.out == ""
+        assert drawn == []
+
     def test_stdout_is_pinned(self, capsys):
         # Line order and digits of every check at a count that is not a
         # multiple of the block size.
@@ -991,8 +1017,8 @@ class TestValidate:
         assert helper_threads == []
         assert main(["validate", "--threads", "3", "--replicates", "2500"]) == 0
         three = capsys.readouterr()
-        # Each truth point has two blocks, so one helper; the identities'
-        # one block starts none.
+        # Each checked configuration has two blocks, so one helper; the
+        # identities' one block starts none.
         assert len(helper_threads) == 3
         assert (three.out, three.err) == (one.out, "")
 
@@ -1005,7 +1031,8 @@ class TestValidate:
         single = put(
             tmp_path, "single.yaml", SIMULATE_CONFIG.replace("seed: 31", "seed: 31\n  threads: 1")
         )
-        # Four blocks per truth point (two of them) and two for the identities.
+        # Four blocks per checked configuration (two of them) and two for the
+        # identities.
         assert main(["validate", "--config", single, "--replicates", "11000"]) == 0
         from_single = capsys.readouterr()
         assert helper_threads == []

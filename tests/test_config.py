@@ -60,6 +60,12 @@ class TestLoadDocument:
         with pytest.raises(ConfigError, match="No such file"):
             load_document(str(tmp_path / "absent.yaml"))
 
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"experiment:\n  n: 3\xff\n")
+        with pytest.raises(ConfigError, match=r"c\.yaml: not UTF-8: .*0xff"):
+            load_document(str(path))
+
     def test_invalid_yaml(self, tmp_path):
         with pytest.raises(ConfigError):
             load_document(write(tmp_path, "experiment: [unclosed"))

@@ -146,6 +146,18 @@ class TestEitherLayout:
         with pytest.raises(ParseError, match="No such file"):
             read(str(tmp_path / "nope.csv"))
 
+    def test_cell_past_the_field_limit_reports_line(self, tmp_path, read):
+        # The csv module refuses a cell longer than 131,072 characters.
+        path = write_lines(tmp_path, "d.csv", ["group,x1", "1,1.0", "2," + "1" * 140_000])
+        with pytest.raises(ParseError, match=r"d\.csv:3: field larger than field limit"):
+            read(path)
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, read):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"group,x1\n1,1.0\xff\n")
+        with pytest.raises(ParseError, match=r"d\.csv: not UTF-8: .*0xff"):
+            read(str(path))
+
 
 # Labels come already stripped, as the reader strips them; ASCII holds every
 # character that makes a cell need quoting.

@@ -156,8 +156,7 @@ class TestSampleCanonical:
 
 
 def _validate_uer_of(cfg):
-    members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
-    return validate_uer(cfg, members, [TrueParameters(mu=np.zeros((cfg.k, cfg.p)), sigma2=1.0)])
+    return validate_uer(cfg, [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)])
 
 
 class TestOneGate:
@@ -175,8 +174,12 @@ class TestOneGate:
             (dict(q=np.stack([np.diag([1.0, 1.0, -1.0]), np.eye(3), np.eye(3)])),
              r"^q\[0\] is not positive definite"),
             (dict(estimators=()), r"^no estimators$"),
+            (dict(mean_configs=(SPREAD, MeanConfig("flat", np.zeros((2, 2))))),
+             r"^mean config 'flat' has shape \(2, 2\), expected \(3, 3\)$"),
+            (dict(mean_configs=()), r"^no mean configurations$"),
         ],
-        ids=["seed-negative", "sigma2-inf", "name-twice", "q-indefinite", "no-estimators"],
+        ids=["seed-negative", "sigma2-inf", "name-twice", "q-indefinite", "no-estimators",
+             "mean-shape", "no-means"],
     )
     @pytest.mark.parametrize(
         "entry",
@@ -788,6 +791,34 @@ class TestBlockLoop:
         assert sorted(ran) == [0, 1]
         assert threading.active_count() == before
 
+    def test_a_refused_helper_leaves_the_blocks_to_the_started_threads(self, monkeypatch):
+        # The system refuses the second of two helpers: the first helper and
+        # the calling thread run all three blocks, and the table is the
+        # one-thread table.
+        cfg = small_config(estimators=("JS1", "EB"))
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 50 * cfg.k * cfg.p)
+        want = run_experiment(cfg).to_csv()
+        real = montecarlo.Thread
+        started = []
+
+        def refusing(*args, **kwargs):
+            helper = real(*args, **kwargs)
+
+            def start():
+                if started:
+                    raise RuntimeError("can't start new thread")
+                started.append(helper)
+                real.start(helper)
+
+            helper.start = start
+            return helper
+
+        monkeypatch.setattr(montecarlo, "Thread", refusing)
+        before = threading.active_count()
+        assert run_experiment(replace(cfg, threads=3)).to_csv() == want
+        assert len(started) == 1
+        assert threading.active_count() == before
+
 
 def ill_conditioned_config():
     """p = 4, k = 3: each v[i] is Q diag(geomspace(1, 1e9, 4)) Q', two configurations."""
@@ -1139,16 +1170,19 @@ class TestValidateUer:
     def cfg(self):
         return replace(BENCH_CFG, threads=1)
 
-    def test_members_match_risk(self, cfg):
-        points = [
-            TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2),
-            TrueParameters(mu=cfg.mean_configs[7].mu, sigma2=cfg.sigma2),
-        ]
+    @pytest.fixture()
+    def ends(self, cfg):
+        """cfg with its first and last configurations, which read streams (1, 0) and (1, 1)."""
+        return replace(cfg, mean_configs=(cfg.mean_configs[0], cfg.mean_configs[7]))
+
+    def test_members_match_risk(self, ends):
+        cfg = ends
         members = uer_members(cfg.p, cfg.k, cfg.n)
-        reports = validate_uer(replace(cfg, replicates=4000), [sf for _, sf in members], points)
+        reports = validate_uer(replace(cfg, replicates=4000), [sf for _, sf in members])
         assert len(reports) == len(members)
         for (name, _), report in zip(members, reports):
             assert report.passed, name
+            assert [c.name for c in report.checks] == [mc.name for mc in cfg.mean_configs]
             for check in report.checks:
                 assert abs(check.mean_lhs - check.mean_rhs) == approx(
                     abs(check.diff), abs=1e-12
@@ -1158,7 +1192,6 @@ class TestValidateUer:
         "case, message",
         [
             ("no-members", "no class members to check$"),
-            ("no-points", "no truth points to check$"),
             ("bare", "member 1 lacks the partial derivatives "
                      "phi_f, phi_g, phi_s, psi_f, psi_g, psi_s$"),
             ("no-psi_g", "member 1 lacks the partial derivatives psi_g$"),
@@ -1170,102 +1203,85 @@ class TestValidateUer:
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
         members = {
             "no-members": [],
-            "no-points": [smooth],
             "bare": [smooth, ShrinkageFunctions(phi=smooth.phi, psi=smooth.psi)],
             "no-psi_g": [smooth, replace(smooth, psi_g=None)],
         }[case]
-        points = [] if case == "no-points" else [
-            TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
-        ]
         drawn = []
         monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match=message):
-            validate_uer(replace(cfg, replicates=100), members, points)
+            validate_uer(replace(cfg, replicates=100), members)
         assert drawn == []
 
-    def test_draws_are_pinned(self, cfg):
+    def test_draws_are_pinned(self, ends):
         # Pinned values: a change means the draws of validate_uer moved.
-        _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
-        points = [
-            TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)
-        ]
-        checks = validate_uer(replace(cfg, replicates=2000), [smooth], points)[0].checks
+        _, _, (_, smooth) = uer_members(ends.p, ends.k, ends.n)
+        checks = validate_uer(replace(ends, replicates=2000), [smooth])[0].checks
         assert [(c.mean_rhs, c.diff, c.se_diff) for c in checks] == [
             (11.568080939573548, 0.08637367522486762, 0.07296616358431943),
             (20.355110713072943, 0.020957496917250296, 0.1279008388527683),
         ]
 
-    def test_first_replicates_do_not_depend_on_the_count(self, cfg, monkeypatch):
+    def test_first_replicates_do_not_depend_on_the_count(self, ends, monkeypatch):
+        cfg = ends
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
-        points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
         short, long = mean_se_inputs(
             monkeypatch,
-            lambda count: validate_uer(replace(cfg, replicates=count), [smooth], points),
+            lambda count: validate_uer(replace(cfg, replicates=count), [smooth]),
             (300, 2001),
         )
-        assert len(short) == len(long) == len(points)
+        assert len(short) == len(long) == len(cfg.mean_configs)
         for a, b in zip(short, long):
             assert np.array_equal(a, b[:300])
 
     @pytest.mark.parametrize("replicates", [1, 0, -3])
     def test_needs_two_replicates(self, cfg, replicates):
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
-        points = [TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)]
         with pytest.raises(ValueError, match=f"need at least 2 replicates, got {replicates}$"):
-            validate_uer(replace(cfg, replicates=replicates), [smooth], points)
+            validate_uer(replace(cfg, replicates=replicates), [smooth])
 
-    def test_truth_shape_checked(self, cfg, monkeypatch):
-        _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
-        bad = [TrueParameters(mu=np.zeros((2, 2)), sigma2=1.0)]
-        with pytest.raises(ValueError, match="truth point"):
-            validate_uer(replace(cfg, replicates=100), [smooth], bad)
-        # A bad point after a good one is found before anything is drawn.
-        drawn = []
-        monkeypatch.setattr(montecarlo, "_uniforms", lambda *args: drawn.append(args))
-        good = TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=cfg.sigma2)
-        with pytest.raises(ValueError, match="truth point 2 has shape"):
-            validate_uer(replace(cfg, replicates=100), [smooth], [good, good, bad[0]])
-        assert drawn == []
+    @staticmethod
+    def far_config(cfg):
+        """cfg at sigma2 = 1e306 with "all-zero" and "far", whose every mean entry is 0.95 sd.
 
-    def test_overflowing_draw_names_point_and_replicate(self, cfg):
-        # Point 1's scale is so large that some of its draws overflow.
+        "all-zero" never overflows in 20,000 replicates; "far" overflows at
+        15 of them, in 1310-replicate blocks 1, 3-9, 12 and 14, the lowest at
+        replicate 1782.
+        """
+        far = MeanConfig("far", np.full((cfg.k, cfg.p), 0.95e153))
+        return replace(cfg, sigma2=1e306, mean_configs=(cfg.mean_configs[0], far))
+
+    def test_overflowing_draw_names_configuration_and_replicate(self, cfg):
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
-        points = [
-            TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=sigma2) for sigma2 in (1.0, 4e306)
-        ]
         with pytest.raises(
-            ArithmeticError, match="^truth point 1, replicate 496: pooled statistics overflow: "
+            ArithmeticError,
+            match="^mean config 'far', replicate 1782: pooled statistics overflow: ",
         ):
-            validate_uer(replace(cfg, replicates=2000), [smooth], points)
+            validate_uer(replace(self.far_config(cfg), replicates=2000), [smooth])
 
     def test_overflow_names_the_same_replicate_at_any_thread_count(self, cfg, helper_threads):
-        # Point 1's pooled statistics overflow in its 1310-replicate blocks 2,
-        # 3 and 11-14; one thread and three name the lowest, replicate 3725.
+        # One thread and three name the lowest, replicate 1782 of "far".
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
-        points = [
-            TrueParameters(mu=cfg.mean_configs[0].mu, sigma2=sigma2) for sigma2 in (1.0, 3.6e306)
-        ]
+        cfg = replace(self.far_config(cfg), replicates=20_000)
         raised = []
         for threads in (1, 3):
             with pytest.raises(numerics.ReplicateError) as error:
-                validate_uer(replace(cfg, replicates=20_000, threads=threads), [smooth], points)
+                validate_uer(replace(cfg, threads=threads), [smooth])
             raised.append((error.value.replicate, str(error.value)))
         assert raised[0] == raised[1]
-        assert raised[0][0] == 3725
+        assert raised[0][0] == 1782
         assert raised[0][1].startswith(
-            "truth point 1, replicate 3725: pooled statistics overflow: "
+            "mean config 'far', replicate 1782: pooled statistics overflow: "
         )
-        assert len(helper_threads) == 2 * len(points)
+        assert len(helper_threads) == 2 * len(cfg.mean_configs)
 
-    def test_failed_decomposition_names_point_and_replicate(self):
+    def test_failed_decomposition_names_configuration_and_replicate(self):
         cfg = ill_conditioned_config()
         _, _, (_, smooth) = uer_members(cfg.p, cfg.k, cfg.n)
-        points = [TrueParameters(mu=mc.mu, sigma2=cfg.sigma2) for mc in cfg.mean_configs]
         with pytest.raises(numerics.ReplicateError) as raised:
-            validate_uer(cfg, [smooth], points)
+            validate_uer(cfg, [smooth])
         assert raised.value.replicate == 1946
         assert str(raised.value).startswith(
-            "truth point 0, replicate 1946: "
+            "mean config 'a', replicate 1946: "
             "pooled quadratic forms failed the decomposition check: "
         )
 
@@ -1273,20 +1289,19 @@ class TestValidateUer:
     @pytest.mark.parametrize("replicates", [2, 3, 257, 1309, 1310, 1311, 2001, 2621])
     def test_blocking_never_changes_results(self, cfg, monkeypatch, replicates):
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
-        points = [
-            TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 4, 7)
-        ]
-        cfg = replace(cfg, replicates=replicates)
-        blocked = validate_uer(cfg, members, points)
-        threaded = validate_uer(replace(cfg, threads=2), members, points)
+        picks = tuple(cfg.mean_configs[i] for i in (0, 4, 7))
+        cfg = replace(cfg, replicates=replicates, mean_configs=picks)
+        blocked = validate_uer(cfg, members)
+        threaded = validate_uer(replace(cfg, threads=2), members)
         one_block(monkeypatch)
-        whole = validate_uer(cfg, members, points)
+        whole = validate_uer(cfg, members)
         assert len(blocked) == len(members)
         assert blocked == whole
         assert threaded == blocked
 
     @pytest.mark.parametrize("count", [1, 3])
-    def test_draws_are_shared_by_members(self, cfg, monkeypatch, count):
+    def test_draws_are_shared_by_members(self, ends, monkeypatch, count):
+        cfg = ends
         real = PooledConstants.summarize
         calls = []
 
@@ -1296,28 +1311,27 @@ class TestValidateUer:
 
         monkeypatch.setattr(PooledConstants, "summarize", counting)
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)][:count]
-        points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
         rows = block_rows(cfg.k * cfg.p)
         replicates = 2 * rows + 3
-        validate_uer(replace(cfg, replicates=replicates), members, points)
+        validate_uer(replace(cfg, replicates=replicates), members)
         blocks = -(-replicates // rows)
         assert blocks == 3
-        assert len(calls) == len(points) * blocks
+        assert len(calls) == len(cfg.mean_configs) * blocks
         assert max(calls) <= rows
 
-    def test_memory_grows_only_by_the_kept_values(self, cfg):
-        # Per replicate, a point keeps f, g, s and each member's loss until
+    def test_memory_grows_only_by_the_kept_values(self, ends):
+        cfg = ends
+        # Per replicate, a configuration keeps f, g, s and each member's loss until
         # its uer calls, one member at a time, each holding its output row
         # and one slice's temporaries (under 2 rows); everything else lives
         # for one block, whatever the thread count.
         members = [sf for _, sf in uer_members(cfg.p, cfg.k, cfg.n)]
-        points = [TrueParameters(mu=cfg.mean_configs[i].mu, sigma2=cfg.sigma2) for i in (0, 7)]
-        validate_uer(replace(cfg, replicates=300), members, points)  # warm caches
+        validate_uer(replace(cfg, replicates=300), members)  # warm caches
         peaks = {}
         for replicates in (2560, 20480):
             tracemalloc.start()
             try:
-                validate_uer(replace(cfg, replicates=replicates), members, points)
+                validate_uer(replace(cfg, replicates=replicates), members)
                 peaks[replicates] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
