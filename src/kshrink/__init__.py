@@ -12,7 +12,6 @@ from .model import (
     CanonicalModel,
     Hyperparameters,
     LossSpec,
-    TrueParameters,
     canonicalize_ksample,
     canonicalize_regression,
     pooled_summary,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CanonicalModel",
-    "TrueParameters",
     "LossSpec",
     "Hyperparameters",
     "canonicalize_ksample",

@@ -96,7 +96,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             raise ParseError(
                 f"{args.input}: regression input must be a directory of per-group CSV files"
             )
-        paths = sorted(glob.glob(os.path.join(args.input, "*.csv")))
+        paths = sorted(glob.glob(os.path.join(glob.escape(args.input), "*.csv")))
         if not paths:
             raise ParseError(f"{args.input}: no CSV files found")
         designs, responses, labels = read_regression_csv(paths)

@@ -74,8 +74,10 @@ def _is_header(cells: list[str], start: int) -> bool:
 def _read_table(path: str, start: int, need: str) -> list[tuple[int, list[str], list[float]]]:
     """(line number, cells, floats of the cells from column start on) of each data row.
 
-    Blank lines are skipped; the first row is a header only when none of
-    its value cells is numeric. need names what a one-cell first row lacks.
+    A row's line number is that of the file line it ends on, which a quoted
+    cell holding a line break pushes past the row count. Blank lines are
+    skipped; the first row is a header only when none of its value cells is
+    numeric. need names what a one-cell first row lacks.
     A file that is not UTF-8, or a cell past the csv module's field size
     limit, raises ParseError.
     """
@@ -83,8 +85,8 @@ def _read_table(path: str, start: int, need: str) -> list[tuple[int, list[str], 
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             rows = [
-                (lineno, cells)
-                for lineno, cells in enumerate(reader, start=1)
+                (reader.line_num, cells)
+                for cells in reader
                 if cells and any(c.strip() for c in cells)
             ]
     except OSError as exc:
@@ -134,11 +136,30 @@ def write_ksample_csv(
     groups: Sequence[np.ndarray],
     labels: Sequence[str] | None = None,
 ) -> None:
-    """Write groups of raw observations in the multi-sample layout."""
+    """Write groups of raw observations in the multi-sample layout.
+
+    Each group is a vector (one row) or an (n_i, p) array, with at least one
+    row and all of one width p >= 1. labels default to "1", "2", ...; given,
+    there is one per group, each non-empty and all distinct once stripped,
+    as read_ksample_csv strips them. Anything else would read back as other
+    data or not at all, so it raises ValueError before the file is opened.
+    """
     arrays = [np.atleast_2d(np.asarray(g, dtype=float)) for g in groups]
-    p = arrays[0].shape[1]
-    if labels is None:
-        labels = [str(i + 1) for i in range(len(arrays))]
+    if not arrays:
+        raise ValueError("no groups to write")
+    labels = [str(i + 1) for i in range(len(arrays))] if labels is None else list(labels)
+    if len(labels) != len(arrays):
+        raise ValueError(f"{len(labels)} labels for {len(arrays)} groups")
+    p = arrays[0].shape[-1]
+    for i, arr in enumerate(arrays, start=1):
+        if arr.ndim != 2 or arr.size == 0 or arr.shape[1] != p:
+            raise ValueError(
+                f"group {i} has shape {arr.shape}; groups need at least one row "
+                f"and one column, all of one width"
+            )
+    stripped = [str(label).strip() for label in labels]
+    if not all(stripped) or len(set(stripped)) < len(stripped):
+        raise ValueError(f"group labels must be non-empty and distinct once stripped: {labels!r}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group"] + [f"x{j + 1}" for j in range(p)])

@@ -24,7 +24,6 @@ from .tolerances import IDENTITY_REL, MAX_CONDITION, SYMMETRY
 
 __all__ = [
     "CanonicalModel",
-    "TrueParameters",
     "LossSpec",
     "PooledConstants",
     "PooledBatch",
@@ -259,26 +258,6 @@ class CanonicalModel:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class TrueParameters:
-    """Ground truth for simulation: mean rows mu (k, p) and the scale sigma2.
-
-    mu may also stack one (k, p) truth per replicate as an (R, k, p) array.
-    """
-
-    mu: np.ndarray
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        mu = np.atleast_2d(np.asarray(self.mu, dtype=float))
-        object.__setattr__(self, "mu", _freeze(mu))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        if not np.all(np.isfinite(self.mu)):
-            raise ValueError("mu has non-finite entries")
-        if not (self.sigma2 > 0.0 and np.isfinite(self.sigma2)):
-            raise ValueError(f"sigma2 must be positive and finite, got {self.sigma2}")
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,6 @@ from .model import (
     LossSpec,
     PooledBatch,
     PooledConstants,
-    TrueParameters,
     _as_float,
     _as_int,
     _freeze,
@@ -578,7 +577,7 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
             for ci, r0, r1 in segments
         ]
         x, s = (np.concatenate(parts) for parts in zip(*drawn))
-        truth = TrueParameters(mu=means[np.arange(b0, b1) // count], sigma2=cfg.sigma2)
+        mu = means[np.arange(b0, b1) // count]
         batch = _summarize(cfg, x, s, b0)
         out = np.full((len(names), b1 - b0), np.nan)
         errors: dict[tuple[str, str], str] = {}
@@ -599,7 +598,7 @@ def run_experiment(cfg: ExperimentConfig) -> RiskTable:
                         mu_hat[rows], _ = kernel(cfg.hyper, part)
                     except ReplicateError as exc:
                         errors[config_names[ci], name] = f"replicate {r0 + exc.replicate}: {exc}"
-            out[ei] = loss(mu_hat, truth, constants.loss)
+            out[ei] = loss(mu_hat, mu, cfg.sigma2, constants.loss)
         return out, errors
 
     losses, errors = _blocked(
@@ -726,8 +725,6 @@ def validate_uer(
     # all blocks. One block loop per configuration holds one configuration's
     # rows at a time.
     def config_checks(ci: int, mc: MeanConfig) -> list[PairedCheck]:
-        truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
-
         def uer_block(r0: int, r1: int) -> tuple[np.ndarray, dict[str, str]]:
             x, s = _draw(cfg, (_NS_UER, ci), mc.mu, chol, r0, r1)
             batch = _summarize(cfg, x, s, ci * cfg.replicates + r0)
@@ -736,7 +733,7 @@ def validate_uer(
             out[2] = s
             for mi, sf in enumerate(members):
                 mu_hat, _ = batch_general(batch, sf)
-                out[3 + mi] = loss(mu_hat, truth, constants.loss)
+                out[3 + mi] = loss(mu_hat, mc.mu, cfg.sigma2, constants.loss)
             return out, {}
 
         values, _ = _blocked(

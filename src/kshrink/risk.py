@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimateSet, ShrinkageFunctions
-from .model import CanonicalModel, LossSpec, TrueParameters, quad_forms
+from .estimators import ShrinkageFunctions
+from .model import LossSpec, quad_forms
 
 __all__ = [
     "ConditionReport",
@@ -33,22 +33,25 @@ __all__ = [
 _UER_ROWS = 4096
 
 
-def loss(
-    estimate: EstimateSet | np.ndarray, truth: TrueParameters, ls: LossSpec
-) -> float | np.ndarray:
-    """Realized weighted quadratic loss of an estimate set.
+def loss(mu_hat: np.ndarray, mu: np.ndarray, sigma2: float, ls: LossSpec) -> float | np.ndarray:
+    """Realized weighted quadratic loss of the estimates mu_hat against the true means mu.
 
     sum_i (mu_hat_i - mu_i)' q[i] (mu_hat_i - mu_i) / sigma2, formed from the
     errors scaled by sqrt(sigma2), so it overflows only when the loss
     does. An (R, k, p) array of estimates gives the (R,) array of their
     losses, against one (k, p) truth or an (R, k, p) truth per replicate.
+    mu must be finite and sigma2 positive and finite.
     """
-    mu_hat = estimate.mu_hat if isinstance(estimate, EstimateSet) else np.asarray(estimate)
-    mu = truth.mu
+    mu_hat = np.asarray(mu_hat)
+    mu = np.atleast_2d(np.asarray(mu, dtype=float))
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mu has non-finite entries")
+    if not (sigma2 > 0.0 and math.isfinite(sigma2)):
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     if mu_hat.shape[-2:] != mu.shape[-2:] or mu.shape[:-2] not in ((), mu_hat.shape[:-2]):
         raise ValueError(f"estimate shape {mu_hat.shape} does not match truth {mu.shape}")
     diff = mu_hat - mu
-    diff /= math.sqrt(truth.sigma2)
+    diff /= math.sqrt(sigma2)
     out = quad_forms(diff.reshape((-1,) + mu.shape[-2:]), ls.q)
     return float(out[0]) if diff.ndim == 2 else out.reshape(diff.shape[:-2])
 

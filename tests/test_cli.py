@@ -181,6 +181,18 @@ class TestEstimate:
         diagnostics = {r[2] for r in rows if r[1] == "diagnostic"}
         assert diagnostics == {"retained"}
 
+    def test_regression_directory_name_is_literal(self, tmp_path, capsys):
+        # "data[1]" is a glob pattern that matches "data1", not itself.
+        cfg = put(tmp_path, "cfg.yaml", "dataset: {kind: regression, estimators: [JS2]}\n")
+        rows = "y,z1,z2\n1.0,1.0,0.0\n2.0,1.0,1.0\n2.5,1.0,2.0\n"
+        for name, labels in (("data[1]", ("east", "north", "south")), ("data1", ("a", "b"))):
+            (tmp_path / name).mkdir()
+            for label in labels:
+                (tmp_path / name / f"{label}.csv").write_text(rows)
+        assert main(["estimate", "--config", cfg, "--input", str(tmp_path / "data[1]")]) == 0
+        got = [r[2] for r in csv_rows(capsys.readouterr().out) if r[1] == "estimate"]
+        assert got == ["east", "north", "south"]
+
     def test_repeated_estimator_is_written_once(self, tmp_path):
         # EB1 is EB: the list names one estimator, so the CSV has one block.
         cfg = put(tmp_path, "cfg.yaml", KSAMPLE_CONFIG.replace("[EB2]", "[EB, EB1, EB]"))

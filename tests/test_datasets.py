@@ -81,6 +81,13 @@ class TestReadKsample:
             read_ksample_csv(path)
         assert str(info.value) == f"{path}:1: column 3 is not numeric: 'O.5'"
 
+    def test_line_numbers_count_the_lines_of_a_multi_line_label(self, tmp_path):
+        # The label "a\nb" spans lines 2 and 3, so the bad cell is on line 4.
+        path = write_lines(tmp_path, "d.csv", ["group,x1", '"a', 'b",1.0', "2,zz"])
+        with pytest.raises(ParseError) as info:
+            read_ksample_csv(path)
+        assert str(info.value) == f"{path}:4: column 2 is not numeric: 'zz'"
+
     def test_empty_label(self, tmp_path):
         path = write_lines(tmp_path, "d.csv", [
             ",1.0,2.0",
@@ -220,6 +227,28 @@ class TestWriteKsample:
         for orig, got in zip(groups, back):
             assert same_bits(orig, got)
 
+    @pytest.mark.parametrize("groups, labels, message", [
+        pytest.param([], None, "no groups", id="no-groups"),
+        pytest.param([np.ones((1, 2))] * 2, ["a"], "1 labels for 2 groups", id="fewer-labels"),
+        pytest.param([np.ones((1, 2))] * 2, ["a", "b", "c"], "3 labels for 2 groups",
+                     id="more-labels"),
+        pytest.param([np.ones((1, 2))] * 2, ["a", " a "], "distinct once stripped",
+                     id="labels-equal-once-stripped"),
+        pytest.param([np.ones((1, 2))] * 2, ["a", " "], "non-empty", id="blank-label"),
+        pytest.param([np.ones((1, 2)), np.zeros((0, 2))], None, r"group 2 has shape \(0, 2\)",
+                     id="no-rows"),
+        pytest.param([np.ones((1, 2)), np.ones((1, 3))], None, r"group 2 has shape \(1, 3\)",
+                     id="mixed-widths"),
+        pytest.param([np.zeros((2, 0))] * 2, None, r"group 1 has shape \(2, 0\)", id="width-0"),
+        pytest.param([np.ones((1, 2, 2))] * 2, None, r"group 1 has shape \(1, 2, 2\)",
+                     id="3-d"),
+    ])
+    def test_refuses_what_would_not_read_back(self, tmp_path, groups, labels, message):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=message):
+            write_ksample_csv(str(path), groups, labels)
+        assert not path.exists()
+
     def test_vector_group_becomes_one_row(self, tmp_path):
         path = str(tmp_path / "out.csv")
         write_ksample_csv(path, [np.array([1.0, 2.0]), np.array([3.0, 4.0])])
@@ -256,6 +285,13 @@ class TestReadRegression:
         b = write_lines(tmp_path, "b.csv", ["1.0,1.0,3.0", "2.0,2.0,4.0"])
         with pytest.raises(ParseError, match="other files have"):
             read_regression_csv([a, b])
+
+    def test_line_numbers_count_the_lines_of_a_multi_line_header(self, tmp_path):
+        # The header cell "response\n(y)" spans lines 1 and 2, so the short row is line 4.
+        a = write_lines(tmp_path, "a.csv", ['"response', '(y)",z1', "1.0,1.0", "2.0"])
+        with pytest.raises(ParseError) as info:
+            read_regression_csv([a, a])
+        assert str(info.value) == f"{a}:4: expected 2 columns, got 1"
 
     def test_needs_two_files(self, tmp_path):
         a = write_lines(tmp_path, "a.csv", ["1.0,1.0", "2.0,2.0"])

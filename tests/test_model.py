@@ -16,7 +16,6 @@ from kshrink.model import (
     LossSpec,
     PooledBatch,
     PooledConstants,
-    TrueParameters,
     canonicalize_ksample,
     canonicalize_regression,
     pooled_summary,
@@ -896,17 +895,6 @@ class TestApplyMaps:
                 if is_map and not any(node.lineno in lines for lines in allowed):
                     found.append(f"{where} {spec.value}")
         assert found == []
-
-
-class TestTrueParameters:
-    def test_rejects_nonpositive_sigma2(self):
-        with pytest.raises(ValueError):
-            TrueParameters(mu=np.zeros((2, 3)), sigma2=0.0)
-
-    def test_freezes_mu(self):
-        t = TrueParameters(mu=np.zeros((2, 3)), sigma2=1.0)
-        with pytest.raises(ValueError):
-            t.mu[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -14,7 +14,6 @@ from kshrink import (
     ExperimentConfig,
     Hyperparameters,
     MeanConfig,
-    TrueParameters,
     run_experiment,
     sample_canonical,
     uer_members,
@@ -437,13 +436,12 @@ class TestRunExperiment:
         table = run_experiment(cfg)
         ls = cfg.validate().loss
         for ci, mc in enumerate(cfg.mean_configs):
-            truth = TrueParameters(mu=mc.mu, sigma2=cfg.sigma2)
             by_hand = {name: [] for name in table.estimator_names}
             for r in range(cfg.replicates):
                 model = sample_canonical(cfg, ci, r)
                 for name in table.estimator_names:
                     est = ESTIMATORS[name](model, ls, hyper=cfg.hyper)
-                    by_hand[name].append(loss(est, truth, ls))
+                    by_hand[name].append(loss(est.mu_hat, mc.mu, cfg.sigma2, ls))
             for ei, name in enumerate(table.estimator_names):
                 want = float(np.sum(np.asarray(by_hand[name])) / cfg.replicates)
                 assert table.risk[ci, ei] == approx(want, rel=1e-8), name
@@ -598,10 +596,10 @@ class TestPackedBlocks:
         packed = run_experiment(cfg)
         ls = cfg.validate().loss
         for ci, r in ((0, 49), (0, 50), (0, 63), (1, 0), (1, 35), (1, 36)):
-            truth = TrueParameters(mu=cfg.mean_configs[ci].mu, sigma2=cfg.sigma2)
+            mu = cfg.mean_configs[ci].mu
             model = sample_canonical(cfg, ci, r)
             for ei, name in enumerate(packed.estimator_names):
-                one = loss(ESTIMATORS[name](model, ls, hyper=cfg.hyper), truth, ls)
+                one = loss(ESTIMATORS[name](model, ls, hyper=cfg.hyper).mu_hat, mu, cfg.sigma2, ls)
                 assert losses[ei, ci * cfg.replicates + r] == one, (ci, r, name)
         one_block(monkeypatch)
         assert run_experiment(cfg).to_csv() == packed.to_csv()

@@ -11,7 +11,6 @@ from pytest import approx
 from kshrink import (
     CanonicalModel,
     LossSpec,
-    TrueParameters,
     check_hb1_conditions,
     check_hb2_conditions,
     loss,
@@ -19,7 +18,7 @@ from kshrink import (
     uer,
 )
 from kshrink import risk
-from kshrink.estimators import EstimateSet, ShrinkageFunctions, eb_members
+from kshrink.estimators import ShrinkageFunctions, eb_members
 from kshrink.montecarlo import uer_members
 
 
@@ -33,39 +32,29 @@ class TestLoss:
     def test_zero_at_truth(self):
         model = two_group_model()
         ls = LossSpec.inverse_v(model)
-        truth = TrueParameters(mu=model.x.copy(), sigma2=2.0)
-        assert loss(model.x, truth, ls) == 0.0
+        assert loss(model.x, model.x.copy(), 2.0, ls) == 0.0
 
     def test_scalar_hand_example(self):
         # One-dimensional groups, unit weights, noise variance two,
         # errors +1 and -1: the loss is (1 + 1)/2 = 1.
         mu_hat = np.array([[1.0], [-1.0]])
-        truth = TrueParameters(mu=np.zeros((2, 1)), sigma2=2.0)
         model = CanonicalModel(x=mu_hat, v=np.ones((2, 1, 1)), s=1.0, n=4)
         ls = LossSpec.inverse_v(model)
-        assert loss(mu_hat, truth, ls) == approx(1.0)
+        assert loss(mu_hat, np.zeros((2, 1)), 2.0, ls) == approx(1.0)
 
     def test_noise_variance_rescales(self):
         mu_hat = np.array([[1.0], [-1.0]])
         model = CanonicalModel(x=mu_hat, v=np.ones((2, 1, 1)), s=1.0, n=4)
         ls = LossSpec.inverse_v(model)
-        lo = loss(mu_hat, TrueParameters(mu=np.zeros((2, 1)), sigma2=2.0), ls)
-        hi = loss(mu_hat, TrueParameters(mu=np.zeros((2, 1)), sigma2=4.0), ls)
+        lo = loss(mu_hat, np.zeros((2, 1)), 2.0, ls)
+        hi = loss(mu_hat, np.zeros((2, 1)), 4.0, ls)
         assert hi == approx(lo / 2.0)
 
     def test_positive_off_truth(self):
         rng = np.random.default_rng(5)
         model = two_group_model()
         ls = LossSpec.inverse_v(model)
-        truth = TrueParameters(mu=rng.normal(size=(2, 3)), sigma2=1.0)
-        assert loss(model.x, truth, ls) > 0.0
-
-    def test_accepts_estimate_sets(self):
-        model = two_group_model()
-        ls = LossSpec.inverse_v(model)
-        truth = TrueParameters(mu=np.zeros((2, 3)), sigma2=1.0)
-        wrapped = EstimateSet(mu_hat=model.x)
-        assert loss(wrapped, truth, ls) == approx(loss(model.x, truth, ls))
+        assert loss(model.x, rng.normal(size=(2, 3)), 1.0, ls) > 0.0
 
     @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
     @pytest.mark.parametrize("r", [1, 2, 255, 256, 257, 1309, 1310, 1311])
@@ -81,11 +70,11 @@ class TestLoss:
             v = np.stack([np.diag(rng.uniform(0.2, 3.0, size=p)) for _ in range(k)])
         model = CanonicalModel(x=np.zeros((k, p)), v=v, s=1.0, n=10)
         ls = LossSpec.inverse_v(model)
-        truth = TrueParameters(mu=rng.normal(size=(k, p)), sigma2=4.0)
-        mu_hat = truth.mu + 2.0 * rng.normal(size=(r, k, p))
-        stacked = loss(mu_hat, truth, ls)
+        mu = rng.normal(size=(k, p))
+        mu_hat = mu + 2.0 * rng.normal(size=(r, k, p))
+        stacked = loss(mu_hat, mu, 4.0, ls)
         assert stacked.shape == (r,)
-        singles = [loss(row, truth, ls) for row in mu_hat]
+        singles = [loss(row, mu, 4.0, ls) for row in mu_hat]
         assert all(type(one) is float for one in singles)
         assert np.array_equal(stacked, np.array(singles))
 
@@ -95,19 +84,36 @@ class TestLoss:
         ls = LossSpec.inverse_v(model)
         mus = rng.normal(size=(4, 2, 3))
         mu_hat = rng.normal(size=(4, 2, 3))
-        stacked = loss(mu_hat, TrueParameters(mu=mus, sigma2=2.0), ls)
-        singles = [loss(mu_hat[r], TrueParameters(mu=mus[r], sigma2=2.0), ls) for r in range(4)]
+        stacked = loss(mu_hat, mus, 2.0, ls)
+        singles = [loss(mu_hat[r], mus[r], 2.0, ls) for r in range(4)]
         assert np.array_equal(stacked, np.array(singles))
         for bad in (mu_hat[:3], mu_hat[0]):
             with pytest.raises(ValueError, match="does not match"):
-                loss(bad, TrueParameters(mu=mus, sigma2=2.0), ls)
+                loss(bad, mus, 2.0, ls)
 
     def test_shape_mismatch(self):
         model = two_group_model()
         ls = LossSpec.inverse_v(model)
-        truth = TrueParameters(mu=np.zeros((3, 3)), sigma2=1.0)
         with pytest.raises(ValueError, match="does not match"):
-            loss(model.x, truth, ls)
+            loss(model.x, np.zeros((3, 3)), 1.0, ls)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_nonpositive_sigma2(self, sigma2):
+        model = two_group_model()
+        ls = LossSpec.inverse_v(model)
+        with pytest.raises(ValueError, match="^sigma2 must be positive and finite, got "):
+            loss(model.x, np.zeros((2, 3)), sigma2, ls)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one", "per-replicate"])
+    def test_rejects_non_finite_mu(self, value, stacked):
+        model = two_group_model()
+        ls = LossSpec.inverse_v(model)
+        mu = np.zeros((3, 2, 3))
+        mu[-1, 1, 2] = value
+        mu_hat = np.zeros((3, 2, 3)) if stacked else model.x
+        with pytest.raises(ValueError, match="^mu has non-finite entries$"):
+            loss(mu_hat, mu if stacked else mu[-1], 1.0, ls)
 
 
 def constant_member(phi=0.0, psi=0.0, **partials):
