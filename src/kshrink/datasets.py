@@ -140,9 +140,11 @@ def write_ksample_csv(
 
     Each group is a vector (one row) or an (n_i, p) array, with at least one
     row and all of one width p >= 1. labels default to "1", "2", ...; given,
-    there is one per group, each non-empty and all distinct once stripped,
-    as read_ksample_csv strips them. Anything else would read back as other
-    data or not at all, so it raises ValueError before the file is opened.
+    there is one per group, each non-empty, without leading or trailing
+    whitespace, and all distinct, as read_ksample_csv strips them. Anything
+    else would read back as other data or not at all, so it raises
+    ValueError before the file is opened. The file is written as UTF-8, as
+    the readers read it.
     """
     arrays = [np.atleast_2d(np.asarray(g, dtype=float)) for g in groups]
     if not arrays:
@@ -160,7 +162,10 @@ def write_ksample_csv(
     stripped = [str(label).strip() for label in labels]
     if not all(stripped) or len(set(stripped)) < len(stripped):
         raise ValueError(f"group labels must be non-empty and distinct once stripped: {labels!r}")
-    with open(path, "w", newline="") as fh:
+    padded = [label for label, bare in zip(labels, stripped) if str(label) != bare]
+    if padded:
+        raise ValueError(f"group labels would read back stripped of their whitespace: {padded!r}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group"] + [f"x{j + 1}" for j in range(p)])
         for label, arr in zip(labels, arrays):

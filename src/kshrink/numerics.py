@@ -36,10 +36,13 @@ accepts a point when its phi and psi are finite and agree within QUAD_REL
 relative with its values at the size before; the point takes the larger
 rule's values. That agreement is an acceptance test, not an error bound
 (hb2_factors gives the worst miss measured). A point still missing after
-the 168-node round fails with ArithmeticError, as "underflowed everywhere"
-when its tilted integrand underflowed at every node of both of the last two
-rules, else as "failed to converge". The call raises either as
-ReplicateError naming the lowest failing flat index. Degenerate statistics
+the 168-node round fails with ArithmeticError as "failed to converge".
+Under a tilt, hb2_factors first refuses every point whose upper gamma tail
+is 0 already at the box's corner u = 1 + x + y = 1: the tail falls as u
+grows, so it is 0 at every node of every rule, and the point fails as
+"integrand underflowed everywhere" without running a round. The call
+raises either failure as ReplicateError naming the lowest failing flat
+index. Degenerate statistics
 take exact series limits; with a tilt, the remaining 1-D ratio takes the
 same rule with the vanishing statistic set to 0. Without a tilt it is the
 closed-form ratio of truncated power integrals that hb1_phi also takes
@@ -431,8 +434,8 @@ def _joint_rule(
     z0: np.ndarray,
     e: HbExponents,
     work: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, psi) of regular points by the n x n rule, stacked (2, R), and each point's peak.
+) -> np.ndarray:
+    """(phi, psi) of regular points by the n x n rule, stacked (2, R).
 
     x = t/(1-t) with t = T s, T = min(f/(1+f), t_cap), and y = w(1+x)/(1-w)
     with w = U r, U = min(g/(1+x+g), w_cap), map the box [0, f] x [0, g],
@@ -448,13 +451,12 @@ def _joint_rule(
     n <= 20,000), and the grid is not shifted. Under a tilt
     each row is shifted by its first-node value and the value joins A (a
     row whose first node is -inf is shifted by 0 and adds nothing, since
-    its A is then -inf). exp(B) is summed over r first; exp(A - peak) then
-    weights those sums over s, where a point's peak is its largest A after
-    the shift. Under a tilt that is the largest value of A + B on its
-    grid, and a peak of -inf means the integrand underflowed at every
-    node. The factor T^(al+1) and the peak cancel in the ratios. Every sum
-    runs over one point's nodes alone, so a point's values do not depend
-    on the other points of the call.
+    its A is then -inf). exp(B) is summed over r first; exp(A - max A) then
+    weights those sums over s, with each point's own largest A after the
+    shift. The factor T^(al+1) and that maximum cancel in the ratios; a
+    point whose integrand underflowed at every node gets NaN values. Every
+    sum runs over one point's nodes alone, so a point's values do not
+    depend on the other points of the call.
 
     work holds two (three under a tilt) (m, n, n) buffers, m at least R,
     that the rule overwrites.
@@ -490,70 +492,54 @@ def _joint_rule(
     np.exp(kernel, out=kernel)
     y_x *= kernel
     inner, inner_y = np.einsum("cpij,j->cpi", grid, r_wt)
-    peak = outer.max(axis=1)
     with np.errstate(invalid="ignore"):
-        weight = np.exp(outer - peak[:, None])
+        weight = np.exp(outer - outer.max(axis=1, keepdims=True))
         terms = np.stack([inner * x, inner_y * (1.0 + x), inner])
         terms *= weight
         phi_psi_den = np.einsum("cpi,i->cp", terms, s_wt)
-        return phi_psi_den[:2] / phi_psi_den[2], peak
+        return phi_psi_den[:2] / phi_psi_den[2]
 
 
 def _rule_round(
     n: int, f: np.ndarray, g: np.ndarray, z0: np.ndarray, e: HbExponents
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """_joint_rule over all points, in blocks of at most _RULE_CELLS // n^2 points.
 
     The blocks share one set of work buffers, so a round allocates them once.
     """
     step = max(1, _RULE_CELLS // n**2)
     work = np.empty((3 if z0.any() else 2, min(step, f.size), n, n))
-    values, peak = np.empty((2, f.size)), np.empty(f.size)
+    values = np.empty((2, f.size))
     for i in range(0, f.size, step):
         chunk = slice(i, i + step)
-        values[:, chunk], peak[chunk] = _joint_rule(n, f[chunk], g[chunk], z0[chunk], e, work)
-    return values, peak
+        values[:, chunk] = _joint_rule(n, f[chunk], g[chunk], z0[chunk], e, work)
+    return values
 
 
 def _by_rule(
-    e: HbExponents,
-    f: np.ndarray,
-    g: np.ndarray,
-    z0: np.ndarray,
-    what: str,
+    e: HbExponents, f: np.ndarray, g: np.ndarray, z0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(phi, psi) of the points where two consecutive rules of _RULE_SIZES agree.
 
     Each round runs the next size on the points still missing only, and
     compares it with their values at the size before (NaN before the
     first, so the first round misses). A point is accepted when both are
-    finite and agree within QUAD_REL relative. A point still missing after
-    the last round fails with "underflowed everywhere" when both of the
-    last two rules underflowed at every node, else with "failed to
-    converge". Returns each point's values at the last size it ran (the
-    accepted ones where it was accepted) and its failure message (""
-    where it was accepted).
+    finite and agree within QUAD_REL relative. Returns each point's values
+    at the last size it ran (the accepted ones where it was accepted) and
+    the indices of the points still missing after the last round.
     """
     todo = np.arange(f.size)
     values = np.full((2, f.size), np.nan)
-    peaks = np.full(f.size, np.nan)
-    errors = np.full(f.size, "", dtype=object)
-    under = np.zeros(f.size, dtype=bool)
     for n in _RULE_SIZES:
         if not todo.size:
             break
-        new, peak = _rule_round(n, f[todo], g[todo], z0[todo], e)
+        new = _rule_round(n, f[todo], g[todo], z0[todo], e)
         with np.errstate(invalid="ignore"):
             gap = np.abs(new - values[:, todo])
             ok = np.all(np.isfinite(new) & (gap <= QUAD_REL * np.abs(new)), axis=0)
-        under = (peak == -np.inf) & (peaks[todo] == -np.inf)
-        values[:, todo], peaks[todo] = new, peak
-        todo, under = todo[~ok], under[~ok]
-    errors[todo[under]] = f"{what} integrand underflowed everywhere"
-    errors[todo[~under]] = (
-        f"{what} quadrature failed to converge with {_RULE_SIZES[-1]} nodes per axis"
-    )
-    return values, errors
+        values[:, todo] = new
+        todo = todo[~ok]
+    return values, todo
 
 
 def _check_statistics(f: np.ndarray, g: np.ndarray, s: np.ndarray, big_l: float) -> None:
@@ -619,8 +605,9 @@ def hb2_factors(
         ValueError for the lowest invalid point, or when the exponents are
         too large for the rule's weights, before any rule runs.
         ReplicateError (an ArithmeticError) naming the lowest failing flat
-        index when the rule fails to converge there or the tilted
-        integrand underflows everywhere.
+        index when the rule fails to converge there, or when the tilted
+        integrand underflows everywhere: its upper gamma tail is 0 at the
+        box's corner, which is checked once per call before any rule runs.
     """
     f, g, s = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (f_stat, g_stat, scale_sum))
@@ -636,17 +623,24 @@ def hb2_factors(
         )
     f_deg = f <= DEGENERATE_STAT
     g_deg = g <= DEGENERATE_STAT
-    # An overflow here reaches no result: an infinite tilt underflows
-    # everywhere in the rule, and phi and psi are kept at degenerate points.
+    # An overflow here reaches no result: an infinite tilt is refused at the
+    # box's corner below, and phi and psi are kept at degenerate points.
     with np.errstate(over="ignore"):
         z0 = 0.5 * big_l * s if big_l > 0.0 else np.zeros_like(f)
         phi = f * (al + 1.0) / (al + 2.0)
         psi = g * (be + 1.0) / (be + 2.0)
     errors = np.full(f.size, "", dtype=object)
-    reg = np.flatnonzero(~f_deg & ~g_deg)
-    (phi[reg], psi[reg]), errors[reg] = _by_rule(
-        exponents, f[reg], g[reg], z0[reg], "joint shrink-factor"
-    )
+    # u = 1 + x + y >= 1 on the box and Q(gamma_e + 1, z0 u) falls as u
+    # grows, so a tail of 0 at the corner u = 1 is 0 at every node of every
+    # rule. Points with both statistics degenerate run no rule.
+    dead = np.zeros(f.size, dtype=bool)
+    if big_l > 0.0:
+        dead = (sc.gammaincc(ga + 1.0, z0) == 0.0) & ~(f_deg & g_deg)
+        errors[dead] = "joint shrink-factor integrand underflowed everywhere"
+    missed = f"quadrature failed to converge with {_RULE_SIZES[-1]} nodes per axis"
+    reg = np.flatnonzero(~f_deg & ~g_deg & ~dead)
+    (phi[reg], psi[reg]), miss = _by_rule(exponents, f[reg], g[reg], z0[reg])
+    errors[reg[miss]] = f"joint shrink-factor {missed}"
     # With one statistic degenerate, the other factor is a 1-D ratio at the
     # vanishing coordinate: a closed form with zero tilt, else the rule with
     # that statistic at 0 (x and y swap roles when g vanishes).
@@ -654,15 +648,14 @@ def hb2_factors(
         (f_deg & ~g_deg, g, psi, be, exponents),
         (g_deg & ~f_deg, f, phi, al, HbExponents(be, al, ga)),
     ):
-        idx = np.flatnonzero(edge)
+        idx = np.flatnonzero(edge & ~dead)
         if not idx.size:
             continue
         if big_l == 0.0:
             factor[idx] = _power_ratio(stat[idx], expo + 1.0, expo, ga + 1.0)
         else:
-            (_, factor[idx]), errors[idx] = _by_rule(
-                roles, np.zeros(idx.size), stat[idx], z0[idx], "degenerate-limit"
-            )
+            (_, factor[idx]), miss = _by_rule(roles, np.zeros(idx.size), stat[idx], z0[idx])
+            errors[idx[miss]] = f"degenerate-limit {missed}"
     failed = np.flatnonzero(errors != "")
     if failed.size:
         raise ReplicateError(int(failed[0]), ArithmeticError(errors[failed[0]]))

@@ -1,7 +1,8 @@
 """Slow, independent numerical oracles used to pin the fast routines.
 
 Everything here is deliberately primitive: midpoint Riemann sums, plain
-bisection, binomial tail sums, closed forms fed to scipy's own QUADPACK.
+bisection, binomial tail sums, closed forms and one-dimensional mixtures
+fed to scipy's own QUADPACK.
 Nothing imports from the package under test, so agreement between the two
 is evidence, not circularity.
 """
@@ -13,7 +14,7 @@ import math
 import numpy as np
 from scipy import stats
 from scipy.integrate import quad
-from scipy.special import beta, betainc, gammaincc
+from scipy.special import beta, betainc, gammainc, gammaincc, gammaln
 
 
 def riemann_midpoint(f, lo: float, hi: float, panels: int) -> float:
@@ -192,3 +193,95 @@ def hb2_factors_closed_inner(
 
     den = outer(0, 0)
     return outer(1, 0) / den, outer(0, 1) / den
+
+
+def _log_lower_gamma(a: float, x):
+    """log P(a, x), from the leading terms of its series where P underflows.
+
+    P(a, x) = x^a e^(-x) / Gamma(a+1) * (1 + x/(a+1) + ...), and P only
+    underflows where x is far below a, so two terms keep its digits there.
+    """
+    x = np.asarray(x, dtype=float)
+    value = gammainc(a, x)
+    small = value < 1e-300
+    with np.errstate(divide="ignore"):
+        series = a * np.log(x) - x - gammaln(a + 1.0) + np.log1p(x / (a + 1.0))
+        return np.where(small, series, np.log(np.where(small, 1.0, value)))
+
+
+def hb2_factors_gamma_mixture(
+    f_stat: float,
+    g_stat: float,
+    scale_sum: float,
+    p: int,
+    k: int,
+    n: int,
+    a: float,
+    b: float,
+    c: float,
+    big_l: float,
+) -> tuple[float, float]:
+    """Double-shrink factors as ratios of one-dimensional gamma mixtures.
+
+    With u = 1 + x + y and z0 = big_l * scale_sum / 2 > 0, substituting
+    t = z0 u tau in Gamma(gamma+1) Q(gamma+1, z0 u) gives
+    u^(-gamma-1) Q(gamma+1, z0 u) = z0^(gamma+1) / Gamma(gamma+1)
+    int_1^inf tau^gamma e^(-z0 u tau) dtau. The exponential splits over x and
+    y, whose integrals over (0, F) and (0, G) are lower incomplete gammas,
+    and sigma = z0 (tau - 1) leaves, with gap = gamma - alpha - beta - 2,
+    J_ij = int_0^inf e^(-sigma) tau^(gap-i-j) P(alpha+1+i, z0 tau F) P(beta+1+j, z0 tau G) dsigma,
+    phi = (alpha+1)/z0 J_10/J_00 and psi = (beta+1)/z0 J_01/J_00; the factor
+    e^(-z0) cancels. At zero tilt u^(-gamma-1) = Gamma(gamma+1)^(-1)
+    int_0^inf t^gamma e^(-u t) dt gives the same ratios with the weight
+    e^(-t) t^(gap-i-j), P at t F and t G, and no 1/z0.
+
+    Each integrand is formed in log space and shifted by its largest value
+    on a geometric grid, where its mode lies; QUADPACK then integrates it
+    from the grid's last point below the mode's 1e-35 level to its first
+    point above, split at the mode.
+    """
+    alpha_e = 0.5 * p * (k - 1) + a - 1.0
+    beta_e = 0.5 * p + b - 1.0
+    gamma_e = 0.5 * (n + p * k) - c
+    gap = gamma_e - alpha_e - beta_e - 2.0
+    z0 = 0.5 * big_l * scale_sum
+
+    def log_integrand(v, i, j):
+        v = np.asarray(v, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if z0 > 0.0:
+                tau = 1.0 + v / z0
+                rate, log_weight = z0 * tau, -v + (gap - i - j) * np.log(tau)
+            else:
+                rate, log_weight = v, -v + (gap - i - j) * np.log(v)
+            out = (
+                log_weight
+                + _log_lower_gamma(alpha_e + 1.0 + i, rate * f_stat)
+                + _log_lower_gamma(beta_e + 1.0 + j, rate * g_stat)
+            )
+        return np.where(np.isnan(out), -np.inf, out)
+
+    grid = np.concatenate(([0.0], np.geomspace(1e-8, 1e8, 4001)))
+
+    def log_j(i, j):
+        h = log_integrand(grid, i, j)
+        top = int(np.argmax(h))
+        shift, mode = float(h[top]), float(grid[top])
+        keep = np.flatnonzero(h > shift - 80.0)
+        lo, hi = grid[max(keep[0] - 1, 0)], grid[min(keep[-1] + 1, grid.size - 1)]
+        total = 0.0
+        for left, right in ((lo, mode), (mode, hi)):
+            if right > left:
+                value, _ = quad(
+                    lambda v: float(np.exp(log_integrand(v, i, j) - shift)),
+                    left, right, epsabs=0.0, epsrel=1e-12, limit=200,
+                )
+                total += value
+        return shift + math.log(total)
+
+    den = log_j(0, 0)
+    scale = z0 if z0 > 0.0 else 1.0
+    return (
+        (alpha_e + 1.0) / scale * math.exp(log_j(1, 0) - den),
+        (beta_e + 1.0) / scale * math.exp(log_j(0, 1) - den),
+    )

@@ -16,7 +16,7 @@ import pytest
 import yaml
 
 import kshrink
-from kshrink import ExperimentConfig, cli, montecarlo
+from kshrink import ExperimentConfig, cli, montecarlo, numerics
 from kshrink.cli import main
 from kshrink.montecarlo import VALIDATE_DRAWS, usable_cores
 
@@ -568,6 +568,44 @@ def test_start_up_imports_no_root_finder(tmp_path, command):
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # Under the C locale, with UTF-8 mode and locale coercion off, open()
+    # defaults to ASCII; the writers still write the UTF-8 the readers read.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(kshrink.__file__).resolve().parents[1]),
+        LC_ALL="C",
+        PYTHONUTF8="0",
+        PYTHONCOERCECLOCALE="0",
+    )
+    data, out = tmp_path / "in.csv", tmp_path / "out.csv"
+    labels = ["contrôle", "traité", "témoin"]
+    # The child's command line is read in the locale's encoding too, so its
+    # source spells the labels in ASCII escapes.
+    code = textwrap.dedent(
+        f"""\
+        import codecs, locale
+        import numpy as np
+        from kshrink.datasets import read_ksample_csv, write_ksample_csv
+        assert codecs.lookup(locale.getpreferredencoding(False)).name == "ascii"
+        groups = np.random.default_rng(3).normal(size=(3, 4, 3))
+        labels = {ascii(labels)}
+        write_ksample_csv({str(data)!r}, groups, labels)
+        assert read_ksample_csv({str(data)!r})[1] == labels
+        """
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    cfg = put(tmp_path, "cfg.yaml", "dataset:\n  kind: ksample\n  estimators: [JS2]\n")
+    argv = ["estimate", "--config", cfg, "--input", str(data), "--output", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-m", "kshrink.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    rows = csv_rows(out.read_bytes().decode("utf-8"))
+    assert [row[2] for row in rows[1:4]] == labels
+
+
 class TestSimulate:
     def test_threads_do_not_change_bytes(self, tmp_path, capsys):
         cfg = put(tmp_path, "cfg.yaml", SIMULATE_CONFIG)
@@ -649,6 +687,30 @@ class TestSimulate:
         risk = {(r[0], r[1]): float(r[2]) for r in csv_rows(out.read_text())[1:]}
         assert all(np.isnan(risk[c, "HB2"]) for c in ("flat", "tilt"))
         assert all(np.isfinite(risk[c, e]) for c in ("flat", "tilt") for e in ("JS2", "EB"))
+
+    def test_tail_dead_at_the_corner_skips_hb2_without_a_rule(self, tmp_path, capsys, monkeypatch):
+        # p = k = 5, n = 20,000 under big_l 2: z0 is near 20,000, past
+        # gamma_e + 1 of about 10,014, so the upper gamma tail is 0 at the
+        # box's corner and every replicate is refused before the rule runs.
+        body = SIMULATE_CONFIG.replace("p: 3\n  k: 3\n  n: 12", "p: 5\n  k: 5\n  n: 20000")
+        for old, new in (
+            ("[0.0, 0.0, 0.0]", "[0, 0, 0, 0, 0]"),
+            ("[-1.0, 0.0, 1.0]", "[-1, 0, 1, 2, 3]"),
+            ("[JS2, EB, HB1]", "[HB1, HB2]"),
+            ("replicates: 40", "replicates: 8"),
+        ):
+            body = body.replace(old, new)
+        cfg = put(tmp_path, "cfg.yaml", body + "hyper: {big_l: 2.0}\n")
+        calls = []
+        monkeypatch.setattr(numerics, "_joint_rule", lambda *args: calls.append(args))
+        assert main(["simulate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("skipped")] == [
+            f"skipped HB2 on {name}: replicate 0: joint shrink-factor integrand underflowed "
+            "everywhere"
+            for name in ("flat", "tilt")
+        ]
+        assert calls == []
 
     def test_config_names_are_quoted_in_the_csv(self, tmp_path, capsys):
         body = SIMULATE_CONFIG.replace("name: flat", "name: 'a,b'").replace(

@@ -235,6 +235,10 @@ class TestWriteKsample:
         pytest.param([np.ones((1, 2))] * 2, ["a", " a "], "distinct once stripped",
                      id="labels-equal-once-stripped"),
         pytest.param([np.ones((1, 2))] * 2, ["a", " "], "non-empty", id="blank-label"),
+        pytest.param([np.ones((1, 2))] * 2, [" ctl", "trt "], r"stripped of their whitespace: "
+                     r"\[' ctl', 'trt '\]", id="padded-labels"),
+        pytest.param([np.ones((1, 2))] * 2, ["ctl", "trt\t"], r"whitespace: \['trt\\t'\]",
+                     id="trailing-tab"),
         pytest.param([np.ones((1, 2)), np.zeros((0, 2))], None, r"group 2 has shape \(0, 2\)",
                      id="no-rows"),
         pytest.param([np.ones((1, 2)), np.ones((1, 3))], None, r"group 2 has shape \(1, 3\)",

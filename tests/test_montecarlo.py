@@ -564,9 +564,9 @@ class TestRunExperiment:
         reason = "joint shrink-factor quadrature failed to converge with 168 nodes per axis"
 
         def missing(n, f_stat, *args, **kwargs):
-            values, peak = real_rule(n, f_stat, *args, **kwargs)
+            values = real_rule(n, f_stat, *args, **kwargs)
             values[:, np.isin(f_stat, failing_f)] = np.nan
-            return values, peak
+            return values
 
         monkeypatch.setattr(numerics, "_joint_rule", missing)
         one = run_experiment(cfg)
@@ -632,9 +632,9 @@ class TestPackedBlocks:
         reason = "joint shrink-factor quadrature failed to converge with 168 nodes per axis"
 
         def missing(n, f_stat, *args, **kwargs):
-            values, peak = real_rule(n, f_stat, *args, **kwargs)
+            values = real_rule(n, f_stat, *args, **kwargs)
             values[:, np.isin(f_stat, failing_f)] = np.nan
-            return values, peak
+            return values
 
         monkeypatch.setattr(numerics, "_joint_rule", missing)
         one = run_experiment(cfg)

@@ -536,9 +536,9 @@ class TestTiltedHb2:
                 np.empty((3, 1, n, n)),
             )
 
-        assert [rule(n)[1][0] for n in (12, 20, 28)] == [-np.inf] * 3
+        assert all(np.isnan(rule(n)).all() for n in (12, 20, 28))
         got = hb2_factors(224.0, 1.0, 750.0, e, big_l=2.0)
-        assert got == approx(tuple(rule(320)[0][:, 0]), rel=QUAD_REL)
+        assert got == approx(tuple(rule(320)[:, 0]), rel=QUAD_REL)
 
 
 
@@ -651,30 +651,59 @@ class TestRuleRounds:
         assert sizes[sizes.index(n) + 1] == n + 8
 
     def test_one_underflowed_rule_goes_to_the_next_round(self, monkeypatch):
-        # A peak of -inf in only one of the two rules is a miss, not underflow.
+        # NaN values from one rule, as a rule that underflowed at every node
+        # gives, are a miss: the next round runs.
         real_rule = numerics._joint_rule
         want = hb2_factors(1.3, 0.7, 25.0, BENCH, big_l=2.0)
 
         def first_rule_empty(n, *args, **kwargs):
-            values, peak = real_rule(n, *args, **kwargs)
+            values = real_rule(n, *args, **kwargs)
             if n == 20:
-                values[:], peak[:] = np.nan, -np.inf
-            return values, peak
+                values[:] = np.nan
+            return values
 
         monkeypatch.setattr(numerics, "_joint_rule", first_rule_empty)
         assert hb2_factors(1.3, 0.7, 25.0, BENCH, big_l=2.0) == approx(want, rel=1e-12)
 
-    def test_nan_peak_is_not_underflow(self, monkeypatch):
+    def test_nan_values_miss_and_fail_to_converge(self, monkeypatch):
+        # A live point whose every rule gives NaN is never accepted; only
+        # the corner test names underflow.
         real_rule = numerics._joint_rule
 
         def nan_everywhere(*args, **kwargs):
-            values, peak = real_rule(*args, **kwargs)
-            values[:], peak[:] = np.nan, np.nan
-            return values, peak
+            values = real_rule(*args, **kwargs)
+            values[:] = np.nan
+            return values
 
         monkeypatch.setattr(numerics, "_joint_rule", nan_everywhere)
         with pytest.raises(ArithmeticError, match="failed to converge with 168 nodes"):
             hb2_factors(1.3, 0.7, 25.0, BENCH, big_l=2.0)
+
+    @pytest.mark.parametrize("f", [1.3, 1e-300], ids=["regular", "degenerate"])
+    def test_a_dead_tilted_point_runs_no_round(self, f, monkeypatch):
+        # z0 = 1000: the upper gamma tail is 0 at the box's corner, so the
+        # point is refused before the ladder.
+        sizes = spy_rule_sizes(monkeypatch)
+        with pytest.raises(ArithmeticError, match="integrand underflowed everywhere"):
+            hb2_factors(f, 0.7, 1e3, BENCH, big_l=2.0)
+        assert sizes == []
+
+    def test_dead_points_leave_the_others_on_the_ladder(self, monkeypatch):
+        # The live points of a call run the rounds of a call of their own;
+        # a point with both statistics degenerate takes its series limits.
+        s = np.array([25.0, 1e3, 8.0, 1e3])
+        f = np.array([1.3, 1.3, 0.4, 1e-300])
+        sizes = spy_rule_sizes(monkeypatch)
+        hb2_factors(f[[0, 2]], 0.7, s[[0, 2]], BENCH, big_l=2.0)
+        live_sizes = sizes[:]
+        sizes.clear()
+        with pytest.raises(ReplicateError, match="underflowed everywhere") as raised:
+            hb2_factors(f, 0.7, s, BENCH, big_l=2.0)
+        assert raised.value.replicate == 1
+        assert sizes == live_sizes
+        sizes.clear()
+        assert hb2_factors(1e-300, 1e-300, 1e3, BENCH, big_l=2.0) == approx((0.0, 0.0))
+        assert sizes == []
 
     def test_last_round_memory_stays_at_the_first_rounds(self, monkeypatch):
         # A 256-point block where every point runs every size of the rule
@@ -949,3 +978,46 @@ class TestZeroTiltClosedInnerOracle:
         got = hb1_phi(f, 5, 5, 20, 0.1, 0.1, 1.0)
         slow = [oracles.hb1_phi_riemann(a, 5, 5, 20, 0.1, 0.1) for a in f]
         np.testing.assert_allclose(got, slow, rtol=self.REL, atol=0.0)
+
+
+class TestGammaMixtureOracle:
+    """hb2_factors_gamma_mixture: the HB2 factors as ratios of 1-D gamma mixtures.
+
+    The oracle rests on an identity that neither the Riemann oracle nor the
+    closed-inner oracle uses, and it stays finite where the tilted rule's
+    upper gamma tail underflows.
+    """
+
+    @pytest.mark.parametrize(
+        "shape, f, g, s, big_l",
+        [((3, 4, 12), 0.4, 1.5, 9.0, 0.05), ((5, 5, 20), 50.0, 30.0, 0.2, 0.05)],
+    )
+    def test_matches_riemann_oracle_under_a_tilt(self, shape, f, g, s, big_l):
+        got = oracles.hb2_factors_gamma_mixture(f, g, s, *shape, 0.1, 0.1, 0.1, big_l)
+        slow = oracles.hb2_factors_riemann(f, g, s, *shape, 0.1, 0.1, 0.1, big_l=big_l)
+        assert got == approx(slow, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "shape, f, g",
+        [((5, 5, 20), 3.0, 2.0), ((1, 5, 1), 1e4, 1e4), ((3, 4, 12), 0.7, 0.2),
+         ((12, 10, 200), 0.3, 0.05)],
+    )
+    def test_matches_closed_inner_oracle_at_zero_tilt(self, shape, f, g):
+        got = oracles.hb2_factors_gamma_mixture(f, g, 1.0, *shape, 0.1, 0.1, 0.1, 0.0)
+        slow = oracles.hb2_factors_closed_inner(f, g, *shape, 0.1, 0.1, 0.1)
+        assert got == approx(slow, rel=1e-11)
+
+    @pytest.mark.parametrize("big_l, f, g, s", TestTiltedHb2.ORACLE_POINTS)
+    def test_tilted_rule_matches_it(self, big_l, f, g, s):
+        got = hb2_factors(f, g, s, BENCH, big_l=big_l)
+        slow = oracles.hb2_factors_gamma_mixture(f, g, s, 5, 5, 20, 0.1, 0.1, 0.1, big_l)
+        assert got == approx(slow, rel=1e-7)
+
+    def test_finite_where_the_rule_underflows(self):
+        # p = k = 5, n = 20,000 at scale sum 20,000 and big_l 2: z0 = 20,000
+        # is past gamma_e + 1, and the rule refuses the point.
+        e = HbExponents.from_model(5, 5, 20000, 0.1, 0.1, 0.1)
+        with pytest.raises(ArithmeticError, match="underflowed everywhere"):
+            hb2_factors(5.0, 1.0, 20000.0, e, big_l=2.0)
+        got = oracles.hb2_factors_gamma_mixture(5.0, 1.0, 20000.0, 5, 5, 20000, 0.1, 0.1, 0.1, 2.0)
+        assert got == approx((5.049495216969982e-4, 1.2998700558536588e-4), rel=1e-9)
