@@ -238,6 +238,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Standard output is UTF-8, as the files are, whatever the locale; a
+    # stream with no encoding of its own (a StringIO) is written as it is.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

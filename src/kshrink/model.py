@@ -129,8 +129,8 @@ def _replicates_last(x: np.ndarray) -> np.ndarray:
     """A contiguous copy of x with its replicate axis (the first) last; a lone replicate twice.
 
     numpy's einsum drops a length-1 axis and then sums a lone replicate's
-    terms in another order than a longer block's, so one row runs as two
-    copies of itself and the caller keeps the first len(x) results.
+    terms in another order than a longer block's, so apply_maps runs one
+    row as two copies of itself and keeps the first len(x) results.
     """
     if len(x) == 1:
         x = np.concatenate([x, x])
@@ -143,39 +143,17 @@ def quad_forms(x: np.ndarray, m: np.ndarray, per_group: bool = False) -> np.ndar
     x is (R, k, p) with m a (k, p, p) stack, giving sum_i x[r, i]' m[i] x[r, i]
     as (R,), or each group's form as (R, k) with per_group; or x is (R, p)
     with one (p, p) matrix, run as the one-group stack, giving (R,). Every
-    quadratic form over replicates is taken here. numpy's three-operand
-    einsum builds each output from its (k, a, b) terms in the same nested
-    order whichever axis is innermost, so copying x with the replicate axis
-    last (a contiguous inner loop over replicates) keeps the bits of the
-    replicate-first subscripts ("rka,kab,rkb", and "ra,ab,rb" for one
-    matrix) and is about twice as fast on (256, 5, 5) blocks. As in
-    apply_maps, a lone replicate runs as two copies of itself, so a
-    replicate's form does not depend on how many rows share its call.
-
-    When every off-diagonal entry of m is exactly zero (the identity and
-    scaled-identity scales of the paper's study), the same layout runs
-    "kar,ka,kar" on m's diagonal d, O(R k p) instead of O(R k p^2). It adds
-    the (x d) x terms of the full form's nonzero terms in the same (k, a)
-    order; the full form's other terms are zeros, which change no partial
-    sum of its zero-started accumulator, so the bits are the same. The one
-    difference is an inf coordinate, where the full form adds 0 * inf and
-    gives NaN and the diagonal one gives inf. A nonzero off-diagonal
-    entry, however small, keeps the full form.
+    quadratic form over replicates is taken here, as the dot product of each
+    row of x with its image apply_maps(m, x): the maps carry apply_maps'
+    summation order, layout and diagonal path, and the dot sums a row's own
+    (k, a) terms in an order fixed by k and p, so a replicate's form does
+    not depend on how many rows share its call.
     """
     if m.ndim == 2:
         return quad_forms(x[:, None], m[None])
-    xt = _replicates_last(x)
-    d = _diagonal(m)
-    if d is None:
-        if per_group:
-            out = np.einsum("kar,kab,kbr->kr", xt, m, xt)
-        else:
-            out = np.einsum("kar,kab,kbr->r", xt, m, xt)
-    elif per_group:
-        out = np.einsum("kar,ka,kar->kr", xt, d, xt)
-    else:
-        out = np.einsum("kar,ka,kar->r", xt, d, xt)
-    return out[..., : len(x)].T
+    if per_group:
+        return np.einsum("...a,...a->...", x, apply_maps(m, x))
+    return np.einsum("...ka,...ka->...", x, apply_maps(m, x))
 
 
 def apply_maps(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,21 +162,20 @@ def apply_maps(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     m is a (k, p, p) stack and x is (R, k, p), or (R, p) shared by the k
     maps, which runs as its (R, k, p) broadcast; either gives (R, k, p).
     Or m is one (p, p) matrix and x is (R, p), run as the one-group stack,
-    giving (R, p). Every matrix map over replicates is taken here, and the
-    result is C-contiguous.
+    giving (R, p). Every matrix map over replicates is taken here, quad_forms'
+    included, and the result is C-contiguous.
 
     The order in which an entry's terms m[i, a, b] x[r, i, b] are added is
     fixed by p alone, so a replicate's values do not depend on how many
     rows share its call. Up to p = _LONG_MAPS_MAX_P x is copied with the
-    replicate axis last, as in quad_forms, numpy's inner loop runs over
-    the replicates, and the terms are added one after another in the order
-    of b: about 5x faster than the replicate-first subscripts
-    ("kab,rkb->rka") on (1310, 5, 5) blocks. As in quad_forms, a lone
-    replicate runs as two copies of itself; alone, numpy would drop its
-    axis and sum b in its vectorized dot order. Past p = _LONG_MAPS_MAX_P
-    that layout no longer beats the dot on every block, so wider maps keep
-    the replicate-first subscripts, whose order is the same for any number
-    of rows.
+    replicate axis last, numpy's inner loop runs over the replicates, and
+    the terms are added one after another in the order of b: about 5x
+    faster than the replicate-first subscripts ("kab,rkb->rka") on
+    (1310, 5, 5) blocks. A lone replicate runs as two copies of itself;
+    alone, numpy would drop its axis and sum b in its vectorized dot
+    order. Past p = _LONG_MAPS_MAX_P that layout no longer beats the dot on
+    every block, so wider maps keep the replicate-first subscripts, whose
+    order is the same for any number of rows.
 
     When every off-diagonal entry of m is exactly zero, at any p, the maps
     are the products d[i, a] x[r, i, a] with m's diagonal d, taken by an
@@ -558,7 +535,7 @@ def canonicalize_ksample(
             v[i] = v0a[i] / ni
             if ni > 1:
                 resid = arr - mean
-                s += float(np.einsum("ja,ab,jb->", resid, v0_inv[i], resid))
+                s += float(np.einsum("ja,ja->", resid, apply_maps(v0_inv[i], resid)))
                 df += (ni - 1) * p
     if df < 1:
         raise ValueError("all groups are singletons; no degrees of freedom for the scale")

@@ -32,14 +32,14 @@ takes no matrix product over rows (whose BLAS bits depend on the row
 count). Every matrix map of a replicate's entries (the
 Cholesky map of the draws, the weights, the pooled mean and the direction
 maps) goes through model.apply_maps, whose summation order is fixed by p
-alone; every quadratic form goes through model.quad_forms; every other sum
-over a replicate's own entries is an einsum or elementwise step on that
-row alone. Both helpers follow one rule: a lone replicate runs as two
-copies of itself, and full matrices run with the replicate axis innermost
-(maps up to p = 16, wider ones replicate-first). Both take an elementwise
-path when a matrix is diagonal (every scale and loss matrix of the default
-experiment), which adds the same nonzero terms in the same order and so
-gives the same bits as the full path. So a replicate's values depend on
+alone; every quadratic form goes through model.quad_forms, the dot product
+of each row with its apply_maps image; every other sum over a replicate's
+own entries is an einsum or elementwise step on that row alone. Only
+apply_maps holds the layout rules: a lone replicate runs as two
+copies of itself, full matrices up to p = 16 run with the replicate axis
+innermost and wider ones replicate-first, and a diagonal matrix (every
+scale and loss matrix of the default experiment) takes an elementwise path
+that gives the full path's bits. So a replicate's values depend on
 neither the length of its block nor its neighbours in it, whatever v and
 the loss weights are. The per-replicate values are joined in row order and
 each stream's are reduced with numpy's pairwise summation, so the block

@@ -455,12 +455,12 @@ class TestEstimateGoldenBytes:
             "2be6f3b75f77f1753da08e1d237131f5a2824e32e6817187263d35c85225a8db"),
         "ksample-6x5-full-v0": (
             "ksample", 12, 6, 5, {"v0": _band(5, 2.0, 0.5)},
-            "d7db15d80d475e4793ea6f585eefe25e47e218a6ae081d800231924bb7e07cfc"),
+            "bce39e755727a03bd94a7f3969849ee10a41e4dca7e84c492410986d5fae70d5"),
         "regression-3x3": ("regression", 13, 3, 3, {},
             "5e064e6dbc97507b31985b064dbdf97b60301473e5e28b665bf091055a2c5406"),
         "regression-5x4-full-q": (
             "regression", 14, 5, 4, {"q": _band(4, 1.0, 0.25)},
-            "e3fa200bad5b70a4d90c4a1a6e98044adba7c482594e80b6c442ac4d4c52a6d0"),
+            "ad062d3d7b8b6e9c154ac319d4da72b4cf89cd121ed9d6156419f65402939da9"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -487,8 +487,8 @@ class TestRunGoldenBytes:
     blocks of 3640 and 360 rows, and skips PT and PT*.
     """
 
-    TABLE1 = "33155402449d45557ff40c4a1be25fec8fd3cc0110de1438844e7ac61263d146"
-    FULL_MATRIX = "3018bc63203d49f5a7b0d5a41fb6afd34255aab5c272e53725449acdf4c6641d"
+    TABLE1 = "457fade0e794c3355c96c82063d4dc1c768fe3449571466c3f05903eaa6390d6"
+    FULL_MATRIX = "78fbfc3b31079bf0adcfbf4b2e0002d70d1e1508942c29f9ceef6f60587382ec"
     VALIDATE = "c393c353248c411a0eb7f7f3736c9eecc35195085a3da07fb192e198cacfeef2"
     CHECK_CONDITIONS = "d5a72d4cb0c775d4a4045cd835ef8c11d60086ae6448265a519a8ecd46a74f58"
     FULL_MATRIX_CONFIG = textwrap.dedent(
@@ -604,6 +604,20 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert (run.returncode, run.stderr) == (0, "")
     rows = csv_rows(out.read_bytes().decode("utf-8"))
     assert [row[2] for row in rows[1:4]] == labels
+    # Standard output is UTF-8 too: the same CSV, byte for byte, and a
+    # configuration name in the text table.
+    run = subprocess.run(
+        [sys.executable, "-m", "kshrink.cli", *argv[:-2]], env=env, capture_output=True, timeout=120
+    )
+    assert (run.returncode, run.stderr, run.stdout) == (0, b"", out.read_bytes())
+    sim = tmp_path / "sim.yaml"
+    sim.write_text(SIMULATE_CONFIG.replace("name: flat", "name: zéro"), encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "kshrink.cli", "simulate", "--config", str(sim)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert "zéro" in run.stdout.decode("utf-8")
 
 
 class TestSimulate:
@@ -785,7 +799,7 @@ class TestSimulate:
         )
 
     def test_failed_decomposition_names_config_and_replicate(self, tmp_path, capsys):
-        # Scale matrices of condition 1e9 pass every guard, but replicate 19
+        # Scale matrices of condition 1e9 pass every guard, but replicate 31
         # of "b" misses the pooled decomposition check.
         rotation = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
         v = rotation @ np.diag(np.geomspace(1.0, 1e9, 4)) @ rotation.T
@@ -804,7 +818,7 @@ class TestSimulate:
             lines.add(captured.err)
         (line,) = lines
         assert line.startswith(
-            "error: mean config 'b', replicate 19: "
+            "error: mean config 'b', replicate 31: "
             "pooled quadratic forms failed the decomposition check: "
         )
         assert line.count("\n") == 1

@@ -659,14 +659,31 @@ def with_one_tiny_entry(m):
     return out
 
 
+def ordered_maps(m, x):
+    """apply_maps' reference up to _LONG_MAPS_MAX_P: terms added one by one in b order."""
+    m3 = m if m.ndim == 3 else m[None]
+    x3 = x if x.ndim == 3 else x[:, None]
+    acc = m3[..., 0] * x3[..., None, 0]
+    for b in range(1, m3.shape[-1]):
+        acc = acc + m3[..., b] * x3[..., None, b]
+    return acc if m.ndim == 3 else acc[:, 0]
+
+
+def replicate_first_maps(m, x):
+    """apply_maps' reference past _LONG_MAPS_MAX_P: numpy's dot order over b."""
+    return np.einsum("kab,rkb->rka", m, x if x.ndim == 3 else np.repeat(x[:, None], len(m), 1))
+
+
 class TestQuadForms:
-    # The helper must keep the bits of the replicate-first einsum subscripts
-    # it replaced, at block lengths the harness uses: 1, 2, 256, and a full
-    # block at k = p = 5 (1310 replicates) or of p = 5 draws (6553), each
-    # with its neighbours.
+    # Each form is the dot product of a row with its maps. The reference
+    # takes the row-wise dot with the ordered loop's maps (apply_maps'
+    # order up to _LONG_MAPS_MAX_P) over a block of three or more rows, at
+    # block lengths the harness uses: 1, 2, 256, and a full block at
+    # k = p = 5 (1310 replicates) or of p = 5 draws (6553), each with its
+    # neighbours.
     @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
     @pytest.mark.parametrize("r", [1, 2, 255, 256, 257, 1309, 1310, 1311])
-    def test_stacked_forms_match_the_replicate_first_subscripts(self, r, full):
+    def test_stacked_forms_are_row_dots_with_the_ordered_maps(self, r, full):
         rng = np.random.default_rng(1000 * r + full)
         for k in (1, 2, 5, 13):
             for p in (1, 2, 3, 5, 12):
@@ -675,37 +692,32 @@ class TestQuadForms:
                 got = quad_forms(x, m)
                 by_group = quad_forms(x, m, per_group=True)
                 assert got.shape == (r,) and by_group.shape == (r, k)
-                if r <= 2 and (k, p) == (1, 2):
-                    # The one shape where the old subscripts summed a one- or
-                    # two-row block in another order than a longer one; the
-                    # helper sums it as they sum any block of three or more.
-                    x = np.concatenate([x, x, x])
-                assert np.array_equal(got, np.einsum("rka,kab,rkb->r", x, m, x)[:r])
-                assert np.array_equal(got, np.einsum("...ka,kab,...kb->...", x, m, x)[:r])
-                assert np.array_equal(by_group, np.einsum("rka,kab,rkb->rk", x, m, x)[:r])
+                block = np.concatenate([x, x, x]) if r <= 2 else x
+                maps = ordered_maps(m, block)
+                assert np.array_equal(got, np.einsum("rka,rka->r", block, maps)[:r])
+                assert np.array_equal(by_group, np.einsum("rka,rka->rk", block, maps)[:r])
 
     @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
     @pytest.mark.parametrize("r", [1, 2, 255, 256, 257, 6552, 6553, 6554])
-    def test_single_matrix_form_matches_the_replicate_first_subscripts(self, r, full):
+    def test_single_matrix_form_is_the_row_dot_with_the_ordered_maps(self, r, full):
         rng = np.random.default_rng(2000 * r + full)
         for p in (1, 2, 3, 5, 12):
             m = spd_stack(rng, 1, p, full)[0]
             y = 3.0 * rng.normal(size=(r, p))
             got = quad_forms(y, m)
             assert got.shape == (r,)
-            if r <= 2 and p == 2:
-                # As for k = 1 above: compare with a block of three or more.
-                y = np.concatenate([y, y, y])
-            assert np.array_equal(got, np.einsum("ra,ab,rb->r", y, m, y)[:r])
+            block = np.concatenate([y, y, y]) if r <= 2 else y
+            assert np.array_equal(got, np.einsum("ra,ra->r", block, ordered_maps(m, block))[:r])
 
     @pytest.mark.parametrize("full", [False, True], ids=["diagonal", "full"])
     def test_rows_alone_match_their_block(self, full):
         # A replicate's form must not depend on how many rows share its
         # call: every run of 1, 2 or 3 rows matches the same rows of a
-        # 300-row block, for both stacked forms and the one-matrix form.
+        # 300-row block, for both stacked forms and the one-matrix form, on
+        # both sides of _LONG_MAPS_MAX_P.
         rng = np.random.default_rng(3000 + full)
         for k in range(1, 6):
-            for p in range(1, 8):
+            for p in (*range(1, 8), 16, 17, 24):
                 m = spd_stack(rng, k, p, full)
                 x = 3.0 * rng.normal(size=(300, k, p))
                 forms = [lambda z: quad_forms(z, m), lambda z: quad_forms(z, m, per_group=True)]
@@ -717,10 +729,9 @@ class TestQuadForms:
                         for r0 in range(0, 300 - r + 1, r):
                             assert np.array_equal(form(x[r0 : r0 + r]), block[r0 : r0 + r])
 
-    # A diagonal stack runs "kar,ka,kar" in the same layout: the same
-    # (x * d) * x terms in the same (k, a) order as the full form's nonzero
-    # terms, whose zero terms change no partial sum of a zero-started
-    # accumulator. So the bits match, the sign of a zero sum included.
+    # A diagonal stack's maps are apply_maps' elementwise products, which
+    # keep the full maps' bits, so the dots match too, the sign of a zero
+    # sum included.
     def test_diagonal_path_keeps_the_full_paths_bits(self):
         rng = np.random.default_rng(6000)
         for k, p, r in DIAGONAL_SWEEP:
@@ -757,21 +768,6 @@ class TestQuadForms:
         assert np.all(quad_forms(x, m) == np.inf)
         assert np.all(quad_forms(x, m, per_group=True) == np.inf)
         assert np.all(quad_forms(x[:, 0], m[0]) == np.inf)
-
-
-def ordered_maps(m, x):
-    """apply_maps' reference up to _LONG_MAPS_MAX_P: terms added one by one in b order."""
-    m3 = m if m.ndim == 3 else m[None]
-    x3 = x if x.ndim == 3 else x[:, None]
-    acc = m3[..., 0] * x3[..., None, 0]
-    for b in range(1, m3.shape[-1]):
-        acc = acc + m3[..., b] * x3[..., None, b]
-    return acc if m.ndim == 3 else acc[:, 0]
-
-
-def replicate_first_maps(m, x):
-    """apply_maps' reference past _LONG_MAPS_MAX_P: numpy's dot order over b."""
-    return np.einsum("kab,rkb->rka", m, x if x.ndim == 3 else np.repeat(x[:, None], len(m), 1))
 
 
 class TestApplyMaps:
@@ -867,34 +863,71 @@ class TestApplyMaps:
         assert np.array_equal(apply_maps(m, x)[:, :, 1], np.full((5, 2), -np.inf))
 
     def test_no_replicate_map_outside_apply_maps(self):
-        # A fence: a two-operand einsum whose output keeps the replicate
-        # axis r and another axis is a per-replicate matrix map, and those
-        # are taken only in apply_maps, whose summation order the tests
-        # above pin. Every einsum's subscripts must be a literal, so this
-        # check can read them.
         found = []
         for path in sorted((Path(__file__).parents[1] / "src" / "kshrink").glob("*.py")):
-            tree = ast.parse(path.read_text())
-            allowed = [
-                range(node.lineno, node.end_lineno + 1)
-                for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "apply_maps"
-            ]
-            for node in ast.walk(tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "einsum"
-                ):
-                    continue
-                spec = node.args[0]
-                where = f"{path.name}:{node.lineno}"
-                assert isinstance(spec, ast.Constant) and isinstance(spec.value, str), where
-                inputs, _, output = spec.value.partition("->")
-                is_map = len(inputs.split(",")) == 2 and "r" in output and len(output) > 1
-                if is_map and not any(node.lineno in lines for lines in allowed):
-                    found.append(f"{where} {spec.value}")
+            found += [f"{path.name}:{line}" for line in layout_escapes(path.read_text())]
         assert found == []
+
+    def test_the_fence_sees_each_escape(self):
+        source = (
+            "def apply_maps(m, x):\n"
+            "    d = _diagonal(m)\n"
+            "    np.einsum('kab,kbc,kcd->kad', m, m, m)\n"
+            "    return np.einsum('kab,kbr->kar', m, _replicates_last(x))\n"
+            "def quad_forms(x, m):\n"
+            "    xt = _replicates_last(x)\n"
+            "    np.einsum('kar,kab,kbr->r', xt, m, xt)\n"
+            "    np.einsum('ja,ab,jb->', x, m, x)\n"
+            "    np.einsum('kab,rkb->rka', m, x)\n"
+            "    np.einsum('...ka,...ka->...', x, x)\n"
+            "    np.einsum('rka,rka->r', x, x)\n"
+            "    return _diagonal(m)\n"
+        )
+        assert layout_escapes(source) == [
+            "3 kab,kbc,kcd->kad",
+            "6 _replicates_last",
+            "7 kar,kab,kbr->r",
+            "8 ja,ab,jb->",
+            "9 kab,rkb->rka",
+            "12 _diagonal",
+        ]
+
+
+def layout_escapes(source):
+    """The lines of source that take a matrix map or a layout step outside apply_maps.
+
+    A fence: a two-operand einsum whose output keeps the replicate axis r
+    and another axis is a per-replicate matrix map, and those are taken
+    only in apply_maps, whose summation order the tests above pin; so are
+    its layout helpers _replicates_last and _diagonal called. An einsum of
+    three or more operands is refused everywhere: a quadratic form is the
+    dot of a row with its apply_maps image, taken in quad_forms. Every
+    einsum's subscripts must be a literal, so this check can read them.
+    """
+    tree = ast.parse(source)
+    allowed = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "apply_maps"
+    ]
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        inside = any(node.lineno in lines for lines in allowed)
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in ("_replicates_last", "_diagonal"):
+            if not inside:
+                found.append(f"{node.lineno} {func.id}")
+        elif isinstance(func, ast.Attribute) and func.attr == "einsum":
+            spec = node.args[0]
+            assert isinstance(spec, ast.Constant) and isinstance(spec.value, str), node.lineno
+            inputs, _, output = spec.value.partition("->")
+            operands = len(inputs.split(","))
+            is_map = operands == 2 and "r" in output and len(output) > 1
+            if operands > 2 or (is_map and not inside):
+                found.append(f"{node.lineno} {spec.value}")
+    return sorted(found, key=lambda line: int(line.split()[0]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
